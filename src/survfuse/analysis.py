@@ -29,7 +29,6 @@ from .dataset import (
     truncate_30day,
 )
 from .errors import (
-    DegenerateResamplingError,
     EmptyInputError,
     MismatchedLengthsError,
     MissingModalityError,
@@ -45,7 +44,9 @@ from .metrics import (
     km_curve,
     logrank_test,
     nri,
+    resample_weights,
     sigmoid,
+    weighted_c_index,
     wilcoxon_signed_rank,
 )
 
@@ -62,8 +63,6 @@ MODEL_KINDS = (
 SHORT_TERM_KINDS = tuple(k for k in MODEL_KINDS if k != "rsf_fused")
 
 SPLIT_NAMES = ("train", "val", "test")
-
-_MAX_REDRAWS = 100
 
 
 @dataclass(frozen=True)
@@ -158,9 +157,10 @@ def compare_to_pesi(model_scores, pesi_scores, labels: list[SurvivalLabel],
     """Paired bootstrap comparison of concordance against the severity index.
 
     Each resample draws patients with replacement and records the c-index
-    difference (model minus index) on the identical resample, so the
-    Wilcoxon signed-rank test sees properly paired values. Identical scores
-    produce all-zero differences, reported as "no difference" (p = 1).
+    difference (model minus index) on the identical resample (one
+    ``resample_weights`` matrix scores both), so the Wilcoxon signed-rank
+    test sees properly paired values. Identical scores produce all-zero
+    differences, reported as "no difference" (p = 1).
     """
     if n_resamples < 100:
         raise TooFewResamplesError(f"need at least 100 resamples, got {n_resamples}")
@@ -169,19 +169,9 @@ def compare_to_pesi(model_scores, pesi_scores, labels: list[SurvivalLabel],
     n = len(labels)
     if model_scores.size != n or pesi_scores.size != n:
         raise MismatchedLengthsError("scores and labels must align")
-    rng = np.random.default_rng(seed)
-    diffs = np.empty(n_resamples)
-    for r in range(n_resamples):
-        for _ in range(_MAX_REDRAWS):
-            idx = rng.integers(0, n, size=n)
-            sub = [labels[i] for i in idx]
-            try:
-                diffs[r] = c_index(model_scores[idx], sub) - c_index(pesi_scores[idx], sub)
-                break
-            except NoComparablePairsError:
-                continue
-        else:
-            raise DegenerateResamplingError(f"resample {r}: no valid draw in {_MAX_REDRAWS} attempts")
+    weights = resample_weights(np.random.default_rng(seed), labels, n_resamples)
+    diffs = (weighted_c_index(model_scores, labels, weights)
+             - weighted_c_index(pesi_scores, labels, weights))
     try:
         test = wilcoxon_signed_rank(diffs)
     except TooFewPairsError:
@@ -283,11 +273,10 @@ def run_study_full(ds: Dataset, config: StudyConfig | None = None):
     ds = impute_missing(ds, split.train_ids)
 
     id_rows = {r.patient_id: i for i, r in enumerate(ds.records)}
-    rows = {
-        "train": np.array([id_rows[i] for i in ds.patient_ids if i in set(split.train_ids)]),
-        "val": np.array([id_rows[i] for i in ds.patient_ids if i in set(split.val_ids)]),
-        "test": np.array([id_rows[i] for i in ds.patient_ids if i in set(split.test_ids)]),
-    }
+    split_ids = {"train": set(split.train_ids), "val": set(split.val_ids),
+                 "test": set(split.test_ids)}
+    rows = {s: np.array([id_rows[i] for i in ds.patient_ids if i in split_ids[s]])
+            for s in SPLIT_NAMES}
     labels_all = ds.labels
     labels = {s: [labels_all[i] for i in rows[s]] for s in SPLIT_NAMES}
     ids = {s: [ds.records[i].patient_id for i in rows[s]] for s in SPLIT_NAMES}
@@ -409,7 +398,7 @@ def run_study_full(ds: Dataset, config: StudyConfig | None = None):
                 continue
             scores = raw[kind][s]
             ci_seed = _derived_seed(cfg.seed, _STAGE["ci"], si, mi)
-            lo, hi = bootstrap_ci(c_index, scores, labels[s], cfg.bootstrap_resamples, ci_seed)
+            lo, hi = bootstrap_ci(scores, labels[s], cfg.bootstrap_resamples, ci_seed)
             overall[s][kind] = {
                 "c_index": c_index(scores, labels[s]), "ci_low": lo, "ci_high": hi,
             }
@@ -424,7 +413,7 @@ def run_study_full(ds: Dataset, config: StudyConfig | None = None):
             ci_seed = _derived_seed(cfg.seed, _STAGE["ci_short"], si, mi)
             try:
                 value = c_index(scores, labels30)
-                lo, hi = bootstrap_ci(c_index, scores, labels30, cfg.bootstrap_resamples, ci_seed)
+                lo, hi = bootstrap_ci(scores, labels30, cfg.bootstrap_resamples, ci_seed)
             except NoComparablePairsError:
                 value, lo, hi = None, None, None  # no deaths inside 30 days in this split
             short_term[s][kind] = {"c_index": value, "ci_low": lo, "ci_high": hi}

@@ -392,7 +392,8 @@ def compute_imputation_stats(ds: Dataset, reference_ids) -> ImputationStats:
     reference ages (observed values plus the median for missing ones) so that
     normalized training age has mean exactly zero.
     """
-    ref = [r for r in ds.records if r.patient_id in set(reference_ids)]
+    wanted = set(reference_ids)
+    ref = [r for r in ds.records if r.patient_id in wanted]
     if not ref:
         raise DatasetTooSmallError("reference id set selects no records")
 
@@ -472,7 +473,8 @@ def clinical_matrix(ds: Dataset, ids=None) -> np.ndarray:
     """Stack clinical feature vectors for ``ids`` (default: all) in record order."""
     if ds.age_norm_params is None:
         raise UnimputedRecordError("dataset has no imputation stats; run impute_missing first")
-    records = ds.records if ids is None else [r for r in ds.records if r.patient_id in set(ids)]
+    wanted = None if ids is None else set(ids)
+    records = [r for r in ds.records if wanted is None or r.patient_id in wanted]
     return np.array([clinical_feature_vector(r, ds.age_norm_params) for r in records])
 
 

@@ -26,8 +26,13 @@ from .errors import (
     TooFewResamplesError,
 )
 
-# give up on a bootstrap after this many redraws of a single resample
-_MAX_REDRAWS_PER_RESAMPLE = 100
+# give up on a bootstrap after this many invalid draws in a row
+_MAX_REDRAWS = 100
+
+# resamples, or event rows, per working block of the batched bootstrap: its
+# temporary memory is then O(block x subjects), whatever the resample and
+# event counts
+_BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -103,35 +108,99 @@ def c_index(scores, labels: list[SurvivalLabel]) -> float:
     return float((greater + 0.5 * tied) / n_pairs)
 
 
-def bootstrap_ci(metric_fn, scores, labels: list[SurvivalLabel],
-                 n_resamples: int = 1000, seed: int = 0) -> tuple[float, float]:
-    """Percentile 95% interval (2.5th/97.5th) of ``metric_fn`` under resampling.
+def resample_weights(rng: np.random.Generator, labels: list[SurvivalLabel],
+                     n_resamples: int) -> np.ndarray:
+    """Multiplicity matrix, shape ``(n_resamples, n)``, of bootstrap resamples.
 
-    Patients are drawn with replacement; a resample on which the metric is
-    undefined (e.g. no comparable pairs) is redrawn, up to a bounded number
-    of attempts.
+    Row r counts how often each subject is drawn in resample r, in the
+    smallest unsigned integer type that holds n. Every attempt
+    is one ``rng.integers(0, n, size=n)`` draw. An attempt without a
+    comparable pair (no drawn event before the largest drawn time) is skipped
+    and the next attempt takes its place; ``_MAX_REDRAWS`` invalid attempts
+    in a row raise. Attempts are drawn a block at a time with one
+    ``integers`` call of shape ``(k, n)``, which consumes the generator
+    exactly as k calls of size n do.
+    """
+    t, e = label_arrays(labels)
+    n = t.size
+    weights = np.empty((n_resamples, n), dtype=np.min_scalar_type(n))
+    filled = invalid_run = 0
+    while filled < n_resamples:
+        idx = rng.integers(0, n, size=(min(_BLOCK_ROWS, n_resamples - filled), n))
+        drawn = t[idx]
+        valid = (e[idx] & (drawn < drawn.max(axis=1, keepdims=True))).any(axis=1)
+        # length of the run of invalid attempts ending at each attempt
+        pos = np.arange(valid.size)
+        last_valid = np.maximum.accumulate(np.where(valid, pos, -1))
+        run = np.where(last_valid >= 0, pos - last_valid, pos + 1 + invalid_run)
+        hopeless = np.flatnonzero(run >= _MAX_REDRAWS)
+        if hopeless.size:
+            r = filled + int(valid[: hopeless[0]].sum())
+            raise DegenerateResamplingError(
+                f"resample {r}: no valid draw in {_MAX_REDRAWS} attempts"
+            )
+        kept = idx[valid]
+        offsets = n * np.arange(kept.shape[0])[:, None]
+        counts = np.bincount((kept + offsets).ravel(), minlength=kept.size)
+        weights[filled : filled + kept.shape[0]] = counts.reshape(kept.shape)
+        filled += kept.shape[0]
+        invalid_run = int(run[-1])
+    return weights
+
+
+def weighted_c_index(scores, labels: list[SurvivalLabel], weights) -> np.ndarray:
+    """Harrell's concordance of ``scores`` under each row of subject weights.
+
+    Row r of ``weights`` holds each subject's multiplicity, as from
+    ``resample_weights``; an all-ones row gives ``c_index``. Over event rows
+    i, ``later[i, j] = t_i < t_j`` marks the comparable pairs and
+    ``credit = later * ([s_i > s_j] + 0.5 [s_i = s_j])`` their concordance,
+    so for weights w with event part w_E the value is
+    ``sum(w_E * (w @ credit.T)) / sum(w_E * (w @ later.T))``. With the
+    multiplicities of a resample every sum is an integer or half-integer
+    below n**2, far below 2**53, so the value equals ``c_index`` on the
+    expanded resample bit for bit.
+    Resamples and event rows are taken in blocks of ``_BLOCK_ROWS``, one
+    matmul per pair of blocks.
+    """
+    s = np.asarray(scores, dtype=float)
+    w = np.asarray(weights)
+    if s.ndim != 1 or s.size != len(labels) or w.ndim != 2 or w.shape[1] != s.size:
+        raise MismatchedLengthsError(
+            f"{s.size} scores, {len(labels)} labels and weights of shape {w.shape}"
+        )
+    t, e = label_arrays(labels)
+    events = np.flatnonzero(e)
+    totals = np.zeros((w.shape[0], 2))  # weighted comparable pairs, concordance credit
+    for a in range(0, events.size, _BLOCK_ROWS):
+        ev = events[a : a + _BLOCK_ROWS]
+        later = t[ev, None] < t
+        credit = later * ((s[ev, None] > s) + 0.5 * (s[ev, None] == s))
+        both = np.concatenate([later, credit]).T
+        for b in range(0, w.shape[0], _BLOCK_ROWS):
+            block = w[b : b + _BLOCK_ROWS].astype(float)
+            sums = (block @ both).reshape(block.shape[0], 2, ev.size)
+            totals[b : b + _BLOCK_ROWS] += (sums * block[:, None, ev]).sum(axis=2)
+    if not (totals[:, 0] > 0).all():
+        raise NoComparablePairsError("a weighting has no (event, later-time) pair")
+    return totals[:, 1] / totals[:, 0]
+
+
+def bootstrap_ci(scores, labels: list[SurvivalLabel],
+                 n_resamples: int = 1000, seed: int = 0) -> tuple[float, float]:
+    """Percentile 95% interval (2.5th/97.5th) of ``c_index`` under resampling.
+
+    Patients are drawn with replacement by ``resample_weights`` (a resample
+    without comparable pairs is redrawn, up to a bounded number of attempts)
+    and all resamples are scored at once by ``weighted_c_index``.
     """
     if n_resamples < 100:
         raise TooFewResamplesError(f"need at least 100 resamples, got {n_resamples}")
     s = np.asarray(scores, dtype=float)
     if s.size != len(labels):
         raise MismatchedLengthsError(f"{s.size} scores for {len(labels)} labels")
-    rng = np.random.default_rng(seed)
-    n = s.size
-    values = np.empty(n_resamples)
-    for r in range(n_resamples):
-        for _ in range(_MAX_REDRAWS_PER_RESAMPLE):
-            idx = rng.integers(0, n, size=n)
-            try:
-                values[r] = metric_fn(s[idx], [labels[i] for i in idx])
-                break
-            except NoComparablePairsError:
-                continue
-        else:
-            raise DegenerateResamplingError(
-                f"resample {r}: no valid draw in {_MAX_REDRAWS_PER_RESAMPLE} attempts"
-            )
-    lo, hi = np.percentile(values, [2.5, 97.5])
+    weights = resample_weights(np.random.default_rng(seed), labels, n_resamples)
+    lo, hi = np.percentile(weighted_c_index(s, labels, weights), [2.5, 97.5])
     return float(lo), float(hi)
 
 

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from survfuse.analysis import (
     MODEL_KINDS,
     SHORT_TERM_KINDS,
+    ComparisonResult,
     DeepHyper,
     RsfHyper,
     RiskStrata,
@@ -17,16 +20,80 @@ from survfuse.analysis import (
 )
 from survfuse.dataset import SurvivalLabel, attach_imaging, ingest_clinical
 from survfuse.errors import (
+    DegenerateResamplingError,
     EmptyInputError,
     MismatchedLengthsError,
     MissingModalityError,
+    NoComparablePairsError,
+    TooFewPairsError,
     TooFewResamplesError,
 )
+from survfuse import metrics
+from survfuse.metrics import c_index, wilcoxon_signed_rank
 from survfuse.synthetic import CohortPlan, write_study_csvs
 
 
 def labs(times, events):
     return [SurvivalLabel(event=bool(e), time_days=float(t)) for t, e in zip(times, events)]
+
+
+_MAX_REDRAWS = 100
+
+
+def loop_compare_to_pesi(model_scores, pesi_scores, labels, n_resamples=1000, seed=0):
+    """The per-resample loop that ``compare_to_pesi`` replaced, kept as its oracle."""
+    if n_resamples < 100:
+        raise TooFewResamplesError(f"need at least 100 resamples, got {n_resamples}")
+    model_scores = np.asarray(model_scores, dtype=float)
+    pesi_scores = np.asarray(pesi_scores, dtype=float)
+    n = len(labels)
+    if model_scores.size != n or pesi_scores.size != n:
+        raise MismatchedLengthsError("scores and labels must align")
+    rng = np.random.default_rng(seed)
+    diffs = np.empty(n_resamples)
+    for r in range(n_resamples):
+        for _ in range(_MAX_REDRAWS):
+            idx = rng.integers(0, n, size=n)
+            sub = [labels[i] for i in idx]
+            try:
+                diffs[r] = c_index(model_scores[idx], sub) - c_index(pesi_scores[idx], sub)
+                break
+            except NoComparablePairsError:
+                continue
+        else:
+            raise DegenerateResamplingError(f"resample {r}: no valid draw in {_MAX_REDRAWS} attempts")
+    try:
+        test = wilcoxon_signed_rank(diffs)
+    except TooFewPairsError:
+        test = metrics.TestResult(statistic=0.0, p_value=1.0,
+                                  method="wilcoxon-signed-rank-degenerate (no nonzero differences)")
+    return ComparisonResult(test=test, mean_diff=float(diffs.mean()), n_resamples=n_resamples)
+
+
+def outcome(fn, *args):
+    """A result, or the message of the resampling failure it raised."""
+    try:
+        return fn(*args)
+    except DegenerateResamplingError as exc:
+        return ("degenerate", str(exc))
+
+
+@st.composite
+def paired_cohorts(draw, min_n=3, max_n=30):
+    """(model scores, index scores, labels); few levels give heavy ties."""
+    n = draw(st.integers(min_n, max_n))
+    score_levels = draw(st.sampled_from([2, 3, 10**6]))
+    time_levels = draw(st.sampled_from([1, 2, 4, 10**6]))
+    event_pct = draw(st.sampled_from([0, 5, 30, 90]))
+
+    def column(values):
+        return draw(st.lists(values, min_size=n, max_size=n))
+
+    model = np.array(column(st.integers(0, score_levels - 1)), dtype=float)
+    index = np.array(column(st.integers(0, score_levels - 1)), dtype=float)
+    times = column(st.integers(1, time_levels))
+    events = [u < event_pct for u in column(st.integers(0, 99))]
+    return model, index, labs(times, events)
 
 
 class TestFormatPct:
@@ -162,6 +229,20 @@ class TestCompareToPesi:
     def test_length_mismatch(self):
         with pytest.raises(MismatchedLengthsError):
             compare_to_pesi([0.1], [0.2, 0.3], labs([1, 2], [1, 1]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(paired_cohorts(), st.integers(0, 2**32 - 1))
+    def test_matches_per_resample_loop_bit_for_bit(self, cohort, seed):
+        model, index, labels = cohort
+        want = outcome(loop_compare_to_pesi, model, index, labels, 100, seed)
+        assert outcome(compare_to_pesi, model, index, labels, 100, seed) == want
+
+    def test_all_censored_fails_like_the_loop(self):
+        labels = labs([1, 2, 3, 4], [0, 0, 0, 0])
+        model, index = np.arange(4.0), np.ones(4)
+        want = outcome(loop_compare_to_pesi, model, index, labels, 100, 3)
+        assert want[0] == "degenerate"
+        assert outcome(compare_to_pesi, model, index, labels, 100, 3) == want
 
 
 class TestStudyConfig:

@@ -1,8 +1,13 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+
+from survfuse import metrics
 
 from survfuse.dataset import SurvivalLabel
 from survfuse.errors import (
@@ -21,7 +26,9 @@ from survfuse.metrics import (
     km_curve,
     logrank_test,
     nri,
+    resample_weights,
     sigmoid,
+    weighted_c_index,
     wilcoxon_signed_rank,
 )
 
@@ -45,6 +52,72 @@ def brute_c_index(scores, labels):
     if pairs == 0:
         raise NoComparablePairsError("none")
     return (conc + 0.5 * ties) / pairs
+
+
+@st.composite
+def cohorts(draw, min_n=3, max_n=30):
+    """(scores, labels) with optional heavy score ties, time ties and censoring."""
+    n = draw(st.integers(min_n, max_n))
+    score_levels = draw(st.sampled_from([1, 2, 3, 10**6]))
+    time_levels = draw(st.sampled_from([1, 2, 4, 10**6]))
+    event_pct = draw(st.sampled_from([0, 5, 30, 90]))
+
+    def column(values):
+        return draw(st.lists(values, min_size=n, max_size=n))
+
+    scores = np.array(column(st.integers(0, score_levels - 1)), dtype=float)
+    times = column(st.integers(1, time_levels))
+    events = [u < event_pct for u in column(st.integers(0, 99))]
+    return scores, labs(times, events)
+
+
+_MAX_REDRAWS_PER_RESAMPLE = 100
+
+
+def loop_bootstrap_ci(metric_fn, scores, labels, n_resamples=1000, seed=0):
+    """The per-resample loop that ``bootstrap_ci`` replaced, kept as its oracle."""
+    if n_resamples < 100:
+        raise TooFewResamplesError(f"need at least 100 resamples, got {n_resamples}")
+    s = np.asarray(scores, dtype=float)
+    if s.size != len(labels):
+        raise MismatchedLengthsError(f"{s.size} scores for {len(labels)} labels")
+    rng = np.random.default_rng(seed)
+    n = s.size
+    values = np.empty(n_resamples)
+    for r in range(n_resamples):
+        for _ in range(_MAX_REDRAWS_PER_RESAMPLE):
+            idx = rng.integers(0, n, size=n)
+            try:
+                values[r] = metric_fn(s[idx], [labels[i] for i in idx])
+                break
+            except NoComparablePairsError:
+                continue
+        else:
+            raise DegenerateResamplingError(
+                f"resample {r}: no valid draw in {_MAX_REDRAWS_PER_RESAMPLE} attempts"
+            )
+    lo, hi = np.percentile(values, [2.5, 97.5])
+    return float(lo), float(hi)
+
+
+def outcome(fn, *args):
+    """A result, or the message of the resampling failure it raised."""
+    try:
+        return fn(*args)
+    except DegenerateResamplingError as exc:
+        return ("degenerate", str(exc))
+
+
+class ScriptedRng:
+    """Stands in for a Generator: ``integers`` hands out scripted draws in order."""
+
+    def __init__(self, rows):
+        self.rows = list(rows)
+
+    def integers(self, low, high, size):
+        k = size[0]
+        out, self.rows = self.rows[:k], self.rows[k:]
+        return np.array(out)
 
 
 class TestCIndex:
@@ -95,6 +168,19 @@ class TestCIndex:
         with pytest.raises(MismatchedLengthsError):
             c_index([1.0], labs([1, 2], [1, 1]))
 
+    @settings(max_examples=60, deadline=None)
+    @given(cohorts())
+    def test_unit_weights_give_c_index(self, cohort):
+        scores, labels = cohort
+        ones = np.ones((1, len(labels)))
+        try:
+            want = c_index(scores, labels)
+        except NoComparablePairsError:
+            with pytest.raises(NoComparablePairsError):
+                weighted_c_index(scores, labels, ones)
+            return
+        assert weighted_c_index(scores, labels, ones)[0] == want
+
 
 class TestBootstrapCi:
     def labels(self, rng, n=120):
@@ -105,10 +191,10 @@ class TestBootstrapCi:
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(2)
         scores, labels = self.labels(rng)
-        a = bootstrap_ci(c_index, scores, labels, n_resamples=200, seed=9)
-        b = bootstrap_ci(c_index, scores, labels, n_resamples=200, seed=9)
+        a = bootstrap_ci(scores, labels, n_resamples=200, seed=9)
+        b = bootstrap_ci(scores, labels, n_resamples=200, seed=9)
         assert a == b
-        c = bootstrap_ci(c_index, scores, labels, n_resamples=200, seed=10)
+        c = bootstrap_ci(scores, labels, n_resamples=200, seed=10)
         assert a != c
 
     def test_interval_brackets_point_estimate(self):
@@ -116,7 +202,7 @@ class TestBootstrapCi:
             rng = np.random.default_rng(seed)
             scores, labels = self.labels(rng)
             point = c_index(scores, labels)
-            lo, hi = bootstrap_ci(c_index, scores, labels, n_resamples=200, seed=seed)
+            lo, hi = bootstrap_ci(scores, labels, n_resamples=200, seed=seed)
             assert lo <= point <= hi
             assert 0.0 <= lo <= hi <= 1.0
 
@@ -124,28 +210,77 @@ class TestBootstrapCi:
         rng = np.random.default_rng(3)
         small_scores, small_labels = self.labels(rng, n=40)
         big_scores, big_labels = self.labels(rng, n=400)
-        lo_s, hi_s = bootstrap_ci(c_index, small_scores, small_labels, 300, seed=1)
-        lo_b, hi_b = bootstrap_ci(c_index, big_scores, big_labels, 300, seed=1)
+        lo_s, hi_s = bootstrap_ci(small_scores, small_labels, 300, seed=1)
+        lo_b, hi_b = bootstrap_ci(big_scores, big_labels, 300, seed=1)
         assert (hi_b - lo_b) < (hi_s - lo_s)
 
     def test_too_few_resamples(self):
         rng = np.random.default_rng(4)
         scores, labels = self.labels(rng)
         with pytest.raises(TooFewResamplesError):
-            bootstrap_ci(c_index, scores, labels, n_resamples=99)
+            bootstrap_ci(scores, labels, n_resamples=99)
 
     def test_redraws_skip_degenerate_resamples(self):
         # one event among many censored: most resamples have no comparable
         # pair and must be redrawn, but the interval is still produced
         labels = labs([1, 2, 3, 4, 5], [1, 0, 0, 0, 0])
         scores = np.array([5.0, 4.0, 3.0, 2.0, 1.0])
-        lo, hi = bootstrap_ci(c_index, scores, labels, n_resamples=100, seed=0)
+        lo, hi = bootstrap_ci(scores, labels, n_resamples=100, seed=0)
         assert 0.0 <= lo <= hi <= 1.0
 
     def test_hopeless_data_raises_degenerate(self):
         labels = labs([1, 2, 3, 4], [0, 0, 0, 0])  # no events: no resample works
         with pytest.raises(DegenerateResamplingError):
-            bootstrap_ci(c_index, np.arange(4.0), labels, n_resamples=100, seed=0)
+            bootstrap_ci(np.arange(4.0), labels, n_resamples=100, seed=0)
+
+    @settings(max_examples=80, deadline=None)
+    @given(cohorts(), st.integers(0, 2**32 - 1), st.sampled_from([metrics._BLOCK_ROWS, 1, 3]))
+    def test_matches_per_resample_loop_bit_for_bit(self, cohort, seed, block_rows):
+        # blocks of 1 and 3 rows take the multi-block paths of the resampler
+        # and of weighted_c_index for event rows too on these small cohorts
+        scores, labels = cohort
+        want = outcome(loop_bootstrap_ci, c_index, scores, labels, 100, seed)
+        with mock.patch.object(metrics, "_BLOCK_ROWS", block_rows):
+            assert outcome(bootstrap_ci, scores, labels, 100, seed) == want
+
+    @pytest.mark.parametrize("times, events", [
+        ([1, 2, 3, 4], [0, 0, 0, 0]),  # all censored: every draw is invalid
+        ([1, 2, 3], [1, 0, 0]),        # n = 3, one early event: many redraws
+        ([1, 1, 2], [1, 1, 0]),
+    ])
+    def test_edge_cohorts_match_per_resample_loop(self, times, events):
+        labels = labs(times, events)
+        scores = np.arange(float(len(labels)))
+        for seed in range(5):
+            want = outcome(loop_bootstrap_ci, c_index, scores, labels, 100, seed)
+            assert outcome(bootstrap_ci, scores, labels, 100, seed) == want
+
+    @pytest.mark.parametrize("block_rows", [7, 256])
+    def test_redraw_limit_counts_invalid_draws_in_a_row(self, block_rows):
+        # with 7-row blocks the runs of invalid draws cross block edges; with
+        # 256 the run that raises shares its block with earlier valid draws
+        labels = labs([1, 2], [1, 0])
+        valid, invalid = [0, 1], [1, 1]  # only [0, 1] has an event before t=2
+        rows = [valid] + [invalid] * 99 + [valid] * 2 + [invalid] * 100 + [valid]
+        with mock.patch.object(metrics, "_BLOCK_ROWS", block_rows):
+            weights = resample_weights(ScriptedRng(rows), labels, 3)
+            assert weights.tolist() == [[1, 1]] * 3
+            with pytest.raises(DegenerateResamplingError,
+                               match="resample 3: no valid draw in 100 attempts"):
+                resample_weights(ScriptedRng(rows), labels, 300)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**63), st.integers(1, 2000), st.integers(1, 70))
+    def test_block_draw_consumes_the_stream_like_row_draws(self, seed, n, k):
+        # resample_weights draws k attempts in one call; this holds only if
+        # numpy's integers() yields the same values and leaves the generator
+        # in the same state as k separate calls of size n
+        block_rng = np.random.default_rng(seed)
+        row_rng = np.random.default_rng(seed)
+        block = block_rng.integers(0, n, size=(k, n))
+        rows = np.stack([row_rng.integers(0, n, size=n) for _ in range(k)])
+        assert np.array_equal(block, rows)
+        assert block_rng.bit_generator.state == row_rng.bit_generator.state
 
 
 class TestKmCurve:
