@@ -31,7 +31,6 @@ from .cox_linear import (
     partial_loglik,
     partial_loglik_grad_hess,
     predict_linear,
-    survival_at,
 )
 from .dataset import (
     ClinicalVariables,
@@ -82,7 +81,7 @@ from .metrics import (
     wilcoxon_signed_rank,
 )
 from .pesi import PESI_WEIGHTS, PesiResult, pesi_predictor, pesi_score, risk_class_for
-from .rsf import ForestModel, RsfOptions, SurvivalTree, fit_forest, logrank_split_score, predict_risk
+from .rsf import ForestModel, RsfOptions, SurvivalTree, fit_forest, predict_risk
 from .synthetic import (
     CohortPlan,
     GeneratorSpec,

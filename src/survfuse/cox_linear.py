@@ -2,9 +2,10 @@
 
 Implements the partial log-likelihood with Efron and Breslow tie handling,
 its analytic gradient and Hessian, a damped Newton-Raphson solver with
-optional ridge penalty, and the Breslow baseline cumulative hazard for
-absolute survival probabilities.
+optional ridge penalty, and the Breslow baseline cumulative hazard.
 
+All of it walks the cohort's ``dataset.EventTable``: risk-set sums are
+suffix sums in its time order, read at ``risk_start`` of each event time.
 All likelihood code subtracts the max linear predictor before
 exponentiating; the partial likelihood is invariant to that shift, so the
 reported values are exact while the intermediate sums stay bounded.
@@ -12,11 +13,11 @@ reported values are exact while the intermediate sums stay bounded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import SurvivalLabel, label_arrays
+from .dataset import EventTable, SurvivalLabel, label_arrays
 from .errors import (
     DimensionMismatchError,
     NoEventsError,
@@ -55,34 +56,16 @@ class CoxModel:
     tie_method: str
 
 
-class _RiskStructure:
-    """Sorted-by-time view of a cohort with tied-event groups precomputed.
-
-    ``order`` sorts subjects by time ascending (stable). For each distinct
-    event time g: ``risk_start[g]`` is the index in sorted order where the
-    risk set begins (everyone with time >= that event time), and
-    ``death_slices[g]`` lists sorted-order positions of the tied deaths.
-    """
-
-    def __init__(self, times: np.ndarray, events: np.ndarray):
-        self.order = np.argsort(times, kind="stable")
-        self.t = times[self.order]
-        self.e = events[self.order]
-        self.event_times = np.unique(self.t[self.e])
-        if self.event_times.size == 0:
-            raise NoEventsError("at least one observed event is required")
-        self.risk_start = np.searchsorted(self.t, self.event_times, side="left")
-        self.death_slices = []
-        for v in self.event_times:
-            lo = np.searchsorted(self.t, v, side="left")
-            hi = np.searchsorted(self.t, v, side="right")
-            members = np.arange(lo, hi)[self.e[lo:hi]]
-            self.death_slices.append(members)
-
-
 def _check_finite(arr: np.ndarray, name: str):
     if not np.all(np.isfinite(arr)):
         raise NonFiniteInputError(f"{name} contains non-finite values")
+
+
+def _event_table(times, events) -> EventTable:
+    table = EventTable(times, events)
+    if table.event_times.size == 0:
+        raise NoEventsError("at least one observed event is required")
+    return table
 
 
 def partial_loglik_eta(eta: np.ndarray, times: np.ndarray, events: np.ndarray,
@@ -95,25 +78,23 @@ def partial_loglik_eta(eta: np.ndarray, times: np.ndarray, events: np.ndarray,
     """
     eta = np.asarray(eta, dtype=float)
     _check_finite(eta, "eta")
-    struct = _RiskStructure(np.asarray(times, float), np.asarray(events, bool))
-    return _loglik_and_eta_grad(eta, struct, tie_method)
+    return _loglik_and_eta_grad(eta, _event_table(times, events), tie_method)
 
 
-def _loglik_and_eta_grad(eta: np.ndarray, struct: _RiskStructure, tie_method: str):
-    eta_s = eta[struct.order]
+def _loglik_and_eta_grad(eta: np.ndarray, table: EventTable, tie_method: str):
+    eta_s = eta[table.order]
     m = float(eta_s.max())
     w = np.exp(eta_s - m)
     s0_suffix = np.cumsum(w[::-1])[::-1]
 
-    n_groups = struct.event_times.size
+    n_groups = table.event_times.size
     ll = 0.0
     coef_a = np.zeros(n_groups)  # sum_l 1/psi_l per group
     coef_b = np.zeros(n_groups)  # sum_l (l/d)/psi_l per group (Efron correction)
     own_b = np.zeros(eta_s.size)
-    for g in range(n_groups):
-        deaths = struct.death_slices[g]
+    for g, deaths in enumerate(table.death_groups()):
         d = deaths.size
-        s0r = s0_suffix[struct.risk_start[g]]
+        s0r = s0_suffix[table.risk_start[g]]
         sum_eta = float((eta_s[deaths] - m).sum())
         if tie_method == "efron" and d > 1:
             frac = np.arange(d) / d
@@ -127,12 +108,12 @@ def _loglik_and_eta_grad(eta: np.ndarray, struct: _RiskStructure, tie_method: st
         own_b[deaths] = coef_b[g]
 
     cum_a = np.cumsum(coef_a)
-    gidx = np.searchsorted(struct.event_times, struct.t, side="right") - 1
+    gidx = np.searchsorted(table.event_times, table.times, side="right") - 1
     coef = np.where(gidx >= 0, cum_a[np.maximum(gidx, 0)], 0.0)
-    grad_s = struct.e.astype(float) - w * coef + w * own_b
+    grad_s = table.events.astype(float) - w * coef + w * own_b
 
     grad = np.empty_like(grad_s)
-    grad[struct.order] = grad_s
+    grad[table.order] = grad_s
     return ll, grad
 
 
@@ -168,14 +149,12 @@ def partial_loglik_grad_hess(beta: np.ndarray, X: np.ndarray, labels: list[Survi
         raise DimensionMismatchError(f"{X.shape[0]} rows of X but {len(labels)} labels")
     _check_finite(X, "X")
     _check_finite(beta, "beta")
-    times, events = label_arrays(labels)
-    struct = _RiskStructure(times, events)
-    return _beta_derivatives(beta, X, struct, tie_method)
+    return _beta_derivatives(beta, X, _event_table(*label_arrays(labels)), tie_method)
 
 
-def _beta_derivatives(beta, X, struct: _RiskStructure, tie_method: str):
+def _beta_derivatives(beta, X, table: EventTable, tie_method: str):
     p = X.shape[1]
-    Xs = X[struct.order]
+    Xs = X[table.order]
     eta_s = Xs @ beta
     m = float(eta_s.max())
     w = np.exp(eta_s - m)
@@ -189,10 +168,8 @@ def _beta_derivatives(beta, X, struct: _RiskStructure, tie_method: str):
     ll = 0.0
     grad = np.zeros(p)
     hess = np.zeros((p, p))
-    for g in range(struct.event_times.size):
-        deaths = struct.death_slices[g]
+    for deaths, r in zip(table.death_groups(), table.risk_start):
         d = deaths.size
-        r = struct.risk_start[g]
         s0r, s1r, s2r = s0_suffix[r], s1_suffix[r], s2_suffix[r]
         ll += float((eta_s[deaths] - m).sum())
         grad += Xs[deaths].sum(axis=0)
@@ -236,8 +213,7 @@ def fit_cox(X: np.ndarray, labels: list[SurvivalLabel], options: FitOptions | No
     if n < p + 1:
         raise DimensionMismatchError(f"need at least p+1={p + 1} subjects, got {n}")
     _check_finite(X, "X")
-    times, events = label_arrays(labels)
-    struct = _RiskStructure(times, events)
+    table = _event_table(*label_arrays(labels))
     if covariate_names is None:
         covariate_names = tuple(f"x{j}" for j in range(p))
     if len(covariate_names) != p:
@@ -248,7 +224,7 @@ def fit_cox(X: np.ndarray, labels: list[SurvivalLabel], options: FitOptions | No
     beta = np.zeros(p)
     converged = False
     iterations = 0
-    ll, grad, hess = _beta_derivatives(beta, X, struct, opts.tie_method)
+    ll, grad, hess = _beta_derivatives(beta, X, table, opts.tie_method)
     for iterations in range(1, opts.max_iter + 1):
         grad_pen = grad - ridge * beta
         if float(np.max(np.abs(grad_pen))) < opts.tolerance:
@@ -271,7 +247,7 @@ def fit_cox(X: np.ndarray, labels: list[SurvivalLabel], options: FitOptions | No
         accepted = False
         while step >= 2.0 ** -30:
             cand = beta + step * delta
-            cand_ll, cand_grad, cand_hess = _beta_derivatives(cand, X, struct, opts.tie_method)
+            cand_ll, cand_grad, cand_hess = _beta_derivatives(cand, X, table, opts.tie_method)
             cand_pen = cand_ll - 0.5 * ridge * float(cand @ cand)
             if np.isfinite(cand_pen) and cand_pen >= pen_ll - 1e-12 * (1.0 + abs(pen_ll)):
                 accepted = True
@@ -286,7 +262,7 @@ def fit_cox(X: np.ndarray, labels: list[SurvivalLabel], options: FitOptions | No
         grad_pen = grad - ridge * beta
         converged = float(np.max(np.abs(grad_pen))) < opts.tolerance
 
-    base_t, base_h = _breslow_baseline(beta, X, struct)
+    base_t, base_h = _breslow_baseline(beta, X, table)
     return CoxModel(
         beta=beta,
         covariate_names=tuple(covariate_names),
@@ -299,17 +275,14 @@ def fit_cox(X: np.ndarray, labels: list[SurvivalLabel], options: FitOptions | No
     )
 
 
-def _breslow_baseline(beta, X, struct: _RiskStructure):
+def _breslow_baseline(beta, X, table: EventTable):
     """Breslow estimate of the cumulative baseline hazard at event times."""
-    eta_s = (X @ beta)[struct.order]
+    eta_s = (X @ beta)[table.order]
     m = float(eta_s.max())
     w = np.exp(eta_s - m)
     s0_suffix = np.cumsum(w[::-1])[::-1]
-    increments = np.array(
-        [struct.death_slices[g].size / s0_suffix[struct.risk_start[g]]
-         for g in range(struct.event_times.size)]
-    ) * np.exp(-m)
-    return struct.event_times.copy(), np.cumsum(increments)
+    increments = table.deaths / s0_suffix[table.risk_start] * np.exp(-m)
+    return table.event_times.copy(), np.cumsum(increments)
 
 
 def predict_linear(model: CoxModel, X: np.ndarray) -> np.ndarray:
@@ -323,19 +296,3 @@ def predict_linear(model: CoxModel, X: np.ndarray) -> np.ndarray:
         )
     _check_finite(X, "X")
     return X @ model.beta
-
-
-def survival_at(model: CoxModel, x: np.ndarray, t: float) -> float:
-    """Absolute survival probability S(t | x) = exp(-H0(t) * exp(beta @ x)).
-
-    The stored baseline is a step function jumping at event times; queries
-    before the first event return exactly 1.
-    """
-    x = np.asarray(x, dtype=float).ravel()
-    if x.size != model.beta.size:
-        raise DimensionMismatchError(
-            f"model has {model.beta.size} covariates, x has {x.size}"
-        )
-    idx = int(np.searchsorted(model.baseline_times, t, side="right")) - 1
-    h0 = 0.0 if idx < 0 else float(model.baseline_cumhaz[idx])
-    return float(np.exp(-h0 * np.exp(float(x @ model.beta))))

@@ -131,7 +131,6 @@ class PatientRecord:
     label: SurvivalLabel
     imaging_features: np.ndarray | None = None
     rv_dysfunction: bool | None = None
-    pesi_score: int | None = None
 
 
 @dataclass(frozen=True)
@@ -525,3 +524,41 @@ def label_arrays(labels) -> tuple[np.ndarray, np.ndarray]:
     times = np.array([lab.time_days for lab in labels], dtype=float)
     events = np.array([lab.event for lab in labels], dtype=bool)
     return times, events
+
+
+class EventTable:
+    """The distinct event times of a cohort with the risk set at each.
+
+    ``order`` sorts the subjects by time (stable), and ``times``/``events``
+    are in that order. For each distinct event time g, ascending in
+    ``event_times``: the risk set (everyone with time >= the event time) is
+    sorted positions ``risk_start[g]:`` and holds ``at_risk[g]`` subjects,
+    and the ``deaths[g]`` tied deaths sit at sorted positions
+    ``death_pos[death_start[g] : death_start[g] + deaths[g]]``. A cohort
+    without events gives empty per-event-time arrays.
+    """
+
+    def __init__(self, times, events):
+        times = np.asarray(times, dtype=float)
+        self.order = np.argsort(times, kind="stable")
+        self.times = times[self.order]
+        self.events = np.asarray(events, dtype=bool)[self.order]
+        self.death_pos = np.flatnonzero(self.events)
+        self.event_times, self.death_start, self.deaths = np.unique(
+            self.times[self.death_pos], return_index=True, return_counts=True
+        )
+        self.risk_start = np.searchsorted(self.times, self.event_times, side="left")
+        self.at_risk = self.times.size - self.risk_start
+
+    def death_groups(self) -> list[np.ndarray]:
+        """Sorted positions of the deaths, one array per event time."""
+        return np.split(self.death_pos, self.death_start[1:])[: self.deaths.size]
+
+    def subgroup_counts(self, member) -> tuple[np.ndarray, np.ndarray]:
+        """At-risk and death counts per event time of the subjects flagged in
+        ``member`` (a boolean mask in the original subject order)."""
+        m = np.asarray(member, dtype=bool)[self.order]
+        from_here = np.append(np.cumsum(m[::-1])[::-1], 0)
+        deaths_before = np.append(0, np.cumsum(m[self.death_pos]))
+        return (from_here[self.risk_start],
+                deaths_before[self.death_start + self.deaths] - deaths_before[self.death_start])

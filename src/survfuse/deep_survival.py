@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cox_linear import partial_loglik_eta
-from .dataset import Dataset, SurvivalLabel, clinical_matrix, label_arrays
+from .cox_linear import _check_finite, _loglik_and_eta_grad
+from .dataset import Dataset, EventTable, SurvivalLabel, clinical_matrix, label_arrays
 from .errors import (
     ConstantVariableError,
     DimensionMismatchError,
@@ -108,18 +108,18 @@ def forward(model: MlpSurvModel, X: np.ndarray) -> np.ndarray:
 
 def cox_loss(scores, labels: list[SurvivalLabel], tie_method: str = "efron") -> float:
     """Negative partial log-likelihood of the scores, per event."""
-    return _cox_loss_grad(scores, labels, tie_method)[0]
+    return _cox_loss_grad(scores, EventTable(*label_arrays(labels)), tie_method)[0]
 
 
-def _cox_loss_grad(scores, labels, tie_method="efron"):
+def _cox_loss_grad(scores, table: EventTable, tie_method="efron"):
     s = np.asarray(scores, dtype=float)
-    if s.size != len(labels):
-        raise MismatchedLengthsError(f"{s.size} scores for {len(labels)} labels")
-    times, events = label_arrays(labels)
-    n_events = int(events.sum())
+    if s.size != table.times.size:
+        raise MismatchedLengthsError(f"{s.size} scores for {table.times.size} labels")
+    n_events = table.death_pos.size
     if n_events == 0:
         raise NoEventsError("cox loss needs at least one event")
-    ll, grad_eta = partial_loglik_eta(s, times, events, tie_method)
+    _check_finite(s, "eta")
+    ll, grad_eta = _loglik_and_eta_grad(s, table, tie_method)
     return -ll / n_events, -grad_eta / n_events
 
 
@@ -131,10 +131,14 @@ def loss_and_gradients(model: MlpSurvModel, X: np.ndarray, labels: list[Survival
     sigmoid scores plus an L2 penalty on the weight matrices (biases are not
     penalized). Returns ``(loss, weight_grads, bias_grads)``.
     """
-    X = _check_input(model, X)
+    return _loss_and_gradients(model, _check_input(model, X), EventTable(*label_arrays(labels)),
+                               weight_decay, tie_method)
+
+
+def _loss_and_gradients(model, X, table: EventTable, weight_decay, tie_method):
     hs, pre, z = _forward_pass(model, X)
     s = sigmoid(z)
-    loss, dloss_ds = _cox_loss_grad(s, labels, tie_method)
+    loss, dloss_ds = _cox_loss_grad(s, table, tie_method)
     if weight_decay > 0:
         loss += 0.5 * weight_decay * sum(float((W ** 2).sum()) for W in model.weights)
 
@@ -173,6 +177,8 @@ def train(model: MlpSurvModel, X: np.ndarray, labels: list[SurvivalLabel],
     """
     opts = options or TrainOptions()
     X = _check_input(model, X)
+    table = EventTable(*label_arrays(labels))
+    val_table = None if val is None else EventTable(*label_arrays(val[1]))
     work = MlpSurvModel(
         layer_dims=model.layer_dims,
         weights=[W.copy() for W in model.weights],
@@ -188,8 +194,8 @@ def train(model: MlpSurvModel, X: np.ndarray, labels: list[SurvivalLabel],
         # overflowed parameters surface as non-finite scores inside the
         # likelihood before the loss value itself can be inspected
         try:
-            loss, wg, bg = loss_and_gradients(work, X, labels, opts.weight_decay,
-                                              opts.tie_method)
+            loss, wg, bg = _loss_and_gradients(work, X, table, opts.weight_decay,
+                                               opts.tie_method)
         except NonFiniteInputError as exc:
             raise DivergedLossError(f"parameters overflowed during training: {exc}") from exc
         if not np.isfinite(loss):
@@ -200,7 +206,7 @@ def train(model: MlpSurvModel, X: np.ndarray, labels: list[SurvivalLabel],
             work.biases[k] -= opts.learning_rate * bg[k]
         if val is not None:
             try:
-                val_loss = cox_loss(forward(work, val[0]), val[1], opts.tie_method)
+                val_loss = _cox_loss_grad(forward(work, val[0]), val_table, opts.tie_method)[0]
             except NonFiniteInputError as exc:
                 raise DivergedLossError(f"parameters overflowed during training: {exc}") from exc
             if not np.isfinite(val_loss):

@@ -91,10 +91,6 @@ class DegenerateDataError(SurvfuseError):
     """Not enough usable data to grow a forest."""
 
 
-class EmptyChildError(SurvfuseError):
-    """A split score was requested for an empty child group."""
-
-
 # --- fusion ---------------------------------------------------------------
 
 class MismatchedLengthsError(SurvfuseError):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import SurvivalLabel, label_arrays
+from .dataset import EventTable, SurvivalLabel, label_arrays
 from .errors import (
     DegenerateResamplingError,
     EmptyGroupError,
@@ -55,15 +55,6 @@ class KmCurve:
     points: tuple[KmPoint, ...]
     group_label: str = ""
     n_subjects: int = 0
-
-    def survival_at(self, t: float) -> float:
-        s = 1.0
-        for pt in self.points:
-            if pt.time <= t:
-                s = pt.survival
-            else:
-                break
-        return s
 
 
 @dataclass(frozen=True)
@@ -208,42 +199,38 @@ def km_curve(labels: list[SurvivalLabel], group_label: str = "") -> KmCurve:
     """Kaplan-Meier product-limit estimate, one point per distinct event time."""
     if not labels:
         raise EmptyGroupError("cannot estimate a survival curve for an empty group")
-    t, e = label_arrays(labels)
-    event_times = np.unique(t[e])
-    points = []
-    s = 1.0
-    for v in event_times:
-        at_risk = int((t >= v).sum())
-        deaths = int(((t == v) & e).sum())
-        s *= 1.0 - deaths / at_risk
-        points.append(KmPoint(time=float(v), survival=s, at_risk=at_risk, events=deaths))
-    return KmCurve(points=tuple(points), group_label=group_label, n_subjects=len(labels))
+    table = EventTable(*label_arrays(labels))
+    survival = np.cumprod(1.0 - table.deaths / table.at_risk)
+    points = tuple(
+        KmPoint(time=v, survival=s, at_risk=n, events=d)
+        for v, s, n, d in zip(table.event_times.tolist(), survival.tolist(),
+                              table.at_risk.tolist(), table.deaths.tolist())
+    )
+    return KmCurve(points=points, group_label=group_label, n_subjects=len(labels))
 
 
 def logrank_test(labels_a: list[SurvivalLabel], labels_b: list[SurvivalLabel]) -> TestResult:
-    """Two-sample log-rank test (chi-square statistic, 1 degree of freedom)."""
+    """Two-sample log-rank test (chi-square statistic, 1 degree of freedom).
+
+    Observed-minus-expected deaths of group a and the hypergeometric
+    variance are summed over the pooled event times in time order.
+    """
     if not labels_a or not labels_b:
         raise EmptyGroupError("both groups need at least one subject")
     ta, ea = label_arrays(labels_a)
     tb, eb = label_arrays(labels_b)
-    t = np.concatenate([ta, tb])
-    e = np.concatenate([ea, eb])
-    in_a = np.zeros(t.size, dtype=bool)
-    in_a[: ta.size] = True
-    if not e.any():
+    if not (ea.any() or eb.any()):
         raise NoEventsError("log-rank test needs at least one event")
-
-    observed_minus_expected = 0.0
-    variance = 0.0
-    for v in np.unique(t[e]):
-        at_risk = t >= v
-        n = int(at_risk.sum())
-        n_a = int((at_risk & in_a).sum())
-        deaths = int(((t == v) & e).sum())
-        deaths_a = int(((t == v) & e & in_a).sum())
-        observed_minus_expected += deaths_a - deaths * n_a / n
-        if n > 1:
-            variance += deaths * (n_a / n) * (1.0 - n_a / n) * (n - deaths) / (n - 1)
+    table = EventTable(np.concatenate([ta, tb]), np.concatenate([ea, eb]))
+    n, deaths = table.at_risk, table.deaths
+    n_a, deaths_a = table.subgroup_counts(np.arange(table.times.size) < ta.size)
+    share_a = n_a / n
+    variance_terms = np.where(
+        n > 1, deaths * share_a * (1.0 - share_a) * (n - deaths) / np.maximum(n - 1, 1), 0.0
+    )
+    # running sums, so the rounding is that of adding event time by event time
+    observed_minus_expected = float(np.cumsum(deaths_a - deaths * n_a / n)[-1])
+    variance = float(np.cumsum(variance_terms)[-1])
     if variance <= 0.0:
         return TestResult(statistic=0.0, p_value=1.0, method="logrank")
     chi2 = observed_minus_expected ** 2 / variance

@@ -62,13 +62,3 @@ def pesi_score(clin: ClinicalVariables) -> PesiResult:
 def pesi_predictor(ds: Dataset) -> np.ndarray:
     """PESI scores as a float risk vector in dataset record order."""
     return np.array([pesi_score(r.clinical).score for r in ds.records], dtype=float)
-
-
-def annotate_dataset(ds: Dataset) -> Dataset:
-    """Return a copy of the dataset with ``pesi_score`` filled on every record."""
-    import dataclasses
-
-    records = tuple(
-        dataclasses.replace(r, pesi_score=pesi_score(r.clinical).score) for r in ds.records
-    )
-    return dataclasses.replace(ds, records=records)

@@ -14,26 +14,27 @@ canonicalizes the sample order by a stable (time, event) sort so a
 permutation of the input records cannot change the forest (up to exact
 (time, event) ties between records with different features).
 
-The split-search inner loop exploits two identities to stay vectorized:
-the log-rank numerator for a left prefix equals the prefix sum of the
-per-subject martingale residuals (event flag minus node Nelson-Aalen at the
-subject's time), and the hypergeometric variance is a weighted sum of
-``n_left * (n_at_risk - n_left)`` terms over event times, with prefix
-at-risk counts obtained by one cumulative sum per candidate feature.
+Node event counts and leaf hazards are read from the node's
+``dataset.EventTable``. The split-search inner loop exploits two identities
+to stay vectorized: the log-rank numerator for a left prefix equals the
+prefix sum of the per-subject martingale residuals (event flag minus node
+Nelson-Aalen at the subject's time), and the hypergeometric variance is a
+weighted sum of ``n_left * (n_at_risk - n_left)`` terms over event times,
+with prefix at-risk counts obtained by one cumulative sum per candidate
+feature. The split score is ``sqrt`` of ``metrics.logrank_test``'s
+chi-square for the two children.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import SurvivalLabel, label_arrays
+from .dataset import EventTable, SurvivalLabel, label_arrays
 from .errors import (
     DegenerateDataError,
     DimensionMismatchError,
-    EmptyChildError,
     NoEventsError,
     NonFiniteInputError,
 )
@@ -78,48 +79,31 @@ class ForestModel:
     options: RsfOptions
 
 
-def logrank_split_score(left: list[SurvivalLabel], right: list[SurvivalLabel]) -> float:
-    """Standardized absolute two-sample log-rank statistic |O - E| / sqrt(V).
-
-    Zero when the variance vanishes (no separating information).
-    """
-    if not left or not right:
-        raise EmptyChildError("both children need at least one subject")
-    tl, el = label_arrays(left)
-    tr, er = label_arrays(right)
-    t = np.concatenate([tl, tr])
-    e = np.concatenate([el, er])
-    in_left = np.zeros(t.size, dtype=bool)
-    in_left[: tl.size] = True
-    if not e.any():
-        raise NoEventsError("log-rank split score needs at least one event")
-    num = 0.0
-    var = 0.0
-    for v in np.unique(t[e]):
-        at_risk = t >= v
-        n = int(at_risk.sum())
-        n_l = int((at_risk & in_left).sum())
-        d = int(((t == v) & e).sum())
-        d_l = int(((t == v) & e & in_left).sum())
-        num += d_l - d * n_l / n
-        if n > 1:
-            var += d * (n_l / n) * (1.0 - n_l / n) * (n - d) / (n - 1)
-    if var <= 0.0:
-        return 0.0
-    return abs(num) / math.sqrt(var)
-
-
 def _node_statistics(t: np.ndarray, e: np.ndarray):
     """Event grid, at-risk matrix, variance weights and residuals for a node."""
-    grid = np.unique(t[e])
-    at_risk = t[None, :] >= grid[:, None]
-    n_e = at_risk.sum(axis=1).astype(float)
-    d_e = ((t[None, :] == grid[:, None]) & e[None, :]).sum(axis=1).astype(float)
+    table = EventTable(t, e)
+    grid = table.event_times
+    n_e = table.at_risk.astype(float)
+    d_e = table.deaths.astype(float)
     k_e = np.where(n_e > 1, d_e * (n_e - d_e) / (n_e ** 2 * np.maximum(n_e - 1, 1.0)), 0.0)
     na = np.cumsum(d_e / n_e)
     gidx = np.searchsorted(grid, t, side="right") - 1
     resid = e.astype(float) - np.where(gidx >= 0, na[np.maximum(gidx, 0)], 0.0)
+    at_risk = t[None, :] >= grid[:, None]
     return at_risk.astype(float), n_e, k_e, resid
+
+
+def _prefix_split_scores(at_risk, n_e, k_e, resid, order, cand):
+    """Split score |O - E| / sqrt(V) of the left child ``order[:c + 1]`` for
+    each position ``c`` in ``cand``; zero where the variance vanishes."""
+    prefix_resid = np.cumsum(resid[order])
+    n_left = np.cumsum(at_risk[:, order], axis=1)
+    var = (k_e[:, None] * n_left * (n_e[:, None] - n_left)).sum(axis=0)
+    var_c = var[cand]
+    scores = np.zeros(cand.size)
+    ok = var_c > 0
+    scores[ok] = np.abs(prefix_resid[cand[ok]]) / np.sqrt(var_c[ok])
+    return scores
 
 
 def _best_split(X_node, t_node, e_node, candidates, min_leaf):
@@ -140,27 +124,12 @@ def _best_split(X_node, t_node, e_node, candidates, min_leaf):
         cand = positions[vs[positions] < vs[positions + 1]]
         if cand.size == 0:
             continue
-        prefix_resid = np.cumsum(resid[order])
-        n_left = np.cumsum(at_risk[:, order], axis=1)
-        var = (k_e[:, None] * n_left * (n_e[:, None] - n_left)).sum(axis=0)
-        var_c = var[cand]
-        scores = np.zeros(cand.size)
-        ok = var_c > 0
-        scores[ok] = np.abs(prefix_resid[cand[ok]]) / np.sqrt(var_c[ok])
+        scores = _prefix_split_scores(at_risk, n_e, k_e, resid, order, cand)
         j = int(np.argmax(scores))
         if scores[j] > best_score:
             best_score = float(scores[j])
             best = (int(f), float((vs[cand[j]] + vs[cand[j] + 1]) / 2.0))
     return best
-
-
-def _nelson_aalen(t: np.ndarray, e: np.ndarray):
-    grid = np.unique(t[e])
-    if grid.size == 0:
-        return grid, np.zeros(0)
-    at_risk = (t[None, :] >= grid[:, None]).sum(axis=1).astype(float)
-    deaths = ((t[None, :] == grid[:, None]) & e[None, :]).sum(axis=1).astype(float)
-    return grid, np.cumsum(deaths / at_risk)
 
 
 def _chf_at(times: np.ndarray, values: np.ndarray, query: np.ndarray) -> np.ndarray:
@@ -184,10 +153,11 @@ def _grow_tree(X, t, e, rng, mtry, min_leaf, forest_grid):
         right.append(-1)
         slot = len(leaf_times)
         leaf_slot.append(slot)
-        g, h = _nelson_aalen(t[idx], e[idx])
-        leaf_times.append(g)
-        leaf_chf.append(h)
-        leaf_mort.append(float(_chf_at(g, h, forest_grid).sum()))
+        table = EventTable(t[idx], e[idx])
+        chf = np.cumsum(table.deaths / table.at_risk)  # Nelson-Aalen
+        leaf_times.append(table.event_times)
+        leaf_chf.append(chf)
+        leaf_mort.append(float(_chf_at(table.event_times, chf, forest_grid).sum()))
         return node
 
     def build(idx):

@@ -1,4 +1,11 @@
 import pytest
+from hypothesis import settings
+
+# every property test: no per-example time limit (example timings on a shared
+# machine say nothing), and examples drawn from a hash of the test, so each
+# run of the suite tries the same cases
+settings.register_profile("survfuse", deadline=None, derandomize=True)
+settings.load_profile("survfuse")
 
 _ACCEPTANCE_LINES = []
 

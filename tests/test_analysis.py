@@ -230,7 +230,7 @@ class TestCompareToPesi:
         with pytest.raises(MismatchedLengthsError):
             compare_to_pesi([0.1], [0.2, 0.3], labs([1, 2], [1, 1]))
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(paired_cohorts(), st.integers(0, 2**32 - 1))
     def test_matches_per_resample_loop_bit_for_bit(self, cohort, seed):
         model, index, labels = cohort

@@ -2,19 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from survfuse.cox_linear import (
     CoxModel,
     FitOptions,
+    _breslow_baseline,
     fit_cox,
     partial_loglik,
     partial_loglik_eta,
     partial_loglik_grad_hess,
     predict_linear,
-    survival_at,
 )
-from survfuse.dataset import SurvivalLabel
+from survfuse.dataset import EventTable, SurvivalLabel
 from survfuse.errors import (
     DimensionMismatchError,
     NoEventsError,
@@ -22,6 +24,8 @@ from survfuse.errors import (
     SingularInformationError,
 )
 from survfuse.synthetic import GeneratorSpec, gen_cox_linear
+
+from strategies import survival_arrays
 
 
 def labs(times, events):
@@ -59,6 +63,134 @@ def random_instance(rng, n_max=10, p_max=3):
     if not events.any():
         events[int(rng.integers(0, n))] = True
     return X, times, events
+
+
+class LoopRiskStructure:
+    """The risk structure the event-time table replaced: a Python loop over
+    the distinct event times collects each one's tied deaths."""
+
+    def __init__(self, times, events):
+        self.order = np.argsort(times, kind="stable")
+        self.t = times[self.order]
+        self.e = events[self.order]
+        self.event_times = np.unique(self.t[self.e])
+        if self.event_times.size == 0:
+            raise NoEventsError("at least one observed event is required")
+        self.risk_start = np.searchsorted(self.t, self.event_times, side="left")
+        self.death_slices = []
+        for v in self.event_times:
+            lo = np.searchsorted(self.t, v, side="left")
+            hi = np.searchsorted(self.t, v, side="right")
+            self.death_slices.append(np.arange(lo, hi)[self.e[lo:hi]])
+
+
+def loop_partial_loglik_eta(eta, times, events, tie_method):
+    """``partial_loglik_eta`` as it was on ``LoopRiskStructure``, kept as its oracle."""
+    struct = LoopRiskStructure(np.asarray(times, float), np.asarray(events, bool))
+    eta_s = np.asarray(eta, float)[struct.order]
+    m = float(eta_s.max())
+    w = np.exp(eta_s - m)
+    s0_suffix = np.cumsum(w[::-1])[::-1]
+    n_groups = struct.event_times.size
+    ll = 0.0
+    coef_a = np.zeros(n_groups)
+    coef_b = np.zeros(n_groups)
+    own_b = np.zeros(eta_s.size)
+    for g in range(n_groups):
+        deaths = struct.death_slices[g]
+        d = deaths.size
+        s0r = s0_suffix[struct.risk_start[g]]
+        sum_eta = float((eta_s[deaths] - m).sum())
+        if tie_method == "efron" and d > 1:
+            frac = np.arange(d) / d
+            psi = s0r - frac * w[deaths].sum()
+            ll += sum_eta - float(np.log(psi).sum())
+            coef_a[g] = float((1.0 / psi).sum())
+            coef_b[g] = float((frac / psi).sum())
+        else:
+            ll += sum_eta - d * float(np.log(s0r))
+            coef_a[g] = d / s0r
+        own_b[deaths] = coef_b[g]
+    cum_a = np.cumsum(coef_a)
+    gidx = np.searchsorted(struct.event_times, struct.t, side="right") - 1
+    coef = np.where(gidx >= 0, cum_a[np.maximum(gidx, 0)], 0.0)
+    grad_s = struct.e.astype(float) - w * coef + w * own_b
+    grad = np.empty_like(grad_s)
+    grad[struct.order] = grad_s
+    return ll, grad
+
+
+def loop_grad_hess(beta, X, times, events, tie_method):
+    """``partial_loglik_grad_hess`` as it was on ``LoopRiskStructure``, kept as its oracle."""
+    struct = LoopRiskStructure(np.asarray(times, float), np.asarray(events, bool))
+    p = X.shape[1]
+    Xs = X[struct.order]
+    eta_s = Xs @ beta
+    m = float(eta_s.max())
+    w = np.exp(eta_s - m)
+    wx = w[:, None] * Xs
+    wxx = wx[:, :, None] * Xs[:, None, :]
+    s0_suffix = np.cumsum(w[::-1])[::-1]
+    s1_suffix = np.cumsum(wx[::-1], axis=0)[::-1]
+    s2_suffix = np.cumsum(wxx[::-1], axis=0)[::-1]
+    ll = 0.0
+    grad = np.zeros(p)
+    hess = np.zeros((p, p))
+    for g in range(struct.event_times.size):
+        deaths = struct.death_slices[g]
+        d = deaths.size
+        r = struct.risk_start[g]
+        s0r, s1r, s2r = s0_suffix[r], s1_suffix[r], s2_suffix[r]
+        ll += float((eta_s[deaths] - m).sum())
+        grad += Xs[deaths].sum(axis=0)
+        if tie_method == "efron" and d > 1:
+            frac = np.arange(d) / d
+            s0d = w[deaths].sum()
+            s1d = wx[deaths].sum(axis=0)
+            s2d = wxx[deaths].sum(axis=0)
+            psi = s0r - frac * s0d
+            mu = (s1r[None, :] - frac[:, None] * s1d) / psi[:, None]
+            ll -= float(np.log(psi).sum())
+            grad -= mu.sum(axis=0)
+            inv = (1.0 / psi).sum()
+            finv = (frac / psi).sum()
+            hess -= s2r * inv - s2d * finv - np.einsum("lp,lq->pq", mu, mu)
+        else:
+            mu = s1r / s0r
+            ll -= d * float(np.log(s0r))
+            grad -= d * mu
+            hess -= d * (s2r / s0r - np.outer(mu, mu))
+    return float(ll), grad, hess
+
+
+def loop_breslow_baseline(beta, X, times, events):
+    """``_breslow_baseline`` as it was on ``LoopRiskStructure``, kept as its oracle."""
+    struct = LoopRiskStructure(np.asarray(times, float), np.asarray(events, bool))
+    eta_s = (X @ beta)[struct.order]
+    m = float(eta_s.max())
+    w = np.exp(eta_s - m)
+    s0_suffix = np.cumsum(w[::-1])[::-1]
+    increments = np.array(
+        [struct.death_slices[g].size / s0_suffix[struct.risk_start[g]]
+         for g in range(struct.event_times.size)]
+    ) * np.exp(-m)
+    return struct.event_times.copy(), np.cumsum(increments)
+
+
+@st.composite
+def cox_instances(draw, max_p=3):
+    """(X, times, events): heavy time ties, heavy censoring, n from 1."""
+    times, events = draw(survival_arrays(max_n=20))
+    n, p = times.size, draw(st.integers(1, max_p))
+    X = np.array(draw(st.lists(st.floats(-3, 3), min_size=n * p, max_size=n * p))).reshape(n, p)
+    return X, times, events
+
+
+def result_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except NoEventsError as exc:
+        return str(exc)
 
 
 class TestPartialLoglik:
@@ -115,6 +247,19 @@ class TestPartialLoglik:
         with pytest.raises(NoEventsError):
             partial_loglik_eta(np.zeros(3), np.arange(1.0, 4.0), np.zeros(3, dtype=bool))
 
+    @settings(max_examples=150)
+    @given(cox_instances(), st.sampled_from(["efron", "breslow"]))
+    def test_matches_event_time_loop_exactly(self, instance, tie_method):
+        X, times, events = instance
+        eta = X.sum(axis=1)
+        got = result_or_error(partial_loglik_eta, eta, times, events, tie_method)
+        want = result_or_error(loop_partial_loglik_eta, eta, times, events, tie_method)
+        if isinstance(want, str):
+            assert got == want
+            return
+        assert got[0] == want[0]
+        assert np.array_equal(got[1], want[1])
+
     def test_nonfinite_eta(self):
         with pytest.raises(NonFiniteInputError):
             partial_loglik_eta(np.array([0.0, np.nan]), np.array([1.0, 2.0]),
@@ -156,6 +301,20 @@ class TestGradHess:
                 _, gu, _ = partial_loglik_grad_hess(up, X, labels, tie_method)
                 _, gd, _ = partial_loglik_grad_hess(dn, X, labels, tie_method)
                 assert_allclose(hess[:, j], (gu - gd) / (2 * h), rtol=2e-4, atol=2e-5)
+
+    @settings(max_examples=100)
+    @given(cox_instances(), st.sampled_from(["efron", "breslow"]))
+    def test_matches_event_time_loop_exactly(self, instance, tie_method):
+        X, times, events = instance
+        beta = np.linspace(-1.0, 1.0, X.shape[1])
+        got = result_or_error(partial_loglik_grad_hess, beta, X, labs(times, events), tie_method)
+        want = result_or_error(loop_grad_hess, beta, X, times, events, tie_method)
+        if isinstance(want, str):
+            assert got == want
+            return
+        assert got[0] == want[0]
+        assert np.array_equal(got[1], want[1])
+        assert np.array_equal(got[2], want[2])
 
     def test_loglik_consistent_across_entry_points(self):
         rng = np.random.default_rng(3)
@@ -255,32 +414,16 @@ class TestBaselineAndSurvival:
         assert_allclose(model.baseline_times, [1.0, 2.0, 3.0])
         assert_allclose(model.baseline_cumhaz, [1 / 3, 1 / 3 + 1 / 2, 11 / 6], rtol=1e-14)
 
-    def test_survival_step_function(self):
-        model = self.null_model()
-        x = np.zeros(1)
-        assert survival_at(model, x, 0.0) == 1.0
-        assert survival_at(model, x, 0.999) == 1.0
-        assert_allclose(survival_at(model, x, 1.0), math.exp(-1 / 3), rtol=1e-14)
-        assert_allclose(survival_at(model, x, 2.5), math.exp(-(1 / 3 + 1 / 2)), rtol=1e-14)
-        assert_allclose(survival_at(model, x, 3.0), math.exp(-11 / 6), rtol=1e-14)
-        assert_allclose(survival_at(model, x, 50.0), math.exp(-11 / 6), rtol=1e-14)
-
-    def test_survival_scales_with_risk(self):
-        rng = np.random.default_rng(31)
-        X = rng.standard_normal((40, 2))
-        times = rng.exponential(10.0, size=40)
-        labels = labs(times, rng.random(40) < 0.8)
-        model = fit_cox(X, labels)
-        risk = float(X[0] @ model.beta)
-        t = float(np.median(times))
-        base = survival_at(model, np.zeros(2), t)
-        assert_allclose(survival_at(model, X[0], t), base ** math.exp(risk), rtol=1e-10)
-
-    def test_survival_monotone_in_time(self):
-        model = self.null_model()
-        ts = np.linspace(0, 5, 40)
-        values = [survival_at(model, np.zeros(1), t) for t in ts]
-        assert all(a >= b for a, b in zip(values, values[1:]))
+    @settings(max_examples=100)
+    @given(cox_instances())
+    def test_baseline_matches_event_time_loop_exactly(self, instance):
+        X, times, events = instance
+        assume(events.any())
+        beta = np.linspace(-1.0, 1.0, X.shape[1])
+        got = _breslow_baseline(beta, X, EventTable(times, events))
+        want = loop_breslow_baseline(beta, X, times, events)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
 
     def test_predict_linear(self):
         model = self.null_model()

@@ -2,6 +2,8 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from survfuse.dataset import (
@@ -9,6 +11,7 @@ from survfuse.dataset import (
     CLINICAL_COLUMNS,
     ClinicalVariables,
     Dataset,
+    EventTable,
     PatientRecord,
     SurvivalLabel,
     aggregate_acquisitions,
@@ -36,6 +39,8 @@ from survfuse.errors import (
     MissingColumnError,
     UnimputedRecordError,
 )
+
+from strategies import survival_arrays
 
 HEADER = list(CLINICAL_COLUMNS)
 
@@ -448,3 +453,48 @@ class TestLabelArrays:
         assert_array_equal(times, [3.0, 7.5])
         assert_array_equal(events, [True, False])
         assert events.dtype == bool
+
+
+class TestEventTable:
+    def test_hand_cohort(self):
+        # sorted: (1,d) (2,c) (2,d) (2,d) (4,c) (5,d)
+        table = EventTable([2, 5, 1, 2, 4, 2], [True, True, True, False, False, True])
+        assert_array_equal(table.order, [2, 0, 3, 5, 4, 1])
+        assert_array_equal(table.event_times, [1.0, 2.0, 5.0])
+        assert_array_equal(table.risk_start, [0, 1, 5])
+        assert_array_equal(table.at_risk, [6, 5, 1])
+        assert_array_equal(table.deaths, [1, 2, 1])
+        assert [g.tolist() for g in table.death_groups()] == [[0], [1, 3], [5]]
+        at_risk, deaths = table.subgroup_counts([True, False, False, True, True, False])
+        assert_array_equal(at_risk, [3, 3, 0])  # subjects 0, 3, 4: times 2, 2, 4
+        assert_array_equal(deaths, [0, 1, 0])
+
+    def test_all_censored_has_no_event_times(self):
+        table = EventTable([3.0, 1.0], [False, False])
+        assert table.event_times.size == table.deaths.size == table.at_risk.size == 0
+        assert table.death_groups() == []
+        at_risk, deaths = table.subgroup_counts([True, False])
+        assert at_risk.size == deaths.size == 0
+
+    @settings(max_examples=200)
+    @given(survival_arrays(max_n=30), st.lists(st.booleans(), min_size=30, max_size=30))
+    def test_matches_definition_at_every_event_time(self, data, flags):
+        times, events = data
+        member = np.array(flags[: times.size])
+        table = EventTable(times, events)
+        assert_array_equal(table.order, np.argsort(times, kind="stable"))
+        t, e = table.times, table.events
+        assert_array_equal(table.event_times, np.unique(times[events]))
+        groups = table.death_groups()
+        assert len(groups) == table.event_times.size
+        sub_at_risk, sub_deaths = table.subgroup_counts(member)
+        m = member[table.order]
+        for g, v in enumerate(table.event_times):
+            risk_set = np.flatnonzero(t >= v)
+            dead = np.flatnonzero((t == v) & e)
+            assert table.risk_start[g] == risk_set[0]
+            assert table.at_risk[g] == risk_set.size
+            assert table.deaths[g] == dead.size
+            assert_array_equal(groups[g], dead)
+            assert sub_at_risk[g] == m[risk_set].sum()
+            assert sub_deaths[g] == m[dead].sum()

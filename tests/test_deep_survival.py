@@ -1,11 +1,15 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from survfuse import deep_survival
 from survfuse.cox_linear import partial_loglik_eta
 from survfuse.dataset import (
     ClinicalVariables,
     Dataset,
+    EventTable,
     PatientRecord,
     SurvivalLabel,
     impute_missing,
@@ -256,6 +260,38 @@ class TestTrain:
         opts = TrainOptions(learning_rate=0.0, epochs=500, patience=5)
         _, history = train(init_mlp(2, (3,), seed=12), X, labels, val=(Xv, lv), options=opts)
         assert len(history) == 6
+
+    def test_builds_each_event_table_once(self):
+        # the risk sets depend only on the labels, so the train and
+        # validation tables are built once per call, not once per epoch
+        rng = np.random.default_rng(47)
+        X, labels = surv_data(rng, 40, 2, (1.0, -1.0))
+        Xv, lv = surv_data(rng, 20, 2, (1.0, -1.0))
+        opts = TrainOptions(learning_rate=0.05, epochs=25, patience=25)
+        with mock.patch.object(deep_survival, "EventTable", wraps=EventTable) as built:
+            _, history = train(init_mlp(2, (4,), seed=14), X, labels, val=(Xv, lv), options=opts)
+        assert len(history) == 25
+        assert built.call_count == 2
+
+    def test_history_matches_epoch_by_epoch_replay(self):
+        rng = np.random.default_rng(48)
+        X, labels = surv_data(rng, 40, 3, (1.0, -1.0, 0.5))
+        opts = TrainOptions(learning_rate=0.05, epochs=30, weight_decay=1e-3)
+        model = init_mlp(3, (5,), seed=15)
+        trained, history = train(model, X, labels, options=opts)
+        weights = [W.copy() for W in model.weights]
+        biases = [b.copy() for b in model.biases]
+        replay = []
+        for _ in range(opts.epochs):
+            work = MlpSurvModel(model.layer_dims, weights, biases, model.seed)
+            loss, wg, bg = loss_and_gradients(work, X, labels, opts.weight_decay)
+            replay.append(loss)
+            for k in range(len(weights)):
+                weights[k] -= opts.learning_rate * wg[k]
+                biases[k] -= opts.learning_rate * bg[k]
+        assert history == replay
+        for got, want in zip(trained.weights, weights):
+            assert_array_equal(got, want)
 
     def test_diverged_loss_raises(self):
         # the sigmoid bounds the data term, so divergence has to come from

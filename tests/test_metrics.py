@@ -12,6 +12,7 @@ from survfuse import metrics
 from survfuse.dataset import SurvivalLabel
 from survfuse.errors import (
     DegenerateResamplingError,
+    SurvfuseError,
     EmptyGroupError,
     MismatchedLengthsError,
     NoComparablePairsError,
@@ -21,6 +22,8 @@ from survfuse.errors import (
     TooFewResamplesError,
 )
 from survfuse.metrics import (
+    KmCurve,
+    KmPoint,
     bootstrap_ci,
     c_index,
     km_curve,
@@ -101,11 +104,11 @@ def loop_bootstrap_ci(metric_fn, scores, labels, n_resamples=1000, seed=0):
 
 
 def outcome(fn, *args):
-    """A result, or the message of the resampling failure it raised."""
+    """A result, or the type and message of the error it raised."""
     try:
         return fn(*args)
-    except DegenerateResamplingError as exc:
-        return ("degenerate", str(exc))
+    except SurvfuseError as exc:
+        return (type(exc).__name__, str(exc))
 
 
 class ScriptedRng:
@@ -168,7 +171,7 @@ class TestCIndex:
         with pytest.raises(MismatchedLengthsError):
             c_index([1.0], labs([1, 2], [1, 1]))
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(cohorts())
     def test_unit_weights_give_c_index(self, cohort):
         scores, labels = cohort
@@ -233,7 +236,7 @@ class TestBootstrapCi:
         with pytest.raises(DegenerateResamplingError):
             bootstrap_ci(np.arange(4.0), labels, n_resamples=100, seed=0)
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80)
     @given(cohorts(), st.integers(0, 2**32 - 1), st.sampled_from([metrics._BLOCK_ROWS, 1, 3]))
     def test_matches_per_resample_loop_bit_for_bit(self, cohort, seed, block_rows):
         # blocks of 1 and 3 rows take the multi-block paths of the resampler
@@ -269,7 +272,7 @@ class TestBootstrapCi:
                                match="resample 3: no valid draw in 100 attempts"):
                 resample_weights(ScriptedRng(rows), labels, 300)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(st.integers(0, 2**63), st.integers(1, 2000), st.integers(1, 70))
     def test_block_draw_consumes_the_stream_like_row_draws(self, seed, n, k):
         # resample_weights draws k attempts in one call; this holds only if
@@ -302,17 +305,9 @@ class TestKmCurve:
         assert curve.points[0].events == 2
         assert_allclose(curve.points[0].survival, 1.0 / 3.0)
 
-    def test_survival_at_is_right_continuous_step(self):
-        curve = km_curve(labs([1, 2, 3], [1, 0, 1]))
-        assert curve.survival_at(0.5) == 1.0
-        assert curve.survival_at(1.0) == 1.0 - 1.0 / 3.0
-        assert curve.survival_at(2.9) == 1.0 - 1.0 / 3.0
-        assert curve.survival_at(3.0) == 0.0
-
     def test_all_censored_has_no_steps(self):
         curve = km_curve(labs([1, 2], [0, 0]))
         assert curve.points == ()
-        assert curve.survival_at(5.0) == 1.0
 
     def test_empty_group(self):
         with pytest.raises(EmptyGroupError):
@@ -320,6 +315,53 @@ class TestKmCurve:
 
     def test_group_label(self):
         assert km_curve(labs([1], [1]), "high").group_label == "high"
+
+    @settings(max_examples=150)
+    @given(cohorts(min_n=1))
+    def test_matches_event_time_loop_exactly(self, cohort):
+        _, labels = cohort
+        assert km_curve(labels, "g") == loop_km_curve(labels, "g")
+
+
+def loop_km_curve(labels, group_label=""):
+    """The per-event-time loop that ``km_curve`` replaced, kept as its oracle."""
+    t = np.array([l.time_days for l in labels])
+    e = np.array([l.event for l in labels], dtype=bool)
+    points = []
+    s = 1.0
+    for v in np.unique(t[e]):
+        at_risk = int((t >= v).sum())
+        deaths = int(((t == v) & e).sum())
+        s *= 1.0 - deaths / at_risk
+        points.append(KmPoint(time=float(v), survival=s, at_risk=at_risk, events=deaths))
+    return KmCurve(points=tuple(points), group_label=group_label, n_subjects=len(labels))
+
+
+def loop_logrank_test(labels_a, labels_b):
+    """The per-event-time loop that ``logrank_test`` replaced, kept as its oracle."""
+    if not labels_a or not labels_b:
+        raise EmptyGroupError("both groups need at least one subject")
+    t = np.array([l.time_days for l in labels_a + labels_b])
+    e = np.array([l.event for l in labels_a + labels_b], dtype=bool)
+    in_a = np.arange(t.size) < len(labels_a)
+    if not e.any():
+        raise NoEventsError("log-rank test needs at least one event")
+    observed_minus_expected = 0.0
+    variance = 0.0
+    for v in np.unique(t[e]):
+        at_risk = t >= v
+        n = int(at_risk.sum())
+        n_a = int((at_risk & in_a).sum())
+        deaths = int(((t == v) & e).sum())
+        deaths_a = int(((t == v) & e & in_a).sum())
+        observed_minus_expected += deaths_a - deaths * n_a / n
+        if n > 1:
+            variance += deaths * (n_a / n) * (1.0 - n_a / n) * (n - deaths) / (n - 1)
+    if variance <= 0.0:
+        return metrics.TestResult(statistic=0.0, p_value=1.0, method="logrank")
+    chi2 = observed_minus_expected ** 2 / variance
+    return metrics.TestResult(statistic=float(chi2), p_value=float(math.erfc(math.sqrt(chi2 / 2.0))),
+                      method="logrank")
 
 
 def hand_logrank(labels_a, labels_b):
@@ -392,9 +434,40 @@ class TestLogrank:
         assert_allclose(logrank_test(a, b).statistic,
                         logrank_test(b, a).statistic, rtol=1e-12)
 
+    def test_six_subject_hand_value(self):
+        # a: deaths at 1, 2 and censoring at 3; b: deaths at 4, 5 and
+        # censoring at 6. Walking the four death times:
+        #   t=1: n=6, n_a=3: O-E adds 1 - 3/6 = 1/2, V adds (3/6)(3/6)(5/5) = 1/4
+        #   t=2: n=5, n_a=2: O-E adds 1 - 2/5 = 3/5, V adds (2/5)(3/5)(4/4) = 6/25
+        #   t=4, t=5: group a has nobody left at risk (its last subject
+        #   censored at 3), so n_a = 0 and both terms vanish
+        # O - E = 11/10, V = 49/100, chi-square = (121/100)/(49/100) = 121/49
+        a = labs([1, 2, 3], [1, 1, 0])
+        b = labs([4, 5, 6], [1, 1, 0])
+        result = logrank_test(a, b)
+        assert_allclose(result.statistic, 121.0 / 49.0, rtol=1e-12)
+        assert_allclose(result.statistic, hand_logrank(a, b)[0], rtol=1e-12)
+
+    def test_zero_variance_gives_zero_statistic(self):
+        # the only death (t=5) has both subjects still at risk in group a,
+        # so each hypergeometric variance term vanishes
+        result = logrank_test(labs([5, 6], [1, 0]), labs([1, 2], [0, 0]))
+        assert result.statistic == 0.0
+        assert result.p_value == 1.0
+
+    def test_no_events(self):
+        with pytest.raises(NoEventsError):
+            logrank_test(labs([1], [0]), labs([2], [0]))
+
     def test_empty_group(self):
         with pytest.raises(EmptyGroupError):
             logrank_test([], labs([1], [1]))
+
+    @settings(max_examples=150)
+    @given(cohorts(min_n=1, max_n=40), cohorts(min_n=1, max_n=40))
+    def test_matches_event_time_loop_exactly(self, cohort_a, cohort_b):
+        a, b = cohort_a[1], cohort_b[1]
+        assert outcome(logrank_test, a, b) == outcome(loop_logrank_test, a, b)
 
 
 class TestNri:

@@ -4,7 +4,7 @@ from numpy.testing import assert_array_equal
 
 from survfuse.dataset import BINARY_FIELDS, ClinicalVariables, Dataset, PatientRecord, SurvivalLabel
 from survfuse.errors import NonPositiveAgeError, UnimputedRecordError
-from survfuse.pesi import PESI_WEIGHTS, annotate_dataset, pesi_predictor, pesi_score, risk_class_for
+from survfuse.pesi import PESI_WEIGHTS, pesi_predictor, pesi_score, risk_class_for
 
 
 def clin(age, male=False, **flags):
@@ -100,7 +100,3 @@ class TestDatasetHelpers:
         expected = [pesi_score(r.clinical).score for r in ds.records]
         assert_array_equal(pesi_predictor(ds), np.array(expected, dtype=float))
         assert pesi_predictor(ds).dtype == float
-
-    def test_annotate(self):
-        ds = annotate_dataset(self.build())
-        assert [r.pesi_score for r in ds.records] == [64, 66, 86, 106, 126]

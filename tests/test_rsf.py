@@ -2,28 +2,85 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from survfuse.dataset import SurvivalLabel
 from survfuse.errors import (
     DegenerateDataError,
     DimensionMismatchError,
-    EmptyChildError,
+    EmptyGroupError,
     NoEventsError,
     NonFiniteInputError,
 )
-from survfuse.metrics import c_index
+from survfuse.metrics import c_index, logrank_test
 from survfuse.rsf import (
     ForestModel,
     RsfOptions,
+    _best_split,
+    _chf_at,
+    _grow_tree,
+    _node_statistics,
+    _prefix_split_scores,
     fit_forest,
-    logrank_split_score,
     predict_risk,
 )
+
+from strategies import survival_arrays
 
 
 def labs(times, events):
     return [SurvivalLabel(event=bool(e), time_days=float(t)) for t, e in zip(times, events)]
+
+
+def surv_data(rng, n, d, beta, censor=0.2):
+    X = rng.standard_normal((n, d))
+    risk = X @ np.asarray(beta)
+    times = rng.exponential(np.exp(-risk))
+    events = rng.random(n) > censor
+    if not events.any():
+        events[0] = True
+    return X, labs(times, events)
+
+
+def loop_nelson_aalen(t, e):
+    """The leaf hazard as ``rsf`` computed it before the event-time table,
+    kept as its oracle: dense (event time x subject) comparisons."""
+    grid = np.unique(t[e])
+    if grid.size == 0:
+        return grid, np.zeros(0)
+    at_risk = (t[None, :] >= grid[:, None]).sum(axis=1).astype(float)
+    deaths = ((t[None, :] == grid[:, None]) & e[None, :]).sum(axis=1).astype(float)
+    return grid, np.cumsum(deaths / at_risk)
+
+
+def loop_node_statistics(t, e):
+    """``rsf._node_statistics`` before the event-time table, kept as its oracle."""
+    grid = np.unique(t[e])
+    at_risk = t[None, :] >= grid[:, None]
+    n_e = at_risk.sum(axis=1).astype(float)
+    d_e = ((t[None, :] == grid[:, None]) & e[None, :]).sum(axis=1).astype(float)
+    k_e = np.where(n_e > 1, d_e * (n_e - d_e) / (n_e ** 2 * np.maximum(n_e - 1, 1.0)), 0.0)
+    na = np.cumsum(d_e / n_e)
+    gidx = np.searchsorted(grid, t, side="right") - 1
+    resid = e.astype(float) - np.where(gidx >= 0, na[np.maximum(gidx, 0)], 0.0)
+    return at_risk.astype(float), n_e, k_e, resid
+
+
+def brute_split_scores(X, t, e, candidates, min_leaf):
+    """sqrt of the log-rank chi-square at every admissible midpoint split."""
+    scores = {}
+    for f in candidates:
+        values = np.unique(X[:, f])
+        for lo, hi in zip(values[:-1], values[1:]):
+            thr = float((lo + hi) / 2.0)
+            left = X[:, f] <= thr
+            if min(left.sum(), (~left).sum()) < min_leaf:
+                continue
+            result = logrank_test(labs(t[left], e[left]), labs(t[~left], e[~left]))
+            scores[(int(f), thr)] = math.sqrt(result.statistic)
+    return scores
 
 
 def naive_split_score(left, right):
@@ -45,37 +102,26 @@ def naive_split_score(left, right):
     return abs(num) / math.sqrt(var)
 
 
-def surv_data(rng, n, d, beta, censor=0.2):
-    X = rng.standard_normal((n, d))
-    risk = X @ np.asarray(beta)
-    times = rng.exponential(np.exp(-risk))
-    events = rng.random(n) > censor
-    if not events.any():
-        events[0] = True
-    return X, labs(times, events)
+def split_score(left, right):
+    """The split score by its definition: sqrt of the log-rank chi-square."""
+    return math.sqrt(logrank_test(left, right).statistic)
+
+
+def prefix_split_score(left, right):
+    """The split score as ``_best_split`` computes it for left | right."""
+    t = np.array([l.time_days for l in left + right])
+    e = np.array([l.event for l in left + right])
+    cand = np.array([len(left) - 1])
+    return float(_prefix_split_scores(*_node_statistics(t, e), np.arange(t.size), cand)[0])
 
 
 class TestSplitScore:
-    def test_six_subject_hand_value(self):
-        # left: deaths at 1, 2 and censoring at 3; right: deaths at 4, 5
-        # and censoring at 6. Walking the four death times:
-        #   t=1: n=6, n_l=3: O-E adds 1 - 3/6 = 1/2, V adds (3/6)(3/6)(5/5) = 1/4
-        #   t=2: n=5, n_l=2: O-E adds 1 - 2/5 = 3/5, V adds (2/5)(3/5)(4/4) = 6/25
-        #   t=4, t=5: the left child has nobody left at risk (its last
-        #   subject censored at 3), so n_l = 0 and both terms vanish
-        # O - E = 11/10, V = 49/100, score = (11/10)/(7/10) = 11/7
-        left = labs([1, 2, 3], [1, 1, 0])
-        right = labs([4, 5, 6], [1, 1, 0])
-        want = 11.0 / 7.0
-        assert_allclose(logrank_split_score(left, right), want, rtol=1e-12)
-        assert_allclose(logrank_split_score(left, right),
-                        naive_split_score(left, right), rtol=1e-12)
-
     def test_symmetric_under_child_swap(self):
         left = labs([1, 3, 7], [1, 0, 1])
         right = labs([2, 5, 9], [1, 1, 0])
-        assert_allclose(logrank_split_score(left, right),
-                        logrank_split_score(right, left), rtol=1e-12)
+        assert_allclose(split_score(left, right), split_score(right, left), rtol=1e-12)
+        assert_allclose(prefix_split_score(left, right),
+                        prefix_split_score(right, left), rtol=1e-12)
 
     def test_matches_naive_loop_on_random_nodes(self):
         rng = np.random.default_rng(60)
@@ -85,28 +131,76 @@ class TestSplitScore:
             right = labs(rng.integers(1, 7, nr), rng.random(nr) < 0.7)
             if not any(l.event for l in left + right):
                 continue
-            assert_allclose(logrank_split_score(left, right),
-                            naive_split_score(left, right), atol=1e-12)
+            want = naive_split_score(left, right)
+            assert_allclose(split_score(left, right), want, atol=1e-12)
+            assert_allclose(prefix_split_score(left, right), want, atol=1e-12)
 
     def test_identical_children_score_zero(self):
         group = labs([1, 2, 3], [1, 1, 0])
-        assert logrank_split_score(group, group) == 0.0
-
-    def test_zero_variance_returns_zero(self):
-        # a single death with everyone at risk in one group only still has
-        # nonzero variance; variance vanishes when every at-risk subject is
-        # on the same side at each death time
-        left = labs([5, 6], [1, 0])
-        right = labs([1, 2], [0, 0])
-        assert logrank_split_score(left, right) == 0.0
+        assert split_score(group, group) == 0.0
 
     def test_empty_child(self):
-        with pytest.raises(EmptyChildError):
-            logrank_split_score([], labs([1], [1]))
+        with pytest.raises(EmptyGroupError):
+            split_score([], labs([1], [1]))
+        # the split search never proposes an empty child: a constant feature
+        # admits no split, and a two-subject node splits one | one
+        t = np.array([1.0, 2.0])
+        e = np.array([True, False])
+        assert _best_split(np.zeros((2, 1)), t, e, [0], 1) is None
+        assert _best_split(np.array([[0.0], [1.0]]), t, e, [0], 1) == (0, 0.5)
 
-    def test_no_events(self):
-        with pytest.raises(NoEventsError):
-            logrank_split_score(labs([1], [0]), labs([2], [0]))
+
+class TestNodeStatistics:
+    @settings(max_examples=150)
+    @given(survival_arrays())
+    def test_nelson_aalen_leaf_matches_dense_walk_exactly(self, data):
+        # min_leaf_size = n makes the root a leaf holding the whole node
+        t, e = data
+        grid = np.array([0.5, 1.0, 2.0, 3.5, 1e6])
+        tree = _grow_tree(np.zeros((t.size, 1)), t, e, np.random.default_rng(0), 1, t.size, grid)
+        want_times, want_chf = loop_nelson_aalen(t, e)
+        assert tree.feature.tolist() == [-1]
+        assert tree.leaf_times[0].dtype == want_times.dtype
+        assert np.array_equal(tree.leaf_times[0], want_times)
+        assert tree.leaf_chf[0].dtype == want_chf.dtype
+        assert np.array_equal(tree.leaf_chf[0], want_chf)
+        want_mortality = float(_chf_at(want_times, want_chf, grid).sum())
+        assert tree.leaf_mortality[0] == want_mortality
+
+    @settings(max_examples=150)
+    @given(survival_arrays())
+    def test_node_statistics_match_dense_walk_exactly(self, data):
+        t, e = data
+        assume(e.any())  # split search only visits nodes with an event
+        for got, want in zip(_node_statistics(t, e), loop_node_statistics(t, e)):
+            assert np.array_equal(got, want)
+
+
+class TestBestSplit:
+    def test_picks_the_split_maximizing_logrank_statistic(self):
+        rng = np.random.default_rng(59)
+        splits = 0
+        for _ in range(150):
+            m = int(rng.integers(4, 25))
+            min_leaf = int(rng.integers(1, m // 2 + 1))
+            p = int(rng.integers(1, 4))
+            X = rng.integers(0, int(rng.integers(2, 8)), size=(m, p)).astype(float)
+            t = rng.integers(1, 6, size=m).astype(float)
+            e = rng.random(m) < 0.6
+            if not e.any():
+                continue
+            candidates = rng.permutation(p)
+            scores = brute_split_scores(X, t, e, candidates, min_leaf)
+            best = max(scores.values(), default=0.0)
+            split = _best_split(X, t, e, candidates, min_leaf)
+            if split is None:
+                assert best < 1e-9
+                continue
+            splits += 1
+            # the chosen split is admissible and within rounding of the best
+            assert split in scores
+            assert scores[split] >= best - 1e-9
+        assert splits > 50
 
 
 class TestFitForest:
@@ -133,6 +227,30 @@ class TestFitForest:
         b = fit_forest(X[perm], [labels[i] for i in perm], opts)
         q = rng.standard_normal((20, 3))
         assert_array_equal(predict_risk(a, q), predict_risk(b, q))
+
+    @settings(max_examples=40)
+    @given(survival_arrays(min_n=8, max_n=30), st.randoms(use_true_random=False))
+    def test_record_order_invariance_under_ties(self, data, random):
+        # records sharing (time, event) share features too: the canonical
+        # (time, event) sort cannot tell them apart, and needs not
+        t, e = data
+        rng = np.random.default_rng(random.getrandbits(32))
+        _, first, group = np.unique(np.column_stack([t, e]), axis=0,
+                                    return_index=True, return_inverse=True)
+        X = rng.integers(0, 3, size=(t.size, 2)).astype(float)[first[group.ravel()]]
+        perm = np.array(random.sample(range(t.size), t.size))
+        opts = RsfOptions(n_trees=3, min_leaf_size=2, seed=random.getrandbits(16))
+        try:
+            a = fit_forest(X, labs(t, e), opts)
+        except NoEventsError:
+            return
+        b = fit_forest(X[perm], labs(t[perm], e[perm]), opts)
+        assert np.array_equal(a.event_time_grid, b.event_time_grid)
+        for ta, tb in zip(a.trees, b.trees):
+            assert np.array_equal(ta.feature, tb.feature)
+            assert np.array_equal(ta.threshold, tb.threshold, equal_nan=True)
+            assert np.array_equal(ta.leaf_mortality, tb.leaf_mortality)
+        assert np.array_equal(predict_risk(a, X), predict_risk(b, X))
 
     def test_mtry_defaults_to_sqrt_features(self):
         rng = np.random.default_rng(63)
