@@ -6,6 +6,10 @@ optional ridge penalty, and the Breslow baseline cumulative hazard.
 
 All of it walks the cohort's ``dataset.EventTable``: risk-set sums are
 suffix sums in its time order, read at ``risk_start`` of each event time.
+The per-event-time terms are computed for all event times with the same
+number of tied deaths at once (the table's ``tie_blocks``) and then added
+up by a cumulative sum in event-time order, so the totals round exactly
+as a loop over the event times would.
 All likelihood code subtracts the max linear predictor before
 exponentiating; the partial likelihood is invariant to that shift, so the
 reported values are exact while the intermediate sums stay bounded.
@@ -88,24 +92,25 @@ def _loglik_and_eta_grad(eta: np.ndarray, table: EventTable, tie_method: str):
     s0_suffix = np.cumsum(w[::-1])[::-1]
 
     n_groups = table.event_times.size
-    ll = 0.0
+    term = np.zeros(n_groups + 1)  # leading 0.0: ll is summed from 0.0, group by group
     coef_a = np.zeros(n_groups)  # sum_l 1/psi_l per group
     coef_b = np.zeros(n_groups)  # sum_l (l/d)/psi_l per group (Efron correction)
     own_b = np.zeros(eta_s.size)
-    for g, deaths in enumerate(table.death_groups()):
-        d = deaths.size
-        s0r = s0_suffix[table.risk_start[g]]
-        sum_eta = float((eta_s[deaths] - m).sum())
+    for groups, deaths in table.tie_blocks:
+        d = deaths.shape[1]
+        s0r = s0_suffix[table.risk_start[groups]]
+        sum_eta = (eta_s[deaths] - m).sum(axis=1)
         if tie_method == "efron" and d > 1:
             frac = np.arange(d) / d
-            psi = s0r - frac * w[deaths].sum()
-            ll += sum_eta - float(np.log(psi).sum())
-            coef_a[g] = float((1.0 / psi).sum())
-            coef_b[g] = float((frac / psi).sum())
+            psi = s0r[:, None] - frac * w[deaths].sum(axis=1)[:, None]
+            term[groups + 1] = sum_eta - np.log(psi).sum(axis=1)
+            coef_a[groups] = (1.0 / psi).sum(axis=1)
+            coef_b[groups] = (frac / psi).sum(axis=1)
+            own_b[deaths] = coef_b[groups][:, None]
         else:
-            ll += sum_eta - d * float(np.log(s0r))
-            coef_a[g] = d / s0r
-        own_b[deaths] = coef_b[g]
+            term[groups + 1] = sum_eta - d * np.log(s0r)
+            coef_a[groups] = d / s0r
+    ll = float(np.cumsum(term)[-1])
 
     cum_a = np.cumsum(coef_a)
     gidx = np.searchsorted(table.event_times, table.times, side="right") - 1
@@ -165,32 +170,37 @@ def _beta_derivatives(beta, X, table: EventTable, tie_method: str):
     s1_suffix = np.cumsum(wx[::-1], axis=0)[::-1]
     s2_suffix = np.cumsum(wxx[::-1], axis=0)[::-1]
 
-    ll = 0.0
-    grad = np.zeros(p)
-    hess = np.zeros((p, p))
-    for deaths, r in zip(table.death_groups(), table.risk_start):
-        d = deaths.size
+    # each event time adds its deaths' terms, then subtracts its risk-set
+    # terms; the totals are running sums over rows (0, +g0, -g0, +g1, -g1, ...)
+    rows = 2 * table.event_times.size + 1
+    ll = np.zeros(rows)
+    grad = np.zeros((rows, p))
+    hess = np.zeros((rows, p, p))
+    for groups, deaths in table.tie_blocks:
+        d = deaths.shape[1]
+        r = table.risk_start[groups]
         s0r, s1r, s2r = s0_suffix[r], s1_suffix[r], s2_suffix[r]
-        ll += float((eta_s[deaths] - m).sum())
-        grad += Xs[deaths].sum(axis=0)
+        add, sub = 2 * groups + 1, 2 * groups + 2
+        ll[add] = (eta_s[deaths] - m).sum(axis=1)
+        grad[add] = Xs[deaths].sum(axis=1)
         if tie_method == "efron" and d > 1:
             frac = np.arange(d) / d
-            s0d = w[deaths].sum()
-            s1d = wx[deaths].sum(axis=0)
-            s2d = wxx[deaths].sum(axis=0)
-            psi = s0r - frac * s0d                              # (d,)
-            mu = (s1r[None, :] - frac[:, None] * s1d) / psi[:, None]   # (d, p)
-            ll -= float(np.log(psi).sum())
-            grad -= mu.sum(axis=0)
-            inv = (1.0 / psi).sum()
-            finv = (frac / psi).sum()
-            hess -= s2r * inv - s2d * finv - np.einsum("lp,lq->pq", mu, mu)
+            s0d = w[deaths].sum(axis=1)
+            s1d = wx[deaths].sum(axis=1)
+            s2d = wxx[deaths].sum(axis=1)
+            psi = s0r[:, None] - frac * s0d[:, None]                       # (groups, d)
+            mu = (s1r[:, None, :] - frac[:, None] * s1d[:, None, :]) / psi[:, :, None]
+            ll[sub] = -np.log(psi).sum(axis=1)
+            grad[sub] = -mu.sum(axis=1)
+            inv = (1.0 / psi).sum(axis=1)[:, None, None]
+            finv = (frac / psi).sum(axis=1)[:, None, None]
+            hess[sub] = -(s2r * inv - s2d * finv - np.einsum("klp,klq->kpq", mu, mu))
         else:
-            mu = s1r / s0r
-            ll -= d * float(np.log(s0r))
-            grad -= d * mu
-            hess -= d * (s2r / s0r - np.outer(mu, mu))
-    return float(ll), grad, hess
+            mu = s1r / s0r[:, None]
+            ll[sub] = -(d * np.log(s0r))
+            grad[sub] = -(d * mu)
+            hess[sub] = -(d * (s2r / s0r[:, None, None] - mu[:, :, None] * mu[:, None, :]))
+    return float(np.cumsum(ll)[-1]), np.cumsum(grad, axis=0)[-1], np.cumsum(hess, axis=0)[-1]
 
 
 def fit_cox(X: np.ndarray, labels: list[SurvivalLabel], options: FitOptions | None = None,

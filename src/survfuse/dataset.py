@@ -23,6 +23,7 @@ import csv
 import dataclasses
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -550,9 +551,21 @@ class EventTable:
         self.risk_start = np.searchsorted(self.times, self.event_times, side="left")
         self.at_risk = self.times.size - self.risk_start
 
-    def death_groups(self) -> list[np.ndarray]:
-        """Sorted positions of the deaths, one array per event time."""
-        return np.split(self.death_pos, self.death_start[1:])[: self.deaths.size]
+    @cached_property
+    def tie_blocks(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """The event times grouped by their number of deaths d, ascending in d.
+
+        Each entry is ``(groups, positions)``: the ascending indices of the
+        event times with d deaths, and a C-contiguous ``(groups.size, d)``
+        array whose row k holds the sorted death positions of event time
+        ``groups[k]``. A row reduction over a block adds in the same order as
+        the 1-D reduction over one group's deaths.
+        """
+        blocks = []
+        for d in np.unique(self.deaths):
+            groups = np.flatnonzero(self.deaths == d)
+            blocks.append((groups, self.death_pos[self.death_start[groups][:, None] + np.arange(d)]))
+        return tuple(blocks)
 
     def subgroup_counts(self, member) -> tuple[np.ndarray, np.ndarray]:
         """At-risk and death counts per event time of the subjects flagged in

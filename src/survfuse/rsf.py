@@ -19,10 +19,11 @@ Node event counts and leaf hazards are read from the node's
 to stay vectorized: the log-rank numerator for a left prefix equals the
 prefix sum of the per-subject martingale residuals (event flag minus node
 Nelson-Aalen at the subject's time), and the hypergeometric variance is a
-weighted sum of ``n_left * (n_at_risk - n_left)`` terms over event times,
-with prefix at-risk counts obtained by one cumulative sum per candidate
-feature. The split score is ``sqrt`` of ``metrics.logrank_test``'s
-chi-square for the two children.
+weighted sum of ``n_left * (n_at_risk - n_left)`` terms over event times.
+The prefix at-risk counts are exact int32 counts from one cumulative sum
+over the node's subjects per candidate feature, and the variance is formed
+only at the admissible split positions. The split score is ``sqrt`` of
+``metrics.logrank_test``'s chi-square for the two children.
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ class ForestModel:
 
 
 def _node_statistics(t: np.ndarray, e: np.ndarray):
-    """Event grid, at-risk matrix, variance weights and residuals for a node."""
+    """Event grid, at-risk counts, variance weights and residuals for a node."""
     table = EventTable(t, e)
     grid = table.event_times
     n_e = table.at_risk.astype(float)
@@ -89,17 +90,20 @@ def _node_statistics(t: np.ndarray, e: np.ndarray):
     na = np.cumsum(d_e / n_e)
     gidx = np.searchsorted(grid, t, side="right") - 1
     resid = e.astype(float) - np.where(gidx >= 0, na[np.maximum(gidx, 0)], 0.0)
-    at_risk = t[None, :] >= grid[:, None]
-    return at_risk.astype(float), n_e, k_e, resid
+    return grid, n_e, k_e, resid
 
 
-def _prefix_split_scores(at_risk, n_e, k_e, resid, order, cand):
+def _prefix_split_scores(t, grid, n_e, k_e, resid, order, cand):
     """Split score |O - E| / sqrt(V) of the left child ``order[:c + 1]`` for
     each position ``c`` in ``cand``; zero where the variance vanishes."""
     prefix_resid = np.cumsum(resid[order])
-    n_left = np.cumsum(at_risk[:, order], axis=1)
-    var = (k_e[:, None] * n_left * (n_e[:, None] - n_left)).sum(axis=0)
-    var_c = var[cand]
+    # n_left[k, g]: subjects of the left child of cand[k] at risk at grid[g],
+    # as exact counts. Each row is contiguous, so numpy sums it over the event
+    # times pairwise; a sequential sum would move split scores in the last bit.
+    n_left = (t[order][:, None] >= grid).astype(np.int32)
+    np.cumsum(n_left, axis=0, out=n_left)
+    n_left = n_left[cand]
+    var_c = (k_e * n_left * (n_e - n_left)).sum(axis=1)
     scores = np.zeros(cand.size)
     ok = var_c > 0
     scores[ok] = np.abs(prefix_resid[cand[ok]]) / np.sqrt(var_c[ok])
@@ -110,7 +114,7 @@ def _best_split(X_node, t_node, e_node, candidates, min_leaf):
     m = t_node.size
     if not e_node.any():
         return None
-    at_risk, n_e, k_e, resid = _node_statistics(t_node, e_node)
+    stats = _node_statistics(t_node, e_node)
     lo, hi = min_leaf - 1, m - min_leaf - 1
     if hi < lo:
         return None
@@ -124,7 +128,7 @@ def _best_split(X_node, t_node, e_node, candidates, min_leaf):
         cand = positions[vs[positions] < vs[positions + 1]]
         if cand.size == 0:
             continue
-        scores = _prefix_split_scores(at_risk, n_e, k_e, resid, order, cand)
+        scores = _prefix_split_scores(t_node, *stats, order, cand)
         j = int(np.argmax(scores))
         if scores[j] > best_score:
             best_score = float(scores[j])

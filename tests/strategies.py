@@ -5,10 +5,11 @@ from hypothesis import strategies as st
 
 
 @st.composite
-def survival_arrays(draw, min_n=1, max_n=25):
-    """(times, events) arrays with optional heavy time ties and heavy censoring."""
+def survival_arrays(draw, min_n=1, max_n=25, time_levels=(1, 2, 4, 10**6)):
+    """(times, events) arrays with optional heavy time ties and heavy censoring;
+    the times are drawn from 1..L for one L of ``time_levels``."""
     n = draw(st.integers(min_n, max_n))
-    time_levels = draw(st.sampled_from([1, 2, 4, 10**6]))
+    time_levels = draw(st.sampled_from(time_levels))
     event_pct = draw(st.sampled_from([0, 5, 30, 90, 100]))
     times = draw(st.lists(st.integers(1, time_levels), min_size=n, max_size=n))
     events = [u < event_pct for u in draw(st.lists(st.integers(0, 99), min_size=n, max_size=n))]

@@ -179,8 +179,13 @@ def loop_breslow_baseline(beta, X, times, events):
 
 @st.composite
 def cox_instances(draw, max_p=3):
-    """(X, times, events): heavy time ties, heavy censoring, n from 1."""
-    times, events = draw(survival_arrays(max_n=20))
+    """(X, times, events): heavy time ties, heavy censoring, n from 1; or up to
+    80 subjects on 1-4 time levels, so that tie groups of tens of deaths, and
+    several tie sizes in one cohort, occur."""
+    if draw(st.booleans()):
+        times, events = draw(survival_arrays(max_n=20))
+    else:
+        times, events = draw(survival_arrays(min_n=21, max_n=80, time_levels=(1, 2, 3, 4)))
     n, p = times.size, draw(st.integers(1, max_p))
     X = np.array(draw(st.lists(st.floats(-3, 3), min_size=n * p, max_size=n * p))).reshape(n, p)
     return X, times, events
@@ -214,6 +219,21 @@ class TestPartialLoglik:
         for shift in (-200.0, -3.0, 7.5, 500.0):
             shifted, _ = partial_loglik_eta(eta + shift, times, events, tie_method)
             assert_allclose(shifted, base, rtol=1e-12)
+
+    @settings(max_examples=150)
+    @given(cox_instances(), st.floats(-500, 500), st.sampled_from(["efron", "breslow"]))
+    def test_shift_invariance_property(self, instance, shift, tie_method):
+        X, times, events = instance
+        assume(events.any())
+        # on a grid of 2**-30, eta + shift is exact: the test sees the
+        # likelihood's invariance, not the rounding of its shifted input
+        step = 2.0 ** -30
+        eta = np.round(X.sum(axis=1) / step) * step
+        shift = round(shift / step) * step
+        base, base_grad = partial_loglik_eta(eta, times, events, tie_method)
+        shifted, shifted_grad = partial_loglik_eta(eta + shift, times, events, tie_method)
+        assert_allclose(shifted, base, rtol=1e-12)
+        assert_allclose(shifted_grad, base_grad, rtol=1e-12)
 
     @pytest.mark.parametrize("tie_method", ["efron", "breslow"])
     def test_eta_gradient_matches_finite_differences(self, tie_method):

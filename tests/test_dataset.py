@@ -464,7 +464,10 @@ class TestEventTable:
         assert_array_equal(table.risk_start, [0, 1, 5])
         assert_array_equal(table.at_risk, [6, 5, 1])
         assert_array_equal(table.deaths, [1, 2, 1])
-        assert [g.tolist() for g in table.death_groups()] == [[0], [1, 3], [5]]
+        assert [(groups.tolist(), deaths.tolist()) for groups, deaths in table.tie_blocks] == [
+            ([0, 2], [[0], [5]]),  # one death at times 1 and 5
+            ([1], [[1, 3]]),       # two at time 2
+        ]
         at_risk, deaths = table.subgroup_counts([True, False, False, True, True, False])
         assert_array_equal(at_risk, [3, 3, 0])  # subjects 0, 3, 4: times 2, 2, 4
         assert_array_equal(deaths, [0, 1, 0])
@@ -472,7 +475,7 @@ class TestEventTable:
     def test_all_censored_has_no_event_times(self):
         table = EventTable([3.0, 1.0], [False, False])
         assert table.event_times.size == table.deaths.size == table.at_risk.size == 0
-        assert table.death_groups() == []
+        assert table.tie_blocks == ()
         at_risk, deaths = table.subgroup_counts([True, False])
         assert at_risk.size == deaths.size == 0
 
@@ -485,8 +488,15 @@ class TestEventTable:
         assert_array_equal(table.order, np.argsort(times, kind="stable"))
         t, e = table.times, table.events
         assert_array_equal(table.event_times, np.unique(times[events]))
-        groups = table.death_groups()
-        assert len(groups) == table.event_times.size
+        rows = {}  # event time index -> its row of death positions
+        for groups, deaths in table.tie_blocks:
+            assert deaths.flags.c_contiguous
+            assert deaths.shape[0] == groups.size
+            rows.update(zip(groups.tolist(), deaths))
+        assert sum(groups.size for groups, _ in table.tie_blocks) == len(rows)
+        assert sorted(rows) == list(range(table.event_times.size))
+        sizes = [deaths.shape[1] for _, deaths in table.tie_blocks]
+        assert sizes == sorted(set(sizes))
         sub_at_risk, sub_deaths = table.subgroup_counts(member)
         m = member[table.order]
         for g, v in enumerate(table.event_times):
@@ -495,6 +505,6 @@ class TestEventTable:
             assert table.risk_start[g] == risk_set[0]
             assert table.at_risk[g] == risk_set.size
             assert table.deaths[g] == dead.size
-            assert_array_equal(groups[g], dead)
+            assert_array_equal(rows[g], dead)  # so each death is in exactly one row
             assert sub_at_risk[g] == m[risk_set].sum()
             assert sub_deaths[g] == m[dead].sum()

@@ -56,7 +56,9 @@ def loop_nelson_aalen(t, e):
 
 
 def loop_node_statistics(t, e):
-    """``rsf._node_statistics`` before the event-time table, kept as its oracle."""
+    """``rsf._node_statistics`` before the event-time table, with the dense
+    float (event times x node size) at-risk matrix the split search read;
+    kept as the oracle of the node statistics and of the split search."""
     grid = np.unique(t[e])
     at_risk = t[None, :] >= grid[:, None]
     n_e = at_risk.sum(axis=1).astype(float)
@@ -66,6 +68,67 @@ def loop_node_statistics(t, e):
     gidx = np.searchsorted(grid, t, side="right") - 1
     resid = e.astype(float) - np.where(gidx >= 0, na[np.maximum(gidx, 0)], 0.0)
     return at_risk.astype(float), n_e, k_e, resid
+
+
+def dense_prefix_split_scores(at_risk, n_e, k_e, resid, order, cand):
+    """``rsf._prefix_split_scores`` on the dense at-risk matrix, kept as its oracle."""
+    prefix_resid = np.cumsum(resid[order])
+    n_left = np.cumsum(at_risk[:, order], axis=1)
+    var = (k_e[:, None] * n_left * (n_e[:, None] - n_left)).sum(axis=0)
+    var_c = var[cand]
+    scores = np.zeros(cand.size)
+    ok = var_c > 0
+    scores[ok] = np.abs(prefix_resid[cand[ok]]) / np.sqrt(var_c[ok])
+    return scores
+
+
+def split_candidates(v, min_leaf):
+    """Stable order of a feature and the admissible split positions in it."""
+    order = np.argsort(v, kind="stable")
+    vs = v[order]
+    positions = np.arange(min_leaf - 1, v.size - min_leaf)
+    return order, vs, positions[vs[positions] < vs[positions + 1]]
+
+
+def dense_best_split(X_node, t_node, e_node, candidates, min_leaf):
+    """``rsf._best_split`` on the dense at-risk matrix, kept as its oracle."""
+    m = t_node.size
+    if not e_node.any():
+        return None
+    stats = loop_node_statistics(t_node, e_node)
+    if m - min_leaf - 1 < min_leaf - 1:
+        return None
+    best_score = 0.0
+    best = None
+    for f in candidates:
+        order, vs, cand = split_candidates(X_node[:, f], min_leaf)
+        if cand.size == 0:
+            continue
+        scores = dense_prefix_split_scores(*stats, order, cand)
+        j = int(np.argmax(scores))
+        if scores[j] > best_score:
+            best_score = float(scores[j])
+            best = (int(f), float((vs[cand[j]] + vs[cand[j] + 1]) / 2.0))
+    return best
+
+
+@st.composite
+def split_nodes(draw):
+    """(X, t, e, min_leaf) of one node: heavy time ties and censoring, and
+    continuous, binary and constant features."""
+    t, e = draw(survival_arrays(min_n=2, max_n=80))
+    m = t.size
+    columns = []
+    for kind in draw(st.lists(st.sampled_from(["continuous", "binary", "constant"]),
+                              min_size=1, max_size=4)):
+        if kind == "continuous":
+            columns.append(draw(st.lists(st.floats(-5, 5), min_size=m, max_size=m)))
+        elif kind == "binary":
+            columns.append(draw(st.lists(st.integers(0, 1), min_size=m, max_size=m)))
+        else:
+            columns.append([draw(st.floats(-5, 5))] * m)
+    X = np.array(columns, dtype=float).T
+    return X, t, e, draw(st.integers(1, m // 2))
 
 
 def brute_split_scores(X, t, e, candidates, min_leaf):
@@ -112,7 +175,7 @@ def prefix_split_score(left, right):
     t = np.array([l.time_days for l in left + right])
     e = np.array([l.event for l in left + right])
     cand = np.array([len(left) - 1])
-    return float(_prefix_split_scores(*_node_statistics(t, e), np.arange(t.size), cand)[0])
+    return float(_prefix_split_scores(t, *_node_statistics(t, e), np.arange(t.size), cand)[0])
 
 
 class TestSplitScore:
@@ -172,8 +235,12 @@ class TestNodeStatistics:
     def test_node_statistics_match_dense_walk_exactly(self, data):
         t, e = data
         assume(e.any())  # split search only visits nodes with an event
-        for got, want in zip(_node_statistics(t, e), loop_node_statistics(t, e)):
-            assert np.array_equal(got, want)
+        grid, *stats = _node_statistics(t, e)
+        at_risk, *want = loop_node_statistics(t, e)
+        assert np.array_equal(grid, np.unique(t[e]))
+        assert np.array_equal(t[None, :] >= grid[:, None], at_risk)
+        for got, expected in zip(stats, want):
+            assert np.array_equal(got, expected)
 
 
 class TestBestSplit:
@@ -201,6 +268,27 @@ class TestBestSplit:
             assert split in scores
             assert scores[split] >= best - 1e-9
         assert splits > 50
+
+
+    @settings(max_examples=200)
+    @given(split_nodes())
+    def test_prefix_scores_match_dense_matrix_exactly(self, node):
+        X, t, e, min_leaf = node
+        assume(e.any())  # split search only scores nodes with an event
+        stats = _node_statistics(t, e)
+        dense_stats = loop_node_statistics(t, e)
+        for f in range(X.shape[1]):
+            order, _, cand = split_candidates(X[:, f], min_leaf)
+            got = _prefix_split_scores(t, *stats, order, cand)
+            assert np.array_equal(got, dense_prefix_split_scores(*dense_stats, order, cand))
+
+    @settings(max_examples=200)
+    @given(split_nodes(), st.randoms(use_true_random=False))
+    def test_matches_dense_matrix_search_exactly(self, node, random):
+        X, t, e, min_leaf = node
+        candidates = np.array(random.sample(range(X.shape[1]), X.shape[1]))
+        got = _best_split(X, t, e, candidates, min_leaf)
+        assert got == dense_best_split(X, t, e, candidates, min_leaf)
 
 
 class TestFitForest:
