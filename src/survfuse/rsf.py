@@ -14,20 +14,31 @@ canonicalizes the sample order by a stable (time, event) sort so a
 permutation of the input records cannot change the forest (up to exact
 (time, event) ties between records with different features).
 
+Trees are grown on up to one process per CPU the process may run on: this
+process and forked workers each grow an interleaved share of the per-tree
+streams, and the trees are put back in stream order, so the forest is the
+same bit for bit for any worker count. Where there is one CPU or one tree,
+or the platform cannot fork or report the usable CPUs, every tree is grown
+in this process. Forking copies only the calling thread, so ``fit_forest``
+should not be called while other threads of the process hold locks.
+
 Node event counts and leaf hazards are read from the node's
 ``dataset.EventTable``. The split-search inner loop exploits two identities
 to stay vectorized: the log-rank numerator for a left prefix equals the
 prefix sum of the per-subject martingale residuals (event flag minus node
 Nelson-Aalen at the subject's time), and the hypergeometric variance is a
 weighted sum of ``n_left * (n_at_risk - n_left)`` terms over event times.
-The prefix at-risk counts are exact int32 counts from one cumulative sum
-over the node's subjects per candidate feature, and the variance is formed
-only at the admissible split positions. The split score is ``sqrt`` of
+The prefix at-risk counts are exact int32 counts from a cumulative sum
+over the node's subjects per candidate feature, taken a fixed block of
+subjects at a time with the counts carried between blocks, and the variance
+is formed only at the admissible split positions, so the search's memory is
+linear in the node size. The split score is ``sqrt`` of
 ``metrics.logrank_test``'s chi-square for the two children.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +50,10 @@ from .errors import (
     NoEventsError,
     NonFiniteInputError,
 )
+
+
+# sorted subjects per block of the split search's at-risk counts
+_SPLIT_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -95,15 +110,28 @@ def _node_statistics(t: np.ndarray, e: np.ndarray):
 
 def _prefix_split_scores(t, grid, n_e, k_e, resid, order, cand):
     """Split score |O - E| / sqrt(V) of the left child ``order[:c + 1]`` for
-    each position ``c`` in ``cand``; zero where the variance vanishes."""
+    each position ``c`` in ``cand`` (ascending); zero where the variance
+    vanishes."""
     prefix_resid = np.cumsum(resid[order])
+    t_sorted = t[order]
+    var_c = np.empty(cand.size)
     # n_left[k, g]: subjects of the left child of cand[k] at risk at grid[g],
-    # as exact counts. Each row is contiguous, so numpy sums it over the event
-    # times pairwise; a sequential sum would move split scores in the last bit.
-    n_left = (t[order][:, None] >= grid).astype(np.int32)
-    np.cumsum(n_left, axis=0, out=n_left)
-    n_left = n_left[cand]
-    var_c = (k_e * n_left * (n_e - n_left)).sum(axis=1)
+    # as exact counts, built _SPLIT_BLOCK sorted subjects at a time with the
+    # counts of the earlier blocks carried in, so temporaries stay
+    # O(_SPLIT_BLOCK x event times). Each row is contiguous, so numpy sums it
+    # over the event times pairwise; a sequential sum would move split scores
+    # in the last bit.
+    carry = np.zeros(grid.size, dtype=np.int32)
+    done = 0
+    for lo in range(0, int(cand.max(initial=-1)) + 1, _SPLIT_BLOCK):
+        counts = (t_sorted[lo:lo + _SPLIT_BLOCK, None] >= grid).astype(np.int32)
+        counts[0] += carry
+        np.cumsum(counts, axis=0, out=counts)
+        carry = counts[-1]
+        stop = np.searchsorted(cand, lo + counts.shape[0], side="left")
+        n_left = counts[cand[done:stop] - lo]
+        var_c[done:stop] = (k_e * n_left * (n_e - n_left)).sum(axis=1)
+        done = stop
     scores = np.zeros(cand.size)
     ok = var_c > 0
     scores[ok] = np.abs(prefix_resid[cand[ok]]) / np.sqrt(var_c[ok])
@@ -196,6 +224,47 @@ def _grow_tree(X, t, e, rng, mtry, min_leaf, forest_grid):
     )
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on; 1 where the platform cannot say."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call, as on macOS
+        return 1
+
+
+def _grow_trees(Xc, tc, ec, grid, streams, mtry, min_leaf):
+    """One tree per seed stream, each on its bootstrap resample of the
+    canonical sample; runs in this process or in a pool worker."""
+    n = tc.size
+    trees = []
+    for ss in streams:
+        rng = np.random.default_rng(ss)
+        boot = rng.integers(0, n, size=n)
+        trees.append(_grow_tree(Xc[boot], tc[boot], ec[boot], rng, mtry, min_leaf, grid))
+    return trees
+
+
+def _grow_shares(shares):
+    """``_grow_trees`` of each share: the first in this process and the others
+    in forked worker processes, or all in this process where fork is missing."""
+    if len(shares) > 1:
+        # imported here, so that scoring, which fits no forest, skips the
+        # ~25 ms of imports
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            # fork, asked for by name, so no default start method (which
+            # Python 3.14 changes) is relied on: a forked worker starts in
+            # ~10 ms, while a spawned one imports numpy and this package
+            # again, ~0.4 s, as long as a 10-tree forest on 840 subjects takes
+            context = multiprocessing.get_context("fork")
+            with ProcessPoolExecutor(len(shares) - 1, mp_context=context) as pool:
+                pending = [pool.submit(_grow_trees, *share) for share in shares[1:]]
+                return [_grow_trees(*shares[0])] + [job.result() for job in pending]
+    return [_grow_trees(*share) for share in shares]
+
+
 def fit_forest(X: np.ndarray, labels: list[SurvivalLabel],
                options: RsfOptions | None = None) -> ForestModel:
     opts = options or RsfOptions()
@@ -221,12 +290,11 @@ def fit_forest(X: np.ndarray, labels: list[SurvivalLabel],
     grid = np.unique(tc[ec])
     mtry = opts.mtry if opts.mtry is not None else int(np.ceil(np.sqrt(p)))
     streams = np.random.SeedSequence(opts.seed).spawn(opts.n_trees)
-    trees = []
-    for ss in streams:
-        rng = np.random.default_rng(ss)
-        boot = rng.integers(0, n, size=n)
-        trees.append(_grow_tree(Xc[boot], tc[boot], ec[boot], rng, mtry,
-                                opts.min_leaf_size, grid))
+    workers = min(_usable_cpus(), opts.n_trees)
+    # share k holds trees k, k + workers, ...
+    grown = _grow_shares([(Xc, tc, ec, grid, streams[k::workers], mtry, opts.min_leaf_size)
+                          for k in range(workers)])
+    trees = [grown[i % workers][i // workers] for i in range(opts.n_trees)]
     return ForestModel(trees=trees, event_time_grid=grid, n_features=p, options=opts)
 
 

@@ -1,4 +1,4 @@
-"""Hypothesis strategies shared by the property tests."""
+"""Hypothesis strategies and comparisons shared by the property tests."""
 
 import numpy as np
 from hypothesis import strategies as st
@@ -14,3 +14,22 @@ def survival_arrays(draw, min_n=1, max_n=25, time_levels=(1, 2, 4, 10**6)):
     times = draw(st.lists(st.integers(1, time_levels), min_size=n, max_size=n))
     events = [u < event_pct for u in draw(st.lists(st.integers(0, 99), min_size=n, max_size=n))]
     return np.array(times, dtype=float), np.array(events, dtype=bool)
+
+
+TREE_ARRAYS = ("feature", "threshold", "left", "right", "leaf_slot", "leaf_mortality")
+
+
+def assert_same_trees(got, want):
+    """Every array of every tree equal, dtype included; NaN equals NaN."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        for name in TREE_ARRAYS:
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.dtype == y.dtype
+            assert np.array_equal(x, y, equal_nan=True), name
+        for name in ("leaf_times", "leaf_chf"):
+            xs, ys = getattr(a, name), getattr(b, name)
+            assert len(xs) == len(ys)
+            for x, y in zip(xs, ys):
+                assert x.dtype == y.dtype
+                assert np.array_equal(x, y), name

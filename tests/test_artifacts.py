@@ -1,7 +1,12 @@
 import json
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
 from survfuse.artifacts import (
@@ -16,7 +21,10 @@ from survfuse.dataset import SurvivalLabel, compute_imputation_stats
 from survfuse.deep_survival import TrainOptions, forward, init_mlp, train
 from survfuse.errors import IoError, SchemaMismatchError, UnknownModelKindError
 from survfuse.fusion import fit_fusion, predict_fused
+from survfuse import rsf
 from survfuse.rsf import RsfOptions, fit_forest, predict_risk
+
+from strategies import assert_same_trees, survival_arrays
 
 
 def labs(times, events):
@@ -85,6 +93,32 @@ class TestRoundTrips:
         # leaf markers come back as NaN thresholds
         tree = art.model.trees[0]
         assert np.isnan(tree.threshold[tree.feature < 0]).all()
+
+    @settings(max_examples=25)
+    @given(survival_arrays(min_n=4, max_n=40), st.sampled_from(["continuous", "tied"]),
+           st.integers(1, 5), st.integers(2, 3), st.integers(0, 2**16))
+    def test_pooled_forest_survives_save_load(self, data, features, n_trees, cpus, seed):
+        # trees grown in worker processes come back through pickle; a dtype
+        # or layout it changed would show in the artifact or its predictions
+        t, e = data
+        assume(e.any())
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((t.size, 3))
+        if features == "tied":
+            X = np.round(X)
+        opts = RsfOptions(n_trees=n_trees, min_leaf_size=int(rng.integers(1, t.size // 2 + 1)),
+                          seed=seed)
+        with mock.patch.object(rsf, "_usable_cpus", return_value=cpus):
+            model = fit_forest(X, labs(t, e), opts)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "rsf_clinical.json"
+            save_model(path, "rsf_clinical", model)
+            loaded = load_model(path).model
+        assert np.array_equal(loaded.event_time_grid, model.event_time_grid)
+        assert (loaded.n_features, loaded.options) == (model.n_features, model.options)
+        assert_same_trees(loaded.trees, model.trees)
+        Q = np.vstack([X, rng.standard_normal((10, 3))])
+        assert np.array_equal(predict_risk(loaded, Q), predict_risk(model, Q))
 
     def test_fusion_multimodal_bit_exact(self, fitted, tmp_path):
         path = tmp_path / "mm.json"

@@ -259,6 +259,31 @@ class TestFeaturesAndAggregation:
         assert ds.records[1].imaging_features is None
 
 
+@st.composite
+def imputation_cases(draw):
+    """A cohort with random missing values, and a reference id set that may
+    name absent patients and holds one complete record, so that every
+    column has an observed reference value."""
+    n = draw(st.integers(1, 12))
+    ref = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    missing_pct = draw(st.sampled_from([0, 20, 60, 95]))
+    ages = st.one_of(st.integers(18, 95).map(float), st.floats(18.0, 100.0))
+    records = []
+    for i in range(n):
+        values = {f: draw(st.booleans()) for f in BINARY_FIELDS}
+        values["age_years"] = draw(ages)
+        for field in values:
+            if i != ref[0] and draw(st.integers(0, 99)) < missing_pct:
+                values[field] = None
+        records.append(PatientRecord(
+            patient_id=f"P{i}",
+            clinical=ClinicalVariables(**values),
+            label=SurvivalLabel(event=bool(i % 2), time_days=10.0 + i),
+        ))
+    absent = draw(st.lists(st.sampled_from(["X0", "X1"]), max_size=2, unique=True))
+    return Dataset(records=tuple(records)), [f"P{i}" for i in ref] + absent
+
+
 class TestImputation:
     def build(self, ages, cancers):
         records = []
@@ -299,12 +324,15 @@ class TestImputation:
         assert out.records[1].clinical.cancer is False  # tie among (True, False)
         assert out.records[0].clinical.cancer is True
 
-    def test_idempotent(self):
-        ds = self.build([40.0, None, 70.0, 55.0], [True, None, True, False])
-        ids = [f"P{i}" for i in range(4)]
+    @settings(max_examples=80)
+    @given(imputation_cases())
+    def test_idempotent(self, case):
+        ds, ids = case
         once = impute_missing(ds, ids)
         twice = impute_missing(once, ids)
+        assert all(r.clinical.complete for r in once.records)
         assert once.imputation == twice.imputation
+        assert once.patient_ids == twice.patient_ids
         for a, b in zip(once.records, twice.records):
             assert a.clinical == b.clinical
 

@@ -1,4 +1,7 @@
 import math
+import os
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,7 +9,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from survfuse.dataset import SurvivalLabel
+from survfuse import rsf
+from survfuse.dataset import SurvivalLabel, label_arrays
 from survfuse.errors import (
     DegenerateDataError,
     DimensionMismatchError,
@@ -27,7 +31,11 @@ from survfuse.rsf import (
     predict_risk,
 )
 
-from strategies import survival_arrays
+from strategies import assert_same_trees, survival_arrays
+
+# block sizes of the split search's at-risk counts under test: the small
+# ones put candidate positions on, before and after block edges
+SPLIT_BLOCKS = (1, 3, 7, rsf._SPLIT_BLOCK)
 
 
 def labs(times, events):
@@ -144,6 +152,37 @@ def brute_split_scores(X, t, e, candidates, min_leaf):
             result = logrank_test(labs(t[left], e[left]), labs(t[~left], e[~left]))
             scores[(int(f), thr)] = math.sqrt(result.statistic)
     return scores
+
+
+def serial_fit_forest(X, labels, opts):
+    """The event-time grid and trees of ``fit_forest`` as grown before the
+    process pool, one stream after another in this process; kept as its oracle."""
+    X = np.asarray(X, dtype=float)
+    n, p = X.shape
+    times, events = label_arrays(labels)
+    order = np.lexsort((events, times))
+    Xc, tc, ec = X[order], times[order], events[order]
+    grid = np.unique(tc[ec])
+    mtry = opts.mtry if opts.mtry is not None else int(np.ceil(np.sqrt(p)))
+    trees = []
+    for ss in np.random.SeedSequence(opts.seed).spawn(opts.n_trees):
+        rng = np.random.default_rng(ss)
+        boot = rng.integers(0, n, size=n)
+        trees.append(_grow_tree(Xc[boot], tc[boot], ec[boot], rng, mtry,
+                                opts.min_leaf_size, grid))
+    return grid, trees
+
+
+_grow_trees = rsf._grow_trees
+
+
+def grow_trees_tagged(*share):
+    """``rsf._grow_trees`` marking each tree with the id of the process that
+    grew it; module-level, so a pool worker can unpickle it by name."""
+    trees = _grow_trees(*share)
+    for tree in trees:
+        tree.grown_by = os.getpid()
+    return trees
 
 
 def naive_split_score(left, right):
@@ -279,16 +318,38 @@ class TestBestSplit:
         dense_stats = loop_node_statistics(t, e)
         for f in range(X.shape[1]):
             order, _, cand = split_candidates(X[:, f], min_leaf)
-            got = _prefix_split_scores(t, *stats, order, cand)
-            assert np.array_equal(got, dense_prefix_split_scores(*dense_stats, order, cand))
+            want = dense_prefix_split_scores(*dense_stats, order, cand)
+            for block in SPLIT_BLOCKS:
+                with mock.patch.object(rsf, "_SPLIT_BLOCK", block):
+                    got = _prefix_split_scores(t, *stats, order, cand)
+                assert np.array_equal(got, want)
 
     @settings(max_examples=200)
     @given(split_nodes(), st.randoms(use_true_random=False))
     def test_matches_dense_matrix_search_exactly(self, node, random):
         X, t, e, min_leaf = node
         candidates = np.array(random.sample(range(X.shape[1]), X.shape[1]))
-        got = _best_split(X, t, e, candidates, min_leaf)
-        assert got == dense_best_split(X, t, e, candidates, min_leaf)
+        want = dense_best_split(X, t, e, candidates, min_leaf)
+        for block in SPLIT_BLOCKS:
+            with mock.patch.object(rsf, "_SPLIT_BLOCK", block):
+                assert _best_split(X, t, e, candidates, min_leaf) == want
+
+    def test_temporary_memory_is_linear_in_node_size(self):
+        # the at-risk counts of 3000 sorted subjects at their 875 event times
+        # take 10.5 MB as one int32 matrix, more than the whole search may use
+        rng = np.random.default_rng(74)
+        m = 3000
+        X = rng.standard_normal((m, 2))
+        t = rng.exponential(1.0, m)
+        e = rng.random(m) < 0.3
+        tracemalloc.start()
+        try:
+            split = _best_split(X, t, e, [0, 1], 15)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert split is not None
+        assert peak < 8e6
 
 
 class TestFitForest:
@@ -339,6 +400,26 @@ class TestFitForest:
             assert np.array_equal(ta.threshold, tb.threshold, equal_nan=True)
             assert np.array_equal(ta.leaf_mortality, tb.leaf_mortality)
         assert np.array_equal(predict_risk(a, X), predict_risk(b, X))
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("n_trees", [1, 2, 5])
+    def test_pool_grows_the_serial_forest(self, monkeypatch, cpus, n_trees):
+        monkeypatch.setattr(rsf, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(rsf, "_grow_trees", grow_trees_tagged)
+        rng = np.random.default_rng(73)
+        X, labels = surv_data(rng, 90, 4, (1.5, -1.0, 0.0, 0.5))
+        opts = RsfOptions(n_trees=n_trees, min_leaf_size=6, seed=8)
+        model = fit_forest(X, labels, opts)
+        grid, trees = serial_fit_forest(X, labels, opts)
+        assert np.array_equal(model.event_time_grid, grid)
+        assert_same_trees(model.trees, trees)
+        # tree i comes from share i % workers; this process grows share 0
+        # and each other share has a worker process of its own
+        workers = min(cpus, n_trees)
+        grown_by = [tree.grown_by for tree in model.trees]
+        assert grown_by[0] == os.getpid()
+        assert len(set(grown_by)) == workers
+        assert grown_by == [grown_by[i % workers] for i in range(n_trees)]
 
     def test_mtry_defaults_to_sqrt_features(self):
         rng = np.random.default_rng(63)
