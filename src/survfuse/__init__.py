@@ -39,7 +39,6 @@ from .dataset import (
     PatientRecord,
     SplitAssignment,
     SurvivalLabel,
-    aggregate_acquisitions,
     apply_imputation,
     attach_imaging,
     clinical_feature_vector,
@@ -49,7 +48,6 @@ from .dataset import (
     ingest_clinical,
     ingest_features,
     label_arrays,
-    normalize_volume,
     split_dataset,
     truncate_30day,
 )
@@ -57,12 +55,10 @@ from .deep_survival import (
     MlpSurvModel,
     TrainOptions,
     cox_loss,
-    feature_importance,
     forward,
     init_mlp,
     linear_scores,
     loss_and_gradients,
-    predictive_ability,
     train,
 )
 from .errors import SurvfuseError
@@ -80,7 +76,7 @@ from .metrics import (
     sigmoid,
     wilcoxon_signed_rank,
 )
-from .pesi import PESI_WEIGHTS, PesiResult, pesi_predictor, pesi_score, risk_class_for
+from .pesi import PESI_WEIGHTS, PesiResult, pesi_predictor, pesi_score, pesi_scores, risk_class_for
 from .rsf import ForestModel, RsfOptions, SurvivalTree, fit_forest, predict_risk
 from .synthetic import (
     CohortPlan,

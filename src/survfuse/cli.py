@@ -532,7 +532,7 @@ def _score_records(artifact, ds: Dataset) -> np.ndarray:
         else:
             raise SchemaMismatchError(f"unknown component tag {tag!r} in artifact")
     if "pesi" in bundle.fusion.sources:
-        scores["pesi"] = pesi.pesi_predictor(ds)
+        scores["pesi"] = pesi.pesi_scores(ds)
     return np.atleast_1d(predict_fused(bundle.fusion, scores))
 
 
@@ -560,9 +560,9 @@ def cmd_score(args) -> int:
                     "artifact carries no imputation constants; cannot score raw records"
                 )
             risks = _score_records(artifact, ds)
-            for record, risk in zip(ds.records, risks):
-                p = pesi.pesi_score(record.clinical)
-                rows.append((record.patient_id, repr(float(risk)), p.score, p.risk_class))
+            points = pesi.pesi_scores(ds).astype(np.int64).tolist()
+            rows = list(zip(ds.patient_ids, map(repr, risks.tolist()), points,
+                            map(pesi.risk_class_for, points)))
 
     with _stage("write"):
         try:

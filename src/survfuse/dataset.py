@@ -11,6 +11,15 @@ The feature file has one row per acquisition (a patient may have several)::
 
     patient_id, acquisition_id, pe_probability, f0, f1, ..., f{d-1}
 
+Its feature cells are parsed with ``float`` into one ``(rows, d)`` matrix,
+a block of 256 rows at a time. Besides the ids, the probabilities and the
+matrix itself, a read holds at most one block of unparsed cell strings,
+and while the parsed blocks are joined a second copy of the matrix: about
+2.5 times the matrix's size for 4000 rows of 32 features, where the cell
+strings of the whole file would take about ten times. Each patient keeps
+the acquisition with the highest ``pe_probability``, the first in the file
+on ties.
+
 Empty cells are treated as missing. Vital signs are thresholded into binary
 severity indicators at ingest time (tachycardia >= 110 bpm, hypotension
 < 100 mmHg, tachypnea >= 30/min, hypothermia < 36 C, hypoxemia < 90%), so
@@ -24,6 +33,8 @@ import dataclasses
 import logging
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
+from operator import attrgetter, itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -32,9 +43,6 @@ from .errors import (
     AllMissingColumnError,
     DatasetTooSmallError,
     DuplicatePatientIdError,
-    EmptyArrayError,
-    EmptyWindowListError,
-    InconsistentDimensionError,
     MalformedRowError,
     MissingColumnError,
     UnimputedRecordError,
@@ -78,8 +86,9 @@ CLINICAL_COLUMNS = (
 # rv_dysfunction is an optional annotation, everything else must be present
 REQUIRED_CLINICAL_COLUMNS = tuple(c for c in CLINICAL_COLUMNS if c != "rv_dysfunction")
 
-HU_CLIP_MIN = -1000.0
-HU_CLIP_MAX = 900.0
+# feature-CSV rows whose cells are parsed together; bounds the cell strings
+# held at once while a file is read
+_FEATURE_BLOCK_ROWS = 256
 
 _TRUE_TOKENS = frozenset({"1", "true", "t", "yes", "y"})
 _FALSE_TOKENS = frozenset({"0", "false", "f", "no", "n"})
@@ -301,11 +310,16 @@ def ingest_clinical(path, schema: dict[str, str] | None = None) -> Dataset:
     return Dataset(records=tuple(records))
 
 
-def ingest_features(path) -> tuple[dict[str, list[tuple[float, np.ndarray]]], int]:
-    """Read the acquisition feature CSV.
+def ingest_features(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read the acquisition feature CSV into arrays, one row per acquisition.
 
-    Returns ``(windows_by_patient, feature_dim)`` where each patient maps to
-    its acquisitions in file order as ``(pe_probability, feature_vector)``.
+    Returns ``(patient_ids, pe_probability, features)`` in file order: an
+    object array of id strings, a float array, and a read-only ``(rows, d)``
+    float matrix. Each row is checked as it is read; its feature cells are
+    parsed with ``float`` a block of ``_FEATURE_BLOCK_ROWS`` rows at a time,
+    so the unparsed cell strings held at once stay bounded by one block.
+    A row that fails a check first has the rows pending before it parsed,
+    so the earliest faulty row in the file is the one reported.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -325,62 +339,91 @@ def ingest_features(path) -> tuple[dict[str, list[tuple[float, np.ndarray]]], in
         if sorted(feat_cols, key=lambda s: int(s[1:])) != expected:
             raise MissingColumnError("feature columns must be contiguous f0..f{d-1}")
         idx = {name: header.index(name) for name in header}
+        n_cells, pid_col, prob_col = len(header), idx["patient_id"], idx["pe_probability"]
+        cols = [idx[c] for c in expected]
+        # itemgetter of a single column returns the cell, not a 1-tuple
+        take = itemgetter(*cols) if d > 1 else (lambda row: (row[cols[0]],))
 
-        windows: dict[str, list[tuple[float, np.ndarray]]] = {}
-        for i, row in enumerate(reader):
-            if len(row) != len(header):
-                raise MalformedRowError(i, f"expected {len(header)} cells, got {len(row)}")
-            pid = row[idx["patient_id"]].strip()
-            if not pid:
-                raise MalformedRowError(i, "empty patient_id")
-            prob = _parse_float(row[idx["pe_probability"]])
-            if prob is None or not 0.0 <= prob <= 1.0:
-                raise MalformedRowError(i, "pe_probability must be a number in [0, 1]")
+        pids: list[str] = []
+        probs: list[float] = []
+        blocks: list[np.ndarray] = []
+        pending: list[tuple[str, ...]] = []  # feature cells of the rows not yet parsed
+
+        def parse_pending():
             try:
-                vec = np.array([float(row[idx[c]]) for c in expected], dtype=float)
+                block = np.fromiter(map(float, chain.from_iterable(pending)), dtype=float,
+                                    count=len(pending) * d)
             except ValueError:
-                raise MalformedRowError(i, "feature cells must all be numeric") from None
-            vec.flags.writeable = False
-            windows.setdefault(pid, []).append((prob, vec))
-    return windows, d
+                first = len(pids) - len(pending)
+                for k, cells in enumerate(pending):
+                    try:
+                        list(map(float, cells))
+                    except ValueError:
+                        raise MalformedRowError(first + k,
+                                                "feature cells must all be numeric") from None
+                raise
+            blocks.append(block.reshape(len(pending), d))
+            pending.clear()
 
+        def reject(i, reason):
+            parse_pending()
+            raise MalformedRowError(i, reason)
 
-def aggregate_acquisitions(windows: list[tuple[float, np.ndarray]]) -> tuple[float, np.ndarray]:
-    """Collapse a patient's acquisition windows to the highest-probability one.
+        try:
+            for i, row in enumerate(reader):
+                if len(row) != n_cells:
+                    reject(i, f"expected {n_cells} cells, got {len(row)}")
+                pid = row[pid_col].strip()
+                if not pid:
+                    reject(i, "empty patient_id")
+                prob = _parse_float(row[prob_col])
+                if prob is None or not 0.0 <= prob <= 1.0:
+                    reject(i, "pe_probability must be a number in [0, 1]")
+                pids.append(pid)
+                probs.append(prob)
+                pending.append(take(row))
+                if len(pending) == _FEATURE_BLOCK_ROWS:
+                    parse_pending()
+        except (csv.Error, ValueError):  # the reader failed (bad CSV or bad encoding)
+            parse_pending()
+            raise
+        parse_pending()
 
-    Ties on probability keep the earliest window in list order, so the result
-    is deterministic for any input ordering the caller fixes.
-    """
-    if not windows:
-        raise EmptyWindowListError("no acquisition windows for patient")
-    dims = {len(vec) for _, vec in windows}
-    if len(dims) != 1:
-        raise InconsistentDimensionError(f"feature lengths disagree: {sorted(dims)}")
-    probs = np.array([p for p, _ in windows], dtype=float)
-    best = int(np.argmax(probs))  # argmax returns the first maximum
-    return float(probs[best]), windows[best][1]
+    features = np.concatenate(blocks)
+    features.flags.writeable = False
+    patient_ids = np.empty(len(pids), dtype=object)
+    patient_ids[:] = pids
+    return patient_ids, np.array(probs, dtype=float), features
 
 
 def attach_imaging(ds: Dataset, path) -> Dataset:
     """Join acquisition features onto a clinical dataset.
 
-    Patients without any acquisition keep ``imaging_features=None``. Feature
-    rows for patients absent from the cohort are skipped with a warning; the
-    clinical file is authoritative for cohort membership.
+    Each patient gets a read-only view of the feature row of its acquisition
+    with the highest ``pe_probability``, the first such row in the file on
+    ties. Patients without any acquisition keep ``imaging_features=None``.
+    Feature rows for patients absent from the cohort are skipped with a
+    warning; the clinical file is authoritative for cohort membership.
     """
-    windows, d = ingest_features(path)
-    known = set(ds.patient_ids)
-    unknown = sorted(set(windows) - known)
+    patient_ids, probs, features = ingest_features(path)
+    codes: dict[str, int] = {}
+    code = np.fromiter((codes.setdefault(p, len(codes)) for p in patient_ids),
+                       dtype=np.intp, count=patient_ids.size)
+    unknown = sorted(set(codes).difference(ds.patient_ids))
     if unknown:
         log.warning("feature CSV has %d patient(s) not in the cohort: %s",
                     len(unknown), ", ".join(unknown[:5]))
-    new_records = []
-    for rec in ds.records:
-        if rec.patient_id in windows:
-            _, vec = aggregate_acquisitions(windows[rec.patient_id])
-            rec = dataclasses.replace(rec, imaging_features=vec)
-        new_records.append(rec)
-    return dataclasses.replace(ds, records=tuple(new_records), feature_dim=d)
+    # by patient, then highest probability, then earliest row
+    order = np.lexsort((np.arange(code.size), -probs, code))
+    kept = features[order[np.flatnonzero(np.diff(code[order], prepend=-1))]]
+    kept.flags.writeable = False
+    chosen = dict(zip(codes, kept))  # codes iterate in code order, kept yields row views
+    new_records = tuple(
+        dataclasses.replace(rec, imaging_features=chosen[rec.patient_id])
+        if rec.patient_id in chosen else rec
+        for rec in ds.records
+    )
+    return dataclasses.replace(ds, records=new_records, feature_dim=features.shape[1])
 
 
 def compute_imputation_stats(ds: Dataset, reference_ids) -> ImputationStats:
@@ -453,20 +496,27 @@ def impute_missing(ds: Dataset, reference_ids) -> Dataset:
     return apply_imputation(ds, stats)
 
 
+_CLINICAL_INPUTS = attrgetter("age_years", *BINARY_FIELDS)
+
+
+def _clinical_rows(records, age_norm_params: tuple[float, float]) -> np.ndarray:
+    """``(len(records), 11)`` model inputs: normalized age then the ten flags."""
+    rows = [_CLINICAL_INPUTS(r.clinical) for r in records]
+    for record, row in zip(records, rows):
+        if None in row:
+            missing = [f for f, m in record.clinical.missing_mask.items() if m]
+            raise UnimputedRecordError(
+                f"patient {record.patient_id}: missing {', '.join(missing)}; impute first"
+            )
+    mat = np.array(rows, dtype=float).reshape(len(rows), 1 + len(BINARY_FIELDS))
+    mean, std = age_norm_params
+    mat[:, 0] = (mat[:, 0] - mean) / std
+    return mat
+
+
 def clinical_feature_vector(record: PatientRecord, age_norm_params: tuple[float, float]) -> np.ndarray:
     """11-element model input: normalized age then the ten binary flags."""
-    c = record.clinical
-    if not c.complete:
-        missing = [f for f, m in c.missing_mask.items() if m]
-        raise UnimputedRecordError(
-            f"patient {record.patient_id}: missing {', '.join(missing)}; impute first"
-        )
-    mean, std = age_norm_params
-    vec = np.empty(1 + len(BINARY_FIELDS), dtype=float)
-    vec[0] = (c.age_years - mean) / std
-    for k, field in enumerate(BINARY_FIELDS, start=1):
-        vec[k] = 1.0 if getattr(c, field) else 0.0
-    return vec
+    return _clinical_rows((record,), age_norm_params)[0]
 
 
 def clinical_matrix(ds: Dataset, ids=None) -> np.ndarray:
@@ -475,16 +525,9 @@ def clinical_matrix(ds: Dataset, ids=None) -> np.ndarray:
         raise UnimputedRecordError("dataset has no imputation stats; run impute_missing first")
     wanted = None if ids is None else set(ids)
     records = [r for r in ds.records if wanted is None or r.patient_id in wanted]
-    return np.array([clinical_feature_vector(r, ds.age_norm_params) for r in records])
-
-
-def normalize_volume(values: np.ndarray) -> np.ndarray:
-    """Clip attenuation values to [-1000, 900] HU and zero-center the result."""
-    arr = np.asarray(values, dtype=float)
-    if arr.size == 0:
-        raise EmptyArrayError("cannot normalize an empty array")
-    clipped = np.clip(arr, HU_CLIP_MIN, HU_CLIP_MAX)
-    return clipped - clipped.mean()
+    if not records:
+        return np.array([])
+    return _clinical_rows(records, ds.age_norm_params)
 
 
 def split_dataset(ds: Dataset, seed: int, train_frac: float = 0.7, val_frac: float = 0.1) -> SplitAssignment:

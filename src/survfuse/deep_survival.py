@@ -20,9 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cox_linear import _check_finite, _loglik_and_eta_grad
-from .dataset import Dataset, EventTable, SurvivalLabel, clinical_matrix, label_arrays
+from .dataset import EventTable, SurvivalLabel, label_arrays
 from .errors import (
-    ConstantVariableError,
     DimensionMismatchError,
     DivergedLossError,
     InvalidDimensionError,
@@ -30,7 +29,7 @@ from .errors import (
     NoEventsError,
     NonFiniteInputError,
 )
-from .metrics import c_index, sigmoid
+from .metrics import sigmoid
 
 
 @dataclass
@@ -223,27 +222,3 @@ def train(model: MlpSurvModel, X: np.ndarray, labels: list[SurvivalLabel],
     if val is not None and best_weights is not None:
         work.weights, work.biases = best_weights
     return work, history
-
-
-def feature_importance(model: MlpSurvModel) -> np.ndarray:
-    """Per-input importance: L2 norm of the input's first-layer weight vector."""
-    return np.linalg.norm(model.weights[0], axis=1)
-
-
-def predictive_ability(ds: Dataset, variable_index: int) -> float:
-    """Discriminative strength of one clinical input on its own.
-
-    Computes the c-index of the raw variable as a risk score and aligns the
-    sign, ``max(c, 1 - c)``, so informative variables score near 1 whether
-    they raise or lower hazard and uninformative ones sit near 0.5.
-    """
-    mat = clinical_matrix(ds)
-    if not 0 <= variable_index < mat.shape[1]:
-        raise DimensionMismatchError(
-            f"variable_index {variable_index} out of range for {mat.shape[1]} inputs"
-        )
-    values = mat[:, variable_index]
-    if np.all(values == values[0]):
-        raise ConstantVariableError(f"variable {variable_index} has a single distinct value")
-    c = c_index(values, ds.labels)
-    return max(c, 1.0 - c)

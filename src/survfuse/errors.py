@@ -37,18 +37,6 @@ class UnimputedRecordError(SurvfuseError):
     """An operation that needs complete covariates met a missing value."""
 
 
-class EmptyWindowListError(SurvfuseError):
-    """Acquisition aggregation was handed an empty window list."""
-
-
-class InconsistentDimensionError(SurvfuseError):
-    """Feature vectors for one patient disagree in length."""
-
-
-class EmptyArrayError(SurvfuseError):
-    """An array operation was handed zero elements."""
-
-
 class DatasetTooSmallError(SurvfuseError):
     """Too few records to split into train/val/test."""
 
@@ -81,10 +69,6 @@ class InvalidDimensionError(SurvfuseError):
 
 class DivergedLossError(SurvfuseError):
     """Training produced a non-finite loss."""
-
-
-class ConstantVariableError(SurvfuseError):
-    """A variable with a single distinct value cannot rank subjects."""
 
 
 class DegenerateDataError(SurvfuseError):

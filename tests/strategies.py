@@ -33,3 +33,17 @@ def assert_same_trees(got, want):
             for x, y in zip(xs, ys):
                 assert x.dtype == y.dtype
                 assert np.array_equal(x, y), name
+
+
+def same_bits(a, b):
+    """Equal dtype, shape and bytes: -0.0 differs from 0.0, NaN equals NaN."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def outcome(fn, *args):
+    """``(result, None)``, or ``(None, (class, message, row index))`` if it raised."""
+    try:
+        return fn(*args), None
+    except Exception as exc:
+        return None, (type(exc), str(exc), getattr(exc, "row_index", None))

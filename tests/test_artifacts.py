@@ -13,18 +13,29 @@ from survfuse.artifacts import (
     MODEL_KINDS,
     SCHEMA_VERSION,
     FusionBundle,
+    ModelArtifact,
     file_fingerprint,
     load_model,
     save_model,
 )
-from survfuse.dataset import SurvivalLabel, compute_imputation_stats
-from survfuse.deep_survival import TrainOptions, forward, init_mlp, train
+from survfuse.cox_linear import CoxModel
+from survfuse.dataset import (
+    BINARY_FIELDS,
+    ClinicalVariables,
+    Dataset,
+    PatientRecord,
+    SurvivalLabel,
+    clinical_matrix,
+    compute_imputation_stats,
+    impute_missing,
+)
+from survfuse.deep_survival import MlpSurvModel, TrainOptions, forward, init_mlp, train
 from survfuse.errors import IoError, SchemaMismatchError, UnknownModelKindError
-from survfuse.fusion import fit_fusion, predict_fused
-from survfuse import rsf
+from survfuse.fusion import FusionModel, fit_fusion, predict_fused
+from survfuse import cli, rsf
 from survfuse.rsf import RsfOptions, fit_forest, predict_risk
 
-from strategies import assert_same_trees, survival_arrays
+from strategies import assert_same_trees, same_bits, survival_arrays
 
 
 def labs(times, events):
@@ -195,6 +206,107 @@ class TestRoundTrips:
         save_model(p1, "deep_clinical", fitted["mlp_c"], seed=1)
         save_model(p2, "deep_clinical", fitted["mlp_c"], seed=1)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+def scoring_cohort(rng, n, d):
+    """``n`` imputed records, each with ``d`` imaging features."""
+    records = tuple(
+        PatientRecord(
+            patient_id=f"P{i}",
+            clinical=ClinicalVariables(age_years=float(rng.uniform(20, 95)),
+                                       **{f: bool(rng.random() < 0.3) for f in BINARY_FIELDS}),
+            label=SurvivalLabel(event=bool(rng.random() < 0.7), time_days=float(rng.integers(1, 60))),
+            imaging_features=rng.standard_normal(d),
+        ) for i in range(n)
+    )
+    ds = Dataset(records=records, feature_dim=d)
+    return impute_missing(ds, ds.patient_ids)
+
+
+def random_mlp(rng, input_dim, hidden, tag, scale):
+    """Weights and biases drawn at ``scale``; biases are not left at zero."""
+    dims = (input_dim, *hidden, 1)
+    return MlpSurvModel(
+        layer_dims=dims,
+        weights=[scale * rng.standard_normal((a, b)) for a, b in zip(dims[:-1], dims[1:])],
+        biases=[scale * rng.standard_normal(b) for b in dims[1:]],
+        seed=int(rng.integers(2**31)), modality_tag=tag)
+
+
+def random_fusion(rng, sources):
+    k = len(sources)
+    cox = CoxModel(beta=rng.standard_normal(k), covariate_names=sources,
+                   baseline_times=np.sort(rng.uniform(0.0, 60.0, 4)),
+                   baseline_cumhaz=np.cumsum(rng.random(4)),
+                   log_likelihood=float(-rng.exponential()), converged=bool(rng.random() < 0.5),
+                   n_iterations=int(rng.integers(1, 30)), tie_method="efron")
+    return FusionModel(cox=cox, sources=sources, means=rng.standard_normal(k),
+                       stds=rng.uniform(0.1, 3.0, k))
+
+
+def assert_scores_survive(kind, model, ds):
+    """Saved and loaded, the artifact scores ``ds`` exactly as the model did."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"{kind}.json"
+        save_model(path, kind, model, imputation=ds.imputation, seed=3)
+        loaded = load_model(path)
+    assert loaded.kind == kind and loaded.imputation == ds.imputation
+    want = cli._score_records(ModelArtifact(kind, model, ds.imputation, {}), ds)
+    assert same_bits(cli._score_records(loaded, ds), want)
+    return loaded.model
+
+
+_HIDDEN = st.lists(st.integers(1, 6), max_size=2)
+_SCALES = st.sampled_from([1e-3, 1.0, 30.0])
+
+
+class TestScoreRoundTrips:
+    @settings(max_examples=30)
+    @given(st.sampled_from(["deep_clinical", "deep_imaging"]), st.integers(1, 30),
+           st.integers(1, 5), _HIDDEN, _SCALES, st.integers(0, 2**16))
+    def test_mlp_artifact_scores_survive_save_load(self, kind, n, d, hidden, scale, seed):
+        rng = np.random.default_rng(seed)
+        ds = scoring_cohort(rng, n, d)
+        tag, width = ("clin", 1 + len(BINARY_FIELDS)) if kind == "deep_clinical" else ("img", d)
+        model = random_mlp(rng, width, hidden, tag, scale)
+        loaded = assert_scores_survive(kind, model, ds)
+        assert (loaded.layer_dims, loaded.seed, loaded.modality_tag) == \
+            (model.layer_dims, model.seed, model.modality_tag)
+        for got, want in zip(loaded.weights + loaded.biases, model.weights + model.biases):
+            assert same_bits(got, want)
+
+    @settings(max_examples=30)
+    @given(st.sampled_from(["fusion_multimodal", "fusion_pesi_fused", "fusion_rsf"]),
+           st.integers(4, 30), st.integers(1, 5), _HIDDEN, _SCALES, st.integers(1, 3),
+           st.integers(0, 2**16))
+    def test_fusion_bundle_scores_survive_save_load(self, kind, n, d, hidden, scale,
+                                                    n_trees, seed):
+        # the Cox fusion head and every embedded component come back exactly
+        rng = np.random.default_rng(seed)
+        ds = scoring_cohort(rng, n, d)
+        if kind == "fusion_rsf":
+            labels = list(ds.labels)
+            assume(any(lab.event for lab in labels))
+            X_img = np.array([r.imaging_features for r in ds.records])
+            opts = RsfOptions(n_trees=n_trees, min_leaf_size=int(rng.integers(1, n // 2 + 1)),
+                              seed=seed)
+            with mock.patch.object(rsf, "_usable_cpus", return_value=1):
+                components = {"rsf_clin": fit_forest(clinical_matrix(ds), labels, opts),
+                              "rsf_img": fit_forest(X_img, labels, opts)}
+        else:
+            components = {"clin": random_mlp(rng, 1 + len(BINARY_FIELDS), hidden, "clin", scale),
+                          "img": random_mlp(rng, d, hidden, "img", scale)}
+        sources = (*components, "pesi") if kind == "fusion_pesi_fused" else tuple(components)
+        bundle = FusionBundle(fusion=random_fusion(rng, sources), components=components)
+        loaded = assert_scores_survive(kind, bundle, ds)
+        fusion, want = loaded.fusion, bundle.fusion
+        assert fusion.sources == want.sources and list(loaded.components) == list(components)
+        assert same_bits(fusion.means, want.means) and same_bits(fusion.stds, want.stds)
+        for name in ("beta", "baseline_times", "baseline_cumhaz"):
+            assert same_bits(getattr(fusion.cox, name), getattr(want.cox, name))
+        for name in ("covariate_names", "log_likelihood", "converged", "n_iterations",
+                     "tie_method"):
+            assert getattr(fusion.cox, name) == getattr(want.cox, name)
 
 
 class TestValidation:

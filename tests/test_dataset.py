@@ -1,4 +1,8 @@
 import csv
+import tempfile
+import tracemalloc
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,15 +10,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+from survfuse import dataset
 from survfuse.dataset import (
     BINARY_FIELDS,
     CLINICAL_COLUMNS,
     ClinicalVariables,
     Dataset,
     EventTable,
+    ImputationStats,
     PatientRecord,
     SurvivalLabel,
-    aggregate_acquisitions,
     apply_imputation,
     attach_imaging,
     clinical_feature_vector,
@@ -24,7 +29,6 @@ from survfuse.dataset import (
     ingest_clinical,
     ingest_features,
     label_arrays,
-    normalize_volume,
     split_dataset,
     truncate_30day,
 )
@@ -32,15 +36,13 @@ from survfuse.errors import (
     AllMissingColumnError,
     DatasetTooSmallError,
     DuplicatePatientIdError,
-    EmptyArrayError,
-    EmptyWindowListError,
-    InconsistentDimensionError,
     MalformedRowError,
     MissingColumnError,
+    SurvfuseError,
     UnimputedRecordError,
 )
 
-from strategies import survival_arrays
+from strategies import outcome, same_bits, survival_arrays
 
 HEADER = list(CLINICAL_COLUMNS)
 
@@ -182,14 +184,139 @@ class TestIngestClinical:
         assert males == [True, True, False, False, True, False]
 
 
+# --- the per-row read path, kept as the oracle of the array path ---------
+
+
+def _oracle_parse_float(token):
+    token = token.strip()
+    if not token:
+        return None
+    try:
+        return float(token)
+    except ValueError:
+        return None
+
+
+def oracle_ingest_features(path):
+    """One ``float`` per cell and one array per row: ``(windows, d)``, each
+    patient's acquisitions in file order as ``(pe_probability, vector)``."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = [h.strip() for h in next(reader)]
+        d = sum(1 for h in header if h.startswith("f") and h[1:].isdigit())
+        expected = [f"f{k}" for k in range(d)]
+        idx = {name: header.index(name) for name in header}
+        windows = {}
+        for i, row in enumerate(reader):
+            if len(row) != len(header):
+                raise MalformedRowError(i, f"expected {len(header)} cells, got {len(row)}")
+            pid = row[idx["patient_id"]].strip()
+            if not pid:
+                raise MalformedRowError(i, "empty patient_id")
+            prob = _oracle_parse_float(row[idx["pe_probability"]])
+            if prob is None or not 0.0 <= prob <= 1.0:
+                raise MalformedRowError(i, "pe_probability must be a number in [0, 1]")
+            try:
+                vec = np.array([float(row[idx[c]]) for c in expected], dtype=float)
+            except ValueError:
+                raise MalformedRowError(i, "feature cells must all be numeric") from None
+            windows.setdefault(pid, []).append((prob, vec))
+    return windows, d
+
+
+def oracle_aggregate_acquisitions(windows):
+    """The highest-probability window, the first of them on ties."""
+    probs = np.array([p for p, _ in windows], dtype=float)
+    best = int(np.argmax(probs))  # argmax returns the first maximum
+    return float(probs[best]), windows[best][1]
+
+
+def oracle_attach_imaging(ds, path):
+    """``(each record's features or None, d, sorted ids absent from ds)``."""
+    windows, d = oracle_ingest_features(path)
+    unknown = sorted(set(windows) - set(ds.patient_ids))
+    chosen = [oracle_aggregate_acquisitions(windows[r.patient_id])[1]
+              if r.patient_id in windows else None for r in ds.records]
+    return chosen, d, unknown
+
+
+def write_rows(path, header, rows):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
+
+
+# each property reads every file with these blocks, the default included
+FEATURE_BLOCKS = (1, 3, 7, dataset._FEATURE_BLOCK_ROWS)
+
+_PROB_TOKENS = ["0", "-0", "0.5", " 0.5", "0.50", "5e-1", "0.9", "1", "1.0", "0.25 "]
+_CELL_TOKENS = [" 1.5", "2 ", "-0", "nan", "-inf", "1e-3", "1_0", "+3"]
+_BAD_PROB_TOKENS = ["", " ", "abc", "1.5", "nan", "-0.1", "inf"]
+_BAD_CELL_TOKENS = ["", "x", "1,5", "0x1", "--1", "1\n2"]
+
+
+@st.composite
+def feature_csvs(draw, min_bad=0, max_bad=0):
+    """``(header, rows, cohort ids)`` of a feature CSV.
+
+    1-40 cohort patients with 0-4 acquisitions each, up to three patients
+    absent from the cohort, ids holding commas (so written quoted) or
+    spaces, padded cells, tied probabilities, and shuffled columns and rows.
+    Then ``min_bad``-``max_bad`` broken rows go in at random places: a cell
+    too few or too many, a blank line, an empty id, a bad probability or a
+    non-numeric feature cell.
+    """
+    d = draw(st.integers(1, 4))
+    cohort = [draw(st.sampled_from([f"P{k}", f"P,{k}", f"P {k}"]))
+              for k in range(draw(st.integers(1, 40)))]
+    absent = [f"X{k}" for k in range(draw(st.integers(0, 3)))]
+    header = draw(st.permutations(
+        ["patient_id", "acquisition_id", "pe_probability", *(f"f{k}" for k in range(d))]))
+    cells = st.one_of(st.floats(width=64).map(repr), st.sampled_from(_CELL_TOKENS))
+
+    def row(pid, a):
+        pad = draw(st.sampled_from(["", " "]))
+        values = {"patient_id": pad + pid + pad, "acquisition_id": f"A{a}",
+                  "pe_probability": draw(st.sampled_from(_PROB_TOKENS))}
+        values.update({f"f{k}": draw(cells) for k in range(d)})
+        return [values[h] for h in header]
+
+    rows = [row(pid, a) for pid in cohort + absent for a in range(draw(st.integers(0, 4)))]
+    rows = draw(st.permutations(rows))
+    for _ in range(draw(st.integers(min_bad, max_bad))):
+        broken = row(draw(st.sampled_from(cohort)), 9)
+        fault = draw(st.sampled_from(["short", "long", "blank", "id", "prob", "cell"]))
+        if fault == "short":
+            broken = broken[:-1]
+        elif fault == "long":
+            broken = broken + ["1"]
+        elif fault == "blank":
+            broken = []
+        elif fault == "id":
+            broken[header.index("patient_id")] = draw(st.sampled_from(["", "  "]))
+        elif fault == "prob":
+            broken[header.index("pe_probability")] = draw(st.sampled_from(_BAD_PROB_TOKENS))
+        else:
+            column = header.index(f"f{draw(st.integers(0, d - 1))}")
+            broken[column] = draw(st.sampled_from(_BAD_CELL_TOKENS))
+        rows.insert(draw(st.integers(0, len(rows))), broken)
+    return header, rows, cohort
+
+
 class TestFeaturesAndAggregation:
     def write_features(self, path, rows, d=3):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["patient_id", "acquisition_id", "pe_probability",
-                             *(f"f{k}" for k in range(d))])
-            writer.writerows(rows)
-        return path
+        header = ["patient_id", "acquisition_id", "pe_probability", *(f"f{k}" for k in range(d))]
+        return write_rows(path, header, rows)
+
+    def attach_windows(self, tmp_path, windows):
+        """The features that ``attach_imaging`` gives one patient with these
+        ``(pe_probability, vector)`` acquisitions, in file order."""
+        rows = [["P1", f"A{a}", repr(p), *map(repr, vec)] for a, (p, vec) in enumerate(windows)]
+        path = self.write_features(tmp_path / "f.csv", rows, d=len(windows[0][1]))
+        ds = Dataset(records=(make_record("P1", True, 1.0),))
+        return attach_imaging(ds, path).records[0].imaging_features
 
     def test_ingest_features(self, tmp_path):
         path = self.write_features(tmp_path / "f.csv", [
@@ -197,11 +324,12 @@ class TestFeaturesAndAggregation:
             ["P1", "A1", "0.9", "4", "5", "6"],
             ["P2", "A0", "0.7", "7", "8", "9"],
         ])
-        windows, d = ingest_features(path)
-        assert d == 3
-        assert set(windows) == {"P1", "P2"}
-        assert len(windows["P1"]) == 2
-        assert_array_equal(windows["P1"][1][1], [4.0, 5.0, 6.0])
+        patient_ids, probs, features = ingest_features(path)
+        assert patient_ids.tolist() == ["P1", "P1", "P2"]
+        assert_array_equal(probs, [0.5, 0.9, 0.7])
+        assert features.shape == (3, 3)
+        assert_array_equal(features[1], [4.0, 5.0, 6.0])
+        assert not features.flags.writeable
 
     def test_feature_columns_must_be_contiguous(self, tmp_path):
         with open(tmp_path / "f.csv", "w", newline="") as fh:
@@ -216,32 +344,24 @@ class TestFeaturesAndAggregation:
         with pytest.raises(MalformedRowError):
             ingest_features(path)
 
-    def test_aggregate_picks_max_probability(self):
-        windows = [(0.4, np.array([1.0, 1.0])), (0.9, np.array([2.0, 2.0])),
-                   (0.6, np.array([3.0, 3.0]))]
-        prob, vec = aggregate_acquisitions(windows)
-        assert prob == 0.9
-        assert_array_equal(vec, [2.0, 2.0])
+    def test_aggregate_picks_max_probability(self, tmp_path):
+        windows = [(0.4, [1.0, 1.0]), (0.9, [2.0, 2.0]), (0.6, [3.0, 3.0])]
+        assert_array_equal(self.attach_windows(tmp_path, windows), [2.0, 2.0])
 
-    def test_aggregate_tie_keeps_first(self):
-        windows = [(0.8, np.array([1.0])), (0.8, np.array([2.0]))]
-        prob, vec = aggregate_acquisitions(windows)
-        assert prob == 0.8
-        assert_array_equal(vec, [1.0])
+    def test_aggregate_tie_keeps_first(self, tmp_path):
+        windows = [(0.8, [1.0]), (0.8, [2.0])]
+        assert_array_equal(self.attach_windows(tmp_path, windows), [1.0])
 
-    def test_aggregate_probability_dominates_inputs(self):
+    def test_aggregate_probability_dominates_inputs(self, tmp_path):
         rng = np.random.default_rng(5)
         for _ in range(50):
             k = rng.integers(1, 6)
-            windows = [(float(rng.random()), rng.standard_normal(4)) for _ in range(k)]
-            prob, _ = aggregate_acquisitions(windows)
-            assert all(prob >= p for p, _ in windows)
-
-    def test_aggregate_errors(self):
-        with pytest.raises(EmptyWindowListError):
-            aggregate_acquisitions([])
-        with pytest.raises(InconsistentDimensionError):
-            aggregate_acquisitions([(0.5, np.zeros(2)), (0.6, np.zeros(3))])
+            probs = rng.random(k)
+            # the first feature names the acquisition that was kept
+            windows = [(float(p), [float(a), *rng.standard_normal(3).tolist()])
+                       for a, p in enumerate(probs)]
+            kept = int(self.attach_windows(tmp_path, windows)[0])
+            assert all(probs[kept] >= probs)
 
     def test_attach_imaging(self, tmp_path, caplog):
         cpath = write_clinical(tmp_path / "c.csv", [base_row("P1"), base_row("P2")])
@@ -256,7 +376,109 @@ class TestFeaturesAndAggregation:
         assert "PX" in caplog.text
         assert ds.feature_dim == 3
         assert_array_equal(ds.records[0].imaging_features, [4.0, 5.0, 6.0])
+        assert not ds.records[0].imaging_features.flags.writeable
         assert ds.records[1].imaging_features is None
+
+    @settings(max_examples=60)
+    @given(feature_csvs(max_bad=1))
+    def test_ingest_matches_per_row_reader(self, case):
+        header, rows, _ = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_rows(Path(tmp) / "f.csv", header, rows)
+            want, want_error = outcome(oracle_ingest_features, path)
+            for block in FEATURE_BLOCKS:
+                with mock.patch.object(dataset, "_FEATURE_BLOCK_ROWS", block):
+                    got, error = outcome(ingest_features, path)
+                assert error == want_error
+                if error is not None:
+                    continue
+                patient_ids, probs, features = got
+                windows, d = want
+                assert patient_ids.dtype == object and features.dtype == float
+                assert features.shape == (patient_ids.size, d) and probs.shape == patient_ids.shape
+                assert not features.flags.writeable
+                regrouped = {}
+                for pid, prob, vec in zip(patient_ids.tolist(), probs, features):
+                    regrouped.setdefault(pid, []).append((prob, vec))
+                assert list(regrouped) == list(windows)
+                for pid, acquisitions in windows.items():
+                    assert len(regrouped[pid]) == len(acquisitions)
+                    for (p, v), (q, w) in zip(regrouped[pid], acquisitions):
+                        assert same_bits(p, q) and same_bits(v, w)
+
+    @settings(max_examples=60)
+    @given(feature_csvs(min_bad=1, max_bad=4))
+    def test_bad_rows_raise_the_per_row_error(self, case):
+        # the earliest faulty row is reported, whatever block it falls in
+        header, rows, _ = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_rows(Path(tmp) / "f.csv", header, rows)
+            _, want = outcome(oracle_ingest_features, path)
+            assert want is not None and want[0] is MalformedRowError
+            for block in FEATURE_BLOCKS:
+                with mock.patch.object(dataset, "_FEATURE_BLOCK_ROWS", block):
+                    assert outcome(ingest_features, path)[1] == want
+
+    @settings(max_examples=60)
+    @given(feature_csvs(), st.randoms(use_true_random=False))
+    def test_attach_matches_per_row_choice(self, case, random):
+        header, rows, cohort = case
+        random.shuffle(cohort)
+        ds = Dataset(records=tuple(make_record(pid, True, 1.0) for pid in cohort))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_rows(Path(tmp) / "f.csv", header, rows)
+            chosen, d, unknown = oracle_attach_imaging(ds, path)
+            for block in FEATURE_BLOCKS:
+                with mock.patch.object(dataset, "_FEATURE_BLOCK_ROWS", block), \
+                        mock.patch.object(dataset.log, "warning") as warn:
+                    out = attach_imaging(ds, path)
+                assert out.feature_dim == d
+                assert out.patient_ids == ds.patient_ids
+                for rec, before, want in zip(out.records, ds.records, chosen):
+                    assert rec.clinical is before.clinical and rec.label is before.label
+                    if want is None:
+                        assert rec.imaging_features is None
+                    else:
+                        assert same_bits(rec.imaging_features, want)
+                        assert not rec.imaging_features.flags.writeable
+                if unknown:
+                    warn.assert_called_once_with(
+                        "feature CSV has %d patient(s) not in the cohort: %s",
+                        len(unknown), ", ".join(unknown[:5]))
+                else:
+                    warn.assert_not_called()
+
+    @pytest.mark.parametrize("fault", ["field_limit", "encoding"])
+    def test_reader_failure_after_a_bad_row(self, tmp_path, fault):
+        # the reader fails on the last line; the bad cell of row 1 is still
+        # reported first, as by the per-row reader, and without it the
+        # reader's own error comes through unchanged
+        good = [["P1", "A0", "0.5", *map(repr, np.linspace(0, 1, 3))]] * 300
+        last = "P2,A0,0.5,1,2," + ("9" * 200_000 if fault == "field_limit" else "\udcff")
+        for rows in ([good[0], ["P1", "A1", "0.5", "1", "x", "3"], *good], good):
+            path = self.write_features(tmp_path / "f.csv", rows)
+            with open(path, "a", encoding="utf-8", errors="surrogateescape", newline="") as fh:
+                fh.write(last + "\r\n")
+            want = outcome(oracle_ingest_features, path)[1]
+            assert want is not None
+            for block in FEATURE_BLOCKS:
+                with mock.patch.object(dataset, "_FEATURE_BLOCK_ROWS", block):
+                    assert outcome(ingest_features, path)[1] == want
+
+    def test_read_memory_is_bounded_by_blocks(self, tmp_path):
+        # 4000 rows of 32 features: the matrix takes 1.0 MB, the cell strings
+        # of the whole file would take about 10 MB if held at once
+        rng = np.random.default_rng(9)
+        rows = [[f"P{i // 2:05d}", f"A{i % 2}", "0.5", *map(repr, rng.standard_normal(32).tolist())]
+                for i in range(4000)]
+        path = self.write_features(tmp_path / "f.csv", rows, d=32)
+        tracemalloc.start()
+        try:
+            _, _, features = ingest_features(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * features.nbytes, (peak, features.nbytes)
 
 
 @st.composite
@@ -352,7 +574,71 @@ class TestImputation:
             compute_imputation_stats(ds, ["NOPE"])
 
 
+def oracle_clinical_feature_vector(record, age_norm_params):
+    """One record's model input, one field at a time."""
+    c = record.clinical
+    if not c.complete:
+        missing = [f for f, m in c.missing_mask.items() if m]
+        raise UnimputedRecordError(
+            f"patient {record.patient_id}: missing {', '.join(missing)}; impute first"
+        )
+    mean, std = age_norm_params
+    vec = np.empty(1 + len(BINARY_FIELDS), dtype=float)
+    vec[0] = (c.age_years - mean) / std
+    for k, field in enumerate(BINARY_FIELDS, start=1):
+        vec[k] = 1.0 if getattr(c, field) else 0.0
+    return vec
+
+
+def oracle_clinical_matrix(ds, ids=None):
+    wanted = None if ids is None else set(ids)
+    records = [r for r in ds.records if wanted is None or r.patient_id in wanted]
+    return np.array([oracle_clinical_feature_vector(r, ds.age_norm_params) for r in records])
+
+
+@st.composite
+def clinical_matrix_cases(draw):
+    """An imputed-looking dataset (some records may still lack a value) with
+    arbitrary normalization constants, and an id subset or None."""
+    n = draw(st.integers(0, 15))
+    missing_pct = draw(st.sampled_from([0, 0, 5, 30]))
+    ages = st.one_of(st.integers(1, 110), st.floats(0.5, 120.0), st.just(float("nan")))
+    records = []
+    for i in range(n):
+        values = {f: draw(st.booleans()) for f in BINARY_FIELDS}
+        values["age_years"] = draw(ages)
+        for field in values:
+            if draw(st.integers(0, 99)) < missing_pct:
+                values[field] = None
+        records.append(PatientRecord(
+            patient_id=f"P{i}",
+            clinical=ClinicalVariables(**values),
+            label=SurvivalLabel(event=True, time_days=1.0),
+        ))
+    stats = ImputationStats(
+        binary_medians={f: False for f in BINARY_FIELDS}, age_median=60.0,
+        age_mean=draw(st.floats(-200.0, 200.0)), age_std=draw(st.floats(1e-3, 1e3)))
+    ids = draw(st.none() | st.lists(st.sampled_from([f"P{i}" for i in range(n)] + ["X0"]),
+                                    max_size=n + 1))
+    return Dataset(records=tuple(records), imputation=stats), ids
+
+
 class TestClinicalMatrix:
+    @settings(max_examples=100)
+    @given(clinical_matrix_cases())
+    def test_matches_per_record_vectors(self, case):
+        ds, ids = case
+        got, error = outcome(clinical_matrix, ds, ids)
+        want, want_error = outcome(oracle_clinical_matrix, ds, ids)
+        assert error == want_error
+        if error is None:
+            assert same_bits(got, want)
+        for record in ds.records:
+            got, error = outcome(clinical_feature_vector, record, ds.age_norm_params)
+            want, want_error = outcome(oracle_clinical_feature_vector, record, ds.age_norm_params)
+            assert error == want_error
+            assert error is not None or same_bits(got, want)
+
     def test_feature_vector_layout(self):
         rec = make_record("P1", True, 5.0, age=70.0, cancer=True, hr_ge_110=True)
         vec = clinical_feature_vector(rec, (60.0, 10.0))
@@ -397,24 +683,6 @@ class TestClinicalMatrix:
         ds = Dataset(records=(make_record("P1", True, 1.0),))
         with pytest.raises(UnimputedRecordError):
             clinical_matrix(ds)
-
-
-class TestNormalizeVolume:
-    def test_clip_then_center(self):
-        out = normalize_volume(np.array([-2000.0, 0.0, 1000.0]))
-        # clipped to (-1000, 0, 900), mean -100/3
-        assert_allclose(out, [-1000 + 100 / 3, 100 / 3, 900 + 100 / 3], rtol=1e-15)
-        assert abs(out.mean()) < 1e-12
-
-    def test_extremes(self):
-        assert_allclose(normalize_volume(np.array([-1000.0, 900.0])), [-950.0, 950.0])
-
-    def test_constant_input(self):
-        assert_array_equal(normalize_volume(np.full(5, 400.0)), np.zeros(5))
-
-    def test_empty(self):
-        with pytest.raises(EmptyArrayError):
-            normalize_volume(np.array([]))
 
 
 class TestSplitDataset:

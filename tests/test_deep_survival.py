@@ -7,28 +7,21 @@ from numpy.testing import assert_allclose, assert_array_equal
 from survfuse import deep_survival
 from survfuse.cox_linear import partial_loglik_eta
 from survfuse.dataset import (
-    ClinicalVariables,
-    Dataset,
     EventTable,
-    PatientRecord,
     SurvivalLabel,
-    impute_missing,
     label_arrays,
 )
 from survfuse.deep_survival import (
     MlpSurvModel,
     TrainOptions,
     cox_loss,
-    feature_importance,
     forward,
     init_mlp,
     linear_scores,
     loss_and_gradients,
-    predictive_ability,
     train,
 )
 from survfuse.errors import (
-    ConstantVariableError,
     DimensionMismatchError,
     DivergedLossError,
     InvalidDimensionError,
@@ -303,89 +296,3 @@ class TestTrain:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DivergedLossError):
                 train(init_mlp(2, (4,), seed=13), X, labels, options=opts)
-
-
-class TestFeatureImportance:
-    def test_shape_is_input_dim(self):
-        m = init_mlp(7, (3,), seed=0)
-        imp = feature_importance(m)
-        assert imp.shape == (7,)
-        assert np.all(imp >= 0)
-
-    def test_is_row_norm_of_first_layer(self):
-        m = init_mlp(4, (5,), seed=2)
-        want = np.sqrt((m.weights[0] ** 2).sum(axis=1))
-        assert_allclose(feature_importance(m), want, rtol=1e-15)
-
-    def test_informative_feature_outranks_noise(self):
-        rng = np.random.default_rng(47)
-        X, labels = surv_data(rng, 150, 4, (2.0, 0.0, 0.0, 0.0))
-        opts = TrainOptions(learning_rate=0.1, epochs=200, weight_decay=1e-3)
-        trained, _ = train(init_mlp(4, (6,), seed=14), X, labels, options=opts)
-        imp = feature_importance(trained)
-        assert imp[0] > max(imp[1:])
-
-
-def _complete_clinical(**over):
-    base = dict(
-        age_years=70.0, male=True, cancer=False, heart_failure=False,
-        chronic_lung_disease=False, hr_ge_110=False, sbp_lt_100=False,
-        rr_ge_30=False, temp_lt_36c=False, altered_mental_status=False,
-        o2_sat_lt_90=False,
-    )
-    base.update(over)
-    return ClinicalVariables(**base)
-
-
-def _tiny_dataset(rows):
-    records = tuple(
-        PatientRecord(
-            patient_id=f"P{i}",
-            clinical=_complete_clinical(**over),
-            label=SurvivalLabel(event=bool(ev), time_days=float(t)),
-        )
-        for i, (over, t, ev) in enumerate(rows)
-    )
-    ds = Dataset(records=records)
-    return impute_missing(ds, [r.patient_id for r in records])
-
-
-class TestPredictiveAbility:
-    def test_discriminative_variable_scores_high(self):
-        # cancer patients all die first: the cancer column separates perfectly
-        rows = [
-            (dict(cancer=True, age_years=60.0), 1, 1),
-            (dict(cancer=True, age_years=70.0), 2, 1),
-            (dict(cancer=False, age_years=65.0), 10, 1),
-            (dict(cancer=False, age_years=75.0), 11, 1),
-            (dict(cancer=False, age_years=80.0), 12, 0),
-        ]
-        ds = _tiny_dataset(rows)
-        # columns: age 0, male 1, cancer 2. Ten comparable pairs; the four
-        # within-group ties earn half credit each: (3.5 + 3 + 1 + 0.5)/10
-        assert predictive_ability(ds, 2) == 0.8
-
-    def test_sign_flip_invariance(self):
-        # protective direction scores the same as harmful direction
-        harmful = [
-            (dict(heart_failure=True, age_years=60.0), 1, 1),
-            (dict(heart_failure=True, age_years=62.0), 2, 1),
-            (dict(heart_failure=False, age_years=64.0), 9, 1),
-            (dict(heart_failure=False, age_years=66.0), 10, 1),
-        ]
-        protective = [(dict(heart_failure=not o["heart_failure"],
-                            age_years=o["age_years"]), t, e) for o, t, e in harmful]
-        col = 3  # heart_failure column
-        assert predictive_ability(_tiny_dataset(harmful), col) == \
-            predictive_ability(_tiny_dataset(protective), col)
-
-    def test_constant_variable(self):
-        rows = [(dict(age_years=60.0 + i), i + 1, 1) for i in range(4)]
-        ds = _tiny_dataset(rows)
-        with pytest.raises(ConstantVariableError):
-            predictive_ability(ds, 2)  # cancer is False everywhere
-
-    def test_out_of_range_index(self):
-        ds = _tiny_dataset([(dict(age_years=60.0 + i), i + 1, 1) for i in range(3)])
-        with pytest.raises(DimensionMismatchError):
-            predictive_ability(ds, 11)

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
 from survfuse.dataset import BINARY_FIELDS, ClinicalVariables, Dataset, PatientRecord, SurvivalLabel
 from survfuse.errors import NonPositiveAgeError, UnimputedRecordError
-from survfuse.pesi import PESI_WEIGHTS, pesi_predictor, pesi_score, risk_class_for
+from survfuse.pesi import PESI_WEIGHTS, pesi_predictor, pesi_score, pesi_scores, risk_class_for
+
+from strategies import outcome, same_bits
 
 
 def clin(age, male=False, **flags):
@@ -100,3 +104,53 @@ class TestDatasetHelpers:
         expected = [pesi_score(r.clinical).score for r in ds.records]
         assert_array_equal(pesi_predictor(ds), np.array(expected, dtype=float))
         assert pesi_predictor(ds).dtype == float
+
+
+def oracle_pesi_scores(ds):
+    """The per-record loop: one ``pesi_score`` call per record."""
+    return np.array([pesi_score(r.clinical).score for r in ds.records], dtype=float)
+
+
+@st.composite
+def pesi_datasets(draw):
+    """Records with ages on and off the .5 rounding ties, some missing fields,
+    and now and then an age that ``pesi_score`` rejects."""
+    n = draw(st.integers(0, 15))
+    missing_pct = draw(st.sampled_from([0, 0, 5, 30]))
+    ages = st.one_of(
+        st.integers(1, 130),
+        st.integers(1, 130).map(lambda a: a + 0.5),
+        st.floats(1e-3, 300.0),
+        st.sampled_from([0.0, -1.0, 0.4, float("nan"), float("inf"), float("-inf"), 1e300]),
+    )
+    records = []
+    for i in range(n):
+        values = {f: draw(st.booleans()) for f in BINARY_FIELDS}
+        values["age_years"] = draw(ages)
+        for field in values:
+            if draw(st.integers(0, 99)) < missing_pct:
+                values[field] = None
+        records.append(PatientRecord(
+            patient_id=f"P{i}", clinical=ClinicalVariables(**values),
+            label=SurvivalLabel(event=True, time_days=1.0)))
+    return Dataset(records=tuple(records))
+
+
+class TestVectorScores:
+    @settings(max_examples=100)
+    @given(pesi_datasets())
+    def test_matches_per_record_loop(self, ds):
+        # the same scores bit for bit, or the first bad record's error
+        want, want_error = outcome(oracle_pesi_scores, ds)
+        for fn in (pesi_scores, pesi_predictor):
+            got, error = outcome(fn, ds)
+            assert error == want_error
+            assert error is not None or same_bits(got, want)
+
+    def test_first_bad_record_raises(self):
+        good, no_age, negative = clin(70.0), clin(None), clin(-2.0)
+        ds = Dataset(records=tuple(
+            PatientRecord(patient_id=f"P{i}", clinical=c, label=SurvivalLabel(True, 1.0))
+            for i, c in enumerate([good, negative, no_age])))
+        with pytest.raises(NonPositiveAgeError, match="got -2.0"):
+            pesi_scores(ds)

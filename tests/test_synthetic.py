@@ -164,9 +164,10 @@ class TestWriteStudyCsvs:
         write_study_csvs(plan, clin, feat)
         ds = ingest_clinical(clin)
         assert len(ds.records) == 60
-        windows, dim = ingest_features(feat)
-        assert dim == 8
-        assert all(1 <= len(v) <= 3 for v in windows.values())
+        patient_ids, _, features = ingest_features(feat)
+        assert features.shape == (patient_ids.size, 8)
+        _, acquisitions = np.unique(patient_ids, return_counts=True)
+        assert all(1 <= k <= 3 for k in acquisitions)
         ds = attach_imaging(ds, feat)
         assert ds.feature_dim == 8
         assert all(r.imaging_features is not None for r in ds.records)
