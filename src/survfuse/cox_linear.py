@@ -85,7 +85,10 @@ def partial_loglik_eta(eta: np.ndarray, times: np.ndarray, events: np.ndarray,
     return _loglik_and_eta_grad(eta, _event_table(times, events), tie_method)
 
 
-def _loglik_and_eta_grad(eta: np.ndarray, table: EventTable, tie_method: str):
+def _loglik_and_eta_grad(eta: np.ndarray, table: EventTable, tie_method: str,
+                         with_grad: bool = True):
+    """``(loglik, d loglik / d eta)``, or the log-likelihood alone, from the
+    same operations, when ``with_grad`` is false."""
     eta_s = eta[table.order]
     m = float(eta_s.max())
     w = np.exp(eta_s - m)
@@ -104,13 +107,17 @@ def _loglik_and_eta_grad(eta: np.ndarray, table: EventTable, tie_method: str):
             frac = np.arange(d) / d
             psi = s0r[:, None] - frac * w[deaths].sum(axis=1)[:, None]
             term[groups + 1] = sum_eta - np.log(psi).sum(axis=1)
-            coef_a[groups] = (1.0 / psi).sum(axis=1)
-            coef_b[groups] = (frac / psi).sum(axis=1)
-            own_b[deaths] = coef_b[groups][:, None]
+            if with_grad:
+                coef_a[groups] = (1.0 / psi).sum(axis=1)
+                coef_b[groups] = (frac / psi).sum(axis=1)
+                own_b[deaths] = coef_b[groups][:, None]
         else:
             term[groups + 1] = sum_eta - d * np.log(s0r)
-            coef_a[groups] = d / s0r
+            if with_grad:
+                coef_a[groups] = d / s0r
     ll = float(np.cumsum(term)[-1])
+    if not with_grad:
+        return ll
 
     cum_a = np.cumsum(coef_a)
     gidx = np.searchsorted(table.event_times, table.times, side="right") - 1

@@ -20,10 +20,12 @@ strings of the whole file would take about ten times. Each patient keeps
 the acquisition with the highest ``pe_probability``, the first in the file
 on ties.
 
-Empty cells are treated as missing. Vital signs are thresholded into binary
-severity indicators at ingest time (tachycardia >= 110 bpm, hypotension
-< 100 mmHg, tachypnea >= 30/min, hypothermia < 36 C, hypoxemia < 90%), so
-downstream models only ever see age plus ten binary flags.
+Empty cells are treated as missing. A NaN or infinite feature cell, age or
+vital sign rejects its row with ``MalformedRowError``. Vital signs are
+thresholded into binary severity indicators at ingest time (tachycardia
+>= 110 bpm, hypotension < 100 mmHg, tachypnea >= 30/min, hypothermia
+< 36 C, hypoxemia < 90%), so downstream models only ever see age plus ten
+binary flags.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ import logging
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
+from math import isfinite
 from operator import attrgetter, itemgetter
 from pathlib import Path
 
@@ -217,6 +220,21 @@ def _parse_float(token: str) -> float | None:
         return None
 
 
+def _parse_measure(token: str, row_index: int, column: str) -> float | None:
+    """``_parse_float`` that rejects a NaN or infinite value; written out,
+    not wrapped, as it runs six times per clinical row."""
+    token = token.strip()
+    if not token:
+        return None
+    try:
+        value = float(token)
+    except ValueError:
+        return None
+    if not isfinite(value):
+        raise MalformedRowError(row_index, f"{column} must be a finite number, got {token!r}")
+    return value
+
+
 def _parse_sex(token: str) -> bool | None:
     token = token.strip().lower()
     if not token:
@@ -271,15 +289,15 @@ def ingest_clinical(path, schema: dict[str, str] | None = None) -> Dataset:
             if time_days is None or not np.isfinite(time_days) or time_days < 0:
                 raise MalformedRowError(i, "time_days must be a finite non-negative number")
 
-            age = _parse_float(row.get(col["age"]) or "")
+            age = _parse_measure(row.get(col["age"]) or "", i, col["age"])
             if age is not None and age <= 0:
                 raise MalformedRowError(i, f"age must be positive, got {age}")
 
-            hr = _parse_float(row.get(col["heart_rate"]) or "")
-            sbp = _parse_float(row.get(col["systolic_bp"]) or "")
-            rr = _parse_float(row.get(col["respiratory_rate"]) or "")
-            temp = _parse_float(row.get(col["temperature_c"]) or "")
-            o2 = _parse_float(row.get(col["o2_sat"]) or "")
+            hr = _parse_measure(row.get(col["heart_rate"]) or "", i, col["heart_rate"])
+            sbp = _parse_measure(row.get(col["systolic_bp"]) or "", i, col["systolic_bp"])
+            rr = _parse_measure(row.get(col["respiratory_rate"]) or "", i, col["respiratory_rate"])
+            temp = _parse_measure(row.get(col["temperature_c"]) or "", i, col["temperature_c"])
+            o2 = _parse_measure(row.get(col["o2_sat"]) or "", i, col["o2_sat"])
 
             clin = ClinicalVariables(
                 age_years=age,
@@ -318,8 +336,9 @@ def ingest_features(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     float matrix. Each row is checked as it is read; its feature cells are
     parsed with ``float`` a block of ``_FEATURE_BLOCK_ROWS`` rows at a time,
     so the unparsed cell strings held at once stay bounded by one block.
-    A row that fails a check first has the rows pending before it parsed,
-    so the earliest faulty row in the file is the one reported.
+    A feature cell that is not a number, or is NaN or infinite, fails its
+    row. A row that fails a check first has the rows pending before it
+    parsed, so the earliest faulty row in the file is the one reported.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -349,19 +368,27 @@ def ingest_features(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         blocks: list[np.ndarray] = []
         pending: list[tuple[str, ...]] = []  # feature cells of the rows not yet parsed
 
+        def reject_bad_cells():
+            # the earliest pending row with a cell that is not a finite number
+            first = len(pids) - len(pending)
+            for k, cells in enumerate(pending):
+                try:
+                    values = list(map(float, cells))
+                except ValueError:
+                    raise MalformedRowError(first + k,
+                                            "feature cells must all be numeric") from None
+                if not all(map(isfinite, values)):
+                    raise MalformedRowError(first + k, "feature cells must all be finite")
+
         def parse_pending():
             try:
                 block = np.fromiter(map(float, chain.from_iterable(pending)), dtype=float,
                                     count=len(pending) * d)
             except ValueError:
-                first = len(pids) - len(pending)
-                for k, cells in enumerate(pending):
-                    try:
-                        list(map(float, cells))
-                    except ValueError:
-                        raise MalformedRowError(first + k,
-                                                "feature cells must all be numeric") from None
+                reject_bad_cells()
                 raise
+            if not np.isfinite(block).all():
+                reject_bad_cells()
             blocks.append(block.reshape(len(pending), d))
             pending.clear()
 

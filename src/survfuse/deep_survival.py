@@ -107,10 +107,12 @@ def forward(model: MlpSurvModel, X: np.ndarray) -> np.ndarray:
 
 def cox_loss(scores, labels: list[SurvivalLabel], tie_method: str = "efron") -> float:
     """Negative partial log-likelihood of the scores, per event."""
-    return _cox_loss_grad(scores, EventTable(*label_arrays(labels)), tie_method)[0]
+    return _cox_loss_grad(scores, EventTable(*label_arrays(labels)), tie_method, with_grad=False)
 
 
-def _cox_loss_grad(scores, table: EventTable, tie_method="efron"):
+def _cox_loss_grad(scores, table: EventTable, tie_method="efron", with_grad=True):
+    """``(loss, d loss / d scores)``, or the loss alone when ``with_grad`` is
+    false; the loss is the same float either way."""
     s = np.asarray(scores, dtype=float)
     if s.size != table.times.size:
         raise MismatchedLengthsError(f"{s.size} scores for {table.times.size} labels")
@@ -118,6 +120,8 @@ def _cox_loss_grad(scores, table: EventTable, tie_method="efron"):
     if n_events == 0:
         raise NoEventsError("cox loss needs at least one event")
     _check_finite(s, "eta")
+    if not with_grad:
+        return -_loglik_and_eta_grad(s, table, tie_method, with_grad=False) / n_events
     ll, grad_eta = _loglik_and_eta_grad(s, table, tie_method)
     return -ll / n_events, -grad_eta / n_events
 
@@ -205,7 +209,8 @@ def train(model: MlpSurvModel, X: np.ndarray, labels: list[SurvivalLabel],
             work.biases[k] -= opts.learning_rate * bg[k]
         if val is not None:
             try:
-                val_loss = _cox_loss_grad(forward(work, val[0]), val_table, opts.tie_method)[0]
+                val_loss = _cox_loss_grad(forward(work, val[0]), val_table, opts.tie_method,
+                                          with_grad=False)
             except NonFiniteInputError as exc:
                 raise DivergedLossError(f"parameters overflowed during training: {exc}") from exc
             if not np.isfinite(val_loss):

@@ -18,22 +18,44 @@ Trees are grown on up to one process per CPU the process may run on: this
 process and forked workers each grow an interleaved share of the per-tree
 streams, and the trees are put back in stream order, so the forest is the
 same bit for bit for any worker count. Where there is one CPU or one tree,
-or the platform cannot fork or report the usable CPUs, every tree is grown
-in this process. Forking copies only the calling thread, so ``fit_forest``
-should not be called while other threads of the process hold locks.
+where subjects x trees is below ``_POOL_MIN_WORK`` (2500: on a 2-CPU
+machine starting the workers took about 20 ms, as long as growing that
+much forest in this process), or where the platform cannot fork or report
+the usable CPUs, every tree is grown in this process. Forking copies only
+the calling thread, so ``fit_forest`` should not be called while other
+threads of the process hold locks.
 
 Node event counts and leaf hazards are read from the node's
-``dataset.EventTable``. The split-search inner loop exploits two identities
-to stay vectorized: the log-rank numerator for a left prefix equals the
-prefix sum of the per-subject martingale residuals (event flag minus node
-Nelson-Aalen at the subject's time), and the hypergeometric variance is a
-weighted sum of ``n_left * (n_at_risk - n_left)`` terms over event times.
-The prefix at-risk counts are exact int32 counts from a cumulative sum
-over the node's subjects per candidate feature, taken a fixed block of
-subjects at a time with the counts carried between blocks, and the variance
-is formed only at the admissible split positions, so the search's memory is
-linear in the node size. The split score is ``sqrt`` of
-``metrics.logrank_test``'s chi-square for the two children.
+``dataset.EventTable``. The split score is ``sqrt`` of
+``metrics.logrank_test``'s chi-square for the two children: |O - E| /
+sqrt(V) for the left child at each admissible split position c of a
+feature's sorted subjects. O - E is the prefix sum of the subjects'
+martingale residuals (event flag minus node Nelson-Aalen at the subject's
+time). V is sum_g k_g n_left[g] (n_g - n_left[g]) over the node's G event
+times, n_left[g] counting the left child's subjects at risk, which each
+subject's grid rank r (it is at risk at grid[g] exactly when g < r) gives.
+
+The exact score, which decides every split, forms the exact integer
+n_left rows and sums each contiguous row pairwise, always with the same
+float operations. Below ``_BOUND_MIN`` (150) subjects a node scores every
+position of its features at once from cumulative counts; a feature with
+few candidates (``_FEW_CANDIDATES``, as a binary one has) is scored at its
+candidates alone from a rank histogram, which costs O(node + candidates x
+G). From ``_BOUND_MIN`` subjects up, every candidate of the other features
+is bounded first, all features in one sweep of O(m (G / B + B)) for B =
+``_SWEEP_BLOCK``: V(c) = sum_{i<=c} KN[r_i] - sum_{i,j<=c} K[min(r_i,
+r_j)] = A(c) - S(c), with K and KN the prefix sums of k and k n over the
+event times (LeBlanc and Crowley's updating sweep). Every term of A and S
+is non-negative, so the computed V(c) lies within gamma (A + S) of the
+exact-path variance, gamma being ``_BOUND_SAFETY`` (4) times (m + 2G + B +
+8) units of 2^-53, a count of the roundings on the way into either; the
+interval of each score is widened by gamma more for the exact path's sqrt
+and divide, and is [0, inf] where V may be zero. Only a candidate whose
+interval reaches both the feature's best lower bound and the best score so
+far is scored exactly, so the chosen splits, and with them the forests, are
+the same bit for bit as scoring every candidate. All temporaries are
+linear in the node size: the dense scores for small nodes take
+O(_SPLIT_BLOCK x G) at a time, the sweep O(features x (m + G + B^2)).
 """
 
 from __future__ import annotations
@@ -52,8 +74,18 @@ from .errors import (
 )
 
 
-# sorted subjects per block of the split search's at-risk counts
+# candidate splits per block of the exact at-risk counts
 _SPLIT_BLOCK = 128
+# sorted subjects per block of the variance-bound sweep
+_SWEEP_BLOCK = 48
+# smallest node whose candidates are bounded before any is scored exactly
+_BOUND_MIN = 150
+# features with at most this many candidate splits are scored exactly
+_FEW_CANDIDATES = 8
+# multiple of the rounding-error count that the variance bound widens by
+_BOUND_SAFETY = 4.0
+# subjects x trees below which a forest is grown without the process pool
+_POOL_MIN_WORK = 2500
 
 
 @dataclass(frozen=True)
@@ -96,71 +128,192 @@ class ForestModel:
 
 
 def _node_statistics(t: np.ndarray, e: np.ndarray):
-    """Event grid, at-risk counts, variance weights and residuals for a node."""
+    """Event grid, at-risk counts, variance weights, residuals and grid
+    ranks for a node; a subject is at risk at grid[g] exactly when g is
+    below its rank."""
     table = EventTable(t, e)
     grid = table.event_times
     n_e = table.at_risk.astype(float)
     d_e = table.deaths.astype(float)
     k_e = np.where(n_e > 1, d_e * (n_e - d_e) / (n_e ** 2 * np.maximum(n_e - 1, 1.0)), 0.0)
     na = np.cumsum(d_e / n_e)
-    gidx = np.searchsorted(grid, t, side="right") - 1
-    resid = e.astype(float) - np.where(gidx >= 0, na[np.maximum(gidx, 0)], 0.0)
-    return grid, n_e, k_e, resid
+    ranks = np.searchsorted(grid, t, side="right")
+    resid = e.astype(float) - np.where(ranks > 0, na[np.maximum(ranks - 1, 0)], 0.0)
+    return grid, n_e, k_e, resid, ranks
 
 
-def _prefix_split_scores(t, grid, n_e, k_e, resid, order, cand):
-    """Split score |O - E| / sqrt(V) of the left child ``order[:c + 1]`` for
-    each position ``c`` in ``cand`` (ascending); zero where the variance
-    vanishes."""
-    prefix_resid = np.cumsum(resid[order])
-    t_sorted = t[order]
+def _prefix_split_scores(ranks, prefix_resid, n_e, k_e, stop):
+    """Split score |O - E| / sqrt(V) of the left child ``[:c + 1]`` of a
+    node's subjects in feature order, at every position ``c < stop`` of each
+    row (features x subjects); zero where the variance vanishes. ``ranks``
+    are the sorted subjects' grid ranks and ``prefix_resid`` the prefix sums
+    of their martingale residuals."""
+    grid_index = np.arange(n_e.size)
+    var = np.empty((ranks.shape[0], stop))
+    # n_left[f, c, g]: subjects of the left child at c at risk at grid[g], as
+    # exact counts, built for _SPLIT_BLOCK (feature, subject) rows at a time
+    # with the counts of the earlier blocks carried in, so temporaries stay
+    # O(_SPLIT_BLOCK x event times). Each row is contiguous, so numpy sums
+    # it over the event times pairwise; a sequential sum would move split
+    # scores in the last bit.
+    block = max(1, _SPLIT_BLOCK // ranks.shape[0])
+    carry = 0
+    for lo in range(0, stop, block):
+        n_left = (ranks[:, lo:min(lo + block, stop), None] > grid_index).astype(np.int32)
+        n_left[:, 0] += carry
+        np.cumsum(n_left, axis=1, out=n_left)
+        carry = n_left[:, -1]
+        var[:, lo:lo + n_left.shape[1]] = (k_e * n_left * (n_e - n_left)).sum(axis=2)
+    return _scores(var, prefix_resid[:, :stop])
+
+
+def _sparse_split_scores(ranks, prefix_resid, n_e, k_e, cand):
+    """``_prefix_split_scores`` at the positions ``cand`` (ascending) of one
+    feature alone, each left child's at-risk counts taken from a rank
+    histogram carried from one candidate to the next: O(node size +
+    candidates x event times), for the few candidates that need scoring."""
+    g = n_e.size
     var_c = np.empty(cand.size)
-    # n_left[k, g]: subjects of the left child of cand[k] at risk at grid[g],
-    # as exact counts, built _SPLIT_BLOCK sorted subjects at a time with the
-    # counts of the earlier blocks carried in, so temporaries stay
-    # O(_SPLIT_BLOCK x event times). Each row is contiguous, so numpy sums it
-    # over the event times pairwise; a sequential sum would move split scores
-    # in the last bit.
-    carry = np.zeros(grid.size, dtype=np.int32)
-    done = 0
-    for lo in range(0, int(cand.max(initial=-1)) + 1, _SPLIT_BLOCK):
-        counts = (t_sorted[lo:lo + _SPLIT_BLOCK, None] >= grid).astype(np.int32)
-        counts[0] += carry
-        np.cumsum(counts, axis=0, out=counts)
-        carry = counts[-1]
-        stop = np.searchsorted(cand, lo + counts.shape[0], side="left")
-        n_left = counts[cand[done:stop] - lo]
-        var_c[done:stop] = (k_e * n_left * (n_e - n_left)).sum(axis=1)
-        done = stop
-    scores = np.zeros(cand.size)
-    ok = var_c > 0
-    scores[ok] = np.abs(prefix_resid[cand[ok]]) / np.sqrt(var_c[ok])
+    hist = np.zeros(g + 1, dtype=np.int64)
+    start = 0
+    for k, c in enumerate(cand.tolist()):
+        hist += np.bincount(ranks[start:c + 1], minlength=g + 1)
+        start = c + 1
+        # the same integers as _prefix_split_scores' counts, summed over the
+        # event times in the same pairwise order, so the same float
+        n_left = start - np.cumsum(hist[:g])
+        var_c[k] = (k_e * n_left * (n_e - n_left)).sum()
+    return _scores(var_c, prefix_resid[cand])
+
+
+def _scores(var, num):
+    """|num| / sqrt(var), zero where the variance vanishes."""
+    scores = np.zeros(var.shape)
+    ok = var > 0
+    scores[ok] = np.abs(num[ok]) / np.sqrt(var[ok])
     return scores
+
+
+def _variance_bounds(ranks, n_e, k_e):
+    """Log-rank variance V(c) of the left child ``[:c + 1]`` at every
+    position c of each row of sorted grid ranks (features x subjects), a
+    bound E(c) on its distance from the variance ``_sparse_split_scores``
+    computes, and the relative width of that bound.
+
+    V(c) = sum_{i<=c} KN[r_i] - sum_{i,j<=c} K[min(r_i, r_j)], with KN[r]
+    and K[r] the sums of k_e * n_e and of k_e over the first r event times.
+    The pair sum is taken _SWEEP_BLOCK subjects at a time: within a block
+    from its min-rank matrix, and across blocks as sum_{q < r_i} k_e[q]
+    N[q], N being the earlier blocks' subjects at risk, carried as a rank
+    histogram. That costs O(m (G / B + B)) per feature, and the temporaries
+    are linear in the node size."""
+    f, m = ranks.shape
+    g = k_e.size
+    big_k = np.concatenate(([0.0], np.cumsum(k_e)))
+    a = np.cumsum(np.concatenate(([0.0], np.cumsum(k_e * n_e)))[ranks], axis=1)
+    k_own = big_k[ranks]
+    pairs = np.empty((f, m))  # sum over j < i of K[min(r_i, r_j)]
+    below = np.tri(_SWEEP_BLOCK, k=-1, dtype=bool)
+    # histogram of the earlier blocks by g - rank, whose cumulative sum
+    # counts the subjects at risk at each event time from the last one back
+    flat = ranks + (g + 1) * np.arange(f)[:, None]
+    flat_back = flat + g - 2 * ranks
+    hist = np.zeros((f, g + 1))
+    at_risk = np.empty((f, g + 1))
+    across = np.zeros((f, g + 1))  # [:, q]: sum of k_e[p] N[p] over p < q
+    for lo in range(0, m, _SWEEP_BLOCK):
+        hi = min(lo + _SWEEP_BLOCK, m)
+        # K is non-decreasing, so K[min(r_i, r_j)] = min(K[r_i], K[r_j])
+        k_block = k_own[:, lo:hi]
+        pair_k = np.minimum(k_block[:, :, None], k_block[:, None, :])
+        pair_k *= below[:hi - lo, :hi - lo]
+        pairs[:, lo:hi] = pair_k.sum(axis=2)
+        if lo:
+            hist += np.bincount(flat_back[:, lo - _SWEEP_BLOCK:lo].ravel(),
+                                minlength=f * (g + 1)).reshape(f, g + 1)
+            np.cumsum(hist, axis=1, out=at_risk)
+            np.cumsum(k_e * at_risk[:, g - 1::-1], axis=1, out=across[:, 1:])
+            pairs[:, lo:hi] += across.ravel()[flat[:, lo:hi]]
+    s = np.cumsum(k_own + 2.0 * pairs, axis=1)
+    # Every term above is non-negative, so each computed sum is within
+    # N u / (1 - N u) of its exact value, relative to itself, N being the
+    # longest chain of roundings into it (u = 2^-53): m + G + 1 for A and
+    # m + G + B + 2 for S (B = _SWEEP_BLOCK). The exact path's products and
+    # pairwise row sum put its variance within (G + 1) u of the exact one,
+    # which is at most A, and A - S is rounded once more: the two computed
+    # variances differ by at most (m + 2G + B + 3) u (A + S) to first order.
+    # _BOUND_SAFETY times (m + 2G + B + 8) u covers that with room, and the
+    # same relative width covers the exact path's sqrt and divide.
+    slack = _BOUND_SAFETY * (m + 2 * g + _SWEEP_BLOCK + 8) * 2.0 ** -53
+    return a - s, slack * (a + s), slack
+
+
+def _score_bounds(ranks, prefix_resid, n_e, k_e):
+    """Interval [lo, hi] holding the score that ``_sparse_split_scores``
+    computes at every position of each row of sorted subjects: the variance
+    bound widened by the rounding of the exact path's sqrt and divide. An
+    interval whose variance may be zero is [0, inf]."""
+    var, err, slack = _variance_bounds(ranks, n_e, k_e)
+    num = np.abs(prefix_resid)
+    floor = var - err
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lo = np.where(floor > 0, num / np.sqrt(var + err) * (1.0 - slack), 0.0)
+        hi = np.where(floor > 0, num / np.sqrt(floor) * (1.0 + slack), np.inf)
+    return lo, hi
+
+
+def _survivors(cand, lo, hi, best_score):
+    """Candidates whose score interval [lo, hi] reaches both the best lower
+    bound among them and the best score so far: every candidate that can
+    be the feature's first maximum and beat ``best_score``."""
+    return cand[hi >= max(lo.max(), best_score)]
 
 
 def _best_split(X_node, t_node, e_node, candidates, min_leaf):
     m = t_node.size
     if not e_node.any():
         return None
-    stats = _node_statistics(t_node, e_node)
     lo, hi = min_leaf - 1, m - min_leaf - 1
     if hi < lo:
         return None
+    _, n_e, k_e, resid, node_ranks = _node_statistics(t_node, e_node)
+    values = X_node[:, candidates].T
+    orders = np.argsort(values, axis=1, kind="stable")
+    vs = np.sort(values, axis=1, kind="stable")
+    ranks = node_ranks[orders]
+    prefix_resid = np.cumsum(resid[orders], axis=1)
     positions = np.arange(lo, hi + 1)
+    admissible = vs[:, lo:hi + 1] < vs[:, lo + 1:hi + 2]
+    # A feature with at most _FEW_CANDIDATES candidates has each scored from
+    # a histogram. The others are taken together: in a node of fewer than
+    # _BOUND_MIN subjects every position is scored; in a larger node every
+    # candidate's score is bounded, and only those that can win are scored.
+    few = admissible.sum(axis=1) <= _FEW_CANDIDATES
+    if not few.all():
+        row = np.cumsum(~few) - 1
+        if m < _BOUND_MIN:
+            dense = _prefix_split_scores(ranks[~few], prefix_resid[~few], n_e, k_e, hi + 1)
+        else:
+            bound_lo, bound_hi = _score_bounds(ranks[~few], prefix_resid[~few], n_e, k_e)
     best_score = 0.0
     best = None
-    for f in candidates:
-        v = X_node[:, f]
-        order = np.argsort(v, kind="stable")
-        vs = v[order]
-        cand = positions[vs[positions] < vs[positions + 1]]
-        if cand.size == 0:
-            continue
-        scores = _prefix_split_scores(t_node, *stats, order, cand)
-        j = int(np.argmax(scores))
-        if scores[j] > best_score:
-            best_score = float(scores[j])
-            best = (int(f), float((vs[cand[j]] + vs[cand[j] + 1]) / 2.0))
+    for j, f in enumerate(candidates):
+        cand = positions[admissible[j]]
+        if few[j]:
+            if cand.size == 0:
+                continue
+            scores = _sparse_split_scores(ranks[j], prefix_resid[j], n_e, k_e, cand)
+        elif m < _BOUND_MIN:
+            scores = dense[row[j], cand]
+        else:
+            cand = _survivors(cand, bound_lo[row[j], cand], bound_hi[row[j], cand], best_score)
+            if cand.size == 0:
+                continue
+            scores = _sparse_split_scores(ranks[j], prefix_resid[j], n_e, k_e, cand)
+        k = int(np.argmax(scores))
+        if scores[k] > best_score:
+            best_score = float(scores[k])
+            best = (int(f), float((vs[j, cand[k]] + vs[j, cand[k] + 1]) / 2.0))
     return best
 
 
@@ -290,7 +443,9 @@ def fit_forest(X: np.ndarray, labels: list[SurvivalLabel],
     grid = np.unique(tc[ec])
     mtry = opts.mtry if opts.mtry is not None else int(np.ceil(np.sqrt(p)))
     streams = np.random.SeedSequence(opts.seed).spawn(opts.n_trees)
-    workers = min(_usable_cpus(), opts.n_trees)
+    # a forest of less work than _POOL_MIN_WORK grows faster here than the
+    # pool's workers start
+    workers = min(_usable_cpus(), opts.n_trees) if n * opts.n_trees >= _POOL_MIN_WORK else 1
     # share k holds trees k, k + workers, ...
     grown = _grow_shares([(Xc, tc, ec, grid, streams[k::workers], mtry, opts.min_leaf_size)
                           for k in range(workers)])

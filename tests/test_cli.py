@@ -160,6 +160,17 @@ def run_result(cohort, tmp_path_factory):
     return out, cfg
 
 
+def with_cell(src, dst, line, column, token):
+    """Copy of the CSV ``src`` with ``column`` of file line ``line`` (the
+    header is line 0) set to ``token``."""
+    with open(src, newline="") as fh:
+        rows = list(csv.reader(fh))
+    rows[line][rows[0].index(column)] = token
+    with open(dst, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    return dst
+
+
 class TestRun:
     def test_report_has_exactly_the_seven_keys(self, run_result):
         out, _ = run_result
@@ -228,6 +239,14 @@ class TestRun:
         assert code == 0
         doc = json.loads((out / "report.json").read_text())
         assert set(doc["overall"]["test"].keys()) == {"pesi", "deep_clinical"}
+
+    def test_non_finite_feature_cell_is_validation_error(self, cohort, tmp_path, caplog):
+        features = with_cell(cohort / "features.csv", tmp_path / "f.csv", 5, "f0", "inf")
+        code = main(["run", "--config", write_config(tmp_path),
+                     "--clinical", str(cohort / "clinical.csv"), "--features", str(features),
+                     "--models", "deep_imaging", "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "row 4: feature cells must all be finite" in caplog.text
 
     def test_missing_clinical_file(self, tmp_path):
         code = main(["run", "--clinical", str(tmp_path / "ghost.csv"),
@@ -306,6 +325,29 @@ class TestScore:
                      "--clinical", str(cohort / "clinical.csv"),
                      "--out", str(tmp_path / "s.csv")])
         assert code == 1
+
+    @pytest.mark.parametrize("model", ["deep_imaging", "rsf_imaging", "fusion_rsf"])
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_non_finite_feature_cell_is_validation_error(self, cohort, run_result, tmp_path,
+                                                         caplog, model, token):
+        out, _ = run_result
+        features = with_cell(cohort / "features.csv", tmp_path / "f.csv", 3, "f1", token)
+        code = main(["score", "--model", str(out / "models" / f"{model}.json"),
+                     "--clinical", str(cohort / "clinical.csv"), "--features", str(features),
+                     "--out", str(tmp_path / "s.csv")])
+        assert code == 1
+        assert "row 2: feature cells must all be finite" in caplog.text
+        assert not (tmp_path / "s.csv").exists()
+
+    @pytest.mark.parametrize("column", ["age", "heart_rate", "o2_sat"])
+    def test_non_finite_clinical_cell_is_validation_error(self, cohort, run_result, tmp_path,
+                                                          caplog, column):
+        out, _ = run_result
+        clinical = with_cell(cohort / "clinical.csv", tmp_path / "c.csv", 2, column, "nan")
+        code = main(["score", "--model", str(out / "models" / "deep_clinical.json"),
+                     "--clinical", str(clinical), "--out", str(tmp_path / "s.csv")])
+        assert code == 1
+        assert f"row 1: {column} must be a finite number, got 'nan'" in caplog.text
 
     def test_missing_artifact_is_runtime_error(self, cohort, tmp_path):
         code = main(["score", "--model", str(tmp_path / "ghost.json"),

@@ -170,6 +170,23 @@ class TestIngestClinical:
         with pytest.raises(MalformedRowError):
             ingest_clinical(path)
 
+    @pytest.mark.parametrize("column", ["age", "heart_rate", "systolic_bp", "respiratory_rate",
+                                        "temperature_c", "o2_sat"])
+    @pytest.mark.parametrize("token", ["nan", " NaN", "inf", "-inf", "1e999"])
+    def test_non_finite_measure_names_its_column(self, tmp_path, column, token):
+        rows = [base_row("P1"), base_row("P2", **{column: token})]
+        path = write_clinical(tmp_path / "c.csv", rows)
+        with pytest.raises(MalformedRowError) as info:
+            ingest_clinical(path)
+        assert info.value.row_index == 1
+        assert info.value.reason == f"{column} must be a finite number, got {token.strip()!r}"
+        # under a renamed header the message names the column in the file
+        header = [f"{h}_x" if h == column else h for h in HEADER]
+        path = write_clinical(tmp_path / "r.csv", rows, header=header)
+        with pytest.raises(MalformedRowError) as info:
+            ingest_clinical(path, schema={column: f"{column}_x"})
+        assert info.value.reason.startswith(f"{column}_x must be a finite number")
+
     def test_schema_remap(self, tmp_path):
         header = ["id" if c == "patient_id" else c for c in HEADER]
         path = write_clinical(tmp_path / "c.csv", [base_row("P9")], header=header)
@@ -220,6 +237,8 @@ def oracle_ingest_features(path):
                 vec = np.array([float(row[idx[c]]) for c in expected], dtype=float)
             except ValueError:
                 raise MalformedRowError(i, "feature cells must all be numeric") from None
+            if not np.isfinite(vec).all():
+                raise MalformedRowError(i, "feature cells must all be finite")
             windows.setdefault(pid, []).append((prob, vec))
     return windows, d
 
@@ -252,9 +271,10 @@ def write_rows(path, header, rows):
 FEATURE_BLOCKS = (1, 3, 7, dataset._FEATURE_BLOCK_ROWS)
 
 _PROB_TOKENS = ["0", "-0", "0.5", " 0.5", "0.50", "5e-1", "0.9", "1", "1.0", "0.25 "]
-_CELL_TOKENS = [" 1.5", "2 ", "-0", "nan", "-inf", "1e-3", "1_0", "+3"]
+_CELL_TOKENS = [" 1.5", "2 ", "-0", "1e-3", "1_0", "+3", "1e308"]
 _BAD_PROB_TOKENS = ["", " ", "abc", "1.5", "nan", "-0.1", "inf"]
-_BAD_CELL_TOKENS = ["", "x", "1,5", "0x1", "--1", "1\n2"]
+_BAD_CELL_TOKENS = ["", "x", "1,5", "0x1", "--1", "1\n2",
+                    "nan", " NaN", "inf", "-inf", "-Infinity", "1e999"]
 
 
 @st.composite
@@ -266,7 +286,7 @@ def feature_csvs(draw, min_bad=0, max_bad=0):
     spaces, padded cells, tied probabilities, and shuffled columns and rows.
     Then ``min_bad``-``max_bad`` broken rows go in at random places: a cell
     too few or too many, a blank line, an empty id, a bad probability or a
-    non-numeric feature cell.
+    non-numeric, NaN or infinite feature cell.
     """
     d = draw(st.integers(1, 4))
     cohort = [draw(st.sampled_from([f"P{k}", f"P,{k}", f"P {k}"]))
@@ -274,7 +294,8 @@ def feature_csvs(draw, min_bad=0, max_bad=0):
     absent = [f"X{k}" for k in range(draw(st.integers(0, 3)))]
     header = draw(st.permutations(
         ["patient_id", "acquisition_id", "pe_probability", *(f"f{k}" for k in range(d))]))
-    cells = st.one_of(st.floats(width=64).map(repr), st.sampled_from(_CELL_TOKENS))
+    cells = st.one_of(st.floats(width=64, allow_nan=False, allow_infinity=False).map(repr),
+                      st.sampled_from(_CELL_TOKENS))
 
     def row(pid, a):
         pad = draw(st.sampled_from(["", " "]))

@@ -121,6 +121,21 @@ class TestForward:
 
 
 class TestCoxLoss:
+    @pytest.mark.parametrize("tie_method", ["efron", "breslow"])
+    def test_value_only_path_is_the_same_float(self, tie_method):
+        # up to hundreds of event times, so that any other summation order
+        # of the per-time terms would show in the last bits
+        rng = np.random.default_rng(50)
+        for _ in range(30):
+            n = int(rng.integers(2, 400))
+            times = rng.exponential(1.0, n).round(int(rng.integers(0, 4)))
+            table = EventTable(times, rng.random(n) < 0.7)
+            if table.death_pos.size == 0:
+                continue
+            scores = rng.random(n)
+            loss = deep_survival._cox_loss_grad(scores, table, tie_method)[0]
+            assert deep_survival._cox_loss_grad(scores, table, tie_method, with_grad=False) == loss
+
     def test_equals_per_event_negative_loglik(self):
         rng = np.random.default_rng(21)
         X, labels = surv_data(rng, 25, 2, (1.0, -0.5))
@@ -202,7 +217,53 @@ class TestGradients:
         assert_allclose(with_wd, base + penalty, rtol=1e-12)
 
 
+def oracle_train(model, X, labels, val, opts):
+    """``train`` with the validation loss taken from the loss-and-gradient
+    path, as before the value-only path; kept as its oracle."""
+    table = EventTable(*label_arrays(labels))
+    val_table = EventTable(*label_arrays(val[1]))
+    weights = [W.copy() for W in model.weights]
+    biases = [b.copy() for b in model.biases]
+    work = MlpSurvModel(model.layer_dims, weights, biases, model.seed, model.modality_tag)
+    best_val, best, stale, history = np.inf, None, 0, []
+    for _ in range(opts.epochs):
+        loss, wg, bg = deep_survival._loss_and_gradients(work, X, table, opts.weight_decay,
+                                                          opts.tie_method)
+        history.append(float(loss))
+        for k in range(len(weights)):
+            weights[k] -= opts.learning_rate * wg[k]
+            biases[k] -= opts.learning_rate * bg[k]
+        val_loss = deep_survival._cox_loss_grad(forward(work, val[0]), val_table,
+                                                opts.tie_method)[0]
+        if val_loss < best_val:
+            best_val, best, stale = val_loss, ([W.copy() for W in weights],
+                                               [b.copy() for b in biases]), 0
+        else:
+            stale += 1
+            if stale >= opts.patience:
+                break
+    return best, history
+
+
 class TestTrain:
+    @pytest.mark.parametrize("tie_method", ["efron", "breslow"])
+    @pytest.mark.parametrize("patience", [3, 60])
+    def test_matches_loop_with_gradient_validation_loss(self, tie_method, patience):
+        rng = np.random.default_rng(49)
+        X, labels = surv_data(rng, 60, 3, (1.0, -0.5, 0.2))
+        Xv, lv = surv_data(rng, 30, 3, (1.0, -0.5, 0.2))
+        # tied times put the Efron correction on both losses
+        labels = labs(np.round([l.time_days for l in labels], 1), [l.event for l in labels])
+        lv = labs(np.round([l.time_days for l in lv], 1), [l.event for l in lv])
+        opts = TrainOptions(learning_rate=0.3, epochs=60, patience=patience, weight_decay=1e-3,
+                            tie_method=tie_method)
+        model = init_mlp(3, (5,), seed=16)
+        trained, history = train(model, X, labels, val=(Xv, lv), options=opts)
+        (weights, biases), want = oracle_train(model, X, labels, (Xv, lv), opts)
+        assert history == want
+        for got, expected in zip(trained.weights + trained.biases, weights + biases):
+            assert_array_equal(got, expected)
+
     def test_zero_learning_rate_constant_history(self):
         rng = np.random.default_rng(41)
         X, labels = surv_data(rng, 30, 3, (1.0, -0.5, 0.2))

@@ -142,6 +142,25 @@ class TestCIndex:
                 continue
             assert c_index(scores, labels) == want
 
+    @settings(max_examples=150)
+    @given(st.integers(1, 30).flatmap(lambda n: st.tuples(
+        st.lists(st.sampled_from([0.0, 0.0, 1.0, 2.5, -1.0]), min_size=n, max_size=n),
+        st.lists(st.integers(1, 4), min_size=n, max_size=n),
+        st.lists(st.integers(0, 99), min_size=n, max_size=n),
+        st.sampled_from([5, 30, 70, 100]))))
+    def test_equals_pair_count_under_heavy_ties(self, case):
+        # few score values and few time levels tie most pairs; the event
+        # share runs down to 5%, so most subjects are censored
+        scores, times, draws, event_pct = case
+        labels = labs(times, [u < event_pct for u in draws])
+        try:
+            want = brute_c_index(scores, labels)
+        except NoComparablePairsError:
+            with pytest.raises(NoComparablePairsError):
+                c_index(np.array(scores), labels)
+            return
+        assert c_index(np.array(scores), labels) == want
+
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(5)
         scores = rng.standard_normal(30)

@@ -27,15 +27,21 @@ from survfuse.rsf import (
     _grow_tree,
     _node_statistics,
     _prefix_split_scores,
+    _score_bounds,
+    _sparse_split_scores,
+    _survivors,
+    _variance_bounds,
     fit_forest,
     predict_risk,
 )
 
 from strategies import assert_same_trees, survival_arrays
 
-# block sizes of the split search's at-risk counts under test: the small
-# ones put candidate positions on, before and after block edges
+# block sizes of the split search's at-risk counts and of its variance
+# sweep under test: the small ones put candidate positions on, before and
+# after block edges
 SPLIT_BLOCKS = (1, 3, 7, rsf._SPLIT_BLOCK)
+SWEEP_BLOCKS = (1, 3, 7, rsf._SWEEP_BLOCK)
 
 
 def labs(times, events):
@@ -90,6 +96,13 @@ def dense_prefix_split_scores(at_risk, n_e, k_e, resid, order, cand):
     return scores
 
 
+def sorted_node(t, e, order):
+    """Node statistics with the grid ranks and prefix residual sums of the
+    subjects in ``order``, as rows of one feature."""
+    _, n_e, k_e, resid, ranks = _node_statistics(t, e)
+    return ranks[order][None], np.cumsum(resid[order])[None], n_e, k_e
+
+
 def split_candidates(v, min_leaf):
     """Stable order of a feature and the admissible split positions in it."""
     order = np.argsort(v, kind="stable")
@@ -137,6 +150,33 @@ def split_nodes(draw):
             columns.append([draw(st.floats(-5, 5))] * m)
     X = np.array(columns, dtype=float).T
     return X, t, e, draw(st.integers(1, m // 2))
+
+
+@st.composite
+def large_nodes(draw):
+    """(X, t, e, min_leaf) of a node of 200-1500 subjects: all times tied,
+    a few time levels or none tied, any share of events, and continuous,
+    binary, few-valued, duplicated and mirrored features. The drawn seed
+    picks the sizes, so that shrinking does not pull every node to one."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = int(rng.integers(200, 1501))
+    levels = rng.choice([1, 3, 40, m])
+    t = rng.integers(1, levels + 1, m).astype(float)
+    e = rng.random(m) < rng.choice([0.05, 0.3, 0.9, 1.0])
+    e[rng.integers(m)] = True
+    columns = []
+    for kind in rng.choice(["continuous", "binary", "levels", "copy", "mirror"],
+                           size=rng.integers(1, 5)):
+        if kind in ("copy", "mirror") and columns:
+            columns.append(columns[-1] if kind == "copy" else -columns[-1])
+        elif kind == "binary":
+            columns.append(rng.integers(0, 2, m).astype(float))
+        elif kind == "levels":
+            columns.append(rng.integers(0, 12, m).astype(float))
+        else:
+            # some features follow the times, so that scores are large
+            columns.append(rng.standard_normal(m) + rng.choice([0.0, 1.0]) * t / levels)
+    return np.column_stack(columns), t, e, int(rng.choice([1, 15, m // 4]))
 
 
 def brute_split_scores(X, t, e, candidates, min_leaf):
@@ -210,11 +250,15 @@ def split_score(left, right):
 
 
 def prefix_split_score(left, right):
-    """The split score as ``_best_split`` computes it for left | right."""
+    """The split score as ``_best_split`` computes it for left | right, by
+    both of its exact paths."""
     t = np.array([l.time_days for l in left + right])
     e = np.array([l.event for l in left + right])
-    cand = np.array([len(left) - 1])
-    return float(_prefix_split_scores(t, *_node_statistics(t, e), np.arange(t.size), cand)[0])
+    ranks, prefix_resid, n_e, k_e = sorted_node(t, e, np.arange(t.size))
+    dense = _prefix_split_scores(ranks, prefix_resid, n_e, k_e, len(left))[0, -1]
+    sparse = _sparse_split_scores(ranks[0], prefix_resid[0], n_e, k_e, np.array([len(left) - 1]))
+    assert sparse[0] == dense
+    return float(dense)
 
 
 class TestSplitScore:
@@ -274,10 +318,12 @@ class TestNodeStatistics:
     def test_node_statistics_match_dense_walk_exactly(self, data):
         t, e = data
         assume(e.any())  # split search only visits nodes with an event
-        grid, *stats = _node_statistics(t, e)
+        grid, *stats, ranks = _node_statistics(t, e)
         at_risk, *want = loop_node_statistics(t, e)
         assert np.array_equal(grid, np.unique(t[e]))
         assert np.array_equal(t[None, :] >= grid[:, None], at_risk)
+        assert np.array_equal(ranks[None, :] > np.arange(grid.size)[:, None], at_risk)
+        assert len(stats) == len(want)
         for got, expected in zip(stats, want):
             assert np.array_equal(got, expected)
 
@@ -312,27 +358,118 @@ class TestBestSplit:
     @settings(max_examples=200)
     @given(split_nodes())
     def test_prefix_scores_match_dense_matrix_exactly(self, node):
+        # both exact paths: every position at once, and the candidates alone
         X, t, e, min_leaf = node
         assume(e.any())  # split search only scores nodes with an event
-        stats = _node_statistics(t, e)
         dense_stats = loop_node_statistics(t, e)
         for f in range(X.shape[1]):
             order, _, cand = split_candidates(X[:, f], min_leaf)
+            assume(cand.size)
             want = dense_prefix_split_scores(*dense_stats, order, cand)
+            ranks, prefix_resid, n_e, k_e = sorted_node(t, e, order)
             for block in SPLIT_BLOCKS:
                 with mock.patch.object(rsf, "_SPLIT_BLOCK", block):
-                    got = _prefix_split_scores(t, *stats, order, cand)
-                assert np.array_equal(got, want)
+                    every = _prefix_split_scores(ranks, prefix_resid, n_e, k_e, cand[-1] + 1)
+                    sparse = _sparse_split_scores(ranks[0], prefix_resid[0], n_e, k_e, cand)
+                assert np.array_equal(every[0, cand], want)
+                assert np.array_equal(sparse, want)
 
     @settings(max_examples=200)
     @given(split_nodes(), st.randoms(use_true_random=False))
     def test_matches_dense_matrix_search_exactly(self, node, random):
+        # _BOUND_MIN = 0 bounds every node's candidates before scoring them;
+        # _FEW_CANDIDATES = 0 sends even a binary feature through the bounds
         X, t, e, min_leaf = node
         candidates = np.array(random.sample(range(X.shape[1]), X.shape[1]))
         want = dense_best_split(X, t, e, candidates, min_leaf)
-        for block in SPLIT_BLOCKS:
-            with mock.patch.object(rsf, "_SPLIT_BLOCK", block):
-                assert _best_split(X, t, e, candidates, min_leaf) == want
+        for split_block, sweep_block in zip(SPLIT_BLOCKS, SWEEP_BLOCKS):
+            for bound_min, few in ((rsf._BOUND_MIN, rsf._FEW_CANDIDATES),
+                                   (0, rsf._FEW_CANDIDATES), (0, 0)):
+                with mock.patch.multiple(rsf, _SPLIT_BLOCK=split_block,
+                                         _SWEEP_BLOCK=sweep_block, _BOUND_MIN=bound_min,
+                                         _FEW_CANDIDATES=few):
+                    assert _best_split(X, t, e, candidates, min_leaf) == want
+
+    @settings(max_examples=60)
+    @given(large_nodes())
+    def test_large_nodes_match_dense_matrix_search_exactly(self, node):
+        # several sweep blocks, and exact score ties between features
+        X, t, e, min_leaf = node
+        want = dense_best_split(X, t, e, np.arange(X.shape[1]), min_leaf)
+        assert _best_split(X, t, e, np.arange(X.shape[1]), min_leaf) == want
+        with mock.patch.multiple(rsf, _SWEEP_BLOCK=7, _SPLIT_BLOCK=5):
+            assert _best_split(X, t, e, np.arange(X.shape[1]), min_leaf) == want
+
+    @settings(max_examples=40)
+    @given(large_nodes(), st.sampled_from(SWEEP_BLOCKS))
+    def test_sweep_variance_is_within_its_bound(self, node, sweep_block):
+        X, t, e, _ = node
+        at_risk, n_e, k_e, _ = loop_node_statistics(t, e)
+        m, g = t.size, n_e.size
+        orders = np.argsort(X.T, axis=1, kind="stable")
+        ranks = np.searchsorted(np.unique(t[e]), t, side="right")[orders]
+        with mock.patch.object(rsf, "_SWEEP_BLOCK", sweep_block):
+            var, err, slack = _variance_bounds(ranks, n_e, k_e)
+        for f, order in enumerate(orders):
+            # one contiguous row a position, summed as the exact path sums it
+            n_left = np.cumsum(at_risk[:, order], axis=1).T.copy()
+            exact = (k_e * n_left * (n_e - n_left)).sum(axis=1)
+            assert np.all(np.abs(var[f] - exact) <= err[f])
+            # the stated bound: _BOUND_SAFETY times the rounding count of
+            # the sweep and of the exact path, times A + S
+            a = (k_e * n_e * n_left).sum(axis=1)
+            s = (k_e * n_left ** 2).sum(axis=1)
+            count = (m + 2 * g + sweep_block + 8) * 2.0 ** -53
+            assert slack == rsf._BOUND_SAFETY * count
+            assert np.all(err[f] >= (1 - 1e-9) * slack * (a + s))
+
+    def test_bounds_leave_few_candidates_to_score(self):
+        # E / V stays near the rounding count, so the intervals of distinct
+        # scores do not overlap and about one candidate a feature survives
+        rng = np.random.default_rng(81)
+        survivors, widths = [], []
+        for m in (200, 400, 840, 1500):
+            t = rng.exponential(1.0, m).round(2)
+            e = rng.random(m) < 0.6
+            X = rng.standard_normal((m, 4))
+            _, n_e, k_e, resid, node_ranks = _node_statistics(t, e)
+            orders = np.argsort(X.T, axis=1, kind="stable")
+            ranks = node_ranks[orders]
+            var, err, _ = _variance_bounds(ranks, n_e, k_e)
+            lo, hi = _score_bounds(ranks, np.cumsum(resid[orders], axis=1), n_e, k_e)
+            cand = np.arange(14, m - 15)
+            for f in range(4):
+                widths.append(np.median(err[f, cand] / var[f, cand]))
+                survivors.append(_survivors(cand, lo[f, cand], hi[f, cand], 0.0).size)
+        assert max(widths) < 1e-9
+        assert np.median(survivors) == 1
+        assert max(survivors) <= 3
+
+    def test_survivors_reach_the_best_lower_bound_and_best_score(self):
+        cand = np.array([3, 4, 5, 6])
+        lo = np.array([1.0, 2.0, 1.5, 0.0])
+        hi = np.array([2.0, 3.0, 1.9, 2.5])
+        # an interval that just reaches the best lower bound may hold the max
+        assert _survivors(cand, lo, hi, 0.0).tolist() == [3, 4, 6]
+        assert _survivors(cand, lo, hi, 2.5).tolist() == [4, 6]
+        # one that cannot beat the best score so far is never scored
+        assert _survivors(cand, lo, hi, 2.6).tolist() == [4]
+        assert _survivors(cand, lo, hi, 3.5).tolist() == []
+
+    def test_features_that_cannot_win_are_not_scored(self):
+        # the first feature orders the times, so no split of the noise
+        # feature can reach its score, and only the first is scored exactly
+        rng = np.random.default_rng(82)
+        m = 600
+        t = np.sort(rng.exponential(1.0, m))
+        e = rng.random(m) < 0.7
+        X = np.column_stack([np.arange(m, dtype=float), rng.standard_normal(m)])
+        with mock.patch.object(rsf, "_sparse_split_scores",
+                               wraps=rsf._sparse_split_scores) as scored:
+            split = _best_split(X, t, e, np.array([0, 1]), 15)
+        assert split == dense_best_split(X, t, e, np.array([0, 1]), 15)
+        assert split[0] == 0
+        assert scored.call_count == 1
 
     def test_temporary_memory_is_linear_in_node_size(self):
         # the at-risk counts of 3000 sorted subjects at their 875 event times
@@ -405,6 +542,7 @@ class TestFitForest:
     @pytest.mark.parametrize("n_trees", [1, 2, 5])
     def test_pool_grows_the_serial_forest(self, monkeypatch, cpus, n_trees):
         monkeypatch.setattr(rsf, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(rsf, "_POOL_MIN_WORK", 0)
         monkeypatch.setattr(rsf, "_grow_trees", grow_trees_tagged)
         rng = np.random.default_rng(73)
         X, labels = surv_data(rng, 90, 4, (1.5, -1.0, 0.0, 0.5))
@@ -420,6 +558,19 @@ class TestFitForest:
         assert grown_by[0] == os.getpid()
         assert len(set(grown_by)) == workers
         assert grown_by == [grown_by[i % workers] for i in range(n_trees)]
+
+    @pytest.mark.parametrize("n_trees", [2, 27])
+    def test_small_forest_grows_in_this_process(self, monkeypatch, n_trees):
+        # 90 subjects x 27 trees is the least work that still starts the pool
+        monkeypatch.setattr(rsf, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(rsf, "_grow_trees", grow_trees_tagged)
+        monkeypatch.setattr(rsf, "_POOL_MIN_WORK", 90 * 27)
+        X, labels = surv_data(np.random.default_rng(74), 90, 3, (1.0, -1.0, 0.0))
+        opts = RsfOptions(n_trees=n_trees, min_leaf_size=10, seed=9)
+        model = fit_forest(X, labels, opts)
+        assert_same_trees(model.trees, serial_fit_forest(X, labels, opts)[1])
+        in_process = {tree.grown_by for tree in model.trees} == {os.getpid()}
+        assert in_process == (n_trees == 2)
 
     def test_mtry_defaults_to_sqrt_features(self):
         rng = np.random.default_rng(63)
