@@ -221,17 +221,10 @@ def _parse_float(token: str) -> float | None:
 
 
 def _parse_measure(token: str, row_index: int, column: str) -> float | None:
-    """``_parse_float`` that rejects a NaN or infinite value; written out,
-    not wrapped, as it runs six times per clinical row."""
-    token = token.strip()
-    if not token:
-        return None
-    try:
-        value = float(token)
-    except ValueError:
-        return None
-    if not isfinite(value):
-        raise MalformedRowError(row_index, f"{column} must be a finite number, got {token!r}")
+    """``_parse_float`` that rejects a NaN or infinite value."""
+    value = _parse_float(token)
+    if value is not None and not isfinite(value):
+        raise MalformedRowError(row_index, f"{column} must be a finite number, got {token.strip()!r}")
     return value
 
 

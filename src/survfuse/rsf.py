@@ -37,17 +37,17 @@ subject's grid rank r (it is at risk at grid[g] exactly when g < r) gives.
 
 The exact score, which decides every split, forms the exact integer
 n_left rows and sums each contiguous row pairwise, always with the same
-float operations. Below ``_BOUND_MIN`` (150) subjects a node scores every
-position of its features at once from cumulative counts; a feature with
-few candidates (``_FEW_CANDIDATES``, as a binary one has) is scored at its
-candidates alone from a rank histogram, which costs O(node + candidates x
-G). From ``_BOUND_MIN`` subjects up, every candidate of the other features
-is bounded first, all features in one sweep of O(m (G / B + B)) for B =
-``_SWEEP_BLOCK``: V(c) = sum_{i<=c} KN[r_i] - sum_{i,j<=c} K[min(r_i,
-r_j)] = A(c) - S(c), with K and KN the prefix sums of k and k n over the
-event times (LeBlanc and Crowley's updating sweep). Every term of A and S
-is non-negative, so the computed V(c) lies within gamma (A + S) of the
-exact-path variance, gamma being ``_BOUND_SAFETY`` (4) times (m + 2G + B +
+float operations. A feature with at most ``_FEW_CANDIDATES`` (1)
+candidate, as a binary one has, is scored at its candidates alone from a
+rank histogram, which costs O(node + candidates x G). Below ``_BOUND_MIN``
+(150) subjects a node scores every position of its other features at once
+from cumulative counts. From ``_BOUND_MIN`` subjects up, every candidate of
+the other features is bounded first, all features in one sweep of O(m (G /
+B + B)) for B = ``_SWEEP_BLOCK``: V(c) = sum_{i<=c} KN[r_i] - sum_{i,j<=c}
+K[min(r_i, r_j)] = A(c) - S(c), with K and KN the prefix sums of k and k n
+over the event times (LeBlanc and Crowley's updating sweep). Every term of
+A and S is non-negative, so the computed V(c) lies within gamma (A + S) of
+the exact-path variance, gamma being ``_BOUND_SAFETY`` (4) times (m + 2G + B +
 8) units of 2^-53, a count of the roundings on the way into either; the
 interval of each score is widened by gamma more for the exact path's sqrt
 and divide, and is [0, inf] where V may be zero. Only a candidate whose
@@ -81,7 +81,8 @@ _SWEEP_BLOCK = 48
 # smallest node whose candidates are bounded before any is scored exactly
 _BOUND_MIN = 150
 # features with at most this many candidate splits are scored exactly
-_FEW_CANDIDATES = 8
+# without the dense scores or the bounds
+_FEW_CANDIDATES = 1
 # multiple of the rounding-error count that the variance bound widens by
 _BOUND_SAFETY = 4.0
 # subjects x trees below which a forest is grown without the process pool
@@ -279,15 +280,16 @@ def _best_split(X_node, t_node, e_node, candidates, min_leaf):
     _, n_e, k_e, resid, node_ranks = _node_statistics(t_node, e_node)
     values = X_node[:, candidates].T
     orders = np.argsort(values, axis=1, kind="stable")
-    vs = np.sort(values, axis=1, kind="stable")
+    vs = np.take_along_axis(values, orders, axis=1)
     ranks = node_ranks[orders]
     prefix_resid = np.cumsum(resid[orders], axis=1)
     positions = np.arange(lo, hi + 1)
     admissible = vs[:, lo:hi + 1] < vs[:, lo + 1:hi + 2]
-    # A feature with at most _FEW_CANDIDATES candidates has each scored from
-    # a histogram. The others are taken together: in a node of fewer than
-    # _BOUND_MIN subjects every position is scored; in a larger node every
-    # candidate's score is bounded, and only those that can win are scored.
+    # A feature with at most _FEW_CANDIDATES candidates, as a binary one
+    # has, has each scored from a histogram. The others are taken together:
+    # in a node of fewer than _BOUND_MIN subjects every position is scored;
+    # in a larger node every candidate's score is bounded, and only those
+    # that can win are scored.
     few = admissible.sum(axis=1) <= _FEW_CANDIDATES
     if not few.all():
         row = np.cumsum(~few) - 1
