@@ -1,13 +1,21 @@
 """Model persistence.
 
-Every fitted model serializes to a single JSON document with a fixed
-schema version, the model kind, and reproducibility metadata (the config
-seed and a sha256 fingerprint of the input data). Fusion artifacts embed
-their component models and the imputation constants so a saved model is
+Every fitted model serializes to a single JSON document with a schema
+version, the model kind, and reproducibility metadata (the config seed and
+a sha256 fingerprint of the input data). Fusion artifacts embed their
+component models and the imputation constants so a saved model is
 sufficient to score raw CSV exports on its own. Floats survive the round
 trip bit for bit: ``json`` emits the shortest repr that parses back to
 the identical double. Non-finite thresholds (leaf markers) are stored as
 null.
+
+Artifacts are written at schema version 2: a forest's leaves store only
+their ensemble mortality, and the document is one line of compact JSON
+with sorted keys (``json.dumps`` without ``indent`` runs CPython's C
+encoder), which ``python -m json.tool`` lays out for reading. Version 1
+artifacts, whose leaves also hold their ``leaf_times`` and ``leaf_chf``
+curves and which were indented, still load and score the same: the
+decoder does not read those two keys.
 """
 
 from __future__ import annotations
@@ -26,7 +34,9 @@ from .errors import IoError, SchemaMismatchError, UnknownModelKindError
 from .fusion import FusionModel
 from .rsf import ForestModel, RsfOptions, SurvivalTree
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
+# versions load_model reads; v1 differs only in two forest keys it ignores
+_READABLE_VERSIONS = (1, 2)
 
 MODEL_KINDS = (
     "deep_clinical",
@@ -103,8 +113,6 @@ def _enc_tree(t: SurvivalTree) -> dict:
         "left": t.left.tolist(),
         "right": t.right.tolist(),
         "leaf_slot": t.leaf_slot.tolist(),
-        "leaf_times": [g.tolist() for g in t.leaf_times],
-        "leaf_chf": [h.tolist() for h in t.leaf_chf],
         "leaf_mortality": _enc_floats(t.leaf_mortality),
     }
 
@@ -116,8 +124,6 @@ def _dec_tree(doc: dict) -> SurvivalTree:
         left=np.asarray(doc["left"], dtype=np.int64),
         right=np.asarray(doc["right"], dtype=np.int64),
         leaf_slot=np.asarray(doc["leaf_slot"], dtype=np.int64),
-        leaf_times=[np.asarray(g, dtype=float) for g in doc["leaf_times"]],
-        leaf_chf=[np.asarray(h, dtype=float) for h in doc["leaf_chf"]],
         leaf_mortality=np.asarray(doc["leaf_mortality"], dtype=float),
     )
 
@@ -266,10 +272,10 @@ def save_model(path, kind: str, model, *, imputation: ImputationStats | None = N
         "imputation": None if imputation is None else _enc_imputation(imputation),
         "model": body,
     }
+    text = json.dumps(doc, sort_keys=True) + "\n"
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(text)
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
@@ -285,9 +291,11 @@ def load_model(path) -> ModelArtifact:
         raise SchemaMismatchError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "schema_version" not in doc:
         raise SchemaMismatchError(f"{path} lacks a schema_version field")
-    if doc["schema_version"] != SCHEMA_VERSION:
+    version = doc["schema_version"]
+    if type(version) is not int or version not in _READABLE_VERSIONS:
         raise SchemaMismatchError(
-            f"unsupported schema_version {doc['schema_version']!r} (expected {SCHEMA_VERSION})"
+            f"unsupported schema_version {version!r}"
+            f" (supported: {', '.join(map(str, _READABLE_VERSIONS))})"
         )
     missing = [k for k in ("kind", "model", "metadata") if k not in doc]
     if missing:

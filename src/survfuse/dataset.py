@@ -608,9 +608,14 @@ class EventTable:
         self.times = times[self.order]
         self.events = np.asarray(events, dtype=bool)[self.order]
         self.death_pos = np.flatnonzero(self.events)
-        self.event_times, self.death_start, self.deaths = np.unique(
-            self.times[self.death_pos], return_index=True, return_counts=True
-        )
+        # the death times are sorted already: each run of equal values is one
+        # event time, starting where the value changes
+        death_times = self.times[self.death_pos]
+        new = np.ones(death_times.size, dtype=bool)
+        np.not_equal(death_times[1:], death_times[:-1], out=new[1:])
+        self.death_start = np.flatnonzero(new)
+        self.event_times = death_times[self.death_start]
+        self.deaths = np.diff(self.death_start, append=death_times.size)
         self.risk_start = np.searchsorted(self.times, self.event_times, side="left")
         self.at_risk = self.times.size - self.risk_start
 

@@ -2,11 +2,12 @@
 
 Trees are grown on bootstrap resamples, splitting on the standardized
 absolute two-sample log-rank statistic evaluated exhaustively over midpoint
-thresholds of ``mtry`` randomly chosen features per node. Leaves store the
-Nelson-Aalen cumulative hazard of their in-bag subjects. A subject's
-ensemble mortality is the mean over trees of the leaf cumulative hazard
-summed across the training event-time grid, so higher values mean higher
-predicted risk on the training time scale.
+thresholds of ``mtry`` randomly chosen features per node. A subject's
+ensemble mortality is the mean over trees of its leaf's Nelson-Aalen
+cumulative hazard (of the leaf's in-bag subjects) summed across the
+training event-time grid, so higher values mean higher predicted risk on
+the training time scale. Each leaf keeps only that sum, its ensemble
+mortality term; the hazard curve is formed to compute it and dropped.
 
 Determinism: per-tree generators are spawned from the master seed before
 any tree is grown, node recursion is depth-first left-to-right, and fitting
@@ -115,8 +116,6 @@ class SurvivalTree:
     left: np.ndarray
     right: np.ndarray
     leaf_slot: np.ndarray
-    leaf_times: list[np.ndarray]      # distinct event times in the leaf
-    leaf_chf: list[np.ndarray]        # Nelson-Aalen values at leaf_times
     leaf_mortality: np.ndarray        # sum of the leaf CHF over the forest grid
 
 
@@ -329,7 +328,7 @@ def _chf_at(times: np.ndarray, values: np.ndarray, query: np.ndarray) -> np.ndar
 
 def _grow_tree(X, t, e, rng, mtry, min_leaf, forest_grid):
     feature, threshold, left, right, leaf_slot = [], [], [], [], []
-    leaf_times, leaf_chf, leaf_mort = [], [], []
+    leaf_mort = []
     n_features = X.shape[1]
 
     def make_leaf(idx):
@@ -338,12 +337,9 @@ def _grow_tree(X, t, e, rng, mtry, min_leaf, forest_grid):
         threshold.append(np.nan)
         left.append(-1)
         right.append(-1)
-        slot = len(leaf_times)
-        leaf_slot.append(slot)
+        leaf_slot.append(len(leaf_mort))
         table = EventTable(t[idx], e[idx])
         chf = np.cumsum(table.deaths / table.at_risk)  # Nelson-Aalen
-        leaf_times.append(table.event_times)
-        leaf_chf.append(chf)
         leaf_mort.append(float(_chf_at(table.event_times, chf, forest_grid).sum()))
         return node
 
@@ -373,8 +369,6 @@ def _grow_tree(X, t, e, rng, mtry, min_leaf, forest_grid):
         left=np.array(left, dtype=int),
         right=np.array(right, dtype=int),
         leaf_slot=np.array(leaf_slot, dtype=int),
-        leaf_times=leaf_times,
-        leaf_chf=leaf_chf,
         leaf_mortality=np.array(leaf_mort, dtype=float),
     )
 

@@ -27,12 +27,6 @@ def assert_same_trees(got, want):
             x, y = getattr(a, name), getattr(b, name)
             assert x.dtype == y.dtype
             assert np.array_equal(x, y, equal_nan=True), name
-        for name in ("leaf_times", "leaf_chf"):
-            xs, ys = getattr(a, name), getattr(b, name)
-            assert len(xs) == len(ys)
-            for x, y in zip(xs, ys):
-                assert x.dtype == y.dtype
-                assert np.array_equal(x, y), name
 
 
 def same_bits(a, b):

@@ -245,15 +245,47 @@ def random_fusion(rng, sources):
 
 
 def assert_scores_survive(kind, model, ds):
-    """Saved and loaded, the artifact scores ``ds`` exactly as the model did."""
+    """Saved and loaded, the artifact scores ``ds`` exactly as the model did,
+    and saved again it is the same bytes: one line of compact JSON."""
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / f"{kind}.json"
-        save_model(path, kind, model, imputation=ds.imputation, seed=3)
-        loaded = load_model(path)
+        first, second = Path(tmp) / "first.json", Path(tmp) / "second.json"
+        save_model(first, kind, model, imputation=ds.imputation, seed=3,
+                   data_fingerprint="ab" * 32)
+        loaded = load_model(first)
+        save_model(second, kind, loaded.model, imputation=loaded.imputation, **loaded.metadata)
+        data = first.read_bytes()
+        assert second.read_bytes() == data
+    assert data.endswith(b"}\n") and data.count(b"\n") == 1
+    assert data == (json.dumps(json.loads(data), sort_keys=True) + "\n").encode()
     assert loaded.kind == kind and loaded.imputation == ds.imputation
     want = cli._score_records(ModelArtifact(kind, model, ds.imputation, {}), ds)
     assert same_bits(cli._score_records(loaded, ds), want)
     return loaded.model
+
+
+def random_model(rng, kind, ds, hidden, scale, n_trees):
+    """A model of ``kind`` that scores ``ds``: random MLP weights and fusion
+    heads, forests fitted to ``ds`` with ``n_trees`` trees."""
+    d = ds.feature_dim
+    if kind in ("deep_clinical", "deep_imaging"):
+        tag, width = ("clin", 1 + len(BINARY_FIELDS)) if kind == "deep_clinical" else ("img", d)
+        return random_mlp(rng, width, hidden, tag, scale)
+    if kind in ("rsf_clinical", "rsf_imaging", "fusion_rsf"):
+        labels = list(ds.labels)
+        opts = RsfOptions(n_trees=n_trees, min_leaf_size=int(rng.integers(1, len(labels) // 2 + 1)),
+                          seed=int(rng.integers(2**16)))
+        X_img = np.array([r.imaging_features for r in ds.records])
+        with mock.patch.object(rsf, "_usable_cpus", return_value=1):
+            if kind != "fusion_rsf":
+                return fit_forest(clinical_matrix(ds) if kind == "rsf_clinical" else X_img,
+                                  labels, opts)
+            components = {"rsf_clin": fit_forest(clinical_matrix(ds), labels, opts),
+                          "rsf_img": fit_forest(X_img, labels, opts)}
+    else:
+        components = {"clin": random_mlp(rng, 1 + len(BINARY_FIELDS), hidden, "clin", scale),
+                      "img": random_mlp(rng, d, hidden, "img", scale)}
+    sources = (*components, "pesi") if kind == "fusion_pesi_fused" else tuple(components)
+    return FusionBundle(fusion=random_fusion(rng, sources), components=components)
 
 
 _HIDDEN = st.lists(st.integers(1, 6), max_size=2)
@@ -267,8 +299,7 @@ class TestScoreRoundTrips:
     def test_mlp_artifact_scores_survive_save_load(self, kind, n, d, hidden, scale, seed):
         rng = np.random.default_rng(seed)
         ds = scoring_cohort(rng, n, d)
-        tag, width = ("clin", 1 + len(BINARY_FIELDS)) if kind == "deep_clinical" else ("img", d)
-        model = random_mlp(rng, width, hidden, tag, scale)
+        model = random_model(rng, kind, ds, hidden, scale, 1)
         loaded = assert_scores_survive(kind, model, ds)
         assert (loaded.layer_dims, loaded.seed, loaded.modality_tag) == \
             (model.layer_dims, model.seed, model.modality_tag)
@@ -284,29 +315,77 @@ class TestScoreRoundTrips:
         # the Cox fusion head and every embedded component come back exactly
         rng = np.random.default_rng(seed)
         ds = scoring_cohort(rng, n, d)
-        if kind == "fusion_rsf":
-            labels = list(ds.labels)
-            assume(any(lab.event for lab in labels))
-            X_img = np.array([r.imaging_features for r in ds.records])
-            opts = RsfOptions(n_trees=n_trees, min_leaf_size=int(rng.integers(1, n // 2 + 1)),
-                              seed=seed)
-            with mock.patch.object(rsf, "_usable_cpus", return_value=1):
-                components = {"rsf_clin": fit_forest(clinical_matrix(ds), labels, opts),
-                              "rsf_img": fit_forest(X_img, labels, opts)}
-        else:
-            components = {"clin": random_mlp(rng, 1 + len(BINARY_FIELDS), hidden, "clin", scale),
-                          "img": random_mlp(rng, d, hidden, "img", scale)}
-        sources = (*components, "pesi") if kind == "fusion_pesi_fused" else tuple(components)
-        bundle = FusionBundle(fusion=random_fusion(rng, sources), components=components)
+        assume(kind != "fusion_rsf" or any(lab.event for lab in ds.labels))
+        bundle = random_model(rng, kind, ds, hidden, scale, n_trees)
         loaded = assert_scores_survive(kind, bundle, ds)
         fusion, want = loaded.fusion, bundle.fusion
-        assert fusion.sources == want.sources and list(loaded.components) == list(components)
+        assert fusion.sources == want.sources and list(loaded.components) == list(bundle.components)
         assert same_bits(fusion.means, want.means) and same_bits(fusion.stds, want.stds)
         for name in ("beta", "baseline_times", "baseline_cumhaz"):
             assert same_bits(getattr(fusion.cox, name), getattr(want.cox, name))
         for name in ("covariate_names", "log_likelihood", "converged", "n_iterations",
                      "tie_method"):
             assert getattr(fusion.cox, name) == getattr(want.cox, name)
+
+
+class TestResave:
+    @settings(max_examples=40)
+    @given(st.sampled_from(MODEL_KINDS), st.integers(4, 30), st.integers(1, 5), _HIDDEN,
+           _SCALES, st.integers(1, 3), st.integers(0, 2**16))
+    def test_save_load_save_gives_the_same_bytes(self, kind, n, d, hidden, scale, n_trees,
+                                                 seed):
+        rng = np.random.default_rng(seed)
+        ds = scoring_cohort(rng, n, d)
+        assume("rsf" not in kind or any(lab.event for lab in ds.labels))
+        assert_scores_survive(kind, random_model(rng, kind, ds, hidden, scale, n_trees), ds)
+
+
+# a schema-1 fusion_rsf artifact (3 trees per forest) written before the
+# forests dropped their leaf curves, fitted with `run --models rsf_fused` and
+# config {"rsf": {"n_trees": 3}} on `generate --n 60 --seed 1`, and the score
+# CSV that code wrote for that cohort
+V1_ARTIFACT = Path(__file__).parent / "data" / "fusion_rsf_v1.json"
+V1_SCORES = Path(__file__).parent / "data" / "fusion_rsf_v1_scores.csv"
+
+
+class TestSchemaVersions:
+    def test_v1_artifact_scores_as_it_did(self, tmp_path):
+        assert json.loads(V1_ARTIFACT.read_text())["schema_version"] == 1
+        cohort, out = tmp_path / "cohort", tmp_path / "scores.csv"
+        assert cli.main(["generate", "--n", "60", "--seed", "1", "--out", str(cohort)]) == 0
+        assert cli.main(["score", "--model", str(V1_ARTIFACT),
+                         "--clinical", str(cohort / "clinical.csv"),
+                         "--features", str(cohort / "features.csv"), "--out", str(out)]) == 0
+        assert out.read_bytes() == V1_SCORES.read_bytes()
+
+    def test_v1_resaves_as_v2_without_leaf_curves(self, tmp_path):
+        v1 = load_model(V1_ARTIFACT)
+        path = tmp_path / "v2.json"
+        save_model(path, v1.kind, v1.model, imputation=v1.imputation, **v1.metadata)
+        doc = json.loads(path.read_text())
+        assert doc["schema_version"] == SCHEMA_VERSION == 2
+        for entry in doc["model"]["components"].values():
+            for tree in entry["model"]["trees"]:
+                assert sorted(tree) == ["feature", "leaf_mortality", "leaf_slot", "left",
+                                        "right", "threshold"]
+        v2 = load_model(path)
+        assert (v2.kind, v2.imputation, v2.metadata) == (v1.kind, v1.imputation, v1.metadata)
+        for tag, forest in v1.model.components.items():
+            again = v2.model.components[tag]
+            assert same_bits(again.event_time_grid, forest.event_time_grid)
+            assert (again.n_features, again.options) == (forest.n_features, forest.options)
+            assert_same_trees(again.trees, forest.trees)
+        for name in ("means", "stds"):
+            assert same_bits(getattr(v2.model.fusion, name), getattr(v1.model.fusion, name))
+
+    @pytest.mark.parametrize("version", [0, 3, "2", True, None])
+    def test_unsupported_versions_are_rejected(self, tmp_path, version):
+        doc = json.loads(V1_ARTIFACT.read_text())
+        doc["schema_version"] = version
+        path = tmp_path / "odd.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaMismatchError, match=r"schema_version .*\(supported: 1, 2\)"):
+            load_model(path)
 
 
 class TestValidation:

@@ -825,3 +825,21 @@ class TestEventTable:
             assert_array_equal(rows[g], dead)  # so each death is in exactly one row
             assert sub_at_risk[g] == m[risk_set].sum()
             assert sub_deaths[g] == m[dead].sum()
+
+    @settings(max_examples=200)
+    @given(survival_arrays(max_n=40))
+    def test_run_lengths_match_unique_oracle(self, data):
+        # the table reads its event times as runs of the sorted death times;
+        # np.unique, which sorts them again, gives the same arrays
+        times, events = data
+        table = EventTable(times, events)
+        order = np.argsort(times, kind="stable")
+        event_times, death_start, deaths = np.unique(times[order][events[order]],
+                                                     return_index=True, return_counts=True)
+        risk_start = np.searchsorted(times[order], event_times, side="left")
+        want = dict(event_times=event_times, death_start=death_start, deaths=deaths,
+                    risk_start=risk_start, at_risk=times.size - risk_start)
+        for name, expected in want.items():
+            got = getattr(table, name)
+            assert got.dtype == expected.dtype, name
+            assert np.array_equal(got, expected), name
