@@ -259,47 +259,12 @@ def _needs(models, *kinds):
     return any(k in models for k in kinds)
 
 
-def run_study(ds: Dataset, config: StudyConfig | None = None) -> StudyReport:
-    report, _ = run_study_full(ds, config)
-    return report
-
-
-def run_study_full(ds: Dataset, config: StudyConfig | None = None):
-    """Returns ``(StudyReport, StudyArtifacts)``; see module docstring."""
-    cfg = config or StudyConfig()
+def _fit_models(cfg: StudyConfig, clin, img, labels, pesi_scores, arts: StudyArtifacts,
+                forests: rsf.PendingForests):
+    """Fit the panel on the training split, recording the fitted components
+    in ``arts``; returns the raw and probability-scale scores per model and
+    split. The forests, already started, are finished where they are needed."""
     models = tuple(cfg.models)
-
-    split = split_dataset(ds, cfg.seed, cfg.train_frac, cfg.val_frac)
-    ds = impute_missing(ds, split.train_ids)
-
-    id_rows = {r.patient_id: i for i, r in enumerate(ds.records)}
-    split_ids = {"train": set(split.train_ids), "val": set(split.val_ids),
-                 "test": set(split.test_ids)}
-    rows = {s: np.array([id_rows[i] for i in ds.patient_ids if i in split_ids[s]])
-            for s in SPLIT_NAMES}
-    labels_all = ds.labels
-    labels = {s: [labels_all[i] for i in rows[s]] for s in SPLIT_NAMES}
-    ids = {s: [ds.records[i].patient_id for i in rows[s]] for s in SPLIT_NAMES}
-
-    clin_all = clinical_matrix(ds)
-    clin = {s: clin_all[rows[s]] for s in SPLIT_NAMES}
-
-    needs_imaging = _needs(models, "deep_imaging", "deep_multimodal", "deep_pesi_fused", "rsf_fused")
-    img = None
-    if needs_imaging:
-        lacking = [r.patient_id for r in ds.records if r.imaging_features is None]
-        if lacking:
-            raise MissingModalityError(
-                f"{len(lacking)} patient(s) lack imaging features (e.g. {lacking[0]!r}) "
-                "but an imaging model was requested"
-            )
-        img_all = np.array([r.imaging_features for r in ds.records], dtype=float)
-        img = {s: img_all[rows[s]] for s in SPLIT_NAMES}
-
-    pesi_all = pesi.pesi_predictor(ds)
-    pesi_scores = {s: pesi_all[rows[s]] for s in SPLIT_NAMES}
-
-    arts = StudyArtifacts(dataset=ds, split=split)
     raw: dict[str, dict[str, np.ndarray]] = {}
     prob: dict[str, dict[str, np.ndarray]] = {}
 
@@ -313,7 +278,7 @@ def run_study_full(ds: Dataset, config: StudyConfig | None = None):
     deep_scores: dict[str, dict[str, np.ndarray]] = {}
     if needs_deep_clin:
         hp = cfg.deep_clinical
-        net = deep_survival.init_mlp(clin_all.shape[1], hp.hidden_dims,
+        net = deep_survival.init_mlp(clin["train"].shape[1], hp.hidden_dims,
                                      _derived_seed(cfg.seed, _STAGE["deep_clinical"]), "clin")
         net, _ = deep_survival.train(
             net, clin["train"], labels["train"], val=(clin["val"], labels["val"]),
@@ -368,12 +333,7 @@ def run_study_full(ds: Dataset, config: StudyConfig | None = None):
         }
         prob["deep_pesi_fused"] = {s: sigmoid(raw["deep_pesi_fused"][s]) for s in SPLIT_NAMES}
     if "rsf_fused" in models:
-        ropts = rsf.RsfOptions(n_trees=cfg.rsf.n_trees, mtry=cfg.rsf.mtry,
-                               min_leaf_size=cfg.rsf.min_leaf_size,
-                               seed=_derived_seed(cfg.seed, _STAGE["rsf_clin"]))
-        forest_clin = rsf.fit_forest(clin["train"], labels["train"], ropts)
-        ropts_img = dataclasses.replace(ropts, seed=_derived_seed(cfg.seed, _STAGE["rsf_img"]))
-        forest_img = rsf.fit_forest(img["train"], labels["train"], ropts_img)
+        forest_clin, forest_img = forests.finish()
         arts.rsf_clin, arts.rsf_img = forest_clin, forest_img
         rsf_scores = {
             "rsf_clin": {s: rsf.predict_risk(forest_clin, clin[s]) for s in SPLIT_NAMES},
@@ -389,6 +349,62 @@ def run_study_full(ds: Dataset, config: StudyConfig | None = None):
             for s in SPLIT_NAMES
         }
         prob["rsf_fused"] = {s: sigmoid(raw["rsf_fused"][s]) for s in SPLIT_NAMES}
+
+    return raw, prob
+
+
+def run_study(ds: Dataset, config: StudyConfig | None = None) -> StudyReport:
+    report, _ = run_study_full(ds, config)
+    return report
+
+
+def run_study_full(ds: Dataset, config: StudyConfig | None = None):
+    """Returns ``(StudyReport, StudyArtifacts)``; see module docstring."""
+    cfg = config or StudyConfig()
+    models = tuple(cfg.models)
+
+    split = split_dataset(ds, cfg.seed, cfg.train_frac, cfg.val_frac)
+    ds = impute_missing(ds, split.train_ids)
+
+    id_rows = {r.patient_id: i for i, r in enumerate(ds.records)}
+    split_ids = {"train": set(split.train_ids), "val": set(split.val_ids),
+                 "test": set(split.test_ids)}
+    rows = {s: np.array([id_rows[i] for i in ds.patient_ids if i in split_ids[s]])
+            for s in SPLIT_NAMES}
+    labels_all = ds.labels
+    labels = {s: [labels_all[i] for i in rows[s]] for s in SPLIT_NAMES}
+    ids = {s: [ds.records[i].patient_id for i in rows[s]] for s in SPLIT_NAMES}
+
+    clin_all = clinical_matrix(ds)
+    clin = {s: clin_all[rows[s]] for s in SPLIT_NAMES}
+
+    needs_imaging = _needs(models, "deep_imaging", "deep_multimodal", "deep_pesi_fused", "rsf_fused")
+    img = None
+    if needs_imaging:
+        lacking = [r.patient_id for r in ds.records if r.imaging_features is None]
+        if lacking:
+            raise MissingModalityError(
+                f"{len(lacking)} patient(s) lack imaging features (e.g. {lacking[0]!r}) "
+                "but an imaging model was requested"
+            )
+        img_all = np.array([r.imaging_features for r in ds.records], dtype=float)
+        img = {s: img_all[rows[s]] for s in SPLIT_NAMES}
+
+    pesi_all = pesi.pesi_predictor(ds)
+    pesi_scores = {s: pesi_all[rows[s]] for s in SPLIT_NAMES}
+
+    arts = StudyArtifacts(dataset=ds, split=split)
+    # the forests grow on the process pool while the networks train here
+    forest_fits = []
+    if "rsf_fused" in models:
+        ropts = rsf.RsfOptions(n_trees=cfg.rsf.n_trees, mtry=cfg.rsf.mtry,
+                               min_leaf_size=cfg.rsf.min_leaf_size,
+                               seed=_derived_seed(cfg.seed, _STAGE["rsf_clin"]))
+        ropts_img = dataclasses.replace(ropts, seed=_derived_seed(cfg.seed, _STAGE["rsf_img"]))
+        forest_fits = [(clin["train"], labels["train"], ropts),
+                       (img["train"], labels["train"], ropts_img)]
+    with rsf.start_forests(forest_fits) as forests:
+        raw, prob = _fit_models(cfg, clin, img, labels, pesi_scores, arts, forests)
 
     # --- evaluation ---------------------------------------------------------
     overall = {s: {} for s in SPLIT_NAMES}

@@ -142,7 +142,6 @@ _FINGERPRINT_KEYS = (
     "deep_imaging",
     "rsf",
     "fusion_ridge",
-    "truncate_30day",
 )
 
 
@@ -681,7 +680,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--features", help="imaging feature CSV path")
     p_run.add_argument("--models", help="comma-separated model kinds to evaluate")
     p_run.add_argument("--truncate-30d", action="store_true", dest="truncate_30d",
-                       help="confirm 30-day truncated evaluation in the report")
+                       help="accepted and ignored: the report always has the 30-day table")
     p_run.set_defaults(func=cmd_run)
 
     p_score = sub.add_parser("score", help="score patients with a saved model")

@@ -10,6 +10,25 @@ descent with weight decay on the weight matrices.
 Score scale note: the sigmoid is a strictly increasing map, so ranking
 metrics (c-index) are identical whether computed on the squashed score or
 the pre-sigmoid logit.
+
+Subject blocks: every matrix product over the subjects is formed
+``_SUBJECT_BLOCK`` (240) subjects at a time, by ``_by_subjects``, so that
+it rounds the same whatever number of threads BLAS runs. A forward product
+stacks the products of its row blocks; a weight gradient sums over the
+subjects, and is the sum of its block products added in block order. Up to
+``_SUBJECT_BLOCK`` + 1 subjects a product is one call, as before the
+blocks, and no block is of one subject (BLAS would take its matrix-vector
+route, which rounds differently). With OpenBLAS 0.3.31 on a 2-CPU x86-64
+machine, a weight gradient over 500 or more subjects in one product came
+out differently with ``OPENBLAS_NUM_THREADS=1`` than with two threads, so
+trained weights, scores and reports depended on the thread count; in
+240-subject blocks no product with both widths up to 64 did, over 1500
+random shapes, while wider layers still can. At the study's default
+widths the stacked forward is the same floats as the one product, so saved
+networks score as before; at some other widths OpenBLAS rounds a block of
+rows differently from the whole matrix. The blocks also keep the products
+off BLAS's thread pool, which was slow on a 2-CPU machine with the forest
+pool's worker busy.
 """
 
 from __future__ import annotations
@@ -30,6 +49,9 @@ from .errors import (
     NonFiniteInputError,
 )
 from .metrics import sigmoid
+
+# subjects per block of the matrix products
+_SUBJECT_BLOCK = 240
 
 
 @dataclass
@@ -72,17 +94,46 @@ def init_mlp(input_dim: int, hidden_dims: tuple[int, ...], seed: int,
                         seed=seed, modality_tag=modality_tag)
 
 
+def _subject_blocks(n: int) -> list[tuple[int, int]]:
+    """Bounds of the blocks of ``_SUBJECT_BLOCK`` subjects, the last block
+    taking one more subject rather than leaving a block of one: a one-row
+    product goes through BLAS's matrix-vector routine, which rounds
+    differently from the matrix product of the whole."""
+    bounds = list(range(0, n, _SUBJECT_BLOCK)) + [n]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def _by_subjects(a: np.ndarray, b: np.ndarray, reduce: bool = False) -> np.ndarray:
+    """``a @ b`` taken a block of subjects at a time (see the module
+    docstring). Subjects are the rows of ``a``, and the block products are
+    stacked; or, with ``reduce``, the columns of ``a`` and rows of ``b``,
+    and the block products are added in block order. Up to
+    ``_SUBJECT_BLOCK`` + 1 subjects it is the one product ``a @ b``."""
+    blocks = _subject_blocks(b.shape[0] if reduce else a.shape[0])
+    if len(blocks) == 1:
+        return a @ b
+    if reduce:
+        lo, hi = blocks[0]
+        out = a[:, lo:hi] @ b[lo:hi]
+        for lo, hi in blocks[1:]:
+            out += a[:, lo:hi] @ b[lo:hi]
+        return out
+    return np.concatenate([a[lo:hi] @ b for lo, hi in blocks])
+
+
 def _forward_pass(model: MlpSurvModel, X: np.ndarray):
     """Returns (hidden activations per layer incl. input, preactivations, logits)."""
     hs = [X]
     pre = []
     h = X
     for W, b in zip(model.weights[:-1], model.biases[:-1]):
-        a = h @ W + b
+        a = _by_subjects(h, W) + b
         pre.append(a)
         h = np.maximum(a, 0.0)
         hs.append(h)
-    z = (h @ model.weights[-1] + model.biases[-1]).ravel()
+    z = (_by_subjects(h, model.weights[-1]) + model.biases[-1]).ravel()
     return hs, pre, z
 
 
@@ -150,15 +201,15 @@ def _loss_and_gradients(model, X, table: EventTable, weight_decay, tie_method):
     bias_grads = [None] * len(model.biases)
 
     delta = dz[:, None]
-    weight_grads[-1] = hs[-1].T @ delta
+    weight_grads[-1] = _by_subjects(hs[-1].T, delta, reduce=True)
     bias_grads[-1] = delta.sum(axis=0)
-    dh = delta @ model.weights[-1].T
+    dh = _by_subjects(delta, model.weights[-1].T)
     for k in range(len(model.weights) - 2, -1, -1):
         da = dh * (pre[k] > 0.0)
-        weight_grads[k] = hs[k].T @ da
+        weight_grads[k] = _by_subjects(hs[k].T, da, reduce=True)
         bias_grads[k] = da.sum(axis=0)
         if k > 0:
-            dh = da @ model.weights[k].T
+            dh = _by_subjects(da, model.weights[k].T)
     if weight_decay > 0:
         for k, W in enumerate(model.weights):
             weight_grads[k] = weight_grads[k] + weight_decay * W

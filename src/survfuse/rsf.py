@@ -15,16 +15,23 @@ canonicalizes the sample order by a stable (time, event) sort so a
 permutation of the input records cannot change the forest (up to exact
 (time, event) ties between records with different features).
 
-Trees are grown on up to one process per CPU the process may run on: this
-process and forked workers each grow an interleaved share of the per-tree
-streams, and the trees are put back in stream order, so the forest is the
-same bit for bit for any worker count. Where there is one CPU or one tree,
-where subjects x trees is below ``_POOL_MIN_WORK`` (2500: on a 2-CPU
-machine starting the workers took about 20 ms, as long as growing that
-much forest in this process), or where the platform cannot fork or report
-the usable CPUs, every tree is grown in this process. Forking copies only
-the calling thread, so ``fit_forest`` should not be called while other
-threads of the process hold locks.
+Forests are grown in two steps, so that the caller can work while they
+grow: ``start_forests`` checks a batch of forests and hands their trees out
+in chunks of about ``_CHUNK_WORK`` (1500) subjects x trees to one forked
+worker per usable CPU but one; ``finish`` then grows in this process every
+chunk no worker has claimed yet (the workers and this process take chunks
+from one shared counter), collects the workers' chunks and puts the trees
+back in stream order, so every forest is the same bit for bit whichever
+process grew which chunk. The workers inherit the canonical samples at the
+fork instead of being sent them, and each sends its trees once no chunk is
+left to claim. ``fit_forest`` is one forest started and finished at once.
+Where there is one CPU, where the batch's subjects x trees is below
+``_POOL_MIN_WORK`` (2500: on a 2-CPU machine starting a worker took about
+20 ms, as long as growing that much forest in this process), or where the
+platform cannot fork or report the usable CPUs, no worker is started and
+``finish`` grows every tree in this process. Forking copies only the
+calling thread, so forests should not be started while other threads of
+the process hold locks.
 
 Node event counts and leaf hazards are read from the node's
 ``dataset.EventTable``. The split score is ``sqrt`` of
@@ -62,6 +69,7 @@ O(_SPLIT_BLOCK x G) at a time, the sweep O(features x (m + G + B^2)).
 from __future__ import annotations
 
 import os
+import traceback
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,8 +94,11 @@ _BOUND_MIN = 150
 _FEW_CANDIDATES = 1
 # multiple of the rounding-error count that the variance bound widens by
 _BOUND_SAFETY = 4.0
-# subjects x trees below which a forest is grown without the process pool
+# subjects x trees below which a batch of forests is grown without the
+# process pool
 _POOL_MIN_WORK = 2500
+# subjects x trees per chunk of trees that the pool hands out
+_CHUNK_WORK = 1500
 
 
 @dataclass(frozen=True)
@@ -393,29 +404,21 @@ def _grow_trees(Xc, tc, ec, grid, streams, mtry, min_leaf):
     return trees
 
 
-def _grow_shares(shares):
-    """``_grow_trees`` of each share: the first in this process and the others
-    in forked worker processes, or all in this process where fork is missing."""
-    if len(shares) > 1:
-        # imported here, so that scoring, which fits no forest, skips the
-        # ~25 ms of imports
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
+@dataclass(frozen=True, eq=False)
+class _Sample:
+    """One forest to grow: its canonical sample, event-time grid and
+    per-tree seed streams."""
 
-        if "fork" in multiprocessing.get_all_start_methods():
-            # fork, asked for by name, so no default start method (which
-            # Python 3.14 changes) is relied on: a forked worker starts in
-            # ~10 ms, while a spawned one imports numpy and this package
-            # again, ~0.4 s, as long as a 10-tree forest on 840 subjects takes
-            context = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(len(shares) - 1, mp_context=context) as pool:
-                pending = [pool.submit(_grow_trees, *share) for share in shares[1:]]
-                return [_grow_trees(*shares[0])] + [job.result() for job in pending]
-    return [_grow_trees(*share) for share in shares]
+    X: np.ndarray
+    t: np.ndarray
+    e: np.ndarray
+    grid: np.ndarray
+    streams: list
+    mtry: int
+    options: RsfOptions
 
 
-def fit_forest(X: np.ndarray, labels: list[SurvivalLabel],
-               options: RsfOptions | None = None) -> ForestModel:
+def _canonical_sample(X, labels, options) -> _Sample:
     opts = options or RsfOptions()
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] != len(labels):
@@ -434,19 +437,157 @@ def fit_forest(X: np.ndarray, labels: list[SurvivalLabel],
     # canonical sample order: stable sort by (time, event) so fitting is
     # independent of the caller's record order
     order = np.lexsort((events, times))
-    Xc, tc, ec = X[order], times[order], events[order]
+    tc, ec = times[order], events[order]
+    return _Sample(X=X[order], t=tc, e=ec, grid=np.unique(tc[ec]),
+                   streams=np.random.SeedSequence(opts.seed).spawn(opts.n_trees),
+                   mtry=opts.mtry if opts.mtry is not None else int(np.ceil(np.sqrt(p))),
+                   options=opts)
 
-    grid = np.unique(tc[ec])
-    mtry = opts.mtry if opts.mtry is not None else int(np.ceil(np.sqrt(p)))
-    streams = np.random.SeedSequence(opts.seed).spawn(opts.n_trees)
-    # a forest of less work than _POOL_MIN_WORK grows faster here than the
+
+def _grow_chunk(samples, chunk):
+    """The trees of one chunk ``(forest, first tree, end tree)``."""
+    f, lo, hi = chunk
+    s = samples[f]
+    return _grow_trees(s.X, s.t, s.e, s.grid, s.streams[lo:hi], s.mtry, s.options.min_leaf_size)
+
+
+def _take_ticket(ticket) -> int:
+    """Index of the next chunk from the counter this process and the
+    workers share; an index past the last chunk means none is left."""
+    with ticket.get_lock():
+        k = ticket.value
+        ticket.value = k + 1
+    return k
+
+
+def _pool_worker(samples, chunks, ticket, conn):
+    """Grow chunks until none is left unclaimed, then send them all at once:
+    the worker never waits on the pipe while there is work to claim."""
+    grown = {}
+    try:
+        while (k := _take_ticket(ticket)) < len(chunks):
+            grown[k] = _grow_chunk(samples, chunks[k])
+    except Exception as exc:
+        # the caller raises it, with this traceback as its cause
+        grown = (exc, traceback.format_exc())
+    conn.send(grown)
+    conn.close()
+
+
+class PendingForests:
+    """Forests whose trees are being grown, made by ``start_forests``.
+
+    ``finish`` returns the fitted forests; use the object as a context
+    manager, so that an exception before ``finish`` stops the workers."""
+
+    def __init__(self, samples: list[_Sample], workers: int):
+        self._samples = samples
+        self._chunks = []
+        for f, s in enumerate(samples):
+            # about _CHUNK_WORK subjects x trees per chunk
+            step = max(1, round(_CHUNK_WORK / s.t.size))
+            n_trees = s.options.n_trees
+            self._chunks += [(f, lo, min(lo + step, n_trees)) for lo in range(0, n_trees, step)]
+        self._next = 0
+        self._ticket = None
+        self._workers = []
+        workers = min(workers, len(self._chunks))
+        if workers > 0:
+            self._start_workers(workers)
+
+    def _start_workers(self, workers: int) -> None:
+        # imported here, so that scoring, which fits no forest, skips the
+        # imports
+        import multiprocessing
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            return
+        # fork, asked for by name, so no default start method (which Python
+        # 3.14 changes) is relied on: a forked worker starts in ~10 ms and
+        # inherits the samples and chunks, where a spawned one would import
+        # numpy and this package again (~0.4 s) and be sent the samples
+        context = multiprocessing.get_context("fork")
+        self._ticket = context.Value("q", 0)
+        for _ in range(workers):
+            reader, writer = context.Pipe(duplex=False)
+            process = context.Process(target=_pool_worker, daemon=True,
+                                      args=(self._samples, self._chunks, self._ticket, writer))
+            process.start()
+            # with this copy closed, the pipe ends when the worker exits, and
+            # the workers forked later do not inherit it
+            writer.close()
+            self._workers.append((process, reader))
+
+    def _claim(self) -> int:
+        if self._ticket is None:
+            k, self._next = self._next, self._next + 1
+            return k
+        return _take_ticket(self._ticket)
+
+    def finish(self) -> list[ForestModel]:
+        """Grow in this process every chunk no worker has claimed, then
+        take the workers' chunks, and put the trees in stream order."""
+        grown = [None] * len(self._chunks)
+        while (k := self._claim()) < len(self._chunks):
+            grown[k] = _grow_chunk(self._samples, self._chunks[k])
+        for process, reader in self._workers:
+            try:
+                trees = reader.recv()
+            except EOFError:  # the worker ended without sending
+                trees = None
+            process.join()
+            if trees is None:
+                raise RuntimeError(f"a forest worker exited with code {process.exitcode}")
+            if isinstance(trees, tuple):
+                exc, worker_traceback = trees
+                raise exc from RuntimeError(f"in a forest worker:\n{worker_traceback}")
+            for k, chunk_trees in trees.items():
+                grown[k] = chunk_trees
+        self.close()
+        forests = [[] for _ in self._samples]
+        for (f, _, _), trees in zip(self._chunks, grown):
+            forests[f] += trees
+        return [ForestModel(trees=trees, event_time_grid=s.grid, n_features=s.X.shape[1],
+                            options=s.options)
+                for s, trees in zip(self._samples, forests)]
+
+    def close(self) -> None:
+        """Stop and reap the workers; the forests can no longer be finished."""
+        for process, reader in self._workers:
+            if process.is_alive():
+                process.terminate()
+            process.join()
+            reader.close()
+        self._workers = []
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+        return False
+
+
+def start_forests(fits) -> PendingForests:
+    """Start growing one forest per ``(X, labels, options)`` in ``fits``.
+
+    The trees go out in chunks to ``_usable_cpus() - 1`` forked workers,
+    while this process goes on; ``finish`` on the result grows in this
+    process every chunk no worker has claimed yet and collects the rest.
+    The inputs are checked here, before any tree is grown."""
+    samples = [_canonical_sample(X, labels, options) for X, labels, options in fits]
+    work = sum(s.t.size * s.options.n_trees for s in samples)
+    # a batch of less work than _POOL_MIN_WORK grows faster here than the
     # pool's workers start
-    workers = min(_usable_cpus(), opts.n_trees) if n * opts.n_trees >= _POOL_MIN_WORK else 1
-    # share k holds trees k, k + workers, ...
-    grown = _grow_shares([(Xc, tc, ec, grid, streams[k::workers], mtry, opts.min_leaf_size)
-                          for k in range(workers)])
-    trees = [grown[i % workers][i // workers] for i in range(opts.n_trees)]
-    return ForestModel(trees=trees, event_time_grid=grid, n_features=p, options=opts)
+    workers = _usable_cpus() - 1 if work >= _POOL_MIN_WORK else 0
+    return PendingForests(samples, workers)
+
+
+def fit_forest(X: np.ndarray, labels: list[SurvivalLabel],
+               options: RsfOptions | None = None) -> ForestModel:
+    """One forest, started and finished at once."""
+    with start_forests([(X, labels, options)]) as pending:
+        return pending.finish()[0]
 
 
 def _route(tree: SurvivalTree, X: np.ndarray) -> np.ndarray:

@@ -1,9 +1,17 @@
 import csv
 import json
+import multiprocessing
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import survfuse
+from survfuse import deep_survival, rsf
 from survfuse.cli import (
     build_parser,
     cmd_score,
@@ -114,7 +122,8 @@ class TestConfigFingerprint:
         base = config_fingerprint(effective_config({}))
         assert config_fingerprint(effective_config({"nri_threshold": 0.6})) != base
         assert config_fingerprint(effective_config({"rsf": {"n_trees": 7}})) != base
-        assert config_fingerprint(effective_config({"truncate_30day": True})) != base
+        # --truncate-30d changes no result, so it does not enter the fingerprint
+        assert config_fingerprint(effective_config({"truncate_30day": True})) == base
 
 
 class TestGenerate:
@@ -263,6 +272,74 @@ class TestRun:
         assert code == 0
         doc = json.loads((out / "report.json").read_text())
         assert "short_term" in doc
+        without = tmp_path / "plain"
+        assert main(["run", "--config", write_config(tmp_path),
+                     "--clinical", str(cohort / "clinical.csv"),
+                     "--features", str(cohort / "features.csv"),
+                     "--models", "pesi", "--seed", "11", "--out", str(without)]) == 0
+        assert (out / "report.json").read_bytes() == (without / "report.json").read_bytes()
+
+    def test_diverged_network_stops_the_pending_forests(self, cohort, tmp_path, monkeypatch,
+                                                        caplog):
+        # the forests start on the pool before the networks train; the
+        # clinical network's weights overflow (see test_diverged_loss_raises)
+        monkeypatch.setattr(rsf, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(rsf, "_POOL_MIN_WORK", 0)
+        started = []
+        start_forests = rsf.start_forests
+
+        def spy(fits):
+            pending = start_forests(fits)
+            started.append(len(multiprocessing.active_children()))
+            return pending
+
+        monkeypatch.setattr(rsf, "start_forests", spy)
+        cfg = write_config(tmp_path, {"deep_clinical": {"hidden_dims": [4], "epochs": 50,
+                                                        "learning_rate": 1e12,
+                                                        "weight_decay": 1.0}})
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["run", "--config", cfg,
+                         "--clinical", str(cohort / "clinical.csv"),
+                         "--features", str(cohort / "features.csv"),
+                         "--seed", "11", "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "[study] parameters overflowed during training" in caplog.text \
+            or "[study] training loss became" in caplog.text
+        assert started == [1]
+        assert not multiprocessing.active_children()
+
+
+def test_outputs_do_not_depend_on_blas_threads(tmp_path):
+    """``run`` writes the same bytes with one OpenBLAS thread as with its
+    default thread count. The training split of 560 subjects is larger than
+    ``_SUBJECT_BLOCK``: a weight gradient over all of them in one product
+    rounded differently with one thread than with two. On a one-CPU machine
+    both runs use one thread and this shows nothing."""
+    assert 560 > deep_survival._SUBJECT_BLOCK + 1
+    cohort = tmp_path / "cohort"
+    assert main(["generate", "--out", str(cohort), "--n", "800", "--seed", "3"]) == 0
+    cfg = tmp_path / "config.json"
+    hyper = {"epochs": 30, "patience": 30}
+    cfg.write_text(json.dumps({"bootstrap_resamples": 100, "rsf": {"n_trees": 4},
+                               "deep_clinical": hyper, "deep_imaging": hyper}))
+    src = str(Path(survfuse.__file__).resolve().parents[1])
+    outs = []
+    for threads in ("1", None):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        out = tmp_path / f"threads_{threads or 'default'}"
+        subprocess.run([sys.executable, "-m", "survfuse.cli", "run",
+                        "--clinical", str(cohort / "clinical.csv"),
+                        "--features", str(cohort / "features.csv"),
+                        "--config", str(cfg), "--out", str(out)],
+                       env=env, check=True, capture_output=True)
+        outs.append(out)
+    names = sorted(["report.json"] + [f"models/{p.name}" for p in (outs[0] / "models").iterdir()])
+    assert len(names) == 8
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
 class TestScore:

@@ -2,6 +2,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from survfuse import deep_survival
@@ -29,6 +31,8 @@ from survfuse.errors import (
     NoEventsError,
 )
 from survfuse.metrics import sigmoid
+
+from strategies import same_bits
 
 
 def labs(times, events):
@@ -357,3 +361,134 @@ class TestTrain:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DivergedLossError):
                 train(init_mlp(2, (4,), seed=13), X, labels, options=opts)
+
+
+def block_bounds(n, block):
+    """Blocks of ``block`` subjects, the last one longer by one subject
+    rather than a block of one."""
+    bounds = list(range(0, n, block)) + [n]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        bounds.pop(-2)
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def reference_loss_and_gradients(model, X, labels, weight_decay, block=None):
+    """The objective and gradients with every product over the subjects as
+    one call, as before the subject blocks; with ``block``, a loop over
+    blocks of that many subjects, stacking the row products and adding each
+    weight gradient's block products in block order."""
+    def rows(a, b):
+        if block is None:
+            return a @ b
+        return np.concatenate([a[lo:hi] @ b for lo, hi in block_bounds(a.shape[0], block)])
+
+    def over_subjects(a, b):
+        if block is None:
+            return a @ b
+        parts = [a[:, lo:hi] @ b[lo:hi] for lo, hi in block_bounds(b.shape[0], block)]
+        total = parts[0]
+        for part in parts[1:]:
+            total = total + part
+        return total
+
+    hs, pre, h = [X], [], X
+    for W, b in zip(model.weights[:-1], model.biases[:-1]):
+        a = rows(h, W) + b
+        pre.append(a)
+        h = np.maximum(a, 0.0)
+        hs.append(h)
+    z = (rows(h, model.weights[-1]) + model.biases[-1]).ravel()
+    s = sigmoid(z)
+    table = EventTable(*label_arrays(labels))
+    loss, dloss_ds = deep_survival._cox_loss_grad(s, table)
+    if weight_decay > 0:
+        loss += 0.5 * weight_decay * sum(float((W ** 2).sum()) for W in model.weights)
+    delta = (dloss_ds * s * (1.0 - s))[:, None]
+    wg = [None] * len(model.weights)
+    bg = [None] * len(model.biases)
+    wg[-1] = over_subjects(hs[-1].T, delta)
+    bg[-1] = delta.sum(axis=0)
+    dh = rows(delta, model.weights[-1].T)
+    for k in range(len(model.weights) - 2, -1, -1):
+        da = dh * (pre[k] > 0.0)
+        wg[k] = over_subjects(hs[k].T, da)
+        bg[k] = da.sum(axis=0)
+        if k > 0:
+            dh = rows(da, model.weights[k].T)
+    if weight_decay > 0:
+        wg = [g + weight_decay * W for g, W in zip(wg, model.weights)]
+    return z, loss, wg, bg
+
+
+@st.composite
+def networks(draw, min_n, max_n, shapes=None):
+    """A random network, inputs and labels with ``min_n`` to ``max_n``
+    subjects; ``shapes`` lists the (inputs, hidden widths) to draw from."""
+    n = draw(st.integers(min_n, max_n))
+    if shapes is None:
+        d = draw(st.integers(1, 40))
+        hidden = tuple(draw(st.lists(st.integers(1, 70), min_size=0, max_size=2)))
+    else:
+        d, hidden = draw(st.sampled_from(shapes))
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    model = init_mlp(d, hidden, seed=seed)
+    model.biases = [b + 0.1 * rng.standard_normal(b.shape) for b in model.biases]
+    X, labels = surv_data(rng, n, d, rng.standard_normal(d))
+    return model, X * draw(st.sampled_from([1e-3, 1.0, 30.0])), labels
+
+
+# the study's networks at the default config: 11 clinical inputs and 32
+# hidden units, 32 imaging features and 64 hidden units
+STUDY_SHAPES = ((11, (32,)), (32, (64,)))
+
+
+BLOCK = deep_survival._SUBJECT_BLOCK
+
+
+class TestSubjectBlocks:
+    @pytest.mark.parametrize("n,bounds", [
+        (1, [(0, 1)]), (240, [(0, 240)]), (241, [(0, 241)]), (242, [(0, 240), (240, 242)]),
+        (481, [(0, 240), (240, 481)]), (600, [(0, 240), (240, 480), (480, 600)]),
+    ])
+    def test_no_block_of_one_subject(self, n, bounds):
+        assert BLOCK == 240
+        assert deep_survival._subject_blocks(n) == bounds == block_bounds(n, BLOCK)
+
+    @settings(max_examples=60, deadline=None)
+    @given(networks(1, 3 * BLOCK + 2, STUDY_SHAPES) | networks(3990, 4010, STUDY_SHAPES))
+    def test_blocked_forward_is_the_one_product(self, net):
+        # scoring with an artifact the one-product forward trained gives the
+        # scores it gave then. Shown at the study's shapes only: at some
+        # other widths this OpenBLAS rounds a block of rows differently
+        # from the whole matrix (see CHANGES.md)
+        model, X, _ = net
+        hs, pre, z = deep_survival._forward_pass(model, X)
+        h = X
+        for k, (W, b) in enumerate(zip(model.weights[:-1], model.biases[:-1])):
+            a = h @ W + b
+            assert same_bits(pre[k], a)
+            h = np.maximum(a, 0.0)
+            assert same_bits(hs[k + 1], h)
+        assert same_bits(z, (h @ model.weights[-1] + model.biases[-1]).ravel())
+
+    @settings(max_examples=40, deadline=None)
+    @given(networks(2, BLOCK + 1), st.sampled_from([0.0, 1e-2]))
+    def test_one_block_is_the_one_call_formulas(self, net, wd):
+        model, X, labels = net
+        loss, wg, bg = loss_and_gradients(model, X, labels, wd)
+        z, ref_loss, ref_wg, ref_bg = reference_loss_and_gradients(model, X, labels, wd)
+        assert loss == ref_loss
+        for got, want in zip(wg + bg, ref_wg + ref_bg):
+            assert same_bits(got, want)
+
+    @settings(max_examples=25, deadline=None)
+    @given(networks(BLOCK + 2, 3 * BLOCK + 2), st.sampled_from([0.0, 1e-2]))
+    def test_weight_gradients_are_block_sums_in_order(self, net, wd):
+        model, X, labels = net
+        loss, wg, bg = loss_and_gradients(model, X, labels, wd)
+        _, ref_loss, ref_wg, ref_bg = reference_loss_and_gradients(model, X, labels, wd,
+                                                                   block=BLOCK)
+        assert loss == ref_loss
+        for got, want in zip(wg + bg, ref_wg + ref_bg):
+            assert same_bits(got, want)

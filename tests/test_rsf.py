@@ -1,5 +1,7 @@
 import math
+import multiprocessing
 import os
+import time
 import tracemalloc
 from unittest import mock
 
@@ -214,15 +216,63 @@ def serial_fit_forest(X, labels, opts):
 
 
 _grow_trees = rsf._grow_trees
+TEST_PID = os.getpid()
 
 
 def grow_trees_tagged(*share):
     """``rsf._grow_trees`` marking each tree with the id of the process that
-    grew it; module-level, so a pool worker can unpickle it by name."""
+    grew it; a forked pool worker inherits it with the patched module."""
     trees = _grow_trees(*share)
     for tree in trees:
         tree.grown_by = os.getpid()
     return trees
+
+
+def grow_trees_slowly_in_workers(*share):
+    """``grow_trees_tagged``, 0.3 s slower in a pool worker, so that the
+    caller takes back every chunk a worker has not claimed yet."""
+    if os.getpid() != TEST_PID:
+        time.sleep(0.3)
+    return grow_trees_tagged(*share)
+
+
+def grow_trees_stuck_in_workers(*share):
+    """``rsf._grow_trees``, 10 s slower in a pool worker."""
+    if os.getpid() != TEST_PID:
+        time.sleep(10.0)
+    return _grow_trees(*share)
+
+
+def grow_trees_failing_in_workers(*share):
+    """``rsf._grow_trees``, raising in a pool worker."""
+    if os.getpid() != TEST_PID:
+        raise FloatingPointError("raised in a worker")
+    return _grow_trees(*share)
+
+
+def idle_worker(samples, chunks, ticket, conn):
+    """A pool worker that claims no chunk."""
+    conn.send({})
+    conn.close()
+
+
+def wait_for_claims(pending, count, timeout=30.0):
+    """Wait until the pool's workers have claimed ``count`` chunks."""
+    deadline = time.monotonic() + timeout
+    while pending._ticket.value < count:
+        assert time.monotonic() < deadline, f"workers claimed {pending._ticket.value} of {count}"
+        time.sleep(0.001)
+
+
+def chunk_growers(model, chunks, f):
+    """The process that grew each chunk of forest ``f``; each chunk has one."""
+    growers = []
+    for g, lo, hi in chunks:
+        if g == f:
+            by = {tree.grown_by for tree in model.trees[lo:hi]}
+            assert len(by) == 1
+            growers += list(by)
+    return growers
 
 
 def naive_split_score(left, right):
@@ -542,6 +592,7 @@ class TestFitForest:
     def test_pool_grows_the_serial_forest(self, monkeypatch, cpus, n_trees):
         monkeypatch.setattr(rsf, "_usable_cpus", lambda: cpus)
         monkeypatch.setattr(rsf, "_POOL_MIN_WORK", 0)
+        monkeypatch.setattr(rsf, "_CHUNK_WORK", 180)  # two trees per chunk
         monkeypatch.setattr(rsf, "_grow_trees", grow_trees_tagged)
         rng = np.random.default_rng(73)
         X, labels = surv_data(rng, 90, 4, (1.5, -1.0, 0.0, 0.5))
@@ -550,13 +601,115 @@ class TestFitForest:
         grid, trees = serial_fit_forest(X, labels, opts)
         assert np.array_equal(model.event_time_grid, grid)
         assert_same_trees(model.trees, trees)
-        # tree i comes from share i % workers; this process grows share 0
-        # and each other share has a worker process of its own
-        workers = min(cpus, n_trees)
-        grown_by = [tree.grown_by for tree in model.trees]
-        assert grown_by[0] == os.getpid()
-        assert len(set(grown_by)) == workers
-        assert grown_by == [grown_by[i % workers] for i in range(n_trees)]
+        # each chunk of two trees was grown by one process: this one, which
+        # takes back the chunks no worker has claimed, or one of the
+        # cpus - 1 workers
+        chunks = [(0, lo, min(lo + 2, n_trees)) for lo in range(0, n_trees, 2)]
+        workers = set(chunk_growers(model, chunks, 0)) - {os.getpid()}
+        assert len(workers) <= min(cpus - 1, len(chunks))
+        assert not multiprocessing.active_children()
+
+    @pytest.mark.parametrize("cpus,take_back", [
+        (1, "all"), (2, "none"), (2, "some"), (2, "all"), (3, "none"), (3, "some"), (3, "all"),
+    ])
+    def test_caller_takes_back_unclaimed_chunks(self, monkeypatch, cpus, take_back):
+        # two forests of uneven chunks in one batch: (0, 2), (2, 4), (4, 5)
+        # of the 90-subject forest and (0, 3), (3, 5) of the 60-subject one
+        monkeypatch.setattr(rsf, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(rsf, "_POOL_MIN_WORK", 0)
+        monkeypatch.setattr(rsf, "_CHUNK_WORK", 180)
+        monkeypatch.setattr(rsf, "_grow_trees", grow_trees_slowly_in_workers
+                            if take_back == "some" else grow_trees_tagged)
+        if take_back == "all":
+            monkeypatch.setattr(rsf, "_pool_worker", idle_worker)
+        rng = np.random.default_rng(75)
+        fits = [(*surv_data(rng, 90, 4, (1.5, -1.0, 0.0, 0.5)),
+                 RsfOptions(n_trees=5, min_leaf_size=6, seed=8)),
+                (*surv_data(rng, 60, 3, (1.0, 0.0, -0.5)),
+                 RsfOptions(n_trees=5, mtry=2, min_leaf_size=5, seed=9))]
+        with rsf.start_forests(fits) as pending:
+            chunks = list(pending._chunks)
+            assert chunks == [(0, 0, 2), (0, 2, 4), (0, 4, 5), (1, 0, 3), (1, 3, 5)]
+            assert len(pending._workers) == cpus - 1
+            if take_back == "none":
+                wait_for_claims(pending, len(chunks))
+            elif take_back == "some":
+                wait_for_claims(pending, 1)
+            models = pending.finish()
+        growers = []
+        for f, (model, (X, labels, opts)) in enumerate(zip(models, fits)):
+            grid, trees = serial_fit_forest(X, labels, opts)
+            assert np.array_equal(model.event_time_grid, grid)
+            assert_same_trees(model.trees, trees)
+            assert (model.n_features, model.options) == (X.shape[1], opts)
+            growers += chunk_growers(model, chunks, f)
+        by_caller = sum(g == os.getpid() for g in growers)
+        expected = {"none": by_caller == 0, "some": 0 < by_caller < len(chunks),
+                    "all": by_caller == len(chunks)}
+        assert expected[take_back], growers
+        assert len(set(growers) - {os.getpid()}) <= cpus - 1
+        assert not multiprocessing.active_children()
+
+    def test_closing_before_finish_stops_the_workers(self, monkeypatch):
+        # the workers are stopped, not waited for: each would take 10 s
+        monkeypatch.setattr(rsf, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(rsf, "_POOL_MIN_WORK", 0)
+        monkeypatch.setattr(rsf, "_grow_trees", grow_trees_stuck_in_workers)
+        X, labels = surv_data(np.random.default_rng(76), 90, 3, (1.0, -1.0, 0.0))
+        with pytest.raises(KeyError):
+            with rsf.start_forests([(X, labels, RsfOptions(n_trees=40, min_leaf_size=10))]):
+                assert len(multiprocessing.active_children()) == 2
+                failed_at = time.monotonic()
+                raise KeyError("failure while the forests grow")
+        assert time.monotonic() - failed_at < 5.0
+        assert not multiprocessing.active_children()
+
+    def test_worker_error_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(rsf, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(rsf, "_POOL_MIN_WORK", 0)
+        monkeypatch.setattr(rsf, "_grow_trees", grow_trees_failing_in_workers)
+        X, labels = surv_data(np.random.default_rng(79), 90, 3, (1.0, -1.0, 0.0))
+        with rsf.start_forests([(X, labels, RsfOptions(n_trees=40, min_leaf_size=10))]) as pending:
+            wait_for_claims(pending, 1)
+            with pytest.raises(FloatingPointError, match="in a worker") as raised:
+                pending.finish()
+        assert "grow_trees_failing_in_workers" in str(raised.value.__cause__)
+        assert not multiprocessing.active_children()
+
+    def test_every_chunk_is_grown_once_under_contention(self, monkeypatch, tmp_path):
+        # five workers on the machine's CPUs and this process take 60
+        # one-tree chunks from the shared counter; a lost update would grow
+        # a chunk twice or leave one out
+        log = tmp_path / "grown.log"
+
+        def grow_and_log(*share):
+            trees = _grow_trees(*share)
+            with open(log, "a") as fh:
+                fh.write("".join(f"{ss.spawn_key[-1]}\n" for ss in share[4]))
+            return trees
+
+        monkeypatch.setattr(rsf, "_usable_cpus", lambda: 6)
+        monkeypatch.setattr(rsf, "_POOL_MIN_WORK", 0)
+        monkeypatch.setattr(rsf, "_CHUNK_WORK", 1)
+        monkeypatch.setattr(rsf, "_grow_trees", grow_and_log)
+        X, labels = surv_data(np.random.default_rng(80), 40, 2, (1.0, -1.0))
+        opts = RsfOptions(n_trees=60, min_leaf_size=5, seed=3)
+        started = time.monotonic()
+        with rsf.start_forests([(X, labels, opts)]) as pending:
+            assert len(pending._workers) == 5
+            model, = pending.finish()
+        assert time.monotonic() - started < 60.0
+        assert sorted(int(line) for line in log.read_text().split()) == list(range(60))
+        assert_same_trees(model.trees, serial_fit_forest(X, labels, opts)[1])
+        assert not multiprocessing.active_children()
+
+    def test_inputs_are_checked_at_start(self, monkeypatch):
+        monkeypatch.setattr(rsf, "_usable_cpus", lambda: 2)
+        X, labels = surv_data(np.random.default_rng(77), 40, 2, (1.0, 0.0))
+        good = (X, labels, RsfOptions(n_trees=2, min_leaf_size=5))
+        with pytest.raises(NoEventsError):
+            rsf.start_forests([good, (X, labs(range(1, 41), [0] * 40), good[2])])
+        assert not multiprocessing.active_children()
 
     @pytest.mark.parametrize("n_trees", [2, 27])
     def test_small_forest_grows_in_this_process(self, monkeypatch, n_trees):
@@ -566,10 +719,23 @@ class TestFitForest:
         monkeypatch.setattr(rsf, "_POOL_MIN_WORK", 90 * 27)
         X, labels = surv_data(np.random.default_rng(74), 90, 3, (1.0, -1.0, 0.0))
         opts = RsfOptions(n_trees=n_trees, min_leaf_size=10, seed=9)
-        model = fit_forest(X, labels, opts)
+        with rsf.start_forests([(X, labels, opts)]) as pending:
+            started = len(pending._workers)
+            model, = pending.finish()
         assert_same_trees(model.trees, serial_fit_forest(X, labels, opts)[1])
-        in_process = {tree.grown_by for tree in model.trees} == {os.getpid()}
-        assert in_process == (n_trees == 2)
+        assert started == (0 if n_trees == 2 else 2)
+        if n_trees == 2:
+            assert {tree.grown_by for tree in model.trees} == {os.getpid()}
+
+    def test_batch_work_is_summed_for_the_pool_threshold(self, monkeypatch):
+        # two forests of 90 x 14 trees: each alone is below 90 x 27, together
+        # they are above it
+        monkeypatch.setattr(rsf, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(rsf, "_POOL_MIN_WORK", 90 * 27)
+        X, labels = surv_data(np.random.default_rng(78), 90, 3, (1.0, -1.0, 0.0))
+        fit = (X, labels, RsfOptions(n_trees=14, min_leaf_size=10))
+        with rsf.start_forests([fit]) as alone, rsf.start_forests([fit, fit]) as batch:
+            assert (len(alone._workers), len(batch._workers)) == (0, 1)
 
     def test_mtry_defaults_to_sqrt_features(self):
         rng = np.random.default_rng(63)
