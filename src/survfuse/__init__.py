@@ -5,89 +5,79 @@ views, random survival forest baselines, score-level fusion, a severity
 index, and the statistical evaluation around them (concordance with
 bootstrap intervals, Kaplan-Meier curves with log-rank tests, net
 reclassification, paired signed-rank comparisons).
+
+The package namespace is filled on first use (PEP 562): ``survfuse.X`` and
+``from survfuse import X`` import the submodule that defines ``X`` when
+``X`` is first asked for, so that ``import survfuse.cli`` imports neither
+numpy nor the modeling code; the CLI imports what each command uses.
 """
 
-from .analysis import (
-    ComparisonResult,
-    DeepHyper,
-    MODEL_KINDS,
-    RiskStrata,
-    RsfHyper,
-    RvFactorReport,
-    StudyConfig,
-    StudyReport,
-    compare_to_pesi,
-    format_pct,
-    run_study,
-    run_study_full,
-    rv_factor_analysis,
-    stratify,
-)
-from .artifacts import FusionBundle, ModelArtifact, file_fingerprint, load_model, save_model
-from .cox_linear import (
-    CoxModel,
-    FitOptions,
-    fit_cox,
-    partial_loglik,
-    partial_loglik_grad_hess,
-    predict_linear,
-)
-from .dataset import (
-    ClinicalVariables,
-    Dataset,
-    ImputationStats,
-    PatientRecord,
-    SplitAssignment,
-    SurvivalLabel,
-    apply_imputation,
-    attach_imaging,
-    clinical_feature_vector,
-    clinical_matrix,
-    compute_imputation_stats,
-    impute_missing,
-    ingest_clinical,
-    ingest_features,
-    label_arrays,
-    split_dataset,
-    truncate_30day,
-)
-from .deep_survival import (
-    MlpSurvModel,
-    TrainOptions,
-    cox_loss,
-    forward,
-    init_mlp,
-    linear_scores,
-    loss_and_gradients,
-    train,
-)
-from .errors import SurvfuseError
-from .fusion import CANONICAL_ORDER, FusionModel, fit_fusion, predict_fused
-from .metrics import (
-    KmCurve,
-    KmPoint,
-    NriResult,
-    TestResult,
-    bootstrap_ci,
-    c_index,
-    km_curve,
-    logrank_test,
-    nri,
-    sigmoid,
-    wilcoxon_signed_rank,
-)
-from .pesi import PESI_WEIGHTS, PesiResult, pesi_predictor, pesi_score, pesi_scores, risk_class_for
-from .rsf import ForestModel, RsfOptions, SurvivalTree, fit_forest, predict_risk
-from .synthetic import (
-    CohortPlan,
-    GeneratorSpec,
-    ModalityPlan,
-    MultimodalData,
-    gen_cox_linear,
-    gen_multimodal,
-    write_study_csvs,
-)
+import importlib
+
+# public name -> the submodule that defines it, by submodule; every submodule
+# listed here is public too
+_EXPORTS = {
+    "analysis": (
+        "ComparisonResult", "DeepHyper", "MODEL_KINDS", "RiskStrata", "RsfHyper",
+        "RvFactorReport", "StudyConfig", "StudyReport", "compare_to_pesi",
+        "format_pct", "run_study", "run_study_full", "rv_factor_analysis", "stratify",
+    ),
+    "artifacts": (
+        "FusionBundle", "ModelArtifact", "file_fingerprint", "load_model",
+        "save_model",
+    ),
+    "cox_linear": (
+        "CoxModel", "FitOptions", "fit_cox", "partial_loglik",
+        "partial_loglik_grad_hess", "predict_linear",
+    ),
+    "dataset": (
+        "ClinicalVariables", "Dataset", "ImputationStats", "PatientRecord",
+        "SplitAssignment", "SurvivalLabel", "apply_imputation", "attach_imaging",
+        "clinical_feature_vector", "clinical_matrix", "compute_imputation_stats",
+        "impute_missing", "ingest_clinical", "ingest_features", "label_arrays",
+        "split_dataset", "truncate_30day",
+    ),
+    "deep_survival": (
+        "MlpSurvModel", "TrainOptions", "cox_loss", "forward", "init_mlp",
+        "linear_scores", "loss_and_gradients", "train",
+    ),
+    "errors": ("SurvfuseError",),
+    "fusion": (
+        "CANONICAL_ORDER", "FusionModel", "fit_fusion", "predict_fused",
+    ),
+    "metrics": (
+        "KmCurve", "KmPoint", "NriResult", "TestResult", "bootstrap_ci", "c_index",
+        "km_curve", "logrank_test", "nri", "sigmoid", "wilcoxon_signed_rank",
+    ),
+    "pesi": (
+        "PESI_WEIGHTS", "PesiResult", "pesi_predictor", "pesi_score", "pesi_scores",
+        "risk_class_for",
+    ),
+    "rsf": (
+        "ForestModel", "RsfOptions", "SurvivalTree", "fit_forest", "predict_risk",
+    ),
+    "synthetic": (
+        "CohortPlan", "GeneratorSpec", "ModalityPlan", "MultimodalData",
+        "gen_cox_linear", "gen_multimodal", "write_study_csvs",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted([*_HOME, *_EXPORTS])
+
+
+def __getattr__(name):
+    if name in _HOME:
+        value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    elif name in _EXPORTS:
+        value = importlib.import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

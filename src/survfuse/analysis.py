@@ -37,6 +37,7 @@ from .errors import (
     TooFewResamplesError,
 )
 from .fusion import FusionModel, fit_fusion, predict_fused
+from .kinds import MODEL_KINDS
 from .metrics import (
     TestResult,
     bootstrap_ci,
@@ -48,15 +49,6 @@ from .metrics import (
     sigmoid,
     weighted_c_index,
     wilcoxon_signed_rank,
-)
-
-MODEL_KINDS = (
-    "pesi",
-    "rsf_fused",
-    "deep_imaging",
-    "deep_clinical",
-    "deep_multimodal",
-    "deep_pesi_fused",
 )
 
 # the short-term table drops the forest baseline

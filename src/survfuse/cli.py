@@ -14,6 +14,17 @@ failures. Every pipeline failure is labeled with the stage it occurred
 in. The ``SURVFUSE_LOG`` environment variable sets the log level
 (DEBUG, INFO, WARNING, ERROR); the default is WARNING.
 
+Importing this module imports neither numpy nor the modeling code; each
+command imports what it uses. ``score`` and ``run`` first start reading
+their feature CSV (``feature_csv.FeatureRead``: a forked child on a second
+CPU for a file of 1 MiB or more, else this process later), then import
+numpy and the package, load the artifact or config and ingest the
+clinical CSV, and take the parsed features where ``attach_imaging`` reads
+them. Errors therefore come in the order they always did, and the child is
+killed and reaped on any exit before that point. Forking before numpy is
+imported means the process has no other thread yet (Python 3.12+ warns
+about forking a threaded process; only 3.11 was checked).
+
 Everything a command writes is deterministic given the config and seed:
 reports embed a fingerprint of the effective analysis configuration and
 no output embeds wall-clock state.
@@ -22,6 +33,7 @@ no output embeds wall-clock state.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import json
@@ -29,23 +41,8 @@ import logging
 import os
 import sys
 
-import numpy as np
-
-from . import artifacts, deep_survival, pesi, rsf
-from .analysis import (
-    MODEL_KINDS,
-    DeepHyper,
-    RsfHyper,
-    StudyConfig,
-    run_study_full,
-)
-from .dataset import (
-    Dataset,
-    apply_imputation,
-    attach_imaging,
-    clinical_matrix,
-    ingest_clinical,
-)
+# no numpy at import time: each command imports the numeric code it uses
+# after it has started its feature read
 from .errors import (
     DatasetTooSmallError,
     DuplicatePatientIdError,
@@ -59,10 +56,8 @@ from .errors import (
     SurvfuseError,
     UnknownModelKindError,
 )
-from .fusion import predict_fused
-from .metrics import KmPoint
-from .svg import render_km_svg
-from .synthetic import CohortPlan, write_study_csvs
+from .feature_csv import FeatureRead
+from .kinds import MODEL_KINDS
 
 log = logging.getLogger("survfuse.cli")
 
@@ -300,7 +295,9 @@ def config_fingerprint(cfg: dict) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def _study_config(cfg: dict) -> StudyConfig:
+def _study_config(cfg: dict):
+    from .analysis import DeepHyper, RsfHyper, StudyConfig
+
     dc, di, rs = cfg["deep_clinical"], cfg["deep_imaging"], cfg["rsf"]
     return StudyConfig(
         seed=cfg["seed"],
@@ -350,12 +347,16 @@ def _write_json(path, doc) -> None:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
 
-def _km_points(entries: list[dict]) -> list[KmPoint]:
+def _km_points(entries: list[dict]):
+    from .metrics import KmPoint
+
     return [KmPoint(time=e["time"], survival=e["survival"],
                     at_risk=e["at_risk"], events=e["events"]) for e in entries]
 
 
 def _write_km_files(out_dir: str, kind: str, entry: dict) -> None:
+    from .svg import render_km_svg
+
     high = _km_points(entry["high"]["points"])
     low = _km_points(entry["low"]["points"])
     svg_text = render_km_svg(high, low, title=kind)
@@ -374,7 +375,14 @@ def _write_km_files(out_dir: str, kind: str, entry: dict) -> None:
         raise IoError(f"cannot write KM files for {kind}: {exc}") from exc
 
 
-def _ingest_for_run(cfg: dict) -> Dataset:
+def _read_features(path):
+    """The feature read of a command, started now; a no-op without a path."""
+    return FeatureRead(path) if path is not None else contextlib.nullcontext()
+
+
+def _ingest_for_run(cfg: dict, features):
+    from .dataset import attach_imaging, ingest_clinical
+
     if cfg["clinical"] is None:
         raise InvalidConfigError("clinical", "a clinical CSV path is required")
     if not os.path.exists(cfg["clinical"]):
@@ -387,7 +395,7 @@ def _ingest_for_run(cfg: dict) -> Dataset:
     if cfg["features"] is not None:
         if not os.path.exists(cfg["features"]):
             raise InvalidConfigError("features", f"file not found: {cfg['features']}")
-        ds = attach_imaging(ds, cfg["features"])
+        ds = attach_imaging(ds, features)
     elif needs_imaging:
         raise MissingModalityError(
             "imaging models were requested but no features CSV was provided"
@@ -396,6 +404,8 @@ def _ingest_for_run(cfg: dict) -> Dataset:
 
 
 def _save_artifacts(out_dir: str, arts, cfg: dict) -> list[str]:
+    from . import artifacts
+
     models_dir = os.path.join(out_dir, "models")
     os.makedirs(models_dir, exist_ok=True)
     paths = [cfg["clinical"]] + ([cfg["features"]] if cfg["features"] else [])
@@ -436,6 +446,8 @@ def _save_artifacts(out_dir: str, arts, cfg: dict) -> list[str]:
 
 
 def cmd_generate(args) -> int:
+    from .synthetic import CohortPlan, write_study_csvs
+
     raw = load_config(args.config) if args.config else {}
     cfg = effective_config(raw, args)
     if cfg["out"] is None:
@@ -468,8 +480,12 @@ def cmd_run(args) -> int:
     if cfg["out"] is None:
         raise InvalidConfigError("out", "an output directory is required")
 
-    with _stage("ingest"):
-        ds = _ingest_for_run(cfg)
+    # the feature CSV is parsed on another CPU while the modeling code is
+    # imported and the clinical CSV ingested
+    with _read_features(cfg["features"]) as features, _stage("ingest"):
+        ds = _ingest_for_run(cfg, features)
+    from .analysis import run_study_full
+
     with _stage("study"):
         report, arts = run_study_full(ds, _study_config(cfg))
     with _stage("report"):
@@ -496,7 +512,13 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _score_records(artifact, ds: Dataset) -> np.ndarray:
+def _score_records(artifact, ds):
+    import numpy as np
+
+    from . import deep_survival, pesi, rsf
+    from .dataset import clinical_matrix
+    from .fusion import predict_fused
+
     kind = artifact.kind
 
     def img_matrix():
@@ -536,18 +558,26 @@ def _score_records(artifact, ds: Dataset) -> np.ndarray:
 
 
 def cmd_score(args) -> int:
-    with _stage("load"):
-        artifact = artifacts.load_model(args.model)
-    if artifact.kind in _IMAGING_ARTIFACT_KINDS and not args.features:
-        raise InvalidConfigError("features", f"required for {artifact.kind} artifacts")
+    # the feature CSV is parsed on another CPU while numpy and the modeling
+    # code are imported, the artifact loaded and the clinical CSV ingested
+    with _read_features(args.features) as features:
+        import numpy as np
 
-    with _stage("ingest"):
-        try:
-            ds = ingest_clinical(args.clinical)
-        except MissingColumnError as exc:
-            raise SchemaMismatchError(str(exc)) from exc
-        if args.features:
-            ds = attach_imaging(ds, args.features)
+        from . import artifacts, pesi
+        from .dataset import apply_imputation, attach_imaging, ingest_clinical
+
+        with _stage("load"):
+            artifact = artifacts.load_model(args.model)
+        if artifact.kind in _IMAGING_ARTIFACT_KINDS and not args.features:
+            raise InvalidConfigError("features", f"required for {artifact.kind} artifacts")
+
+        with _stage("ingest"):
+            try:
+                ds = ingest_clinical(args.clinical)
+            except MissingColumnError as exc:
+                raise SchemaMismatchError(str(exc)) from exc
+            if args.features:
+                ds = attach_imaging(ds, features)
 
     rows = []
     if len(ds) > 0:

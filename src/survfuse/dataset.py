@@ -12,13 +12,19 @@ The feature file has one row per acquisition (a patient may have several)::
     patient_id, acquisition_id, pe_probability, f0, f1, ..., f{d-1}
 
 Its feature cells are parsed with ``float`` into one ``(rows, d)`` matrix,
-a block of 256 rows at a time. Besides the ids, the probabilities and the
-matrix itself, a read holds at most one block of unparsed cell strings,
-and while the parsed blocks are joined a second copy of the matrix: about
-2.5 times the matrix's size for 4000 rows of 32 features, where the cell
-strings of the whole file would take about ten times. Each patient keeps
-the acquisition with the highest ``pe_probability``, the first in the file
-on ties.
+a block of 256 rows at a time, by ``feature_csv.read_columns``, which uses
+the standard library alone: the cells go into one ``array('d')`` that the
+matrix then views without a copy. Besides the ids, the probabilities and
+the cells, a read holds at most one block of unparsed cell strings: its
+peak is about 2.2 times the matrix's size for 4000 rows of 32 features,
+where the cell strings of the whole file would take about ten times.
+``survfuse score`` and ``survfuse run`` start that read in a forked child
+before they import numpy (see ``feature_csv.FeatureRead``) and hand the
+started read to ``attach_imaging``, which takes its result where it would
+have read the file; with one usable CPU, without fork, for a file under
+1 MiB, or when the child fails, the file is read in this process instead,
+so errors are the same either way. Each patient keeps the acquisition with
+the highest ``pe_probability``, the first in the file on ties.
 
 Empty cells are treated as missing. A NaN or infinite feature cell, age or
 vital sign rejects its row with ``MalformedRowError``. Vital signs are
@@ -35,10 +41,8 @@ import dataclasses
 import logging
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from math import isfinite
-from operator import attrgetter, itemgetter
-from pathlib import Path
+from operator import attrgetter
 
 import numpy as np
 
@@ -50,6 +54,7 @@ from .errors import (
     MissingColumnError,
     UnimputedRecordError,
 )
+from .feature_csv import FeatureRead, parse_float, read_columns
 
 log = logging.getLogger(__name__)
 
@@ -88,10 +93,6 @@ CLINICAL_COLUMNS = (
 
 # rv_dysfunction is an optional annotation, everything else must be present
 REQUIRED_CLINICAL_COLUMNS = tuple(c for c in CLINICAL_COLUMNS if c != "rv_dysfunction")
-
-# feature-CSV rows whose cells are parsed together; bounds the cell strings
-# held at once while a file is read
-_FEATURE_BLOCK_ROWS = 256
 
 _TRUE_TOKENS = frozenset({"1", "true", "t", "yes", "y"})
 _FALSE_TOKENS = frozenset({"0", "false", "f", "no", "n"})
@@ -210,19 +211,9 @@ def _parse_bool(token: str, row_index: int, column: str) -> bool | None:
     return None
 
 
-def _parse_float(token: str) -> float | None:
-    token = token.strip()
-    if not token:
-        return None
-    try:
-        return float(token)
-    except ValueError:
-        return None
-
-
 def _parse_measure(token: str, row_index: int, column: str) -> float | None:
-    """``_parse_float`` that rejects a NaN or infinite value."""
-    value = _parse_float(token)
+    """``feature_csv.parse_float`` that rejects a NaN or infinite value."""
+    value = parse_float(token)
     if value is not None and not isfinite(value):
         raise MalformedRowError(row_index, f"{column} must be a finite number, got {token.strip()!r}")
     return value
@@ -278,7 +269,7 @@ def ingest_clinical(path, schema: dict[str, str] | None = None) -> Dataset:
             event = _parse_bool(row.get(col["event"]) or "", i, "event")
             if event is None:
                 raise MalformedRowError(i, "event must be a boolean")
-            time_days = _parse_float(row.get(col["time_days"]) or "")
+            time_days = parse_float(row.get(col["time_days"]) or "")
             if time_days is None or not np.isfinite(time_days) or time_days < 0:
                 raise MalformedRowError(i, "time_days must be a finite non-negative number")
 
@@ -321,103 +312,33 @@ def ingest_clinical(path, schema: dict[str, str] | None = None) -> Dataset:
     return Dataset(records=tuple(records))
 
 
-def ingest_features(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def ingest_features(source) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read the acquisition feature CSV into arrays, one row per acquisition.
 
-    Returns ``(patient_ids, pe_probability, features)`` in file order: an
-    object array of id strings, a float array, and a read-only ``(rows, d)``
-    float matrix. Each row is checked as it is read; its feature cells are
-    parsed with ``float`` a block of ``_FEATURE_BLOCK_ROWS`` rows at a time,
-    so the unparsed cell strings held at once stay bounded by one block.
-    A feature cell that is not a number, or is NaN or infinite, fails its
-    row. A row that fails a check first has the rows pending before it
-    parsed, so the earliest faulty row in the file is the one reported.
+    ``source`` is the file's path, or a ``feature_csv.FeatureRead`` started
+    on it, whose result is taken here. Returns ``(patient_ids,
+    pe_probability, features)`` in file order: an object array of id
+    strings, a float array, and a read-only ``(rows, d)`` float matrix over
+    the parsed cells. The checks and the parse are those of
+    ``feature_csv.read_columns``, whether it ran in this process or in the
+    read's child.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise MissingColumnError("feature CSV is empty") from None
-        header = [h.strip() for h in header]
-        for name in ("patient_id", "acquisition_id", "pe_probability"):
-            if name not in header:
-                raise MissingColumnError(f"feature CSV is missing column {name!r}")
-        feat_cols = [h for h in header if h.startswith("f") and h[1:].isdigit()]
-        d = len(feat_cols)
-        if d == 0:
-            raise MissingColumnError("feature CSV has no f0..f{d-1} columns")
-        expected = [f"f{k}" for k in range(d)]
-        if sorted(feat_cols, key=lambda s: int(s[1:])) != expected:
-            raise MissingColumnError("feature columns must be contiguous f0..f{d-1}")
-        idx = {name: header.index(name) for name in header}
-        n_cells, pid_col, prob_col = len(header), idx["patient_id"], idx["pe_probability"]
-        cols = [idx[c] for c in expected]
-        # itemgetter of a single column returns the cell, not a 1-tuple
-        take = itemgetter(*cols) if d > 1 else (lambda row: (row[cols[0]],))
-
-        pids: list[str] = []
-        probs: list[float] = []
-        blocks: list[np.ndarray] = []
-        pending: list[tuple[str, ...]] = []  # feature cells of the rows not yet parsed
-
-        def reject_bad_cells():
-            # the earliest pending row with a cell that is not a finite number
-            first = len(pids) - len(pending)
-            for k, cells in enumerate(pending):
-                try:
-                    values = list(map(float, cells))
-                except ValueError:
-                    raise MalformedRowError(first + k,
-                                            "feature cells must all be numeric") from None
-                if not all(map(isfinite, values)):
-                    raise MalformedRowError(first + k, "feature cells must all be finite")
-
-        def parse_pending():
-            try:
-                block = np.fromiter(map(float, chain.from_iterable(pending)), dtype=float,
-                                    count=len(pending) * d)
-            except ValueError:
-                reject_bad_cells()
-                raise
-            if not np.isfinite(block).all():
-                reject_bad_cells()
-            blocks.append(block.reshape(len(pending), d))
-            pending.clear()
-
-        def reject(i, reason):
-            parse_pending()
-            raise MalformedRowError(i, reason)
-
-        try:
-            for i, row in enumerate(reader):
-                if len(row) != n_cells:
-                    reject(i, f"expected {n_cells} cells, got {len(row)}")
-                pid = row[pid_col].strip()
-                if not pid:
-                    reject(i, "empty patient_id")
-                prob = _parse_float(row[prob_col])
-                if prob is None or not 0.0 <= prob <= 1.0:
-                    reject(i, "pe_probability must be a number in [0, 1]")
-                pids.append(pid)
-                probs.append(prob)
-                pending.append(take(row))
-                if len(pending) == _FEATURE_BLOCK_ROWS:
-                    parse_pending()
-        except (csv.Error, ValueError):  # the reader failed (bad CSV or bad encoding)
-            parse_pending()
-            raise
-        parse_pending()
-
-    features = np.concatenate(blocks)
+    if isinstance(source, FeatureRead):
+        pids, probs, cells, d = source.result()
+    else:
+        pids, probs, cells, d = read_columns(source)
+    features = np.frombuffer(cells, dtype=float).reshape(len(pids), d)
     features.flags.writeable = False
     patient_ids = np.empty(len(pids), dtype=object)
     patient_ids[:] = pids
-    return patient_ids, np.array(probs, dtype=float), features
+    return patient_ids, np.frombuffer(probs, dtype=float).copy(), features
 
 
-def attach_imaging(ds: Dataset, path) -> Dataset:
+def attach_imaging(ds: Dataset, source) -> Dataset:
     """Join acquisition features onto a clinical dataset.
+
+    ``source`` is what ``ingest_features`` takes: the feature CSV's path or
+    a ``FeatureRead`` started on it.
 
     Each patient gets a read-only view of the feature row of its acquisition
     with the highest ``pe_probability``, the first such row in the file on
@@ -425,7 +346,7 @@ def attach_imaging(ds: Dataset, path) -> Dataset:
     Feature rows for patients absent from the cohort are skipped with a
     warning; the clinical file is authoritative for cohort membership.
     """
-    patient_ids, probs, features = ingest_features(path)
+    patient_ids, probs, features = ingest_features(source)
     codes: dict[str, int] = {}
     code = np.fromiter((codes.setdefault(p, len(codes)) for p in patient_ids),
                        dtype=np.intp, count=patient_ids.size)

@@ -68,7 +68,6 @@ O(_SPLIT_BLOCK x G) at a time, the sweep O(features x (m + G + B^2)).
 
 from __future__ import annotations
 
-import os
 import traceback
 from dataclasses import dataclass
 
@@ -81,6 +80,8 @@ from .errors import (
     NoEventsError,
     NonFiniteInputError,
 )
+# the CPU rule the feature reader's fork follows too
+from .feature_csv import usable_cpus as _usable_cpus
 
 
 # candidate splits per block of the exact at-risk counts
@@ -382,14 +383,6 @@ def _grow_tree(X, t, e, rng, mtry, min_leaf, forest_grid):
         leaf_slot=np.array(leaf_slot, dtype=int),
         leaf_mortality=np.array(leaf_mort, dtype=float),
     )
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on; 1 where the platform cannot say."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call, as on macOS
-        return 1
 
 
 def _grow_trees(Xc, tc, ec, grid, streams, mtry, min_leaf):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from survfuse import dataset
+from survfuse import dataset, feature_csv
 from survfuse.dataset import (
     BINARY_FIELDS,
     CLINICAL_COLUMNS,
@@ -268,7 +268,7 @@ def write_rows(path, header, rows):
 
 
 # each property reads every file with these blocks, the default included
-FEATURE_BLOCKS = (1, 3, 7, dataset._FEATURE_BLOCK_ROWS)
+FEATURE_BLOCKS = (1, 3, 7, feature_csv._FEATURE_BLOCK_ROWS)
 
 _PROB_TOKENS = ["0", "-0", "0.5", " 0.5", "0.50", "5e-1", "0.9", "1", "1.0", "0.25 "]
 _CELL_TOKENS = [" 1.5", "2 ", "-0", "1e-3", "1_0", "+3", "1e308"]
@@ -408,7 +408,7 @@ class TestFeaturesAndAggregation:
             path = write_rows(Path(tmp) / "f.csv", header, rows)
             want, want_error = outcome(oracle_ingest_features, path)
             for block in FEATURE_BLOCKS:
-                with mock.patch.object(dataset, "_FEATURE_BLOCK_ROWS", block):
+                with mock.patch.object(feature_csv, "_FEATURE_BLOCK_ROWS", block):
                     got, error = outcome(ingest_features, path)
                 assert error == want_error
                 if error is not None:
@@ -437,7 +437,7 @@ class TestFeaturesAndAggregation:
             _, want = outcome(oracle_ingest_features, path)
             assert want is not None and want[0] is MalformedRowError
             for block in FEATURE_BLOCKS:
-                with mock.patch.object(dataset, "_FEATURE_BLOCK_ROWS", block):
+                with mock.patch.object(feature_csv, "_FEATURE_BLOCK_ROWS", block):
                     assert outcome(ingest_features, path)[1] == want
 
     @settings(max_examples=60)
@@ -450,7 +450,7 @@ class TestFeaturesAndAggregation:
             path = write_rows(Path(tmp) / "f.csv", header, rows)
             chosen, d, unknown = oracle_attach_imaging(ds, path)
             for block in FEATURE_BLOCKS:
-                with mock.patch.object(dataset, "_FEATURE_BLOCK_ROWS", block), \
+                with mock.patch.object(feature_csv, "_FEATURE_BLOCK_ROWS", block), \
                         mock.patch.object(dataset.log, "warning") as warn:
                     out = attach_imaging(ds, path)
                 assert out.feature_dim == d
@@ -483,7 +483,7 @@ class TestFeaturesAndAggregation:
             want = outcome(oracle_ingest_features, path)[1]
             assert want is not None
             for block in FEATURE_BLOCKS:
-                with mock.patch.object(dataset, "_FEATURE_BLOCK_ROWS", block):
+                with mock.patch.object(feature_csv, "_FEATURE_BLOCK_ROWS", block):
                     assert outcome(ingest_features, path)[1] == want
 
     def test_read_memory_is_bounded_by_blocks(self, tmp_path):
