@@ -33,9 +33,9 @@ _EXPORTS = {
     "dataset": (
         "ClinicalVariables", "Dataset", "ImputationStats", "PatientRecord",
         "SplitAssignment", "SurvivalLabel", "apply_imputation", "attach_imaging",
-        "clinical_feature_vector", "clinical_matrix", "compute_imputation_stats",
-        "impute_missing", "ingest_clinical", "ingest_features", "label_arrays",
-        "split_dataset", "truncate_30day",
+        "clinical_matrix", "compute_imputation_stats", "impute_missing",
+        "ingest_clinical", "ingest_features", "label_arrays", "split_dataset",
+        "truncate_30day",
     ),
     "deep_survival": (
         "MlpSurvModel", "TrainOptions", "cox_loss", "forward", "init_mlp",
@@ -50,7 +50,7 @@ _EXPORTS = {
         "km_curve", "logrank_test", "nri", "sigmoid", "wilcoxon_signed_rank",
     ),
     "pesi": (
-        "PESI_WEIGHTS", "PesiResult", "pesi_predictor", "pesi_score", "pesi_scores",
+        "PESI_WEIGHTS", "PesiResult", "pesi_score", "pesi_scores",
         "risk_class_for",
     ),
     "rsf": (

@@ -382,7 +382,7 @@ def run_study_full(ds: Dataset, config: StudyConfig | None = None):
         img_all = np.array([r.imaging_features for r in ds.records], dtype=float)
         img = {s: img_all[rows[s]] for s in SPLIT_NAMES}
 
-    pesi_all = pesi.pesi_predictor(ds)
+    pesi_all = pesi.pesi_scores(ds)
     pesi_scores = {s: pesi_all[rows[s]] for s in SPLIT_NAMES}
 
     arts = StudyArtifacts(dataset=ds, split=split)

@@ -18,10 +18,12 @@ Importing this module imports neither numpy nor the modeling code; each
 command imports what it uses. ``score`` and ``run`` first start reading
 their feature CSV (``feature_csv.FeatureRead``: a forked child on a second
 CPU for a file of 1 MiB or more, else this process later), then import
-numpy and the package, load the artifact or config and ingest the
-clinical CSV, and take the parsed features where ``attach_imaging`` reads
-them. Errors therefore come in the order they always did, and the child is
-killed and reaped on any exit before that point. Forking before numpy is
+numpy and the package, load the artifact or config and read the
+clinical CSV, and take the parsed features where the imaging join
+(``dataset.join_imaging``) reads them. Errors therefore come in the order
+they always did, and the child is killed and reaped on any exit before
+that point. ``score`` works on the clinical columns and the joined
+feature matrix and builds no patient records. Forking before numpy is
 imported means the process has no other thread yet (Python 3.12+ warns
 about forking a threaded process; only 3.11 was checked).
 
@@ -35,6 +37,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import hashlib
 import json
 import logging
@@ -512,59 +515,88 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _score_records(artifact, ds):
+class _ScoreInputs:
+    """What the models of one ``score`` call read: the cohort's clinical
+    values (see ``dataset.ClinicalColumns``) filled with the artifact's
+    imputation constants, and, each formed once on first use, the model
+    inputs, the imaging matrix from the join (``(rows, kept)`` from
+    ``dataset.join_imaging``, or ``None`` without a feature CSV) and PESI."""
+
+    def __init__(self, patient_ids, values, imputation, imaging=None):
+        from .dataset import fill_missing
+
+        self.patient_ids = patient_ids
+        self.values = fill_missing(values, imputation)
+        self.imputation = imputation
+        self.imaging = imaging
+
+    @functools.cached_property
+    def clinical(self):
+        from .dataset import normalized_inputs
+
+        imp = self.imputation
+        return normalized_inputs(self.values, (imp.age_mean, imp.age_std))
+
+    @functools.cached_property
+    def image(self):
+        rows, kept = self.imaging
+        lacking = (rows < 0).nonzero()[0]
+        if lacking.size:
+            raise MissingModalityError(
+                f"{lacking.size} patient(s) lack imaging features "
+                f"(e.g. {self.patient_ids[lacking[0]]!r})"
+            )
+        return kept[rows]
+
+    @functools.cached_property
+    def pesi(self):
+        from .pesi import pesi_points
+
+        return pesi_points(self.values)
+
+
+def _score_records(artifact, inputs: _ScoreInputs):
     import numpy as np
 
-    from . import deep_survival, pesi, rsf
-    from .dataset import clinical_matrix
+    from . import deep_survival, rsf
     from .fusion import predict_fused
 
     kind = artifact.kind
-
-    def img_matrix():
-        lacking = [r.patient_id for r in ds.records if r.imaging_features is None]
-        if lacking:
-            raise MissingModalityError(
-                f"{len(lacking)} patient(s) lack imaging features (e.g. {lacking[0]!r})"
-            )
-        X = np.array([r.imaging_features for r in ds.records], dtype=float)
-        return X
-
     if kind == "deep_clinical":
-        return deep_survival.forward(artifact.model, clinical_matrix(ds))
+        return deep_survival.forward(artifact.model, inputs.clinical)
     if kind == "deep_imaging":
-        return deep_survival.forward(artifact.model, img_matrix())
+        return deep_survival.forward(artifact.model, inputs.image)
     if kind == "rsf_clinical":
-        return np.atleast_1d(rsf.predict_risk(artifact.model, clinical_matrix(ds)))
+        return np.atleast_1d(rsf.predict_risk(artifact.model, inputs.clinical))
     if kind == "rsf_imaging":
-        return np.atleast_1d(rsf.predict_risk(artifact.model, img_matrix()))
+        return np.atleast_1d(rsf.predict_risk(artifact.model, inputs.image))
 
     bundle = artifact.model
     scores = {}
     for tag, comp in bundle.components.items():
         if tag == "clin":
-            scores[tag] = deep_survival.forward(comp, clinical_matrix(ds))
+            scores[tag] = deep_survival.forward(comp, inputs.clinical)
         elif tag == "img":
-            scores[tag] = deep_survival.forward(comp, img_matrix())
+            scores[tag] = deep_survival.forward(comp, inputs.image)
         elif tag == "rsf_clin":
-            scores[tag] = np.atleast_1d(rsf.predict_risk(comp, clinical_matrix(ds)))
+            scores[tag] = np.atleast_1d(rsf.predict_risk(comp, inputs.clinical))
         elif tag == "rsf_img":
-            scores[tag] = np.atleast_1d(rsf.predict_risk(comp, img_matrix()))
+            scores[tag] = np.atleast_1d(rsf.predict_risk(comp, inputs.image))
         else:
             raise SchemaMismatchError(f"unknown component tag {tag!r} in artifact")
     if "pesi" in bundle.fusion.sources:
-        scores["pesi"] = pesi.pesi_scores(ds)
+        scores["pesi"] = inputs.pesi
     return np.atleast_1d(predict_fused(bundle.fusion, scores))
 
 
 def cmd_score(args) -> int:
     # the feature CSV is parsed on another CPU while numpy and the modeling
-    # code are imported, the artifact loaded and the clinical CSV ingested
+    # code are imported, the artifact loaded and the clinical CSV read
     with _read_features(args.features) as features:
         import numpy as np
 
         from . import artifacts, pesi
-        from .dataset import apply_imputation, attach_imaging, ingest_clinical
+        from .dataset import join_imaging, read_clinical
 
         with _stage("load"):
             artifact = artifacts.load_model(args.model)
@@ -573,24 +605,23 @@ def cmd_score(args) -> int:
 
         with _stage("ingest"):
             try:
-                ds = ingest_clinical(args.clinical)
+                cohort = read_clinical(args.clinical)
             except MissingColumnError as exc:
                 raise SchemaMismatchError(str(exc)) from exc
-            if args.features:
-                ds = attach_imaging(ds, features)
+            imaging = join_imaging(cohort.patient_ids, features) if args.features else None
 
     rows = []
-    if len(ds) > 0:
+    if cohort.patient_ids:
         with _stage("score"):
-            if artifact.imputation is not None:
-                ds = apply_imputation(ds, artifact.imputation)
-            elif ds.imputation is None:
+            if artifact.imputation is None:
                 raise SchemaMismatchError(
                     "artifact carries no imputation constants; cannot score raw records"
                 )
-            risks = _score_records(artifact, ds)
-            points = pesi.pesi_scores(ds).astype(np.int64).tolist()
-            rows = list(zip(ds.patient_ids, map(repr, risks.tolist()), points,
+            inputs = _ScoreInputs(cohort.patient_ids, cohort.values, artifact.imputation,
+                                  imaging)
+            risks = _score_records(artifact, inputs)
+            points = inputs.pesi.astype(np.int64).tolist()
+            rows = list(zip(cohort.patient_ids, map(repr, risks.tolist()), points,
                             map(pesi.risk_class_for, points)))
 
     with _stage("write"):

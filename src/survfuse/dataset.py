@@ -7,6 +7,19 @@ row per patient::
     temperature_c, altered_mental_status, cancer, heart_failure,
     chronic_lung_disease, o2_sat, event, time_days, rv_dysfunction
 
+``read_clinical`` is its one parser. It reads the file with ``csv.reader``
+and checks and parses the rows a block of 256 at a time, so that at most
+one block of unparsed cell strings is held, and returns columns
+(``ClinicalColumns``): the ids, an ``(n, 11)`` float matrix of age and the
+ten flags in ``clinical_matrix``'s column order with NaN where a value is
+missing, the events, the times and ``rv_dysfunction``. ``survfuse score``
+works on those columns alone: ``fill_missing`` imputes the matrix,
+``normalized_inputs`` forms the model inputs from it, and
+``pesi.pesi_points`` scores it. ``ingest_clinical`` builds the patient
+records of a :class:`Dataset` from the same columns for ``survfuse run``,
+and the record functions (``apply_imputation``, ``clinical_matrix``,
+``pesi.pesi_scores``) go through the same matrix functions.
+
 The feature file has one row per acquisition (a patient may have several)::
 
     patient_id, acquisition_id, pe_probability, f0, f1, ..., f{d-1}
@@ -20,7 +33,7 @@ peak is about 2.2 times the matrix's size for 4000 rows of 32 features,
 where the cell strings of the whole file would take about ten times.
 ``survfuse score`` and ``survfuse run`` start that read in a forked child
 before they import numpy (see ``feature_csv.FeatureRead``) and hand the
-started read to ``attach_imaging``, which takes its result where it would
+started read to ``join_imaging``, which takes its result where it would
 have read the file; with one usable CPU, without fork, for a file under
 1 MiB, or when the child fails, the file is read in this process instead,
 so errors are the same either way. Each patient keeps the acquisition with
@@ -39,10 +52,11 @@ from __future__ import annotations
 import csv
 import dataclasses
 import logging
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from math import isfinite
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 import numpy as np
 
@@ -108,7 +122,7 @@ class SurvivalLabel:
     time_days: float
 
     def __post_init__(self):
-        if not np.isfinite(self.time_days) or self.time_days < 0:
+        if not isfinite(self.time_days) or self.time_days < 0:
             raise ValueError(f"time_days must be finite and >= 0, got {self.time_days}")
 
 
@@ -199,39 +213,160 @@ class SplitAssignment:
     seed: int
 
 
-def _parse_bool(token: str, row_index: int, column: str) -> bool | None:
-    token = token.strip().lower()
-    if not token:
-        return None
-    if token in _TRUE_TOKENS:
-        return True
-    if token in _FALSE_TOKENS:
-        return False
-    log.debug("row %d: unparseable boolean %r in %s, marked missing", row_index, token, column)
-    return None
+_FLAG_VALUES = {**dict.fromkeys(_TRUE_TOKENS, 1.0), **dict.fromkeys(_FALSE_TOKENS, 0.0)}
+_SEX_VALUES = {**dict.fromkeys(_MALE_TOKENS, 1.0), **dict.fromkeys(_FEMALE_TOKENS, 0.0)}
+
+# clinical-CSV rows whose cells are parsed together; bounds the cell strings
+# held at once while a file is read
+_CLINICAL_BLOCK_ROWS = 256
+
+# the measured columns, the age first: the order their cells are checked in
+_MEASURES = ("age", "heart_rate", "systolic_bp", "respiratory_rate", "temperature_c", "o2_sat")
+# the boolean columns after event, in the order a row logs its unparseable tokens
+_LOGGED_FLAGS = ("cancer", "heart_failure", "chronic_lung_disease", "altered_mental_status",
+                 "rv_dysfunction")
 
 
-def _parse_measure(token: str, row_index: int, column: str) -> float | None:
-    """``feature_csv.parse_float`` that rejects a NaN or infinite value."""
-    value = parse_float(token)
-    if value is not None and not isfinite(value):
-        raise MalformedRowError(row_index, f"{column} must be a finite number, got {token.strip()!r}")
-    return value
+@dataclass(frozen=True, eq=False)
+class ClinicalColumns:
+    """A clinical CSV as columns, one entry per patient in file order.
+
+    ``values`` is ``(n, 11)``: age in years, then the ten flags of
+    ``BINARY_FIELDS`` as 1.0 or 0.0, NaN where a value is missing; the
+    column order of ``clinical_matrix``. ``rv_dysfunction`` is 1.0, 0.0 or
+    NaN, all NaN without that column.
+    """
+
+    patient_ids: list[str]
+    values: np.ndarray
+    events: np.ndarray
+    times: np.ndarray
+    rv_dysfunction: np.ndarray
 
 
-def _parse_sex(token: str) -> bool | None:
-    token = token.strip().lower()
-    if not token:
-        return None
-    if token in _MALE_TOKENS:
-        return True
-    if token in _FEMALE_TOKENS:
-        return False
-    return None
+def _flag_column(tokens, table) -> tuple[np.ndarray, list[tuple[int, str]]]:
+    """1.0, 0.0 or NaN per boolean token, by ``table`` after stripping and
+    lowering, and ``(index, token)`` of each non-empty token it lacks."""
+    lookup, bad = {}, {}
+    for token in set(tokens):
+        key = token.strip().lower()
+        lookup[token] = table.get(key, np.nan)
+        if key and key not in table:
+            bad[token] = key
+    values = np.fromiter(map(lookup.__getitem__, tokens), dtype=float, count=len(tokens))
+    return values, [(i, bad[t]) for i, t in enumerate(tokens) if t in bad] if bad else []
 
 
-def ingest_clinical(path, schema: dict[str, str] | None = None) -> Dataset:
-    """Read the clinical CSV into a :class:`Dataset`.
+def _measure_column(tokens) -> np.ndarray:
+    """``parse_float`` of each token, NaN where it gives ``None``."""
+    try:
+        values = [float(t) if t else np.nan for t in tokens]
+    except ValueError:  # a padded empty or non-numeric cell: missing
+        values = [np.nan if v is None else v for v in map(parse_float, tokens)]
+    return np.array(values, dtype=float)
+
+
+def _first(mask) -> int:
+    """Index of the first True of a non-empty boolean array, its length if none."""
+    k = int(np.argmax(mask))
+    return k if mask[k] else mask.size
+
+
+def _first_non_finite(tokens, values) -> int:
+    """Index of the first token that is a number (not missing) but NaN or
+    infinite, ``len(tokens)`` if none; ``values`` are the parsed tokens."""
+    for i in np.flatnonzero(~np.isfinite(values)).tolist():
+        if parse_float(tokens[i]) is not None:
+            return i
+    return len(tokens)
+
+
+def _first_duplicate(pids, seen) -> int:
+    """Index of the first id already in ``seen``, adding the ids before it;
+    ``len(pids)`` if there is none."""
+    for i, pid in enumerate(pids):
+        if pid in seen:
+            return i
+        seen.add(pid)
+    return len(pids)
+
+
+def _log_unparsed(row: int, token: str, column: str) -> None:
+    log.debug("row %d: unparseable boolean %r in %s, marked missing", row, token, column)
+
+
+def _parse_clinical_block(cells, row0, seen, col):
+    """Check and parse the cells of consecutive rows, ``row0`` the first.
+
+    ``cells`` maps each canonical column to its tokens and ``seen`` holds
+    the ids of the rows before. Raises the error of the earliest faulty
+    row, that of its first failing check in the order ``read_clinical``
+    lists, after logging the unparseable booleans of the rows before it, a
+    row's in ``_LOGGED_FLAGS`` order. Returns ``(ids, values, events,
+    times, rv)``, events as 1.0 or 0.0.
+    """
+    n = len(cells["patient_id"])
+    pids = list(map(str.strip, cells["patient_id"]))
+    events, _ = _flag_column(cells["event"], _FLAG_VALUES)
+    times = _measure_column(cells["time_days"])
+    measures = {name: _measure_column(cells[name]) for name in _MEASURES}
+    age = measures["age"]
+
+    def malformed(reason):
+        # reason: the message, or a function of the row's index giving it
+        message = (lambda i: reason) if isinstance(reason, str) else reason
+        return lambda i: MalformedRowError(row0 + i, message(i))
+
+    def non_finite(name):
+        return (_first_non_finite(cells[name], measures[name]),
+                malformed(lambda i: f"{col[name]} must be a finite number, "
+                                    f"got {cells[name][i].strip()!r}"))
+
+    checks = [  # (first failing row, its error), in the order a row is checked
+        (_first(np.array([not pid for pid in pids], dtype=bool)), malformed("empty patient_id")),
+        (_first_duplicate(pids, seen),
+         lambda i: DuplicatePatientIdError(f"patient id {pids[i]!r} appears more than once")),
+        (_first(np.isnan(events)), malformed("event must be a boolean")),
+        (_first(~(times >= 0.0) | np.isinf(times)),
+         malformed("time_days must be a finite non-negative number")),
+        non_finite("age"),
+        (_first(age <= 0.0), malformed(lambda i: f"age must be positive, got {float(age[i])}")),
+        *(non_finite(name) for name in _MEASURES[1:]),
+    ]
+    row = min(first for first, _ in checks)
+
+    flags, unparsed = {}, []
+    for order, name in enumerate(_LOGGED_FLAGS):
+        if name in cells:
+            flags[name], bad = _flag_column(cells[name], _FLAG_VALUES)
+            unparsed += [(i, order, token, name) for i, token in bad if i < row]
+    for i, _, token, name in sorted(unparsed):
+        _log_unparsed(row0 + i, token, name)
+    if row < n:
+        k = [first for first, _ in checks].index(row)
+        if k == 2 and cells["event"][row].strip():
+            _log_unparsed(row0 + row, cells["event"][row].strip().lower(), "event")
+        raise checks[k][1](row)
+
+    hr, sbp, rr = measures["heart_rate"], measures["systolic_bp"], measures["respiratory_rate"]
+    temp, o2 = measures["temperature_c"], measures["o2_sat"]
+
+    def flag(mask, measure):
+        return np.where(np.isnan(measure), np.nan, mask)
+
+    values = np.column_stack([
+        age,
+        _flag_column(cells["sex"], _SEX_VALUES)[0],
+        flags["cancer"], flags["heart_failure"], flags["chronic_lung_disease"],
+        flag(hr >= 110.0, hr), flag(sbp < 100.0, sbp), flag(rr >= 30.0, rr),
+        flag(temp < 36.0, temp), flags["altered_mental_status"], flag(o2 < 90.0, o2),
+    ])
+    rv = flags.get("rv_dysfunction", np.full(n, np.nan))
+    return pids, values, events, times, rv
+
+
+def read_clinical(path, schema: dict[str, str] | None = None) -> ClinicalColumns:
+    """Read the clinical CSV into columns; see :class:`ClinicalColumns`.
 
     Parameters
     ----------
@@ -241,6 +376,18 @@ def ingest_clinical(path, schema: dict[str, str] | None = None) -> Dataset:
         Maps canonical column names to the actual header names, for files
         whose headers were renamed. Unmapped names are used as-is.
 
+    The header is the file's first line, taken as it is. Blank lines are
+    skipped and do not count as rows; a short row reads its missing cells
+    as empty; where a header name repeats, its last column is read. Rows
+    are checked and parsed a block of ``_CLINICAL_BLOCK_ROWS`` at a time, so
+    the unparsed cell strings held at once stay bounded by one block, and
+    the earliest faulty row is the one reported, with the error of its
+    first failing check: an empty or repeated patient id, an event that is
+    not a boolean, a missing, non-finite or negative ``time_days``, a NaN
+    or infinite age or vital sign, or an age that is not positive.
+    Unparseable covariates are missing; an unparseable boolean is logged
+    at DEBUG.
+
     Raises
     ------
     MissingColumnError, DuplicatePatientIdError, MalformedRowError
@@ -249,67 +396,80 @@ def ingest_clinical(path, schema: dict[str, str] | None = None) -> Dataset:
     col = {name: schema.get(name, name) for name in CLINICAL_COLUMNS}
 
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
+        reader = csv.reader(fh)
+        header = next(reader, [])
         for name in REQUIRED_CLINICAL_COLUMNS:
             if col[name] not in header:
                 raise MissingColumnError(f"clinical CSV is missing column {col[name]!r}")
-        has_rv = col["rv_dysfunction"] in header
+        position = {h: k for k, h in enumerate(header)}  # the last of a repeated name
+        names = [c for c in CLINICAL_COLUMNS if col[c] in position]
+        take = itemgetter(*(position[col[c]] for c in names))
+        width = 1 + max(position[col[c]] for c in names)
 
-        records: list[PatientRecord] = []
+        pids: list[str] = []
         seen: set[str] = set()
-        for i, row in enumerate(reader):
-            pid = (row.get(col["patient_id"]) or "").strip()
-            if not pid:
-                raise MalformedRowError(i, "empty patient_id")
-            if pid in seen:
-                raise DuplicatePatientIdError(f"patient id {pid!r} appears more than once")
-            seen.add(pid)
+        # values row after row, events as 1.0/0.0, times, rv_dysfunction
+        columns = [array("d") for _ in range(4)]
+        pending: list[tuple[str, ...]] = []
 
-            event = _parse_bool(row.get(col["event"]) or "", i, "event")
-            if event is None:
-                raise MalformedRowError(i, "event must be a boolean")
-            time_days = parse_float(row.get(col["time_days"]) or "")
-            if time_days is None or not np.isfinite(time_days) or time_days < 0:
-                raise MalformedRowError(i, "time_days must be a finite non-negative number")
+        def parse_pending():
+            if pending:
+                block = _parse_clinical_block(dict(zip(names, zip(*pending))), len(pids),
+                                              seen, col)
+                pids.extend(block[0])
+                for out, parsed in zip(columns, block[1:]):
+                    out.frombytes(parsed.tobytes())
+                pending.clear()
 
-            age = _parse_measure(row.get(col["age"]) or "", i, col["age"])
-            if age is not None and age <= 0:
-                raise MalformedRowError(i, f"age must be positive, got {age}")
+        try:
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) < width:
+                    row += [""] * (width - len(row))
+                pending.append(take(row))
+                if len(pending) == _CLINICAL_BLOCK_ROWS:
+                    parse_pending()
+        except (csv.Error, ValueError):  # the reader failed (bad CSV or bad encoding)
+            parse_pending()
+            raise
+        parse_pending()
 
-            hr = _parse_measure(row.get(col["heart_rate"]) or "", i, col["heart_rate"])
-            sbp = _parse_measure(row.get(col["systolic_bp"]) or "", i, col["systolic_bp"])
-            rr = _parse_measure(row.get(col["respiratory_rate"]) or "", i, col["respiratory_rate"])
-            temp = _parse_measure(row.get(col["temperature_c"]) or "", i, col["temperature_c"])
-            o2 = _parse_measure(row.get(col["o2_sat"]) or "", i, col["o2_sat"])
+    values, events, times, rv = (np.frombuffer(c, dtype=float) for c in columns)
+    return ClinicalColumns(
+        patient_ids=pids,
+        values=values.reshape(len(pids), 1 + len(BINARY_FIELDS)),
+        events=events == 1.0,
+        times=times,
+        rv_dysfunction=rv,
+    )
 
-            clin = ClinicalVariables(
-                age_years=age,
-                male=_parse_sex(row.get(col["sex"]) or ""),
-                cancer=_parse_bool(row.get(col["cancer"]) or "", i, "cancer"),
-                heart_failure=_parse_bool(row.get(col["heart_failure"]) or "", i, "heart_failure"),
-                chronic_lung_disease=_parse_bool(
-                    row.get(col["chronic_lung_disease"]) or "", i, "chronic_lung_disease"
-                ),
-                hr_ge_110=None if hr is None else hr >= 110.0,
-                sbp_lt_100=None if sbp is None else sbp < 100.0,
-                rr_ge_30=None if rr is None else rr >= 30.0,
-                temp_lt_36c=None if temp is None else temp < 36.0,
-                altered_mental_status=_parse_bool(
-                    row.get(col["altered_mental_status"]) or "", i, "altered_mental_status"
-                ),
-                o2_sat_lt_90=None if o2 is None else o2 < 90.0,
-            )
-            rv = _parse_bool(row.get(col["rv_dysfunction"]) or "", i, "rv_dysfunction") if has_rv else None
-            records.append(
-                PatientRecord(
-                    patient_id=pid,
-                    clinical=clin,
-                    label=SurvivalLabel(event=event, time_days=time_days),
-                    rv_dysfunction=rv,
-                )
-            )
-    return Dataset(records=tuple(records))
+
+def _variables(row) -> ClinicalVariables:
+    """The record form of one row of a values matrix: NaN becomes ``None``."""
+    age, *flags = row
+    return ClinicalVariables(None if age != age else age,
+                             *(None if v != v else v == 1.0 for v in flags))
+
+
+def ingest_clinical(path, schema: dict[str, str] | None = None) -> Dataset:
+    """Read the clinical CSV into a :class:`Dataset` of patient records.
+
+    The columns, checks and errors are those of :func:`read_clinical`.
+    """
+    cols = read_clinical(path, schema)
+    records = tuple(
+        PatientRecord(
+            patient_id=pid,
+            clinical=_variables(row),
+            label=SurvivalLabel(event=event, time_days=time),
+            rv_dysfunction=None if rv != rv else rv == 1.0,
+        )
+        for pid, row, event, time, rv in zip(
+            cols.patient_ids, map(np.ndarray.tolist, cols.values), cols.events.tolist(),
+            cols.times.tolist(), cols.rv_dysfunction.tolist())
+    )
+    return Dataset(records=records)
 
 
 def ingest_features(source) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -334,23 +494,23 @@ def ingest_features(source) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return patient_ids, np.frombuffer(probs, dtype=float).copy(), features
 
 
-def attach_imaging(ds: Dataset, source) -> Dataset:
-    """Join acquisition features onto a clinical dataset.
+def join_imaging(patient_ids, source) -> tuple[np.ndarray, np.ndarray]:
+    """Match acquisition features to the patients of a clinical cohort.
 
     ``source`` is what ``ingest_features`` takes: the feature CSV's path or
-    a ``FeatureRead`` started on it.
-
-    Each patient gets a read-only view of the feature row of its acquisition
-    with the highest ``pe_probability``, the first such row in the file on
-    ties. Patients without any acquisition keep ``imaging_features=None``.
+    a ``FeatureRead`` started on it. Returns ``(rows, kept)``: ``kept`` is a
+    read-only matrix holding, per patient of the feature file, the feature
+    row of its acquisition with the highest ``pe_probability``, the first
+    such row in the file on ties; ``rows[i]`` is the row of ``kept`` that
+    belongs to ``patient_ids[i]``, -1 for a patient without acquisitions.
     Feature rows for patients absent from the cohort are skipped with a
     warning; the clinical file is authoritative for cohort membership.
     """
-    patient_ids, probs, features = ingest_features(source)
+    feature_ids, probs, features = ingest_features(source)
     codes: dict[str, int] = {}
-    code = np.fromiter((codes.setdefault(p, len(codes)) for p in patient_ids),
-                       dtype=np.intp, count=patient_ids.size)
-    unknown = sorted(set(codes).difference(ds.patient_ids))
+    code = np.fromiter((codes.setdefault(p, len(codes)) for p in feature_ids),
+                       dtype=np.intp, count=feature_ids.size)
+    unknown = sorted(set(codes).difference(patient_ids))
     if unknown:
         log.warning("feature CSV has %d patient(s) not in the cohort: %s",
                     len(unknown), ", ".join(unknown[:5]))
@@ -358,13 +518,23 @@ def attach_imaging(ds: Dataset, source) -> Dataset:
     order = np.lexsort((np.arange(code.size), -probs, code))
     kept = features[order[np.flatnonzero(np.diff(code[order], prepend=-1))]]
     kept.flags.writeable = False
-    chosen = dict(zip(codes, kept))  # codes iterate in code order, kept yields row views
+    rows = np.fromiter((codes.get(p, -1) for p in patient_ids), dtype=np.intp,
+                       count=len(patient_ids))
+    return rows, kept
+
+
+def attach_imaging(ds: Dataset, source) -> Dataset:
+    """Join acquisition features onto a clinical dataset by ``join_imaging``.
+
+    Each patient gets a read-only view of its row of the kept features;
+    patients without any acquisition keep ``imaging_features=None``.
+    """
+    rows, kept = join_imaging(ds.patient_ids, source)
     new_records = tuple(
-        dataclasses.replace(rec, imaging_features=chosen[rec.patient_id])
-        if rec.patient_id in chosen else rec
-        for rec in ds.records
+        rec if row < 0 else dataclasses.replace(rec, imaging_features=kept[row])
+        for rec, row in zip(ds.records, rows.tolist())
     )
-    return dataclasses.replace(ds, records=new_records, feature_dim=features.shape[1])
+    return dataclasses.replace(ds, records=new_records, feature_dim=kept.shape[1])
 
 
 def compute_imputation_stats(ds: Dataset, reference_ids) -> ImputationStats:
@@ -407,23 +577,23 @@ def compute_imputation_stats(ds: Dataset, reference_ids) -> ImputationStats:
     )
 
 
+def fill_missing(values: np.ndarray, stats: ImputationStats) -> np.ndarray:
+    """A values matrix (see :class:`ClinicalColumns`) with each NaN replaced
+    by its column's constant: the age median, or a flag's median."""
+    fill = np.array([stats.age_median, *(stats.binary_medians[f] for f in BINARY_FIELDS)],
+                    dtype=float)
+    return np.where(np.isnan(values), fill, values)
+
+
 def apply_imputation(ds: Dataset, stats: ImputationStats) -> Dataset:
     """Fill every missing clinical value using previously learned constants."""
-    new_records = []
-    for rec in ds.records:
-        c = rec.clinical
-        if c.complete:
-            new_records.append(rec)
-            continue
-        values = {f: getattr(c, f) for f in BINARY_FIELDS}
-        for f in BINARY_FIELDS:
-            if values[f] is None:
-                values[f] = stats.binary_medians[f]
-        age = c.age_years if c.age_years is not None else stats.age_median
-        new_records.append(
-            dataclasses.replace(rec, clinical=ClinicalVariables(age_years=age, **values))
-        )
-    return dataclasses.replace(ds, records=tuple(new_records), imputation=stats)
+    records = list(ds.records)
+    incomplete = [k for k, rec in enumerate(records) if not rec.clinical.complete]
+    if incomplete:
+        filled = fill_missing(_clinical_values([records[k] for k in incomplete]), stats)
+        for k, row in zip(incomplete, filled.tolist()):
+            records[k] = dataclasses.replace(records[k], clinical=_variables(row))
+    return dataclasses.replace(ds, records=tuple(records), imputation=stats)
 
 
 def impute_missing(ds: Dataset, reference_ids) -> Dataset:
@@ -440,35 +610,38 @@ def impute_missing(ds: Dataset, reference_ids) -> Dataset:
 _CLINICAL_INPUTS = attrgetter("age_years", *BINARY_FIELDS)
 
 
-def _clinical_rows(records, age_norm_params: tuple[float, float]) -> np.ndarray:
-    """``(len(records), 11)`` model inputs: normalized age then the ten flags."""
+def _clinical_values(records) -> np.ndarray:
+    """The values matrix of records (see :class:`ClinicalColumns`): a flag
+    as 1.0 or 0.0, NaN where a value is ``None``."""
     rows = [_CLINICAL_INPUTS(r.clinical) for r in records]
-    for record, row in zip(records, rows):
-        if None in row:
-            missing = [f for f, m in record.clinical.missing_mask.items() if m]
-            raise UnimputedRecordError(
-                f"patient {record.patient_id}: missing {', '.join(missing)}; impute first"
-            )
-    mat = np.array(rows, dtype=float).reshape(len(rows), 1 + len(BINARY_FIELDS))
+    return np.array(rows, dtype=float).reshape(len(rows), 1 + len(BINARY_FIELDS))
+
+
+def normalized_inputs(values: np.ndarray, age_norm_params: tuple[float, float]) -> np.ndarray:
+    """Model inputs from a values matrix: age normalized by ``(mean, std)``,
+    the flags as they are."""
+    mat = values.copy()
     mean, std = age_norm_params
     mat[:, 0] = (mat[:, 0] - mean) / std
     return mat
 
 
-def clinical_feature_vector(record: PatientRecord, age_norm_params: tuple[float, float]) -> np.ndarray:
-    """11-element model input: normalized age then the ten binary flags."""
-    return _clinical_rows((record,), age_norm_params)[0]
-
-
 def clinical_matrix(ds: Dataset, ids=None) -> np.ndarray:
-    """Stack clinical feature vectors for ``ids`` (default: all) in record order."""
+    """``(records, 11)`` model inputs for ``ids`` (default: all) in record
+    order: normalized age, then the ten flags of ``BINARY_FIELDS``."""
     if ds.age_norm_params is None:
         raise UnimputedRecordError("dataset has no imputation stats; run impute_missing first")
     wanted = None if ids is None else set(ids)
     records = [r for r in ds.records if wanted is None or r.patient_id in wanted]
     if not records:
         return np.array([])
-    return _clinical_rows(records, ds.age_norm_params)
+    for record in records:
+        if not record.clinical.complete:
+            missing = [f for f, m in record.clinical.missing_mask.items() if m]
+            raise UnimputedRecordError(
+                f"patient {record.patient_id}: missing {', '.join(missing)}; impute first"
+            )
+    return normalized_inputs(_clinical_values(records), ds.age_norm_params)
 
 
 def split_dataset(ds: Dataset, seed: int, train_frac: float = 0.7, val_frac: float = 0.1) -> SplitAssignment:

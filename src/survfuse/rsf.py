@@ -88,6 +88,8 @@ from .feature_csv import usable_cpus as _usable_cpus
 _SPLIT_BLOCK = 128
 # sorted subjects per block of the variance-bound sweep
 _SWEEP_BLOCK = 48
+# pairs (i, j) with j < i within one sweep block; any smaller block slices it
+_BELOW_DIAGONAL = np.tri(_SWEEP_BLOCK, k=-1, dtype=bool)
 # smallest node whose candidates are bounded before any is scored exactly
 _BOUND_MIN = 150
 # features with at most this many candidate splits are scored exactly
@@ -225,7 +227,6 @@ def _variance_bounds(ranks, n_e, k_e):
     a = np.cumsum(np.concatenate(([0.0], np.cumsum(k_e * n_e)))[ranks], axis=1)
     k_own = big_k[ranks]
     pairs = np.empty((f, m))  # sum over j < i of K[min(r_i, r_j)]
-    below = np.tri(_SWEEP_BLOCK, k=-1, dtype=bool)
     # histogram of the earlier blocks by g - rank, whose cumulative sum
     # counts the subjects at risk at each event time from the last one back
     flat = ranks + (g + 1) * np.arange(f)[:, None]
@@ -238,7 +239,7 @@ def _variance_bounds(ranks, n_e, k_e):
         # K is non-decreasing, so K[min(r_i, r_j)] = min(K[r_i], K[r_j])
         k_block = k_own[:, lo:hi]
         pair_k = np.minimum(k_block[:, :, None], k_block[:, None, :])
-        pair_k *= below[:hi - lo, :hi - lo]
+        pair_k *= _BELOW_DIAGONAL[:hi - lo, :hi - lo]
         pairs[:, lo:hi] = pair_k.sum(axis=2)
         if lo:
             hist += np.bincount(flat_back[:, lo - _SWEEP_BLOCK:lo].ravel(),

@@ -244,6 +244,16 @@ def random_fusion(rng, sources):
                        stds=rng.uniform(0.1, 3.0, k))
 
 
+def score_inputs(ds):
+    """What ``survfuse score`` hands the models of an imputed ``ds`` whose
+    records all carry imaging features."""
+    values = np.array([[r.clinical.age_years, *(getattr(r.clinical, f) for f in BINARY_FIELDS)]
+                       for r in ds.records], dtype=float)
+    kept = np.array([r.imaging_features for r in ds.records])
+    return cli._ScoreInputs(list(ds.patient_ids), values, ds.imputation,
+                            (np.arange(len(ds)), kept))
+
+
 def assert_scores_survive(kind, model, ds):
     """Saved and loaded, the artifact scores ``ds`` exactly as the model did,
     and saved again it is the same bytes: one line of compact JSON."""
@@ -258,8 +268,8 @@ def assert_scores_survive(kind, model, ds):
     assert data.endswith(b"}\n") and data.count(b"\n") == 1
     assert data == (json.dumps(json.loads(data), sort_keys=True) + "\n").encode()
     assert loaded.kind == kind and loaded.imputation == ds.imputation
-    want = cli._score_records(ModelArtifact(kind, model, ds.imputation, {}), ds)
-    assert same_bits(cli._score_records(loaded, ds), want)
+    want = cli._score_records(ModelArtifact(kind, model, ds.imputation, {}), score_inputs(ds))
+    assert same_bits(cli._score_records(loaded, score_inputs(ds)), want)
     return loaded.model
 
 

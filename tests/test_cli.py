@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import survfuse
-from survfuse import deep_survival, rsf
+from survfuse import dataset, deep_survival, rsf
 from survfuse.cli import (
     build_parser,
     cmd_score,
@@ -425,6 +425,45 @@ class TestScore:
                      "--clinical", str(clinical), "--out", str(tmp_path / "s.csv")])
         assert code == 1
         assert f"row 1: {column} must be a finite number, got 'nan'" in caplog.text
+
+    def test_scoring_builds_no_patient_records(self, cohort, run_result, tmp_path,
+                                               monkeypatch):
+        # score reads columns and joins features by row; the record types
+        # are built only where a Dataset is (ingest_clinical, for run)
+        out, _ = run_result
+        built = []
+        for cls in (dataset.PatientRecord, dataset.ClinicalVariables, dataset.SurvivalLabel):
+            def spy(self, *args, __init__=cls.__init__, **kwargs):
+                built.append(type(self).__name__)
+                __init__(self, *args, **kwargs)
+            monkeypatch.setattr(cls, "__init__", spy)
+        kinds = sorted(p.stem for p in (out / "models").glob("*.json"))
+        assert len(kinds) == 7
+        for kind in kinds:
+            code = main(["score", "--model", str(out / "models" / f"{kind}.json"),
+                         "--clinical", str(cohort / "clinical.csv"),
+                         "--features", str(cohort / "features.csv"),
+                         "--out", str(tmp_path / f"{kind}.csv")])
+            assert code == 0
+        assert built == []
+        dataset.ingest_clinical(cohort / "clinical.csv")
+        assert built.count("PatientRecord") == 120
+
+    @pytest.mark.parametrize("model", ["deep_imaging", "fusion_multimodal", "fusion_rsf"])
+    def test_patient_without_features_is_validation_error(self, cohort, run_result, tmp_path,
+                                                          caplog, model):
+        out, _ = run_result
+        with open(cohort / "features.csv", newline="") as fh:
+            rows = [r for r in csv.reader(fh) if r[0] not in ("P00004", "P00009")]
+        rows.append(["X1", "A0", "0.5", *rows[1][3:]])
+        with open(tmp_path / "f.csv", "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        code = main(["score", "--model", str(out / "models" / f"{model}.json"),
+                     "--clinical", str(cohort / "clinical.csv"),
+                     "--features", str(tmp_path / "f.csv"), "--out", str(tmp_path / "s.csv")])
+        assert code == 1
+        assert "feature CSV has 1 patient(s) not in the cohort: X1" in caplog.text
+        assert "2 patient(s) lack imaging features (e.g. 'P00004')" in caplog.text
 
     def test_missing_artifact_is_runtime_error(self, cohort, tmp_path):
         code = main(["score", "--model", str(tmp_path / "ghost.json"),

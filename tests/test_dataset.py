@@ -1,4 +1,5 @@
 import csv
+import random
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -22,7 +23,6 @@ from survfuse.dataset import (
     SurvivalLabel,
     apply_imputation,
     attach_imaging,
-    clinical_feature_vector,
     clinical_matrix,
     compute_imputation_stats,
     impute_missing,
@@ -202,6 +202,256 @@ class TestIngestClinical:
 
 
 # --- the per-row read path, kept as the oracle of the array path ---------
+
+
+_TRUE = frozenset({"1", "true", "t", "yes", "y"})
+_FALSE = frozenset({"0", "false", "f", "no", "n"})
+
+
+def oracle_ingest_clinical(path, schema=None, debug=lambda *args: None):
+    """One ``DictReader`` row and three dataclasses per patient; ``debug``
+    takes the arguments of each DEBUG log call."""
+
+    def parse_bool(token, row_index, column):
+        token = token.strip().lower()
+        if not token:
+            return None
+        if token in _TRUE:
+            return True
+        if token in _FALSE:
+            return False
+        debug("row %d: unparseable boolean %r in %s, marked missing", row_index, token, column)
+        return None
+
+    def parse_measure(token, row_index, column):
+        value = _oracle_parse_float(token)
+        if value is not None and not np.isfinite(value):
+            raise MalformedRowError(row_index,
+                                    f"{column} must be a finite number, got {token.strip()!r}")
+        return value
+
+    def parse_sex(token):
+        token = token.strip().lower()
+        if token in {"m", "male"} | _TRUE:
+            return True
+        if token in {"f", "female"} | _FALSE:
+            return False
+        return None
+
+    schema = schema or {}
+    col = {name: schema.get(name, name) for name in CLINICAL_COLUMNS}
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        header = reader.fieldnames or []
+        for name in CLINICAL_COLUMNS[:-1]:
+            if col[name] not in header:
+                raise MissingColumnError(f"clinical CSV is missing column {col[name]!r}")
+        has_rv = col["rv_dysfunction"] in header
+        records, seen = [], set()
+        for i, row in enumerate(reader):
+            def cell(name):
+                return row.get(col[name]) or ""
+
+            pid = cell("patient_id").strip()
+            if not pid:
+                raise MalformedRowError(i, "empty patient_id")
+            if pid in seen:
+                raise DuplicatePatientIdError(f"patient id {pid!r} appears more than once")
+            seen.add(pid)
+            event = parse_bool(cell("event"), i, "event")
+            if event is None:
+                raise MalformedRowError(i, "event must be a boolean")
+            time_days = _oracle_parse_float(cell("time_days"))
+            if time_days is None or not np.isfinite(time_days) or time_days < 0:
+                raise MalformedRowError(i, "time_days must be a finite non-negative number")
+            age = parse_measure(cell("age"), i, col["age"])
+            if age is not None and age <= 0:
+                raise MalformedRowError(i, f"age must be positive, got {age}")
+            hr, sbp, rr, temp, o2 = (parse_measure(cell(name), i, col[name]) for name in (
+                "heart_rate", "systolic_bp", "respiratory_rate", "temperature_c", "o2_sat"))
+            clin = ClinicalVariables(
+                age_years=age,
+                male=parse_sex(cell("sex")),
+                cancer=parse_bool(cell("cancer"), i, "cancer"),
+                heart_failure=parse_bool(cell("heart_failure"), i, "heart_failure"),
+                chronic_lung_disease=parse_bool(cell("chronic_lung_disease"), i,
+                                                "chronic_lung_disease"),
+                hr_ge_110=None if hr is None else hr >= 110.0,
+                sbp_lt_100=None if sbp is None else sbp < 100.0,
+                rr_ge_30=None if rr is None else rr >= 30.0,
+                temp_lt_36c=None if temp is None else temp < 36.0,
+                altered_mental_status=parse_bool(cell("altered_mental_status"), i,
+                                                 "altered_mental_status"),
+                o2_sat_lt_90=None if o2 is None else o2 < 90.0,
+            )
+            rv = parse_bool(cell("rv_dysfunction"), i, "rv_dysfunction") if has_rv else None
+            records.append(PatientRecord(patient_id=pid, clinical=clin,
+                                         label=SurvivalLabel(event=event, time_days=time_days),
+                                         rv_dysfunction=rv))
+    return Dataset(records=tuple(records))
+
+
+_FLAG_TOKENS = ["1", "0", "", "TRUE", " false", "Yes ", "n", "T", "f", "y", "maybe", "2",
+                " ", "-1", "yes,no", '"1"']
+_SEX_TOKENS = ["M", "F", "male", " Female", "1", "0", "", "x", "MALE ", "t", "n"]
+_MEASURE_TOKENS = ["60", " 72.5", "110", "109.9", "100", "99.9", "30", "29.9", "36", "35.99",
+                   "90", "89.9", "1e-3", "+3", "1_0", "1e308", "", " ", "fast", "1\n2", '"7"',
+                   "-3", "0", "-0"]
+_NON_FINITE_TOKENS = ["nan", " NaN", "inf", "-inf", "1e999", "-Infinity"]
+# per column: tokens a row may hold, and tokens that make it faulty
+_CLINICAL_TOKENS = {
+    "patient_id": ([" {k} ", "{k},x", '{k}"q', "{k}\n"], ["P1", "P2", "", "  "]),
+    "event": (["1", "0", " TRUE ", "no", "Y", "t", "F"], ["", " ", "perhaps", "2"]),
+    "time_days": (["12.5", "0", "-0", " 3 ", "1e5", "1_0", "+3"],
+                  ["", "-1", "nan", "inf", "abc", "-1e-300"]),
+    "age": ([t for t in _MEASURE_TOKENS if t not in ("-3", "0", "-0")],
+            ["-3", "0", "-0", *_NON_FINITE_TOKENS]),
+    "sex": (_SEX_TOKENS, []),
+}
+_CLINICAL_TOKENS.update(dict.fromkeys(
+    ("heart_rate", "systolic_bp", "respiratory_rate", "temperature_c", "o2_sat"),
+    (_MEASURE_TOKENS, _NON_FINITE_TOKENS)))
+
+
+@st.composite
+def clinical_csvs(draw):
+    """``(header, rows, schema)`` of a clinical CSV.
+
+    The canonical columns, some renamed through ``schema``, shuffled, with
+    extra columns or a repeated name; now and then ``rv_dysfunction`` or a
+    required column is absent. 0-25 rows whose cells are those of
+    ``base_row`` but, at two rates drawn per file, hold a token a row may
+    hold (padded, mixed case, quoted, empty, unparseable) or one that makes
+    the row faulty (an empty or repeated id, a bad event or time, a NaN,
+    infinite or non-positive age, a non-finite vital sign). Rows may also
+    be cells short or a cell long, and blank lines come between them.
+    """
+    # a plain generator: hypothesis's own randoms lean to their smallest draws
+    rnd = random.Random(draw(st.integers(0, 2**32)))
+    columns = list(CLINICAL_COLUMNS)
+    if rnd.random() < 0.5:
+        columns.remove("rv_dysfunction")
+    if rnd.random() < 0.05:
+        columns.remove(rnd.choice(columns))
+    schema = {name: f"{name}_v2" for name in rnd.sample(columns, rnd.randint(0, 3))}
+    extras = rnd.sample(["note", "age", "cancer", "patient_id", "event"], rnd.randint(0, 2))
+    header = [schema.get(c, c) for c in columns] + extras
+    rnd.shuffle(header)
+    canonical = {schema.get(c, c): c for c in columns}
+    odd_rate = rnd.choice([0.0, 0.1, 0.3, 0.7])
+    fault_rate = rnd.choice([0.0, 0.0, 0.003, 0.01, 0.05])
+
+    def cell(name, k):
+        if name is None:  # an extra column
+            return rnd.choice(_FLAG_TOKENS + _MEASURE_TOKENS)
+        odd, faulty = _CLINICAL_TOKENS.get(name, (_FLAG_TOKENS, []))
+        if name == "patient_id" and k and rnd.random() < 0.03:
+            return f" Q{rnd.randrange(k)}"  # an earlier row's id
+        if faulty and rnd.random() < fault_rate:
+            return rnd.choice(faulty)
+        if rnd.random() < odd_rate:
+            return rnd.choice(odd).format(k=f"Q{k}")
+        return base_row(f"Q{k}")[HEADER.index(name)]
+
+    def row(k):
+        cells = [cell(canonical.get(h), k) for h in header]
+        if rnd.random() < odd_rate / 10:
+            cells = cells[:rnd.randrange(len(cells))]
+        elif rnd.random() < odd_rate / 10:
+            cells.append("extra")
+        return cells
+
+    rows = [row(k) for k in range(rnd.randint(0, 25))]
+    for _ in range(rnd.randint(0, 2)):
+        rows.insert(rnd.randint(0, len(rows)), [])  # a blank line
+    return header, rows, schema
+
+
+# each clinical property reads every file with these blocks, the default included
+CLINICAL_BLOCKS = (1, 3, 7, dataset._CLINICAL_BLOCK_ROWS)
+
+
+class TestReadClinical:
+    @settings(max_examples=300)
+    @given(clinical_csvs())
+    def test_matches_the_per_row_reader(self, case):
+        # equal records and DEBUG logs, or the same error for the same row
+        header, rows, schema = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_rows(Path(tmp) / "c.csv", header, rows)
+            want_logs = []
+            want, want_error = outcome(
+                lambda: oracle_ingest_clinical(path, schema, lambda *a: want_logs.append(a)))
+            for block in CLINICAL_BLOCKS:
+                with mock.patch.object(dataset, "_CLINICAL_BLOCK_ROWS", block), \
+                        mock.patch.object(dataset.log, "debug") as debug:
+                    got, error = outcome(ingest_clinical, path, schema)
+                assert error == want_error
+                assert [c.args for c in debug.call_args_list] == want_logs
+                if error is None:
+                    assert len(got) == len(want)
+                    for a, b in zip(got.records, want.records):
+                        assert a.patient_id == b.patient_id
+                        assert repr(a.clinical) == repr(b.clinical)
+                        assert repr(a.label) == repr(b.label)
+                        assert repr(a.rv_dysfunction) == repr(b.rv_dysfunction)
+                        assert a.imaging_features is None
+
+    def test_columns(self, tmp_path):
+        path = write_clinical(tmp_path / "c.csv", [
+            base_row("P1", event="1", time_days="12.5", heart_rate="120", o2_sat=""),
+            base_row("P2", sex="F", age="", cancer="yes", rv_dysfunction="x"),
+        ])
+        cols = dataset.read_clinical(path)
+        assert cols.patient_ids == ["P1", "P2"]
+        nan = np.nan
+        assert_array_equal(cols.values, [
+            [60.0, 1, 0, 0, 0, 1, 0, 0, 0, 0, nan],
+            [nan, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0],
+        ])
+        assert cols.events.dtype == bool and cols.events.tolist() == [True, False]
+        assert cols.times.tolist() == [12.5, 100.0]
+        assert_array_equal(cols.rv_dysfunction, [0.0, nan])
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_text("")
+        with pytest.raises(MissingColumnError, match="patient_id"):
+            dataset.read_clinical(path)
+        path.write_text(",".join(HEADER) + "\r\n")
+        cols = dataset.read_clinical(path)
+        assert cols.patient_ids == [] and cols.values.shape == (0, 11)
+
+    @pytest.mark.parametrize("fault", ["field_limit", "encoding"])
+    def test_reader_failure_after_a_bad_row(self, tmp_path, fault):
+        # the reader fails on the last line; a bad row before it in the same
+        # block is still reported first, as by the per-row reader
+        good = [base_row(f"P{i}") for i in range(300)]
+        last = "P9999,60," + ("9" * 200_000 if fault == "field_limit" else "\udcff")
+        for rows in ([good[0], base_row("P1", time_days="-1"), *good[2:]], good):
+            path = write_clinical(tmp_path / "c.csv", rows)
+            with open(path, "a", encoding="utf-8", errors="surrogateescape", newline="") as fh:
+                fh.write(last + "\r\n")
+            want = outcome(oracle_ingest_clinical, path)[1]
+            assert want is not None
+            for block in CLINICAL_BLOCKS:
+                with mock.patch.object(dataset, "_CLINICAL_BLOCK_ROWS", block):
+                    assert outcome(ingest_clinical, path)[1] == want
+
+    def test_read_memory_is_bounded_by_blocks(self, tmp_path):
+        # 4000 patients: the columns take about 0.5 MB; the cell strings of
+        # the whole file, held at once, would take several times that
+        rows = [base_row(f"P{i:05d}", age=repr(40 + i / 100), time_days=repr(i / 7))
+                for i in range(4000)]
+        path = write_clinical(tmp_path / "c.csv", rows)
+        tracemalloc.start()
+        try:
+            cols = dataset.read_clinical(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 1024 * 1024, peak
+        assert cols.values.shape == (4000, 11)
 
 
 def _oracle_parse_float(token):
@@ -609,6 +859,14 @@ def oracle_clinical_feature_vector(record, age_norm_params):
     for k, field in enumerate(BINARY_FIELDS, start=1):
         vec[k] = 1.0 if getattr(c, field) else 0.0
     return vec
+
+
+def clinical_feature_vector(record, age_norm_params):
+    """11-element model input of one record: normalized age then the ten
+    binary flags, by ``clinical_matrix``."""
+    mean, std = age_norm_params
+    stats = ImputationStats(binary_medians={}, age_median=0.0, age_mean=mean, age_std=std)
+    return clinical_matrix(Dataset(records=(record,), imputation=stats))[0]
 
 
 def oracle_clinical_matrix(ds, ids=None):

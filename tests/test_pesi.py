@@ -6,7 +6,7 @@ from numpy.testing import assert_array_equal
 
 from survfuse.dataset import BINARY_FIELDS, ClinicalVariables, Dataset, PatientRecord, SurvivalLabel
 from survfuse.errors import NonPositiveAgeError, UnimputedRecordError
-from survfuse.pesi import PESI_WEIGHTS, pesi_predictor, pesi_score, pesi_scores, risk_class_for
+from survfuse.pesi import PESI_WEIGHTS, pesi_score, pesi_scores, risk_class_for
 
 from strategies import outcome, same_bits
 
@@ -102,8 +102,8 @@ class TestDatasetHelpers:
     def test_predictor_matches_per_record_scores(self):
         ds = self.build()
         expected = [pesi_score(r.clinical).score for r in ds.records]
-        assert_array_equal(pesi_predictor(ds), np.array(expected, dtype=float))
-        assert pesi_predictor(ds).dtype == float
+        assert_array_equal(pesi_scores(ds), np.array(expected, dtype=float))
+        assert pesi_scores(ds).dtype == float
 
 
 def oracle_pesi_scores(ds):
@@ -142,10 +142,9 @@ class TestVectorScores:
     def test_matches_per_record_loop(self, ds):
         # the same scores bit for bit, or the first bad record's error
         want, want_error = outcome(oracle_pesi_scores, ds)
-        for fn in (pesi_scores, pesi_predictor):
-            got, error = outcome(fn, ds)
-            assert error == want_error
-            assert error is not None or same_bits(got, want)
+        got, error = outcome(pesi_scores, ds)
+        assert error == want_error
+        assert error is not None or same_bits(got, want)
 
     def test_first_bad_record_raises(self):
         good, no_age, negative = clin(70.0), clin(None), clin(-2.0)
