@@ -20,26 +20,21 @@ _EXPORTS = {
     "analysis": (
         "ComparisonResult", "DeepHyper", "MODEL_KINDS", "RiskStrata", "RsfHyper",
         "RvFactorReport", "StudyConfig", "StudyReport", "compare_to_pesi",
-        "format_pct", "run_study", "run_study_full", "rv_factor_analysis", "stratify",
+        "run_study", "run_study_full", "rv_factor_analysis", "stratify",
     ),
     "artifacts": (
         "FusionBundle", "ModelArtifact", "file_fingerprint", "load_model",
         "save_model",
     ),
-    "cox_linear": (
-        "CoxModel", "FitOptions", "fit_cox", "partial_loglik",
-        "partial_loglik_grad_hess", "predict_linear",
-    ),
+    "cox_linear": ("CoxModel", "FitOptions", "fit_cox"),
     "dataset": (
-        "ClinicalVariables", "Dataset", "ImputationStats", "PatientRecord",
-        "SplitAssignment", "SurvivalLabel", "apply_imputation", "attach_imaging",
-        "clinical_matrix", "compute_imputation_stats", "impute_missing",
-        "ingest_clinical", "ingest_features", "label_arrays", "split_dataset",
+        "Dataset", "ImputationStats", "Labels", "SplitAssignment", "apply_imputation",
+        "attach_imaging", "clinical_matrix", "compute_imputation_stats", "imaging_matrix",
+        "impute_missing", "ingest_clinical", "ingest_features", "split_dataset",
         "truncate_30day",
     ),
     "deep_survival": (
-        "MlpSurvModel", "TrainOptions", "cox_loss", "forward", "init_mlp",
-        "linear_scores", "loss_and_gradients", "train",
+        "MlpSurvModel", "TrainOptions", "forward", "init_mlp", "linear_scores", "train",
     ),
     "errors": ("SurvfuseError",),
     "fusion": (
@@ -49,10 +44,7 @@ _EXPORTS = {
         "KmCurve", "KmPoint", "NriResult", "TestResult", "bootstrap_ci", "c_index",
         "km_curve", "logrank_test", "nri", "sigmoid", "wilcoxon_signed_rank",
     ),
-    "pesi": (
-        "PESI_WEIGHTS", "PesiResult", "pesi_score", "pesi_scores",
-        "risk_class_for",
-    ),
+    "pesi": ("PESI_WEIGHTS", "pesi_scores", "risk_class_for"),
     "rsf": (
         "ForestModel", "RsfOptions", "SurvivalTree", "fit_forest", "predict_risk",
     ),

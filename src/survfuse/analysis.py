@@ -22,8 +22,9 @@ from . import deep_survival, pesi, rsf
 from .cox_linear import FitOptions
 from .dataset import (
     Dataset,
-    SurvivalLabel,
+    Labels,
     clinical_matrix,
+    imaging_matrix,
     impute_missing,
     split_dataset,
     truncate_30day,
@@ -31,7 +32,6 @@ from .dataset import (
 from .errors import (
     EmptyInputError,
     MismatchedLengthsError,
-    MissingModalityError,
     NoComparablePairsError,
     TooFewPairsError,
     TooFewResamplesError,
@@ -80,11 +80,6 @@ class ComparisonResult:
     test: TestResult
     mean_diff: float
     n_resamples: int
-
-
-def format_pct(value: float) -> str:
-    """Percentages are reported at one decimal place (e.g. '68.8')."""
-    return f"{value:.1f}"
 
 
 def stratify(scores, ids, method: str = "median", threshold: float | None = None) -> RiskStrata:
@@ -144,7 +139,7 @@ def rv_factor_analysis(strata: RiskStrata, rv_flags: dict[str, bool],
     )
 
 
-def compare_to_pesi(model_scores, pesi_scores, labels: list[SurvivalLabel],
+def compare_to_pesi(model_scores, pesi_scores, labels: Labels,
                     n_resamples: int = 1000, seed: int = 0) -> ComparisonResult:
     """Paired bootstrap comparison of concordance against the severity index.
 
@@ -358,14 +353,13 @@ def run_study_full(ds: Dataset, config: StudyConfig | None = None):
     split = split_dataset(ds, cfg.seed, cfg.train_frac, cfg.val_frac)
     ds = impute_missing(ds, split.train_ids)
 
-    id_rows = {r.patient_id: i for i, r in enumerate(ds.records)}
-    split_ids = {"train": set(split.train_ids), "val": set(split.val_ids),
-                 "test": set(split.test_ids)}
-    rows = {s: np.array([id_rows[i] for i in ds.patient_ids if i in split_ids[s]])
-            for s in SPLIT_NAMES}
-    labels_all = ds.labels
-    labels = {s: [labels_all[i] for i in rows[s]] for s in SPLIT_NAMES}
-    ids = {s: [ds.records[i].patient_id for i in rows[s]] for s in SPLIT_NAMES}
+    # each split's patients, in dataset order
+    split_of = {pid: s for s, ids in zip(SPLIT_NAMES, (split.train_ids, split.val_ids,
+                                                       split.test_ids)) for pid in ids}
+    which = [split_of[pid] for pid in ds.patient_ids]
+    rows = {s: np.flatnonzero([w == s for w in which]) for s in SPLIT_NAMES}
+    labels = {s: ds.labels.take(rows[s]) for s in SPLIT_NAMES}
+    ids = {s: [ds.patient_ids[i] for i in rows[s]] for s in SPLIT_NAMES}
 
     clin_all = clinical_matrix(ds)
     clin = {s: clin_all[rows[s]] for s in SPLIT_NAMES}
@@ -373,13 +367,7 @@ def run_study_full(ds: Dataset, config: StudyConfig | None = None):
     needs_imaging = _needs(models, "deep_imaging", "deep_multimodal", "deep_pesi_fused", "rsf_fused")
     img = None
     if needs_imaging:
-        lacking = [r.patient_id for r in ds.records if r.imaging_features is None]
-        if lacking:
-            raise MissingModalityError(
-                f"{len(lacking)} patient(s) lack imaging features (e.g. {lacking[0]!r}) "
-                "but an imaging model was requested"
-            )
-        img_all = np.array([r.imaging_features for r in ds.records], dtype=float)
+        img_all = imaging_matrix(ds, " but an imaging model was requested")
         img = {s: img_all[rows[s]] for s in SPLIT_NAMES}
 
     pesi_all = pesi.pesi_scores(ds)
@@ -447,9 +435,9 @@ def run_study_full(ds: Dataset, config: StudyConfig | None = None):
         strata = stratify(prob[kind]["test"], ids["test"],
                           cfg.stratification_method, cfg.stratification_threshold)
         strata_by_model[kind] = strata
-        by_id = {i: lab for i, lab in zip(ids["test"], labels["test"])}
-        high = [by_id[i] for i in strata.high_ids]
-        low = [by_id[i] for i in strata.low_ids]
+        in_high = set(strata.high_ids)
+        is_high = np.array([i in in_high for i in ids["test"]], dtype=bool)
+        high, low = labels["test"].take(is_high), labels["test"].take(~is_high)
         entry = {"cut_value": strata.cut_value, "method": strata.method,
                  "n_high": len(high), "n_low": len(low)}
         if high and low:
@@ -483,12 +471,11 @@ def run_study_full(ds: Dataset, config: StudyConfig | None = None):
         }
 
     rv_section = None
-    test_records = [ds.records[i] for i in rows["test"]]
-    rv_known = all(r.rv_dysfunction is not None for r in test_records)
-    if rv_known and "deep_multimodal" in strata_by_model:
+    rv_test = ds.rv_dysfunction[rows["test"]]
+    if not np.isnan(rv_test).any() and "deep_multimodal" in strata_by_model:
         strata = strata_by_model["deep_multimodal"]
-        rv_flags = {r.patient_id: bool(r.rv_dysfunction) for r in test_records}
-        death_flags = {r.patient_id: r.label.event for r in test_records}
+        rv_flags = dict(zip(ids["test"], (rv_test == 1.0).tolist()))
+        death_flags = dict(zip(ids["test"], labels["test"].events.tolist()))
         factor = rv_factor_analysis(strata, rv_flags, death_flags)
         lin = raw["deep_multimodal"]["test"]
         sig = prob["deep_multimodal"]["test"]
@@ -499,14 +486,14 @@ def run_study_full(ds: Dataset, config: StudyConfig | None = None):
             "cut_sigmoid": strata.cut_value,
             "patients": [
                 {
-                    "patient_id": r.patient_id,
+                    "patient_id": pid,
                     "risk_linear": float(lv),
                     "risk_sigmoid": float(pv),
-                    "high_risk": r.patient_id in high,
-                    "rv_dysfunction": bool(r.rv_dysfunction),
-                    "event": r.label.event,
+                    "high_risk": pid in high,
+                    "rv_dysfunction": rv_flags[pid],
+                    "event": death_flags[pid],
                 }
-                for r, lv, pv in zip(test_records, lin, sig)
+                for pid, lv, pv in zip(ids["test"], lin, sig)
             ],
         }
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cox_linear import CoxModel
-from .dataset import ImputationStats
+from .dataset import BINARY_FIELDS, ImputationStats
 from .deep_survival import MlpSurvModel
 from .errors import IoError, SchemaMismatchError, UnknownModelKindError
 from .fusion import FusionModel
@@ -237,12 +237,29 @@ def _enc_imputation(s: ImputationStats) -> dict:
 
 
 def _dec_imputation(doc: dict) -> ImputationStats:
-    return ImputationStats(
-        binary_medians={k: bool(v) for k, v in doc["binary_medians"].items()},
+    """The constants as ``compute_imputation_stats`` writes them: a true or
+    false median for each of ``BINARY_FIELDS`` and no other key, finite age
+    constants, and a positive ``age_std`` and ``age_median`` (ingest
+    rejects ages that are not positive); anything else raises
+    ``ValueError``."""
+    medians = doc["binary_medians"]
+    if not isinstance(medians, dict) or sorted(medians) != sorted(BINARY_FIELDS):
+        raise ValueError(f"binary_medians must have the keys {', '.join(BINARY_FIELDS)}")
+    if not all(isinstance(v, bool) for v in medians.values()):
+        raise ValueError("binary_medians must be true or false")
+    stats = ImputationStats(
+        binary_medians=dict(medians),
         age_median=float(doc["age_median"]),
         age_mean=float(doc["age_mean"]),
         age_std=float(doc["age_std"]),
     )
+    for name in ("age_median", "age_mean", "age_std"):
+        if not math.isfinite(getattr(stats, name)):
+            raise ValueError(f"{name} must be finite, got {getattr(stats, name)}")
+    for name in ("age_median", "age_std"):
+        if not getattr(stats, name) > 0:
+            raise ValueError(f"{name} must be positive, got {getattr(stats, name)}")
+    return stats
 
 
 # --- public API -------------------------------------------------------------
@@ -311,7 +328,10 @@ def load_model(path) -> ModelArtifact:
             model = _dec_mlp(body)
         else:
             model = _dec_forest(body)
-        imputation = None if doc.get("imputation") is None else _dec_imputation(doc["imputation"])
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaMismatchError(f"{path} has a malformed {kind} body: {exc}") from exc
+    try:
+        imputation = None if doc.get("imputation") is None else _dec_imputation(doc["imputation"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SchemaMismatchError(f"{path} has malformed imputation constants: {exc}") from exc
     return ModelArtifact(kind=kind, model=model, imputation=imputation, metadata=doc["metadata"])

@@ -20,12 +20,17 @@ their feature CSV (``feature_csv.FeatureRead``: a forked child on a second
 CPU for a file of 1 MiB or more, else this process later), then import
 numpy and the package, load the artifact or config and read the
 clinical CSV, and take the parsed features where the imaging join
-(``dataset.join_imaging``) reads them. Errors therefore come in the order
+(``dataset.attach_imaging``) reads them. Errors therefore come in the order
 they always did, and the child is killed and reaped on any exit before
-that point. ``score`` works on the clinical columns and the joined
-feature matrix and builds no patient records. Forking before numpy is
-imported means the process has no other thread yet (Python 3.12+ warns
-about forking a threaded process; only 3.11 was checked).
+that point. Forking before numpy is imported means the process has no
+other thread yet (Python 3.12+ warns about forking a threaded process;
+only 3.11 was checked).
+
+Both commands hold the cohort as one columnar ``dataset.Dataset`` and go
+through the same functions: ``ingest_clinical``, ``attach_imaging``,
+``apply_imputation`` (``run`` learns the constants on its training split,
+``score`` takes the artifact's), then ``clinical_matrix``,
+``imaging_matrix`` and ``pesi.pesi_scores`` for the model inputs.
 
 Everything a command writes is deterministic given the config and seed:
 reports embed a fingerprint of the effective analysis configuration and
@@ -37,7 +42,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import functools
 import hashlib
 import json
 import logging
@@ -515,77 +519,40 @@ def cmd_run(args) -> int:
     return 0
 
 
-class _ScoreInputs:
-    """What the models of one ``score`` call read: the cohort's clinical
-    values (see ``dataset.ClinicalColumns``) filled with the artifact's
-    imputation constants, and, each formed once on first use, the model
-    inputs, the imaging matrix from the join (``(rows, kept)`` from
-    ``dataset.join_imaging``, or ``None`` without a feature CSV) and PESI."""
-
-    def __init__(self, patient_ids, values, imputation, imaging=None):
-        from .dataset import fill_missing
-
-        self.patient_ids = patient_ids
-        self.values = fill_missing(values, imputation)
-        self.imputation = imputation
-        self.imaging = imaging
-
-    @functools.cached_property
-    def clinical(self):
-        from .dataset import normalized_inputs
-
-        imp = self.imputation
-        return normalized_inputs(self.values, (imp.age_mean, imp.age_std))
-
-    @functools.cached_property
-    def image(self):
-        rows, kept = self.imaging
-        lacking = (rows < 0).nonzero()[0]
-        if lacking.size:
-            raise MissingModalityError(
-                f"{lacking.size} patient(s) lack imaging features "
-                f"(e.g. {self.patient_ids[lacking[0]]!r})"
-            )
-        return kept[rows]
-
-    @functools.cached_property
-    def pesi(self):
-        from .pesi import pesi_points
-
-        return pesi_points(self.values)
+# the model of each single-model artifact kind, by its fusion component tag
+_KIND_TAGS = {"deep_clinical": "clin", "deep_imaging": "img",
+              "rsf_clinical": "rsf_clin", "rsf_imaging": "rsf_img"}
 
 
-def _score_records(artifact, inputs: _ScoreInputs):
+def _score_records(artifact, ds):
+    """Risk scores of an imputed dataset's patients under an artifact. The
+    clinical and imaging inputs are each formed once, when first needed."""
     import numpy as np
 
-    from . import deep_survival, rsf
+    from . import deep_survival, pesi, rsf
+    from .dataset import clinical_matrix, imaging_matrix
     from .fusion import predict_fused
 
-    kind = artifact.kind
-    if kind == "deep_clinical":
-        return deep_survival.forward(artifact.model, inputs.clinical)
-    if kind == "deep_imaging":
-        return deep_survival.forward(artifact.model, inputs.image)
-    if kind == "rsf_clinical":
-        return np.atleast_1d(rsf.predict_risk(artifact.model, inputs.clinical))
-    if kind == "rsf_imaging":
-        return np.atleast_1d(rsf.predict_risk(artifact.model, inputs.image))
+    inputs = {}
 
+    def score(tag, model):
+        modality = "img" if tag.endswith("img") else "clin"
+        if modality not in inputs:
+            inputs[modality] = clinical_matrix(ds) if modality == "clin" else imaging_matrix(ds)
+        if tag in ("clin", "img"):
+            return deep_survival.forward(model, inputs[modality])
+        return np.atleast_1d(rsf.predict_risk(model, inputs[modality]))
+
+    if artifact.kind in _KIND_TAGS:
+        return score(_KIND_TAGS[artifact.kind], artifact.model)
     bundle = artifact.model
     scores = {}
     for tag, comp in bundle.components.items():
-        if tag == "clin":
-            scores[tag] = deep_survival.forward(comp, inputs.clinical)
-        elif tag == "img":
-            scores[tag] = deep_survival.forward(comp, inputs.image)
-        elif tag == "rsf_clin":
-            scores[tag] = np.atleast_1d(rsf.predict_risk(comp, inputs.clinical))
-        elif tag == "rsf_img":
-            scores[tag] = np.atleast_1d(rsf.predict_risk(comp, inputs.image))
-        else:
+        if tag not in ("clin", "img", "rsf_clin", "rsf_img"):
             raise SchemaMismatchError(f"unknown component tag {tag!r} in artifact")
+        scores[tag] = score(tag, comp)
     if "pesi" in bundle.fusion.sources:
-        scores["pesi"] = inputs.pesi
+        scores["pesi"] = pesi.pesi_scores(ds)
     return np.atleast_1d(predict_fused(bundle.fusion, scores))
 
 
@@ -596,7 +563,7 @@ def cmd_score(args) -> int:
         import numpy as np
 
         from . import artifacts, pesi
-        from .dataset import join_imaging, read_clinical
+        from .dataset import apply_imputation, attach_imaging, ingest_clinical
 
         with _stage("load"):
             artifact = artifacts.load_model(args.model)
@@ -605,23 +572,23 @@ def cmd_score(args) -> int:
 
         with _stage("ingest"):
             try:
-                cohort = read_clinical(args.clinical)
+                ds = ingest_clinical(args.clinical)
             except MissingColumnError as exc:
                 raise SchemaMismatchError(str(exc)) from exc
-            imaging = join_imaging(cohort.patient_ids, features) if args.features else None
+            if args.features:
+                ds = attach_imaging(ds, features)
 
     rows = []
-    if cohort.patient_ids:
+    if len(ds):
         with _stage("score"):
             if artifact.imputation is None:
                 raise SchemaMismatchError(
                     "artifact carries no imputation constants; cannot score raw records"
                 )
-            inputs = _ScoreInputs(cohort.patient_ids, cohort.values, artifact.imputation,
-                                  imaging)
-            risks = _score_records(artifact, inputs)
-            points = inputs.pesi.astype(np.int64).tolist()
-            rows = list(zip(cohort.patient_ids, map(repr, risks.tolist()), points,
+            ds = apply_imputation(ds, artifact.imputation)
+            risks = _score_records(artifact, ds)
+            points = pesi.pesi_scores(ds).astype(np.int64).tolist()
+            rows = list(zip(ds.patient_ids, map(repr, risks.tolist()), points,
                             map(pesi.risk_class_for, points)))
 
     with _stage("write"):

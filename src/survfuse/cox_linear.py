@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import EventTable, SurvivalLabel, label_arrays
+from .dataset import EventTable, Labels
 from .errors import (
     DimensionMismatchError,
     NoEventsError,
@@ -65,14 +65,14 @@ def _check_finite(arr: np.ndarray, name: str):
         raise NonFiniteInputError(f"{name} contains non-finite values")
 
 
-def _event_table(times, events) -> EventTable:
-    table = EventTable(times, events)
+def _event_table(labels: Labels) -> EventTable:
+    table = labels.table
     if table.event_times.size == 0:
         raise NoEventsError("at least one observed event is required")
     return table
 
 
-def partial_loglik_eta(eta: np.ndarray, times: np.ndarray, events: np.ndarray,
+def partial_loglik_eta(eta: np.ndarray, labels: Labels,
                        tie_method: str = "efron") -> tuple[float, np.ndarray]:
     """Partial log-likelihood and its gradient w.r.t. the per-subject scores.
 
@@ -82,7 +82,7 @@ def partial_loglik_eta(eta: np.ndarray, times: np.ndarray, events: np.ndarray,
     """
     eta = np.asarray(eta, dtype=float)
     _check_finite(eta, "eta")
-    return _loglik_and_eta_grad(eta, _event_table(times, events), tie_method)
+    return _loglik_and_eta_grad(eta, _event_table(labels), tie_method)
 
 
 def _loglik_and_eta_grad(eta: np.ndarray, table: EventTable, tie_method: str,
@@ -127,41 +127,6 @@ def _loglik_and_eta_grad(eta: np.ndarray, table: EventTable, tie_method: str,
     grad = np.empty_like(grad_s)
     grad[table.order] = grad_s
     return ll, grad
-
-
-def partial_loglik(beta: np.ndarray, X: np.ndarray, labels: list[SurvivalLabel],
-                   tie_method: str = "efron") -> float:
-    """Cox partial log-likelihood at ``beta``."""
-    beta = np.asarray(beta, dtype=float)
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or beta.shape != (X.shape[1],):
-        raise DimensionMismatchError(f"X is {X.shape}, beta is {beta.shape}")
-    if X.shape[0] != len(labels):
-        raise DimensionMismatchError(f"{X.shape[0]} rows of X but {len(labels)} labels")
-    _check_finite(X, "X")
-    _check_finite(beta, "beta")
-    times, events = label_arrays(labels)
-    ll, _ = partial_loglik_eta(X @ beta, times, events, tie_method)
-    return float(ll)
-
-
-def partial_loglik_grad_hess(beta: np.ndarray, X: np.ndarray, labels: list[SurvivalLabel],
-                             tie_method: str = "efron"):
-    """Unpenalized ``(loglik, gradient, Hessian)`` at ``beta``.
-
-    The Hessian is assembled from weighted covariate moments over each risk
-    set (suffix sums in time order), which keeps the cost linear in n for
-    fixed covariate count.
-    """
-    beta = np.asarray(beta, dtype=float)
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or beta.shape != (X.shape[1],):
-        raise DimensionMismatchError(f"X is {X.shape}, beta is {beta.shape}")
-    if X.shape[0] != len(labels):
-        raise DimensionMismatchError(f"{X.shape[0]} rows of X but {len(labels)} labels")
-    _check_finite(X, "X")
-    _check_finite(beta, "beta")
-    return _beta_derivatives(beta, X, _event_table(*label_arrays(labels)), tie_method)
 
 
 def _beta_derivatives(beta, X, table: EventTable, tie_method: str):
@@ -210,7 +175,7 @@ def _beta_derivatives(beta, X, table: EventTable, tie_method: str):
     return float(np.cumsum(ll)[-1]), np.cumsum(grad, axis=0)[-1], np.cumsum(hess, axis=0)[-1]
 
 
-def fit_cox(X: np.ndarray, labels: list[SurvivalLabel], options: FitOptions | None = None,
+def fit_cox(X: np.ndarray, labels: Labels, options: FitOptions | None = None,
             covariate_names: tuple[str, ...] | None = None) -> CoxModel:
     """Maximize the partial likelihood by damped Newton-Raphson.
 
@@ -230,7 +195,7 @@ def fit_cox(X: np.ndarray, labels: list[SurvivalLabel], options: FitOptions | No
     if n < p + 1:
         raise DimensionMismatchError(f"need at least p+1={p + 1} subjects, got {n}")
     _check_finite(X, "X")
-    table = _event_table(*label_arrays(labels))
+    table = _event_table(labels)
     if covariate_names is None:
         covariate_names = tuple(f"x{j}" for j in range(p))
     if len(covariate_names) != p:
@@ -300,16 +265,3 @@ def _breslow_baseline(beta, X, table: EventTable):
     s0_suffix = np.cumsum(w[::-1])[::-1]
     increments = table.deaths / s0_suffix[table.risk_start] * np.exp(-m)
     return table.event_times.copy(), np.cumsum(increments)
-
-
-def predict_linear(model: CoxModel, X: np.ndarray) -> np.ndarray:
-    """Linear risk scores ``X @ beta`` (higher = shorter expected survival)."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X[None, :]
-    if X.shape[1] != model.beta.size:
-        raise DimensionMismatchError(
-            f"model has {model.beta.size} covariates, X has {X.shape[1]} columns"
-        )
-    _check_finite(X, "X")
-    return X @ model.beta

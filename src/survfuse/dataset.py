@@ -7,18 +7,17 @@ row per patient::
     temperature_c, altered_mental_status, cancer, heart_failure,
     chronic_lung_disease, o2_sat, event, time_days, rv_dysfunction
 
-``read_clinical`` is its one parser. It reads the file with ``csv.reader``
+``ingest_clinical`` is its one parser. It reads the file with ``csv.reader``
 and checks and parses the rows a block of 256 at a time, so that at most
-one block of unparsed cell strings is held, and returns columns
-(``ClinicalColumns``): the ids, an ``(n, 11)`` float matrix of age and the
-ten flags in ``clinical_matrix``'s column order with NaN where a value is
-missing, the events, the times and ``rv_dysfunction``. ``survfuse score``
-works on those columns alone: ``fill_missing`` imputes the matrix,
-``normalized_inputs`` forms the model inputs from it, and
-``pesi.pesi_points`` scores it. ``ingest_clinical`` builds the patient
-records of a :class:`Dataset` from the same columns for ``survfuse run``,
-and the record functions (``apply_imputation``, ``clinical_matrix``,
-``pesi.pesi_scores``) go through the same matrix functions.
+one block of unparsed cell strings is held, and returns a :class:`Dataset`:
+the cohort as columns. Its ``values`` matrix holds age and the ten flags in
+``clinical_matrix``'s column order with NaN where a value is missing, and
+its :class:`Labels` hold the follow-up times and event flags. ``survfuse
+run`` and ``survfuse score`` go through the same functions:
+``attach_imaging`` joins the features, ``apply_imputation`` fills the
+matrix (``run`` learns the constants on its training split first),
+``clinical_matrix`` and ``imaging_matrix`` form the model inputs, and
+``pesi.pesi_scores`` scores the severity index.
 
 The feature file has one row per acquisition (a patient may have several)::
 
@@ -33,7 +32,7 @@ peak is about 2.2 times the matrix's size for 4000 rows of 32 features,
 where the cell strings of the whole file would take about ten times.
 ``survfuse score`` and ``survfuse run`` start that read in a forked child
 before they import numpy (see ``feature_csv.FeatureRead``) and hand the
-started read to ``join_imaging``, which takes its result where it would
+started read to ``attach_imaging``, which takes its result where it would
 have read the file; with one usable CPU, without fork, for a file under
 1 MiB, or when the child fails, the file is read in this process instead,
 so errors are the same either way. Each patient keeps the acquisition with
@@ -55,8 +54,7 @@ import logging
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from math import isfinite
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 
 import numpy as np
 
@@ -65,7 +63,9 @@ from .errors import (
     DatasetTooSmallError,
     DuplicatePatientIdError,
     MalformedRowError,
+    MismatchedLengthsError,
     MissingColumnError,
+    MissingModalityError,
     UnimputedRecordError,
 )
 from .feature_csv import FeatureRead, parse_float, read_columns
@@ -115,53 +115,6 @@ _FEMALE_TOKENS = frozenset({"f", "female"}) | _FALSE_TOKENS
 
 
 @dataclass(frozen=True)
-class SurvivalLabel:
-    """Right-censored outcome: observed event flag and follow-up in days."""
-
-    event: bool
-    time_days: float
-
-    def __post_init__(self):
-        if not isfinite(self.time_days) or self.time_days < 0:
-            raise ValueError(f"time_days must be finite and >= 0, got {self.time_days}")
-
-
-@dataclass(frozen=True)
-class ClinicalVariables:
-    """The eleven severity-index inputs; ``None`` marks a missing value."""
-
-    age_years: float | None
-    male: bool | None
-    cancer: bool | None
-    heart_failure: bool | None
-    chronic_lung_disease: bool | None
-    hr_ge_110: bool | None
-    sbp_lt_100: bool | None
-    rr_ge_30: bool | None
-    temp_lt_36c: bool | None
-    altered_mental_status: bool | None
-    o2_sat_lt_90: bool | None
-
-    @property
-    def missing_mask(self) -> dict[str, bool]:
-        """Field name -> True when the stored value is the missing sentinel."""
-        return {f: getattr(self, f) is None for f in ("age_years",) + BINARY_FIELDS}
-
-    @property
-    def complete(self) -> bool:
-        return all(getattr(self, f) is not None for f in ("age_years",) + BINARY_FIELDS)
-
-
-@dataclass(frozen=True, eq=False)
-class PatientRecord:
-    patient_id: str
-    clinical: ClinicalVariables
-    label: SurvivalLabel
-    imaging_features: np.ndarray | None = None
-    rv_dysfunction: bool | None = None
-
-
-@dataclass(frozen=True)
 class ImputationStats:
     """Constants learned from a reference cohort and reused verbatim elsewhere."""
 
@@ -172,35 +125,66 @@ class ImputationStats:
 
 
 @dataclass(frozen=True, eq=False)
-class Dataset:
-    """Immutable collection of patient records in ingestion order."""
+class Labels:
+    """Right-censored outcomes, one per subject: follow-up ``times`` in days
+    and observed-event flags ``events``, as read-only arrays of their own.
 
-    records: tuple[PatientRecord, ...]
-    feature_dim: int | None = None
+    A time that is not finite or is below 0 raises ``ValueError``. ``table``
+    is the subjects' :class:`EventTable`, built on first use and then
+    shared by everything that reads these labels.
+    """
+
+    times: np.ndarray
+    events: np.ndarray
+
+    def __post_init__(self):
+        times = np.array(self.times, dtype=float)
+        events = np.array(self.events, dtype=bool)
+        if times.ndim != 1 or events.shape != times.shape:
+            raise MismatchedLengthsError(
+                f"times of shape {times.shape} for events of shape {events.shape}")
+        bad = ~(times >= 0.0) | np.isinf(times)
+        if bad.any():
+            raise ValueError(
+                f"time_days must be finite and >= 0, got {float(times[np.argmax(bad)])}")
+        times.flags.writeable = False
+        events.flags.writeable = False
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "events", events)
+
+    def __len__(self) -> int:
+        return self.times.size
+
+    def take(self, rows) -> "Labels":
+        """The labels of ``rows`` (indices, a boolean mask or a slice), in that order."""
+        return Labels(self.times[rows], self.events[rows])
+
+    @cached_property
+    def table(self) -> "EventTable":
+        return EventTable(self.times, self.events)
+
+
+@dataclass(frozen=True, eq=False)
+class Dataset:
+    """A cohort as columns, one entry per patient in file order.
+
+    ``values`` is ``(n, 11)``: age in years, then the ten flags of
+    ``BINARY_FIELDS`` as 1.0 or 0.0, NaN where a value is missing; the
+    column order of ``clinical_matrix``. ``rv_dysfunction`` is 1.0, 0.0 or
+    NaN, all NaN without that column. ``imaging`` is the ``(rows, kept)``
+    of ``join_imaging``, ``None`` until ``attach_imaging``; ``imputation``
+    holds the constants ``apply_imputation`` filled ``values`` with.
+    """
+
+    patient_ids: tuple[str, ...]
+    values: np.ndarray
+    labels: Labels
+    rv_dysfunction: np.ndarray
+    imaging: tuple[np.ndarray, np.ndarray] | None = None
     imputation: ImputationStats | None = None
 
     def __len__(self) -> int:
-        return len(self.records)
-
-    @property
-    def patient_ids(self) -> tuple[str, ...]:
-        return tuple(r.patient_id for r in self.records)
-
-    @property
-    def labels(self) -> list[SurvivalLabel]:
-        return [r.label for r in self.records]
-
-    @property
-    def age_norm_params(self) -> tuple[float, float] | None:
-        if self.imputation is None:
-            return None
-        return (self.imputation.age_mean, self.imputation.age_std)
-
-    def subset(self, ids) -> "Dataset":
-        keep = set(ids)
-        return dataclasses.replace(
-            self, records=tuple(r for r in self.records if r.patient_id in keep)
-        )
+        return len(self.patient_ids)
 
 
 @dataclass(frozen=True)
@@ -225,23 +209,6 @@ _MEASURES = ("age", "heart_rate", "systolic_bp", "respiratory_rate", "temperatur
 # the boolean columns after event, in the order a row logs its unparseable tokens
 _LOGGED_FLAGS = ("cancer", "heart_failure", "chronic_lung_disease", "altered_mental_status",
                  "rv_dysfunction")
-
-
-@dataclass(frozen=True, eq=False)
-class ClinicalColumns:
-    """A clinical CSV as columns, one entry per patient in file order.
-
-    ``values`` is ``(n, 11)``: age in years, then the ten flags of
-    ``BINARY_FIELDS`` as 1.0 or 0.0, NaN where a value is missing; the
-    column order of ``clinical_matrix``. ``rv_dysfunction`` is 1.0, 0.0 or
-    NaN, all NaN without that column.
-    """
-
-    patient_ids: list[str]
-    values: np.ndarray
-    events: np.ndarray
-    times: np.ndarray
-    rv_dysfunction: np.ndarray
 
 
 def _flag_column(tokens, table) -> tuple[np.ndarray, list[tuple[int, str]]]:
@@ -300,7 +267,7 @@ def _parse_clinical_block(cells, row0, seen, col):
 
     ``cells`` maps each canonical column to its tokens and ``seen`` holds
     the ids of the rows before. Raises the error of the earliest faulty
-    row, that of its first failing check in the order ``read_clinical``
+    row, that of its first failing check in the order ``ingest_clinical``
     lists, after logging the unparseable booleans of the rows before it, a
     row's in ``_LOGGED_FLAGS`` order. Returns ``(ids, values, events,
     times, rv)``, events as 1.0 or 0.0.
@@ -365,8 +332,8 @@ def _parse_clinical_block(cells, row0, seen, col):
     return pids, values, events, times, rv
 
 
-def read_clinical(path, schema: dict[str, str] | None = None) -> ClinicalColumns:
-    """Read the clinical CSV into columns; see :class:`ClinicalColumns`.
+def ingest_clinical(path, schema: dict[str, str] | None = None) -> Dataset:
+    """Read the clinical CSV into a :class:`Dataset`.
 
     Parameters
     ----------
@@ -436,40 +403,12 @@ def read_clinical(path, schema: dict[str, str] | None = None) -> ClinicalColumns
         parse_pending()
 
     values, events, times, rv = (np.frombuffer(c, dtype=float) for c in columns)
-    return ClinicalColumns(
-        patient_ids=pids,
+    return Dataset(
+        patient_ids=tuple(pids),
         values=values.reshape(len(pids), 1 + len(BINARY_FIELDS)),
-        events=events == 1.0,
-        times=times,
+        labels=Labels(times, events == 1.0),
         rv_dysfunction=rv,
     )
-
-
-def _variables(row) -> ClinicalVariables:
-    """The record form of one row of a values matrix: NaN becomes ``None``."""
-    age, *flags = row
-    return ClinicalVariables(None if age != age else age,
-                             *(None if v != v else v == 1.0 for v in flags))
-
-
-def ingest_clinical(path, schema: dict[str, str] | None = None) -> Dataset:
-    """Read the clinical CSV into a :class:`Dataset` of patient records.
-
-    The columns, checks and errors are those of :func:`read_clinical`.
-    """
-    cols = read_clinical(path, schema)
-    records = tuple(
-        PatientRecord(
-            patient_id=pid,
-            clinical=_variables(row),
-            label=SurvivalLabel(event=event, time_days=time),
-            rv_dysfunction=None if rv != rv else rv == 1.0,
-        )
-        for pid, row, event, time, rv in zip(
-            cols.patient_ids, map(np.ndarray.tolist, cols.values), cols.events.tolist(),
-            cols.times.tolist(), cols.rv_dysfunction.tolist())
-    )
-    return Dataset(records=records)
 
 
 def ingest_features(source) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -524,17 +463,26 @@ def join_imaging(patient_ids, source) -> tuple[np.ndarray, np.ndarray]:
 
 
 def attach_imaging(ds: Dataset, source) -> Dataset:
-    """Join acquisition features onto a clinical dataset by ``join_imaging``.
+    """The dataset with the acquisition features of ``source`` (the feature
+    CSV's path or a ``FeatureRead`` started on it) joined by ``join_imaging``."""
+    return dataclasses.replace(ds, imaging=join_imaging(ds.patient_ids, source))
 
-    Each patient gets a read-only view of its row of the kept features;
-    patients without any acquisition keep ``imaging_features=None``.
-    """
-    rows, kept = join_imaging(ds.patient_ids, source)
-    new_records = tuple(
-        rec if row < 0 else dataclasses.replace(rec, imaging_features=kept[row])
-        for rec, row in zip(ds.records, rows.tolist())
-    )
-    return dataclasses.replace(ds, records=new_records, feature_dim=kept.shape[1])
+
+def imaging_matrix(ds: Dataset, purpose: str = "") -> np.ndarray:
+    """The ``(patients, d)`` imaging features, a row per patient in patient
+    order. A patient without acquisitions, or a dataset without attached
+    features, raises ``MissingModalityError``; ``purpose`` ends its message."""
+    if ds.imaging is None:
+        rows, kept = np.full(len(ds), -1), np.empty((0, 0))
+    else:
+        rows, kept = ds.imaging
+    lacking = np.flatnonzero(rows < 0)
+    if lacking.size:
+        raise MissingModalityError(
+            f"{lacking.size} patient(s) lack imaging features "
+            f"(e.g. {ds.patient_ids[lacking[0]]!r}){purpose}"
+        )
+    return kept[rows]
 
 
 def compute_imputation_stats(ds: Dataset, reference_ids) -> ImputationStats:
@@ -547,25 +495,23 @@ def compute_imputation_stats(ds: Dataset, reference_ids) -> ImputationStats:
     normalized training age has mean exactly zero.
     """
     wanted = set(reference_ids)
-    ref = [r for r in ds.records if r.patient_id in wanted]
-    if not ref:
+    ref = ds.values[[pid in wanted for pid in ds.patient_ids]]
+    if not ref.shape[0]:
         raise DatasetTooSmallError("reference id set selects no records")
+    missing = np.isnan(ref)
 
     medians: dict[str, bool] = {}
-    for field in BINARY_FIELDS:
-        observed = [getattr(r.clinical, field) for r in ref if getattr(r.clinical, field) is not None]
-        if not observed:
+    for k, field in enumerate(BINARY_FIELDS, start=1):
+        observed = ref[~missing[:, k], k]
+        if not observed.size:
             raise AllMissingColumnError(f"column {field!r} has no observed values in the reference set")
-        medians[field] = sum(observed) * 2 > len(observed)  # strict majority; ties -> False
+        medians[field] = bool(observed.sum() * 2 > observed.size)  # strict majority; ties -> False
 
-    ages = [r.clinical.age_years for r in ref if r.clinical.age_years is not None]
-    if not ages:
+    ages = ref[:, 0]
+    if missing[:, 0].all():
         raise AllMissingColumnError("column 'age_years' has no observed values in the reference set")
-    age_median = float(np.median(ages))
-    filled = np.array(
-        [r.clinical.age_years if r.clinical.age_years is not None else age_median for r in ref],
-        dtype=float,
-    )
+    age_median = float(np.median(ages[~missing[:, 0]]))
+    filled = np.where(missing[:, 0], age_median, ages)
     age_std = float(filled.std())
     if age_std == 0.0:
         age_std = 1.0  # degenerate cohort: normalized age becomes identically 0
@@ -577,23 +523,13 @@ def compute_imputation_stats(ds: Dataset, reference_ids) -> ImputationStats:
     )
 
 
-def fill_missing(values: np.ndarray, stats: ImputationStats) -> np.ndarray:
-    """A values matrix (see :class:`ClinicalColumns`) with each NaN replaced
-    by its column's constant: the age median, or a flag's median."""
+def apply_imputation(ds: Dataset, stats: ImputationStats) -> Dataset:
+    """Fill every missing clinical value with its column's constant, the age
+    median or a flag's median, learned before."""
     fill = np.array([stats.age_median, *(stats.binary_medians[f] for f in BINARY_FIELDS)],
                     dtype=float)
-    return np.where(np.isnan(values), fill, values)
-
-
-def apply_imputation(ds: Dataset, stats: ImputationStats) -> Dataset:
-    """Fill every missing clinical value using previously learned constants."""
-    records = list(ds.records)
-    incomplete = [k for k, rec in enumerate(records) if not rec.clinical.complete]
-    if incomplete:
-        filled = fill_missing(_clinical_values([records[k] for k in incomplete]), stats)
-        for k, row in zip(incomplete, filled.tolist()):
-            records[k] = dataclasses.replace(records[k], clinical=_variables(row))
-    return dataclasses.replace(ds, records=tuple(records), imputation=stats)
+    values = np.where(np.isnan(ds.values), fill, ds.values)
+    return dataclasses.replace(ds, values=values, imputation=stats)
 
 
 def impute_missing(ds: Dataset, reference_ids) -> Dataset:
@@ -607,41 +543,31 @@ def impute_missing(ds: Dataset, reference_ids) -> Dataset:
     return apply_imputation(ds, stats)
 
 
-_CLINICAL_INPUTS = attrgetter("age_years", *BINARY_FIELDS)
-
-
-def _clinical_values(records) -> np.ndarray:
-    """The values matrix of records (see :class:`ClinicalColumns`): a flag
-    as 1.0 or 0.0, NaN where a value is ``None``."""
-    rows = [_CLINICAL_INPUTS(r.clinical) for r in records]
-    return np.array(rows, dtype=float).reshape(len(rows), 1 + len(BINARY_FIELDS))
-
-
-def normalized_inputs(values: np.ndarray, age_norm_params: tuple[float, float]) -> np.ndarray:
-    """Model inputs from a values matrix: age normalized by ``(mean, std)``,
-    the flags as they are."""
-    mat = values.copy()
-    mean, std = age_norm_params
-    mat[:, 0] = (mat[:, 0] - mean) / std
-    return mat
+_CLINICAL_FIELDS = ("age_years",) + BINARY_FIELDS
 
 
 def clinical_matrix(ds: Dataset, ids=None) -> np.ndarray:
-    """``(records, 11)`` model inputs for ``ids`` (default: all) in record
-    order: normalized age, then the ten flags of ``BINARY_FIELDS``."""
-    if ds.age_norm_params is None:
+    """``(patients, 11)`` model inputs for ``ids`` (default: all) in patient
+    order: age normalized by the imputation's mean and std, then the ten
+    flags of ``BINARY_FIELDS``."""
+    if ds.imputation is None:
         raise UnimputedRecordError("dataset has no imputation stats; run impute_missing first")
-    wanted = None if ids is None else set(ids)
-    records = [r for r in ds.records if wanted is None or r.patient_id in wanted]
-    if not records:
+    if ids is None:
+        pids, values = ds.patient_ids, ds.values
+    else:
+        wanted = set(ids)
+        keep = [pid in wanted for pid in ds.patient_ids]
+        pids, values = [p for p, k in zip(ds.patient_ids, keep) if k], ds.values[keep]
+    if not len(pids):
         return np.array([])
-    for record in records:
-        if not record.clinical.complete:
-            missing = [f for f, m in record.clinical.missing_mask.items() if m]
-            raise UnimputedRecordError(
-                f"patient {record.patient_id}: missing {', '.join(missing)}; impute first"
-            )
-    return normalized_inputs(_clinical_values(records), ds.age_norm_params)
+    incomplete = np.isnan(values).any(axis=1)
+    if incomplete.any():
+        k = int(np.argmax(incomplete))
+        missing = [f for f, v in zip(_CLINICAL_FIELDS, values[k].tolist()) if v != v]
+        raise UnimputedRecordError(f"patient {pids[k]}: missing {', '.join(missing)}; impute first")
+    mat = values.copy()
+    mat[:, 0] = (mat[:, 0] - ds.imputation.age_mean) / ds.imputation.age_std
+    return mat
 
 
 def split_dataset(ds: Dataset, seed: int, train_frac: float = 0.7, val_frac: float = 0.1) -> SplitAssignment:
@@ -662,26 +588,14 @@ def split_dataset(ds: Dataset, seed: int, train_frac: float = 0.7, val_frac: flo
     return SplitAssignment(train_ids=train, val_ids=val, test_ids=test, seed=seed)
 
 
-def truncate_30day(labels: list[SurvivalLabel]) -> list[SurvivalLabel]:
+def truncate_30day(labels: Labels) -> Labels:
     """Cap follow-up at 30 days for short-term evaluation.
 
     Times at or below 30 days are untouched (an event on day 30 stays an
     event); anything later becomes censored at exactly 30 days.
     """
-    out = []
-    for lab in labels:
-        if lab.time_days > 30.0:
-            out.append(SurvivalLabel(event=False, time_days=30.0))
-        else:
-            out.append(lab)
-    return out
-
-
-def label_arrays(labels) -> tuple[np.ndarray, np.ndarray]:
-    """Split labels into parallel (times, events) arrays."""
-    times = np.array([lab.time_days for lab in labels], dtype=float)
-    events = np.array([lab.event for lab in labels], dtype=bool)
-    return times, events
+    late = labels.times > 30.0
+    return Labels(np.where(late, 30.0, labels.times), labels.events & ~late)
 
 
 class EventTable:

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cox_linear import _check_finite, _loglik_and_eta_grad
-from .dataset import EventTable, SurvivalLabel, label_arrays
+from .dataset import EventTable, Labels
 from .errors import (
     DimensionMismatchError,
     DivergedLossError,
@@ -156,14 +156,10 @@ def forward(model: MlpSurvModel, X: np.ndarray) -> np.ndarray:
     return sigmoid(linear_scores(model, X))
 
 
-def cox_loss(scores, labels: list[SurvivalLabel], tie_method: str = "efron") -> float:
-    """Negative partial log-likelihood of the scores, per event."""
-    return _cox_loss_grad(scores, EventTable(*label_arrays(labels)), tie_method, with_grad=False)
-
-
 def _cox_loss_grad(scores, table: EventTable, tie_method="efron", with_grad=True):
-    """``(loss, d loss / d scores)``, or the loss alone when ``with_grad`` is
-    false; the loss is the same float either way."""
+    """``(loss, d loss / d scores)``, the negative partial log-likelihood of
+    the scores per event, or the loss alone when ``with_grad`` is false; the
+    loss is the same float either way."""
     s = np.asarray(scores, dtype=float)
     if s.size != table.times.size:
         raise MismatchedLengthsError(f"{s.size} scores for {table.times.size} labels")
@@ -177,19 +173,13 @@ def _cox_loss_grad(scores, table: EventTable, tie_method="efron", with_grad=True
     return -ll / n_events, -grad_eta / n_events
 
 
-def loss_and_gradients(model: MlpSurvModel, X: np.ndarray, labels: list[SurvivalLabel],
-                       weight_decay: float = 0.0, tie_method: str = "efron"):
+def _loss_and_gradients(model, X, table: EventTable, weight_decay, tie_method):
     """Training objective and analytic gradients for every parameter.
 
     The objective is the per-event negative partial log-likelihood of the
     sigmoid scores plus an L2 penalty on the weight matrices (biases are not
     penalized). Returns ``(loss, weight_grads, bias_grads)``.
     """
-    return _loss_and_gradients(model, _check_input(model, X), EventTable(*label_arrays(labels)),
-                               weight_decay, tie_method)
-
-
-def _loss_and_gradients(model, X, table: EventTable, weight_decay, tie_method):
     hs, pre, z = _forward_pass(model, X)
     s = sigmoid(z)
     loss, dloss_ds = _cox_loss_grad(s, table, tie_method)
@@ -216,8 +206,8 @@ def _loss_and_gradients(model, X, table: EventTable, weight_decay, tie_method):
     return loss, weight_grads, bias_grads
 
 
-def train(model: MlpSurvModel, X: np.ndarray, labels: list[SurvivalLabel],
-          val: tuple[np.ndarray, list[SurvivalLabel]] | None = None,
+def train(model: MlpSurvModel, X: np.ndarray, labels: Labels,
+          val: tuple[np.ndarray, Labels] | None = None,
           options: TrainOptions | None = None):
     """Full-batch gradient descent; returns ``(trained model, loss history)``.
 
@@ -231,8 +221,8 @@ def train(model: MlpSurvModel, X: np.ndarray, labels: list[SurvivalLabel],
     """
     opts = options or TrainOptions()
     X = _check_input(model, X)
-    table = EventTable(*label_arrays(labels))
-    val_table = None if val is None else EventTable(*label_arrays(val[1]))
+    table = labels.table
+    val_table = None if val is None else val[1].table
     work = MlpSurvModel(
         layer_dims=model.layer_dims,
         weights=[W.copy() for W in model.weights],

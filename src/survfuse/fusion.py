@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cox_linear import CoxModel, FitOptions, fit_cox
-from .dataset import SurvivalLabel
+from .dataset import Labels
 from .errors import ExtraModalityError, MismatchedLengthsError, MissingModalityError
 
 CANONICAL_ORDER = ("clin", "img", "pesi", "rsf_clin", "rsf_img")
@@ -42,7 +42,7 @@ def _ordered_sources(keys) -> tuple[str, ...]:
     return tuple(tag for tag in CANONICAL_ORDER if tag in keys)
 
 
-def fit_fusion(scores_by_modality: dict[str, np.ndarray], labels: list[SurvivalLabel],
+def fit_fusion(scores_by_modality: dict[str, np.ndarray], labels: Labels,
                options: FitOptions | None = None) -> FusionModel:
     """Fit the fusion Cox model on per-modality score vectors.
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import EventTable, SurvivalLabel, label_arrays
+from .dataset import EventTable, Labels
 from .errors import (
     DegenerateResamplingError,
     EmptyGroupError,
@@ -79,7 +79,7 @@ def sigmoid(x):
     return out if out.ndim else float(out)
 
 
-def c_index(scores, labels: list[SurvivalLabel]) -> float:
+def c_index(scores, labels: Labels) -> float:
     """Harrell's concordance index.
 
     A pair (i, j) is comparable when subject i has an observed event strictly
@@ -89,7 +89,7 @@ def c_index(scores, labels: list[SurvivalLabel]) -> float:
     s = np.asarray(scores, dtype=float)
     if s.ndim != 1 or s.size != len(labels):
         raise MismatchedLengthsError(f"{s.size} scores for {len(labels)} labels")
-    t, e = label_arrays(labels)
+    t, e = labels.times, labels.events
     comparable = e[:, None] & (t[:, None] < t[None, :])
     n_pairs = int(comparable.sum())
     if n_pairs == 0:
@@ -99,7 +99,7 @@ def c_index(scores, labels: list[SurvivalLabel]) -> float:
     return float((greater + 0.5 * tied) / n_pairs)
 
 
-def resample_weights(rng: np.random.Generator, labels: list[SurvivalLabel],
+def resample_weights(rng: np.random.Generator, labels: Labels,
                      n_resamples: int) -> np.ndarray:
     """Multiplicity matrix, shape ``(n_resamples, n)``, of bootstrap resamples.
 
@@ -112,7 +112,7 @@ def resample_weights(rng: np.random.Generator, labels: list[SurvivalLabel],
     ``integers`` call of shape ``(k, n)``, which consumes the generator
     exactly as k calls of size n do.
     """
-    t, e = label_arrays(labels)
+    t, e = labels.times, labels.events
     n = t.size
     weights = np.empty((n_resamples, n), dtype=np.min_scalar_type(n))
     filled = invalid_run = 0
@@ -139,7 +139,7 @@ def resample_weights(rng: np.random.Generator, labels: list[SurvivalLabel],
     return weights
 
 
-def weighted_c_index(scores, labels: list[SurvivalLabel], weights) -> np.ndarray:
+def weighted_c_index(scores, labels: Labels, weights) -> np.ndarray:
     """Harrell's concordance of ``scores`` under each row of subject weights.
 
     Row r of ``weights`` holds each subject's multiplicity, as from
@@ -160,8 +160,8 @@ def weighted_c_index(scores, labels: list[SurvivalLabel], weights) -> np.ndarray
         raise MismatchedLengthsError(
             f"{s.size} scores, {len(labels)} labels and weights of shape {w.shape}"
         )
-    t, e = label_arrays(labels)
-    events = np.flatnonzero(e)
+    t = labels.times
+    events = np.flatnonzero(labels.events)
     totals = np.zeros((w.shape[0], 2))  # weighted comparable pairs, concordance credit
     for a in range(0, events.size, _BLOCK_ROWS):
         ev = events[a : a + _BLOCK_ROWS]
@@ -177,7 +177,7 @@ def weighted_c_index(scores, labels: list[SurvivalLabel], weights) -> np.ndarray
     return totals[:, 1] / totals[:, 0]
 
 
-def bootstrap_ci(scores, labels: list[SurvivalLabel],
+def bootstrap_ci(scores, labels: Labels,
                  n_resamples: int = 1000, seed: int = 0) -> tuple[float, float]:
     """Percentile 95% interval (2.5th/97.5th) of ``c_index`` under resampling.
 
@@ -195,11 +195,11 @@ def bootstrap_ci(scores, labels: list[SurvivalLabel],
     return float(lo), float(hi)
 
 
-def km_curve(labels: list[SurvivalLabel], group_label: str = "") -> KmCurve:
+def km_curve(labels: Labels, group_label: str = "") -> KmCurve:
     """Kaplan-Meier product-limit estimate, one point per distinct event time."""
     if not labels:
         raise EmptyGroupError("cannot estimate a survival curve for an empty group")
-    table = EventTable(*label_arrays(labels))
+    table = labels.table
     survival = np.cumprod(1.0 - table.deaths / table.at_risk)
     points = tuple(
         KmPoint(time=v, survival=s, at_risk=n, events=d)
@@ -209,7 +209,7 @@ def km_curve(labels: list[SurvivalLabel], group_label: str = "") -> KmCurve:
     return KmCurve(points=points, group_label=group_label, n_subjects=len(labels))
 
 
-def logrank_test(labels_a: list[SurvivalLabel], labels_b: list[SurvivalLabel]) -> TestResult:
+def logrank_test(labels_a: Labels, labels_b: Labels) -> TestResult:
     """Two-sample log-rank test (chi-square statistic, 1 degree of freedom).
 
     Observed-minus-expected deaths of group a and the hypergeometric
@@ -217,13 +217,12 @@ def logrank_test(labels_a: list[SurvivalLabel], labels_b: list[SurvivalLabel]) -
     """
     if not labels_a or not labels_b:
         raise EmptyGroupError("both groups need at least one subject")
-    ta, ea = label_arrays(labels_a)
-    tb, eb = label_arrays(labels_b)
-    if not (ea.any() or eb.any()):
+    if not (labels_a.events.any() or labels_b.events.any()):
         raise NoEventsError("log-rank test needs at least one event")
-    table = EventTable(np.concatenate([ta, tb]), np.concatenate([ea, eb]))
+    table = EventTable(np.concatenate([labels_a.times, labels_b.times]),
+                       np.concatenate([labels_a.events, labels_b.events]))
     n, deaths = table.at_risk, table.deaths
-    n_a, deaths_a = table.subgroup_counts(np.arange(table.times.size) < ta.size)
+    n_a, deaths_a = table.subgroup_counts(np.arange(table.times.size) < len(labels_a))
     share_a = n_a / n
     variance_terms = np.where(
         n > 1, deaths * share_a * (1.0 - share_a) * (n - deaths) / np.maximum(n - 1, 1), 0.0
@@ -239,7 +238,7 @@ def logrank_test(labels_a: list[SurvivalLabel], labels_b: list[SurvivalLabel]) -
     return TestResult(statistic=float(chi2), p_value=float(p), method="logrank")
 
 
-def nri(old_scores, new_scores, labels: list[SurvivalLabel], threshold: float = 0.7) -> NriResult:
+def nri(old_scores, new_scores, labels: Labels, threshold: float = 0.7) -> NriResult:
     """Net reclassification improvement at a fixed risk threshold.
 
     Scores at or above the threshold are "high risk". Events moving up and
@@ -254,7 +253,7 @@ def nri(old_scores, new_scores, labels: list[SurvivalLabel], threshold: float = 
         raise MismatchedLengthsError(
             f"old ({old.size}), new ({new.size}) and labels ({len(labels)}) must align"
         )
-    _, e = label_arrays(labels)
+    e = labels.events
     n_events = int(e.sum())
     n_nonevents = int((~e).sum())
     if n_events == 0:

@@ -73,7 +73,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import EventTable, SurvivalLabel, label_arrays
+from .dataset import EventTable, Labels
 from .errors import (
     DegenerateDataError,
     DimensionMismatchError,
@@ -424,7 +424,7 @@ def _canonical_sample(X, labels, options) -> _Sample:
         raise DegenerateDataError(
             f"need at least 2 * min_leaf_size = {2 * opts.min_leaf_size} subjects, got {n}"
         )
-    times, events = label_arrays(labels)
+    times, events = labels.times, labels.events
     if not events.any():
         raise NoEventsError("forest fitting needs at least one event")
 
@@ -577,7 +577,7 @@ def start_forests(fits) -> PendingForests:
     return PendingForests(samples, workers)
 
 
-def fit_forest(X: np.ndarray, labels: list[SurvivalLabel],
+def fit_forest(X: np.ndarray, labels: Labels,
                options: RsfOptions | None = None) -> ForestModel:
     """One forest, started and finished at once."""
     with start_forests([(X, labels, options)]) as pending:

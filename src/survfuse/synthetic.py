@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import SurvivalLabel
+from .dataset import Labels
 from .errors import InvalidSpecError
 
 
@@ -73,7 +73,7 @@ class GeneratorSpec:
 class MultimodalData:
     x_clin: np.ndarray
     x_img: np.ndarray
-    labels: list[SurvivalLabel]
+    labels: Labels
     true_risk: np.ndarray
     clin_view: np.ndarray  # per-subject mean of the clinical features
     img_view: np.ndarray   # per-subject mean of the imaging features
@@ -94,8 +94,7 @@ def _survival_labels(rng: np.random.Generator, risk: np.ndarray,
         t_censor = np.full(n, np.inf)
     observed = np.minimum(t_event, t_censor)
     events = t_event <= t_censor
-    return [SurvivalLabel(event=bool(ev), time_days=float(tm))
-            for ev, tm in zip(events, observed)]
+    return Labels(observed, events)
 
 
 def gen_cox_linear(spec: GeneratorSpec):
@@ -201,6 +200,7 @@ def write_study_csvs(plan: CohortPlan, clinical_path, features_path) -> int:
 
     risk = plan.latent_weights[0] * z_clin + plan.latent_weights[1] * z_img
     labels = _survival_labels(rng, risk, plan.baseline_rate, plan.censor_rate)
+    events, times = labels.events.tolist(), labels.times.tolist()
 
     n_acq = rng.integers(1, plan.max_acquisitions + 1, size=n)
     # one slot per covariate cell: age, sex, four vitals + o2, four history flags
@@ -236,8 +236,8 @@ def write_study_csvs(plan: CohortPlan, clinical_path, features_path) -> int:
             ]
             cells = [("" if missing[i, k] else cell) for k, cell in enumerate(cells)]
             writer.writerow(
-                [f"P{i:05d}", *cells, fmt_bool(labels[i].event),
-                 repr(labels[i].time_days), fmt_bool(rv_dysfunction[i])]
+                [f"P{i:05d}", *cells, fmt_bool(events[i]),
+                 repr(times[i]), fmt_bool(rv_dysfunction[i])]
             )
 
     with open(features_path, "w", newline="") as fh:

@@ -1,7 +1,9 @@
-"""Hypothesis strategies and comparisons shared by the property tests."""
+"""Hypothesis strategies, cohort builders and comparisons shared by the tests."""
 
 import numpy as np
 from hypothesis import strategies as st
+
+from survfuse.dataset import BINARY_FIELDS, Dataset, Labels
 
 
 @st.composite
@@ -41,3 +43,23 @@ def outcome(fn, *args):
         return fn(*args), None
     except Exception as exc:
         return None, (type(exc), str(exc), getattr(exc, "row_index", None))
+
+
+def values_row(age=60.0, **flags):
+    """A values-matrix row; ``None`` is missing, and flags not given are 0."""
+    row = [age, *(flags.get(f, False) for f in BINARY_FIELDS)]
+    return [np.nan if v is None else float(v) for v in row]
+
+
+def make_dataset(rows, times=None, events=None, pids=None, imputation=None):
+    """A dataset of values rows, by default patients P0, P1, ... with an
+    event at days 1, 2, ... and unknown RV status."""
+    n = len(rows)
+    return Dataset(
+        patient_ids=tuple(pids if pids is not None else (f"P{i}" for i in range(n))),
+        values=np.array(rows, dtype=float).reshape(n, 1 + len(BINARY_FIELDS)),
+        labels=Labels(np.arange(1.0, n + 1) if times is None else times,
+                      np.ones(n, dtype=bool) if events is None else events),
+        rv_dysfunction=np.full(n, np.nan),
+        imputation=imputation,
+    )

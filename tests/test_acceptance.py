@@ -16,13 +16,12 @@ import pytest
 
 from survfuse.analysis import (
     RiskStrata,
-    format_pct,
     rv_factor_analysis,
 )
 from survfuse.cli import main
-from survfuse.cox_linear import fit_cox, partial_loglik, predict_linear
-from survfuse.dataset import ClinicalVariables, SurvivalLabel, truncate_30day
-from survfuse.deep_survival import init_mlp, loss_and_gradients
+from survfuse.cox_linear import fit_cox, partial_loglik_eta
+from survfuse.dataset import Labels, truncate_30day
+from survfuse.deep_survival import _loss_and_gradients, init_mlp
 from survfuse.errors import NoComparablePairsError
 from survfuse.fusion import fit_fusion, predict_fused
 from survfuse.metrics import (
@@ -33,7 +32,7 @@ from survfuse.metrics import (
     sigmoid,
     wilcoxon_signed_rank,
 )
-from survfuse.pesi import pesi_score
+from survfuse.pesi import pesi_points, risk_class_for
 from survfuse.rsf import RsfOptions, fit_forest, predict_risk
 from survfuse.synthetic import (
     GeneratorSpec,
@@ -41,10 +40,6 @@ from survfuse.synthetic import (
     gen_cox_linear,
     gen_multimodal,
 )
-
-
-def labs(times, events):
-    return [SurvivalLabel(event=bool(e), time_days=float(t)) for t, e in zip(times, events)]
 
 
 # --- independent oracles -----------------------------------------------------
@@ -71,9 +66,10 @@ def direct_loglik(beta, X, times, events, tie_method):
 
 def brute_c_index(scores, labels):
     conc = ties = pairs = 0
-    for i, li in enumerate(labels):
-        for j, lj in enumerate(labels):
-            if i == j or not li.event or not (li.time_days < lj.time_days):
+    times, events = labels.times.tolist(), labels.events.tolist()
+    for i, (ti, ei) in enumerate(zip(times, events)):
+        for j, tj in enumerate(times):
+            if i == j or not ei or not (ti < tj):
                 continue
             pairs += 1
             if scores[i] > scores[j]:
@@ -130,9 +126,9 @@ class TestAcceptance:
             if not events.any():
                 events[rng.integers(0, n)] = True
             beta = rng.standard_normal(p)
-            labels = labs(times, events)
+            labels = Labels(times, events)
             for tie_method in ("efron", "breslow"):
-                got = partial_loglik(beta, X, labels, tie_method)
+                got = partial_loglik_eta(X @ beta, labels, tie_method)[0]
                 want = direct_loglik(beta, X, times, events, tie_method)
                 worst = max(worst, abs(got - want) / max(abs(want), 1e-12))
         elapsed = time.perf_counter() - start
@@ -160,12 +156,12 @@ class TestAcceptance:
         times = rng.exponential(np.exp(-risk))
         events = rng.random(12) < 0.8
         events[0] = True
-        labels = labs(times, events)
+        labels = Labels(times, events)
         model = init_mlp(4, (3,), seed=5)
         for k in range(len(model.biases)):
             model.biases[k] = model.biases[k] + 0.1 * rng.standard_normal(model.biases[k].shape)
 
-        _, wg, bg = loss_and_gradients(model, X, labels, 0.01)
+        _, wg, bg = _loss_and_gradients(model, X, labels.table, 0.01, "efron")
         h = 1e-4
         worst = 0.0
 
@@ -175,9 +171,9 @@ class TestAcceptance:
                 for idx in np.ndindex(*params[k].shape):
                     orig = params[k][idx]
                     params[k][idx] = orig + h
-                    up = loss_and_gradients(model, X, labels, 0.01)[0]
+                    up = _loss_and_gradients(model, X, labels.table, 0.01, "efron")[0]
                     params[k][idx] = orig - h
-                    dn = loss_and_gradients(model, X, labels, 0.01)[0]
+                    dn = _loss_and_gradients(model, X, labels.table, 0.01, "efron")[0]
                     params[k][idx] = orig
                     numeric = (up - dn) / (2 * h)
                     denom = max(abs(numeric), abs(grads[k][idx]), 1e-8)
@@ -200,7 +196,7 @@ class TestAcceptance:
             events = rng.random(20) < 0.6
             if not events.any():
                 events[0] = True
-            labels = labs(times, events)
+            labels = Labels(times, events)
             try:
                 want = brute_c_index(scores, labels)
             except NoComparablePairsError:
@@ -215,19 +211,19 @@ class TestAcceptance:
                    "monotone transforms invariant")
 
     def test_05_km_and_logrank_oracles(self, acceptance):
-        curve = km_curve(labs([1, 2, 3], [1, 0, 1]))
+        curve = km_curve(Labels([1, 2, 3], [1, 0, 1]))
         km_ok = (
             len(curve.points) == 2
             and curve.points[0].survival == 1.0 - 1.0 / 3.0
             and curve.points[1].survival == 0.0
         )
 
-        group = labs([1, 2, 3, 4], [1, 1, 0, 1])
+        group = Labels([1, 2, 3, 4], [1, 1, 0, 1])
         ident = logrank_test(group, group)
         ident_ok = ident.statistic == 0.0 and ident.p_value == 1.0
 
-        a = labs([1, 2, 3, 4, 5, 6], [1] * 6)
-        b = labs([11, 12, 13, 14, 15, 16], [1] * 6)
+        a = Labels([1, 2, 3, 4, 5, 6], [1] * 6)
+        b = Labels([11, 12, 13, 14, 15, 16], [1] * 6)
         e_total = 1 / 2 + 5 / 11 + 4 / 10 + 3 / 9 + 2 / 8 + 1 / 7
         v_total = 1 / 4 + 30 / 121 + 24 / 100 + 2 / 9 + 12 / 64 + 6 / 49
         want_chi2 = (6.0 - e_total) ** 2 / v_total
@@ -258,7 +254,7 @@ class TestAcceptance:
                    f"50 enumerated instances (n<=10), max p deviation {worst:.2e}")
 
     def test_07_nri_ledger(self, acceptance):
-        labels = labs(list(range(1, 11)) + list(range(100, 110)), [1] * 10 + [0] * 10)
+        labels = Labels(list(range(1, 11)) + list(range(100, 110)), [1] * 10 + [0] * 10)
         scores = np.linspace(0.1, 0.9, 20)
         identity_ok = nri(scores, scores, labels).nri == 0.0
 
@@ -279,7 +275,7 @@ class TestAcceptance:
         lin_old = np.array([0.5, -2.0])  # sigmoid 0.62, 0.12
         lin_up = np.array([1.0, -2.0])   # sigmoid 0.73, 0.12
         lin_flat = np.array([0.8, -2.0])  # sigmoid 0.69, 0.12
-        pair = labs([1, 100], [1, 0])
+        pair = Labels([1, 100], [1, 0])
         scale_ok = (
             nri(sigmoid(lin_old), sigmoid(lin_up), pair).event_up == 1
             and nri(sigmoid(lin_old), sigmoid(lin_flat), pair).event_up == 0
@@ -294,12 +290,8 @@ class TestAcceptance:
         # published point table before the implementation existed
         def clin(age, male=False, cancer=False, hf=False, cld=False, hr=False,
                  sbp=False, rr=False, temp=False, ams=False, o2=False):
-            return ClinicalVariables(
-                age_years=float(age), male=male, cancer=cancer, heart_failure=hf,
-                chronic_lung_disease=cld, hr_ge_110=hr, sbp_lt_100=sbp,
-                rr_ge_30=rr, temp_lt_36c=temp, altered_mental_status=ams,
-                o2_sat_lt_90=o2,
-            )
+            # a values row: age, then the flags in dataset.BINARY_FIELDS order
+            return [float(age), *map(float, (male, cancer, hf, cld, hr, sbp, rr, temp, ams, o2))]
 
         oracle = [
             (clin(64), 64, "I"),
@@ -326,9 +318,10 @@ class TestAcceptance:
         ]
         failures = []
         for k, (c, want_score, want_class) in enumerate(oracle):
-            got = pesi_score(c)
-            if got.score != want_score or got.risk_class != want_class:
-                failures.append(f"case {k}: got {got.score}/{got.risk_class}, "
+            score = int(pesi_points(np.array([c]))[0])
+            risk_class = risk_class_for(score)
+            if score != want_score or risk_class != want_class:
+                failures.append(f"case {k}: got {score}/{risk_class}, "
                                 f"want {want_score}/{want_class}")
         acceptance(8, not failures,
                    "; ".join(failures) if failures
@@ -345,14 +338,14 @@ class TestAcceptance:
                                                 modality_plan=plan, seed=seed))
             cut = 1600  # 20% held out
             tr, te = slice(0, cut), slice(cut, None)
-            lab_tr, lab_te = data.labels[:cut], data.labels[cut:]
+            lab_tr, lab_te = data.labels.take(tr), data.labels.take(te)
 
             cox_c = fit_cox(data.x_clin[tr], lab_tr)
             cox_i = fit_cox(data.x_img[tr], lab_tr)
-            s_c_tr = predict_linear(cox_c, data.x_clin[tr])
-            s_i_tr = predict_linear(cox_i, data.x_img[tr])
-            s_c_te = predict_linear(cox_c, data.x_clin[te])
-            s_i_te = predict_linear(cox_i, data.x_img[te])
+            s_c_tr = data.x_clin[tr] @ cox_c.beta
+            s_i_tr = data.x_img[tr] @ cox_i.beta
+            s_c_te = data.x_clin[te] @ cox_c.beta
+            s_i_te = data.x_img[te] @ cox_i.beta
 
             fused = fit_fusion({"clin": s_c_tr, "img": s_i_tr}, lab_tr)
             s_f_te = predict_fused(fused, {"clin": s_c_te, "img": s_i_te})
@@ -383,8 +376,8 @@ class TestAcceptance:
         for i in range(10):
             dead[f"l{i}"] = True
         report = rv_factor_analysis(strata, rv, dead)
-        rv_text = format_pct(report.rv_high_pct)
-        death_text = format_pct(report.death_capture_pct)
+        rv_text = f"{report.rv_high_pct:.1f}"
+        death_text = f"{report.death_capture_pct:.1f}"
         acceptance(
             10,
             (report.n_rv, report.rv_high_count) == (16, 11)
@@ -398,14 +391,15 @@ class TestAcceptance:
         prop_ok = True
         for _ in range(200):
             n = int(rng.integers(1, 30))
-            labels = labs(rng.exponential(40, n) + 0.1, rng.random(n) < 0.6)
+            labels = Labels(rng.exponential(40, n) + 0.1, rng.random(n) < 0.6)
             cut = truncate_30day(labels)
-            for before, after in zip(labels, cut):
-                prop_ok = prop_ok and after.time_days <= before.time_days
-                prop_ok = prop_ok and after.time_days <= 30.0
+            for before, after in zip(zip(labels.times, labels.events),
+                                     zip(cut.times, cut.events)):
+                prop_ok = prop_ok and after[0] <= before[0]
+                prop_ok = prop_ok and after[0] <= 30.0
                 # censoring may be introduced at the horizon, never removed
-                prop_ok = prop_ok and not (after.event and not before.event)
-                if before.time_days <= 30.0:
+                prop_ok = prop_ok and not (after[1] and not before[1])
+                if before[0] <= 30.0:
                     prop_ok = prop_ok and after == before
 
         out = tmp_path / "run"
@@ -486,7 +480,7 @@ class TestAcceptance:
         c_signal = c_index(predict_risk(model, Xte), lte)
 
         perm = np.random.default_rng(21).permutation(len(ltr))
-        shuffled = [ltr[i] for i in perm]
+        shuffled = ltr.take(perm)
         model_null = fit_forest(Xtr, shuffled,
                                 RsfOptions(n_trees=60, min_leaf_size=10, seed=3))
         c_null = c_index(predict_risk(model_null, Xte), lte)

@@ -12,13 +12,12 @@ from survfuse.analysis import (
     RiskStrata,
     StudyConfig,
     compare_to_pesi,
-    format_pct,
     run_study,
     run_study_full,
     rv_factor_analysis,
     stratify,
 )
-from survfuse.dataset import SurvivalLabel, attach_imaging, ingest_clinical
+from survfuse.dataset import Labels, attach_imaging, ingest_clinical
 from survfuse.errors import (
     DegenerateResamplingError,
     EmptyInputError,
@@ -31,10 +30,6 @@ from survfuse.errors import (
 from survfuse import metrics
 from survfuse.metrics import c_index, wilcoxon_signed_rank
 from survfuse.synthetic import CohortPlan, write_study_csvs
-
-
-def labs(times, events):
-    return [SurvivalLabel(event=bool(e), time_days=float(t)) for t, e in zip(times, events)]
 
 
 _MAX_REDRAWS = 100
@@ -54,7 +49,7 @@ def loop_compare_to_pesi(model_scores, pesi_scores, labels, n_resamples=1000, se
     for r in range(n_resamples):
         for _ in range(_MAX_REDRAWS):
             idx = rng.integers(0, n, size=n)
-            sub = [labels[i] for i in idx]
+            sub = labels.take(idx)
             try:
                 diffs[r] = c_index(model_scores[idx], sub) - c_index(pesi_scores[idx], sub)
                 break
@@ -93,15 +88,7 @@ def paired_cohorts(draw, min_n=3, max_n=30):
     index = np.array(column(st.integers(0, score_levels - 1)), dtype=float)
     times = column(st.integers(1, time_levels))
     events = [u < event_pct for u in column(st.integers(0, 99))]
-    return model, index, labs(times, events)
-
-
-class TestFormatPct:
-    def test_one_decimal(self):
-        assert format_pct(100.0 * 11.0 / 16.0) == "68.8"
-        assert format_pct(100.0 * 11.0 / 13.0) == "84.6"
-        assert format_pct(50.0) == "50.0"
-        assert format_pct(100.0) == "100.0"
+    return model, index, Labels(times, events)
 
 
 class TestStratify:
@@ -162,8 +149,8 @@ class TestRvFactorAnalysis:
         report = rv_factor_analysis(strata, rv, dead)
         assert (report.n_rv, report.rv_high_count) == (16, 11)
         assert (report.n_deaths, report.deaths_high_count) == (13, 11)
-        assert format_pct(report.rv_high_pct) == "68.8"
-        assert format_pct(report.death_capture_pct) == "84.6"
+        assert f"{report.rv_high_pct:.1f}" == "68.8"
+        assert f"{report.death_capture_pct:.1f}" == "84.6"
 
     def test_no_rv_patients_gives_none(self):
         strata, rv, dead = self.build(5, 5, 0, 0, 2, 1)
@@ -190,7 +177,7 @@ class TestCompareToPesi:
         risk = rng.standard_normal(n)
         times = rng.exponential(np.exp(-risk))
         events = rng.random(n) < 0.9
-        labels = labs(times, events)
+        labels = Labels(times, events)
         good = risk + 0.3 * rng.standard_normal(n)
         weak = risk + 2.5 * rng.standard_normal(n)
         return good, weak, labels
@@ -228,7 +215,7 @@ class TestCompareToPesi:
 
     def test_length_mismatch(self):
         with pytest.raises(MismatchedLengthsError):
-            compare_to_pesi([0.1], [0.2, 0.3], labs([1, 2], [1, 1]))
+            compare_to_pesi([0.1], [0.2, 0.3], Labels([1, 2], [1, 1]))
 
     @settings(max_examples=60)
     @given(paired_cohorts(), st.integers(0, 2**32 - 1))
@@ -238,7 +225,7 @@ class TestCompareToPesi:
         assert outcome(compare_to_pesi, model, index, labels, 100, seed) == want
 
     def test_all_censored_fails_like_the_loop(self):
-        labels = labs([1, 2, 3, 4], [0, 0, 0, 0])
+        labels = Labels([1, 2, 3, 4], [0, 0, 0, 0])
         model, index = np.arange(4.0), np.ones(4)
         want = outcome(loop_compare_to_pesi, model, index, labels, 100, 3)
         assert want[0] == "degenerate"
@@ -371,7 +358,9 @@ class TestRunStudy:
         write_study_csvs(CohortPlan(n=100, seed=29), clin, feat)
         ds = ingest_clinical(clin)
         cfg = StudyConfig(seed=1, models=("deep_imaging",), **SMALL_HYPERS)
-        with pytest.raises(MissingModalityError, match="imaging"):
+        with pytest.raises(MissingModalityError,
+                           match=r"^100 patient\(s\) lack imaging features \(e.g. 'P00000'\) "
+                                 "but an imaging model was requested$"):
             run_study(ds, cfg)
 
     def test_fixed_stratification_flows_through(self, study_dataset):

@@ -21,12 +21,12 @@ from survfuse.artifacts import (
 from survfuse.cox_linear import CoxModel
 from survfuse.dataset import (
     BINARY_FIELDS,
-    ClinicalVariables,
     Dataset,
-    PatientRecord,
-    SurvivalLabel,
+    ImputationStats,
+    Labels,
     clinical_matrix,
     compute_imputation_stats,
+    imaging_matrix,
     impute_missing,
 )
 from survfuse.deep_survival import MlpSurvModel, TrainOptions, forward, init_mlp, train
@@ -35,11 +35,7 @@ from survfuse.fusion import FusionModel, fit_fusion, predict_fused
 from survfuse import cli, rsf
 from survfuse.rsf import RsfOptions, fit_forest, predict_risk
 
-from strategies import assert_same_trees, same_bits, survival_arrays
-
-
-def labs(times, events):
-    return [SurvivalLabel(event=bool(e), time_days=float(t)) for t, e in zip(times, events)]
+from strategies import assert_same_trees, make_dataset, same_bits, survival_arrays, values_row
 
 
 def surv_data(rng, n, d, beta):
@@ -49,7 +45,7 @@ def surv_data(rng, n, d, beta):
     events = rng.random(n) < 0.8
     if not events.any():
         events[0] = True
-    return X, labs(times, events)
+    return X, Labels(times, events)
 
 
 @pytest.fixture(scope="module")
@@ -120,7 +116,7 @@ class TestRoundTrips:
         opts = RsfOptions(n_trees=n_trees, min_leaf_size=int(rng.integers(1, t.size // 2 + 1)),
                           seed=seed)
         with mock.patch.object(rsf, "_usable_cpus", return_value=cpus):
-            model = fit_forest(X, labs(t, e), opts)
+            model = fit_forest(X, Labels(t, e), opts)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "rsf_clinical.json"
             save_model(path, "rsf_clinical", model)
@@ -181,20 +177,8 @@ class TestRoundTrips:
         assert_array_equal(got, want)
 
     def test_imputation_stats_round_trip(self, fitted, tmp_path):
-        from survfuse.dataset import ClinicalVariables, Dataset, PatientRecord
-        records = tuple(
-            PatientRecord(
-                patient_id=f"P{i}",
-                clinical=ClinicalVariables(
-                    age_years=60.0 + i, male=i % 2 == 0, cancer=False,
-                    heart_failure=False, chronic_lung_disease=False,
-                    hr_ge_110=False, sbp_lt_100=False, rr_ge_30=False,
-                    temp_lt_36c=False, altered_mental_status=False,
-                    o2_sat_lt_90=i % 3 == 0),
-                label=SurvivalLabel(event=True, time_days=float(i + 1)),
-            ) for i in range(5)
-        )
-        ds = Dataset(records=records)
+        ds = make_dataset([values_row(60.0 + i, male=i % 2 == 0, o2_sat_lt_90=i % 3 == 0)
+                           for i in range(5)])
         stats = compute_imputation_stats(ds, ds.patient_ids)
         path = tmp_path / "with_imp.json"
         save_model(path, "deep_clinical", fitted["mlp_c"], imputation=stats)
@@ -209,17 +193,17 @@ class TestRoundTrips:
 
 
 def scoring_cohort(rng, n, d):
-    """``n`` imputed records, each with ``d`` imaging features."""
-    records = tuple(
-        PatientRecord(
-            patient_id=f"P{i}",
-            clinical=ClinicalVariables(age_years=float(rng.uniform(20, 95)),
-                                       **{f: bool(rng.random() < 0.3) for f in BINARY_FIELDS}),
-            label=SurvivalLabel(event=bool(rng.random() < 0.7), time_days=float(rng.integers(1, 60))),
-            imaging_features=rng.standard_normal(d),
-        ) for i in range(n)
-    )
-    ds = Dataset(records=records, feature_dim=d)
+    """``n`` imputed patients, each with ``d`` imaging features."""
+    rows, events, times, features = [], [], [], []
+    for _ in range(n):
+        rows.append([float(rng.uniform(20, 95)), *(rng.random(len(BINARY_FIELDS)) < 0.3)])
+        events.append(rng.random() < 0.7)
+        times.append(float(rng.integers(1, 60)))
+        features.append(rng.standard_normal(d))
+    ds = Dataset(patient_ids=tuple(f"P{i}" for i in range(n)),
+                 values=np.array(rows, dtype=float), labels=Labels(times, events),
+                 rv_dysfunction=np.full(n, np.nan),
+                 imaging=(np.arange(n), np.array(features)))
     return impute_missing(ds, ds.patient_ids)
 
 
@@ -244,16 +228,6 @@ def random_fusion(rng, sources):
                        stds=rng.uniform(0.1, 3.0, k))
 
 
-def score_inputs(ds):
-    """What ``survfuse score`` hands the models of an imputed ``ds`` whose
-    records all carry imaging features."""
-    values = np.array([[r.clinical.age_years, *(getattr(r.clinical, f) for f in BINARY_FIELDS)]
-                       for r in ds.records], dtype=float)
-    kept = np.array([r.imaging_features for r in ds.records])
-    return cli._ScoreInputs(list(ds.patient_ids), values, ds.imputation,
-                            (np.arange(len(ds)), kept))
-
-
 def assert_scores_survive(kind, model, ds):
     """Saved and loaded, the artifact scores ``ds`` exactly as the model did,
     and saved again it is the same bytes: one line of compact JSON."""
@@ -268,23 +242,23 @@ def assert_scores_survive(kind, model, ds):
     assert data.endswith(b"}\n") and data.count(b"\n") == 1
     assert data == (json.dumps(json.loads(data), sort_keys=True) + "\n").encode()
     assert loaded.kind == kind and loaded.imputation == ds.imputation
-    want = cli._score_records(ModelArtifact(kind, model, ds.imputation, {}), score_inputs(ds))
-    assert same_bits(cli._score_records(loaded, score_inputs(ds)), want)
+    want = cli._score_records(ModelArtifact(kind, model, ds.imputation, {}), ds)
+    assert same_bits(cli._score_records(loaded, ds), want)
     return loaded.model
 
 
 def random_model(rng, kind, ds, hidden, scale, n_trees):
     """A model of ``kind`` that scores ``ds``: random MLP weights and fusion
     heads, forests fitted to ``ds`` with ``n_trees`` trees."""
-    d = ds.feature_dim
+    d = ds.imaging[1].shape[1]
     if kind in ("deep_clinical", "deep_imaging"):
         tag, width = ("clin", 1 + len(BINARY_FIELDS)) if kind == "deep_clinical" else ("img", d)
         return random_mlp(rng, width, hidden, tag, scale)
     if kind in ("rsf_clinical", "rsf_imaging", "fusion_rsf"):
-        labels = list(ds.labels)
+        labels = ds.labels
         opts = RsfOptions(n_trees=n_trees, min_leaf_size=int(rng.integers(1, len(labels) // 2 + 1)),
                           seed=int(rng.integers(2**16)))
-        X_img = np.array([r.imaging_features for r in ds.records])
+        X_img = imaging_matrix(ds)
         with mock.patch.object(rsf, "_usable_cpus", return_value=1):
             if kind != "fusion_rsf":
                 return fit_forest(clinical_matrix(ds) if kind == "rsf_clinical" else X_img,
@@ -325,7 +299,7 @@ class TestScoreRoundTrips:
         # the Cox fusion head and every embedded component come back exactly
         rng = np.random.default_rng(seed)
         ds = scoring_cohort(rng, n, d)
-        assume(kind != "fusion_rsf" or any(lab.event for lab in ds.labels))
+        assume(kind != "fusion_rsf" or ds.labels.events.any())
         bundle = random_model(rng, kind, ds, hidden, scale, n_trees)
         loaded = assert_scores_survive(kind, bundle, ds)
         fusion, want = loaded.fusion, bundle.fusion
@@ -346,7 +320,7 @@ class TestResave:
                                                  seed):
         rng = np.random.default_rng(seed)
         ds = scoring_cohort(rng, n, d)
-        assume("rsf" not in kind or any(lab.event for lab in ds.labels))
+        assume("rsf" not in kind or ds.labels.events.any())
         assert_scores_survive(kind, random_model(rng, kind, ds, hidden, scale, n_trees), ds)
 
 
@@ -446,6 +420,44 @@ class TestValidation:
         del doc["model"]
         path.write_text(json.dumps(doc))
         with pytest.raises(SchemaMismatchError, match="model"):
+            load_model(path)
+
+    @pytest.mark.parametrize("field, value", [
+        ("age_std", 0.0), ("age_std", -2.5), ("age_std", float("nan")), ("age_std", float("inf")),
+        ("age_median", float("nan")), ("age_median", float("-inf")), ("age_median", -5.0),
+        ("age_median", 0.0), ("age_mean", float("inf")),
+    ])
+    def test_rejects_age_constants_imputation_never_writes(self, fitted, tmp_path, field, value):
+        # scoring with a zero std wrote NaN risks and exited 0 before this check
+        path = tmp_path / "imp.json"
+        stats = ImputationStats({f: False for f in BINARY_FIELDS}, 60.0, 61.0, 12.0)
+        save_model(path, "deep_clinical", fitted["mlp_c"], imputation=stats)
+        assert load_model(path).imputation == stats
+        doc = json.loads(path.read_text())
+        doc["imputation"][field] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaMismatchError,
+                           match=f"has malformed imputation constants: {field} must be"):
+            load_model(path)
+
+    @pytest.mark.parametrize("change", ["extra", "missing", "renamed", "string", "number"])
+    def test_rejects_binary_medians_imputation_never_writes(self, fitted, tmp_path, change):
+        path = tmp_path / "imp.json"
+        stats = ImputationStats({f: True for f in BINARY_FIELDS}, 60.0, 61.0, 12.0)
+        save_model(path, "deep_clinical", fitted["mlp_c"], imputation=stats)
+        doc = json.loads(path.read_text())
+        medians = doc["imputation"]["binary_medians"]
+        if change in ("string", "number"):
+            medians["cancer"] = "false" if change == "string" else 0
+            message = "binary_medians must be true or false"
+        else:
+            message = "binary_medians must have the keys male, "
+            if change != "extra":
+                del medians["cancer"]
+            if change != "missing":
+                medians["smoker"] = False
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaMismatchError, match=message):
             load_model(path)
 
     def test_malformed_body(self, fitted, tmp_path):

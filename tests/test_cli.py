@@ -249,6 +249,19 @@ class TestRun:
         doc = json.loads((out / "report.json").read_text())
         assert set(doc["overall"]["test"].keys()) == {"pesi", "deep_clinical"}
 
+    def test_patient_without_features_is_validation_error(self, cohort, tmp_path, caplog):
+        with open(cohort / "features.csv", newline="") as fh:
+            rows = [r for r in csv.reader(fh) if r[0] not in ("P00004", "P00009")]
+        with open(tmp_path / "f.csv", "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        code = main(["run", "--config", write_config(tmp_path),
+                     "--clinical", str(cohort / "clinical.csv"), "--features",
+                     str(tmp_path / "f.csv"), "--models", "deep_imaging",
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert ("2 patient(s) lack imaging features (e.g. 'P00004') "
+                "but an imaging model was requested") in caplog.text
+
     def test_non_finite_feature_cell_is_validation_error(self, cohort, tmp_path, caplog):
         features = with_cell(cohort / "features.csv", tmp_path / "f.csv", 5, "f0", "inf")
         code = main(["run", "--config", write_config(tmp_path),
@@ -426,28 +439,67 @@ class TestScore:
         assert code == 1
         assert f"row 1: {column} must be a finite number, got 'nan'" in caplog.text
 
-    def test_scoring_builds_no_patient_records(self, cohort, run_result, tmp_path,
-                                               monkeypatch):
-        # score reads columns and joins features by row; the record types
-        # are built only where a Dataset is (ingest_clinical, for run)
+    def test_score_and_run_share_the_cohort_functions(self, cohort, run_result, tmp_path,
+                                                       monkeypatch):
+        # both commands hold the cohort as one column Dataset, and ingest,
+        # join, impute and form the model inputs with the same functions
+        from survfuse import analysis, pesi
+
+        called = []
+        for module, name in [(dataset, "ingest_clinical"), (dataset, "attach_imaging"),
+                             (dataset, "apply_imputation"), (dataset, "clinical_matrix"),
+                             (dataset, "imaging_matrix"), (pesi, "pesi_scores")]:
+            def spy(*args, fn=getattr(module, name), name=name, **kwargs):
+                called.append(name)
+                return fn(*args, **kwargs)
+            for home in (module, analysis):
+                if hasattr(home, name):
+                    monkeypatch.setattr(home, name, spy)
+        out, cfg = run_result
+        code = main(["score", "--model", str(out / "models" / "fusion_pesi_fused.json"),
+                     "--clinical", str(cohort / "clinical.csv"),
+                     "--features", str(cohort / "features.csv"),
+                     "--out", str(tmp_path / "s.csv")])
+        assert code == 0
+        scored = sorted(set(called))
+        called.clear()
+        code = main(["run", "--config", cfg, "--clinical", str(cohort / "clinical.csv"),
+                     "--features", str(cohort / "features.csv"), "--models", "pesi,deep_imaging",
+                     "--seed", "11", "--out", str(tmp_path / "run")])
+        assert code == 0
+        assert scored == sorted(set(called)) == [
+            "apply_imputation", "attach_imaging", "clinical_matrix", "imaging_matrix",
+            "ingest_clinical", "pesi_scores"]
+
+    def test_missing_cells_are_imputed_with_the_artifact_constants(self, tmp_path):
+        # a cohort with missing cells, fitted and scored: every risk is a number
+        root = tmp_path / "cohort"
+        cfg = write_config(tmp_path, {"generate": {**SMALL_RUN_CONFIG["generate"],
+                                                   "missing_rate": 0.2}})
+        assert main(["generate", "--config", cfg, "--out", str(root)]) == 0
+        assert main(["run", "--config", cfg, "--clinical", str(root / "clinical.csv"),
+                     "--models", "pesi,deep_clinical", "--out", str(tmp_path / "run")]) == 0
+        out = tmp_path / "s.csv"
+        assert main(["score", "--model", str(tmp_path / "run" / "models" / "deep_clinical.json"),
+                     "--clinical", str(root / "clinical.csv"), "--out", str(out)]) == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 120
+        assert all(np.isfinite(float(r["risk_score"])) for r in rows)
+
+    def test_artifact_with_zero_age_std_is_schema_error(self, cohort, run_result, tmp_path,
+                                                        caplog):
         out, _ = run_result
-        built = []
-        for cls in (dataset.PatientRecord, dataset.ClinicalVariables, dataset.SurvivalLabel):
-            def spy(self, *args, __init__=cls.__init__, **kwargs):
-                built.append(type(self).__name__)
-                __init__(self, *args, **kwargs)
-            monkeypatch.setattr(cls, "__init__", spy)
-        kinds = sorted(p.stem for p in (out / "models").glob("*.json"))
-        assert len(kinds) == 7
-        for kind in kinds:
-            code = main(["score", "--model", str(out / "models" / f"{kind}.json"),
-                         "--clinical", str(cohort / "clinical.csv"),
-                         "--features", str(cohort / "features.csv"),
-                         "--out", str(tmp_path / f"{kind}.csv")])
-            assert code == 0
-        assert built == []
-        dataset.ingest_clinical(cohort / "clinical.csv")
-        assert built.count("PatientRecord") == 120
+        doc = json.loads((out / "models" / "deep_clinical.json").read_text())
+        doc["imputation"]["age_std"] = 0
+        artifact = tmp_path / "zero_std.json"
+        artifact.write_text(json.dumps(doc))
+        code = main(["score", "--model", str(artifact), "--clinical", str(cohort / "clinical.csv"),
+                     "--out", str(tmp_path / "s.csv")])
+        assert code == 1
+        assert "has malformed imputation constants: age_std must be positive, got 0.0" \
+            in caplog.text
+        assert not (tmp_path / "s.csv").exists()
 
     @pytest.mark.parametrize("model", ["deep_imaging", "fusion_multimodal", "fusion_rsf"])
     def test_patient_without_features_is_validation_error(self, cohort, run_result, tmp_path,

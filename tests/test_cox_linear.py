@@ -9,14 +9,13 @@ from numpy.testing import assert_allclose
 from survfuse.cox_linear import (
     CoxModel,
     FitOptions,
+    _beta_derivatives,
     _breslow_baseline,
+    _event_table,
     fit_cox,
-    partial_loglik,
     partial_loglik_eta,
-    partial_loglik_grad_hess,
-    predict_linear,
 )
-from survfuse.dataset import EventTable, SurvivalLabel
+from survfuse.dataset import EventTable, Labels
 from survfuse.errors import (
     DimensionMismatchError,
     NoEventsError,
@@ -28,8 +27,15 @@ from survfuse.synthetic import GeneratorSpec, gen_cox_linear
 from strategies import survival_arrays
 
 
-def labs(times, events):
-    return [SurvivalLabel(event=bool(e), time_days=float(t)) for t, e in zip(times, events)]
+def loglik(beta, X, labels, tie_method="efron"):
+    """Cox partial log-likelihood at ``beta``."""
+    return partial_loglik_eta(X @ beta, labels, tie_method)[0]
+
+
+def derivatives(beta, X, labels, tie_method="efron"):
+    """Unpenalized ``(loglik, gradient, Hessian)`` at ``beta``, as ``fit_cox``
+    forms them."""
+    return _beta_derivatives(beta, X, _event_table(labels), tie_method)
 
 
 def direct_loglik(eta, times, events, tie_method):
@@ -121,7 +127,7 @@ def loop_partial_loglik_eta(eta, times, events, tie_method):
 
 
 def loop_grad_hess(beta, X, times, events, tie_method):
-    """``partial_loglik_grad_hess`` as it was on ``LoopRiskStructure``, kept as its oracle."""
+    """``derivatives`` as it was on ``LoopRiskStructure``, kept as its oracle."""
     struct = LoopRiskStructure(np.asarray(times, float), np.asarray(events, bool))
     p = X.shape[1]
     Xs = X[struct.order]
@@ -205,7 +211,7 @@ class TestPartialLoglik:
         for _ in range(50):
             X, times, events = random_instance(rng)
             beta = rng.standard_normal(X.shape[1])
-            got = partial_loglik(beta, X, labs(times, events), tie_method)
+            got = loglik(beta, X, Labels(times, events), tie_method)
             want = direct_loglik(X @ beta, times, events, tie_method)
             assert_allclose(got, want, rtol=1e-10)
 
@@ -215,9 +221,9 @@ class TestPartialLoglik:
         eta = rng.standard_normal(8)
         times = np.array([1, 1, 2, 2, 2, 3, 4, 5], dtype=float)
         events = np.array([1, 0, 1, 1, 0, 1, 0, 1], dtype=bool)
-        base, _ = partial_loglik_eta(eta, times, events, tie_method)
+        base, _ = partial_loglik_eta(eta, Labels(times, events), tie_method)
         for shift in (-200.0, -3.0, 7.5, 500.0):
-            shifted, _ = partial_loglik_eta(eta + shift, times, events, tie_method)
+            shifted, _ = partial_loglik_eta(eta + shift, Labels(times, events), tie_method)
             assert_allclose(shifted, base, rtol=1e-12)
 
     @settings(max_examples=150)
@@ -230,8 +236,8 @@ class TestPartialLoglik:
         step = 2.0 ** -30
         eta = np.round(X.sum(axis=1) / step) * step
         shift = round(shift / step) * step
-        base, base_grad = partial_loglik_eta(eta, times, events, tie_method)
-        shifted, shifted_grad = partial_loglik_eta(eta + shift, times, events, tie_method)
+        base, base_grad = partial_loglik_eta(eta, Labels(times, events), tie_method)
+        shifted, shifted_grad = partial_loglik_eta(eta + shift, Labels(times, events), tie_method)
         assert_allclose(shifted, base, rtol=1e-12)
         assert_allclose(shifted_grad, base_grad, rtol=1e-12)
 
@@ -241,7 +247,7 @@ class TestPartialLoglik:
         for _ in range(20):
             X, times, events = random_instance(rng, n_max=8)
             eta = X @ rng.standard_normal(X.shape[1])
-            _, grad = partial_loglik_eta(eta, times, events, tie_method)
+            _, grad = partial_loglik_eta(eta, Labels(times, events), tie_method)
             h = 1e-6
             for i in range(len(eta)):
                 up, dn = eta.copy(), eta.copy()
@@ -255,24 +261,24 @@ class TestPartialLoglik:
         times = np.array([1.0, 2.0, 3.0, 4.0])
         events = np.array([True, True, True, False])
         eta = np.array([0.3, -0.2, 0.9, 0.1])
-        le, _ = partial_loglik_eta(eta, times, events, "efron")
-        lb, _ = partial_loglik_eta(eta, times, events, "breslow")
+        le, _ = partial_loglik_eta(eta, Labels(times, events), "efron")
+        lb, _ = partial_loglik_eta(eta, Labels(times, events), "breslow")
         assert le == lb  # no tied deaths: identical by definition
         tied_times = np.array([1.0, 1.0, 3.0, 4.0])
-        le, _ = partial_loglik_eta(eta, tied_times, events, "efron")
-        lb, _ = partial_loglik_eta(eta, tied_times, events, "breslow")
+        le, _ = partial_loglik_eta(eta, Labels(tied_times, events), "efron")
+        lb, _ = partial_loglik_eta(eta, Labels(tied_times, events), "breslow")
         assert le > lb  # Efron's denominators are never larger
 
     def test_no_events(self):
         with pytest.raises(NoEventsError):
-            partial_loglik_eta(np.zeros(3), np.arange(1.0, 4.0), np.zeros(3, dtype=bool))
+            partial_loglik_eta(np.zeros(3), Labels(np.arange(1.0, 4.0), np.zeros(3, dtype=bool)))
 
     @settings(max_examples=150)
     @given(cox_instances(), st.sampled_from(["efron", "breslow"]))
     def test_matches_event_time_loop_exactly(self, instance, tie_method):
         X, times, events = instance
         eta = X.sum(axis=1)
-        got = result_or_error(partial_loglik_eta, eta, times, events, tie_method)
+        got = result_or_error(partial_loglik_eta, eta, Labels(times, events), tie_method)
         want = result_or_error(loop_partial_loglik_eta, eta, times, events, tie_method)
         if isinstance(want, str):
             assert got == want
@@ -282,8 +288,7 @@ class TestPartialLoglik:
 
     def test_nonfinite_eta(self):
         with pytest.raises(NonFiniteInputError):
-            partial_loglik_eta(np.array([0.0, np.nan]), np.array([1.0, 2.0]),
-                               np.array([True, True]))
+            partial_loglik_eta(np.array([0.0, np.nan]), Labels([1.0, 2.0], [True, True]))
 
 
 class TestGradHess:
@@ -292,16 +297,16 @@ class TestGradHess:
         rng = np.random.default_rng(13)
         for _ in range(20):
             X, times, events = random_instance(rng)
-            labels = labs(times, events)
+            labels = Labels(times, events)
             beta = 0.5 * rng.standard_normal(X.shape[1])
-            _, grad, _ = partial_loglik_grad_hess(beta, X, labels, tie_method)
+            _, grad, _ = derivatives(beta, X, labels, tie_method)
             h = 1e-6
             for j in range(len(beta)):
                 up, dn = beta.copy(), beta.copy()
                 up[j] += h
                 dn[j] -= h
-                fd = (partial_loglik(up, X, labels, tie_method)
-                      - partial_loglik(dn, X, labels, tie_method)) / (2 * h)
+                fd = (loglik(up, X, labels, tie_method)
+                      - loglik(dn, X, labels, tie_method)) / (2 * h)
                 assert_allclose(grad[j], fd, rtol=5e-6, atol=5e-7)
 
     @pytest.mark.parametrize("tie_method", ["efron", "breslow"])
@@ -309,17 +314,17 @@ class TestGradHess:
         rng = np.random.default_rng(29)
         for _ in range(10):
             X, times, events = random_instance(rng, n_max=8)
-            labels = labs(times, events)
+            labels = Labels(times, events)
             beta = 0.3 * rng.standard_normal(X.shape[1])
-            _, _, hess = partial_loglik_grad_hess(beta, X, labels, tie_method)
+            _, _, hess = derivatives(beta, X, labels, tie_method)
             assert_allclose(hess, hess.T, atol=1e-12)
             h = 1e-5
             for j in range(len(beta)):
                 up, dn = beta.copy(), beta.copy()
                 up[j] += h
                 dn[j] -= h
-                _, gu, _ = partial_loglik_grad_hess(up, X, labels, tie_method)
-                _, gd, _ = partial_loglik_grad_hess(dn, X, labels, tie_method)
+                _, gu, _ = derivatives(up, X, labels, tie_method)
+                _, gd, _ = derivatives(dn, X, labels, tie_method)
                 assert_allclose(hess[:, j], (gu - gd) / (2 * h), rtol=2e-4, atol=2e-5)
 
     @settings(max_examples=100)
@@ -327,7 +332,7 @@ class TestGradHess:
     def test_matches_event_time_loop_exactly(self, instance, tie_method):
         X, times, events = instance
         beta = np.linspace(-1.0, 1.0, X.shape[1])
-        got = result_or_error(partial_loglik_grad_hess, beta, X, labs(times, events), tie_method)
+        got = result_or_error(derivatives, beta, X, Labels(times, events), tie_method)
         want = result_or_error(loop_grad_hess, beta, X, times, events, tie_method)
         if isinstance(want, str):
             assert got == want
@@ -339,12 +344,11 @@ class TestGradHess:
     def test_loglik_consistent_across_entry_points(self):
         rng = np.random.default_rng(3)
         X, times, events = random_instance(rng)
-        labels = labs(times, events)
+        labels = Labels(times, events)
         beta = rng.standard_normal(X.shape[1])
-        ll1 = partial_loglik(beta, X, labels)
-        ll2, _ = partial_loglik_eta(X @ beta, times, events)
-        ll3, _, _ = partial_loglik_grad_hess(beta, X, labels)
-        assert_allclose([ll1, ll2], ll3, rtol=1e-14)
+        ll1, _ = partial_loglik_eta(X @ beta, labels)
+        ll2, _, _ = _beta_derivatives(beta, X, labels.table, "efron")
+        assert_allclose(ll1, ll2, rtol=1e-14)
 
 
 class TestFitCox:
@@ -352,7 +356,7 @@ class TestFitCox:
         # four subjects, all events, x = (0, 1, 0, 1) at times 1..4:
         # ll(b) = b - log(2 + 2e^b) - log(1 + 2e^b) - log(1 + e^b)
         X = np.array([[0.0], [1.0], [0.0], [1.0]])
-        labels = labs([1, 2, 3, 4], [1, 1, 1, 1])
+        labels = Labels([1, 2, 3, 4], [1, 1, 1, 1])
 
         def ll(b):
             return b - math.log(2 + 2 * math.exp(b)) - math.log(1 + 2 * math.exp(b)) \
@@ -376,18 +380,18 @@ class TestFitCox:
 
     def test_identical_rows_give_null_fit(self):
         X = np.ones((6, 2))
-        labels = labs([1, 2, 3, 4, 5, 6], [1, 1, 0, 1, 0, 1])
+        labels = Labels([1, 2, 3, 4, 5, 6], [1, 1, 0, 1, 0, 1])
         model = fit_cox(X, labels)
         assert model.converged
         assert_allclose(model.beta, [0.0, 0.0])
-        assert_allclose(model.log_likelihood, partial_loglik(np.zeros(2), X, labels))
+        assert_allclose(model.log_likelihood, loglik(np.zeros(2), X, labels))
 
     def test_collinear_needs_ridge(self):
         rng = np.random.default_rng(17)
         x = rng.standard_normal(30)
         X = np.column_stack([x, x])
         times = rng.exponential(1.0, size=30)
-        labels = labs(times, np.ones(30))
+        labels = Labels(times, np.ones(30))
         with pytest.raises(SingularInformationError, match="ridge"):
             fit_cox(X, labels)
         model = fit_cox(X, labels, FitOptions(ridge_penalty=1e-4))
@@ -396,23 +400,23 @@ class TestFitCox:
 
     def test_needs_more_rows_than_columns(self):
         X = np.eye(3)
-        labels = labs([1, 2, 3], [1, 1, 1])
+        labels = Labels([1, 2, 3], [1, 1, 1])
         with pytest.raises(DimensionMismatchError):
             fit_cox(X, labels)
 
     def test_nonfinite_raises(self):
         X = np.array([[0.0], [np.inf], [1.0]])
         with pytest.raises(NonFiniteInputError):
-            fit_cox(X, labs([1, 2, 3], [1, 1, 1]))
+            fit_cox(X, Labels([1, 2, 3], [1, 1, 1]))
 
     def test_no_events_raises(self):
         X = np.arange(4.0)[:, None]
         with pytest.raises(NoEventsError):
-            fit_cox(X, labs([1, 2, 3, 4], [0, 0, 0, 0]))
+            fit_cox(X, Labels([1, 2, 3, 4], [0, 0, 0, 0]))
 
     def test_covariate_names_recorded(self):
         X = np.array([[0.0], [1.0], [0.5], [0.2]])
-        model = fit_cox(X, labs([1, 2, 3, 4], [1, 1, 1, 0]), covariate_names=("dose",))
+        model = fit_cox(X, Labels([1, 2, 3, 4], [1, 1, 1, 0]), covariate_names=("dose",))
         assert model.covariate_names == ("dose",)
 
     def test_invalid_options(self):
@@ -427,7 +431,7 @@ class TestBaselineAndSurvival:
         # one constant covariate forces beta = 0, so the baseline is the
         # plain Breslow estimate: H(1) = 1/3, H(2) = 1/3 + 1/2, H(3) = 11/6
         X = np.zeros((3, 1))
-        return fit_cox(X, labs([1, 2, 3], [1, 1, 1]))
+        return fit_cox(X, Labels([1, 2, 3], [1, 1, 1]))
 
     def test_baseline_values(self):
         model = self.null_model()
@@ -444,13 +448,3 @@ class TestBaselineAndSurvival:
         want = loop_breslow_baseline(beta, X, times, events)
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1])
-
-    def test_predict_linear(self):
-        model = self.null_model()
-        X = np.array([[1.0], [2.0]])
-        assert_allclose(predict_linear(model, X), X @ model.beta)
-
-    def test_predict_dimension_mismatch(self):
-        model = self.null_model()
-        with pytest.raises(DimensionMismatchError):
-            predict_linear(model, np.zeros((2, 3)))

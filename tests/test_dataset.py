@@ -15,20 +15,17 @@ from survfuse import dataset, feature_csv
 from survfuse.dataset import (
     BINARY_FIELDS,
     CLINICAL_COLUMNS,
-    ClinicalVariables,
-    Dataset,
     EventTable,
     ImputationStats,
-    PatientRecord,
-    SurvivalLabel,
+    Labels,
     apply_imputation,
     attach_imaging,
     clinical_matrix,
     compute_imputation_stats,
+    imaging_matrix,
     impute_missing,
     ingest_clinical,
     ingest_features,
-    label_arrays,
     split_dataset,
     truncate_30day,
 )
@@ -37,12 +34,16 @@ from survfuse.errors import (
     DatasetTooSmallError,
     DuplicatePatientIdError,
     MalformedRowError,
+    MismatchedLengthsError,
     MissingColumnError,
+    MissingModalityError,
     SurvfuseError,
     UnimputedRecordError,
 )
+from survfuse.pesi import pesi_scores
 
-from strategies import outcome, same_bits, survival_arrays
+import records
+from strategies import make_dataset, outcome, same_bits, survival_arrays, values_row
 
 HEADER = list(CLINICAL_COLUMNS)
 
@@ -77,13 +78,12 @@ def base_row(pid="P1", **overrides):
     return [row[c] for c in HEADER]
 
 
-def make_record(pid, event, time, age=60.0, **flags):
-    values = {f: flags.get(f, False) for f in BINARY_FIELDS}
-    return PatientRecord(
-        patient_id=pid,
-        clinical=ClinicalVariables(age_years=age, **values),
-        label=SurvivalLabel(event=event, time_days=time),
-    )
+FIELDS = ("age_years",) + BINARY_FIELDS
+
+
+def column(ds, name):
+    """The values column of a field of ``FIELDS``."""
+    return ds.values[:, FIELDS.index(name)]
 
 
 class TestIngestClinical:
@@ -94,12 +94,11 @@ class TestIngestClinical:
         ])
         ds = ingest_clinical(path)
         assert ds.patient_ids == ("P1", "P2")
-        assert ds.records[0].label == SurvivalLabel(event=True, time_days=12.5)
-        assert ds.records[0].clinical.male is True
-        assert ds.records[1].clinical.male is False
-        assert ds.records[1].clinical.cancer is True
-        assert ds.records[1].clinical.age_years == 71.2
-        assert ds.feature_dim is None
+        assert (ds.labels.times[0], ds.labels.events[0]) == (12.5, True)
+        assert column(ds, "male").tolist() == [1.0, 0.0]
+        assert column(ds, "cancer")[1] == 1.0
+        assert column(ds, "age_years")[1] == 71.2
+        assert ds.imaging is None
 
     def test_vitals_thresholded_at_ingest(self, tmp_path):
         path = write_clinical(tmp_path / "c.csv", [
@@ -109,33 +108,27 @@ class TestIngestClinical:
                      respiratory_rate="29.9", temperature_c="35.99", o2_sat="89.9"),
         ])
         ds = ingest_clinical(path)
-        c1, c2 = ds.records[0].clinical, ds.records[1].clinical
+        vitals = ("hr_ge_110", "sbp_lt_100", "rr_ge_30", "temp_lt_36c", "o2_sat_lt_90")
+        c1, c2 = (dict(zip(vitals, (column(ds, v)[k] for v in vitals))) for k in (0, 1))
         # boundary values: hr >= 110, sbp < 100, rr >= 30, temp < 36, o2 < 90
-        assert (c1.hr_ge_110, c1.sbp_lt_100, c1.rr_ge_30, c1.temp_lt_36c, c1.o2_sat_lt_90) == \
-            (True, False, True, False, False)
-        assert (c2.hr_ge_110, c2.sbp_lt_100, c2.rr_ge_30, c2.temp_lt_36c, c2.o2_sat_lt_90) == \
-            (False, True, False, True, True)
+        assert list(c1.values()) == [1.0, 0.0, 1.0, 0.0, 0.0]
+        assert list(c2.values()) == [0.0, 1.0, 0.0, 1.0, 1.0]
 
     def test_missing_cells_become_missing_values(self, tmp_path):
         path = write_clinical(tmp_path / "c.csv", [
             base_row("P1", age="", sex="", cancer="", heart_rate=""),
         ])
-        c = ingest_clinical(path).records[0].clinical
-        assert c.age_years is None
-        assert c.male is None
-        assert c.cancer is None
-        assert c.hr_ge_110 is None
-        assert not c.complete
-        assert c.missing_mask["cancer"] is True
-        assert c.missing_mask["heart_failure"] is False
+        ds = ingest_clinical(path)
+        missing = [f for f in FIELDS if np.isnan(column(ds, f)[0])]
+        assert missing == ["age_years", "male", "cancer", "hr_ge_110"]
 
     def test_unparseable_covariate_is_missing_not_fatal(self, tmp_path):
         path = write_clinical(tmp_path / "c.csv", [
             base_row("P1", cancer="maybe", heart_rate="fast"),
         ])
-        c = ingest_clinical(path).records[0].clinical
-        assert c.cancer is None
-        assert c.hr_ge_110 is None
+        ds = ingest_clinical(path)
+        assert np.isnan(column(ds, "cancer")[0])
+        assert np.isnan(column(ds, "hr_ge_110")[0])
 
     def test_missing_required_column(self, tmp_path):
         header = [c for c in HEADER if c != "event"]
@@ -149,7 +142,7 @@ class TestIngestClinical:
         rows = [[v for c, v in zip(HEADER, base_row("P1")) if c != "rv_dysfunction"]]
         path = write_clinical(tmp_path / "c.csv", rows, header=header)
         ds = ingest_clinical(path)
-        assert ds.records[0].rv_dysfunction is None
+        assert np.isnan(ds.rv_dysfunction).all()
 
     def test_duplicate_patient_id(self, tmp_path):
         path = write_clinical(tmp_path / "c.csv", [base_row("P1"), base_row("P1")])
@@ -197,98 +190,11 @@ class TestIngestClinical:
         rows = [base_row(f"P{i}", sex=s) for i, s in enumerate(
             ["M", "male", "F", "female", "1", "0"])]
         path = write_clinical(tmp_path / "c.csv", rows)
-        males = [r.clinical.male for r in ingest_clinical(path).records]
-        assert males == [True, True, False, False, True, False]
+        males = column(ingest_clinical(path), "male").tolist()
+        assert males == [1.0, 1.0, 0.0, 0.0, 1.0, 0.0]
 
 
-# --- the per-row read path, kept as the oracle of the array path ---------
-
-
-_TRUE = frozenset({"1", "true", "t", "yes", "y"})
-_FALSE = frozenset({"0", "false", "f", "no", "n"})
-
-
-def oracle_ingest_clinical(path, schema=None, debug=lambda *args: None):
-    """One ``DictReader`` row and three dataclasses per patient; ``debug``
-    takes the arguments of each DEBUG log call."""
-
-    def parse_bool(token, row_index, column):
-        token = token.strip().lower()
-        if not token:
-            return None
-        if token in _TRUE:
-            return True
-        if token in _FALSE:
-            return False
-        debug("row %d: unparseable boolean %r in %s, marked missing", row_index, token, column)
-        return None
-
-    def parse_measure(token, row_index, column):
-        value = _oracle_parse_float(token)
-        if value is not None and not np.isfinite(value):
-            raise MalformedRowError(row_index,
-                                    f"{column} must be a finite number, got {token.strip()!r}")
-        return value
-
-    def parse_sex(token):
-        token = token.strip().lower()
-        if token in {"m", "male"} | _TRUE:
-            return True
-        if token in {"f", "female"} | _FALSE:
-            return False
-        return None
-
-    schema = schema or {}
-    col = {name: schema.get(name, name) for name in CLINICAL_COLUMNS}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        for name in CLINICAL_COLUMNS[:-1]:
-            if col[name] not in header:
-                raise MissingColumnError(f"clinical CSV is missing column {col[name]!r}")
-        has_rv = col["rv_dysfunction"] in header
-        records, seen = [], set()
-        for i, row in enumerate(reader):
-            def cell(name):
-                return row.get(col[name]) or ""
-
-            pid = cell("patient_id").strip()
-            if not pid:
-                raise MalformedRowError(i, "empty patient_id")
-            if pid in seen:
-                raise DuplicatePatientIdError(f"patient id {pid!r} appears more than once")
-            seen.add(pid)
-            event = parse_bool(cell("event"), i, "event")
-            if event is None:
-                raise MalformedRowError(i, "event must be a boolean")
-            time_days = _oracle_parse_float(cell("time_days"))
-            if time_days is None or not np.isfinite(time_days) or time_days < 0:
-                raise MalformedRowError(i, "time_days must be a finite non-negative number")
-            age = parse_measure(cell("age"), i, col["age"])
-            if age is not None and age <= 0:
-                raise MalformedRowError(i, f"age must be positive, got {age}")
-            hr, sbp, rr, temp, o2 = (parse_measure(cell(name), i, col[name]) for name in (
-                "heart_rate", "systolic_bp", "respiratory_rate", "temperature_c", "o2_sat"))
-            clin = ClinicalVariables(
-                age_years=age,
-                male=parse_sex(cell("sex")),
-                cancer=parse_bool(cell("cancer"), i, "cancer"),
-                heart_failure=parse_bool(cell("heart_failure"), i, "heart_failure"),
-                chronic_lung_disease=parse_bool(cell("chronic_lung_disease"), i,
-                                                "chronic_lung_disease"),
-                hr_ge_110=None if hr is None else hr >= 110.0,
-                sbp_lt_100=None if sbp is None else sbp < 100.0,
-                rr_ge_30=None if rr is None else rr >= 30.0,
-                temp_lt_36c=None if temp is None else temp < 36.0,
-                altered_mental_status=parse_bool(cell("altered_mental_status"), i,
-                                                 "altered_mental_status"),
-                o2_sat_lt_90=None if o2 is None else o2 < 90.0,
-            )
-            rv = parse_bool(cell("rv_dysfunction"), i, "rv_dysfunction") if has_rv else None
-            records.append(PatientRecord(patient_id=pid, clinical=clin,
-                                         label=SurvivalLabel(event=event, time_days=time_days),
-                                         rv_dysfunction=rv))
-    return Dataset(records=tuple(records))
+# --- the per-row read path (records.ingest_clinical) is the oracle ------
 
 
 _FLAG_TOKENS = ["1", "0", "", "TRUE", " false", "Yes ", "n", "T", "f", "y", "maybe", "2",
@@ -381,7 +287,7 @@ class TestReadClinical:
             path = write_rows(Path(tmp) / "c.csv", header, rows)
             want_logs = []
             want, want_error = outcome(
-                lambda: oracle_ingest_clinical(path, schema, lambda *a: want_logs.append(a)))
+                lambda: records.ingest_clinical(path, schema, lambda *a: want_logs.append(a)))
             for block in CLINICAL_BLOCKS:
                 with mock.patch.object(dataset, "_CLINICAL_BLOCK_ROWS", block), \
                         mock.patch.object(dataset.log, "debug") as debug:
@@ -389,38 +295,38 @@ class TestReadClinical:
                 assert error == want_error
                 assert [c.args for c in debug.call_args_list] == want_logs
                 if error is None:
-                    assert len(got) == len(want)
-                    for a, b in zip(got.records, want.records):
+                    assert len(got) == len(want.records)
+                    assert got.imaging is None
+                    for a, b in zip(records.record_dataset(got).records, want.records):
                         assert a.patient_id == b.patient_id
                         assert repr(a.clinical) == repr(b.clinical)
                         assert repr(a.label) == repr(b.label)
                         assert repr(a.rv_dysfunction) == repr(b.rv_dysfunction)
-                        assert a.imaging_features is None
 
     def test_columns(self, tmp_path):
         path = write_clinical(tmp_path / "c.csv", [
             base_row("P1", event="1", time_days="12.5", heart_rate="120", o2_sat=""),
             base_row("P2", sex="F", age="", cancer="yes", rv_dysfunction="x"),
         ])
-        cols = dataset.read_clinical(path)
-        assert cols.patient_ids == ["P1", "P2"]
+        ds = ingest_clinical(path)
+        assert ds.patient_ids == ("P1", "P2")
         nan = np.nan
-        assert_array_equal(cols.values, [
+        assert_array_equal(ds.values, [
             [60.0, 1, 0, 0, 0, 1, 0, 0, 0, 0, nan],
             [nan, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0],
         ])
-        assert cols.events.dtype == bool and cols.events.tolist() == [True, False]
-        assert cols.times.tolist() == [12.5, 100.0]
-        assert_array_equal(cols.rv_dysfunction, [0.0, nan])
+        assert ds.labels.events.dtype == bool and ds.labels.events.tolist() == [True, False]
+        assert ds.labels.times.tolist() == [12.5, 100.0]
+        assert_array_equal(ds.rv_dysfunction, [0.0, nan])
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "c.csv"
         path.write_text("")
         with pytest.raises(MissingColumnError, match="patient_id"):
-            dataset.read_clinical(path)
+            ingest_clinical(path)
         path.write_text(",".join(HEADER) + "\r\n")
-        cols = dataset.read_clinical(path)
-        assert cols.patient_ids == [] and cols.values.shape == (0, 11)
+        ds = ingest_clinical(path)
+        assert ds.patient_ids == () and ds.values.shape == (0, 11) and len(ds.labels) == 0
 
     @pytest.mark.parametrize("fault", ["field_limit", "encoding"])
     def test_reader_failure_after_a_bad_row(self, tmp_path, fault):
@@ -432,7 +338,7 @@ class TestReadClinical:
             path = write_clinical(tmp_path / "c.csv", rows)
             with open(path, "a", encoding="utf-8", errors="surrogateescape", newline="") as fh:
                 fh.write(last + "\r\n")
-            want = outcome(oracle_ingest_clinical, path)[1]
+            want = outcome(records.ingest_clinical, path)[1]
             assert want is not None
             for block in CLINICAL_BLOCKS:
                 with mock.patch.object(dataset, "_CLINICAL_BLOCK_ROWS", block):
@@ -446,22 +352,12 @@ class TestReadClinical:
         path = write_clinical(tmp_path / "c.csv", rows)
         tracemalloc.start()
         try:
-            cols = dataset.read_clinical(path)
+            ds = ingest_clinical(path)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 2 * 1024 * 1024, peak
-        assert cols.values.shape == (4000, 11)
-
-
-def _oracle_parse_float(token):
-    token = token.strip()
-    if not token:
-        return None
-    try:
-        return float(token)
-    except ValueError:
-        return None
+        assert ds.values.shape == (4000, 11)
 
 
 def oracle_ingest_features(path):
@@ -480,7 +376,7 @@ def oracle_ingest_features(path):
             pid = row[idx["patient_id"]].strip()
             if not pid:
                 raise MalformedRowError(i, "empty patient_id")
-            prob = _oracle_parse_float(row[idx["pe_probability"]])
+            prob = records.parse_float(row[idx["pe_probability"]])
             if prob is None or not 0.0 <= prob <= 1.0:
                 raise MalformedRowError(i, "pe_probability must be a number in [0, 1]")
             try:
@@ -501,11 +397,11 @@ def oracle_aggregate_acquisitions(windows):
 
 
 def oracle_attach_imaging(ds, path):
-    """``(each record's features or None, d, sorted ids absent from ds)``."""
+    """``(each patient's features or None, d, sorted ids absent from ds)``."""
     windows, d = oracle_ingest_features(path)
     unknown = sorted(set(windows) - set(ds.patient_ids))
-    chosen = [oracle_aggregate_acquisitions(windows[r.patient_id])[1]
-              if r.patient_id in windows else None for r in ds.records]
+    chosen = [oracle_aggregate_acquisitions(windows[pid])[1] if pid in windows else None
+              for pid in ds.patient_ids]
     return chosen, d, unknown
 
 
@@ -586,8 +482,8 @@ class TestFeaturesAndAggregation:
         ``(pe_probability, vector)`` acquisitions, in file order."""
         rows = [["P1", f"A{a}", repr(p), *map(repr, vec)] for a, (p, vec) in enumerate(windows)]
         path = self.write_features(tmp_path / "f.csv", rows, d=len(windows[0][1]))
-        ds = Dataset(records=(make_record("P1", True, 1.0),))
-        return attach_imaging(ds, path).records[0].imaging_features
+        ds = make_dataset([values_row()], pids=["P1"])
+        return imaging_matrix(attach_imaging(ds, path))[0]
 
     def test_ingest_features(self, tmp_path):
         path = self.write_features(tmp_path / "f.csv", [
@@ -645,10 +541,14 @@ class TestFeaturesAndAggregation:
         with caplog.at_level("WARNING", logger="survfuse.dataset"):
             ds = attach_imaging(ds, fpath)
         assert "PX" in caplog.text
-        assert ds.feature_dim == 3
-        assert_array_equal(ds.records[0].imaging_features, [4.0, 5.0, 6.0])
-        assert not ds.records[0].imaging_features.flags.writeable
-        assert ds.records[1].imaging_features is None
+        rows, kept = ds.imaging
+        assert kept.shape[1] == 3
+        assert_array_equal(kept[rows[0]], [4.0, 5.0, 6.0])
+        assert not kept.flags.writeable
+        assert rows[1] == -1
+        with pytest.raises(MissingModalityError,
+                           match=r"^1 patient\(s\) lack imaging features \(e.g. 'P2'\) to score$"):
+            imaging_matrix(ds, " to score")
 
     @settings(max_examples=60)
     @given(feature_csvs(max_bad=1))
@@ -695,7 +595,7 @@ class TestFeaturesAndAggregation:
     def test_attach_matches_per_row_choice(self, case, random):
         header, rows, cohort = case
         random.shuffle(cohort)
-        ds = Dataset(records=tuple(make_record(pid, True, 1.0) for pid in cohort))
+        ds = make_dataset([values_row()] * len(cohort), pids=cohort)
         with tempfile.TemporaryDirectory() as tmp:
             path = write_rows(Path(tmp) / "f.csv", header, rows)
             chosen, d, unknown = oracle_attach_imaging(ds, path)
@@ -703,15 +603,16 @@ class TestFeaturesAndAggregation:
                 with mock.patch.object(feature_csv, "_FEATURE_BLOCK_ROWS", block), \
                         mock.patch.object(dataset.log, "warning") as warn:
                     out = attach_imaging(ds, path)
-                assert out.feature_dim == d
+                patient_rows, kept = out.imaging
+                assert kept.shape[1] == d
+                assert not kept.flags.writeable
                 assert out.patient_ids == ds.patient_ids
-                for rec, before, want in zip(out.records, ds.records, chosen):
-                    assert rec.clinical is before.clinical and rec.label is before.label
+                assert out.values is ds.values and out.labels is ds.labels
+                for row, want in zip(patient_rows.tolist(), chosen):
                     if want is None:
-                        assert rec.imaging_features is None
+                        assert row == -1
                     else:
-                        assert same_bits(rec.imaging_features, want)
-                        assert not rec.imaging_features.flags.writeable
+                        assert same_bits(kept[row], want)
                 if unknown:
                     warn.assert_called_once_with(
                         "feature CSV has %d patient(s) not in the cohort: %s",
@@ -755,40 +656,25 @@ class TestFeaturesAndAggregation:
 @st.composite
 def imputation_cases(draw):
     """A cohort with random missing values, and a reference id set that may
-    name absent patients and holds one complete record, so that every
+    name absent patients and holds one complete patient, so that every
     column has an observed reference value."""
     n = draw(st.integers(1, 12))
     ref = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
     missing_pct = draw(st.sampled_from([0, 20, 60, 95]))
     ages = st.one_of(st.integers(18, 95).map(float), st.floats(18.0, 100.0))
-    records = []
+    rows = []
     for i in range(n):
-        values = {f: draw(st.booleans()) for f in BINARY_FIELDS}
-        values["age_years"] = draw(ages)
-        for field in values:
-            if i != ref[0] and draw(st.integers(0, 99)) < missing_pct:
-                values[field] = None
-        records.append(PatientRecord(
-            patient_id=f"P{i}",
-            clinical=ClinicalVariables(**values),
-            label=SurvivalLabel(event=bool(i % 2), time_days=10.0 + i),
-        ))
+        row = [draw(ages), *(draw(st.booleans()) for _ in BINARY_FIELDS)]
+        rows.append([None if i != ref[0] and draw(st.integers(0, 99)) < missing_pct else v
+                     for v in row])
     absent = draw(st.lists(st.sampled_from(["X0", "X1"]), max_size=2, unique=True))
-    return Dataset(records=tuple(records)), [f"P{i}" for i in ref] + absent
+    ds = make_dataset([values_row(*row[:1], **dict(zip(BINARY_FIELDS, row[1:]))) for row in rows])
+    return ds, [f"P{i}" for i in ref] + absent
 
 
 class TestImputation:
     def build(self, ages, cancers):
-        records = []
-        for i, (age, cancer) in enumerate(zip(ages, cancers)):
-            values = {f: False for f in BINARY_FIELDS}
-            values["cancer"] = cancer
-            records.append(PatientRecord(
-                patient_id=f"P{i}",
-                clinical=ClinicalVariables(age_years=age, **values),
-                label=SurvivalLabel(event=bool(i % 2), time_days=10.0 + i),
-            ))
-        return Dataset(records=tuple(records))
+        return make_dataset([values_row(age, cancer=cancer) for age, cancer in zip(ages, cancers)])
 
     def test_binary_strict_majority(self):
         ds = self.build([50.0] * 4, [True, True, False, None])
@@ -812,10 +698,10 @@ class TestImputation:
     def test_apply_only_touches_missing(self):
         ds = self.build([40.0, 60.0, None], [True, None, False])
         out = impute_missing(ds, ["P0", "P1", "P2"])
-        assert out.records[0].clinical.age_years == 40.0
-        assert out.records[2].clinical.age_years == 50.0
-        assert out.records[1].clinical.cancer is False  # tie among (True, False)
-        assert out.records[0].clinical.cancer is True
+        assert column(out, "age_years").tolist() == [40.0, 60.0, 50.0]
+        assert column(out, "cancer").tolist() == [1.0, 0.0, 0.0]  # a tie among (True, False)
+        assert out.imputation == compute_imputation_stats(ds, ["P0", "P1", "P2"])
+        assert np.isnan(ds.values).sum() == 2  # the input is left as it was
 
     @settings(max_examples=80)
     @given(imputation_cases())
@@ -823,11 +709,10 @@ class TestImputation:
         ds, ids = case
         once = impute_missing(ds, ids)
         twice = impute_missing(once, ids)
-        assert all(r.clinical.complete for r in once.records)
+        assert not np.isnan(once.values).any()
         assert once.imputation == twice.imputation
         assert once.patient_ids == twice.patient_ids
-        for a, b in zip(once.records, twice.records):
-            assert a.clinical == b.clinical
+        assert same_bits(once.values, twice.values)
 
     def test_all_missing_column(self):
         ds = self.build([50.0, 52.0], [None, None])
@@ -845,61 +730,31 @@ class TestImputation:
             compute_imputation_stats(ds, ["NOPE"])
 
 
-def oracle_clinical_feature_vector(record, age_norm_params):
-    """One record's model input, one field at a time."""
-    c = record.clinical
-    if not c.complete:
-        missing = [f for f, m in c.missing_mask.items() if m]
-        raise UnimputedRecordError(
-            f"patient {record.patient_id}: missing {', '.join(missing)}; impute first"
-        )
-    mean, std = age_norm_params
-    vec = np.empty(1 + len(BINARY_FIELDS), dtype=float)
-    vec[0] = (c.age_years - mean) / std
-    for k, field in enumerate(BINARY_FIELDS, start=1):
-        vec[k] = 1.0 if getattr(c, field) else 0.0
-    return vec
-
-
-def clinical_feature_vector(record, age_norm_params):
-    """11-element model input of one record: normalized age then the ten
-    binary flags, by ``clinical_matrix``."""
+def clinical_feature_vector(row, age_norm_params, pid="P0"):
+    """11-element model input of one patient's values row: normalized age
+    then the ten binary flags, by ``clinical_matrix``."""
     mean, std = age_norm_params
     stats = ImputationStats(binary_medians={}, age_median=0.0, age_mean=mean, age_std=std)
-    return clinical_matrix(Dataset(records=(record,), imputation=stats))[0]
-
-
-def oracle_clinical_matrix(ds, ids=None):
-    wanted = None if ids is None else set(ids)
-    records = [r for r in ds.records if wanted is None or r.patient_id in wanted]
-    return np.array([oracle_clinical_feature_vector(r, ds.age_norm_params) for r in records])
+    return clinical_matrix(make_dataset([row], pids=[pid], imputation=stats))[0]
 
 
 @st.composite
 def clinical_matrix_cases(draw):
-    """An imputed-looking dataset (some records may still lack a value) with
+    """An imputed-looking dataset (some patients may still lack a value) with
     arbitrary normalization constants, and an id subset or None."""
     n = draw(st.integers(0, 15))
     missing_pct = draw(st.sampled_from([0, 0, 5, 30]))
     ages = st.one_of(st.integers(1, 110), st.floats(0.5, 120.0), st.just(float("nan")))
-    records = []
-    for i in range(n):
-        values = {f: draw(st.booleans()) for f in BINARY_FIELDS}
-        values["age_years"] = draw(ages)
-        for field in values:
-            if draw(st.integers(0, 99)) < missing_pct:
-                values[field] = None
-        records.append(PatientRecord(
-            patient_id=f"P{i}",
-            clinical=ClinicalVariables(**values),
-            label=SurvivalLabel(event=True, time_days=1.0),
-        ))
+    rows = []
+    for _ in range(n):
+        row = [draw(ages), *(draw(st.booleans()) for _ in BINARY_FIELDS)]
+        rows.append([np.nan if draw(st.integers(0, 99)) < missing_pct else float(v) for v in row])
     stats = ImputationStats(
         binary_medians={f: False for f in BINARY_FIELDS}, age_median=60.0,
         age_mean=draw(st.floats(-200.0, 200.0)), age_std=draw(st.floats(1e-3, 1e3)))
     ids = draw(st.none() | st.lists(st.sampled_from([f"P{i}" for i in range(n)] + ["X0"]),
                                     max_size=n + 1))
-    return Dataset(records=tuple(records), imputation=stats), ids
+    return make_dataset(rows, imputation=stats), ids
 
 
 class TestClinicalMatrix:
@@ -908,19 +763,20 @@ class TestClinicalMatrix:
     def test_matches_per_record_vectors(self, case):
         ds, ids = case
         got, error = outcome(clinical_matrix, ds, ids)
-        want, want_error = outcome(oracle_clinical_matrix, ds, ids)
+        want, want_error = outcome(records.clinical_matrix, records.record_dataset(ds), ids)
         assert error == want_error
         if error is None:
             assert same_bits(got, want)
-        for record in ds.records:
-            got, error = outcome(clinical_feature_vector, record, ds.age_norm_params)
-            want, want_error = outcome(oracle_clinical_feature_vector, record, ds.age_norm_params)
+        params = (ds.imputation.age_mean, ds.imputation.age_std)
+        for pid, row, record in zip(ds.patient_ids, ds.values.tolist(),
+                                    records.record_dataset(ds).records):
+            got, error = outcome(clinical_feature_vector, row, params, pid)
+            want, want_error = outcome(records.clinical_vector, record, ds.imputation)
             assert error == want_error
             assert error is not None or same_bits(got, want)
 
     def test_feature_vector_layout(self):
-        rec = make_record("P1", True, 5.0, age=70.0, cancer=True, hr_ge_110=True)
-        vec = clinical_feature_vector(rec, (60.0, 10.0))
+        vec = clinical_feature_vector(values_row(70.0, cancer=True, hr_ge_110=True), (60.0, 10.0))
         assert vec.shape == (11,)
         assert vec[0] == 1.0  # (70 - 60) / 10
         by_name = dict(zip(BINARY_FIELDS, vec[1:]))
@@ -929,44 +785,30 @@ class TestClinicalMatrix:
         assert by_name["male"] == 0.0
 
     def test_incomplete_record_raises(self):
-        values = {f: False for f in BINARY_FIELDS}
-        values["cancer"] = None
-        rec = PatientRecord(
-            patient_id="P1",
-            clinical=ClinicalVariables(age_years=50.0, **values),
-            label=SurvivalLabel(event=False, time_days=1.0),
-        )
-        with pytest.raises(UnimputedRecordError, match="cancer"):
-            clinical_feature_vector(rec, (0.0, 1.0))
+        with pytest.raises(UnimputedRecordError, match="^patient P1: missing cancer; impute first$"):
+            clinical_feature_vector(values_row(50.0, cancer=None), (0.0, 1.0), "P1")
 
     def test_training_age_column_is_centered(self):
         rng = np.random.default_rng(11)
-        records = []
-        for i in range(40):
+        rows = []
+        for _ in range(40):
             age = None if rng.random() < 0.25 else float(rng.uniform(30, 90))
-            values = {f: bool(rng.random() < 0.3) for f in BINARY_FIELDS}
-            records.append(PatientRecord(
-                patient_id=f"P{i}",
-                clinical=ClinicalVariables(age_years=age, **values),
-                label=SurvivalLabel(event=True, time_days=float(i + 1)),
-            ))
-        ds = Dataset(records=tuple(records))
+            rows.append(values_row(age, **{f: bool(rng.random() < 0.3) for f in BINARY_FIELDS}))
         train_ids = [f"P{i}" for i in range(28)]
-        ds = impute_missing(ds, train_ids)
+        ds = impute_missing(make_dataset(rows), train_ids)
         mat = clinical_matrix(ds, train_ids)
         assert mat.shape == (28, 11)
         assert abs(mat[:, 0].mean()) < 1e-9
         assert set(np.unique(mat[:, 1:])) <= {0.0, 1.0}
 
     def test_matrix_requires_imputation(self):
-        ds = Dataset(records=(make_record("P1", True, 1.0),))
         with pytest.raises(UnimputedRecordError):
-            clinical_matrix(ds)
+            clinical_matrix(make_dataset([values_row()]))
 
 
 class TestSplitDataset:
     def build(self, n):
-        return Dataset(records=tuple(make_record(f"P{i}", True, float(i + 1)) for i in range(n)))
+        return make_dataset([values_row()] * n)
 
     def test_sizes_n10(self):
         s = split_dataset(self.build(10), seed=0)
@@ -999,35 +841,135 @@ class TestSplitDataset:
 
 class TestTruncate30Day:
     def test_examples(self):
-        before = [SurvivalLabel(True, 10.0), SurvivalLabel(True, 30.0),
-                  SurvivalLabel(True, 31.0), SurvivalLabel(False, 400.0)]
-        after = truncate_30day(before)
-        assert after[0] == SurvivalLabel(True, 10.0)
-        assert after[1] == SurvivalLabel(True, 30.0)  # a day-30 death stays a death
-        assert after[2] == SurvivalLabel(False, 30.0)
-        assert after[3] == SurvivalLabel(False, 30.0)
+        after = truncate_30day(Labels([10.0, 30.0, 31.0, 400.0], [True, True, True, False]))
+        assert after.times.tolist() == [10.0, 30.0, 30.0, 30.0]
+        assert after.events.tolist() == [True, True, False, False]  # a day-30 death stays
 
     def test_properties(self):
         rng = np.random.default_rng(23)
         for _ in range(200):
-            lab = SurvivalLabel(event=bool(rng.random() < 0.5),
-                                time_days=float(rng.uniform(0, 120)))
-            out = truncate_30day([lab])[0]
-            assert out.time_days <= lab.time_days
-            assert out.time_days <= 30.0
-            if not lab.event:
-                assert not out.event  # censoring is never upgraded to an event
-            if lab.time_days <= 30.0:
-                assert out == lab
+            event, time = bool(rng.random() < 0.5), float(rng.uniform(0, 120))
+            out = truncate_30day(Labels([time], [event]))
+            out_time, out_event = out.times[0], out.events[0]
+            assert out_time <= time
+            assert out_time <= 30.0
+            if not event:
+                assert not out_event  # censoring is never upgraded to an event
+            if time <= 30.0:
+                assert (out_time, out_event) == (time, event)
 
 
 class TestLabelArrays:
     def test_round_trip(self):
-        labels = [SurvivalLabel(True, 3.0), SurvivalLabel(False, 7.5)]
-        times, events = label_arrays(labels)
-        assert_array_equal(times, [3.0, 7.5])
-        assert_array_equal(events, [True, False])
-        assert events.dtype == bool
+        labels = Labels([3.0, 7.5], [True, False])
+        assert_array_equal(labels.times, [3.0, 7.5])
+        assert_array_equal(labels.events, [True, False])
+        assert labels.events.dtype == bool and labels.times.dtype == float
+        assert len(labels) == 2
+
+    @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf"), -float("inf")])
+    def test_rejects_times_a_label_could_not_hold(self, bad):
+        with pytest.raises(ValueError, match=f"^time_days must be finite and >= 0, got {bad}$"):
+            Labels([1.0, bad], [True, False])
+        with pytest.raises(MismatchedLengthsError):
+            Labels([1.0, 2.0], [True])
+
+    def test_arrays_are_read_only_copies(self):
+        times, events = np.array([2.0, 1.0]), np.array([True, False])
+        labels = Labels(times, events)
+        times[0], events[0] = 9.0, False
+        assert labels.times.tolist() == [2.0, 1.0] and labels.events.tolist() == [True, False]
+        with pytest.raises(ValueError):
+            labels.times[0] = 0.0
+
+    def test_take_and_the_shared_table(self):
+        labels = Labels([5.0, 1.0, 3.0], [True, False, True])
+        part = labels.take(np.array([2, 0]))
+        assert part.times.tolist() == [3.0, 5.0] and part.events.tolist() == [True, True]
+        assert labels.take(np.array([True, False, True])).times.tolist() == [5.0, 3.0]
+        assert labels.table is labels.table  # built once
+        assert_array_equal(labels.table.event_times, [3.0, 5.0])
+
+
+# --- the column path against the record path ---------------------------------
+
+
+@st.composite
+def cohort_csvs(draw):
+    """Rows of a clinical CSV with missing cells (at a rate drawn per file),
+    times tied on a few levels or 0, and, now and then, no events at all,
+    so that a split may hold no events."""
+    rnd = random.Random(draw(st.integers(0, 2**32)))
+    n = draw(st.integers(10, 40))
+    missing = rnd.choice([0.0, 0.1, 0.3, 0.6])
+    event_rate = rnd.choice([0.0, 0.05, 0.4, 1.0])
+    levels = rnd.choice([[0.0], [0.0, 1.0, 30.0], [5.0, 30.0, 31.0, 60.0], None])
+    measures = {"age": (18.0, 95.0), "heart_rate": (60.0, 140.0), "systolic_bp": (80.0, 160.0),
+                "respiratory_rate": (10.0, 40.0), "temperature_c": (35.0, 38.0),
+                "o2_sat": (80.0, 100.0)}
+
+    def row(k):
+        cells = {"patient_id": f"Q{k}",
+                 "event": "1" if rnd.random() < event_rate else "0",
+                 "time_days": repr(rnd.choice(levels) if levels else rnd.uniform(0.0, 90.0)),
+                 "sex": rnd.choice(["M", "F"]),
+                 "rv_dysfunction": rnd.choice(["0", "1"])}
+        for name, (lo, hi) in measures.items():
+            cells[name] = repr(round(rnd.uniform(lo, hi), rnd.choice([0, 1, 2])))
+        for name in ("altered_mental_status", "cancer", "heart_failure", "chronic_lung_disease"):
+            cells[name] = "1" if rnd.random() < 0.3 else "0"
+        for name in CLINICAL_COLUMNS[1:12]:
+            if rnd.random() < missing:
+                cells[name] = ""
+        return [cells[c] for c in HEADER]
+
+    return [row(k) for k in range(n)], draw(st.integers(0, 2**32))
+
+
+class TestColumnsMatchRecords:
+    @settings(max_examples=120)
+    @given(cohort_csvs())
+    def test_study_inputs_equal_the_record_path(self, case):
+        # split, imputation constants, filled values, model inputs, PESI and
+        # labels, full and truncated, are the record path's exactly
+        rows, seed = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_clinical(Path(tmp) / "c.csv", rows)
+            ds = ingest_clinical(path)
+            rec = records.ingest_clinical(path)
+        split = split_dataset(ds, seed)
+        assert split == records.split_dataset(rec, seed)
+
+        stats, error = outcome(compute_imputation_stats, ds, split.train_ids)
+        want_stats, want_error = outcome(records.compute_imputation_stats, rec, split.train_ids)
+        assert error == want_error
+        if error is not None:
+            return
+        assert stats == want_stats
+        for k, v in want_stats.binary_medians.items():
+            assert type(stats.binary_medians[k]) is type(v)
+        filled = apply_imputation(ds, stats)
+        rec = records.apply_imputation(rec, want_stats)
+        assert filled.imputation is stats
+        assert same_bits(filled.values, np.array([records.values_row(r.clinical)
+                                                  for r in rec.records]))
+        assert same_bits(clinical_matrix(filled), records.clinical_matrix(rec))
+        assert same_bits(pesi_scores(filled), records.pesi_scores(rec))
+        assert same_bits(impute_missing(ds, split.train_ids).values, filled.values)
+
+        for ids in (split.train_ids, split.val_ids, split.test_ids):
+            members = set(ids)
+            split_rows = np.flatnonzero([pid in members for pid in ds.patient_ids])
+            want = [r.label for r in rec.records if r.patient_id in members]
+            assert [ds.patient_ids[i] for i in split_rows] == [r.patient_id for r in rec.records
+                                                          if r.patient_id in members]
+            assert same_bits(clinical_matrix(filled, ids), clinical_matrix(filled)[split_rows])
+            for labels, want_labels in ((ds.labels.take(split_rows), want),
+                                        (truncate_30day(ds.labels.take(split_rows)),
+                                         records.truncate_30day(want))):
+                assert records.label_list(labels) == want_labels
+                assert same_bits(labels.times, np.array([lab.time_days for lab in want_labels],
+                                                        dtype=float))
 
 
 class TestEventTable:

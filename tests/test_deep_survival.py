@@ -6,21 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from survfuse import deep_survival
+from survfuse import dataset, deep_survival
 from survfuse.cox_linear import partial_loglik_eta
-from survfuse.dataset import (
-    EventTable,
-    SurvivalLabel,
-    label_arrays,
-)
+from survfuse.dataset import EventTable, Labels
 from survfuse.deep_survival import (
     MlpSurvModel,
     TrainOptions,
-    cox_loss,
     forward,
     init_mlp,
     linear_scores,
-    loss_and_gradients,
     train,
 )
 from survfuse.errors import (
@@ -35,8 +29,14 @@ from survfuse.metrics import sigmoid
 from strategies import same_bits
 
 
-def labs(times, events):
-    return [SurvivalLabel(event=bool(e), time_days=float(t)) for t, e in zip(times, events)]
+def per_event_loss(scores, labels, tie_method="efron"):
+    """Negative partial log-likelihood of the scores, per event."""
+    return deep_survival._cox_loss_grad(scores, labels.table, tie_method, with_grad=False)
+
+
+def objective(model, X, labels, weight_decay=0.0):
+    """``(loss, weight_grads, bias_grads)`` of the training objective."""
+    return deep_survival._loss_and_gradients(model, X, labels.table, weight_decay, "efron")
 
 
 def surv_data(rng, n, d, beta):
@@ -46,7 +46,7 @@ def surv_data(rng, n, d, beta):
     events = rng.random(n) < 0.8
     if not events.any():
         events[0] = True
-    return X, labs(times, events)
+    return X, Labels(times, events)
 
 
 class TestInit:
@@ -144,18 +144,17 @@ class TestCoxLoss:
         rng = np.random.default_rng(21)
         X, labels = surv_data(rng, 25, 2, (1.0, -0.5))
         scores = sigmoid(X[:, 0])
-        times, events = label_arrays(labels)
-        ll, _ = partial_loglik_eta(scores, times, events, "efron")
-        want = -ll / events.sum()
-        assert_allclose(cox_loss(scores, labels), want, rtol=1e-14)
+        ll, _ = partial_loglik_eta(scores, labels, "efron")
+        want = -ll / labels.events.sum()
+        assert_allclose(per_event_loss(scores, labels), want, rtol=1e-14)
 
     def test_no_events(self):
         with pytest.raises(NoEventsError):
-            cox_loss([0.5, 0.5], labs([1, 2], [0, 0]))
+            per_event_loss([0.5, 0.5], Labels([1, 2], [0, 0]))
 
     def test_length_mismatch(self):
         with pytest.raises(MismatchedLengthsError):
-            cox_loss([0.5], labs([1, 2], [1, 1]))
+            per_event_loss([0.5], Labels([1, 2], [1, 1]))
 
 
 class TestGradients:
@@ -167,9 +166,9 @@ class TestGradients:
             for idx in np.ndindex(*model.weights[k].shape):
                 orig = model.weights[k][idx]
                 model.weights[k][idx] = orig + h
-                up = loss_and_gradients(model, X, labels, wd)[0]
+                up = objective(model, X, labels, wd)[0]
                 model.weights[k][idx] = orig - h
-                dn = loss_and_gradients(model, X, labels, wd)[0]
+                dn = objective(model, X, labels, wd)[0]
                 model.weights[k][idx] = orig
                 g[idx] = (up - dn) / (2 * h)
             wgs.append(g)
@@ -177,9 +176,9 @@ class TestGradients:
             for idx in np.ndindex(*model.biases[k].shape):
                 orig = model.biases[k][idx]
                 model.biases[k][idx] = orig + h
-                up = loss_and_gradients(model, X, labels, wd)[0]
+                up = objective(model, X, labels, wd)[0]
                 model.biases[k][idx] = orig - h
-                dn = loss_and_gradients(model, X, labels, wd)[0]
+                dn = objective(model, X, labels, wd)[0]
                 model.biases[k][idx] = orig
                 g[idx] = (up - dn) / (2 * h)
             bgs.append(g)
@@ -193,7 +192,7 @@ class TestGradients:
         # move off the zero-bias init so ReLU boundaries are not at kinks
         for k in range(len(model.biases)):
             model.biases[k] = model.biases[k] + 0.1 * rng.standard_normal(model.biases[k].shape)
-        _, wg, bg = loss_and_gradients(model, X, labels, wd)
+        _, wg, bg = objective(model, X, labels, wd)
         nwg, nbg = self.numeric_grads(model, X, labels, wd)
         for a, n in zip(wg, nwg):
             assert_allclose(a, n, rtol=1e-5, atol=1e-8)
@@ -204,8 +203,8 @@ class TestGradients:
         rng = np.random.default_rng(34)
         X, labels = surv_data(rng, 15, 3, (1.0, 0.0, -1.0))
         model = init_mlp(3, (4,), seed=6)
-        _, wg0, bg0 = loss_and_gradients(model, X, labels, 0.0)
-        _, wg1, bg1 = loss_and_gradients(model, X, labels, 0.5)
+        _, wg0, bg0 = objective(model, X, labels, 0.0)
+        _, wg1, bg1 = objective(model, X, labels, 0.5)
         for a, b, W in zip(wg0, wg1, model.weights):
             assert_allclose(b - a, 0.5 * W, rtol=1e-10, atol=1e-12)
         for a, b in zip(bg0, bg1):
@@ -215,8 +214,8 @@ class TestGradients:
         rng = np.random.default_rng(35)
         X, labels = surv_data(rng, 10, 2, (1.0, 1.0))
         model = init_mlp(2, (3,), seed=7)
-        base = loss_and_gradients(model, X, labels, 0.0)[0]
-        with_wd = loss_and_gradients(model, X, labels, 0.2)[0]
+        base = objective(model, X, labels, 0.0)[0]
+        with_wd = objective(model, X, labels, 0.2)[0]
         penalty = 0.5 * 0.2 * sum(float((W ** 2).sum()) for W in model.weights)
         assert_allclose(with_wd, base + penalty, rtol=1e-12)
 
@@ -224,8 +223,8 @@ class TestGradients:
 def oracle_train(model, X, labels, val, opts):
     """``train`` with the validation loss taken from the loss-and-gradient
     path, as before the value-only path; kept as its oracle."""
-    table = EventTable(*label_arrays(labels))
-    val_table = EventTable(*label_arrays(val[1]))
+    table = EventTable(labels.times, labels.events)
+    val_table = EventTable(val[1].times, val[1].events)
     weights = [W.copy() for W in model.weights]
     biases = [b.copy() for b in model.biases]
     work = MlpSurvModel(model.layer_dims, weights, biases, model.seed, model.modality_tag)
@@ -257,8 +256,8 @@ class TestTrain:
         X, labels = surv_data(rng, 60, 3, (1.0, -0.5, 0.2))
         Xv, lv = surv_data(rng, 30, 3, (1.0, -0.5, 0.2))
         # tied times put the Efron correction on both losses
-        labels = labs(np.round([l.time_days for l in labels], 1), [l.event for l in labels])
-        lv = labs(np.round([l.time_days for l in lv], 1), [l.event for l in lv])
+        labels = Labels(np.round(labels.times, 1), labels.events)
+        lv = Labels(np.round(lv.times, 1), lv.events)
         opts = TrainOptions(learning_rate=0.3, epochs=60, patience=patience, weight_decay=1e-3,
                             tie_method=tie_method)
         model = init_mlp(3, (5,), seed=16)
@@ -307,8 +306,8 @@ class TestTrain:
         model = init_mlp(3, (8,), seed=11)
         with_val, _ = train(model, X, labels, val=(Xv, lv), options=opts)
         final, _ = train(model, X, labels, options=opts)
-        loss_snapshot = cox_loss(forward(with_val, Xv), lv)
-        loss_final = cox_loss(forward(final, Xv), lv)
+        loss_snapshot = per_event_loss(forward(with_val, Xv), lv)
+        loss_final = per_event_loss(forward(final, Xv), lv)
         assert loss_snapshot <= loss_final + 1e-12
 
     def test_early_stopping_shortens_history(self):
@@ -321,13 +320,15 @@ class TestTrain:
 
     def test_builds_each_event_table_once(self):
         # the risk sets depend only on the labels, so the train and
-        # validation tables are built once per call, not once per epoch
+        # validation tables are built once per set of labels, not once per
+        # epoch or per call
         rng = np.random.default_rng(47)
         X, labels = surv_data(rng, 40, 2, (1.0, -1.0))
         Xv, lv = surv_data(rng, 20, 2, (1.0, -1.0))
         opts = TrainOptions(learning_rate=0.05, epochs=25, patience=25)
-        with mock.patch.object(deep_survival, "EventTable", wraps=EventTable) as built:
+        with mock.patch.object(dataset, "EventTable", wraps=EventTable) as built:
             _, history = train(init_mlp(2, (4,), seed=14), X, labels, val=(Xv, lv), options=opts)
+            train(init_mlp(2, (3,), seed=15), X, labels, val=(Xv, lv), options=opts)
         assert len(history) == 25
         assert built.call_count == 2
 
@@ -342,7 +343,7 @@ class TestTrain:
         replay = []
         for _ in range(opts.epochs):
             work = MlpSurvModel(model.layer_dims, weights, biases, model.seed)
-            loss, wg, bg = loss_and_gradients(work, X, labels, opts.weight_decay)
+            loss, wg, bg = objective(work, X, labels, opts.weight_decay)
             replay.append(loss)
             for k in range(len(weights)):
                 weights[k] -= opts.learning_rate * wg[k]
@@ -399,7 +400,7 @@ def reference_loss_and_gradients(model, X, labels, weight_decay, block=None):
         hs.append(h)
     z = (rows(h, model.weights[-1]) + model.biases[-1]).ravel()
     s = sigmoid(z)
-    table = EventTable(*label_arrays(labels))
+    table = EventTable(labels.times, labels.events)
     loss, dloss_ds = deep_survival._cox_loss_grad(s, table)
     if weight_decay > 0:
         loss += 0.5 * weight_decay * sum(float((W ** 2).sum()) for W in model.weights)
@@ -476,7 +477,7 @@ class TestSubjectBlocks:
     @given(networks(2, BLOCK + 1), st.sampled_from([0.0, 1e-2]))
     def test_one_block_is_the_one_call_formulas(self, net, wd):
         model, X, labels = net
-        loss, wg, bg = loss_and_gradients(model, X, labels, wd)
+        loss, wg, bg = objective(model, X, labels, wd)
         z, ref_loss, ref_wg, ref_bg = reference_loss_and_gradients(model, X, labels, wd)
         assert loss == ref_loss
         for got, want in zip(wg + bg, ref_wg + ref_bg):
@@ -486,7 +487,7 @@ class TestSubjectBlocks:
     @given(networks(BLOCK + 2, 3 * BLOCK + 2), st.sampled_from([0.0, 1e-2]))
     def test_weight_gradients_are_block_sums_in_order(self, net, wd):
         model, X, labels = net
-        loss, wg, bg = loss_and_gradients(model, X, labels, wd)
+        loss, wg, bg = objective(model, X, labels, wd)
         _, ref_loss, ref_wg, ref_bg = reference_loss_and_gradients(model, X, labels, wd,
                                                                    block=BLOCK)
         assert loss == ref_loss

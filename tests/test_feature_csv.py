@@ -348,24 +348,22 @@ class TestForkedReadParity:
 
 
 EXPORTED = [
-    "CANONICAL_ORDER", "ClinicalVariables", "CohortPlan", "ComparisonResult", "CoxModel",
-    "Dataset", "DeepHyper", "FitOptions", "ForestModel", "FusionBundle", "FusionModel",
-    "GeneratorSpec", "ImputationStats", "KmCurve", "KmPoint", "MODEL_KINDS", "MlpSurvModel",
+    "CANONICAL_ORDER", "CohortPlan", "ComparisonResult", "CoxModel", "Dataset", "DeepHyper",
+    "FitOptions", "ForestModel", "FusionBundle", "FusionModel", "GeneratorSpec",
+    "ImputationStats", "KmCurve", "KmPoint", "Labels", "MODEL_KINDS", "MlpSurvModel",
     "ModalityPlan", "ModelArtifact", "MultimodalData", "NriResult", "PESI_WEIGHTS",
-    "PatientRecord", "PesiResult", "RiskStrata", "RsfHyper", "RsfOptions", "RvFactorReport",
-    "SplitAssignment", "StudyConfig", "StudyReport", "SurvfuseError", "SurvivalLabel",
-    "SurvivalTree", "TestResult", "TrainOptions", "analysis", "apply_imputation", "artifacts",
-    "attach_imaging", "bootstrap_ci", "c_index", "clinical_matrix",
-    "compare_to_pesi", "compute_imputation_stats", "cox_linear", "cox_loss", "dataset",
-    "deep_survival", "errors", "file_fingerprint", "fit_cox", "fit_forest", "fit_fusion",
-    "format_pct", "forward", "fusion", "gen_cox_linear", "gen_multimodal", "impute_missing",
-    "ingest_clinical", "ingest_features", "init_mlp", "km_curve", "label_arrays",
-    "linear_scores", "load_model", "logrank_test", "loss_and_gradients", "metrics", "nri",
-    "partial_loglik", "partial_loglik_grad_hess", "pesi", "pesi_score",
-    "pesi_scores", "predict_fused", "predict_linear", "predict_risk", "risk_class_for", "rsf",
-    "run_study", "run_study_full", "rv_factor_analysis", "save_model", "sigmoid",
-    "split_dataset", "stratify", "synthetic", "train", "truncate_30day",
-    "wilcoxon_signed_rank", "write_study_csvs",
+    "RiskStrata", "RsfHyper", "RsfOptions", "RvFactorReport", "SplitAssignment",
+    "StudyConfig", "StudyReport", "SurvfuseError", "SurvivalTree", "TestResult",
+    "TrainOptions", "analysis", "apply_imputation", "artifacts", "attach_imaging",
+    "bootstrap_ci", "c_index", "clinical_matrix", "compare_to_pesi",
+    "compute_imputation_stats", "cox_linear", "dataset", "deep_survival", "errors",
+    "file_fingerprint", "fit_cox", "fit_forest", "fit_fusion", "forward", "fusion",
+    "gen_cox_linear", "gen_multimodal", "imaging_matrix", "impute_missing",
+    "ingest_clinical", "ingest_features", "init_mlp", "km_curve", "linear_scores",
+    "load_model", "logrank_test", "metrics", "nri", "pesi", "pesi_scores", "predict_fused",
+    "predict_risk", "risk_class_for", "rsf", "run_study", "run_study_full",
+    "rv_factor_analysis", "save_model", "sigmoid", "split_dataset", "stratify", "synthetic",
+    "train", "truncate_30day", "wilcoxon_signed_rank", "write_study_csvs",
 ]
 
 

@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from survfuse import metrics
-
-from survfuse.dataset import SurvivalLabel
+from survfuse.dataset import Labels
 from survfuse.errors import (
     DegenerateResamplingError,
     SurvfuseError,
@@ -36,16 +35,13 @@ from survfuse.metrics import (
 )
 
 
-def labs(times, events):
-    return [SurvivalLabel(event=bool(e), time_days=float(t)) for t, e in zip(times, events)]
-
-
 def brute_c_index(scores, labels):
     """Pairwise loops straight from the definition."""
     conc = ties = pairs = 0
-    for i, li in enumerate(labels):
-        for j, lj in enumerate(labels):
-            if i == j or not li.event or not (li.time_days < lj.time_days):
+    times, events = labels.times.tolist(), labels.events.tolist()
+    for i, (ti, ei) in enumerate(zip(times, events)):
+        for j, tj in enumerate(times):
+            if i == j or not ei or not (ti < tj):
                 continue
             pairs += 1
             if scores[i] > scores[j]:
@@ -71,7 +67,7 @@ def cohorts(draw, min_n=3, max_n=30):
     scores = np.array(column(st.integers(0, score_levels - 1)), dtype=float)
     times = column(st.integers(1, time_levels))
     events = [u < event_pct for u in column(st.integers(0, 99))]
-    return scores, labs(times, events)
+    return scores, Labels(times, events)
 
 
 _MAX_REDRAWS_PER_RESAMPLE = 100
@@ -91,7 +87,7 @@ def loop_bootstrap_ci(metric_fn, scores, labels, n_resamples=1000, seed=0):
         for _ in range(_MAX_REDRAWS_PER_RESAMPLE):
             idx = rng.integers(0, n, size=n)
             try:
-                values[r] = metric_fn(s[idx], [labels[i] for i in idx])
+                values[r] = metric_fn(s[idx], labels.take(idx))
                 break
             except NoComparablePairsError:
                 continue
@@ -133,7 +129,7 @@ class TestCIndex:
             events = rng.random(n) < 0.6
             if not events.any():
                 events[0] = True
-            labels = labs(times, events)
+            labels = Labels(times, events)
             try:
                 want = brute_c_index(scores, labels)
             except NoComparablePairsError:
@@ -152,7 +148,7 @@ class TestCIndex:
         # few score values and few time levels tie most pairs; the event
         # share runs down to 5%, so most subjects are censored
         scores, times, draws, event_pct = case
-        labels = labs(times, [u < event_pct for u in draws])
+        labels = Labels(times, [u < event_pct for u in draws])
         try:
             want = brute_c_index(scores, labels)
         except NoComparablePairsError:
@@ -164,31 +160,31 @@ class TestCIndex:
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(5)
         scores = rng.standard_normal(30)
-        labels = labs(rng.exponential(5, 30), rng.random(30) < 0.7)
+        labels = Labels(rng.exponential(5, 30), rng.random(30) < 0.7)
         base = c_index(scores, labels)
         assert c_index(3.0 * scores + 10.0, labels) == base
         assert c_index(np.exp(scores), labels) == base
 
     def test_perfect_and_reversed(self):
-        labels = labs([1, 2, 3, 4], [1, 1, 1, 1])
+        labels = Labels([1, 2, 3, 4], [1, 1, 1, 1])
         assert c_index([4, 3, 2, 1], labels) == 1.0
         assert c_index([1, 2, 3, 4], labels) == 0.0
         assert c_index([1, 1, 1, 1], labels) == 0.5
 
     def test_censored_before_event_not_comparable(self):
         # the censored subject at t=1 tells us nothing about later ranking
-        labels = labs([1, 2, 3], [0, 1, 1])
+        labels = Labels([1, 2, 3], [0, 1, 1])
         assert c_index([9.0, 5.0, 1.0], labels) == 1.0
 
     def test_no_comparable_pairs(self):
         with pytest.raises(NoComparablePairsError):
-            c_index([1.0, 2.0], labs([5, 5], [1, 1]))  # simultaneous events
+            c_index([1.0, 2.0], Labels([5, 5], [1, 1]))  # simultaneous events
         with pytest.raises(NoComparablePairsError):
-            c_index([1.0, 2.0], labs([1, 2], [0, 0]))  # no events at all
+            c_index([1.0, 2.0], Labels([1, 2], [0, 0]))  # no events at all
 
     def test_length_mismatch(self):
         with pytest.raises(MismatchedLengthsError):
-            c_index([1.0], labs([1, 2], [1, 1]))
+            c_index([1.0], Labels([1, 2], [1, 1]))
 
     @settings(max_examples=60)
     @given(cohorts())
@@ -208,7 +204,7 @@ class TestBootstrapCi:
     def labels(self, rng, n=120):
         risk = rng.standard_normal(n)
         times = rng.exponential(np.exp(-risk))
-        return risk, labs(times, rng.random(n) < 0.9)
+        return risk, Labels(times, rng.random(n) < 0.9)
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(2)
@@ -245,13 +241,13 @@ class TestBootstrapCi:
     def test_redraws_skip_degenerate_resamples(self):
         # one event among many censored: most resamples have no comparable
         # pair and must be redrawn, but the interval is still produced
-        labels = labs([1, 2, 3, 4, 5], [1, 0, 0, 0, 0])
+        labels = Labels([1, 2, 3, 4, 5], [1, 0, 0, 0, 0])
         scores = np.array([5.0, 4.0, 3.0, 2.0, 1.0])
         lo, hi = bootstrap_ci(scores, labels, n_resamples=100, seed=0)
         assert 0.0 <= lo <= hi <= 1.0
 
     def test_hopeless_data_raises_degenerate(self):
-        labels = labs([1, 2, 3, 4], [0, 0, 0, 0])  # no events: no resample works
+        labels = Labels([1, 2, 3, 4], [0, 0, 0, 0])  # no events: no resample works
         with pytest.raises(DegenerateResamplingError):
             bootstrap_ci(np.arange(4.0), labels, n_resamples=100, seed=0)
 
@@ -271,7 +267,7 @@ class TestBootstrapCi:
         ([1, 1, 2], [1, 1, 0]),
     ])
     def test_edge_cohorts_match_per_resample_loop(self, times, events):
-        labels = labs(times, events)
+        labels = Labels(times, events)
         scores = np.arange(float(len(labels)))
         for seed in range(5):
             want = outcome(loop_bootstrap_ci, c_index, scores, labels, 100, seed)
@@ -281,7 +277,7 @@ class TestBootstrapCi:
     def test_redraw_limit_counts_invalid_draws_in_a_row(self, block_rows):
         # with 7-row blocks the runs of invalid draws cross block edges; with
         # 256 the run that raises shares its block with earlier valid draws
-        labels = labs([1, 2], [1, 0])
+        labels = Labels([1, 2], [1, 0])
         valid, invalid = [0, 1], [1, 1]  # only [0, 1] has an event before t=2
         rows = [valid] + [invalid] * 99 + [valid] * 2 + [invalid] * 100 + [valid]
         with mock.patch.object(metrics, "_BLOCK_ROWS", block_rows):
@@ -309,7 +305,7 @@ class TestKmCurve:
     def test_hand_product_limit(self):
         # events at 1 and 3, censoring at 2:
         # S(1) = 1 - 1/3 = 2/3, S(3) = (2/3) * (1 - 1/1) = 0
-        curve = km_curve(labs([1, 2, 3], [1, 0, 1]))
+        curve = km_curve(Labels([1, 2, 3], [1, 0, 1]))
         assert len(curve.points) == 2
         p1, p3 = curve.points
         assert (p1.time, p1.at_risk, p1.events) == (1.0, 3, 1)
@@ -319,21 +315,21 @@ class TestKmCurve:
         assert curve.n_subjects == 3
 
     def test_tied_deaths_single_step(self):
-        curve = km_curve(labs([2, 2, 5], [1, 1, 0]))
+        curve = km_curve(Labels([2, 2, 5], [1, 1, 0]))
         assert len(curve.points) == 1
         assert curve.points[0].events == 2
         assert_allclose(curve.points[0].survival, 1.0 / 3.0)
 
     def test_all_censored_has_no_steps(self):
-        curve = km_curve(labs([1, 2], [0, 0]))
+        curve = km_curve(Labels([1, 2], [0, 0]))
         assert curve.points == ()
 
     def test_empty_group(self):
         with pytest.raises(EmptyGroupError):
-            km_curve([])
+            km_curve(Labels([], []))
 
     def test_group_label(self):
-        assert km_curve(labs([1], [1]), "high").group_label == "high"
+        assert km_curve(Labels([1], [1]), "high").group_label == "high"
 
     @settings(max_examples=150)
     @given(cohorts(min_n=1))
@@ -344,8 +340,7 @@ class TestKmCurve:
 
 def loop_km_curve(labels, group_label=""):
     """The per-event-time loop that ``km_curve`` replaced, kept as its oracle."""
-    t = np.array([l.time_days for l in labels])
-    e = np.array([l.event for l in labels], dtype=bool)
+    t, e = labels.times, labels.events
     points = []
     s = 1.0
     for v in np.unique(t[e]):
@@ -360,8 +355,8 @@ def loop_logrank_test(labels_a, labels_b):
     """The per-event-time loop that ``logrank_test`` replaced, kept as its oracle."""
     if not labels_a or not labels_b:
         raise EmptyGroupError("both groups need at least one subject")
-    t = np.array([l.time_days for l in labels_a + labels_b])
-    e = np.array([l.event for l in labels_a + labels_b], dtype=bool)
+    t = np.concatenate([labels_a.times, labels_b.times])
+    e = np.concatenate([labels_a.events, labels_b.events])
     in_a = np.arange(t.size) < len(labels_a)
     if not e.any():
         raise NoEventsError("log-rank test needs at least one event")
@@ -385,10 +380,8 @@ def loop_logrank_test(labels_a, labels_b):
 
 def hand_logrank(labels_a, labels_b):
     """Hypergeometric mean/variance accumulation written out longhand."""
-    ta = [l.time_days for l in labels_a]
-    tb = [l.time_days for l in labels_b]
-    ea = [l.event for l in labels_a]
-    eb = [l.event for l in labels_b]
+    ta, tb = labels_a.times.tolist(), labels_b.times.tolist()
+    ea, eb = labels_a.events.tolist(), labels_b.events.tolist()
     death_times = sorted({t for t, e in zip(ta + tb, ea + eb) if e})
     observed = expected = variance = 0.0
     for t in death_times:
@@ -410,7 +403,7 @@ def hand_logrank(labels_a, labels_b):
 
 class TestLogrank:
     def test_identical_groups(self):
-        group = labs([1, 2, 3, 4], [1, 1, 0, 1])
+        group = Labels([1, 2, 3, 4], [1, 1, 0, 1])
         result = logrank_test(group, group)
         assert result.statistic == 0.0
         assert result.p_value == 1.0
@@ -419,8 +412,8 @@ class TestLogrank:
         # six early deaths vs six late deaths; at group A's death times the
         # full group B is still at risk, so E_A = 1/2 + 5/11 + 2/5 + 1/3 +
         # 1/4 + 1/7 and V = 1/4 + 30/121 + 6/25 + 2/9 + 3/16 + 6/49
-        a = labs([1, 2, 3, 4, 5, 6], [1] * 6)
-        b = labs([11, 12, 13, 14, 15, 16], [1] * 6)
+        a = Labels([1, 2, 3, 4, 5, 6], [1] * 6)
+        b = Labels([11, 12, 13, 14, 15, 16], [1] * 6)
         expected_e = 1 / 2 + 5 / 11 + 2 / 5 + 1 / 3 + 1 / 4 + 1 / 7
         expected_v = 1 / 4 + 30 / 121 + 6 / 25 + 2 / 9 + 3 / 16 + 6 / 49
         want_chi2 = (6.0 - expected_e) ** 2 / expected_v
@@ -436,9 +429,9 @@ class TestLogrank:
         rng = np.random.default_rng(77)
         for _ in range(30):
             na, nb = rng.integers(3, 10, size=2)
-            a = labs(rng.integers(1, 8, na), rng.random(na) < 0.7)
-            b = labs(rng.integers(1, 8, nb), rng.random(nb) < 0.7)
-            if not any(l.event for l in a + b):
+            a = Labels(rng.integers(1, 8, na), rng.random(na) < 0.7)
+            b = Labels(rng.integers(1, 8, nb), rng.random(nb) < 0.7)
+            if not (a.events.any() or b.events.any()):
                 continue
             chi2, p = hand_logrank(a, b)
             result = logrank_test(a, b)
@@ -448,8 +441,8 @@ class TestLogrank:
     def test_symmetric_in_group_order(self):
         # O-E flips sign under a swap so chi-square agrees, up to the
         # accumulation order of the variance terms
-        a = labs([1, 3, 5, 9], [1, 1, 0, 1])
-        b = labs([2, 4, 8, 16], [1, 0, 1, 1])
+        a = Labels([1, 3, 5, 9], [1, 1, 0, 1])
+        b = Labels([2, 4, 8, 16], [1, 0, 1, 1])
         assert_allclose(logrank_test(a, b).statistic,
                         logrank_test(b, a).statistic, rtol=1e-12)
 
@@ -461,8 +454,8 @@ class TestLogrank:
         #   t=4, t=5: group a has nobody left at risk (its last subject
         #   censored at 3), so n_a = 0 and both terms vanish
         # O - E = 11/10, V = 49/100, chi-square = (121/100)/(49/100) = 121/49
-        a = labs([1, 2, 3], [1, 1, 0])
-        b = labs([4, 5, 6], [1, 1, 0])
+        a = Labels([1, 2, 3], [1, 1, 0])
+        b = Labels([4, 5, 6], [1, 1, 0])
         result = logrank_test(a, b)
         assert_allclose(result.statistic, 121.0 / 49.0, rtol=1e-12)
         assert_allclose(result.statistic, hand_logrank(a, b)[0], rtol=1e-12)
@@ -470,17 +463,17 @@ class TestLogrank:
     def test_zero_variance_gives_zero_statistic(self):
         # the only death (t=5) has both subjects still at risk in group a,
         # so each hypergeometric variance term vanishes
-        result = logrank_test(labs([5, 6], [1, 0]), labs([1, 2], [0, 0]))
+        result = logrank_test(Labels([5, 6], [1, 0]), Labels([1, 2], [0, 0]))
         assert result.statistic == 0.0
         assert result.p_value == 1.0
 
     def test_no_events(self):
         with pytest.raises(NoEventsError):
-            logrank_test(labs([1], [0]), labs([2], [0]))
+            logrank_test(Labels([1], [0]), Labels([2], [0]))
 
     def test_empty_group(self):
         with pytest.raises(EmptyGroupError):
-            logrank_test([], labs([1], [1]))
+            logrank_test(Labels([], []), Labels([1], [1]))
 
     @settings(max_examples=150)
     @given(cohorts(min_n=1, max_n=40), cohorts(min_n=1, max_n=40))
@@ -491,7 +484,7 @@ class TestLogrank:
 
 class TestNri:
     def test_identity_is_zero(self):
-        labels = labs([1, 2, 3, 4], [1, 1, 0, 0])
+        labels = Labels([1, 2, 3, 4], [1, 1, 0, 0])
         scores = np.array([0.9, 0.3, 0.8, 0.1])
         result = nri(scores, scores, labels)
         assert result.nri == 0.0
@@ -500,7 +493,7 @@ class TestNri:
     def test_single_event_reclassified_up(self):
         # 10 events, 10 nonevents; the new model moves exactly one event
         # across the 0.7 line and touches nothing else: NRI = 1/10 = +0.1
-        labels = labs(list(range(1, 11)) + list(range(100, 110)),
+        labels = Labels(list(range(1, 11)) + list(range(100, 110)),
                       [1] * 10 + [0] * 10)
         old = np.full(20, 0.5)
         new = old.copy()
@@ -514,13 +507,13 @@ class TestNri:
         rng = np.random.default_rng(55)
         for _ in range(30):
             n = 14
-            labels = labs(rng.integers(1, 9, n), [1] * 7 + [0] * 7)
+            labels = Labels(rng.integers(1, 9, n), [1] * 7 + [0] * 7)
             old = rng.random(n)
             new = rng.random(n)
             assert nri(old, new, labels).nri == -nri(new, old, labels).nri
 
     def test_threshold_boundary_counts_as_high(self):
-        labels = labs([1, 2], [1, 0])
+        labels = Labels([1, 2], [1, 0])
         # score exactly at the threshold is already high risk, so moving
         # from 0.7 to 0.9 is not a reclassification
         result = nri(np.array([0.7, 0.1]), np.array([0.9, 0.1]), labels)
@@ -530,20 +523,20 @@ class TestNri:
         assert result.event_up == 1
 
     def test_custom_threshold(self):
-        labels = labs([1, 2], [1, 0])
+        labels = Labels([1, 2], [1, 0])
         result = nri(np.array([0.2, 0.1]), np.array([0.4, 0.1]), labels, threshold=0.3)
         assert result.event_up == 1
         assert result.threshold == 0.3
 
     def test_requires_both_outcomes(self):
         with pytest.raises(NoEventsError):
-            nri(np.zeros(2), np.zeros(2), labs([1, 2], [0, 0]))
+            nri(np.zeros(2), np.zeros(2), Labels([1, 2], [0, 0]))
         with pytest.raises(NoNoneventsError):
-            nri(np.zeros(2), np.zeros(2), labs([1, 2], [1, 1]))
+            nri(np.zeros(2), np.zeros(2), Labels([1, 2], [1, 1]))
 
     def test_length_mismatch(self):
         with pytest.raises(MismatchedLengthsError):
-            nri(np.zeros(3), np.zeros(2), labs([1, 2], [1, 0]))
+            nri(np.zeros(3), np.zeros(2), Labels([1, 2], [1, 0]))
 
 
 def midranks(values):

@@ -4,19 +4,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
-from survfuse.dataset import BINARY_FIELDS, ClinicalVariables, Dataset, PatientRecord, SurvivalLabel
+from survfuse.dataset import BINARY_FIELDS
 from survfuse.errors import NonPositiveAgeError, UnimputedRecordError
-from survfuse.pesi import PESI_WEIGHTS, pesi_score, pesi_scores, risk_class_for
+from survfuse.pesi import PESI_WEIGHTS, pesi_points, pesi_scores, risk_class_for
 
-from strategies import outcome, same_bits
+import records
+from strategies import make_dataset, outcome, same_bits, values_row
 
 
 def clin(age, male=False, **flags):
-    values = {f: False for f in BINARY_FIELDS}
-    values["male"] = male
-    for name, v in flags.items():
-        values[name] = v
-    return ClinicalVariables(age_years=age, **values)
+    """One patient's values row."""
+    return values_row(age, male=male, **flags)
+
+
+def pesi_score(row):
+    """``(score, class)`` of one values row, by ``pesi_points``."""
+    score = int(pesi_points(np.array([row]))[0])
+    return score, risk_class_for(score)
 
 
 # Hand-scored oracle built from the published point table before any code
@@ -51,9 +55,7 @@ ORACLE = [
 class TestPesiScore:
     @pytest.mark.parametrize("variables,score,risk_class", ORACLE)
     def test_oracle_table(self, variables, score, risk_class):
-        result = pesi_score(variables)
-        assert result.score == score
-        assert result.risk_class == risk_class
+        assert pesi_score(variables) == (score, risk_class)
 
     def test_weights_sum_matches_exhaustive_case(self):
         # everything positive: age plus every weight in the table
@@ -61,20 +63,18 @@ class TestPesiScore:
         assert total == 310
 
     def test_age_is_rounded(self):
-        assert pesi_score(clin(64.4)).score == 64
-        assert pesi_score(clin(64.6)).score == 65
+        assert pesi_score(clin(64.4))[0] == 64
+        assert pesi_score(clin(64.6))[0] == 65
         # round-half-even, matching the builtin
-        assert pesi_score(clin(64.5)).score == 64
-        assert pesi_score(clin(65.5)).score == 66
+        assert pesi_score(clin(64.5))[0] == 64
+        assert pesi_score(clin(65.5))[0] == 66
 
     def test_missing_field_raises(self):
-        values = {f: False for f in BINARY_FIELDS}
-        values["cancer"] = None
-        with pytest.raises(UnimputedRecordError, match="cancer"):
-            pesi_score(ClinicalVariables(age_years=50.0, **values))
+        with pytest.raises(UnimputedRecordError, match="^cannot score with missing fields: cancer$"):
+            pesi_score(clin(50.0, cancer=None))
 
     def test_nonpositive_age_raises(self):
-        with pytest.raises(NonPositiveAgeError):
+        with pytest.raises(NonPositiveAgeError, match="^age must be positive, got -1.0$"):
             pesi_score(clin(-1.0))
 
 
@@ -88,33 +88,22 @@ class TestRiskClassBands:
 
 
 class TestDatasetHelpers:
-    def build(self):
-        records = tuple(
-            PatientRecord(
-                patient_id=f"P{i}",
-                clinical=variables,
-                label=SurvivalLabel(event=True, time_days=float(i + 1)),
-            )
-            for i, (variables, _, _) in enumerate(ORACLE[:5])
-        )
-        return Dataset(records=records)
-
     def test_predictor_matches_per_record_scores(self):
-        ds = self.build()
-        expected = [pesi_score(r.clinical).score for r in ds.records]
+        ds = make_dataset([variables for variables, _, _ in ORACLE[:5]])
+        expected = [score for _, score, _ in ORACLE[:5]]
         assert_array_equal(pesi_scores(ds), np.array(expected, dtype=float))
         assert pesi_scores(ds).dtype == float
 
 
 def oracle_pesi_scores(ds):
     """The per-record loop: one ``pesi_score`` call per record."""
-    return np.array([pesi_score(r.clinical).score for r in ds.records], dtype=float)
+    return records.pesi_scores(records.record_dataset(ds))
 
 
 @st.composite
 def pesi_datasets(draw):
-    """Records with ages on and off the .5 rounding ties, some missing fields,
-    and now and then an age that ``pesi_score`` rejects."""
+    """Patients with ages on and off the .5 rounding ties, some missing
+    fields, and now and then an age that the per-record score rejects."""
     n = draw(st.integers(0, 15))
     missing_pct = draw(st.sampled_from([0, 0, 5, 30]))
     ages = st.one_of(
@@ -123,17 +112,11 @@ def pesi_datasets(draw):
         st.floats(1e-3, 300.0),
         st.sampled_from([0.0, -1.0, 0.4, float("nan"), float("inf"), float("-inf"), 1e300]),
     )
-    records = []
-    for i in range(n):
-        values = {f: draw(st.booleans()) for f in BINARY_FIELDS}
-        values["age_years"] = draw(ages)
-        for field in values:
-            if draw(st.integers(0, 99)) < missing_pct:
-                values[field] = None
-        records.append(PatientRecord(
-            patient_id=f"P{i}", clinical=ClinicalVariables(**values),
-            label=SurvivalLabel(event=True, time_days=1.0)))
-    return Dataset(records=tuple(records))
+    rows = []
+    for _ in range(n):
+        row = [draw(ages), *(draw(st.booleans()) for _ in BINARY_FIELDS)]
+        rows.append([np.nan if draw(st.integers(0, 99)) < missing_pct else float(v) for v in row])
+    return make_dataset(rows)
 
 
 class TestVectorScores:
@@ -148,8 +131,6 @@ class TestVectorScores:
 
     def test_first_bad_record_raises(self):
         good, no_age, negative = clin(70.0), clin(None), clin(-2.0)
-        ds = Dataset(records=tuple(
-            PatientRecord(patient_id=f"P{i}", clinical=c, label=SurvivalLabel(True, 1.0))
-            for i, c in enumerate([good, negative, no_age])))
+        ds = make_dataset([good, negative, no_age])
         with pytest.raises(NonPositiveAgeError, match="got -2.0"):
             pesi_scores(ds)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from survfuse import rsf
-from survfuse.dataset import SurvivalLabel, label_arrays
+from survfuse.dataset import Labels
 from survfuse.errors import (
     DegenerateDataError,
     DimensionMismatchError,
@@ -46,10 +46,6 @@ SPLIT_BLOCKS = (1, 3, 7, rsf._SPLIT_BLOCK)
 SWEEP_BLOCKS = (1, 3, 7, rsf._SWEEP_BLOCK)
 
 
-def labs(times, events):
-    return [SurvivalLabel(event=bool(e), time_days=float(t)) for t, e in zip(times, events)]
-
-
 def surv_data(rng, n, d, beta, censor=0.2):
     X = rng.standard_normal((n, d))
     risk = X @ np.asarray(beta)
@@ -57,7 +53,7 @@ def surv_data(rng, n, d, beta, censor=0.2):
     events = rng.random(n) > censor
     if not events.any():
         events[0] = True
-    return X, labs(times, events)
+    return X, Labels(times, events)
 
 
 def loop_nelson_aalen(t, e):
@@ -191,7 +187,7 @@ def brute_split_scores(X, t, e, candidates, min_leaf):
             left = X[:, f] <= thr
             if min(left.sum(), (~left).sum()) < min_leaf:
                 continue
-            result = logrank_test(labs(t[left], e[left]), labs(t[~left], e[~left]))
+            result = logrank_test(Labels(t[left], e[left]), Labels(t[~left], e[~left]))
             scores[(int(f), thr)] = math.sqrt(result.statistic)
     return scores
 
@@ -201,7 +197,7 @@ def serial_fit_forest(X, labels, opts):
     process pool, one stream after another in this process; kept as its oracle."""
     X = np.asarray(X, dtype=float)
     n, p = X.shape
-    times, events = label_arrays(labels)
+    times, events = labels.times, labels.events
     order = np.lexsort((events, times))
     Xc, tc, ec = X[order], times[order], events[order]
     grid = np.unique(tc[ec])
@@ -277,8 +273,8 @@ def chunk_growers(model, chunks, f):
 
 def naive_split_score(left, right):
     """Event-time loop straight from the |O - E| / sqrt(V) definition."""
-    t = [l.time_days for l in left] + [l.time_days for l in right]
-    e = [l.event for l in left] + [l.event for l in right]
+    t = left.times.tolist() + right.times.tolist()
+    e = left.events.tolist() + right.events.tolist()
     n_left_flags = [True] * len(left) + [False] * len(right)
     num = var = 0.0
     for v in sorted({tv for tv, ev in zip(t, e) if ev}):
@@ -302,8 +298,8 @@ def split_score(left, right):
 def prefix_split_score(left, right):
     """The split score as ``_best_split`` computes it for left | right, by
     both of its exact paths."""
-    t = np.array([l.time_days for l in left + right])
-    e = np.array([l.event for l in left + right])
+    t = np.concatenate([left.times, right.times])
+    e = np.concatenate([left.events, right.events])
     ranks, prefix_resid, n_e, k_e = sorted_node(t, e, np.arange(t.size))
     dense = _prefix_split_scores(ranks, prefix_resid, n_e, k_e, len(left))[0, -1]
     sparse = _sparse_split_scores(ranks[0], prefix_resid[0], n_e, k_e, np.array([len(left) - 1]))
@@ -313,8 +309,8 @@ def prefix_split_score(left, right):
 
 class TestSplitScore:
     def test_symmetric_under_child_swap(self):
-        left = labs([1, 3, 7], [1, 0, 1])
-        right = labs([2, 5, 9], [1, 1, 0])
+        left = Labels([1, 3, 7], [1, 0, 1])
+        right = Labels([2, 5, 9], [1, 1, 0])
         assert_allclose(split_score(left, right), split_score(right, left), rtol=1e-12)
         assert_allclose(prefix_split_score(left, right),
                         prefix_split_score(right, left), rtol=1e-12)
@@ -323,21 +319,21 @@ class TestSplitScore:
         rng = np.random.default_rng(60)
         for _ in range(40):
             nl, nr = rng.integers(2, 9, size=2)
-            left = labs(rng.integers(1, 7, nl), rng.random(nl) < 0.7)
-            right = labs(rng.integers(1, 7, nr), rng.random(nr) < 0.7)
-            if not any(l.event for l in left + right):
+            left = Labels(rng.integers(1, 7, nl), rng.random(nl) < 0.7)
+            right = Labels(rng.integers(1, 7, nr), rng.random(nr) < 0.7)
+            if not (left.events.any() or right.events.any()):
                 continue
             want = naive_split_score(left, right)
             assert_allclose(split_score(left, right), want, atol=1e-12)
             assert_allclose(prefix_split_score(left, right), want, atol=1e-12)
 
     def test_identical_children_score_zero(self):
-        group = labs([1, 2, 3], [1, 1, 0])
+        group = Labels([1, 2, 3], [1, 1, 0])
         assert split_score(group, group) == 0.0
 
     def test_empty_child(self):
         with pytest.raises(EmptyGroupError):
-            split_score([], labs([1], [1]))
+            split_score(Labels([], []), Labels([1], [1]))
         # the split search never proposes an empty child: a constant feature
         # admits no split, and a two-subject node splits one | one
         t = np.array([1.0, 2.0])
@@ -554,12 +550,11 @@ class TestFitForest:
         rng = np.random.default_rng(62)
         X, labels = surv_data(rng, 70, 3, (1.5, 0.0, -1.0))
         # distinct times guarantee the canonical sort is a true inverse
-        for i, l in enumerate(labels):
-            labels[i] = SurvivalLabel(event=l.event, time_days=l.time_days + i * 1e-9)
+        labels = Labels(labels.times + np.arange(len(labels)) * 1e-9, labels.events)
         perm = rng.permutation(len(labels))
         opts = RsfOptions(n_trees=8, min_leaf_size=5, seed=5)
         a = fit_forest(X, labels, opts)
-        b = fit_forest(X[perm], [labels[i] for i in perm], opts)
+        b = fit_forest(X[perm], labels.take(perm), opts)
         q = rng.standard_normal((20, 3))
         assert_array_equal(predict_risk(a, q), predict_risk(b, q))
 
@@ -576,10 +571,10 @@ class TestFitForest:
         perm = np.array(random.sample(range(t.size), t.size))
         opts = RsfOptions(n_trees=3, min_leaf_size=2, seed=random.getrandbits(16))
         try:
-            a = fit_forest(X, labs(t, e), opts)
+            a = fit_forest(X, Labels(t, e), opts)
         except NoEventsError:
             return
-        b = fit_forest(X[perm], labs(t[perm], e[perm]), opts)
+        b = fit_forest(X[perm], Labels(t[perm], e[perm]), opts)
         assert np.array_equal(a.event_time_grid, b.event_time_grid)
         for ta, tb in zip(a.trees, b.trees):
             assert np.array_equal(ta.feature, tb.feature)
@@ -708,7 +703,7 @@ class TestFitForest:
         X, labels = surv_data(np.random.default_rng(77), 40, 2, (1.0, 0.0))
         good = (X, labels, RsfOptions(n_trees=2, min_leaf_size=5))
         with pytest.raises(NoEventsError):
-            rsf.start_forests([good, (X, labs(range(1, 41), [0] * 40), good[2])])
+            rsf.start_forests([good, (X, Labels(range(1, 41), [0] * 40), good[2])])
         assert not multiprocessing.active_children()
 
     @pytest.mark.parametrize("n_trees", [2, 27])
@@ -750,7 +745,7 @@ class TestFitForest:
         X[:, 0] = np.arange(40)
         times = [1, 2, 2, 3] * 10
         events = [1, 1, 0, 1] * 10
-        model = fit_forest(X, labs(times, events), RsfOptions(n_trees=2, min_leaf_size=5))
+        model = fit_forest(X, Labels(times, events), RsfOptions(n_trees=2, min_leaf_size=5))
         assert_array_equal(model.event_time_grid, [1.0, 2.0, 3.0])
 
     def test_too_few_subjects(self):
@@ -762,7 +757,7 @@ class TestFitForest:
     def test_no_events(self):
         X = np.random.default_rng(65).standard_normal((40, 2))
         with pytest.raises(NoEventsError):
-            fit_forest(X, labs(range(1, 41), [0] * 40), RsfOptions(min_leaf_size=5))
+            fit_forest(X, Labels(range(1, 41), [0] * 40), RsfOptions(min_leaf_size=5))
 
     def test_non_finite_features(self):
         rng = np.random.default_rng(66)
@@ -773,7 +768,7 @@ class TestFitForest:
 
     def test_shape_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            fit_forest(np.zeros((5, 2)), labs([1, 2, 3], [1, 1, 1]))
+            fit_forest(np.zeros((5, 2)), Labels([1, 2, 3], [1, 1, 1]))
 
     @pytest.mark.parametrize("kw", [
         dict(n_trees=0), dict(mtry=0), dict(min_leaf_size=0),
@@ -800,7 +795,7 @@ class TestPredictRisk:
         # tree we can replay the bootstrap draw and sum the hazard by hand
         times = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
         events = [1, 0, 1, 1, 0, 1]
-        labels = labs(times, events)
+        labels = Labels(times, events)
         X = np.zeros((6, 1))
         opts = RsfOptions(n_trees=1, min_leaf_size=3, seed=11)
         model = fit_forest(X, labels, opts)

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from survfuse.dataset import attach_imaging, impute_missing, ingest_clinical, ingest_features
+from survfuse.dataset import (
+    attach_imaging,
+    imaging_matrix,
+    impute_missing,
+    ingest_clinical,
+    ingest_features,
+)
 from survfuse.errors import InvalidSpecError
 from survfuse.metrics import c_index
 from survfuse.synthetic import (
@@ -22,7 +28,8 @@ class TestGenCoxLinear:
         x2, l2, r2 = gen_cox_linear(spec)
         assert_array_equal(x1, x2)
         assert_array_equal(r1, r2)
-        assert l1 == l2
+        assert_array_equal(l1.times, l2.times)
+        assert_array_equal(l1.events, l2.events)
         x3, _, _ = gen_cox_linear(GeneratorSpec(n=50, beta_true=(1.0, -0.5), seed=8))
         assert not np.array_equal(x1, x3)
 
@@ -35,27 +42,27 @@ class TestGenCoxLinear:
 
     def test_times_positive(self):
         _, labels, _ = gen_cox_linear(GeneratorSpec(n=500, beta_true=(1.0,), seed=2))
-        assert all(l.time_days > 0 for l in labels)
+        assert (labels.times > 0).all()
 
     def test_zero_censor_rate_means_all_events(self):
         _, labels, _ = gen_cox_linear(
             GeneratorSpec(n=200, beta_true=(1.0,), censor_rate=0.0, seed=3))
-        assert all(l.event for l in labels)
+        assert labels.events.all()
 
     def test_censor_rate_controls_censoring_fraction(self):
         # matched exponential clocks censor about half the cohort
         spec = GeneratorSpec(n=4000, beta_true=(0.0,), baseline_rate=0.1,
                              censor_rate=0.1, seed=4)
         _, labels, _ = gen_cox_linear(spec)
-        frac = np.mean([l.event for l in labels])
+        frac = np.mean(labels.events)
         assert 0.45 < frac < 0.55
 
     def test_doubling_rate_halves_median_time(self):
         kw = dict(n=5000, beta_true=(0.0,), censor_rate=0.0, seed=5)
         _, slow, _ = gen_cox_linear(GeneratorSpec(baseline_rate=0.05, **kw))
         _, fast, _ = gen_cox_linear(GeneratorSpec(baseline_rate=0.10, **kw))
-        med_slow = np.median([l.time_days for l in slow])
-        med_fast = np.median([l.time_days for l in fast])
+        med_slow = np.median(slow.times)
+        med_fast = np.median(fast.times)
         assert abs(med_slow / med_fast - 2.0) < 0.2
 
     def test_high_risk_dies_sooner(self):
@@ -98,7 +105,8 @@ class TestGenMultimodal:
         b = gen_multimodal(spec)
         assert_array_equal(a.x_clin, b.x_clin)
         assert_array_equal(a.x_img, b.x_img)
-        assert a.labels == b.labels
+        assert_array_equal(a.labels.times, b.labels.times)
+        assert_array_equal(a.labels.events, b.labels.events)
 
     def test_shapes(self):
         plan = ModalityPlan(clin_dim=3, img_dim=6)
@@ -163,15 +171,14 @@ class TestWriteStudyCsvs:
         feat = tmp_path / "features.csv"
         write_study_csvs(plan, clin, feat)
         ds = ingest_clinical(clin)
-        assert len(ds.records) == 60
+        assert len(ds) == 60
         patient_ids, _, features = ingest_features(feat)
         assert features.shape == (patient_ids.size, 8)
         _, acquisitions = np.unique(patient_ids, return_counts=True)
         assert all(1 <= k <= 3 for k in acquisitions)
         ds = attach_imaging(ds, feat)
-        assert ds.feature_dim == 8
-        assert all(r.imaging_features is not None for r in ds.records)
-        assert all(r.rv_dysfunction is not None for r in ds.records)
+        assert imaging_matrix(ds).shape == (60, 8)  # every patient has features
+        assert not np.isnan(ds.rv_dysfunction).any()
 
     def test_missing_cells_flow_through_imputation(self, tmp_path):
         plan = CohortPlan(n=80, seed=5, missing_rate=0.15)
@@ -179,14 +186,11 @@ class TestWriteStudyCsvs:
         feat = tmp_path / "features.csv"
         write_study_csvs(plan, clin, feat)
         ds = ingest_clinical(clin)
-        holes = sum(
-            1 for r in ds.records
-            for f in ("age_years", "hr_ge_110", "cancer", "o2_sat_lt_90")
-            if getattr(r.clinical, f) is None
-        )
+        # age, cancer, hr_ge_110 and o2_sat_lt_90
+        holes = int(np.isnan(ds.values[:, [0, 2, 5, 10]]).sum())
         assert holes > 0
-        full = impute_missing(ds, [r.patient_id for r in ds.records])
-        assert all(r.clinical.complete for r in full.records)
+        full = impute_missing(ds, ds.patient_ids)
+        assert not np.isnan(full.values).any()
 
     def test_seed_changes_cohort(self, tmp_path):
         a = tmp_path / "a.csv"
@@ -204,7 +208,7 @@ class TestWriteStudyCsvs:
         feat = tmp_path / "features.csv"
         write_study_csvs(CohortPlan(n=400, seed=6), clin, feat)
         ds = ingest_clinical(clin)
-        early = sum(1 for r in ds.records if r.label.event and r.label.time_days <= 30.0)
+        early = int((ds.labels.events & (ds.labels.times <= 30.0)).sum())
         assert early >= 10
 
     @pytest.mark.parametrize("kw", [
