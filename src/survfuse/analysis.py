@@ -36,8 +36,8 @@ from .errors import (
     TooFewPairsError,
     TooFewResamplesError,
 )
-from .fusion import FusionModel, fit_fusion, predict_fused
-from .kinds import MODEL_KINDS
+from .fusion import CANONICAL_ORDER, fit_fusion, predict_fused
+from .kinds import COMPONENTS, MODEL_KINDS, reads_imaging
 from .metrics import (
     TestResult,
     bootstrap_ci,
@@ -220,21 +220,17 @@ class StudyReport:
 
 @dataclass(eq=False)
 class StudyArtifacts:
-    """Fitted components kept for persistence and scoring."""
+    """Fitted components kept for persistence and scoring: each network and
+    forest under its component tag, each fusion under its fused model kind."""
 
     dataset: Dataset
     split: object
-    deep_clinical: object | None = None
-    deep_imaging: object | None = None
-    rsf_clin: object | None = None
-    rsf_img: object | None = None
-    fusion_multimodal: FusionModel | None = None
-    fusion_pesi: FusionModel | None = None
-    fusion_rsf: FusionModel | None = None
+    fitted: dict[str, object] = field(default_factory=dict)
 
 
-# stage tags for derived random substreams; order is frozen, append only
-_STAGE = {"split": 0, "deep_clinical": 1, "deep_imaging": 2, "rsf_clin": 3,
+# stage tags for derived random substreams, a fitted component's under its
+# component tag; the numbers are frozen, append only
+_STAGE = {"split": 0, "clin": 1, "img": 2, "rsf_clin": 3,
           "rsf_img": 4, "ci": 5, "compare": 6, "ci_short": 7}
 
 
@@ -242,101 +238,50 @@ def _derived_seed(*key: int) -> int:
     return int(np.random.SeedSequence(tuple(key)).generate_state(1, dtype=np.uint64)[0])
 
 
-def _needs(models, *kinds):
-    return any(k in models for k in kinds)
-
-
-def _fit_models(cfg: StudyConfig, clin, img, labels, pesi_scores, arts: StudyArtifacts,
+def _fit_models(cfg: StudyConfig, tags, inputs, labels, pesi_scores, arts: StudyArtifacts,
                 forests: rsf.PendingForests):
-    """Fit the panel on the training split, recording the fitted components
-    in ``arts``; returns the raw and probability-scale scores per model and
-    split. The forests, already started, are finished where they are needed."""
-    models = tuple(cfg.models)
-    raw: dict[str, dict[str, np.ndarray]] = {}
-    prob: dict[str, dict[str, np.ndarray]] = {}
-
-    if "pesi" in models:
-        raw["pesi"] = pesi_scores
-        prob["pesi"] = {s: sigmoid(pesi_scores[s]) for s in SPLIT_NAMES}
-
-    needs_deep_clin = _needs(models, "deep_clinical", "deep_multimodal", "deep_pesi_fused")
-    needs_deep_img = _needs(models, "deep_imaging", "deep_multimodal", "deep_pesi_fused")
-
-    deep_scores: dict[str, dict[str, np.ndarray]] = {}
-    if needs_deep_clin:
-        hp = cfg.deep_clinical
-        net = deep_survival.init_mlp(clin["train"].shape[1], hp.hidden_dims,
-                                     _derived_seed(cfg.seed, _STAGE["deep_clinical"]), "clin")
+    """Fit the components ``tags`` and then the panel on the training split,
+    recording the fitted models in ``arts``; returns the raw and
+    probability-scale scores per model and split. ``inputs`` holds the
+    clinical and imaging matrices per split. The forests, already started,
+    are finished after both networks have trained."""
+    scores = {"pesi": pesi_scores}
+    for tag, hp in (("clin", cfg.deep_clinical), ("img", cfg.deep_imaging)):
+        if tag not in tags:
+            continue
+        X = inputs[tag]
+        net = deep_survival.init_mlp(X["train"].shape[1], hp.hidden_dims,
+                                     _derived_seed(cfg.seed, _STAGE[tag]), tag)
         net, _ = deep_survival.train(
-            net, clin["train"], labels["train"], val=(clin["val"], labels["val"]),
+            net, X["train"], labels["train"], val=(X["val"], labels["val"]),
             options=deep_survival.TrainOptions(
                 learning_rate=hp.learning_rate, epochs=hp.epochs,
                 weight_decay=hp.weight_decay, patience=hp.patience),
         )
-        arts.deep_clinical = net
-        deep_scores["clin"] = {s: deep_survival.forward(net, clin[s]) for s in SPLIT_NAMES}
-    if needs_deep_img:
-        hp = cfg.deep_imaging
-        net = deep_survival.init_mlp(img["train"].shape[1], hp.hidden_dims,
-                                     _derived_seed(cfg.seed, _STAGE["deep_imaging"]), "img")
-        net, _ = deep_survival.train(
-            net, img["train"], labels["train"], val=(img["val"], labels["val"]),
-            options=deep_survival.TrainOptions(
-                learning_rate=hp.learning_rate, epochs=hp.epochs,
-                weight_decay=hp.weight_decay, patience=hp.patience),
-        )
-        arts.deep_imaging = net
-        deep_scores["img"] = {s: deep_survival.forward(net, img[s]) for s in SPLIT_NAMES}
-
-    if "deep_clinical" in models:
-        raw["deep_clinical"] = deep_scores["clin"]
-        prob["deep_clinical"] = deep_scores["clin"]
-    if "deep_imaging" in models:
-        raw["deep_imaging"] = deep_scores["img"]
-        prob["deep_imaging"] = deep_scores["img"]
+        arts.fitted[tag] = net
+        scores[tag] = {s: deep_survival.forward(net, X[s]) for s in SPLIT_NAMES}
+    forest_tags = [tag for tag in tags if tag.startswith("rsf_")]
+    for tag, forest in zip(forest_tags, forests.finish()):
+        arts.fitted[tag] = forest
+        X = inputs[tag.removeprefix("rsf_")]
+        scores[tag] = {s: rsf.predict_risk(forest, X[s]) for s in SPLIT_NAMES}
 
     fusion_opts = FitOptions(ridge_penalty=cfg.fusion_ridge)
-    if "deep_multimodal" in models:
-        fused = fit_fusion(
-            {"clin": deep_scores["clin"]["train"], "img": deep_scores["img"]["train"]},
-            labels["train"], fusion_opts)
-        arts.fusion_multimodal = fused
-        raw["deep_multimodal"] = {
-            s: predict_fused(fused, {"clin": deep_scores["clin"][s], "img": deep_scores["img"][s]})
-            for s in SPLIT_NAMES
-        }
-        prob["deep_multimodal"] = {s: sigmoid(raw["deep_multimodal"][s]) for s in SPLIT_NAMES}
-    if "deep_pesi_fused" in models:
-        fused = fit_fusion(
-            {"clin": deep_scores["clin"]["train"], "img": deep_scores["img"]["train"],
-             "pesi": pesi_scores["train"]},
-            labels["train"], fusion_opts)
-        arts.fusion_pesi = fused
-        raw["deep_pesi_fused"] = {
-            s: predict_fused(fused, {"clin": deep_scores["clin"][s],
-                                     "img": deep_scores["img"][s],
-                                     "pesi": pesi_scores[s]})
-            for s in SPLIT_NAMES
-        }
-        prob["deep_pesi_fused"] = {s: sigmoid(raw["deep_pesi_fused"][s]) for s in SPLIT_NAMES}
-    if "rsf_fused" in models:
-        forest_clin, forest_img = forests.finish()
-        arts.rsf_clin, arts.rsf_img = forest_clin, forest_img
-        rsf_scores = {
-            "rsf_clin": {s: rsf.predict_risk(forest_clin, clin[s]) for s in SPLIT_NAMES},
-            "rsf_img": {s: rsf.predict_risk(forest_img, img[s]) for s in SPLIT_NAMES},
-        }
-        fused = fit_fusion(
-            {"rsf_clin": rsf_scores["rsf_clin"]["train"], "rsf_img": rsf_scores["rsf_img"]["train"]},
-            labels["train"], fusion_opts)
-        arts.fusion_rsf = fused
-        raw["rsf_fused"] = {
-            s: predict_fused(fused, {"rsf_clin": rsf_scores["rsf_clin"][s],
-                                     "rsf_img": rsf_scores["rsf_img"][s]})
-            for s in SPLIT_NAMES
-        }
-        prob["rsf_fused"] = {s: sigmoid(raw["rsf_fused"][s]) for s in SPLIT_NAMES}
-
+    raw: dict[str, dict[str, np.ndarray]] = {}
+    prob: dict[str, dict[str, np.ndarray]] = {}
+    for kind in cfg.models:
+        parts = COMPONENTS[kind]
+        if len(parts) == 1:
+            raw[kind] = scores[parts[0]]
+        else:
+            fused = fit_fusion({t: scores[t]["train"] for t in parts}, labels["train"],
+                               fusion_opts)
+            arts.fitted[kind] = fused
+            raw[kind] = {s: predict_fused(fused, {t: scores[t][s] for t in parts})
+                         for s in SPLIT_NAMES}
+        # a network's own score is already a sigmoid output
+        own_network = len(parts) == 1 and parts[0] != "pesi"
+        prob[kind] = raw[kind] if own_network else {s: sigmoid(raw[kind][s]) for s in SPLIT_NAMES}
     return raw, prob
 
 
@@ -361,30 +306,28 @@ def run_study_full(ds: Dataset, config: StudyConfig | None = None):
     labels = {s: ds.labels.take(rows[s]) for s in SPLIT_NAMES}
     ids = {s: [ds.patient_ids[i] for i in rows[s]] for s in SPLIT_NAMES}
 
+    # the component tags the requested models read, in fusion order
+    tags = [t for t in CANONICAL_ORDER if any(t in COMPONENTS[k] for k in models)]
     clin_all = clinical_matrix(ds)
-    clin = {s: clin_all[rows[s]] for s in SPLIT_NAMES}
-
-    needs_imaging = _needs(models, "deep_imaging", "deep_multimodal", "deep_pesi_fused", "rsf_fused")
-    img = None
-    if needs_imaging:
+    inputs = {"clin": {s: clin_all[rows[s]] for s in SPLIT_NAMES}}
+    if reads_imaging(models):
         img_all = imaging_matrix(ds, " but an imaging model was requested")
-        img = {s: img_all[rows[s]] for s in SPLIT_NAMES}
+        inputs["img"] = {s: img_all[rows[s]] for s in SPLIT_NAMES}
 
     pesi_all = pesi.pesi_scores(ds)
     pesi_scores = {s: pesi_all[rows[s]] for s in SPLIT_NAMES}
 
     arts = StudyArtifacts(dataset=ds, split=split)
     # the forests grow on the process pool while the networks train here
-    forest_fits = []
-    if "rsf_fused" in models:
-        ropts = rsf.RsfOptions(n_trees=cfg.rsf.n_trees, mtry=cfg.rsf.mtry,
-                               min_leaf_size=cfg.rsf.min_leaf_size,
-                               seed=_derived_seed(cfg.seed, _STAGE["rsf_clin"]))
-        ropts_img = dataclasses.replace(ropts, seed=_derived_seed(cfg.seed, _STAGE["rsf_img"]))
-        forest_fits = [(clin["train"], labels["train"], ropts),
-                       (img["train"], labels["train"], ropts_img)]
+    forest_fits = [
+        (inputs[tag.removeprefix("rsf_")]["train"], labels["train"],
+         rsf.RsfOptions(n_trees=cfg.rsf.n_trees, mtry=cfg.rsf.mtry,
+                        min_leaf_size=cfg.rsf.min_leaf_size,
+                        seed=_derived_seed(cfg.seed, _STAGE[tag])))
+        for tag in tags if tag.startswith("rsf_")
+    ]
     with rsf.start_forests(forest_fits) as forests:
-        raw, prob = _fit_models(cfg, clin, img, labels, pesi_scores, arts, forests)
+        raw, prob = _fit_models(cfg, tags, inputs, labels, pesi_scores, arts, forests)
 
     # --- evaluation ---------------------------------------------------------
     overall = {s: {} for s in SPLIT_NAMES}

@@ -32,23 +32,14 @@ from .dataset import BINARY_FIELDS, ImputationStats
 from .deep_survival import MlpSurvModel
 from .errors import IoError, SchemaMismatchError, UnknownModelKindError
 from .fusion import FusionModel
+from .kinds import ARTIFACTS, COMPONENTS
 from .rsf import ForestModel, RsfOptions, SurvivalTree
 
 SCHEMA_VERSION = 2
 # versions load_model reads; v1 differs only in two forest keys it ignores
 _READABLE_VERSIONS = (1, 2)
 
-MODEL_KINDS = (
-    "deep_clinical",
-    "deep_imaging",
-    "rsf_clinical",
-    "rsf_imaging",
-    "fusion_multimodal",
-    "fusion_pesi_fused",
-    "fusion_rsf",
-)
-
-_FUSION_KINDS = ("fusion_multimodal", "fusion_pesi_fused", "fusion_rsf")
+MODEL_KINDS = tuple(ARTIFACTS)
 
 
 @dataclass(eq=False)
@@ -262,6 +253,15 @@ def _dec_imputation(doc: dict) -> ImputationStats:
     return stats
 
 
+# the model type, encoder and decoder of each artifact kind's body
+_BODY_CODECS = {
+    kind: ((FusionBundle, _enc_fusion, _dec_fusion) if held in COMPONENTS
+           else (ForestModel, _enc_forest, _dec_forest) if held.startswith("rsf_")
+           else (MlpSurvModel, _enc_mlp, _dec_mlp))
+    for kind, held in ARTIFACTS.items()
+}
+
+
 # --- public API -------------------------------------------------------------
 
 
@@ -270,24 +270,15 @@ def save_model(path, kind: str, model, *, imputation: ImputationStats | None = N
     """Write one fitted model (with metadata) as a JSON artifact."""
     if kind not in MODEL_KINDS:
         raise UnknownModelKindError(f"unknown model kind {kind!r}")
-    if kind in _FUSION_KINDS:
-        if not isinstance(model, FusionBundle):
-            raise SchemaMismatchError(f"{kind} artifacts require a FusionBundle")
-        body = _enc_fusion(model)
-    elif kind.startswith("deep_"):
-        if not isinstance(model, MlpSurvModel):
-            raise SchemaMismatchError(f"{kind} artifacts require an MlpSurvModel")
-        body = _enc_mlp(model)
-    else:
-        if not isinstance(model, ForestModel):
-            raise SchemaMismatchError(f"{kind} artifacts require a ForestModel")
-        body = _enc_forest(model)
+    model_type, encode, _ = _BODY_CODECS[kind]
+    if not isinstance(model, model_type):
+        raise SchemaMismatchError(f"{kind} artifacts require a {model_type.__name__}")
     doc = {
         "schema_version": SCHEMA_VERSION,
         "kind": kind,
         "metadata": {"seed": seed, "data_fingerprint": data_fingerprint},
         "imputation": None if imputation is None else _enc_imputation(imputation),
-        "model": body,
+        "model": encode(model),
     }
     text = json.dumps(doc, sort_keys=True) + "\n"
     try:
@@ -320,14 +311,8 @@ def load_model(path) -> ModelArtifact:
     kind = doc["kind"]
     if kind not in MODEL_KINDS:
         raise UnknownModelKindError(f"unknown model kind {kind!r} in {path}")
-    body = doc["model"]
     try:
-        if kind in _FUSION_KINDS:
-            model = _dec_fusion(body)
-        elif kind.startswith("deep_"):
-            model = _dec_mlp(body)
-        else:
-            model = _dec_forest(body)
+        model = _BODY_CODECS[kind][2](doc["model"])
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaMismatchError(f"{path} has a malformed {kind} body: {exc}") from exc
     try:

@@ -64,7 +64,7 @@ from .errors import (
     UnknownModelKindError,
 )
 from .feature_csv import FeatureRead
-from .kinds import MODEL_KINDS
+from .kinds import ARTIFACTS, COMPONENTS, MODEL_KINDS, reads_imaging
 
 log = logging.getLogger("survfuse.cli")
 
@@ -78,14 +78,6 @@ _VALIDATION_ERRORS = (
     MalformedRowError,
     MissingModalityError,
     DatasetTooSmallError,
-)
-
-_IMAGING_ARTIFACT_KINDS = (
-    "deep_imaging",
-    "rsf_imaging",
-    "fusion_multimodal",
-    "fusion_pesi_fused",
-    "fusion_rsf",
 )
 
 _SCORE_HEADER = ("patient_id", "risk_score", "pesi_score", "pesi_class")
@@ -156,6 +148,10 @@ def _is_num(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _merge_section(name: str, defaults: dict, given) -> dict:
     _require(isinstance(given, dict), name, "must be a JSON object")
     merged = dict(defaults)
@@ -211,8 +207,7 @@ def effective_config(raw: dict, args=None) -> dict:
         if getattr(args, "n", None) is not None:
             cfg["generate"]["n"] = args.n
 
-    _require(isinstance(cfg["seed"], int) and not isinstance(cfg["seed"], bool),
-             "seed", "must be an integer")
+    _require(_is_int(cfg["seed"]), "seed", "must be an integer")
     _require(0 <= cfg["seed"] < 2 ** 64, "seed", "must fit in an unsigned 64-bit integer")
 
     split = cfg["split"]
@@ -227,9 +222,7 @@ def effective_config(raw: dict, args=None) -> dict:
         _require(m in MODEL_KINDS, "models", f"unknown model kind {m!r}")
     _require(len(set(models)) == len(models), "models", "contains duplicates")
 
-    _require(isinstance(cfg["bootstrap_resamples"], int)
-             and not isinstance(cfg["bootstrap_resamples"], bool)
-             and cfg["bootstrap_resamples"] >= 100,
+    _require(_is_int(cfg["bootstrap_resamples"]) and cfg["bootstrap_resamples"] >= 100,
              "bootstrap_resamples", "must be an integer >= 100")
     _require(_is_num(cfg["nri_threshold"]) and 0.0 < cfg["nri_threshold"] < 1.0,
              "nri_threshold", "must be a number in (0, 1)")
@@ -248,23 +241,23 @@ def effective_config(raw: dict, args=None) -> dict:
         sec = cfg[name]
         dims = sec["hidden_dims"]
         _require(isinstance(dims, list) and dims
-                 and all(isinstance(d, int) and not isinstance(d, bool) and d >= 1 for d in dims),
+                 and all(_is_int(d) and d >= 1 for d in dims),
                  f"{name}.hidden_dims", "must be a non-empty list of positive integers")
         _require(_is_num(sec["learning_rate"]) and sec["learning_rate"] > 0,
                  f"{name}.learning_rate", "must be a positive number")
-        _require(isinstance(sec["epochs"], int) and sec["epochs"] >= 1,
+        _require(_is_int(sec["epochs"]) and sec["epochs"] >= 1,
                  f"{name}.epochs", "must be a positive integer")
         _require(_is_num(sec["weight_decay"]) and sec["weight_decay"] >= 0,
                  f"{name}.weight_decay", "must be a non-negative number")
-        _require(isinstance(sec["patience"], int) and sec["patience"] >= 0,
+        _require(_is_int(sec["patience"]) and sec["patience"] >= 0,
                  f"{name}.patience", "must be a non-negative integer")
 
     rsf_sec = cfg["rsf"]
-    _require(isinstance(rsf_sec["n_trees"], int) and rsf_sec["n_trees"] >= 1,
+    _require(_is_int(rsf_sec["n_trees"]) and rsf_sec["n_trees"] >= 1,
              "rsf.n_trees", "must be a positive integer")
-    _require(rsf_sec["mtry"] is None or (isinstance(rsf_sec["mtry"], int) and rsf_sec["mtry"] >= 1),
+    _require(rsf_sec["mtry"] is None or (_is_int(rsf_sec["mtry"]) and rsf_sec["mtry"] >= 1),
              "rsf.mtry", "must be a positive integer or null")
-    _require(isinstance(rsf_sec["min_leaf_size"], int) and rsf_sec["min_leaf_size"] >= 1,
+    _require(_is_int(rsf_sec["min_leaf_size"]) and rsf_sec["min_leaf_size"] >= 1,
              "rsf.min_leaf_size", "must be a positive integer")
 
     _require(_is_num(cfg["fusion_ridge"]) and cfg["fusion_ridge"] >= 0,
@@ -272,9 +265,9 @@ def effective_config(raw: dict, args=None) -> dict:
     _require(isinstance(cfg["truncate_30day"], bool), "truncate_30day", "must be a boolean")
 
     gen = cfg["generate"]
-    _require(isinstance(gen["n"], int) and gen["n"] >= 10, "generate.n",
+    _require(_is_int(gen["n"]) and gen["n"] >= 10, "generate.n",
              "must be an integer >= 10")
-    _require(isinstance(gen["img_dim"], int) and gen["img_dim"] >= 1,
+    _require(_is_int(gen["img_dim"]) and gen["img_dim"] >= 1,
              "generate.img_dim", "must be a positive integer")
     lw = gen["latent_weights"]
     _require(isinstance(lw, list) and len(lw) == 2 and all(_is_num(v) for v in lw),
@@ -285,7 +278,7 @@ def effective_config(raw: dict, args=None) -> dict:
              "generate.baseline_rate", "must be a positive number")
     _require(_is_num(gen["censor_rate"]) and gen["censor_rate"] >= 0,
              "generate.censor_rate", "must be a non-negative number")
-    _require(isinstance(gen["max_acquisitions"], int) and gen["max_acquisitions"] >= 1,
+    _require(_is_int(gen["max_acquisitions"]) and gen["max_acquisitions"] >= 1,
              "generate.max_acquisitions", "must be a positive integer")
     _require(_is_num(gen["missing_rate"]) and 0.0 <= gen["missing_rate"] < 1.0,
              "generate.missing_rate", "must be a number in [0, 1)")
@@ -394,16 +387,12 @@ def _ingest_for_run(cfg: dict, features):
         raise InvalidConfigError("clinical", "a clinical CSV path is required")
     if not os.path.exists(cfg["clinical"]):
         raise InvalidConfigError("clinical", f"file not found: {cfg['clinical']}")
-    needs_imaging = any(
-        m in cfg["models"]
-        for m in ("deep_imaging", "deep_multimodal", "deep_pesi_fused", "rsf_fused")
-    )
     ds = ingest_clinical(cfg["clinical"])
     if cfg["features"] is not None:
         if not os.path.exists(cfg["features"]):
             raise InvalidConfigError("features", f"file not found: {cfg['features']}")
         ds = attach_imaging(ds, features)
-    elif needs_imaging:
+    elif reads_imaging(cfg["models"]):
         raise MissingModalityError(
             "imaging models were requested but no features CSV was provided"
         )
@@ -420,32 +409,16 @@ def _save_artifacts(out_dir: str, arts, cfg: dict) -> list[str]:
     imp = arts.dataset.imputation
     seed = cfg["seed"]
     written = []
-
-    def save(kind, model):
+    for kind, held in ARTIFACTS.items():
+        model = arts.fitted.get(held)
+        if model is None:
+            continue
+        if held in COMPONENTS:  # a fusion, saved with the fitted models it reads
+            model = artifacts.FusionBundle(fusion=model, components={
+                tag: arts.fitted[tag] for tag in COMPONENTS[held] if tag != "pesi"})
         path = os.path.join(models_dir, f"{kind}.json")
         artifacts.save_model(path, kind, model, imputation=imp, seed=seed, data_fingerprint=fp)
         written.append(path)
-
-    if arts.deep_clinical is not None:
-        save("deep_clinical", arts.deep_clinical)
-    if arts.deep_imaging is not None:
-        save("deep_imaging", arts.deep_imaging)
-    if arts.rsf_clin is not None:
-        save("rsf_clinical", arts.rsf_clin)
-    if arts.rsf_img is not None:
-        save("rsf_imaging", arts.rsf_img)
-    if arts.fusion_multimodal is not None:
-        save("fusion_multimodal", artifacts.FusionBundle(
-            fusion=arts.fusion_multimodal,
-            components={"clin": arts.deep_clinical, "img": arts.deep_imaging}))
-    if arts.fusion_pesi is not None:
-        save("fusion_pesi_fused", artifacts.FusionBundle(
-            fusion=arts.fusion_pesi,
-            components={"clin": arts.deep_clinical, "img": arts.deep_imaging}))
-    if arts.fusion_rsf is not None:
-        save("fusion_rsf", artifacts.FusionBundle(
-            fusion=arts.fusion_rsf,
-            components={"rsf_clin": arts.rsf_clin, "rsf_img": arts.rsf_img}))
     return written
 
 
@@ -519,9 +492,8 @@ def cmd_run(args) -> int:
     return 0
 
 
-# the model of each single-model artifact kind, by its fusion component tag
-_KIND_TAGS = {"deep_clinical": "clin", "deep_imaging": "img",
-              "rsf_clinical": "rsf_clin", "rsf_imaging": "rsf_img"}
+# the component tag of each single-model artifact kind
+_KIND_TAGS = {kind: held for kind, held in ARTIFACTS.items() if held not in COMPONENTS}
 
 
 def _score_records(artifact, ds):
@@ -536,10 +508,10 @@ def _score_records(artifact, ds):
     inputs = {}
 
     def score(tag, model):
-        modality = "img" if tag.endswith("img") else "clin"
+        modality = tag.removeprefix("rsf_")
         if modality not in inputs:
             inputs[modality] = clinical_matrix(ds) if modality == "clin" else imaging_matrix(ds)
-        if tag in ("clin", "img"):
+        if isinstance(model, deep_survival.MlpSurvModel):
             return deep_survival.forward(model, inputs[modality])
         return np.atleast_1d(rsf.predict_risk(model, inputs[modality]))
 
@@ -548,7 +520,7 @@ def _score_records(artifact, ds):
     bundle = artifact.model
     scores = {}
     for tag, comp in bundle.components.items():
-        if tag not in ("clin", "img", "rsf_clin", "rsf_img"):
+        if tag not in _KIND_TAGS.values():
             raise SchemaMismatchError(f"unknown component tag {tag!r} in artifact")
         scores[tag] = score(tag, comp)
     if "pesi" in bundle.fusion.sources:
@@ -567,7 +539,7 @@ def cmd_score(args) -> int:
 
         with _stage("load"):
             artifact = artifacts.load_model(args.model)
-        if artifact.kind in _IMAGING_ARTIFACT_KINDS and not args.features:
+        if reads_imaging([artifact.kind]) and not args.features:
             raise InvalidConfigError("features", f"required for {artifact.kind} artifacts")
 
         with _stage("ingest"):
@@ -623,7 +595,15 @@ def cmd_report(args) -> int:
         missing = [k for k in expected if k not in doc]
         if missing:
             raise SchemaMismatchError(f"report lacks key(s): {', '.join(missing)}")
+    try:
+        out = _render_report(doc)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise SchemaMismatchError(f"{args.report} has a malformed body: {exc!r}") from exc
+    print("\n".join(out))
+    return 0
 
+
+def _render_report(doc: dict) -> list[str]:
     out = []
     out.append("concordance, full follow-up")
     for split, table in doc["overall"].items():
@@ -671,8 +651,7 @@ def cmd_report(args) -> int:
                 f"({rv['death_capture_pct']:.1f}%)"
             )
     out.append(f"config fingerprint: {doc['config_fingerprint']}")
-    print("\n".join(out))
-    return 0
+    return out
 
 
 # --- entry point ------------------------------------------------------------

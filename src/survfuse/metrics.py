@@ -84,19 +84,16 @@ def c_index(scores, labels: Labels) -> float:
 
     A pair (i, j) is comparable when subject i has an observed event strictly
     before j's time. Concordant pairs (higher score for the earlier event)
-    count 1, score ties count 1/2.
+    count 1, score ties count 1/2. The value is ``weighted_c_index`` under
+    one all-ones row of weights.
     """
     s = np.asarray(scores, dtype=float)
     if s.ndim != 1 or s.size != len(labels):
         raise MismatchedLengthsError(f"{s.size} scores for {len(labels)} labels")
     t, e = labels.times, labels.events
-    comparable = e[:, None] & (t[:, None] < t[None, :])
-    n_pairs = int(comparable.sum())
-    if n_pairs == 0:
+    if not (e & (t < t.max(initial=-np.inf))).any():
         raise NoComparablePairsError("no (event, later-time) pair exists")
-    greater = int((comparable & (s[:, None] > s[None, :])).sum())
-    tied = int((comparable & (s[:, None] == s[None, :])).sum())
-    return float((greater + 0.5 * tied) / n_pairs)
+    return float(weighted_c_index(s, labels, np.ones((1, s.size), dtype=np.uint8))[0])
 
 
 def resample_weights(rng: np.random.Generator, labels: Labels,
@@ -280,19 +277,13 @@ def nri(old_scores, new_scores, labels: Labels, threshold: float = 0.7) -> NriRe
     )
 
 
-def _midranks(values: np.ndarray) -> np.ndarray:
-    """Ranks 1..n with ties sharing the average of their positions."""
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(values.size)
-    sorted_vals = values[order]
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+def _midranks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ranks 1..n with ties sharing the average of their positions, and the
+    size of each group of tied values."""
+    _, group, counts = np.unique(values, return_inverse=True, return_counts=True)
+    last = np.cumsum(counts) - 1
+    first = last - (counts - 1)
+    return ((first + last) / 2.0 + 1.0)[group], counts
 
 
 def _exact_signed_rank_p(ranks: np.ndarray, w_positive: float) -> float:
@@ -330,7 +321,7 @@ def wilcoxon_signed_rank(diffs, exact_threshold: int = 20) -> TestResult:
     n = d.size
     if n < 5:
         raise TooFewPairsError(f"need at least 5 nonzero differences, got {n}")
-    ranks = _midranks(np.abs(d))
+    ranks, tie_counts = _midranks(np.abs(d))
     w_positive = float(ranks[d > 0].sum())
     if n <= exact_threshold:
         p = _exact_signed_rank_p(ranks, w_positive)
@@ -338,7 +329,6 @@ def wilcoxon_signed_rank(diffs, exact_threshold: int = 20) -> TestResult:
     else:
         mean = n * (n + 1) / 4.0
         var = n * (n + 1) * (2 * n + 1) / 24.0
-        _, tie_counts = np.unique(np.abs(d), return_counts=True)
         var -= float((tie_counts.astype(float) ** 3 - tie_counts).sum()) / 48.0
         if var <= 0:
             return TestResult(statistic=w_positive, p_value=1.0,

@@ -325,13 +325,9 @@ class TestRunStudy:
 
     def test_artifacts_expose_fitted_models(self, full_study):
         (_, arts), _ = full_study
-        assert arts.deep_clinical is not None
-        assert arts.deep_imaging is not None
-        assert arts.rsf_clin is not None and arts.rsf_img is not None
-        assert arts.fusion_multimodal is not None
-        assert arts.fusion_pesi is not None
-        assert arts.fusion_rsf is not None
-        assert arts.fusion_pesi.sources == ("clin", "img", "pesi")
+        assert set(arts.fitted) == {"clin", "img", "rsf_clin", "rsf_img",
+                                    "deep_multimodal", "deep_pesi_fused", "rsf_fused"}
+        assert arts.fitted["deep_pesi_fused"].sources == ("clin", "img", "pesi")
 
     def test_deterministic_repeat(self, study_dataset, full_study):
         (report, _), cfg = full_study

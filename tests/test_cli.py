@@ -77,6 +77,18 @@ class TestEffectiveConfig:
         ({"truncate_30day": "yes"}, "truncate_30day"),
         ({"generate": {"n": 5}}, "generate.n"),
         ({"generate": {"missing_rate": 1.0}}, "generate.missing_rate"),
+        # JSON booleans are not integers
+        ({"seed": True}, "seed"),
+        ({"bootstrap_resamples": True}, "bootstrap_resamples"),
+        ({"deep_clinical": {"hidden_dims": [True]}}, "deep_clinical.hidden_dims"),
+        ({"deep_clinical": {"epochs": True}}, "deep_clinical.epochs"),
+        ({"deep_imaging": {"patience": False}}, "deep_imaging.patience"),
+        ({"rsf": {"n_trees": True}}, "rsf.n_trees"),
+        ({"rsf": {"mtry": True}}, "rsf.mtry"),
+        ({"rsf": {"min_leaf_size": True}}, "rsf.min_leaf_size"),
+        ({"generate": {"n": True}}, "generate.n"),
+        ({"generate": {"img_dim": True}}, "generate.img_dim"),
+        ({"generate": {"max_acquisitions": True}}, "generate.max_acquisitions"),
     ])
     def test_validation_names_the_field(self, raw, path_part):
         with pytest.raises(InvalidConfigError) as err:
@@ -220,6 +232,28 @@ class TestRun:
             "fusion_pesi_fused.json", "fusion_rsf.json", "rsf_clinical.json",
             "rsf_imaging.json",
         ]
+
+    # the artifacts a run of one model kind writes, in write order
+    @pytest.mark.parametrize("kind,written", [
+        ("pesi", []),
+        ("deep_clinical", ["deep_clinical"]),
+        ("deep_imaging", ["deep_imaging"]),
+        ("deep_multimodal", ["deep_clinical", "deep_imaging", "fusion_multimodal"]),
+        ("deep_pesi_fused", ["deep_clinical", "deep_imaging", "fusion_pesi_fused"]),
+        ("rsf_fused", ["rsf_clinical", "rsf_imaging", "fusion_rsf"]),
+    ])
+    def test_each_model_kind_writes_its_artifacts(self, cohort, tmp_path, capsys, kind, written):
+        out = tmp_path / kind
+        code = main(["run", "--config", write_config(tmp_path),
+                     "--clinical", str(cohort / "clinical.csv"),
+                     "--features", str(cohort / "features.csv"),
+                     "--models", kind, "--seed", "11", "--out", str(out)])
+        assert code == 0
+        models = out / "models"
+        assert sorted(p.stem for p in models.glob("*.json")) == sorted(written)
+        printed = [line.split()[1] for line in capsys.readouterr().out.splitlines()
+                   if line.startswith(f"wrote {models}")]
+        assert printed == [str(models / f"{k}.json") for k in written]
 
     def test_reruns_into_fresh_dir_byte_identical(self, cohort, run_result, tmp_path):
         first_out, cfg = run_result
@@ -409,12 +443,25 @@ class TestScore:
         assert code == 1
         assert "patient_id" in caplog.text
 
-    def test_imaging_artifact_requires_features(self, cohort, run_result, tmp_path):
+    def test_imaging_artifact_requires_features(self, cohort, run_result, tmp_path, caplog):
         out, _ = run_result
-        code = main(["score", "--model", str(out / "models" / "fusion_multimodal.json"),
-                     "--clinical", str(cohort / "clinical.csv"),
-                     "--out", str(tmp_path / "s.csv")])
-        assert code == 1
+        for kind in ("deep_imaging", "rsf_imaging", "fusion_multimodal", "fusion_pesi_fused",
+                     "fusion_rsf"):
+            code = main(["score", "--model", str(out / "models" / f"{kind}.json"),
+                         "--clinical", str(cohort / "clinical.csv"),
+                         "--out", str(tmp_path / "s.csv")])
+            assert code == 1
+            assert f"required for {kind} artifacts" in caplog.text
+            assert not (tmp_path / "s.csv").exists()
+
+    def test_clinical_artifacts_score_without_features(self, cohort, run_result, tmp_path):
+        out, _ = run_result
+        for kind in ("deep_clinical", "rsf_clinical"):
+            scored = tmp_path / f"{kind}.csv"
+            code = main(["score", "--model", str(out / "models" / f"{kind}.json"),
+                         "--clinical", str(cohort / "clinical.csv"), "--out", str(scored)])
+            assert code == 0
+            assert len(scored.read_text().splitlines()) == 121
 
     @pytest.mark.parametrize("model", ["deep_imaging", "rsf_imaging", "fusion_rsf"])
     @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
@@ -545,6 +592,27 @@ class TestReport:
 
     def test_missing_file_is_runtime_error(self, tmp_path):
         assert main(["report", str(tmp_path / "ghost.json")]) == 2
+
+    def _malformed(self, run_result, tmp_path, edit):
+        out, _ = run_result
+        doc = json.loads((out / "report.json").read_text())
+        edit(doc)
+        path = tmp_path / "malformed_report.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    def test_malformed_overall_is_schema_error(self, run_result, tmp_path, caplog):
+        path = self._malformed(run_result, tmp_path, lambda doc: doc.update(overall=[]))
+        assert main(["report", str(path)]) == 1
+        assert f"{path} has a malformed body" in caplog.text
+
+    def test_km_entry_without_cut_value_is_schema_error(self, run_result, tmp_path, caplog):
+        def edit(doc):
+            del next(iter(doc["km"].values()))["cut_value"]
+
+        path = self._malformed(run_result, tmp_path, edit)
+        assert main(["report", str(path)]) == 1
+        assert f"{path} has a malformed body" in caplog.text
 
 
 class TestParser:

@@ -605,6 +605,14 @@ class TestWilcoxon:
         without = wilcoxon_signed_rank([1.0, 2.0, 3.0, 4.0, 5.0])
         assert with_zeros.p_value == without.p_value
 
+    @settings(max_examples=200)
+    @given(st.sampled_from([1, 2, 3, 10**6]).flatmap(
+        lambda levels: st.lists(st.integers(0, levels - 1), min_size=1, max_size=40)))
+    def test_midranks_match_the_loop_under_heavy_ties(self, values):
+        ranks, tie_counts = metrics._midranks(np.array(values, dtype=float))
+        assert ranks.tolist() == midranks(values).tolist()
+        assert tie_counts.tolist() == [values.count(v) for v in sorted(set(values))]
+
     def test_too_few_nonzero(self):
         with pytest.raises(TooFewPairsError):
             wilcoxon_signed_rank([0.0, 0.0, 1.0, -2.0, 3.0, 0.0])
