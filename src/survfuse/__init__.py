@@ -18,14 +18,14 @@ import importlib
 # listed here is public too
 _EXPORTS = {
     "analysis": (
-        "ComparisonResult", "DeepHyper", "MODEL_KINDS", "RiskStrata", "RsfHyper",
-        "RvFactorReport", "StudyConfig", "StudyReport", "compare_to_pesi",
-        "run_study", "run_study_full", "rv_factor_analysis", "stratify",
+        "ComparisonResult", "MODEL_KINDS", "RiskStrata", "RvFactorReport", "StudyReport",
+        "compare_to_pesi", "run_study", "run_study_full", "rv_factor_analysis", "stratify",
     ),
     "artifacts": (
         "FusionBundle", "ModelArtifact", "file_fingerprint", "load_model",
         "save_model",
     ),
+    "config": ("effective_config",),
     "cox_linear": ("CoxModel", "FitOptions", "fit_cox"),
     "dataset": (
         "Dataset", "ImputationStats", "Labels", "SplitAssignment", "apply_imputation",

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import deep_survival, pesi, rsf
+from .config import effective_config
 from .cox_linear import FitOptions
 from .dataset import (
     Dataset,
@@ -171,43 +172,6 @@ def compare_to_pesi(model_scores, pesi_scores, labels: Labels,
 # full study pipeline
 
 
-@dataclass(frozen=True)
-class DeepHyper:
-    hidden_dims: tuple[int, ...] = (32,)
-    learning_rate: float = 1e-3
-    epochs: int = 500
-    weight_decay: float = 1e-4
-    patience: int = 50
-
-
-@dataclass(frozen=True)
-class RsfHyper:
-    n_trees: int = 100
-    mtry: int | None = None
-    min_leaf_size: int = 15
-
-
-@dataclass(frozen=True)
-class StudyConfig:
-    seed: int = 0
-    train_frac: float = 0.7
-    val_frac: float = 0.1
-    models: tuple[str, ...] = MODEL_KINDS
-    bootstrap_resamples: int = 1000
-    nri_threshold: float = 0.7
-    stratification_method: str = "median"
-    stratification_threshold: float | None = None
-    deep_clinical: DeepHyper = field(default_factory=DeepHyper)
-    deep_imaging: DeepHyper = field(default_factory=lambda: DeepHyper(hidden_dims=(64,)))
-    rsf: RsfHyper = field(default_factory=RsfHyper)
-    fusion_ridge: float = 1e-8
-
-    def __post_init__(self):
-        unknown = set(self.models) - set(MODEL_KINDS)
-        if unknown:
-            raise ValueError(f"unknown model kinds: {sorted(unknown)}")
-
-
 @dataclass(frozen=True, eq=False)
 class StudyReport:
     overall: dict
@@ -238,7 +202,7 @@ def _derived_seed(*key: int) -> int:
     return int(np.random.SeedSequence(tuple(key)).generate_state(1, dtype=np.uint64)[0])
 
 
-def _fit_models(cfg: StudyConfig, tags, inputs, labels, pesi_scores, arts: StudyArtifacts,
+def _fit_models(cfg: dict, tags, inputs, labels, pesi_scores, arts: StudyArtifacts,
                 forests: rsf.PendingForests):
     """Fit the components ``tags`` and then the panel on the training split,
     recording the fitted models in ``arts``; returns the raw and
@@ -246,18 +210,16 @@ def _fit_models(cfg: StudyConfig, tags, inputs, labels, pesi_scores, arts: Study
     clinical and imaging matrices per split. The forests, already started,
     are finished after both networks have trained."""
     scores = {"pesi": pesi_scores}
-    for tag, hp in (("clin", cfg.deep_clinical), ("img", cfg.deep_imaging)):
+    for tag, section in (("clin", "deep_clinical"), ("img", "deep_imaging")):
         if tag not in tags:
             continue
         X = inputs[tag]
-        net = deep_survival.init_mlp(X["train"].shape[1], hp.hidden_dims,
-                                     _derived_seed(cfg.seed, _STAGE[tag]), tag)
-        net, _ = deep_survival.train(
-            net, X["train"], labels["train"], val=(X["val"], labels["val"]),
-            options=deep_survival.TrainOptions(
-                learning_rate=hp.learning_rate, epochs=hp.epochs,
-                weight_decay=hp.weight_decay, patience=hp.patience),
-        )
+        hp = dict(cfg[section])
+        net = deep_survival.init_mlp(X["train"].shape[1], tuple(hp.pop("hidden_dims")),
+                                     _derived_seed(cfg["seed"], _STAGE[tag]), tag)
+        net, _ = deep_survival.train(net, X["train"], labels["train"],
+                                     val=(X["val"], labels["val"]),
+                                     options=deep_survival.TrainOptions(**hp))
         arts.fitted[tag] = net
         scores[tag] = {s: deep_survival.forward(net, X[s]) for s in SPLIT_NAMES}
     forest_tags = [tag for tag in tags if tag.startswith("rsf_")]
@@ -266,10 +228,10 @@ def _fit_models(cfg: StudyConfig, tags, inputs, labels, pesi_scores, arts: Study
         X = inputs[tag.removeprefix("rsf_")]
         scores[tag] = {s: rsf.predict_risk(forest, X[s]) for s in SPLIT_NAMES}
 
-    fusion_opts = FitOptions(ridge_penalty=cfg.fusion_ridge)
+    fusion_opts = FitOptions(ridge_penalty=cfg["fusion_ridge"])
     raw: dict[str, dict[str, np.ndarray]] = {}
     prob: dict[str, dict[str, np.ndarray]] = {}
-    for kind in cfg.models:
+    for kind in cfg["models"]:
         parts = COMPONENTS[kind]
         if len(parts) == 1:
             raw[kind] = scores[parts[0]]
@@ -285,17 +247,21 @@ def _fit_models(cfg: StudyConfig, tags, inputs, labels, pesi_scores, arts: Study
     return raw, prob
 
 
-def run_study(ds: Dataset, config: StudyConfig | None = None) -> StudyReport:
+def run_study(ds: Dataset, config: dict | None = None) -> StudyReport:
     report, _ = run_study_full(ds, config)
     return report
 
 
-def run_study_full(ds: Dataset, config: StudyConfig | None = None):
-    """Returns ``(StudyReport, StudyArtifacts)``; see module docstring."""
-    cfg = config or StudyConfig()
-    models = tuple(cfg.models)
+def run_study_full(ds: Dataset, config: dict | None = None):
+    """Returns ``(StudyReport, StudyArtifacts)``; see module docstring.
 
-    split = split_dataset(ds, cfg.seed, cfg.train_frac, cfg.val_frac)
+    ``config`` is a config as a ``--config`` file holds it (omitted fields
+    take their defaults); it is checked by ``config.effective_config``
+    before anything is fitted."""
+    cfg = effective_config(config or {})
+    models = cfg["models"]
+
+    split = split_dataset(ds, cfg["seed"], cfg["split"][0], cfg["split"][1])
     ds = impute_missing(ds, split.train_ids)
 
     # each split's patients, in dataset order
@@ -321,9 +287,7 @@ def run_study_full(ds: Dataset, config: StudyConfig | None = None):
     # the forests grow on the process pool while the networks train here
     forest_fits = [
         (inputs[tag.removeprefix("rsf_")]["train"], labels["train"],
-         rsf.RsfOptions(n_trees=cfg.rsf.n_trees, mtry=cfg.rsf.mtry,
-                        min_leaf_size=cfg.rsf.min_leaf_size,
-                        seed=_derived_seed(cfg.seed, _STAGE[tag])))
+         rsf.RsfOptions(**cfg["rsf"], seed=_derived_seed(cfg["seed"], _STAGE[tag])))
         for tag in tags if tag.startswith("rsf_")
     ]
     with rsf.start_forests(forest_fits) as forests:
@@ -336,8 +300,8 @@ def run_study_full(ds: Dataset, config: StudyConfig | None = None):
             if kind not in models:
                 continue
             scores = raw[kind][s]
-            ci_seed = _derived_seed(cfg.seed, _STAGE["ci"], si, mi)
-            lo, hi = bootstrap_ci(scores, labels[s], cfg.bootstrap_resamples, ci_seed)
+            ci_seed = _derived_seed(cfg["seed"], _STAGE["ci"], si, mi)
+            lo, hi = bootstrap_ci(scores, labels[s], cfg["bootstrap_resamples"], ci_seed)
             overall[s][kind] = {
                 "c_index": c_index(scores, labels[s]), "ci_low": lo, "ci_high": hi,
             }
@@ -349,10 +313,10 @@ def run_study_full(ds: Dataset, config: StudyConfig | None = None):
             if kind not in models:
                 continue
             scores = raw[kind][s]
-            ci_seed = _derived_seed(cfg.seed, _STAGE["ci_short"], si, mi)
+            ci_seed = _derived_seed(cfg["seed"], _STAGE["ci_short"], si, mi)
             try:
                 value = c_index(scores, labels30)
-                lo, hi = bootstrap_ci(scores, labels30, cfg.bootstrap_resamples, ci_seed)
+                lo, hi = bootstrap_ci(scores, labels30, cfg["bootstrap_resamples"], ci_seed)
             except NoComparablePairsError:
                 value, lo, hi = None, None, None  # no deaths inside 30 days in this split
             short_term[s][kind] = {"c_index": value, "ci_low": lo, "ci_high": hi}
@@ -367,7 +331,7 @@ def run_study_full(ds: Dataset, config: StudyConfig | None = None):
         for name, old_kind, new_kind in nri_pairs:
             if old_kind not in prob or new_kind not in prob:
                 continue
-            result = nri(prob[old_kind][s], prob[new_kind][s], labels[s], cfg.nri_threshold)
+            result = nri(prob[old_kind][s], prob[new_kind][s], labels[s], cfg["nri_threshold"])
             nri_table[s][name] = dataclasses.asdict(result)
 
     km_section = {}
@@ -376,7 +340,7 @@ def run_study_full(ds: Dataset, config: StudyConfig | None = None):
         if kind not in models:
             continue
         strata = stratify(prob[kind]["test"], ids["test"],
-                          cfg.stratification_method, cfg.stratification_threshold)
+                          cfg["stratification"]["method"], cfg["stratification"]["threshold"])
         strata_by_model[kind] = strata
         in_high = set(strata.high_ids)
         is_high = np.array([i in in_high for i in ids["test"]], dtype=bool)
@@ -402,9 +366,9 @@ def run_study_full(ds: Dataset, config: StudyConfig | None = None):
     for mi, kind in enumerate(MODEL_KINDS):
         if kind == "pesi" or kind not in models:
             continue
-        cmp_seed = _derived_seed(cfg.seed, _STAGE["compare"], mi)
+        cmp_seed = _derived_seed(cfg["seed"], _STAGE["compare"], mi)
         result = compare_to_pesi(raw[kind]["test"], pesi_scores["test"], labels["test"],
-                                 cfg.bootstrap_resamples, cmp_seed)
+                                 cfg["bootstrap_resamples"], cmp_seed)
         comparisons[kind] = {
             "statistic": result.test.statistic,
             "p_value": result.test.p_value,

@@ -42,7 +42,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import hashlib
 import json
 import logging
 import os
@@ -50,6 +49,7 @@ import sys
 
 # no numpy at import time: each command imports the numeric code it uses
 # after it has started its feature read
+from .config import config_fingerprint, effective_config, load_config
 from .errors import (
     DatasetTooSmallError,
     DuplicatePatientIdError,
@@ -64,7 +64,7 @@ from .errors import (
     UnknownModelKindError,
 )
 from .feature_csv import FeatureRead
-from .kinds import ARTIFACTS, COMPONENTS, MODEL_KINDS, reads_imaging
+from .kinds import ARTIFACTS, COMPONENTS, reads_imaging
 
 log = logging.getLogger("survfuse.cli")
 
@@ -81,242 +81,6 @@ _VALIDATION_ERRORS = (
 )
 
 _SCORE_HEADER = ("patient_id", "risk_score", "pesi_score", "pesi_class")
-
-
-# --- configuration ----------------------------------------------------------
-
-_DEEP_CLIN_DEFAULTS = {
-    "hidden_dims": [32],
-    "learning_rate": 1e-3,
-    "epochs": 500,
-    "weight_decay": 1e-4,
-    "patience": 50,
-}
-_DEEP_IMG_DEFAULTS = {**_DEEP_CLIN_DEFAULTS, "hidden_dims": [64]}
-_RSF_DEFAULTS = {"n_trees": 100, "mtry": None, "min_leaf_size": 15}
-_STRAT_DEFAULTS = {"method": "median", "threshold": None}
-_GEN_DEFAULTS = {
-    "n": 1000,
-    "img_dim": 32,
-    "latent_weights": [1.0, 1.0],
-    "noise_scale": 0.5,
-    "baseline_rate": 0.004,
-    "censor_rate": 0.003,
-    "max_acquisitions": 3,
-    "missing_rate": 0.0,
-}
-
-_TOP_DEFAULTS = {
-    "seed": 0,
-    "clinical": None,
-    "features": None,
-    "out": None,
-    "split": [0.7, 0.1, 0.2],
-    "models": list(MODEL_KINDS),
-    "bootstrap_resamples": 1000,
-    "nri_threshold": 0.7,
-    "stratification": dict(_STRAT_DEFAULTS),
-    "deep_clinical": dict(_DEEP_CLIN_DEFAULTS),
-    "deep_imaging": dict(_DEEP_IMG_DEFAULTS),
-    "rsf": dict(_RSF_DEFAULTS),
-    "fusion_ridge": 1e-8,
-    "truncate_30day": False,
-    "generate": dict(_GEN_DEFAULTS),
-}
-
-# the part of the effective config that determines analysis results
-_FINGERPRINT_KEYS = (
-    "seed",
-    "split",
-    "models",
-    "bootstrap_resamples",
-    "nri_threshold",
-    "stratification",
-    "deep_clinical",
-    "deep_imaging",
-    "rsf",
-    "fusion_ridge",
-)
-
-
-def _require(cond: bool, path: str, reason: str) -> None:
-    if not cond:
-        raise InvalidConfigError(path, reason)
-
-
-def _is_num(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _merge_section(name: str, defaults: dict, given) -> dict:
-    _require(isinstance(given, dict), name, "must be a JSON object")
-    merged = dict(defaults)
-    for key, value in given.items():
-        _require(key in defaults, f"{name}.{key}", "unknown field")
-        merged[key] = value
-    return merged
-
-
-def load_config(path) -> dict:
-    """Read a JSON config file; the result still needs ``effective_config``."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise InvalidConfigError("", f"cannot read config file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InvalidConfigError("", f"config is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise InvalidConfigError("", "config must be a JSON object")
-    return doc
-
-
-def effective_config(raw: dict, args=None) -> dict:
-    """Merge defaults, file values, and flag overrides, then validate.
-
-    Raises :class:`InvalidConfigError` with the offending field path on the
-    first problem found.
-    """
-    cfg = {k: (dict(v) if isinstance(v, dict) else (list(v) if isinstance(v, list) else v))
-           for k, v in _TOP_DEFAULTS.items()}
-    for key, value in raw.items():
-        _require(key in _TOP_DEFAULTS, key, "unknown field")
-        if key in ("stratification", "deep_clinical", "deep_imaging", "rsf", "generate"):
-            cfg[key] = _merge_section(
-                key, _TOP_DEFAULTS[key], value)
-        else:
-            cfg[key] = value
-
-    if args is not None:
-        if getattr(args, "seed", None) is not None:
-            cfg["seed"] = args.seed
-        if getattr(args, "out", None) is not None:
-            cfg["out"] = args.out
-        if getattr(args, "clinical", None) is not None:
-            cfg["clinical"] = args.clinical
-        if getattr(args, "features", None) is not None:
-            cfg["features"] = args.features
-        if getattr(args, "models", None) is not None:
-            cfg["models"] = [m.strip() for m in args.models.split(",") if m.strip()]
-        if getattr(args, "truncate_30d", False):
-            cfg["truncate_30day"] = True
-        if getattr(args, "n", None) is not None:
-            cfg["generate"]["n"] = args.n
-
-    _require(_is_int(cfg["seed"]), "seed", "must be an integer")
-    _require(0 <= cfg["seed"] < 2 ** 64, "seed", "must fit in an unsigned 64-bit integer")
-
-    split = cfg["split"]
-    _require(isinstance(split, list) and len(split) == 3 and all(_is_num(v) for v in split),
-             "split", "must be a list of three numbers")
-    _require(all(v > 0 for v in split), "split", "ratios must be positive")
-    _require(abs(sum(split) - 1.0) <= 1e-9, "split", "ratios must sum to 1")
-
-    models = cfg["models"]
-    _require(isinstance(models, list) and models, "models", "must be a non-empty list")
-    for m in models:
-        _require(m in MODEL_KINDS, "models", f"unknown model kind {m!r}")
-    _require(len(set(models)) == len(models), "models", "contains duplicates")
-
-    _require(_is_int(cfg["bootstrap_resamples"]) and cfg["bootstrap_resamples"] >= 100,
-             "bootstrap_resamples", "must be an integer >= 100")
-    _require(_is_num(cfg["nri_threshold"]) and 0.0 < cfg["nri_threshold"] < 1.0,
-             "nri_threshold", "must be a number in (0, 1)")
-
-    strat = cfg["stratification"]
-    _require(strat["method"] in ("median", "fixed"),
-             "stratification.method", "must be 'median' or 'fixed'")
-    if strat["method"] == "fixed":
-        _require(_is_num(strat["threshold"]),
-                 "stratification.threshold", "required for fixed stratification")
-    else:
-        _require(strat["threshold"] is None or _is_num(strat["threshold"]),
-                 "stratification.threshold", "must be a number or null")
-
-    for name in ("deep_clinical", "deep_imaging"):
-        sec = cfg[name]
-        dims = sec["hidden_dims"]
-        _require(isinstance(dims, list) and dims
-                 and all(_is_int(d) and d >= 1 for d in dims),
-                 f"{name}.hidden_dims", "must be a non-empty list of positive integers")
-        _require(_is_num(sec["learning_rate"]) and sec["learning_rate"] > 0,
-                 f"{name}.learning_rate", "must be a positive number")
-        _require(_is_int(sec["epochs"]) and sec["epochs"] >= 1,
-                 f"{name}.epochs", "must be a positive integer")
-        _require(_is_num(sec["weight_decay"]) and sec["weight_decay"] >= 0,
-                 f"{name}.weight_decay", "must be a non-negative number")
-        _require(_is_int(sec["patience"]) and sec["patience"] >= 0,
-                 f"{name}.patience", "must be a non-negative integer")
-
-    rsf_sec = cfg["rsf"]
-    _require(_is_int(rsf_sec["n_trees"]) and rsf_sec["n_trees"] >= 1,
-             "rsf.n_trees", "must be a positive integer")
-    _require(rsf_sec["mtry"] is None or (_is_int(rsf_sec["mtry"]) and rsf_sec["mtry"] >= 1),
-             "rsf.mtry", "must be a positive integer or null")
-    _require(_is_int(rsf_sec["min_leaf_size"]) and rsf_sec["min_leaf_size"] >= 1,
-             "rsf.min_leaf_size", "must be a positive integer")
-
-    _require(_is_num(cfg["fusion_ridge"]) and cfg["fusion_ridge"] >= 0,
-             "fusion_ridge", "must be a non-negative number")
-    _require(isinstance(cfg["truncate_30day"], bool), "truncate_30day", "must be a boolean")
-
-    gen = cfg["generate"]
-    _require(_is_int(gen["n"]) and gen["n"] >= 10, "generate.n",
-             "must be an integer >= 10")
-    _require(_is_int(gen["img_dim"]) and gen["img_dim"] >= 1,
-             "generate.img_dim", "must be a positive integer")
-    lw = gen["latent_weights"]
-    _require(isinstance(lw, list) and len(lw) == 2 and all(_is_num(v) for v in lw),
-             "generate.latent_weights", "must be a list of two numbers")
-    _require(_is_num(gen["noise_scale"]) and gen["noise_scale"] >= 0,
-             "generate.noise_scale", "must be a non-negative number")
-    _require(_is_num(gen["baseline_rate"]) and gen["baseline_rate"] > 0,
-             "generate.baseline_rate", "must be a positive number")
-    _require(_is_num(gen["censor_rate"]) and gen["censor_rate"] >= 0,
-             "generate.censor_rate", "must be a non-negative number")
-    _require(_is_int(gen["max_acquisitions"]) and gen["max_acquisitions"] >= 1,
-             "generate.max_acquisitions", "must be a positive integer")
-    _require(_is_num(gen["missing_rate"]) and 0.0 <= gen["missing_rate"] < 1.0,
-             "generate.missing_rate", "must be a number in [0, 1)")
-
-    for key in ("clinical", "features", "out"):
-        _require(cfg[key] is None or isinstance(cfg[key], str), key, "must be a string path")
-    return cfg
-
-
-def config_fingerprint(cfg: dict) -> str:
-    """sha256 over the canonical JSON form of the analysis-relevant config."""
-    part = {k: cfg[k] for k in _FINGERPRINT_KEYS}
-    blob = json.dumps(part, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-def _study_config(cfg: dict):
-    from .analysis import DeepHyper, RsfHyper, StudyConfig
-
-    dc, di, rs = cfg["deep_clinical"], cfg["deep_imaging"], cfg["rsf"]
-    return StudyConfig(
-        seed=cfg["seed"],
-        train_frac=cfg["split"][0],
-        val_frac=cfg["split"][1],
-        models=tuple(cfg["models"]),
-        bootstrap_resamples=cfg["bootstrap_resamples"],
-        nri_threshold=cfg["nri_threshold"],
-        stratification_method=cfg["stratification"]["method"],
-        stratification_threshold=cfg["stratification"]["threshold"],
-        deep_clinical=DeepHyper(
-            hidden_dims=tuple(dc["hidden_dims"]), learning_rate=dc["learning_rate"],
-            epochs=dc["epochs"], weight_decay=dc["weight_decay"], patience=dc["patience"]),
-        deep_imaging=DeepHyper(
-            hidden_dims=tuple(di["hidden_dims"]), learning_rate=di["learning_rate"],
-            epochs=di["epochs"], weight_decay=di["weight_decay"], patience=di["patience"]),
-        rsf=RsfHyper(n_trees=rs["n_trees"], mtry=rs["mtry"], min_leaf_size=rs["min_leaf_size"]),
-        fusion_ridge=cfg["fusion_ridge"],
-    )
 
 
 # --- command helpers --------------------------------------------------------
@@ -432,20 +196,11 @@ def cmd_generate(args) -> int:
     cfg = effective_config(raw, args)
     if cfg["out"] is None:
         raise InvalidConfigError("out", "an output directory is required")
-    gen = cfg["generate"]
+    # the section's keys are the plan's fields
+    gen = {**cfg["generate"], "latent_weights": tuple(cfg["generate"]["latent_weights"])}
     with _stage("generate"):
         os.makedirs(cfg["out"], exist_ok=True)
-        plan = CohortPlan(
-            n=gen["n"],
-            seed=cfg["seed"],
-            latent_weights=tuple(gen["latent_weights"]),
-            img_dim=gen["img_dim"],
-            noise_scale=gen["noise_scale"],
-            baseline_rate=gen["baseline_rate"],
-            censor_rate=gen["censor_rate"],
-            max_acquisitions=gen["max_acquisitions"],
-            missing_rate=gen["missing_rate"],
-        )
+        plan = CohortPlan(seed=cfg["seed"], **gen)
         clinical_path = os.path.join(cfg["out"], "clinical.csv")
         features_path = os.path.join(cfg["out"], "features.csv")
         n = write_study_csvs(plan, clinical_path, features_path)
@@ -467,7 +222,7 @@ def cmd_run(args) -> int:
     from .analysis import run_study_full
 
     with _stage("study"):
-        report, arts = run_study_full(ds, _study_config(cfg))
+        report, arts = run_study_full(ds, cfg)
     with _stage("report"):
         os.makedirs(cfg["out"], exist_ok=True)
         doc = {

@@ -546,26 +546,20 @@ def impute_missing(ds: Dataset, reference_ids) -> Dataset:
 _CLINICAL_FIELDS = ("age_years",) + BINARY_FIELDS
 
 
-def clinical_matrix(ds: Dataset, ids=None) -> np.ndarray:
-    """``(patients, 11)`` model inputs for ``ids`` (default: all) in patient
-    order: age normalized by the imputation's mean and std, then the ten
-    flags of ``BINARY_FIELDS``."""
+def clinical_matrix(ds: Dataset) -> np.ndarray:
+    """``(patients, 11)`` model inputs in patient order: age normalized by
+    the imputation's mean and std, then the ten flags of ``BINARY_FIELDS``."""
     if ds.imputation is None:
         raise UnimputedRecordError("dataset has no imputation stats; run impute_missing first")
-    if ids is None:
-        pids, values = ds.patient_ids, ds.values
-    else:
-        wanted = set(ids)
-        keep = [pid in wanted for pid in ds.patient_ids]
-        pids, values = [p for p, k in zip(ds.patient_ids, keep) if k], ds.values[keep]
-    if not len(pids):
+    if not len(ds):
         return np.array([])
-    incomplete = np.isnan(values).any(axis=1)
+    incomplete = np.isnan(ds.values).any(axis=1)
     if incomplete.any():
         k = int(np.argmax(incomplete))
-        missing = [f for f, v in zip(_CLINICAL_FIELDS, values[k].tolist()) if v != v]
-        raise UnimputedRecordError(f"patient {pids[k]}: missing {', '.join(missing)}; impute first")
-    mat = values.copy()
+        missing = [f for f, v in zip(_CLINICAL_FIELDS, ds.values[k].tolist()) if v != v]
+        raise UnimputedRecordError(
+            f"patient {ds.patient_ids[k]}: missing {', '.join(missing)}; impute first")
+    mat = ds.values.copy()
     mat[:, 0] = (mat[:, 0] - ds.imputation.age_mean) / ds.imputation.age_std
     return mat
 

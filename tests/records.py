@@ -281,12 +281,10 @@ def clinical_vector(record: PatientRecord, stats: ImputationStats) -> np.ndarray
     return vec
 
 
-def clinical_matrix(ds: RecordDataset, ids=None) -> np.ndarray:
+def clinical_matrix(ds: RecordDataset) -> np.ndarray:
     if ds.imputation is None:
         raise UnimputedRecordError("dataset has no imputation stats; run impute_missing first")
-    wanted = None if ids is None else set(ids)
-    records = [r for r in ds.records if wanted is None or r.patient_id in wanted]
-    return np.array([clinical_vector(r, ds.imputation) for r in records])
+    return np.array([clinical_vector(r, ds.imputation) for r in ds.records])
 
 
 def pesi_score(clin: ClinicalVariables) -> int:

@@ -7,10 +7,7 @@ from survfuse.analysis import (
     MODEL_KINDS,
     SHORT_TERM_KINDS,
     ComparisonResult,
-    DeepHyper,
-    RsfHyper,
     RiskStrata,
-    StudyConfig,
     compare_to_pesi,
     run_study,
     run_study_full,
@@ -21,13 +18,15 @@ from survfuse.dataset import Labels, attach_imaging, ingest_clinical
 from survfuse.errors import (
     DegenerateResamplingError,
     EmptyInputError,
+    InvalidConfigError,
     MismatchedLengthsError,
     MissingModalityError,
     NoComparablePairsError,
     TooFewPairsError,
     TooFewResamplesError,
 )
-from survfuse import metrics
+from survfuse import deep_survival, metrics, rsf
+from survfuse.config import effective_config
 from survfuse.metrics import c_index, wilcoxon_signed_rank
 from survfuse.synthetic import CohortPlan, write_study_csvs
 
@@ -233,22 +232,44 @@ class TestCompareToPesi:
 
 
 class TestStudyConfig:
-    def test_unknown_model(self):
-        with pytest.raises(ValueError, match="unknown model"):
-            StudyConfig(models=("pesi", "gradient_boost"))
+    # a library call is checked like a config file, before anything is fitted
+    @pytest.fixture
+    def no_fitting(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("fitting started")
+
+        monkeypatch.setattr(rsf, "start_forests", never)
+        monkeypatch.setattr(deep_survival, "train", never)
+
+    def test_unknown_model(self, study_dataset, no_fitting):
+        with pytest.raises(InvalidConfigError, match="^models: unknown model kind 'gradient_boost'$"):
+            run_study(study_dataset, {"models": ["pesi", "gradient_boost"]})
+
+    def test_too_few_resamples_fail_before_fitting(self, study_dataset, no_fitting):
+        with pytest.raises(InvalidConfigError, match="^bootstrap_resamples: "):
+            run_study(study_dataset, {"bootstrap_resamples": 50})
 
     def test_defaults(self):
-        cfg = StudyConfig()
-        assert cfg.models == MODEL_KINDS
-        assert cfg.deep_imaging.hidden_dims == (64,)
+        cfg = effective_config({})
+        assert cfg["models"] == list(MODEL_KINDS)
+        assert cfg["deep_imaging"]["hidden_dims"] == [64]
+        # the model-level option dataclasses default to the config's values
+        for options, section in ((deep_survival.TrainOptions(), cfg["deep_clinical"]),
+                                 (deep_survival.TrainOptions(), cfg["deep_imaging"]),
+                                 (rsf.RsfOptions(), cfg["rsf"]),
+                                 (CohortPlan(), cfg["generate"])):
+            for key, value in section.items():
+                if key != "hidden_dims":
+                    assert getattr(options, key) == (tuple(value) if isinstance(value, list)
+                                                     else value), key
 
 
-SMALL_HYPERS = dict(
-    bootstrap_resamples=100,
-    deep_clinical=DeepHyper(hidden_dims=(4,), epochs=30, learning_rate=0.05),
-    deep_imaging=DeepHyper(hidden_dims=(4,), epochs=30, learning_rate=0.05),
-    rsf=RsfHyper(n_trees=10, min_leaf_size=10),
-)
+SMALL_HYPERS = {
+    "bootstrap_resamples": 100,
+    "deep_clinical": {"hidden_dims": [4], "epochs": 30, "learning_rate": 0.05},
+    "deep_imaging": {"hidden_dims": [4], "epochs": 30, "learning_rate": 0.05},
+    "rsf": {"n_trees": 10, "min_leaf_size": 10},
+}
 
 
 @pytest.fixture(scope="module")
@@ -264,7 +285,7 @@ def study_dataset(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def full_study(study_dataset):
-    cfg = StudyConfig(seed=3, **SMALL_HYPERS)
+    cfg = {"seed": 3, **SMALL_HYPERS}
     return run_study_full(study_dataset, cfg), cfg
 
 
@@ -341,7 +362,7 @@ class TestRunStudy:
         feat = tmp_path / "features.csv"
         write_study_csvs(CohortPlan(n=100, seed=23, baseline_rate=0.02), clin, feat)
         ds = ingest_clinical(clin)  # imaging never attached
-        cfg = StudyConfig(seed=1, models=("pesi", "deep_clinical"), **SMALL_HYPERS)
+        cfg = {"seed": 1, "models": ["pesi", "deep_clinical"], **SMALL_HYPERS}
         report = run_study(ds, cfg)
         assert set(report.overall["test"].keys()) == {"pesi", "deep_clinical"}
         assert set(report.comparisons.keys()) == {"deep_clinical"}
@@ -353,15 +374,15 @@ class TestRunStudy:
         feat = tmp_path / "features.csv"
         write_study_csvs(CohortPlan(n=100, seed=29), clin, feat)
         ds = ingest_clinical(clin)
-        cfg = StudyConfig(seed=1, models=("deep_imaging",), **SMALL_HYPERS)
+        cfg = {"seed": 1, "models": ["deep_imaging"], **SMALL_HYPERS}
         with pytest.raises(MissingModalityError,
                            match=r"^100 patient\(s\) lack imaging features \(e.g. 'P00000'\) "
                                  "but an imaging model was requested$"):
             run_study(ds, cfg)
 
     def test_fixed_stratification_flows_through(self, study_dataset):
-        cfg = StudyConfig(seed=3, models=("pesi",), stratification_method="fixed",
-                          stratification_threshold=0.5, **SMALL_HYPERS)
+        cfg = {"seed": 3, "models": ["pesi"], **SMALL_HYPERS,
+               "stratification": {"method": "fixed", "threshold": 0.5}}
         report = run_study(study_dataset, cfg)
         assert report.km["pesi"]["method"] == "fixed"
         assert report.km["pesi"]["cut_value"] == 0.5

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import multiprocessing
 import os
 import re
@@ -9,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import survfuse
 from survfuse import dataset, deep_survival, rsf
@@ -21,6 +24,7 @@ from survfuse.cli import (
     main,
 )
 from survfuse.errors import InvalidConfigError
+from survfuse.kinds import MODEL_KINDS
 from survfuse.metrics import KmPoint
 from survfuse.svg import render_km_svg
 
@@ -43,6 +47,53 @@ def write_config(tmp_path, extra=None):
     return str(path)
 
 
+def _numbers(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False) | st.integers(
+        math.ceil(lo), math.floor(hi))
+
+
+def _section(**fields):
+    return st.fixed_dictionaries({}, optional=fields)
+
+
+_NETWORK = _section(
+    hidden_dims=st.lists(st.integers(1, 64), min_size=1, max_size=3),
+    learning_rate=_numbers(1e-6, 1.0), epochs=st.integers(1, 1000),
+    weight_decay=_numbers(0.0, 1.0), patience=st.integers(0, 100))
+
+
+@st.composite
+def valid_configs(draw):
+    """A partial config of valid values, as a config file might hold it."""
+    fixed = draw(st.booleans())
+    return draw(_section(
+        seed=st.integers(0, 2 ** 64 - 1),
+        clinical=st.none() | st.text(max_size=8),
+        features=st.none() | st.text(max_size=8),
+        out=st.none() | st.text(max_size=8),
+        split=st.sampled_from([[0.7, 0.1, 0.2], [0.5, 0.25, 0.25], [0.6, 0.2, 0.2]]),
+        models=st.lists(st.sampled_from(MODEL_KINDS), min_size=1, unique=True),
+        bootstrap_resamples=st.integers(100, 5000),
+        nri_threshold=st.floats(0.01, 0.99),
+        stratification=st.fixed_dictionaries(
+            {"method": st.just("fixed"), "threshold": _numbers(-1e6, 1e6)}) if fixed else
+        _section(method=st.just("median"), threshold=st.none() | _numbers(-1e6, 1e6)),
+        deep_clinical=_NETWORK,
+        deep_imaging=_NETWORK,
+        rsf=_section(n_trees=st.integers(1, 500), mtry=st.none() | st.integers(1, 64),
+                     min_leaf_size=st.integers(1, 50)),
+        fusion_ridge=_numbers(0.0, 10.0),
+        truncate_30day=st.booleans(),
+        generate=_section(
+            n=st.integers(10, 10 ** 6), img_dim=st.integers(1, 256),
+            latent_weights=st.lists(_numbers(-5.0, 5.0), min_size=2, max_size=2),
+            noise_scale=_numbers(0.0, 5.0),
+            baseline_rate=_numbers(1e-6, 1.0),
+            censor_rate=_numbers(0.0, 1.0), max_acquisitions=st.integers(1, 10),
+            missing_rate=st.floats(0.0, 0.99)),
+    ))
+
+
 class TestEffectiveConfig:
     def test_defaults_fill_everything(self):
         cfg = effective_config({})
@@ -50,6 +101,16 @@ class TestEffectiveConfig:
         assert cfg["split"] == [0.7, 0.1, 0.2]
         assert cfg["deep_imaging"]["hidden_dims"] == [64]
         assert cfg["truncate_30day"] is False
+
+    def test_editing_the_result_leaves_the_defaults(self):
+        cfg = effective_config({})
+        cfg["deep_clinical"]["hidden_dims"].append(5)
+        cfg["generate"]["latent_weights"][0] = 9.0
+        cfg["models"].pop()
+        fresh = effective_config({})
+        assert fresh["deep_clinical"]["hidden_dims"] == [32]
+        assert fresh["generate"]["latent_weights"] == [1.0, 1.0]
+        assert fresh["models"] == list(MODEL_KINDS)
 
     def test_partial_section_merges_with_defaults(self):
         cfg = effective_config({"deep_clinical": {"epochs": 10}})
@@ -89,11 +150,32 @@ class TestEffectiveConfig:
         ({"generate": {"n": True}}, "generate.n"),
         ({"generate": {"img_dim": True}}, "generate.img_dim"),
         ({"generate": {"max_acquisitions": True}}, "generate.max_acquisitions"),
+        # json.load parses NaN and Infinity; no setting takes them
+        ({"stratification": {"method": "fixed", "threshold": float("nan")}},
+         "stratification.threshold"),
+        ({"deep_clinical": {"learning_rate": float("inf")}}, "deep_clinical.learning_rate"),
+        ({"generate": {"noise_scale": float("inf")}}, "generate.noise_scale"),
     ])
     def test_validation_names_the_field(self, raw, path_part):
         with pytest.raises(InvalidConfigError) as err:
             effective_config(raw)
         assert path_part in str(err.value)
+
+    @settings(max_examples=200, deadline=None)
+    @given(valid_configs())
+    def test_checking_twice_changes_nothing(self, raw):
+        cfg = effective_config(raw)
+        again = effective_config(cfg)
+        assert again == cfg
+        assert config_fingerprint(again) == config_fingerprint(cfg)
+
+    def test_non_finite_config_file_exits_1(self, tmp_path, caplog):
+        path = tmp_path / "nan.json"
+        path.write_text('{"stratification": {"method": "fixed", "threshold": NaN}}')
+        assert main(["run", "--config", str(path), "--clinical", str(tmp_path / "c.csv"),
+                     "--out", str(tmp_path / "out")]) == 1
+        assert "stratification.threshold" in caplog.text
+        assert not (tmp_path / "out").exists()
 
     def test_flag_overrides_win(self):
         parser = build_parser()

@@ -741,7 +741,7 @@ def clinical_feature_vector(row, age_norm_params, pid="P0"):
 @st.composite
 def clinical_matrix_cases(draw):
     """An imputed-looking dataset (some patients may still lack a value) with
-    arbitrary normalization constants, and an id subset or None."""
+    arbitrary normalization constants."""
     n = draw(st.integers(0, 15))
     missing_pct = draw(st.sampled_from([0, 0, 5, 30]))
     ages = st.one_of(st.integers(1, 110), st.floats(0.5, 120.0), st.just(float("nan")))
@@ -752,18 +752,15 @@ def clinical_matrix_cases(draw):
     stats = ImputationStats(
         binary_medians={f: False for f in BINARY_FIELDS}, age_median=60.0,
         age_mean=draw(st.floats(-200.0, 200.0)), age_std=draw(st.floats(1e-3, 1e3)))
-    ids = draw(st.none() | st.lists(st.sampled_from([f"P{i}" for i in range(n)] + ["X0"]),
-                                    max_size=n + 1))
-    return make_dataset(rows, imputation=stats), ids
+    return make_dataset(rows, imputation=stats)
 
 
 class TestClinicalMatrix:
     @settings(max_examples=100)
     @given(clinical_matrix_cases())
-    def test_matches_per_record_vectors(self, case):
-        ds, ids = case
-        got, error = outcome(clinical_matrix, ds, ids)
-        want, want_error = outcome(records.clinical_matrix, records.record_dataset(ds), ids)
+    def test_matches_per_record_vectors(self, ds):
+        got, error = outcome(clinical_matrix, ds)
+        want, want_error = outcome(records.clinical_matrix, records.record_dataset(ds))
         assert error == want_error
         if error is None:
             assert same_bits(got, want)
@@ -796,7 +793,7 @@ class TestClinicalMatrix:
             rows.append(values_row(age, **{f: bool(rng.random() < 0.3) for f in BINARY_FIELDS}))
         train_ids = [f"P{i}" for i in range(28)]
         ds = impute_missing(make_dataset(rows), train_ids)
-        mat = clinical_matrix(ds, train_ids)
+        mat = clinical_matrix(ds)[:28]
         assert mat.shape == (28, 11)
         assert abs(mat[:, 0].mean()) < 1e-9
         assert set(np.unique(mat[:, 1:])) <= {0.0, 1.0}
@@ -963,7 +960,6 @@ class TestColumnsMatchRecords:
             want = [r.label for r in rec.records if r.patient_id in members]
             assert [ds.patient_ids[i] for i in split_rows] == [r.patient_id for r in rec.records
                                                           if r.patient_id in members]
-            assert same_bits(clinical_matrix(filled, ids), clinical_matrix(filled)[split_rows])
             for labels, want_labels in ((ds.labels.take(split_rows), want),
                                         (truncate_30day(ds.labels.take(split_rows)),
                                          records.truncate_30day(want))):

@@ -348,15 +348,16 @@ class TestForkedReadParity:
 
 
 EXPORTED = [
-    "CANONICAL_ORDER", "CohortPlan", "ComparisonResult", "CoxModel", "Dataset", "DeepHyper",
+    "CANONICAL_ORDER", "CohortPlan", "ComparisonResult", "CoxModel", "Dataset",
     "FitOptions", "ForestModel", "FusionBundle", "FusionModel", "GeneratorSpec",
     "ImputationStats", "KmCurve", "KmPoint", "Labels", "MODEL_KINDS", "MlpSurvModel",
     "ModalityPlan", "ModelArtifact", "MultimodalData", "NriResult", "PESI_WEIGHTS",
-    "RiskStrata", "RsfHyper", "RsfOptions", "RvFactorReport", "SplitAssignment",
-    "StudyConfig", "StudyReport", "SurvfuseError", "SurvivalTree", "TestResult",
+    "RiskStrata", "RsfOptions", "RvFactorReport", "SplitAssignment",
+    "StudyReport", "SurvfuseError", "SurvivalTree", "TestResult",
     "TrainOptions", "analysis", "apply_imputation", "artifacts", "attach_imaging",
     "bootstrap_ci", "c_index", "clinical_matrix", "compare_to_pesi",
-    "compute_imputation_stats", "cox_linear", "dataset", "deep_survival", "errors",
+    "compute_imputation_stats", "config", "cox_linear", "dataset", "deep_survival",
+    "effective_config", "errors",
     "file_fingerprint", "fit_cox", "fit_forest", "fit_fusion", "forward", "fusion",
     "gen_cox_linear", "gen_multimodal", "imaging_matrix", "impute_missing",
     "ingest_clinical", "ingest_features", "init_mlp", "km_curve", "linear_scores",
@@ -376,6 +377,10 @@ def run_python(code):
 class TestLazyImports:
     def test_cli_imports_no_numpy(self):
         done = run_python("import sys, survfuse.cli; assert 'numpy' not in sys.modules")
+        assert done.returncode == 0, done.stderr
+
+    def test_config_imports_no_numpy(self):
+        done = run_python("import sys, survfuse.config; assert 'numpy' not in sys.modules")
         assert done.returncode == 0, done.stderr
 
     def test_package_exports_are_unchanged(self):
