@@ -48,10 +48,7 @@ _EXPORTS = {
     "rsf": (
         "ForestModel", "RsfOptions", "SurvivalTree", "fit_forest", "predict_risk",
     ),
-    "synthetic": (
-        "CohortPlan", "GeneratorSpec", "ModalityPlan", "MultimodalData",
-        "gen_cox_linear", "gen_multimodal", "write_study_csvs",
-    ),
+    "synthetic": ("CohortPlan", "write_study_csvs"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -83,7 +83,7 @@ class ComparisonResult:
     n_resamples: int
 
 
-def stratify(scores, ids, method: str = "median", threshold: float | None = None) -> RiskStrata:
+def stratify(scores, ids, method: str, threshold: float | None) -> RiskStrata:
     """Partition patients into high/low risk groups; ties go to high.
 
     ``median`` cuts at the sample median of the scores; ``fixed`` uses the
@@ -140,8 +140,8 @@ def rv_factor_analysis(strata: RiskStrata, rv_flags: dict[str, bool],
     )
 
 
-def compare_to_pesi(model_scores, pesi_scores, labels: Labels,
-                    n_resamples: int = 1000, seed: int = 0) -> ComparisonResult:
+def compare_to_pesi(model_scores, pesi_scores, labels: Labels, n_resamples: int,
+                    seed: int = 0) -> ComparisonResult:
     """Paired bootstrap comparison of concordance against the severity index.
 
     Each resample draws patients with replacement and records the c-index

@@ -254,8 +254,6 @@ _KIND_TAGS = {kind: held for kind, held in ARTIFACTS.items() if held not in COMP
 def _score_records(artifact, ds):
     """Risk scores of an imputed dataset's patients under an artifact. The
     clinical and imaging inputs are each formed once, when first needed."""
-    import numpy as np
-
     from . import deep_survival, pesi, rsf
     from .dataset import clinical_matrix, imaging_matrix
     from .fusion import predict_fused
@@ -268,7 +266,7 @@ def _score_records(artifact, ds):
             inputs[modality] = clinical_matrix(ds) if modality == "clin" else imaging_matrix(ds)
         if isinstance(model, deep_survival.MlpSurvModel):
             return deep_survival.forward(model, inputs[modality])
-        return np.atleast_1d(rsf.predict_risk(model, inputs[modality]))
+        return rsf.predict_risk(model, inputs[modality])
 
     if artifact.kind in _KIND_TAGS:
         return score(_KIND_TAGS[artifact.kind], artifact.model)
@@ -280,7 +278,7 @@ def _score_records(artifact, ds):
         scores[tag] = score(tag, comp)
     if "pesi" in bundle.fusion.sources:
         scores["pesi"] = pesi.pesi_scores(ds)
-    return np.atleast_1d(predict_fused(bundle.fusion, scores))
+    return predict_fused(bundle.fusion, scores)
 
 
 def cmd_score(args) -> int:
@@ -441,8 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--clinical", help="clinical CSV path")
     p_run.add_argument("--features", help="imaging feature CSV path")
     p_run.add_argument("--models", help="comma-separated model kinds to evaluate")
-    p_run.add_argument("--truncate-30d", action="store_true", dest="truncate_30d",
-                       help="accepted and ignored: the report always has the 30-day table")
     p_run.set_defaults(func=cmd_run)
 
     p_score = sub.add_parser("score", help="score patients with a saved model")

@@ -54,8 +54,9 @@ _TOP_DEFAULTS = {
     "deep_clinical": dict(_DEEP_CLIN_DEFAULTS),
     "deep_imaging": dict(_DEEP_IMG_DEFAULTS),
     "rsf": dict(_RSF_DEFAULTS),
+    # fusion sits on already-regularized learners; the tiny ridge only
+    # guards against degenerate (constant) score columns
     "fusion_ridge": 1e-8,
-    "truncate_30day": False,
     "generate": dict(_GEN_DEFAULTS),
 }
 
@@ -139,8 +140,6 @@ def effective_config(raw: dict, args=None) -> dict:
             cfg["features"] = args.features
         if getattr(args, "models", None) is not None:
             cfg["models"] = [m.strip() for m in args.models.split(",") if m.strip()]
-        if getattr(args, "truncate_30d", False):
-            cfg["truncate_30day"] = True
         if getattr(args, "n", None) is not None:
             cfg["generate"]["n"] = args.n
 
@@ -169,7 +168,7 @@ def effective_config(raw: dict, args=None) -> dict:
              "stratification.method", "must be 'median' or 'fixed'")
     if strat["method"] == "fixed":
         _require(_is_num(strat["threshold"]),
-                 "stratification.threshold", "required for fixed stratification")
+                 "stratification.threshold", "must be a finite number for fixed stratification")
     else:
         _require(strat["threshold"] is None or _is_num(strat["threshold"]),
                  "stratification.threshold", "must be a number or null")
@@ -199,7 +198,6 @@ def effective_config(raw: dict, args=None) -> dict:
 
     _require(_is_num(cfg["fusion_ridge"]) and cfg["fusion_ridge"] >= 0,
              "fusion_ridge", "must be a non-negative number")
-    _require(isinstance(cfg["truncate_30day"], bool), "truncate_30day", "must be a boolean")
 
     gen = cfg["generate"]
     _require(_is_int(gen["n"]) and gen["n"] >= 10, "generate.n",

@@ -72,23 +72,13 @@ def _event_table(labels: Labels) -> EventTable:
     return table
 
 
-def partial_loglik_eta(eta: np.ndarray, labels: Labels,
-                       tie_method: str = "efron") -> tuple[float, np.ndarray]:
-    """Partial log-likelihood and its gradient w.r.t. the per-subject scores.
-
-    This is the piece shared by the linear model (scores = X @ beta) and the
-    network loss (scores = forward output). Returns ``(loglik, d loglik / d
-    eta)`` with the gradient in the original subject order.
-    """
-    eta = np.asarray(eta, dtype=float)
-    _check_finite(eta, "eta")
-    return _loglik_and_eta_grad(eta, _event_table(labels), tie_method)
-
-
 def _loglik_and_eta_grad(eta: np.ndarray, table: EventTable, tie_method: str,
                          with_grad: bool = True):
-    """``(loglik, d loglik / d eta)``, or the log-likelihood alone, from the
-    same operations, when ``with_grad`` is false."""
+    """Partial log-likelihood of the per-subject scores ``eta`` and its
+    gradient w.r.t. them, in the original subject order: ``(loglik, d loglik
+    / d eta)``, or the log-likelihood alone, from the same operations, when
+    ``with_grad`` is false. This is the piece shared by the linear model
+    (scores = X @ beta) and the network loss (scores = forward output)."""
     eta_s = eta[table.order]
     m = float(eta_s.max())
     w = np.exp(eta_s - m)

@@ -262,7 +262,7 @@ def _log_unparsed(row: int, token: str, column: str) -> None:
     log.debug("row %d: unparseable boolean %r in %s, marked missing", row, token, column)
 
 
-def _parse_clinical_block(cells, row0, seen, col):
+def _parse_clinical_block(cells, row0, seen):
     """Check and parse the cells of consecutive rows, ``row0`` the first.
 
     ``cells`` maps each canonical column to its tokens and ``seen`` holds
@@ -286,7 +286,7 @@ def _parse_clinical_block(cells, row0, seen, col):
 
     def non_finite(name):
         return (_first_non_finite(cells[name], measures[name]),
-                malformed(lambda i: f"{col[name]} must be a finite number, "
+                malformed(lambda i: f"{name} must be a finite number, "
                                     f"got {cells[name][i].strip()!r}"))
 
     checks = [  # (first failing row, its error), in the order a row is checked
@@ -332,16 +332,9 @@ def _parse_clinical_block(cells, row0, seen, col):
     return pids, values, events, times, rv
 
 
-def ingest_clinical(path, schema: dict[str, str] | None = None) -> Dataset:
-    """Read the clinical CSV into a :class:`Dataset`.
-
-    Parameters
-    ----------
-    path : str or Path
-        Clinical CSV with the canonical column set.
-    schema : dict, optional
-        Maps canonical column names to the actual header names, for files
-        whose headers were renamed. Unmapped names are used as-is.
+def ingest_clinical(path) -> Dataset:
+    """Read the clinical CSV, with the canonical column set, into a
+    :class:`Dataset`.
 
     The header is the file's first line, taken as it is. Blank lines are
     skipped and do not count as rows; a short row reads its missing cells
@@ -359,19 +352,16 @@ def ingest_clinical(path, schema: dict[str, str] | None = None) -> Dataset:
     ------
     MissingColumnError, DuplicatePatientIdError, MalformedRowError
     """
-    schema = schema or {}
-    col = {name: schema.get(name, name) for name in CLINICAL_COLUMNS}
-
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
         for name in REQUIRED_CLINICAL_COLUMNS:
-            if col[name] not in header:
-                raise MissingColumnError(f"clinical CSV is missing column {col[name]!r}")
+            if name not in header:
+                raise MissingColumnError(f"clinical CSV is missing column {name!r}")
         position = {h: k for k, h in enumerate(header)}  # the last of a repeated name
-        names = [c for c in CLINICAL_COLUMNS if col[c] in position]
-        take = itemgetter(*(position[col[c]] for c in names))
-        width = 1 + max(position[col[c]] for c in names)
+        names = [c for c in CLINICAL_COLUMNS if c in position]
+        take = itemgetter(*(position[c] for c in names))
+        width = 1 + max(position[c] for c in names)
 
         pids: list[str] = []
         seen: set[str] = set()
@@ -381,8 +371,7 @@ def ingest_clinical(path, schema: dict[str, str] | None = None) -> Dataset:
 
         def parse_pending():
             if pending:
-                block = _parse_clinical_block(dict(zip(names, zip(*pending))), len(pids),
-                                              seen, col)
+                block = _parse_clinical_block(dict(zip(names, zip(*pending))), len(pids), seen)
                 pids.extend(block[0])
                 for out, parsed in zip(columns, block[1:]):
                     out.frombytes(parsed.tobytes())
@@ -564,8 +553,8 @@ def clinical_matrix(ds: Dataset) -> np.ndarray:
     return mat
 
 
-def split_dataset(ds: Dataset, seed: int, train_frac: float = 0.7, val_frac: float = 0.1) -> SplitAssignment:
-    """Random 7:1:2 patient split (floors for train/val, remainder to test)."""
+def split_dataset(ds: Dataset, seed: int, train_frac: float, val_frac: float) -> SplitAssignment:
+    """Random patient split (floors for train/val, remainder to test)."""
     n = len(ds)
     if n < 10:
         raise DatasetTooSmallError(f"need at least 10 records to split, got {n}")

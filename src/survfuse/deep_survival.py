@@ -67,10 +67,10 @@ class MlpSurvModel:
 
 @dataclass(frozen=True)
 class TrainOptions:
-    learning_rate: float = 1e-3
-    epochs: int = 500
-    weight_decay: float = 1e-4
-    patience: int = 50
+    learning_rate: float
+    epochs: int
+    weight_decay: float
+    patience: int
     tie_method: str = "efron"
 
 
@@ -206,9 +206,8 @@ def _loss_and_gradients(model, X, table: EventTable, weight_decay, tie_method):
     return loss, weight_grads, bias_grads
 
 
-def train(model: MlpSurvModel, X: np.ndarray, labels: Labels,
-          val: tuple[np.ndarray, Labels] | None = None,
-          options: TrainOptions | None = None):
+def train(model: MlpSurvModel, X: np.ndarray, labels: Labels, options: TrainOptions,
+          val: tuple[np.ndarray, Labels] | None = None):
     """Full-batch gradient descent; returns ``(trained model, loss history)``.
 
     When validation data is supplied the validation loss is tracked after
@@ -219,7 +218,6 @@ def train(model: MlpSurvModel, X: np.ndarray, labels: Labels,
     at the start of epoch k, so ``learning_rate=0`` yields a constant
     history and unchanged weights.
     """
-    opts = options or TrainOptions()
     X = _check_input(model, X)
     table = labels.table
     val_table = None if val is None else val[1].table
@@ -234,23 +232,23 @@ def train(model: MlpSurvModel, X: np.ndarray, labels: Labels,
     best_weights = None
     stale = 0
     history: list[float] = []
-    for _ in range(opts.epochs):
+    for _ in range(options.epochs):
         # overflowed parameters surface as non-finite scores inside the
         # likelihood before the loss value itself can be inspected
         try:
-            loss, wg, bg = _loss_and_gradients(work, X, table, opts.weight_decay,
-                                               opts.tie_method)
+            loss, wg, bg = _loss_and_gradients(work, X, table, options.weight_decay,
+                                               options.tie_method)
         except NonFiniteInputError as exc:
             raise DivergedLossError(f"parameters overflowed during training: {exc}") from exc
         if not np.isfinite(loss):
             raise DivergedLossError(f"training loss became {loss}")
         history.append(float(loss))
         for k in range(len(work.weights)):
-            work.weights[k] -= opts.learning_rate * wg[k]
-            work.biases[k] -= opts.learning_rate * bg[k]
+            work.weights[k] -= options.learning_rate * wg[k]
+            work.biases[k] -= options.learning_rate * bg[k]
         if val is not None:
             try:
-                val_loss = _cox_loss_grad(forward(work, val[0]), val_table, opts.tie_method,
+                val_loss = _cox_loss_grad(forward(work, val[0]), val_table, options.tie_method,
                                           with_grad=False)
             except NonFiniteInputError as exc:
                 raise DivergedLossError(f"parameters overflowed during training: {exc}") from exc
@@ -263,7 +261,7 @@ def train(model: MlpSurvModel, X: np.ndarray, labels: Labels,
                 stale = 0
             else:
                 stale += 1
-                if stale >= opts.patience:
+                if stale >= options.patience:
                     break
     if val is not None and best_weights is not None:
         work.weights, work.biases = best_weights

@@ -19,11 +19,6 @@ from .errors import ExtraModalityError, MismatchedLengthsError, MissingModalityE
 
 CANONICAL_ORDER = ("clin", "img", "pesi", "rsf_clin", "rsf_img")
 
-# fusion sits on top of already-regularized learners; the tiny default ridge
-# only guards against degenerate (constant) score columns
-DEFAULT_FUSION_OPTIONS = FitOptions(ridge_penalty=1e-8)
-
-
 @dataclass(frozen=True, eq=False)
 class FusionModel:
     cox: CoxModel
@@ -43,7 +38,7 @@ def _ordered_sources(keys) -> tuple[str, ...]:
 
 
 def fit_fusion(scores_by_modality: dict[str, np.ndarray], labels: Labels,
-               options: FitOptions | None = None) -> FusionModel:
+               options: FitOptions) -> FusionModel:
     """Fit the fusion Cox model on per-modality score vectors.
 
     A zero-variance column is centered but not scaled (std treated as 1),
@@ -63,7 +58,7 @@ def fit_fusion(scores_by_modality: dict[str, np.ndarray], labels: Labels,
     stds = raw.std(axis=0)
     stds = np.where(stds == 0.0, 1.0, stds)
     z = (raw - means) / stds
-    cox = fit_cox(z, labels, options or DEFAULT_FUSION_OPTIONS, covariate_names=sources)
+    cox = fit_cox(z, labels, options, covariate_names=sources)
     return FusionModel(cox=cox, sources=sources, means=means, stds=stds)
 
 
@@ -84,10 +79,6 @@ def _standardized(model: FusionModel, scores: dict[str, np.ndarray]) -> np.ndarr
     return (raw - model.means) / model.stds
 
 
-def predict_fused(model: FusionModel, scores: dict[str, float | np.ndarray]):
-    """Fused linear predictor; scalar inputs give a float, vectors an array."""
-    scalar = all(np.ndim(v) == 0 for v in scores.values())
-    vectors = {tag: np.atleast_1d(np.asarray(v, dtype=float)) for tag, v in scores.items()}
-    z = _standardized(model, vectors)
-    out = z @ model.cox.beta
-    return float(out[0]) if scalar else out
+def predict_fused(model: FusionModel, scores: dict[str, np.ndarray]) -> np.ndarray:
+    """Fused linear predictor, one per patient of the score vectors."""
+    return _standardized(model, scores) @ model.cox.beta

@@ -174,8 +174,8 @@ def weighted_c_index(scores, labels: Labels, weights) -> np.ndarray:
     return totals[:, 1] / totals[:, 0]
 
 
-def bootstrap_ci(scores, labels: Labels,
-                 n_resamples: int = 1000, seed: int = 0) -> tuple[float, float]:
+def bootstrap_ci(scores, labels: Labels, n_resamples: int,
+                 seed: int = 0) -> tuple[float, float]:
     """Percentile 95% interval (2.5th/97.5th) of ``c_index`` under resampling.
 
     Patients are drawn with replacement by ``resample_weights`` (a resample
@@ -235,7 +235,7 @@ def logrank_test(labels_a: Labels, labels_b: Labels) -> TestResult:
     return TestResult(statistic=float(chi2), p_value=float(p), method="logrank")
 
 
-def nri(old_scores, new_scores, labels: Labels, threshold: float = 0.7) -> NriResult:
+def nri(old_scores, new_scores, labels: Labels, threshold: float) -> NriResult:
     """Net reclassification improvement at a fixed risk threshold.
 
     Scores at or above the threshold are "high risk". Events moving up and

@@ -106,10 +106,10 @@ _CHUNK_WORK = 1500
 
 @dataclass(frozen=True)
 class RsfOptions:
-    n_trees: int = 100
-    mtry: int | None = None          # default: ceil(sqrt(n_features))
-    min_leaf_size: int = 15
-    seed: int = 0
+    n_trees: int
+    mtry: int | None                 # None: ceil(sqrt(n_features))
+    min_leaf_size: int
+    seed: int
 
     def __post_init__(self):
         if self.n_trees < 1:
@@ -412,8 +412,7 @@ class _Sample:
     options: RsfOptions
 
 
-def _canonical_sample(X, labels, options) -> _Sample:
-    opts = options or RsfOptions()
+def _canonical_sample(X, labels, opts: RsfOptions) -> _Sample:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] != len(labels):
         raise DimensionMismatchError(f"X shape {X.shape} does not match {len(labels)} labels")
@@ -577,8 +576,7 @@ def start_forests(fits) -> PendingForests:
     return PendingForests(samples, workers)
 
 
-def fit_forest(X: np.ndarray, labels: Labels,
-               options: RsfOptions | None = None) -> ForestModel:
+def fit_forest(X: np.ndarray, labels: Labels, options: RsfOptions) -> ForestModel:
     """One forest, started and finished at once."""
     with start_forests([(X, labels, options)]) as pending:
         return pending.finish()[0]
@@ -597,18 +595,15 @@ def _route(tree: SurvivalTree, X: np.ndarray) -> np.ndarray:
                                tree.left[node], tree.right[node])
 
 
-def predict_risk(model: ForestModel, x: np.ndarray):
-    """Ensemble mortality for one record (1-D) or a batch (2-D)."""
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    X = x[None, :] if single else x
-    if X.shape[1] != model.n_features:
+def predict_risk(model: ForestModel, X: np.ndarray) -> np.ndarray:
+    """Ensemble mortality, one per row of X."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != model.n_features:
         raise DimensionMismatchError(
-            f"model has {model.n_features} features, input has {X.shape[1]}"
+            f"model has {model.n_features} features, X has shape {X.shape}"
         )
     total = np.zeros(X.shape[0])
     for tree in model.trees:
         leaves = tree.leaf_slot[_route(tree, X)]
         total += tree.leaf_mortality[leaves]
-    risk = total / len(model.trees)
-    return float(risk[0]) if single else risk
+    return total / len(model.trees)

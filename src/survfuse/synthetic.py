@@ -1,17 +1,17 @@
-"""Synthetic survival cohorts with known hazard structure.
+"""Synthetic study cohorts with known hazard structure, written as the two
+CSV files that ``survfuse run`` reads.
 
 Ground truth follows a proportional-hazards model with an exponential
 baseline, so event times sample in closed form from uniform draws:
 ``t = -ln(u) / (rate * exp(risk))``. Censoring is an independent exponential
-clock. All randomness comes from numpy's PCG64 generator (O'Neill's
-permuted congruential generator) seeded explicitly, with substreams derived
-through ``SeedSequence`` spawn keys, so a seed reproduces a cohort
-bit-for-bit on any platform.
+clock. All randomness comes from one numpy PCG64 generator (O'Neill's
+permuted congruential generator) seeded with ``SeedSequence(plan.seed)``,
+so a seed reproduces a cohort bit-for-bit on any platform.
 
 Draw order is part of the generator contract (changing it changes the
-cohort): covariates first, then the event uniforms, then the censor
-uniforms. The multimodal generator draws latents, clinical noise, imaging
-noise, event uniforms, censor uniforms, in that order.
+cohort): the two latent components, the clinical noise and flags, the
+event uniforms, the censor uniforms, the acquisition counts, the missing
+cells, then per acquisition its PE probability and imaging noise.
 """
 
 from __future__ import annotations
@@ -23,60 +23,6 @@ import numpy as np
 
 from .dataset import Labels
 from .errors import InvalidSpecError
-
-
-@dataclass(frozen=True)
-class ModalityPlan:
-    """Two feature views driven by disjoint latent risk components.
-
-    ``latent_weights`` sets how strongly each latent component drives the
-    hazard; the clinical view observes only the first component, the imaging
-    view only the second, each through ``noise_scale`` additive noise. With
-    both weights nonzero neither view alone carries the full signal.
-    """
-
-    clin_dim: int = 4
-    img_dim: int = 4
-    latent_weights: tuple[float, float] = (1.0, 1.0)
-    noise_scale: float = 0.5
-
-
-@dataclass(frozen=True)
-class GeneratorSpec:
-    n: int = 2000
-    beta_true: tuple[float, ...] | None = (1.0, -0.5)
-    baseline_rate: float = 0.1
-    censor_rate: float = 0.05
-    modality_plan: ModalityPlan | None = None
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise InvalidSpecError(f"n must be >= 1, got {self.n}")
-        if self.baseline_rate <= 0:
-            raise InvalidSpecError(f"baseline_rate must be > 0, got {self.baseline_rate}")
-        if self.censor_rate < 0:
-            raise InvalidSpecError(f"censor_rate must be >= 0, got {self.censor_rate}")
-        if (self.beta_true is None) == (self.modality_plan is None):
-            raise InvalidSpecError("exactly one of beta_true / modality_plan must be set")
-        if self.beta_true is not None and len(self.beta_true) == 0:
-            raise InvalidSpecError("beta_true must have at least one coefficient")
-        if self.modality_plan is not None:
-            mp = self.modality_plan
-            if mp.clin_dim < 1 or mp.img_dim < 1:
-                raise InvalidSpecError("modality dims must be >= 1")
-            if mp.noise_scale < 0:
-                raise InvalidSpecError("noise_scale must be >= 0")
-
-
-@dataclass(frozen=True, eq=False)
-class MultimodalData:
-    x_clin: np.ndarray
-    x_img: np.ndarray
-    labels: Labels
-    true_risk: np.ndarray
-    clin_view: np.ndarray  # per-subject mean of the clinical features
-    img_view: np.ndarray   # per-subject mean of the imaging features
 
 
 def _survival_labels(rng: np.random.Generator, risk: np.ndarray,
@@ -97,42 +43,6 @@ def _survival_labels(rng: np.random.Generator, risk: np.ndarray,
     return Labels(observed, events)
 
 
-def gen_cox_linear(spec: GeneratorSpec):
-    """Standard-normal covariates with linear log-hazard ``X @ beta_true``.
-
-    Returns ``(X, labels, true_risk)``.
-    """
-    if spec.beta_true is None:
-        raise InvalidSpecError("gen_cox_linear needs beta_true")
-    beta = np.asarray(spec.beta_true, dtype=float)
-    rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
-    X = rng.standard_normal((spec.n, beta.size))
-    risk = X @ beta
-    labels = _survival_labels(rng, risk, spec.baseline_rate, spec.censor_rate)
-    return X, labels, risk
-
-
-def gen_multimodal(spec: GeneratorSpec) -> MultimodalData:
-    """Complementary two-view cohort; see :class:`ModalityPlan`."""
-    if spec.modality_plan is None:
-        raise InvalidSpecError("gen_multimodal needs a modality_plan")
-    mp = spec.modality_plan
-    rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
-    latent = rng.standard_normal((spec.n, 2))
-    x_clin = latent[:, [0]] + mp.noise_scale * rng.standard_normal((spec.n, mp.clin_dim))
-    x_img = latent[:, [1]] + mp.noise_scale * rng.standard_normal((spec.n, mp.img_dim))
-    risk = mp.latent_weights[0] * latent[:, 0] + mp.latent_weights[1] * latent[:, 1]
-    labels = _survival_labels(rng, risk, spec.baseline_rate, spec.censor_rate)
-    return MultimodalData(
-        x_clin=x_clin,
-        x_img=x_img,
-        labels=labels,
-        true_risk=risk,
-        clin_view=x_clin.mean(axis=1),
-        img_view=x_img.mean(axis=1),
-    )
-
-
 @dataclass(frozen=True)
 class CohortPlan:
     """Parameters for a full synthetic study written as the two CSV files.
@@ -141,20 +51,20 @@ class CohortPlan:
     variables (age shifts, vital-sign drift, comorbidity odds); the second
     drives the imaging feature columns and the RV dysfunction flag. The
     hazard mixes both per ``latent_weights``, giving each modality partial,
-    complementary signal. ``baseline_rate`` is per day; the defaults put the
-    bulk of deaths inside the first year with a meaningful fraction before
-    day 30.
+    complementary signal. ``baseline_rate`` is per day; the defaults of the
+    config's ``generate`` section put the bulk of deaths inside the first
+    year with a meaningful fraction before day 30.
     """
 
-    n: int = 1000
-    seed: int = 0
-    latent_weights: tuple[float, float] = (1.0, 1.0)
-    img_dim: int = 32
-    noise_scale: float = 0.5
-    baseline_rate: float = 0.004
-    censor_rate: float = 0.003
-    max_acquisitions: int = 3
-    missing_rate: float = 0.0
+    n: int
+    seed: int
+    latent_weights: tuple[float, float]
+    img_dim: int
+    noise_scale: float
+    baseline_rate: float
+    censor_rate: float
+    max_acquisitions: int
+    missing_rate: float
 
     def __post_init__(self):
         if self.n < 10:

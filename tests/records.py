@@ -132,7 +132,7 @@ def parse_float(token):
         return None
 
 
-def ingest_clinical(path, schema=None, debug=lambda *args: None) -> RecordDataset:
+def ingest_clinical(path, debug=lambda *args: None) -> RecordDataset:
     """One ``DictReader`` row and three dataclasses per patient; ``debug``
     takes the arguments of each DEBUG log call."""
 
@@ -162,19 +162,17 @@ def ingest_clinical(path, schema=None, debug=lambda *args: None) -> RecordDatase
             return False
         return None
 
-    schema = schema or {}
-    col = {name: schema.get(name, name) for name in CLINICAL_COLUMNS}
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         header = reader.fieldnames or []
         for name in CLINICAL_COLUMNS[:-1]:
-            if col[name] not in header:
-                raise MissingColumnError(f"clinical CSV is missing column {col[name]!r}")
-        has_rv = col["rv_dysfunction"] in header
+            if name not in header:
+                raise MissingColumnError(f"clinical CSV is missing column {name!r}")
+        has_rv = "rv_dysfunction" in header
         records, seen = [], set()
         for i, row in enumerate(reader):
             def cell(name):
-                return row.get(col[name]) or ""
+                return row.get(name) or ""
 
             pid = cell("patient_id").strip()
             if not pid:
@@ -188,10 +186,10 @@ def ingest_clinical(path, schema=None, debug=lambda *args: None) -> RecordDatase
             time_days = parse_float(cell("time_days"))
             if time_days is None or not np.isfinite(time_days) or time_days < 0:
                 raise MalformedRowError(i, "time_days must be a finite non-negative number")
-            age = parse_measure(cell("age"), i, col["age"])
+            age = parse_measure(cell("age"), i, "age")
             if age is not None and age <= 0:
                 raise MalformedRowError(i, f"age must be positive, got {age}")
-            hr, sbp, rr, temp, o2 = (parse_measure(cell(name), i, col[name]) for name in (
+            hr, sbp, rr, temp, o2 = (parse_measure(cell(name), i, name) for name in (
                 "heart_rate", "systolic_bp", "respiratory_rate", "temperature_c", "o2_sat"))
             clin = ClinicalVariables(
                 age_years=age,
@@ -218,7 +216,7 @@ def ingest_clinical(path, schema=None, debug=lambda *args: None) -> RecordDatase
 # --- split, imputation and the model inputs, one record at a time ------------
 
 
-def split_dataset(ds: RecordDataset, seed: int, train_frac=0.7, val_frac=0.1) -> SplitAssignment:
+def split_dataset(ds: RecordDataset, seed: int, train_frac, val_frac) -> SplitAssignment:
     n = len(ds.records)
     if n < 10:
         raise DatasetTooSmallError(f"need at least 10 records to split, got {n}")

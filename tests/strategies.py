@@ -1,8 +1,10 @@
-"""Hypothesis strategies, cohort builders and comparisons shared by the tests."""
+"""Hypothesis strategies, cohort builders, comparisons and the partial
+likelihood of per-subject scores, shared by the tests."""
 
 import numpy as np
 from hypothesis import strategies as st
 
+from survfuse.cox_linear import _check_finite, _event_table, _loglik_and_eta_grad
 from survfuse.dataset import BINARY_FIELDS, Dataset, Labels
 
 
@@ -63,3 +65,11 @@ def make_dataset(rows, times=None, events=None, pids=None, imputation=None):
         rv_dysfunction=np.full(n, np.nan),
         imputation=imputation,
     )
+
+
+def partial_loglik_eta(eta, labels: Labels, tie_method: str = "efron"):
+    """``(loglik, d loglik / d eta)`` of the per-subject scores ``eta``, in
+    subject order; non-finite scores and a cohort without events raise."""
+    eta = np.asarray(eta, dtype=float)
+    _check_finite(eta, "eta")
+    return _loglik_and_eta_grad(eta, _event_table(labels), tie_method)

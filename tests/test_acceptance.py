@@ -19,7 +19,7 @@ from survfuse.analysis import (
     rv_factor_analysis,
 )
 from survfuse.cli import main
-from survfuse.cox_linear import fit_cox, partial_loglik_eta
+from survfuse.cox_linear import fit_cox
 from survfuse.dataset import Labels, truncate_30day
 from survfuse.deep_survival import _loss_and_gradients, init_mlp
 from survfuse.errors import NoComparablePairsError
@@ -33,13 +33,11 @@ from survfuse.metrics import (
     wilcoxon_signed_rank,
 )
 from survfuse.pesi import pesi_points, risk_class_for
-from survfuse.rsf import RsfOptions, fit_forest, predict_risk
-from survfuse.synthetic import (
-    GeneratorSpec,
-    ModalityPlan,
-    gen_cox_linear,
-    gen_multimodal,
-)
+from survfuse.rsf import fit_forest, predict_risk
+
+from defaults import DEFAULTS, FUSION_OPTIONS, rsf_options
+from generators import GeneratorSpec, ModalityPlan, gen_cox_linear, gen_multimodal
+from strategies import partial_loglik_eta
 
 
 # --- independent oracles -----------------------------------------------------
@@ -254,21 +252,23 @@ class TestAcceptance:
                    f"50 enumerated instances (n<=10), max p deviation {worst:.2e}")
 
     def test_07_nri_ledger(self, acceptance):
+        cut = DEFAULTS["nri_threshold"]
         labels = Labels(list(range(1, 11)) + list(range(100, 110)), [1] * 10 + [0] * 10)
         scores = np.linspace(0.1, 0.9, 20)
-        identity_ok = nri(scores, scores, labels).nri == 0.0
+        identity_ok = nri(scores, scores, labels, cut).nri == 0.0
 
         old = np.full(20, 0.5)
         new = old.copy()
         new[0] = 0.8
-        one_up = nri(old, new, labels)
+        one_up = nri(old, new, labels, cut)
         one_up_ok = one_up.nri == 0.1 and one_up.event_up == 1
 
         rng = np.random.default_rng(904)
         anti_ok = True
         for _ in range(25):
             o, n2 = rng.random(20), rng.random(20)
-            anti_ok = anti_ok and nri(o, n2, labels).nri == -nri(n2, o, labels).nri
+            anti_ok = anti_ok and (nri(o, n2, labels, cut).nri
+                                   == -nri(n2, o, labels, cut).nri)
 
         # the threshold acts on the sigmoid scale: a linear score whose
         # sigmoid crosses 0.7 reclassifies, one that stays below does not
@@ -277,9 +277,9 @@ class TestAcceptance:
         lin_flat = np.array([0.8, -2.0])  # sigmoid 0.69, 0.12
         pair = Labels([1, 100], [1, 0])
         scale_ok = (
-            nri(sigmoid(lin_old), sigmoid(lin_up), pair).event_up == 1
-            and nri(sigmoid(lin_old), sigmoid(lin_flat), pair).event_up == 0
-            and nri(sigmoid(lin_old), sigmoid(lin_up), pair).threshold == 0.7
+            nri(sigmoid(lin_old), sigmoid(lin_up), pair, cut).event_up == 1
+            and nri(sigmoid(lin_old), sigmoid(lin_flat), pair, cut).event_up == 0
+            and nri(sigmoid(lin_old), sigmoid(lin_up), pair, cut).threshold == 0.7
         )
         acceptance(7, identity_ok and one_up_ok and anti_ok and scale_ok,
                    "identity 0, 1-of-10 exactly +0.1, antisymmetric on 25 random "
@@ -347,7 +347,7 @@ class TestAcceptance:
             s_c_te = data.x_clin[te] @ cox_c.beta
             s_i_te = data.x_img[te] @ cox_i.beta
 
-            fused = fit_fusion({"clin": s_c_tr, "img": s_i_tr}, lab_tr)
+            fused = fit_fusion({"clin": s_c_tr, "img": s_i_tr}, lab_tr, FUSION_OPTIONS)
             s_f_te = predict_fused(fused, {"clin": s_c_te, "img": s_i_te})
 
             c_c = c_index(s_c_te, lab_te)
@@ -416,7 +416,7 @@ class TestAcceptance:
         run_code = main(["run", "--config", str(cfg_path), "--seed", "31",
                          "--clinical", str(tmp_path / "data" / "clinical.csv"),
                          "--features", str(tmp_path / "data" / "features.csv"),
-                         "--truncate-30d", "--out", str(out)])
+                         "--out", str(out)])
         doc = json.loads((out / "report.json").read_text())
         table = doc["short_term"]
         kinds = {"pesi", "deep_imaging", "deep_clinical", "deep_multimodal",
@@ -476,13 +476,13 @@ class TestAcceptance:
                                 censor_rate=0.02, seed=20)
         Xtr, ltr, _ = gen_cox_linear(spec_tr)
         Xte, lte, _ = gen_cox_linear(spec_te)
-        model = fit_forest(Xtr, ltr, RsfOptions(n_trees=60, min_leaf_size=10, seed=3))
+        model = fit_forest(Xtr, ltr, rsf_options(n_trees=60, min_leaf_size=10, seed=3))
         c_signal = c_index(predict_risk(model, Xte), lte)
 
         perm = np.random.default_rng(21).permutation(len(ltr))
         shuffled = ltr.take(perm)
         model_null = fit_forest(Xtr, shuffled,
-                                RsfOptions(n_trees=60, min_leaf_size=10, seed=3))
+                                rsf_options(n_trees=60, min_leaf_size=10, seed=3))
         c_null = c_index(predict_risk(model_null, Xte), lte)
         acceptance(13, c_signal >= 0.75 and 0.40 <= c_null <= 0.60,
                    f"held-out c {c_signal:.3f} on signal, {c_null:.3f} on "

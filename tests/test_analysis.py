@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,11 +32,13 @@ from survfuse.config import effective_config
 from survfuse.metrics import c_index, wilcoxon_signed_rank
 from survfuse.synthetic import CohortPlan, write_study_csvs
 
+from defaults import cohort_plan
+
 
 _MAX_REDRAWS = 100
 
 
-def loop_compare_to_pesi(model_scores, pesi_scores, labels, n_resamples=1000, seed=0):
+def loop_compare_to_pesi(model_scores, pesi_scores, labels, n_resamples, seed):
     """The per-resample loop that ``compare_to_pesi`` replaced, kept as its oracle."""
     if n_resamples < 100:
         raise TooFewResamplesError(f"need at least 100 resamples, got {n_resamples}")
@@ -92,19 +96,19 @@ def paired_cohorts(draw, min_n=3, max_n=30):
 
 class TestStratify:
     def test_median_cut(self):
-        strata = stratify([0.1, 0.2, 0.8, 0.9], ["a", "b", "c", "d"])
+        strata = stratify([0.1, 0.2, 0.8, 0.9], ["a", "b", "c", "d"], "median", None)
         assert strata.cut_value == 0.5
         assert strata.high_ids == ("c", "d")
         assert strata.low_ids == ("a", "b")
         assert strata.method == "median"
 
     def test_tie_at_cut_goes_high(self):
-        strata = stratify([1.0, 2.0, 2.0, 3.0], ["a", "b", "c", "d"])
+        strata = stratify([1.0, 2.0, 2.0, 3.0], ["a", "b", "c", "d"], "median", None)
         assert strata.cut_value == 2.0
         assert strata.high_ids == ("b", "c", "d")
 
     def test_all_equal_scores_all_high(self):
-        strata = stratify([0.4, 0.4, 0.4], ["a", "b", "c"])
+        strata = stratify([0.4, 0.4, 0.4], ["a", "b", "c"], "median", None)
         assert strata.high_ids == ("a", "b", "c")
         assert strata.low_ids == ()
 
@@ -115,19 +119,19 @@ class TestStratify:
 
     def test_fixed_needs_threshold(self):
         with pytest.raises(ValueError, match="threshold"):
-            stratify([0.1], ["a"], method="fixed")
+            stratify([0.1], ["a"], method="fixed", threshold=None)
 
     def test_unknown_method(self):
         with pytest.raises(ValueError, match="method"):
-            stratify([0.1], ["a"], method="quartile")
+            stratify([0.1], ["a"], method="quartile", threshold=None)
 
     def test_empty(self):
         with pytest.raises(EmptyInputError):
-            stratify([], [])
+            stratify([], [], "median", None)
 
     def test_length_mismatch(self):
         with pytest.raises(MismatchedLengthsError):
-            stratify([0.1, 0.2], ["a"])
+            stratify([0.1, 0.2], ["a"], "median", None)
 
 
 class TestRvFactorAnalysis:
@@ -214,7 +218,7 @@ class TestCompareToPesi:
 
     def test_length_mismatch(self):
         with pytest.raises(MismatchedLengthsError):
-            compare_to_pesi([0.1], [0.2, 0.3], Labels([1, 2], [1, 1]))
+            compare_to_pesi([0.1], [0.2, 0.3], Labels([1, 2], [1, 1]), 100)
 
     @settings(max_examples=60)
     @given(paired_cohorts(), st.integers(0, 2**32 - 1))
@@ -253,15 +257,16 @@ class TestStudyConfig:
         cfg = effective_config({})
         assert cfg["models"] == list(MODEL_KINDS)
         assert cfg["deep_imaging"]["hidden_dims"] == [64]
-        # the model-level option dataclasses default to the config's values
-        for options, section in ((deep_survival.TrainOptions(), cfg["deep_clinical"]),
-                                 (deep_survival.TrainOptions(), cfg["deep_imaging"]),
-                                 (rsf.RsfOptions(), cfg["rsf"]),
-                                 (CohortPlan(), cfg["generate"])):
-            for key, value in section.items():
+        # a config section's fields are option fields without a default of their
+        # own, so the config is the one place that holds the study's defaults
+        for options, section in ((deep_survival.TrainOptions, cfg["deep_clinical"]),
+                                 (deep_survival.TrainOptions, cfg["deep_imaging"]),
+                                 (rsf.RsfOptions, {**cfg["rsf"], "seed": cfg["seed"]}),
+                                 (CohortPlan, {**cfg["generate"], "seed": cfg["seed"]})):
+            own = {f.name: f.default for f in dataclasses.fields(options)}
+            for key in section:
                 if key != "hidden_dims":
-                    assert getattr(options, key) == (tuple(value) if isinstance(value, list)
-                                                     else value), key
+                    assert own[key] is dataclasses.MISSING, key
 
 
 SMALL_HYPERS = {
@@ -277,7 +282,7 @@ def study_dataset(tmp_path_factory):
     root = tmp_path_factory.mktemp("study")
     clin, feat = root / "clinical.csv", root / "features.csv"
     write_study_csvs(
-        CohortPlan(n=120, seed=17, img_dim=8, baseline_rate=0.02, missing_rate=0.05),
+        cohort_plan(n=120, seed=17, img_dim=8, baseline_rate=0.02, missing_rate=0.05),
         clin, feat,
     )
     return attach_imaging(ingest_clinical(clin), feat)
@@ -360,7 +365,7 @@ class TestRunStudy:
     def test_clinical_only_subset_runs_without_imaging(self, tmp_path):
         clin = tmp_path / "clinical.csv"
         feat = tmp_path / "features.csv"
-        write_study_csvs(CohortPlan(n=100, seed=23, baseline_rate=0.02), clin, feat)
+        write_study_csvs(cohort_plan(n=100, seed=23, baseline_rate=0.02), clin, feat)
         ds = ingest_clinical(clin)  # imaging never attached
         cfg = {"seed": 1, "models": ["pesi", "deep_clinical"], **SMALL_HYPERS}
         report = run_study(ds, cfg)
@@ -372,7 +377,7 @@ class TestRunStudy:
     def test_imaging_model_without_features_fails(self, tmp_path):
         clin = tmp_path / "clinical.csv"
         feat = tmp_path / "features.csv"
-        write_study_csvs(CohortPlan(n=100, seed=29), clin, feat)
+        write_study_csvs(cohort_plan(n=100, seed=29), clin, feat)
         ds = ingest_clinical(clin)
         cfg = {"seed": 1, "models": ["deep_imaging"], **SMALL_HYPERS}
         with pytest.raises(MissingModalityError,

@@ -29,12 +29,13 @@ from survfuse.dataset import (
     imaging_matrix,
     impute_missing,
 )
-from survfuse.deep_survival import MlpSurvModel, TrainOptions, forward, init_mlp, train
+from survfuse.deep_survival import MlpSurvModel, forward, init_mlp, train
 from survfuse.errors import IoError, SchemaMismatchError, UnknownModelKindError
 from survfuse.fusion import FusionModel, fit_fusion, predict_fused
 from survfuse import cli, rsf
-from survfuse.rsf import RsfOptions, fit_forest, predict_risk
+from survfuse.rsf import fit_forest, predict_risk
 
+from defaults import FUSION_OPTIONS, rsf_options, train_options
 from strategies import assert_same_trees, make_dataset, same_bits, survival_arrays, values_row
 
 
@@ -55,18 +56,19 @@ def fitted():
     Xc, labels = surv_data(rng, 90, 3, (1.5, -1.0, 0.0))
     Xi = rng.standard_normal((90, 5))
     mlp_c, _ = train(init_mlp(3, (4,), seed=1, modality_tag="clin"), Xc, labels,
-                     options=TrainOptions(learning_rate=0.05, epochs=40))
+                     options=train_options(learning_rate=0.05, epochs=40))
     mlp_i, _ = train(init_mlp(5, (4,), seed=2, modality_tag="img"), Xi, labels,
-                     options=TrainOptions(learning_rate=0.05, epochs=40))
-    forest_c = fit_forest(Xc, labels, RsfOptions(n_trees=4, min_leaf_size=8, seed=3))
-    forest_i = fit_forest(Xi, labels, RsfOptions(n_trees=4, min_leaf_size=8, seed=4))
+                     options=train_options(learning_rate=0.05, epochs=40))
+    forest_c = fit_forest(Xc, labels, rsf_options(n_trees=4, min_leaf_size=8, seed=3))
+    forest_i = fit_forest(Xi, labels, rsf_options(n_trees=4, min_leaf_size=8, seed=4))
     sc, si = forward(mlp_c, Xc), forward(mlp_i, Xi)
-    fusion_mm = fit_fusion({"clin": sc, "img": si}, labels)
+    fusion_mm = fit_fusion({"clin": sc, "img": si}, labels, FUSION_OPTIONS)
     pesi_scores = rng.integers(40, 140, size=90).astype(float)
-    fusion_pesi = fit_fusion({"clin": sc, "img": si, "pesi": pesi_scores}, labels)
+    fusion_pesi = fit_fusion({"clin": sc, "img": si, "pesi": pesi_scores}, labels,
+                             FUSION_OPTIONS)
     fusion_rsf = fit_fusion(
         {"rsf_clin": predict_risk(forest_c, Xc), "rsf_img": predict_risk(forest_i, Xi)},
-        labels)
+        labels, FUSION_OPTIONS)
     return dict(Xc=Xc, Xi=Xi, labels=labels, pesi=pesi_scores,
                 mlp_c=mlp_c, mlp_i=mlp_i, forest_c=forest_c, forest_i=forest_i,
                 fusion_mm=fusion_mm, fusion_pesi=fusion_pesi, fusion_rsf=fusion_rsf)
@@ -113,8 +115,8 @@ class TestRoundTrips:
         X = rng.standard_normal((t.size, 3))
         if features == "tied":
             X = np.round(X)
-        opts = RsfOptions(n_trees=n_trees, min_leaf_size=int(rng.integers(1, t.size // 2 + 1)),
-                          seed=seed)
+        opts = rsf_options(n_trees=n_trees, min_leaf_size=int(rng.integers(1, t.size // 2 + 1)),
+                           seed=seed)
         with mock.patch.object(rsf, "_usable_cpus", return_value=cpus):
             model = fit_forest(X, Labels(t, e), opts)
         with tempfile.TemporaryDirectory() as tmp:
@@ -256,8 +258,9 @@ def random_model(rng, kind, ds, hidden, scale, n_trees):
         return random_mlp(rng, width, hidden, tag, scale)
     if kind in ("rsf_clinical", "rsf_imaging", "fusion_rsf"):
         labels = ds.labels
-        opts = RsfOptions(n_trees=n_trees, min_leaf_size=int(rng.integers(1, len(labels) // 2 + 1)),
-                          seed=int(rng.integers(2**16)))
+        opts = rsf_options(n_trees=n_trees,
+                           min_leaf_size=int(rng.integers(1, len(labels) // 2 + 1)),
+                           seed=int(rng.integers(2**16)))
         X_img = imaging_matrix(ds)
         with mock.patch.object(rsf, "_usable_cpus", return_value=1):
             if kind != "fusion_rsf":

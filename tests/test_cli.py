@@ -83,7 +83,6 @@ def valid_configs(draw):
         rsf=_section(n_trees=st.integers(1, 500), mtry=st.none() | st.integers(1, 64),
                      min_leaf_size=st.integers(1, 50)),
         fusion_ridge=_numbers(0.0, 10.0),
-        truncate_30day=st.booleans(),
         generate=_section(
             n=st.integers(10, 10 ** 6), img_dim=st.integers(1, 256),
             latent_weights=st.lists(_numbers(-5.0, 5.0), min_size=2, max_size=2),
@@ -100,7 +99,6 @@ class TestEffectiveConfig:
         assert cfg["seed"] == 0
         assert cfg["split"] == [0.7, 0.1, 0.2]
         assert cfg["deep_imaging"]["hidden_dims"] == [64]
-        assert cfg["truncate_30day"] is False
 
     def test_editing_the_result_leaves_the_defaults(self):
         cfg = effective_config({})
@@ -135,7 +133,7 @@ class TestEffectiveConfig:
         ({"deep_clinical": {"wrong": 1}}, "deep_clinical.wrong"),
         ({"rsf": {"n_trees": 0}}, "rsf.n_trees"),
         ({"fusion_ridge": -1.0}, "fusion_ridge"),
-        ({"truncate_30day": "yes"}, "truncate_30day"),
+        ({"truncate_30day": True}, "truncate_30day"),  # a removed key is unknown
         ({"generate": {"n": 5}}, "generate.n"),
         ({"generate": {"missing_rate": 1.0}}, "generate.missing_rate"),
         # JSON booleans are not integers
@@ -155,6 +153,8 @@ class TestEffectiveConfig:
          "stratification.threshold"),
         ({"deep_clinical": {"learning_rate": float("inf")}}, "deep_clinical.learning_rate"),
         ({"generate": {"noise_scale": float("inf")}}, "generate.noise_scale"),
+        ({"stratification": {"method": "fixed", "threshold": float("nan")}},
+         "stratification.threshold: must be a finite number for fixed stratification"),
     ])
     def test_validation_names_the_field(self, raw, path_part):
         with pytest.raises(InvalidConfigError) as err:
@@ -180,11 +180,10 @@ class TestEffectiveConfig:
     def test_flag_overrides_win(self):
         parser = build_parser()
         args = parser.parse_args(["run", "--seed", "9", "--models", "pesi,deep_clinical",
-                                  "--truncate-30d", "--out", "/tmp/x"])
+                                  "--out", "/tmp/x"])
         cfg = effective_config({"seed": 2}, args)
         assert cfg["seed"] == 9
         assert cfg["models"] == ["pesi", "deep_clinical"]
-        assert cfg["truncate_30day"] is True
         assert cfg["out"] == "/tmp/x"
 
     def test_load_config_errors(self, tmp_path):
@@ -216,8 +215,6 @@ class TestConfigFingerprint:
         base = config_fingerprint(effective_config({}))
         assert config_fingerprint(effective_config({"nri_threshold": 0.6})) != base
         assert config_fingerprint(effective_config({"rsf": {"n_trees": 7}})) != base
-        # --truncate-30d changes no result, so it does not enter the fingerprint
-        assert config_fingerprint(effective_config({"truncate_30day": True})) == base
 
 
 class TestGenerate:
@@ -391,22 +388,19 @@ class TestRun:
                      "--out", str(tmp_path / "o")])
         assert code == 1
 
-    def test_truncate_flag_accepted(self, cohort, tmp_path):
+    def test_truncate_flag_refused(self, cohort, tmp_path, capsys, caplog):
+        # the report always has the 30-day table; the flag and the config key
+        # that once asked for it are refused like any unknown option
         out = tmp_path / "trunc"
-        code = main(["run", "--config", write_config(tmp_path),
-                     "--clinical", str(cohort / "clinical.csv"),
-                     "--features", str(cohort / "features.csv"),
-                     "--models", "pesi", "--truncate-30d",
-                     "--seed", "11", "--out", str(out)])
-        assert code == 0
-        doc = json.loads((out / "report.json").read_text())
-        assert "short_term" in doc
-        without = tmp_path / "plain"
-        assert main(["run", "--config", write_config(tmp_path),
-                     "--clinical", str(cohort / "clinical.csv"),
-                     "--features", str(cohort / "features.csv"),
-                     "--models", "pesi", "--seed", "11", "--out", str(without)]) == 0
-        assert (out / "report.json").read_bytes() == (without / "report.json").read_bytes()
+        inputs = ["--clinical", str(cohort / "clinical.csv"),
+                  "--features", str(cohort / "features.csv"), "--models", "pesi"]
+        assert main(["run", "--config", write_config(tmp_path), *inputs, "--truncate-30d",
+                     "--out", str(out)]) == 1
+        assert "unrecognized arguments: --truncate-30d" in capsys.readouterr().err
+        assert main(["run", "--config", write_config(tmp_path, {"truncate_30day": True}),
+                     *inputs, "--out", str(out)]) == 1
+        assert "truncate_30day: unknown field" in caplog.text
+        assert not out.exists()
 
     def test_diverged_network_stops_the_pending_forests(self, cohort, tmp_path, monkeypatch,
                                                         caplog):

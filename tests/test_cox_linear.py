@@ -13,7 +13,6 @@ from survfuse.cox_linear import (
     _breslow_baseline,
     _event_table,
     fit_cox,
-    partial_loglik_eta,
 )
 from survfuse.dataset import EventTable, Labels
 from survfuse.errors import (
@@ -22,9 +21,9 @@ from survfuse.errors import (
     NonFiniteInputError,
     SingularInformationError,
 )
-from survfuse.synthetic import GeneratorSpec, gen_cox_linear
 
-from strategies import survival_arrays
+from generators import GeneratorSpec, gen_cox_linear
+from strategies import partial_loglik_eta, survival_arrays
 
 
 def loglik(beta, X, labels, tie_method="efron"):

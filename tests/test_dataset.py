@@ -43,6 +43,7 @@ from survfuse.errors import (
 from survfuse.pesi import pesi_scores
 
 import records
+from defaults import DEFAULTS
 from strategies import make_dataset, outcome, same_bits, survival_arrays, values_row
 
 HEADER = list(CLINICAL_COLUMNS)
@@ -173,18 +174,6 @@ class TestIngestClinical:
             ingest_clinical(path)
         assert info.value.row_index == 1
         assert info.value.reason == f"{column} must be a finite number, got {token.strip()!r}"
-        # under a renamed header the message names the column in the file
-        header = [f"{h}_x" if h == column else h for h in HEADER]
-        path = write_clinical(tmp_path / "r.csv", rows, header=header)
-        with pytest.raises(MalformedRowError) as info:
-            ingest_clinical(path, schema={column: f"{column}_x"})
-        assert info.value.reason.startswith(f"{column}_x must be a finite number")
-
-    def test_schema_remap(self, tmp_path):
-        header = ["id" if c == "patient_id" else c for c in HEADER]
-        path = write_clinical(tmp_path / "c.csv", [base_row("P9")], header=header)
-        ds = ingest_clinical(path, schema={"patient_id": "id"})
-        assert ds.patient_ids == ("P9",)
 
     def test_sex_tokens(self, tmp_path):
         rows = [base_row(f"P{i}", sex=s) for i, s in enumerate(
@@ -221,14 +210,13 @@ _CLINICAL_TOKENS.update(dict.fromkeys(
 
 @st.composite
 def clinical_csvs(draw):
-    """``(header, rows, schema)`` of a clinical CSV.
+    """``(header, rows)`` of a clinical CSV.
 
-    The canonical columns, some renamed through ``schema``, shuffled, with
-    extra columns or a repeated name; now and then ``rv_dysfunction`` or a
-    required column is absent. 0-25 rows whose cells are those of
-    ``base_row`` but, at two rates drawn per file, hold a token a row may
-    hold (padded, mixed case, quoted, empty, unparseable) or one that makes
-    the row faulty (an empty or repeated id, a bad event or time, a NaN,
+    The canonical columns, shuffled, with extra columns or a repeated name;
+    now and then ``rv_dysfunction`` or a required column is absent. 0-25
+    rows whose cells are those of ``base_row`` but, at two rates drawn per
+    file, hold a token a row may hold (padded, mixed case, quoted, empty,
+    unparseable) or one that makes the row faulty (an empty or repeated id, a bad event or time, a NaN,
     infinite or non-positive age, a non-finite vital sign). Rows may also
     be cells short or a cell long, and blank lines come between them.
     """
@@ -239,11 +227,9 @@ def clinical_csvs(draw):
         columns.remove("rv_dysfunction")
     if rnd.random() < 0.05:
         columns.remove(rnd.choice(columns))
-    schema = {name: f"{name}_v2" for name in rnd.sample(columns, rnd.randint(0, 3))}
     extras = rnd.sample(["note", "age", "cancer", "patient_id", "event"], rnd.randint(0, 2))
-    header = [schema.get(c, c) for c in columns] + extras
+    header = columns + extras
     rnd.shuffle(header)
-    canonical = {schema.get(c, c): c for c in columns}
     odd_rate = rnd.choice([0.0, 0.1, 0.3, 0.7])
     fault_rate = rnd.choice([0.0, 0.0, 0.003, 0.01, 0.05])
 
@@ -260,7 +246,7 @@ def clinical_csvs(draw):
         return base_row(f"Q{k}")[HEADER.index(name)]
 
     def row(k):
-        cells = [cell(canonical.get(h), k) for h in header]
+        cells = [cell(h if h in columns else None, k) for h in header]
         if rnd.random() < odd_rate / 10:
             cells = cells[:rnd.randrange(len(cells))]
         elif rnd.random() < odd_rate / 10:
@@ -270,7 +256,7 @@ def clinical_csvs(draw):
     rows = [row(k) for k in range(rnd.randint(0, 25))]
     for _ in range(rnd.randint(0, 2)):
         rows.insert(rnd.randint(0, len(rows)), [])  # a blank line
-    return header, rows, schema
+    return header, rows
 
 
 # each clinical property reads every file with these blocks, the default included
@@ -282,16 +268,16 @@ class TestReadClinical:
     @given(clinical_csvs())
     def test_matches_the_per_row_reader(self, case):
         # equal records and DEBUG logs, or the same error for the same row
-        header, rows, schema = case
+        header, rows = case
         with tempfile.TemporaryDirectory() as tmp:
             path = write_rows(Path(tmp) / "c.csv", header, rows)
             want_logs = []
             want, want_error = outcome(
-                lambda: records.ingest_clinical(path, schema, lambda *a: want_logs.append(a)))
+                lambda: records.ingest_clinical(path, lambda *a: want_logs.append(a)))
             for block in CLINICAL_BLOCKS:
                 with mock.patch.object(dataset, "_CLINICAL_BLOCK_ROWS", block), \
                         mock.patch.object(dataset.log, "debug") as debug:
-                    got, error = outcome(ingest_clinical, path, schema)
+                    got, error = outcome(ingest_clinical, path)
                 assert error == want_error
                 assert [c.args for c in debug.call_args_list] == want_logs
                 if error is None:
@@ -803,23 +789,27 @@ class TestClinicalMatrix:
             clinical_matrix(make_dataset([values_row()]))
 
 
+# the study's train and validation fractions
+FRACTIONS = DEFAULTS["split"][:2]
+
+
 class TestSplitDataset:
     def build(self, n):
         return make_dataset([values_row()] * n)
 
     def test_sizes_n10(self):
-        s = split_dataset(self.build(10), seed=0)
+        s = split_dataset(self.build(10), 0, *FRACTIONS)
         assert (len(s.train_ids), len(s.val_ids), len(s.test_ids)) == (7, 1, 2)
 
     def test_sizes_n485(self):
-        s = split_dataset(self.build(485), seed=3)
+        s = split_dataset(self.build(485), 3, *FRACTIONS)
         assert (len(s.train_ids), len(s.val_ids), len(s.test_ids)) == (339, 48, 98)
 
     def test_partition_property(self):
         for n in (10, 23, 100):
             ds = self.build(n)
             for seed in range(5):
-                s = split_dataset(ds, seed)
+                s = split_dataset(ds, seed, *FRACTIONS)
                 groups = [set(s.train_ids), set(s.val_ids), set(s.test_ids)]
                 assert groups[0] | groups[1] | groups[2] == set(ds.patient_ids)
                 assert not (groups[0] & groups[1])
@@ -828,12 +818,12 @@ class TestSplitDataset:
 
     def test_deterministic(self):
         ds = self.build(50)
-        assert split_dataset(ds, 7) == split_dataset(ds, 7)
-        assert split_dataset(ds, 7) != split_dataset(ds, 8)
+        assert split_dataset(ds, 7, *FRACTIONS) == split_dataset(ds, 7, *FRACTIONS)
+        assert split_dataset(ds, 7, *FRACTIONS) != split_dataset(ds, 8, *FRACTIONS)
 
     def test_too_small(self):
         with pytest.raises(DatasetTooSmallError):
-            split_dataset(self.build(9), seed=0)
+            split_dataset(self.build(9), 0, *FRACTIONS)
 
 
 class TestTruncate30Day:
@@ -934,8 +924,8 @@ class TestColumnsMatchRecords:
             path = write_clinical(Path(tmp) / "c.csv", rows)
             ds = ingest_clinical(path)
             rec = records.ingest_clinical(path)
-        split = split_dataset(ds, seed)
-        assert split == records.split_dataset(rec, seed)
+        split = split_dataset(ds, seed, *FRACTIONS)
+        assert split == records.split_dataset(rec, seed, *FRACTIONS)
 
         stats, error = outcome(compute_imputation_stats, ds, split.train_ids)
         want_stats, want_error = outcome(records.compute_imputation_stats, rec, split.train_ids)

@@ -7,11 +7,9 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from survfuse import dataset, deep_survival
-from survfuse.cox_linear import partial_loglik_eta
 from survfuse.dataset import EventTable, Labels
 from survfuse.deep_survival import (
     MlpSurvModel,
-    TrainOptions,
     forward,
     init_mlp,
     linear_scores,
@@ -26,7 +24,8 @@ from survfuse.errors import (
 )
 from survfuse.metrics import sigmoid
 
-from strategies import same_bits
+from defaults import train_options
+from strategies import partial_loglik_eta, same_bits
 
 
 def per_event_loss(scores, labels, tie_method="efron"):
@@ -258,8 +257,8 @@ class TestTrain:
         # tied times put the Efron correction on both losses
         labels = Labels(np.round(labels.times, 1), labels.events)
         lv = Labels(np.round(lv.times, 1), lv.events)
-        opts = TrainOptions(learning_rate=0.3, epochs=60, patience=patience, weight_decay=1e-3,
-                            tie_method=tie_method)
+        opts = train_options(learning_rate=0.3, epochs=60, patience=patience, weight_decay=1e-3,
+                             tie_method=tie_method)
         model = init_mlp(3, (5,), seed=16)
         trained, history = train(model, X, labels, val=(Xv, lv), options=opts)
         (weights, biases), want = oracle_train(model, X, labels, (Xv, lv), opts)
@@ -272,7 +271,7 @@ class TestTrain:
         X, labels = surv_data(rng, 30, 3, (1.0, -0.5, 0.2))
         Xv, lv = surv_data(rng, 15, 3, (1.0, -0.5, 0.2))
         model = init_mlp(3, (4,), seed=8)
-        opts = TrainOptions(learning_rate=0.0, epochs=40, patience=10, weight_decay=0.0)
+        opts = train_options(learning_rate=0.0, epochs=40, patience=10, weight_decay=0.0)
         trained, history = train(model, X, labels, val=(Xv, lv), options=opts)
         # no update ever improves, so early stopping fires after patience
         assert len(history) == 11
@@ -284,7 +283,7 @@ class TestTrain:
         rng = np.random.default_rng(42)
         X, labels = surv_data(rng, 80, 3, (1.5, -1.0, 0.0))
         model = init_mlp(3, (6,), seed=9)
-        opts = TrainOptions(learning_rate=0.05, epochs=150, weight_decay=0.0)
+        opts = train_options(learning_rate=0.05, epochs=150, weight_decay=0.0)
         _, history = train(model, X, labels, options=opts)
         assert len(history) == 150
         assert history[-1] < history[0] - 0.01
@@ -294,7 +293,7 @@ class TestTrain:
         X, labels = surv_data(rng, 40, 2, (1.0, -1.0))
         model = init_mlp(2, (4,), seed=10)
         before = [w.copy() for w in model.weights]
-        train(model, X, labels, options=TrainOptions(learning_rate=0.1, epochs=30))
+        train(model, X, labels, options=train_options(learning_rate=0.1, epochs=30))
         for w0, w1 in zip(before, model.weights):
             assert_array_equal(w0, w1)
 
@@ -302,7 +301,7 @@ class TestTrain:
         rng = np.random.default_rng(44)
         X, labels = surv_data(rng, 60, 3, (1.0, -0.5, 0.0))
         Xv, lv = surv_data(rng, 30, 3, (1.0, -0.5, 0.0))
-        opts = TrainOptions(learning_rate=0.2, epochs=120, patience=120, weight_decay=0.0)
+        opts = train_options(learning_rate=0.2, epochs=120, patience=120, weight_decay=0.0)
         model = init_mlp(3, (8,), seed=11)
         with_val, _ = train(model, X, labels, val=(Xv, lv), options=opts)
         final, _ = train(model, X, labels, options=opts)
@@ -314,7 +313,7 @@ class TestTrain:
         rng = np.random.default_rng(45)
         X, labels = surv_data(rng, 50, 2, (0.0, 0.0))
         Xv, lv = surv_data(rng, 25, 2, (0.0, 0.0))
-        opts = TrainOptions(learning_rate=0.0, epochs=500, patience=5)
+        opts = train_options(learning_rate=0.0, epochs=500, patience=5)
         _, history = train(init_mlp(2, (3,), seed=12), X, labels, val=(Xv, lv), options=opts)
         assert len(history) == 6
 
@@ -325,7 +324,7 @@ class TestTrain:
         rng = np.random.default_rng(47)
         X, labels = surv_data(rng, 40, 2, (1.0, -1.0))
         Xv, lv = surv_data(rng, 20, 2, (1.0, -1.0))
-        opts = TrainOptions(learning_rate=0.05, epochs=25, patience=25)
+        opts = train_options(learning_rate=0.05, epochs=25, patience=25)
         with mock.patch.object(dataset, "EventTable", wraps=EventTable) as built:
             _, history = train(init_mlp(2, (4,), seed=14), X, labels, val=(Xv, lv), options=opts)
             train(init_mlp(2, (3,), seed=15), X, labels, val=(Xv, lv), options=opts)
@@ -335,7 +334,7 @@ class TestTrain:
     def test_history_matches_epoch_by_epoch_replay(self):
         rng = np.random.default_rng(48)
         X, labels = surv_data(rng, 40, 3, (1.0, -1.0, 0.5))
-        opts = TrainOptions(learning_rate=0.05, epochs=30, weight_decay=1e-3)
+        opts = train_options(learning_rate=0.05, epochs=30, weight_decay=1e-3)
         model = init_mlp(3, (5,), seed=15)
         trained, history = train(model, X, labels, options=opts)
         weights = [W.copy() for W in model.weights]
@@ -358,7 +357,7 @@ class TestTrain:
         # weights, and their squared norm overflows within a few epochs
         rng = np.random.default_rng(46)
         X, labels = surv_data(rng, 40, 2, (2.0, -2.0))
-        opts = TrainOptions(learning_rate=1e12, epochs=50, weight_decay=1.0)
+        opts = train_options(learning_rate=1e12, epochs=50, weight_decay=1.0)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DivergedLossError):
                 train(init_mlp(2, (4,), seed=13), X, labels, options=opts)

@@ -28,6 +28,7 @@ from survfuse.feature_csv import FeatureRead
 from strategies import same_bits
 
 SRC = str(Path(survfuse.__file__).resolve().parents[1])
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 # forked: 2 usable CPUs; in this process: 1
 PATHS = {"forked": 2, "in_process": 1}
@@ -349,9 +350,9 @@ class TestForkedReadParity:
 
 EXPORTED = [
     "CANONICAL_ORDER", "CohortPlan", "ComparisonResult", "CoxModel", "Dataset",
-    "FitOptions", "ForestModel", "FusionBundle", "FusionModel", "GeneratorSpec",
+    "FitOptions", "ForestModel", "FusionBundle", "FusionModel",
     "ImputationStats", "KmCurve", "KmPoint", "Labels", "MODEL_KINDS", "MlpSurvModel",
-    "ModalityPlan", "ModelArtifact", "MultimodalData", "NriResult", "PESI_WEIGHTS",
+    "ModelArtifact", "NriResult", "PESI_WEIGHTS",
     "RiskStrata", "RsfOptions", "RvFactorReport", "SplitAssignment",
     "StudyReport", "SurvfuseError", "SurvivalTree", "TestResult",
     "TrainOptions", "analysis", "apply_imputation", "artifacts", "attach_imaging",
@@ -359,7 +360,7 @@ EXPORTED = [
     "compute_imputation_stats", "config", "cox_linear", "dataset", "deep_survival",
     "effective_config", "errors",
     "file_fingerprint", "fit_cox", "fit_forest", "fit_fusion", "forward", "fusion",
-    "gen_cox_linear", "gen_multimodal", "imaging_matrix", "impute_missing",
+    "imaging_matrix", "impute_missing",
     "ingest_clinical", "ingest_features", "init_mlp", "km_curve", "linear_scores",
     "load_model", "logrank_test", "metrics", "nri", "pesi", "pesi_scores", "predict_fused",
     "predict_risk", "risk_class_for", "rsf", "run_study", "run_study_full",
@@ -372,6 +373,16 @@ def run_python(code):
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
     return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+
+
+class TestReadme:
+    def test_library_use_example_runs(self):
+        # the README's library example, run as a user would with src/ on the path
+        section = README.read_text(encoding="utf-8").split("\n## Library use\n", 1)[1]
+        code = section.split("```python\n", 1)[1].split("```", 1)[0]
+        done = run_python(code)
+        assert done.returncode == 0, done.stderr
+        assert 0.5 < float(done.stdout) <= 1.0
 
 
 class TestLazyImports:

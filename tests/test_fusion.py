@@ -17,6 +17,8 @@ from survfuse.fusion import (
 )
 from survfuse.metrics import c_index
 
+from defaults import FUSION_OPTIONS
+
 
 def two_source_cohort(rng, n=150):
     a = rng.standard_normal(n)
@@ -33,44 +35,45 @@ class TestFitFusion:
     def test_sources_claim_canonical_order(self):
         rng = np.random.default_rng(80)
         a, b, labels = two_source_cohort(rng)
-        model = fit_fusion({"img": b, "clin": a}, labels)
+        model = fit_fusion({"img": b, "clin": a}, labels, FUSION_OPTIONS)
         assert model.sources == ("clin", "img")
 
     def test_insertion_order_is_irrelevant(self):
         rng = np.random.default_rng(81)
         a, b, labels = two_source_cohort(rng)
-        m1 = fit_fusion({"clin": a, "img": b}, labels)
-        m2 = fit_fusion({"img": b, "clin": a}, labels)
+        m1 = fit_fusion({"clin": a, "img": b}, labels, FUSION_OPTIONS)
+        m2 = fit_fusion({"img": b, "clin": a}, labels, FUSION_OPTIONS)
         assert_array_equal(m1.cox.beta, m2.cox.beta)
         assert_array_equal(m1.means, m2.means)
-        q = {"clin": 0.3, "img": -0.2}
-        assert predict_fused(m1, q) == predict_fused(m2, q)
+        q = {"clin": np.array([0.3]), "img": np.array([-0.2])}
+        assert_array_equal(predict_fused(m1, q), predict_fused(m2, q))
 
     def test_unknown_tag(self):
         rng = np.random.default_rng(82)
         a, _, labels = two_source_cohort(rng)
         with pytest.raises(ValueError, match="unknown modality"):
-            fit_fusion({"audio": a}, labels)
+            fit_fusion({"audio": a}, labels, FUSION_OPTIONS)
 
     def test_modality_count_bounds(self):
         rng = np.random.default_rng(83)
         a, b, labels = two_source_cohort(rng)
         with pytest.raises(ValueError, match="1-3"):
-            fit_fusion({}, labels)
+            fit_fusion({}, labels, FUSION_OPTIONS)
         four = dict(zip(CANONICAL_ORDER[:4], [a, b, a, b]))
         with pytest.raises(ValueError, match="1-3"):
-            fit_fusion(four, labels)
+            fit_fusion(four, labels, FUSION_OPTIONS)
 
     def test_length_mismatch(self):
         rng = np.random.default_rng(84)
         a, b, labels = two_source_cohort(rng)
         with pytest.raises(MismatchedLengthsError, match="img"):
-            fit_fusion({"clin": a, "img": b[:-3]}, labels)
+            fit_fusion({"clin": a, "img": b[:-3]}, labels, FUSION_OPTIONS)
 
     def test_constant_modality_degrades_gracefully(self):
         rng = np.random.default_rng(85)
         a, _, labels = two_source_cohort(rng)
-        model = fit_fusion({"clin": a, "pesi": np.full(len(labels), 42.0)}, labels)
+        model = fit_fusion({"clin": a, "pesi": np.full(len(labels), 42.0)}, labels,
+                           FUSION_OPTIONS)
         assert model.stds[model.sources.index("pesi")] == 1.0
         k = model.sources.index("pesi")
         assert abs(model.cox.beta[k]) < 1e-6
@@ -80,28 +83,28 @@ class TestFitFusion:
     def test_deterministic(self):
         rng = np.random.default_rng(86)
         a, b, labels = two_source_cohort(rng)
-        m1 = fit_fusion({"clin": a, "img": b}, labels)
-        m2 = fit_fusion({"clin": a.copy(), "img": b.copy()}, labels)
+        m1 = fit_fusion({"clin": a, "img": b}, labels, FUSION_OPTIONS)
+        m2 = fit_fusion({"clin": a.copy(), "img": b.copy()}, labels, FUSION_OPTIONS)
         assert_array_equal(m1.cox.beta, m2.cox.beta)
 
 
 class TestPredictFused:
-    def test_scalar_and_vector_agree(self):
+    def test_one_row_and_batch_agree(self):
         rng = np.random.default_rng(87)
         a, b, labels = two_source_cohort(rng)
-        model = fit_fusion({"clin": a, "img": b}, labels)
+        model = fit_fusion({"clin": a, "img": b}, labels, FUSION_OPTIONS)
         out = predict_fused(model, {"clin": a[:5], "img": b[:5]})
         assert out.shape == (5,)
         for k in range(5):
-            single = predict_fused(model, {"clin": float(a[k]), "img": float(b[k])})
-            assert isinstance(single, float)
-            # batch and single-row matmul may round differently in the last ulp
-            assert_allclose(single, out[k], rtol=1e-14)
+            single = predict_fused(model, {"clin": a[k:k + 1], "img": b[k:k + 1]})
+            assert single.shape == (1,)
+            # batch and one-row matmul may round differently in the last ulp
+            assert_allclose(single, out[k:k + 1], rtol=1e-14)
 
     def test_equals_cox_on_standardized_columns(self):
         rng = np.random.default_rng(88)
         a, b, labels = two_source_cohort(rng)
-        model = fit_fusion({"clin": a, "img": b}, labels)
+        model = fit_fusion({"clin": a, "img": b}, labels, FUSION_OPTIONS)
         z = np.column_stack([a, b])
         z = (z - model.means) / model.stds
         assert_allclose(predict_fused(model, {"clin": a, "img": b}),
@@ -110,31 +113,30 @@ class TestPredictFused:
     def test_missing_modality(self):
         rng = np.random.default_rng(89)
         a, b, labels = two_source_cohort(rng)
-        model = fit_fusion({"clin": a, "img": b}, labels)
+        model = fit_fusion({"clin": a, "img": b}, labels, FUSION_OPTIONS)
         with pytest.raises(MissingModalityError, match="img"):
-            predict_fused(model, {"clin": 0.1})
+            predict_fused(model, {"clin": a[:1]})
 
     def test_extra_modality(self):
         rng = np.random.default_rng(90)
         a, b, labels = two_source_cohort(rng)
-        model = fit_fusion({"clin": a}, labels)
+        model = fit_fusion({"clin": a}, labels, FUSION_OPTIONS)
         with pytest.raises(ExtraModalityError, match="img"):
-            predict_fused(model, {"clin": 0.1, "img": 0.2})
+            predict_fused(model, {"clin": a[:1], "img": b[:1]})
 
     def test_vector_length_mismatch(self):
         rng = np.random.default_rng(91)
         a, b, labels = two_source_cohort(rng)
-        model = fit_fusion({"clin": a, "img": b}, labels)
+        model = fit_fusion({"clin": a, "img": b}, labels, FUSION_OPTIONS)
         with pytest.raises(MismatchedLengthsError):
             predict_fused(model, {"clin": a[:4], "img": b[:5]})
 
     def test_monotone_in_positive_coefficient_source(self):
         rng = np.random.default_rng(92)
         a, b, labels = two_source_cohort(rng)
-        model = fit_fusion({"clin": a, "img": b}, labels)
+        model = fit_fusion({"clin": a, "img": b}, labels, FUSION_OPTIONS)
         assert model.cox.beta[0] > 0
-        lo = predict_fused(model, {"clin": -1.0, "img": 0.0})
-        hi = predict_fused(model, {"clin": 1.0, "img": 0.0})
+        lo, hi = predict_fused(model, {"clin": np.array([-1.0, 1.0]), "img": np.zeros(2)})
         assert hi > lo
 
 
@@ -153,7 +155,8 @@ class TestFusionImproves:
         view_a = z1 + 0.4 * rng.standard_normal(n)
         view_b = z2 + 0.4 * rng.standard_normal(n)
         fit, hold = slice(0, 400), slice(400, None)
-        model = fit_fusion({"clin": view_a[fit], "img": view_b[fit]}, labels.take(fit))
+        model = fit_fusion({"clin": view_a[fit], "img": view_b[fit]}, labels.take(fit),
+                           FUSION_OPTIONS)
         fused = predict_fused(model, {"clin": view_a[hold], "img": view_b[hold]})
         c_fused = c_index(fused, labels.take(hold))
         c_a = c_index(view_a[hold], labels.take(hold))

@@ -34,6 +34,8 @@ from survfuse.metrics import (
     wilcoxon_signed_rank,
 )
 
+from defaults import DEFAULTS
+
 
 def brute_c_index(scores, labels):
     """Pairwise loops straight from the definition."""
@@ -483,10 +485,12 @@ class TestLogrank:
 
 
 class TestNri:
+    cut = DEFAULTS["nri_threshold"]  # the study's threshold
+
     def test_identity_is_zero(self):
         labels = Labels([1, 2, 3, 4], [1, 1, 0, 0])
         scores = np.array([0.9, 0.3, 0.8, 0.1])
-        result = nri(scores, scores, labels)
+        result = nri(scores, scores, labels, self.cut)
         assert result.nri == 0.0
         assert (result.event_up, result.event_down) == (0, 0)
 
@@ -498,7 +502,7 @@ class TestNri:
         old = np.full(20, 0.5)
         new = old.copy()
         new[0] = 0.8
-        result = nri(old, new, labels)
+        result = nri(old, new, labels, self.cut)
         assert result.nri == 0.1
         assert result.event_up == 1
         assert result.n_events == 10 and result.n_nonevents == 10
@@ -510,16 +514,16 @@ class TestNri:
             labels = Labels(rng.integers(1, 9, n), [1] * 7 + [0] * 7)
             old = rng.random(n)
             new = rng.random(n)
-            assert nri(old, new, labels).nri == -nri(new, old, labels).nri
+            assert nri(old, new, labels, self.cut).nri == -nri(new, old, labels, self.cut).nri
 
     def test_threshold_boundary_counts_as_high(self):
         labels = Labels([1, 2], [1, 0])
         # score exactly at the threshold is already high risk, so moving
         # from 0.7 to 0.9 is not a reclassification
-        result = nri(np.array([0.7, 0.1]), np.array([0.9, 0.1]), labels)
+        result = nri(np.array([0.7, 0.1]), np.array([0.9, 0.1]), labels, self.cut)
         assert result.nri == 0.0
         # but moving from just under to exactly the threshold is
-        result = nri(np.array([0.69, 0.1]), np.array([0.7, 0.1]), labels)
+        result = nri(np.array([0.69, 0.1]), np.array([0.7, 0.1]), labels, self.cut)
         assert result.event_up == 1
 
     def test_custom_threshold(self):
@@ -530,13 +534,13 @@ class TestNri:
 
     def test_requires_both_outcomes(self):
         with pytest.raises(NoEventsError):
-            nri(np.zeros(2), np.zeros(2), Labels([1, 2], [0, 0]))
+            nri(np.zeros(2), np.zeros(2), Labels([1, 2], [0, 0]), self.cut)
         with pytest.raises(NoNoneventsError):
-            nri(np.zeros(2), np.zeros(2), Labels([1, 2], [1, 1]))
+            nri(np.zeros(2), np.zeros(2), Labels([1, 2], [1, 1]), self.cut)
 
     def test_length_mismatch(self):
         with pytest.raises(MismatchedLengthsError):
-            nri(np.zeros(3), np.zeros(2), Labels([1, 2], [1, 0]))
+            nri(np.zeros(3), np.zeros(2), Labels([1, 2], [1, 0]), self.cut)
 
 
 def midranks(values):

@@ -23,7 +23,6 @@ from survfuse.errors import (
 from survfuse.metrics import c_index, logrank_test
 from survfuse.rsf import (
     ForestModel,
-    RsfOptions,
     _best_split,
     _chf_at,
     _grow_tree,
@@ -37,6 +36,7 @@ from survfuse.rsf import (
     predict_risk,
 )
 
+from defaults import rsf_options
 from strategies import assert_same_trees, survival_arrays
 
 # block sizes of the split search's at-risk counts and of its variance
@@ -538,12 +538,12 @@ class TestFitForest:
     def test_deterministic(self):
         rng = np.random.default_rng(61)
         X, labels = surv_data(rng, 80, 3, (1.0, -0.5, 0.0))
-        opts = RsfOptions(n_trees=10, min_leaf_size=5, seed=3)
+        opts = rsf_options(n_trees=10, min_leaf_size=5, seed=3)
         a = fit_forest(X, labels, opts)
         b = fit_forest(X, labels, opts)
         q = rng.standard_normal((25, 3))
         assert_array_equal(predict_risk(a, q), predict_risk(b, q))
-        c = fit_forest(X, labels, RsfOptions(n_trees=10, min_leaf_size=5, seed=4))
+        c = fit_forest(X, labels, rsf_options(n_trees=10, min_leaf_size=5, seed=4))
         assert not np.array_equal(predict_risk(a, q), predict_risk(c, q))
 
     def test_record_order_invariance(self):
@@ -552,7 +552,7 @@ class TestFitForest:
         # distinct times guarantee the canonical sort is a true inverse
         labels = Labels(labels.times + np.arange(len(labels)) * 1e-9, labels.events)
         perm = rng.permutation(len(labels))
-        opts = RsfOptions(n_trees=8, min_leaf_size=5, seed=5)
+        opts = rsf_options(n_trees=8, min_leaf_size=5, seed=5)
         a = fit_forest(X, labels, opts)
         b = fit_forest(X[perm], labels.take(perm), opts)
         q = rng.standard_normal((20, 3))
@@ -569,7 +569,7 @@ class TestFitForest:
                                     return_index=True, return_inverse=True)
         X = rng.integers(0, 3, size=(t.size, 2)).astype(float)[first[group.ravel()]]
         perm = np.array(random.sample(range(t.size), t.size))
-        opts = RsfOptions(n_trees=3, min_leaf_size=2, seed=random.getrandbits(16))
+        opts = rsf_options(n_trees=3, min_leaf_size=2, seed=random.getrandbits(16))
         try:
             a = fit_forest(X, Labels(t, e), opts)
         except NoEventsError:
@@ -591,7 +591,7 @@ class TestFitForest:
         monkeypatch.setattr(rsf, "_grow_trees", grow_trees_tagged)
         rng = np.random.default_rng(73)
         X, labels = surv_data(rng, 90, 4, (1.5, -1.0, 0.0, 0.5))
-        opts = RsfOptions(n_trees=n_trees, min_leaf_size=6, seed=8)
+        opts = rsf_options(n_trees=n_trees, min_leaf_size=6, seed=8)
         model = fit_forest(X, labels, opts)
         grid, trees = serial_fit_forest(X, labels, opts)
         assert np.array_equal(model.event_time_grid, grid)
@@ -619,9 +619,9 @@ class TestFitForest:
             monkeypatch.setattr(rsf, "_pool_worker", idle_worker)
         rng = np.random.default_rng(75)
         fits = [(*surv_data(rng, 90, 4, (1.5, -1.0, 0.0, 0.5)),
-                 RsfOptions(n_trees=5, min_leaf_size=6, seed=8)),
+                 rsf_options(n_trees=5, min_leaf_size=6, seed=8)),
                 (*surv_data(rng, 60, 3, (1.0, 0.0, -0.5)),
-                 RsfOptions(n_trees=5, mtry=2, min_leaf_size=5, seed=9))]
+                 rsf_options(n_trees=5, mtry=2, min_leaf_size=5, seed=9))]
         with rsf.start_forests(fits) as pending:
             chunks = list(pending._chunks)
             assert chunks == [(0, 0, 2), (0, 2, 4), (0, 4, 5), (1, 0, 3), (1, 3, 5)]
@@ -652,7 +652,7 @@ class TestFitForest:
         monkeypatch.setattr(rsf, "_grow_trees", grow_trees_stuck_in_workers)
         X, labels = surv_data(np.random.default_rng(76), 90, 3, (1.0, -1.0, 0.0))
         with pytest.raises(KeyError):
-            with rsf.start_forests([(X, labels, RsfOptions(n_trees=40, min_leaf_size=10))]):
+            with rsf.start_forests([(X, labels, rsf_options(n_trees=40, min_leaf_size=10))]):
                 assert len(multiprocessing.active_children()) == 2
                 failed_at = time.monotonic()
                 raise KeyError("failure while the forests grow")
@@ -664,7 +664,7 @@ class TestFitForest:
         monkeypatch.setattr(rsf, "_POOL_MIN_WORK", 0)
         monkeypatch.setattr(rsf, "_grow_trees", grow_trees_failing_in_workers)
         X, labels = surv_data(np.random.default_rng(79), 90, 3, (1.0, -1.0, 0.0))
-        with rsf.start_forests([(X, labels, RsfOptions(n_trees=40, min_leaf_size=10))]) as pending:
+        with rsf.start_forests([(X, labels, rsf_options(n_trees=40, min_leaf_size=10))]) as pending:
             wait_for_claims(pending, 1)
             with pytest.raises(FloatingPointError, match="in a worker") as raised:
                 pending.finish()
@@ -688,7 +688,7 @@ class TestFitForest:
         monkeypatch.setattr(rsf, "_CHUNK_WORK", 1)
         monkeypatch.setattr(rsf, "_grow_trees", grow_and_log)
         X, labels = surv_data(np.random.default_rng(80), 40, 2, (1.0, -1.0))
-        opts = RsfOptions(n_trees=60, min_leaf_size=5, seed=3)
+        opts = rsf_options(n_trees=60, min_leaf_size=5, seed=3)
         started = time.monotonic()
         with rsf.start_forests([(X, labels, opts)]) as pending:
             assert len(pending._workers) == 5
@@ -701,7 +701,7 @@ class TestFitForest:
     def test_inputs_are_checked_at_start(self, monkeypatch):
         monkeypatch.setattr(rsf, "_usable_cpus", lambda: 2)
         X, labels = surv_data(np.random.default_rng(77), 40, 2, (1.0, 0.0))
-        good = (X, labels, RsfOptions(n_trees=2, min_leaf_size=5))
+        good = (X, labels, rsf_options(n_trees=2, min_leaf_size=5))
         with pytest.raises(NoEventsError):
             rsf.start_forests([good, (X, Labels(range(1, 41), [0] * 40), good[2])])
         assert not multiprocessing.active_children()
@@ -713,7 +713,7 @@ class TestFitForest:
         monkeypatch.setattr(rsf, "_grow_trees", grow_trees_tagged)
         monkeypatch.setattr(rsf, "_POOL_MIN_WORK", 90 * 27)
         X, labels = surv_data(np.random.default_rng(74), 90, 3, (1.0, -1.0, 0.0))
-        opts = RsfOptions(n_trees=n_trees, min_leaf_size=10, seed=9)
+        opts = rsf_options(n_trees=n_trees, min_leaf_size=10, seed=9)
         with rsf.start_forests([(X, labels, opts)]) as pending:
             started = len(pending._workers)
             model, = pending.finish()
@@ -728,14 +728,14 @@ class TestFitForest:
         monkeypatch.setattr(rsf, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(rsf, "_POOL_MIN_WORK", 90 * 27)
         X, labels = surv_data(np.random.default_rng(78), 90, 3, (1.0, -1.0, 0.0))
-        fit = (X, labels, RsfOptions(n_trees=14, min_leaf_size=10))
+        fit = (X, labels, rsf_options(n_trees=14, min_leaf_size=10))
         with rsf.start_forests([fit]) as alone, rsf.start_forests([fit, fit]) as batch:
             assert (len(alone._workers), len(batch._workers)) == (0, 1)
 
     def test_mtry_defaults_to_sqrt_features(self):
         rng = np.random.default_rng(63)
         X, labels = surv_data(rng, 40, 10, np.zeros(10))
-        model = fit_forest(X, labels, RsfOptions(n_trees=2, min_leaf_size=5))
+        model = fit_forest(X, labels, rsf_options(n_trees=2, min_leaf_size=5))
         assert model.options.mtry is None
         assert model.n_features == 10
         # ceil(sqrt(10)) = 4; resolved at fit time, not stored on options
@@ -745,37 +745,37 @@ class TestFitForest:
         X[:, 0] = np.arange(40)
         times = [1, 2, 2, 3] * 10
         events = [1, 1, 0, 1] * 10
-        model = fit_forest(X, Labels(times, events), RsfOptions(n_trees=2, min_leaf_size=5))
+        model = fit_forest(X, Labels(times, events), rsf_options(n_trees=2, min_leaf_size=5))
         assert_array_equal(model.event_time_grid, [1.0, 2.0, 3.0])
 
     def test_too_few_subjects(self):
         rng = np.random.default_rng(64)
         X, labels = surv_data(rng, 29, 2, (1.0, 0.0))
         with pytest.raises(DegenerateDataError):
-            fit_forest(X, labels, RsfOptions(min_leaf_size=15))
+            fit_forest(X, labels, rsf_options(min_leaf_size=15))
 
     def test_no_events(self):
         X = np.random.default_rng(65).standard_normal((40, 2))
         with pytest.raises(NoEventsError):
-            fit_forest(X, Labels(range(1, 41), [0] * 40), RsfOptions(min_leaf_size=5))
+            fit_forest(X, Labels(range(1, 41), [0] * 40), rsf_options(min_leaf_size=5))
 
     def test_non_finite_features(self):
         rng = np.random.default_rng(66)
         X, labels = surv_data(rng, 40, 2, (1.0, 0.0))
         X[3, 1] = np.nan
         with pytest.raises(NonFiniteInputError):
-            fit_forest(X, labels, RsfOptions(min_leaf_size=5))
+            fit_forest(X, labels, rsf_options(min_leaf_size=5))
 
     def test_shape_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            fit_forest(np.zeros((5, 2)), Labels([1, 2, 3], [1, 1, 1]))
+            fit_forest(np.zeros((5, 2)), Labels([1, 2, 3], [1, 1, 1]), rsf_options())
 
     @pytest.mark.parametrize("kw", [
         dict(n_trees=0), dict(mtry=0), dict(min_leaf_size=0),
     ])
     def test_options_validation(self, kw):
         with pytest.raises(ValueError):
-            RsfOptions(**kw)
+            rsf_options(**kw)
 
 
 def route_by_hand(tree, x):
@@ -797,7 +797,7 @@ class TestPredictRisk:
         events = [1, 0, 1, 1, 0, 1]
         labels = Labels(times, events)
         X = np.zeros((6, 1))
-        opts = RsfOptions(n_trees=1, min_leaf_size=3, seed=11)
+        opts = rsf_options(n_trees=1, min_leaf_size=3, seed=11)
         model = fit_forest(X, labels, opts)
         assert model.trees[0].feature.tolist() == [-1]
 
@@ -817,12 +817,12 @@ class TestPredictRisk:
                 if v <= g:
                     h += ((tb == v) & eb).sum() / (tb >= v).sum()
             want += h
-        assert_allclose(predict_risk(model, np.zeros(1)), want, rtol=1e-12)
+        assert_allclose(predict_risk(model, np.zeros((1, 1))), [want], rtol=1e-12)
 
     def test_routing_matches_scalar_walk(self):
         rng = np.random.default_rng(67)
         X, labels = surv_data(rng, 120, 4, (2.0, -1.0, 0.0, 0.5))
-        model = fit_forest(X, labels, RsfOptions(n_trees=6, min_leaf_size=8, seed=7))
+        model = fit_forest(X, labels, rsf_options(n_trees=6, min_leaf_size=8, seed=7))
         assert any(t.feature.max() >= 0 for t in model.trees)  # real splits happened
         Q = rng.standard_normal((30, 4))
         for tree in model.trees:
@@ -834,36 +834,37 @@ class TestPredictRisk:
     def test_prediction_is_mean_of_leaf_mortalities(self):
         rng = np.random.default_rng(68)
         X, labels = surv_data(rng, 90, 3, (1.5, -1.0, 0.0))
-        model = fit_forest(X, labels, RsfOptions(n_trees=5, min_leaf_size=10, seed=9))
+        model = fit_forest(X, labels, rsf_options(n_trees=5, min_leaf_size=10, seed=9))
         q = rng.standard_normal(3)
         want = np.mean([
             t.leaf_mortality[t.leaf_slot[route_by_hand(t, q)]] for t in model.trees
         ])
-        assert_allclose(predict_risk(model, q), want, rtol=1e-12)
+        assert_allclose(predict_risk(model, q[None]), [want], rtol=1e-12)
 
     def test_single_vs_batch(self):
         rng = np.random.default_rng(69)
         X, labels = surv_data(rng, 60, 2, (1.0, -1.0))
-        model = fit_forest(X, labels, RsfOptions(n_trees=4, min_leaf_size=6, seed=2))
+        model = fit_forest(X, labels, rsf_options(n_trees=4, min_leaf_size=6, seed=2))
         Q = rng.standard_normal((5, 2))
         batch = predict_risk(model, Q)
         assert batch.shape == (5,)
         for k in range(5):
-            single = predict_risk(model, Q[k])
-            assert isinstance(single, float)
-            assert single == batch[k]
+            # a one-row batch scores its patient bit for bit as the batch does
+            assert predict_risk(model, Q[k:k + 1]).tobytes() == batch[k:k + 1].tobytes()
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(70)
         X, labels = surv_data(rng, 60, 3, (1.0, 0.0, 0.0))
-        model = fit_forest(X, labels, RsfOptions(n_trees=2, min_leaf_size=6))
+        model = fit_forest(X, labels, rsf_options(n_trees=2, min_leaf_size=6))
         with pytest.raises(DimensionMismatchError):
-            predict_risk(model, np.zeros(4))
+            predict_risk(model, np.zeros((1, 4)))
+        with pytest.raises(DimensionMismatchError):
+            predict_risk(model, np.zeros(3))  # one patient is a one-row matrix
 
     def test_leaf_nodes_have_nan_threshold(self):
         rng = np.random.default_rng(71)
         X, labels = surv_data(rng, 80, 2, (2.0, 0.0))
-        model = fit_forest(X, labels, RsfOptions(n_trees=3, min_leaf_size=8, seed=1))
+        model = fit_forest(X, labels, rsf_options(n_trees=3, min_leaf_size=8, seed=1))
         for tree in model.trees:
             leaves = tree.feature < 0
             assert np.all(np.isnan(tree.threshold[leaves]))
@@ -872,6 +873,6 @@ class TestPredictRisk:
     def test_recovers_signal(self):
         rng = np.random.default_rng(72)
         X, labels = surv_data(rng, 400, 3, (2.0, -1.5, 0.0), censor=0.1)
-        model = fit_forest(X, labels, RsfOptions(n_trees=60, min_leaf_size=10, seed=0))
+        model = fit_forest(X, labels, rsf_options(n_trees=60, min_leaf_size=10, seed=0))
         Xt, lt = surv_data(rng, 200, 3, (2.0, -1.5, 0.0), censor=0.1)
         assert c_index(predict_risk(model, Xt), lt) > 0.7

@@ -11,14 +11,10 @@ from survfuse.dataset import (
 )
 from survfuse.errors import InvalidSpecError
 from survfuse.metrics import c_index
-from survfuse.synthetic import (
-    CohortPlan,
-    GeneratorSpec,
-    ModalityPlan,
-    gen_cox_linear,
-    gen_multimodal,
-    write_study_csvs,
-)
+from survfuse.synthetic import write_study_csvs
+
+from defaults import cohort_plan
+from generators import GeneratorSpec, ModalityPlan, gen_cox_linear, gen_multimodal
 
 
 class TestGenCoxLinear:
@@ -153,7 +149,7 @@ class TestGenMultimodal:
 
 class TestWriteStudyCsvs:
     def test_row_counts_and_rerun_identical(self, tmp_path):
-        plan = CohortPlan(n=100, seed=3)
+        plan = cohort_plan(n=100, seed=3)
         clin = tmp_path / "clinical.csv"
         feat = tmp_path / "features.csv"
         n = write_study_csvs(plan, clin, feat)
@@ -166,7 +162,7 @@ class TestWriteStudyCsvs:
         assert feat.read_bytes() == first_feat
 
     def test_ingests_through_standard_path(self, tmp_path):
-        plan = CohortPlan(n=60, seed=4, img_dim=8, max_acquisitions=3)
+        plan = cohort_plan(n=60, seed=4, img_dim=8, max_acquisitions=3)
         clin = tmp_path / "clinical.csv"
         feat = tmp_path / "features.csv"
         write_study_csvs(plan, clin, feat)
@@ -181,7 +177,7 @@ class TestWriteStudyCsvs:
         assert not np.isnan(ds.rv_dysfunction).any()
 
     def test_missing_cells_flow_through_imputation(self, tmp_path):
-        plan = CohortPlan(n=80, seed=5, missing_rate=0.15)
+        plan = cohort_plan(n=80, seed=5, missing_rate=0.15)
         clin = tmp_path / "clinical.csv"
         feat = tmp_path / "features.csv"
         write_study_csvs(plan, clin, feat)
@@ -197,8 +193,8 @@ class TestWriteStudyCsvs:
         b = tmp_path / "b.csv"
         fa = tmp_path / "fa.csv"
         fb = tmp_path / "fb.csv"
-        write_study_csvs(CohortPlan(n=30, seed=1), a, fa)
-        write_study_csvs(CohortPlan(n=30, seed=2), b, fb)
+        write_study_csvs(cohort_plan(n=30, seed=1), a, fa)
+        write_study_csvs(cohort_plan(n=30, seed=2), b, fb)
         assert a.read_bytes() != b.read_bytes()
 
     def test_deaths_exist_inside_30_days(self, tmp_path):
@@ -206,7 +202,7 @@ class TestWriteStudyCsvs:
         # short-horizon analysis depends on
         clin = tmp_path / "clinical.csv"
         feat = tmp_path / "features.csv"
-        write_study_csvs(CohortPlan(n=400, seed=6), clin, feat)
+        write_study_csvs(cohort_plan(n=400, seed=6), clin, feat)
         ds = ingest_clinical(clin)
         early = int((ds.labels.events & (ds.labels.times <= 30.0)).sum())
         assert early >= 10
@@ -220,4 +216,4 @@ class TestWriteStudyCsvs:
     ])
     def test_plan_validation(self, kw):
         with pytest.raises(InvalidSpecError):
-            CohortPlan(**kw)
+            cohort_plan(**kw)
