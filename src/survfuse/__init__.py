@@ -18,7 +18,7 @@ import importlib
 # listed here is public too
 _EXPORTS = {
     "analysis": (
-        "ComparisonResult", "MODEL_KINDS", "RiskStrata", "RvFactorReport", "StudyReport",
+        "ComparisonResult", "MODEL_KINDS", "RvFactorReport", "StudyReport",
         "compare_to_pesi", "run_study", "run_study_full", "rv_factor_analysis", "stratify",
     ),
     "artifacts": (
@@ -28,7 +28,7 @@ _EXPORTS = {
     "config": ("effective_config",),
     "cox_linear": ("CoxModel", "FitOptions", "fit_cox"),
     "dataset": (
-        "Dataset", "ImputationStats", "Labels", "SplitAssignment", "apply_imputation",
+        "Dataset", "ImputationStats", "Labels", "apply_imputation",
         "attach_imaging", "clinical_matrix", "compute_imputation_stats", "imaging_matrix",
         "impute_missing", "ingest_clinical", "ingest_features", "split_dataset",
         "truncate_30day",

@@ -9,6 +9,8 @@ ledger, stratified survival curves with log-rank tests, paired comparisons
 against the severity index, and the RV dysfunction factor analysis. The
 whole pipeline is deterministic given the config seed: every stochastic
 stage draws from its own substream derived from (seed, stage).
+Patients are rows: a split is the ascending rows of ``split_dataset``,
+a stratum a boolean mask over them; ids are read only for the RV patient list.
 """
 
 from __future__ import annotations
@@ -59,14 +61,6 @@ SPLIT_NAMES = ("train", "val", "test")
 
 
 @dataclass(frozen=True)
-class RiskStrata:
-    high_ids: tuple[str, ...]
-    low_ids: tuple[str, ...]
-    cut_value: float
-    method: str
-
-
-@dataclass(frozen=True)
 class RvFactorReport:
     n_rv: int
     rv_high_count: int
@@ -83,18 +77,15 @@ class ComparisonResult:
     n_resamples: int
 
 
-def stratify(scores, ids, method: str, threshold: float | None) -> RiskStrata:
-    """Partition patients into high/low risk groups; ties go to high.
+def stratify(scores, method: str, threshold: float | None) -> tuple[np.ndarray, float]:
+    """The high-risk mask ``scores >= cut`` and the cut; ties go to high.
 
     ``median`` cuts at the sample median of the scores; ``fixed`` uses the
     supplied threshold unchanged.
     """
     s = np.asarray(scores, dtype=float)
-    ids = tuple(ids)
     if s.size == 0:
         raise EmptyInputError("no scores to stratify")
-    if s.size != len(ids):
-        raise MismatchedLengthsError(f"{s.size} scores for {len(ids)} ids")
     if method == "median":
         cut = float(np.median(s))
     elif method == "fixed":
@@ -103,40 +94,30 @@ def stratify(scores, ids, method: str, threshold: float | None) -> RiskStrata:
         cut = float(threshold)
     else:
         raise ValueError(f"unknown stratification method {method!r}")
-    high = s >= cut
-    return RiskStrata(
-        high_ids=tuple(i for i, h in zip(ids, high) if h),
-        low_ids=tuple(i for i, h in zip(ids, high) if not h),
-        cut_value=cut,
-        method=method,
-    )
+    return s >= cut, cut
 
 
-def rv_factor_analysis(strata: RiskStrata, rv_flags: dict[str, bool],
-                       death_flags: dict[str, bool]) -> RvFactorReport:
+def rv_factor_analysis(high, rv, events) -> RvFactorReport:
     """How often RV dysfunction and death land in the high-risk stratum.
 
-    Degenerate denominators (no RV patients, no deaths) yield None fields
-    rather than an error so a report can still be produced.
+    ``high``, ``rv`` and ``events`` flag the same patients: high risk, RV
+    dysfunction and an observed death. Degenerate denominators (no RV
+    patients, no deaths) yield None fields rather than an error so a report
+    can still be produced.
     """
-    all_ids = strata.high_ids + strata.low_ids
-    missing = [i for i in all_ids if i not in rv_flags or i not in death_flags]
-    if missing:
+    high, rv, events = (np.asarray(a, dtype=bool) for a in (high, rv, events))
+    if not high.shape == rv.shape == events.shape:
         raise MismatchedLengthsError(
-            f"flags missing for {len(missing)} stratified patient(s), e.g. {missing[0]!r}"
-        )
-    high = set(strata.high_ids)
-    rv_ids = [i for i in all_ids if rv_flags[i]]
-    death_ids = [i for i in all_ids if death_flags[i]]
-    rv_high = sum(1 for i in rv_ids if i in high)
-    deaths_high = sum(1 for i in death_ids if i in high)
+            f"{high.size} risk flags for {rv.size} RV and {events.size} death flags")
+    n_rv, n_deaths = int(rv.sum()), int(events.sum())
+    rv_high, deaths_high = int((rv & high).sum()), int((events & high).sum())
     return RvFactorReport(
-        n_rv=len(rv_ids),
+        n_rv=n_rv,
         rv_high_count=rv_high,
-        rv_high_pct=100.0 * rv_high / len(rv_ids) if rv_ids else None,
-        n_deaths=len(death_ids),
+        rv_high_pct=100.0 * rv_high / n_rv if n_rv else None,
+        n_deaths=n_deaths,
         deaths_high_count=deaths_high,
-        death_capture_pct=100.0 * deaths_high / len(death_ids) if death_ids else None,
+        death_capture_pct=100.0 * deaths_high / n_deaths if n_deaths else None,
     )
 
 
@@ -188,7 +169,6 @@ class StudyArtifacts:
     forest under its component tag, each fusion under its fused model kind."""
 
     dataset: Dataset
-    split: object
     fitted: dict[str, object] = field(default_factory=dict)
 
 
@@ -261,16 +241,10 @@ def run_study_full(ds: Dataset, config: dict | None = None):
     cfg = effective_config(config or {})
     models = cfg["models"]
 
-    split = split_dataset(ds, cfg["seed"], cfg["split"][0], cfg["split"][1])
-    ds = impute_missing(ds, split.train_ids)
-
-    # each split's patients, in dataset order
-    split_of = {pid: s for s, ids in zip(SPLIT_NAMES, (split.train_ids, split.val_ids,
-                                                       split.test_ids)) for pid in ids}
-    which = [split_of[pid] for pid in ds.patient_ids]
-    rows = {s: np.flatnonzero([w == s for w in which]) for s in SPLIT_NAMES}
+    # each split's rows, in dataset order
+    rows = dict(zip(SPLIT_NAMES, split_dataset(ds, cfg["seed"], *cfg["split"][:2])))
+    ds = impute_missing(ds, rows["train"])
     labels = {s: ds.labels.take(rows[s]) for s in SPLIT_NAMES}
-    ids = {s: [ds.patient_ids[i] for i in rows[s]] for s in SPLIT_NAMES}
 
     # the component tags the requested models read, in fusion order
     tags = [t for t in CANONICAL_ORDER if any(t in COMPONENTS[k] for k in models)]
@@ -283,7 +257,7 @@ def run_study_full(ds: Dataset, config: dict | None = None):
     pesi_all = pesi.pesi_scores(ds)
     pesi_scores = {s: pesi_all[rows[s]] for s in SPLIT_NAMES}
 
-    arts = StudyArtifacts(dataset=ds, split=split)
+    arts = StudyArtifacts(dataset=ds)
     # the forests grow on the process pool while the networks train here
     forest_fits = [
         (inputs[tag.removeprefix("rsf_")]["train"], labels["train"],
@@ -335,18 +309,15 @@ def run_study_full(ds: Dataset, config: dict | None = None):
             nri_table[s][name] = dataclasses.asdict(result)
 
     km_section = {}
-    strata_by_model = {}
+    method = cfg["stratification"]["method"]
+    strata = {}  # the high-risk mask over the test split and the cut, by model
     for kind in MODEL_KINDS:
         if kind not in models:
             continue
-        strata = stratify(prob[kind]["test"], ids["test"],
-                          cfg["stratification"]["method"], cfg["stratification"]["threshold"])
-        strata_by_model[kind] = strata
-        in_high = set(strata.high_ids)
-        is_high = np.array([i in in_high for i in ids["test"]], dtype=bool)
+        is_high, cut = strata[kind] = stratify(prob[kind]["test"], method,
+                                               cfg["stratification"]["threshold"])
         high, low = labels["test"].take(is_high), labels["test"].take(~is_high)
-        entry = {"cut_value": strata.cut_value, "method": strata.method,
-                 "n_high": len(high), "n_low": len(low)}
+        entry = {"cut_value": cut, "method": method, "n_high": len(high), "n_low": len(low)}
         if high and low:
             test = logrank_test(high, low)
             entry["logrank_statistic"] = test.statistic
@@ -379,28 +350,20 @@ def run_study_full(ds: Dataset, config: dict | None = None):
 
     rv_section = None
     rv_test = ds.rv_dysfunction[rows["test"]]
-    if not np.isnan(rv_test).any() and "deep_multimodal" in strata_by_model:
-        strata = strata_by_model["deep_multimodal"]
-        rv_flags = dict(zip(ids["test"], (rv_test == 1.0).tolist()))
-        death_flags = dict(zip(ids["test"], labels["test"].events.tolist()))
-        factor = rv_factor_analysis(strata, rv_flags, death_flags)
+    if not np.isnan(rv_test).any() and "deep_multimodal" in strata:
+        is_high, cut = strata["deep_multimodal"]
+        rv, events = rv_test == 1.0, labels["test"].events
         lin = raw["deep_multimodal"]["test"]
-        sig = prob["deep_multimodal"]["test"]
-        high = set(strata.high_ids)
         rv_section = {
-            **dataclasses.asdict(factor),
-            "cut_linear": float(np.median(lin)) if strata.method == "median" else None,
-            "cut_sigmoid": strata.cut_value,
+            **dataclasses.asdict(rv_factor_analysis(is_high, rv, events)),
+            "cut_linear": float(np.median(lin)) if method == "median" else None,
+            "cut_sigmoid": cut,
             "patients": [
-                {
-                    "patient_id": pid,
-                    "risk_linear": float(lv),
-                    "risk_sigmoid": float(pv),
-                    "high_risk": pid in high,
-                    "rv_dysfunction": rv_flags[pid],
-                    "event": death_flags[pid],
-                }
-                for pid, lv, pv in zip(ids["test"], lin, sig)
+                {"patient_id": ds.patient_ids[i], "risk_linear": lv, "risk_sigmoid": pv,
+                 "high_risk": h, "rv_dysfunction": r, "event": e}
+                for i, lv, pv, h, r, e in zip(rows["test"].tolist(), lin.tolist(),
+                                              prob["deep_multimodal"]["test"].tolist(),
+                                              is_high.tolist(), rv.tolist(), events.tolist())
             ],
         }
 

@@ -424,10 +424,10 @@ def build_parser() -> argparse.ArgumentParser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, out_required=False):
+    def common(p):
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--seed", type=int, help="override the config seed")
-        p.add_argument("--out", required=out_required, help="output location")
+        p.add_argument("--out", help="output location")
 
     p_gen = sub.add_parser("generate", help="write a synthetic cohort")
     common(p_gen)

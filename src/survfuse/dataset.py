@@ -1,5 +1,9 @@
 """Cohort ingestion, imputation, feature extraction and splitting.
 
+A split or the imputation reference is addressed by row indices into the
+:class:`Dataset`; patient ids are read only for the feature join, the
+duplicate-id check and error messages.
+
 The on-disk interchange format is two CSV files. The clinical file has one
 row per patient::
 
@@ -185,16 +189,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return len(self.patient_ids)
-
-
-@dataclass(frozen=True)
-class SplitAssignment:
-    """Disjoint train/val/test patient ids plus the seed that produced them."""
-
-    train_ids: tuple[str, ...]
-    val_ids: tuple[str, ...]
-    test_ids: tuple[str, ...]
-    seed: int
 
 
 _FLAG_VALUES = {**dict.fromkeys(_TRUE_TOKENS, 1.0), **dict.fromkeys(_FALSE_TOKENS, 0.0)}
@@ -474,19 +468,20 @@ def imaging_matrix(ds: Dataset, purpose: str = "") -> np.ndarray:
     return kept[rows]
 
 
-def compute_imputation_stats(ds: Dataset, reference_ids) -> ImputationStats:
-    """Learn fill-in constants from the reference (training) patients.
+def compute_imputation_stats(ds: Dataset, rows) -> ImputationStats:
+    """Learn fill-in constants from the reference (training) patients, the
+    dataset's ``rows`` (indices, a boolean mask or a slice).
 
     Binary fields take the median over observed reference values, with an
     exact 0.5 tie resolved to False. Age takes the reference median; the
     normalization mean/std are then computed over the POST-imputation
     reference ages (observed values plus the median for missing ones) so that
-    normalized training age has mean exactly zero.
+    normalized training age has mean exactly zero. The mean and std sum the
+    ages in the order of ``rows``.
     """
-    wanted = set(reference_ids)
-    ref = ds.values[[pid in wanted for pid in ds.patient_ids]]
+    ref = ds.values[rows]
     if not ref.shape[0]:
-        raise DatasetTooSmallError("reference id set selects no records")
+        raise DatasetTooSmallError("reference rows select no records")
     missing = np.isnan(ref)
 
     medians: dict[str, bool] = {}
@@ -521,15 +516,14 @@ def apply_imputation(ds: Dataset, stats: ImputationStats) -> Dataset:
     return dataclasses.replace(ds, values=values, imputation=stats)
 
 
-def impute_missing(ds: Dataset, reference_ids) -> Dataset:
-    """Learn constants on ``reference_ids`` and fill the whole dataset.
+def impute_missing(ds: Dataset, rows) -> Dataset:
+    """Learn constants on the dataset's ``rows`` and fill the whole dataset.
 
     The same constants are applied to every record regardless of split, so
     no statistic ever leaks from validation or test outcomes. Idempotent:
     re-running on the result changes nothing.
     """
-    stats = compute_imputation_stats(ds, reference_ids)
-    return apply_imputation(ds, stats)
+    return apply_imputation(ds, compute_imputation_stats(ds, rows))
 
 
 _CLINICAL_FIELDS = ("age_years",) + BINARY_FIELDS
@@ -553,22 +547,19 @@ def clinical_matrix(ds: Dataset) -> np.ndarray:
     return mat
 
 
-def split_dataset(ds: Dataset, seed: int, train_frac: float, val_frac: float) -> SplitAssignment:
-    """Random patient split (floors for train/val, remainder to test)."""
+def split_dataset(ds: Dataset, seed: int, train_frac: float,
+                  val_frac: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Random patient split: the ``(train, val, test)`` row indices, each
+    ascending, so a split keeps dataset order. Train and val take the floors
+    of their fractions of n, test the remainder."""
     n = len(ds)
     if n < 10:
         raise DatasetTooSmallError(f"need at least 10 records to split, got {n}")
     if train_frac <= 0 or val_frac < 0 or train_frac + val_frac >= 1:
         raise ValueError("split fractions must satisfy 0 < train, 0 <= val, train + val < 1")
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(n)
-    n_train = int(np.floor(train_frac * n))
-    n_val = int(np.floor(val_frac * n))
-    ids = ds.patient_ids
-    train = tuple(ids[i] for i in perm[:n_train])
-    val = tuple(ids[i] for i in perm[n_train:n_train + n_val])
-    test = tuple(ids[i] for i in perm[n_train + n_val:])
-    return SplitAssignment(train_ids=train, val_ids=val, test_ids=test, seed=seed)
+    perm = np.random.default_rng(seed).permutation(n)
+    n_train, n_val = int(np.floor(train_frac * n)), int(np.floor(val_frac * n))
+    return tuple(np.sort(part) for part in np.split(perm, [n_train, n_train + n_val]))
 
 
 def truncate_30day(labels: Labels) -> Labels:

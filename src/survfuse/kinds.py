@@ -1,11 +1,12 @@
 """The study's model panel, importable without numpy.
 
-Two tables hold every decision about the panel. ``COMPONENTS`` says which
+Two tables say what the panel is made of. ``COMPONENTS`` says which
 component scores each model kind uses; ``ARTIFACTS`` says which fitted
 component or fusion each saved artifact holds. ``analysis`` fits the panel
 from the first, ``cli`` saves and scores artifacts from the second and
 ``artifacts`` reads its kinds from it. The CLI validates a config against
-``MODEL_KINDS`` before it imports anything numeric.
+``MODEL_KINDS`` before it imports anything numeric. The 30-day table's
+kinds, the NRI pairs and the RV analysis's model are ``analysis``'s.
 
 Component tags: ``pesi`` is the severity index, ``clin`` and ``img`` the
 clinical and imaging networks, ``rsf_clin`` and ``rsf_img`` the clinical

@@ -85,14 +85,12 @@ def c_index(scores, labels: Labels) -> float:
     A pair (i, j) is comparable when subject i has an observed event strictly
     before j's time. Concordant pairs (higher score for the earlier event)
     count 1, score ties count 1/2. The value is ``weighted_c_index`` under
-    one all-ones row of weights.
+    one all-ones row of weights, which raises ``NoComparablePairsError``
+    when no pair is comparable.
     """
     s = np.asarray(scores, dtype=float)
     if s.ndim != 1 or s.size != len(labels):
         raise MismatchedLengthsError(f"{s.size} scores for {len(labels)} labels")
-    t, e = labels.times, labels.events
-    if not (e & (t < t.max(initial=-np.inf))).any():
-        raise NoComparablePairsError("no (event, later-time) pair exists")
     return float(weighted_c_index(s, labels, np.ones((1, s.size), dtype=np.uint8))[0])
 
 

@@ -20,7 +20,6 @@ from survfuse.dataset import (
     CLINICAL_COLUMNS,
     ImputationStats,
     Labels,
-    SplitAssignment,
 )
 from survfuse.errors import (
     AllMissingColumnError,
@@ -216,6 +215,15 @@ def ingest_clinical(path, debug=lambda *args: None) -> RecordDataset:
 # --- split, imputation and the model inputs, one record at a time ------------
 
 
+@dataclass(frozen=True)
+class SplitAssignment:
+    """Disjoint train/val/test patient ids, each in the permutation's order."""
+
+    train_ids: tuple[str, ...]
+    val_ids: tuple[str, ...]
+    test_ids: tuple[str, ...]
+
+
 def split_dataset(ds: RecordDataset, seed: int, train_frac, val_frac) -> SplitAssignment:
     n = len(ds.records)
     if n < 10:
@@ -225,7 +233,7 @@ def split_dataset(ds: RecordDataset, seed: int, train_frac, val_frac) -> SplitAs
     ids = ds.patient_ids
     return SplitAssignment(train_ids=tuple(ids[i] for i in perm[:n_train]),
                            val_ids=tuple(ids[i] for i in perm[n_train:n_train + n_val]),
-                           test_ids=tuple(ids[i] for i in perm[n_train + n_val:]), seed=seed)
+                           test_ids=tuple(ids[i] for i in perm[n_train + n_val:]))
 
 
 def compute_imputation_stats(ds: RecordDataset, reference_ids) -> ImputationStats:

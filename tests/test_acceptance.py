@@ -14,10 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from survfuse.analysis import (
-    RiskStrata,
-    rv_factor_analysis,
-)
+from survfuse.analysis import rv_factor_analysis
 from survfuse.cli import main
 from survfuse.cox_linear import fit_cox
 from survfuse.dataset import Labels, truncate_30day
@@ -362,20 +359,13 @@ class TestAcceptance:
 
     def test_10_rv_analysis_arithmetic(self, acceptance):
         # 16 RV patients with 11 stratified high, 65 deaths with 55 high
-        high = tuple(f"h{i}" for i in range(70))
-        low = tuple(f"l{i}" for i in range(30))
-        strata = RiskStrata(high_ids=high, low_ids=low, cut_value=0.5, method="median")
-        rv = {i: False for i in high + low}
-        for i in range(11):
-            rv[f"h{i}"] = True
-        for i in range(5):
-            rv[f"l{i}"] = True
-        dead = {i: False for i in high + low}
-        for i in range(55):
-            dead[f"h{i}"] = True
-        for i in range(10):
-            dead[f"l{i}"] = True
-        report = rv_factor_analysis(strata, rv, dead)
+        # patients 0-69 are high risk, 70-99 low
+        high = np.arange(100) < 70
+        rv = np.zeros(100, dtype=bool)
+        rv[:11] = rv[70:75] = True
+        dead = np.zeros(100, dtype=bool)
+        dead[:55] = dead[70:80] = True
+        report = rv_factor_analysis(high, rv, dead)
         rv_text = f"{report.rv_high_pct:.1f}"
         death_text = f"{report.death_capture_pct:.1f}"
         acceptance(

@@ -9,14 +9,13 @@ from survfuse.analysis import (
     MODEL_KINDS,
     SHORT_TERM_KINDS,
     ComparisonResult,
-    RiskStrata,
     compare_to_pesi,
     run_study,
     run_study_full,
     rv_factor_analysis,
     stratify,
 )
-from survfuse.dataset import Labels, attach_imaging, ingest_clinical
+from survfuse.dataset import Labels, attach_imaging, ingest_clinical, split_dataset
 from survfuse.errors import (
     DegenerateResamplingError,
     EmptyInputError,
@@ -96,83 +95,97 @@ def paired_cohorts(draw, min_n=3, max_n=30):
 
 class TestStratify:
     def test_median_cut(self):
-        strata = stratify([0.1, 0.2, 0.8, 0.9], ["a", "b", "c", "d"], "median", None)
-        assert strata.cut_value == 0.5
-        assert strata.high_ids == ("c", "d")
-        assert strata.low_ids == ("a", "b")
-        assert strata.method == "median"
+        high, cut = stratify([0.1, 0.2, 0.8, 0.9], "median", None)
+        assert cut == 0.5
+        assert high.tolist() == [False, False, True, True]
 
     def test_tie_at_cut_goes_high(self):
-        strata = stratify([1.0, 2.0, 2.0, 3.0], ["a", "b", "c", "d"], "median", None)
-        assert strata.cut_value == 2.0
-        assert strata.high_ids == ("b", "c", "d")
+        high, cut = stratify([1.0, 2.0, 2.0, 3.0], "median", None)
+        assert cut == 2.0
+        assert high.tolist() == [False, True, True, True]
 
     def test_all_equal_scores_all_high(self):
-        strata = stratify([0.4, 0.4, 0.4], ["a", "b", "c"], "median", None)
-        assert strata.high_ids == ("a", "b", "c")
-        assert strata.low_ids == ()
+        high, _ = stratify([0.4, 0.4, 0.4], "median", None)
+        assert high.all()
 
     def test_fixed_threshold(self):
-        strata = stratify([0.1, 0.6, 0.9], ["a", "b", "c"], method="fixed", threshold=0.6)
-        assert strata.cut_value == 0.6
-        assert strata.high_ids == ("b", "c")
+        high, cut = stratify([0.1, 0.6, 0.9], method="fixed", threshold=0.6)
+        assert cut == 0.6
+        assert high.tolist() == [False, True, True]
 
     def test_fixed_needs_threshold(self):
         with pytest.raises(ValueError, match="threshold"):
-            stratify([0.1], ["a"], method="fixed", threshold=None)
+            stratify([0.1], method="fixed", threshold=None)
 
     def test_unknown_method(self):
         with pytest.raises(ValueError, match="method"):
-            stratify([0.1], ["a"], method="quartile", threshold=None)
+            stratify([0.1], method="quartile", threshold=None)
 
     def test_empty(self):
         with pytest.raises(EmptyInputError):
-            stratify([], [], "median", None)
+            stratify([], "median", None)
 
-    def test_length_mismatch(self):
-        with pytest.raises(MismatchedLengthsError):
-            stratify([0.1, 0.2], ["a"], "median", None)
+    @given(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(-1e6, 1e6),
+                    min_size=1, max_size=40),
+           st.sampled_from(["median", "fixed"]), st.floats(-2.0, 2.0))
+    def test_mask_is_scores_at_or_above_the_cut(self, scores, method, threshold):
+        high, cut = stratify(scores, method, threshold)
+        assert type(cut) is float
+        assert cut == (float(np.median(scores)) if method == "median" else threshold)
+        assert high.dtype == bool
+        assert high.tolist() == [s >= cut for s in scores]
 
 
 class TestRvFactorAnalysis:
     def build(self, n_high, n_low, rv_high, rv_low, dead_high, dead_low):
-        high = [f"h{i}" for i in range(n_high)]
-        low = [f"l{i}" for i in range(n_low)]
-        strata = RiskStrata(tuple(high), tuple(low), 0.5, "median")
-        rv = {i: k < rv_high for k, i in enumerate(high)}
-        rv.update({i: k < rv_low for k, i in enumerate(low)})
-        dead = {i: k < dead_high for k, i in enumerate(high)}
-        dead.update({i: k < dead_low for k, i in enumerate(low)})
-        return strata, rv, dead
+        """Masks over n_high high-risk then n_low low-risk patients; the first
+        patients of each stratum carry RV dysfunction, and die."""
+        def flags(k_high, k_low):
+            return np.r_[np.arange(n_high) < k_high, np.arange(n_low) < k_low]
+
+        return flags(n_high, 0), flags(rv_high, rv_low), flags(dead_high, dead_low)
 
     def test_counts_and_percentages(self):
         # 11 of 16 RV patients stratified high, 11 of 13 deaths captured
-        strata, rv, dead = self.build(20, 20, rv_high=11, rv_low=5,
-                                      dead_high=11, dead_low=2)
-        report = rv_factor_analysis(strata, rv, dead)
+        report = rv_factor_analysis(*self.build(20, 20, rv_high=11, rv_low=5,
+                                                dead_high=11, dead_low=2))
         assert (report.n_rv, report.rv_high_count) == (16, 11)
         assert (report.n_deaths, report.deaths_high_count) == (13, 11)
         assert f"{report.rv_high_pct:.1f}" == "68.8"
         assert f"{report.death_capture_pct:.1f}" == "84.6"
 
     def test_no_rv_patients_gives_none(self):
-        strata, rv, dead = self.build(5, 5, 0, 0, 2, 1)
-        report = rv_factor_analysis(strata, rv, dead)
+        report = rv_factor_analysis(*self.build(5, 5, 0, 0, 2, 1))
         assert report.n_rv == 0
         assert report.rv_high_pct is None
         assert report.death_capture_pct is not None
 
     def test_no_deaths_gives_none(self):
-        strata, rv, dead = self.build(5, 5, 3, 1, 0, 0)
-        report = rv_factor_analysis(strata, rv, dead)
+        report = rv_factor_analysis(*self.build(5, 5, 3, 1, 0, 0))
         assert report.n_deaths == 0
         assert report.death_capture_pct is None
 
-    def test_missing_flags(self):
-        strata, rv, dead = self.build(3, 3, 1, 1, 1, 1)
-        del rv["h0"]
-        with pytest.raises(MismatchedLengthsError, match="h0"):
-            rv_factor_analysis(strata, rv, dead)
+    def test_length_mismatch(self):
+        high, rv, dead = self.build(3, 3, 1, 1, 1, 1)
+        with pytest.raises(MismatchedLengthsError, match="^6 risk flags for 5 RV and 6 death"):
+            rv_factor_analysis(high, rv[1:], dead)
+
+    @given(st.integers(0, 40).flatmap(
+        lambda n: st.tuples(*[st.lists(st.booleans(), min_size=n, max_size=n)] * 3)))
+    def test_counts_equal_brute_force(self, masks):
+        high, rv, dead = masks
+        report = rv_factor_analysis(np.array(high, dtype=bool), np.array(rv, dtype=bool),
+                                    np.array(dead, dtype=bool))
+        n_rv = sum(rv)
+        rv_high = sum(h and r for h, r in zip(high, rv))
+        n_deaths = sum(dead)
+        deaths_high = sum(h and d for h, d in zip(high, dead))
+        assert dataclasses.astuple(report) == (
+            n_rv, rv_high, 100.0 * rv_high / n_rv if n_rv else None,
+            n_deaths, deaths_high, 100.0 * deaths_high / n_deaths if n_deaths else None)
+        # counts that json writes as numbers
+        assert all(type(getattr(report, name)) is int
+                   for name in ("n_rv", "rv_high_count", "n_deaths", "deaths_high_count"))
 
 
 class TestCompareToPesi:
@@ -348,6 +361,21 @@ class TestRunStudy:
         for p in rv["patients"]:
             assert set(p.keys()) == {"patient_id", "risk_linear", "risk_sigmoid",
                                      "high_risk", "rv_dysfunction", "event"}
+
+    def test_rv_patients_are_the_test_split_in_dataset_order(self, study_dataset, full_study):
+        (report, _), cfg = full_study
+        rv = report.rv_analysis
+        position = {pid: i for i, pid in enumerate(study_dataset.patient_ids)}
+        rows = [position[p["patient_id"]] for p in rv["patients"]]
+        assert rows == sorted(rows)
+        split = effective_config(cfg)["split"]
+        assert rows == split_dataset(study_dataset, cfg["seed"], *split[:2])[2].tolist()
+        for p in rv["patients"]:
+            assert p["high_risk"] == (p["risk_sigmoid"] >= rv["cut_sigmoid"])
+        flags = [(p["high_risk"], p["rv_dysfunction"], p["event"]) for p in rv["patients"]]
+        assert (rv["n_rv"], rv["rv_high_count"], rv["n_deaths"], rv["deaths_high_count"]) == (
+            sum(r for _, r, _ in flags), sum(h and r for h, r, _ in flags),
+            sum(e for _, _, e in flags), sum(h and e for h, _, e in flags))
 
     def test_artifacts_expose_fitted_models(self, full_study):
         (_, arts), _ = full_study

@@ -181,7 +181,7 @@ class TestRoundTrips:
     def test_imputation_stats_round_trip(self, fitted, tmp_path):
         ds = make_dataset([values_row(60.0 + i, male=i % 2 == 0, o2_sat_lt_90=i % 3 == 0)
                            for i in range(5)])
-        stats = compute_imputation_stats(ds, ds.patient_ids)
+        stats = compute_imputation_stats(ds, np.arange(len(ds)))
         path = tmp_path / "with_imp.json"
         save_model(path, "deep_clinical", fitted["mlp_c"], imputation=stats)
         art = load_model(path)
@@ -206,7 +206,7 @@ def scoring_cohort(rng, n, d):
                  values=np.array(rows, dtype=float), labels=Labels(times, events),
                  rv_dysfunction=np.full(n, np.nan),
                  imaging=(np.arange(n), np.array(features)))
-    return impute_missing(ds, ds.patient_ids)
+    return impute_missing(ds, np.arange(len(ds)))
 
 
 def random_mlp(rng, input_dim, hidden, tag, scale):

@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
@@ -641,9 +641,9 @@ class TestFeaturesAndAggregation:
 
 @st.composite
 def imputation_cases(draw):
-    """A cohort with random missing values, and a reference id set that may
-    name absent patients and holds one complete patient, so that every
-    column has an observed reference value."""
+    """A cohort with random missing values, and reference rows, in any
+    order, that hold one complete patient, so that every column has an
+    observed reference value."""
     n = draw(st.integers(1, 12))
     ref = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
     missing_pct = draw(st.sampled_from([0, 20, 60, 95]))
@@ -653,9 +653,8 @@ def imputation_cases(draw):
         row = [draw(ages), *(draw(st.booleans()) for _ in BINARY_FIELDS)]
         rows.append([None if i != ref[0] and draw(st.integers(0, 99)) < missing_pct else v
                      for v in row])
-    absent = draw(st.lists(st.sampled_from(["X0", "X1"]), max_size=2, unique=True))
     ds = make_dataset([values_row(*row[:1], **dict(zip(BINARY_FIELDS, row[1:]))) for row in rows])
-    return ds, [f"P{i}" for i in ref] + absent
+    return ds, np.array(ref)
 
 
 class TestImputation:
@@ -664,37 +663,37 @@ class TestImputation:
 
     def test_binary_strict_majority(self):
         ds = self.build([50.0] * 4, [True, True, False, None])
-        stats = compute_imputation_stats(ds, [f"P{i}" for i in range(4)])
+        stats = compute_imputation_stats(ds, np.arange(4))
         assert stats.binary_medians["cancer"] is True
 
     def test_binary_tie_imputes_false(self):
         ds = self.build([50.0] * 4, [True, False, None, None])
-        stats = compute_imputation_stats(ds, [f"P{i}" for i in range(4)])
+        stats = compute_imputation_stats(ds, np.arange(4))
         assert stats.binary_medians["cancer"] is False
 
     def test_age_median_and_post_imputation_moments(self):
         # observed ages 40, 60 -> median 50; the missing one fills to 50,
         # so normalization sees (40, 60, 50): mean 50, std sqrt(200/3)
         ds = self.build([40.0, 60.0, None], [False, False, False])
-        stats = compute_imputation_stats(ds, ["P0", "P1", "P2"])
+        stats = compute_imputation_stats(ds, [0, 1, 2])
         assert stats.age_median == 50.0
         assert stats.age_mean == 50.0
         assert_allclose(stats.age_std, np.sqrt(200.0 / 3.0), rtol=1e-15)
 
     def test_apply_only_touches_missing(self):
         ds = self.build([40.0, 60.0, None], [True, None, False])
-        out = impute_missing(ds, ["P0", "P1", "P2"])
+        out = impute_missing(ds, [0, 1, 2])
         assert column(out, "age_years").tolist() == [40.0, 60.0, 50.0]
         assert column(out, "cancer").tolist() == [1.0, 0.0, 0.0]  # a tie among (True, False)
-        assert out.imputation == compute_imputation_stats(ds, ["P0", "P1", "P2"])
+        assert out.imputation == compute_imputation_stats(ds, [0, 1, 2])
         assert np.isnan(ds.values).sum() == 2  # the input is left as it was
 
     @settings(max_examples=80)
     @given(imputation_cases())
     def test_idempotent(self, case):
-        ds, ids = case
-        once = impute_missing(ds, ids)
-        twice = impute_missing(once, ids)
+        ds, rows = case
+        once = impute_missing(ds, rows)
+        twice = impute_missing(once, rows)
         assert not np.isnan(once.values).any()
         assert once.imputation == twice.imputation
         assert once.patient_ids == twice.patient_ids
@@ -703,17 +702,17 @@ class TestImputation:
     def test_all_missing_column(self):
         ds = self.build([50.0, 52.0], [None, None])
         with pytest.raises(AllMissingColumnError, match="cancer"):
-            compute_imputation_stats(ds, ["P0", "P1"])
+            compute_imputation_stats(ds, [0, 1])
 
     def test_reference_set_restricts_stats(self):
         ds = self.build([40.0, 60.0, 90.0, 90.0], [False] * 4)
-        stats = compute_imputation_stats(ds, ["P0", "P1"])
+        stats = compute_imputation_stats(ds, [0, 1])
         assert stats.age_median == 50.0
 
     def test_empty_reference(self):
         ds = self.build([50.0], [False])
         with pytest.raises(DatasetTooSmallError):
-            compute_imputation_stats(ds, ["NOPE"])
+            compute_imputation_stats(ds, [])
 
 
 def clinical_feature_vector(row, age_norm_params, pid="P0"):
@@ -777,8 +776,7 @@ class TestClinicalMatrix:
         for _ in range(40):
             age = None if rng.random() < 0.25 else float(rng.uniform(30, 90))
             rows.append(values_row(age, **{f: bool(rng.random() < 0.3) for f in BINARY_FIELDS}))
-        train_ids = [f"P{i}" for i in range(28)]
-        ds = impute_missing(make_dataset(rows), train_ids)
+        ds = impute_missing(make_dataset(rows), np.arange(28))
         mat = clinical_matrix(ds)[:28]
         assert mat.shape == (28, 11)
         assert abs(mat[:, 0].mean()) < 1e-9
@@ -798,28 +796,31 @@ class TestSplitDataset:
         return make_dataset([values_row()] * n)
 
     def test_sizes_n10(self):
-        s = split_dataset(self.build(10), 0, *FRACTIONS)
-        assert (len(s.train_ids), len(s.val_ids), len(s.test_ids)) == (7, 1, 2)
+        assert [len(rows) for rows in split_dataset(self.build(10), 0, *FRACTIONS)] == [7, 1, 2]
 
     def test_sizes_n485(self):
-        s = split_dataset(self.build(485), 3, *FRACTIONS)
-        assert (len(s.train_ids), len(s.val_ids), len(s.test_ids)) == (339, 48, 98)
+        assert ([len(rows) for rows in split_dataset(self.build(485), 3, *FRACTIONS)]
+                == [339, 48, 98])
 
-    def test_partition_property(self):
-        for n in (10, 23, 100):
-            ds = self.build(n)
-            for seed in range(5):
-                s = split_dataset(ds, seed, *FRACTIONS)
-                groups = [set(s.train_ids), set(s.val_ids), set(s.test_ids)]
-                assert groups[0] | groups[1] | groups[2] == set(ds.patient_ids)
-                assert not (groups[0] & groups[1])
-                assert not (groups[0] & groups[2])
-                assert not (groups[1] & groups[2])
+    @given(st.integers(10, 300), st.integers(0, 2**32 - 1),
+           st.floats(0.05, 0.9), st.floats(0.0, 0.9))
+    def test_partition_property(self, n, seed, train_frac, val_frac):
+        assume(train_frac + val_frac < 1.0)
+        parts = split_dataset(self.build(n), seed, train_frac, val_frac)
+        assert len(parts) == 3
+        for rows in parts:
+            assert rows.dtype.kind == "i"
+            assert (np.diff(rows) > 0).all()
+        assert sorted(np.concatenate(parts).tolist()) == list(range(n))
+        assert len(parts[0]) == int(np.floor(train_frac * n))
+        assert len(parts[1]) == int(np.floor(val_frac * n))
 
     def test_deterministic(self):
         ds = self.build(50)
-        assert split_dataset(ds, 7, *FRACTIONS) == split_dataset(ds, 7, *FRACTIONS)
-        assert split_dataset(ds, 7, *FRACTIONS) != split_dataset(ds, 8, *FRACTIONS)
+        same = zip(split_dataset(ds, 7, *FRACTIONS), split_dataset(ds, 7, *FRACTIONS))
+        assert all(np.array_equal(a, b) for a, b in same)
+        other = zip(split_dataset(ds, 7, *FRACTIONS), split_dataset(ds, 8, *FRACTIONS))
+        assert not all(np.array_equal(a, b) for a, b in other)
 
     def test_too_small(self):
         with pytest.raises(DatasetTooSmallError):
@@ -925,10 +926,17 @@ class TestColumnsMatchRecords:
             ds = ingest_clinical(path)
             rec = records.ingest_clinical(path)
         split = split_dataset(ds, seed, *FRACTIONS)
-        assert split == records.split_dataset(rec, seed, *FRACTIONS)
+        want_split = records.split_dataset(rec, seed, *FRACTIONS)
+        want_ids = (want_split.train_ids, want_split.val_ids, want_split.test_ids)
+        # each split's rows are the record path's patients, in dataset order
+        for rows, ids in zip(split, want_ids):
+            members = set(ids)
+            assert [ds.patient_ids[i] for i in rows] == [r.patient_id for r in rec.records
+                                                         if r.patient_id in members]
 
-        stats, error = outcome(compute_imputation_stats, ds, split.train_ids)
-        want_stats, want_error = outcome(records.compute_imputation_stats, rec, split.train_ids)
+        stats, error = outcome(compute_imputation_stats, ds, split[0])
+        want_stats, want_error = outcome(records.compute_imputation_stats, rec,
+                                         want_split.train_ids)
         assert error == want_error
         if error is not None:
             return
@@ -942,14 +950,11 @@ class TestColumnsMatchRecords:
                                                   for r in rec.records]))
         assert same_bits(clinical_matrix(filled), records.clinical_matrix(rec))
         assert same_bits(pesi_scores(filled), records.pesi_scores(rec))
-        assert same_bits(impute_missing(ds, split.train_ids).values, filled.values)
+        assert same_bits(impute_missing(ds, split[0]).values, filled.values)
 
-        for ids in (split.train_ids, split.val_ids, split.test_ids):
+        for split_rows, ids in zip(split, want_ids):
             members = set(ids)
-            split_rows = np.flatnonzero([pid in members for pid in ds.patient_ids])
             want = [r.label for r in rec.records if r.patient_id in members]
-            assert [ds.patient_ids[i] for i in split_rows] == [r.patient_id for r in rec.records
-                                                          if r.patient_id in members]
             for labels, want_labels in ((ds.labels.take(split_rows), want),
                                         (truncate_30day(ds.labels.take(split_rows)),
                                          records.truncate_30day(want))):

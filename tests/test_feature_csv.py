@@ -353,7 +353,7 @@ EXPORTED = [
     "FitOptions", "ForestModel", "FusionBundle", "FusionModel",
     "ImputationStats", "KmCurve", "KmPoint", "Labels", "MODEL_KINDS", "MlpSurvModel",
     "ModelArtifact", "NriResult", "PESI_WEIGHTS",
-    "RiskStrata", "RsfOptions", "RvFactorReport", "SplitAssignment",
+    "RsfOptions", "RvFactorReport",
     "StudyReport", "SurvfuseError", "SurvivalTree", "TestResult",
     "TrainOptions", "analysis", "apply_imputation", "artifacts", "attach_imaging",
     "bootstrap_ci", "c_index", "clinical_matrix", "compare_to_pesi",

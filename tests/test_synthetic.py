@@ -185,7 +185,7 @@ class TestWriteStudyCsvs:
         # age, cancer, hr_ge_110 and o2_sat_lt_90
         holes = int(np.isnan(ds.values[:, [0, 2, 5, 10]]).sum())
         assert holes > 0
-        full = impute_missing(ds, ds.patient_ids)
+        full = impute_missing(ds, np.arange(len(ds)))
         assert not np.isnan(full.values).any()
 
     def test_seed_changes_cohort(self, tmp_path):
