@@ -39,8 +39,8 @@ from .errors import (
     TooFewPairsError,
     TooFewResamplesError,
 )
-from .fusion import CANONICAL_ORDER, fit_fusion, predict_fused
-from .kinds import COMPONENTS, MODEL_KINDS, reads_imaging
+from .fusion import fit_fusion, predict_fused, score_component
+from .kinds import ARTIFACTS, COMPONENTS, MODEL_KINDS, RV_MODEL, TAGS, reads_imaging
 from .metrics import (
     TestResult,
     bootstrap_ci,
@@ -182,31 +182,30 @@ def _derived_seed(*key: int) -> int:
     return int(np.random.SeedSequence(tuple(key)).generate_state(1, dtype=np.uint64)[0])
 
 
+# a network's config section is named as its artifact kind
+_ARTIFACT_OF = {held: kind for kind, held in ARTIFACTS.items()}
+
+
 def _fit_models(cfg: dict, tags, inputs, labels, pesi_scores, arts: StudyArtifacts,
                 forests: rsf.PendingForests):
     """Fit the components ``tags`` and then the panel on the training split,
     recording the fitted models in ``arts``; returns the raw and
     probability-scale scores per model and split. ``inputs`` holds the
     clinical and imaging matrices per split. The forests, already started,
-    are finished after both networks have trained."""
-    scores = {"pesi": pesi_scores}
-    for tag, section in (("clin", "deep_clinical"), ("img", "deep_imaging")):
-        if tag not in tags:
-            continue
-        X = inputs[tag]
-        hp = dict(cfg[section])
+    are finished after the networks have trained."""
+    for tag in [t for t in tags if TAGS[t][0] == "mlp"]:
+        X = inputs[TAGS[tag][1]]
+        hp = dict(cfg[_ARTIFACT_OF[tag]])
         net = deep_survival.init_mlp(X["train"].shape[1], tuple(hp.pop("hidden_dims")),
                                      _derived_seed(cfg["seed"], _STAGE[tag]), tag)
         net, _ = deep_survival.train(net, X["train"], labels["train"],
                                      val=(X["val"], labels["val"]),
                                      options=deep_survival.TrainOptions(**hp))
         arts.fitted[tag] = net
-        scores[tag] = {s: deep_survival.forward(net, X[s]) for s in SPLIT_NAMES}
-    forest_tags = [tag for tag in tags if tag.startswith("rsf_")]
-    for tag, forest in zip(forest_tags, forests.finish()):
-        arts.fitted[tag] = forest
-        X = inputs[tag.removeprefix("rsf_")]
-        scores[tag] = {s: rsf.predict_risk(forest, X[s]) for s in SPLIT_NAMES}
+    arts.fitted.update(zip([t for t in tags if TAGS[t][0] == "forest"], forests.finish()))
+    scores = {tag: {s: score_component(tag, model, inputs[TAGS[tag][1]][s]) for s in SPLIT_NAMES}
+              for tag, model in arts.fitted.items()}
+    scores["pesi"] = pesi_scores
 
     fusion_opts = FitOptions(ridge_penalty=cfg["fusion_ridge"])
     raw: dict[str, dict[str, np.ndarray]] = {}
@@ -222,7 +221,7 @@ def _fit_models(cfg: dict, tags, inputs, labels, pesi_scores, arts: StudyArtifac
             raw[kind] = {s: predict_fused(fused, {t: scores[t][s] for t in parts})
                          for s in SPLIT_NAMES}
         # a network's own score is already a sigmoid output
-        own_network = len(parts) == 1 and parts[0] != "pesi"
+        own_network = len(parts) == 1 and TAGS[parts[0]][0] == "mlp"
         prob[kind] = raw[kind] if own_network else {s: sigmoid(raw[kind][s]) for s in SPLIT_NAMES}
     return raw, prob
 
@@ -247,7 +246,7 @@ def run_study_full(ds: Dataset, config: dict | None = None):
     labels = {s: ds.labels.take(rows[s]) for s in SPLIT_NAMES}
 
     # the component tags the requested models read, in fusion order
-    tags = [t for t in CANONICAL_ORDER if any(t in COMPONENTS[k] for k in models)]
+    tags = [t for t in TAGS if any(t in COMPONENTS[k] for k in models)]
     clin_all = clinical_matrix(ds)
     inputs = {"clin": {s: clin_all[rows[s]] for s in SPLIT_NAMES}}
     if reads_imaging(models):
@@ -260,9 +259,9 @@ def run_study_full(ds: Dataset, config: dict | None = None):
     arts = StudyArtifacts(dataset=ds)
     # the forests grow on the process pool while the networks train here
     forest_fits = [
-        (inputs[tag.removeprefix("rsf_")]["train"], labels["train"],
+        (inputs[TAGS[tag][1]]["train"], labels["train"],
          rsf.RsfOptions(**cfg["rsf"], seed=_derived_seed(cfg["seed"], _STAGE[tag])))
-        for tag in tags if tag.startswith("rsf_")
+        for tag in tags if TAGS[tag][0] == "forest"
     ]
     with rsf.start_forests(forest_fits) as forests:
         raw, prob = _fit_models(cfg, tags, inputs, labels, pesi_scores, arts, forests)
@@ -340,20 +339,16 @@ def run_study_full(ds: Dataset, config: dict | None = None):
         cmp_seed = _derived_seed(cfg["seed"], _STAGE["compare"], mi)
         result = compare_to_pesi(raw[kind]["test"], pesi_scores["test"], labels["test"],
                                  cfg["bootstrap_resamples"], cmp_seed)
-        comparisons[kind] = {
-            "statistic": result.test.statistic,
-            "p_value": result.test.p_value,
-            "method": result.test.method,
-            "mean_c_index_diff": result.mean_diff,
-            "n_resamples": result.n_resamples,
-        }
+        comparisons[kind] = {**dataclasses.asdict(result.test),
+                             "mean_c_index_diff": result.mean_diff,
+                             "n_resamples": result.n_resamples}
 
     rv_section = None
     rv_test = ds.rv_dysfunction[rows["test"]]
-    if not np.isnan(rv_test).any() and "deep_multimodal" in strata:
-        is_high, cut = strata["deep_multimodal"]
+    if not np.isnan(rv_test).any() and RV_MODEL in strata:
+        is_high, cut = strata[RV_MODEL]
         rv, events = rv_test == 1.0, labels["test"].events
-        lin = raw["deep_multimodal"]["test"]
+        lin = raw[RV_MODEL]["test"]
         rv_section = {
             **dataclasses.asdict(rv_factor_analysis(is_high, rv, events)),
             "cut_linear": float(np.median(lin)) if method == "median" else None,
@@ -362,7 +357,7 @@ def run_study_full(ds: Dataset, config: dict | None = None):
                 {"patient_id": ds.patient_ids[i], "risk_linear": lv, "risk_sigmoid": pv,
                  "high_risk": h, "rv_dysfunction": r, "event": e}
                 for i, lv, pv, h, r, e in zip(rows["test"].tolist(), lin.tolist(),
-                                              prob["deep_multimodal"]["test"].tolist(),
+                                              prob[RV_MODEL]["test"].tolist(),
                                               is_high.tolist(), rv.tolist(), events.tolist())
             ],
         }

@@ -20,6 +20,7 @@ decoder does not read those two keys.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -32,7 +33,7 @@ from .dataset import BINARY_FIELDS, ImputationStats
 from .deep_survival import MlpSurvModel
 from .errors import IoError, SchemaMismatchError, UnknownModelKindError
 from .fusion import FusionModel
-from .kinds import ARTIFACTS, COMPONENTS
+from .kinds import ARTIFACTS, TAGS
 from .rsf import ForestModel, RsfOptions, SurvivalTree
 
 SCHEMA_VERSION = 2
@@ -47,7 +48,7 @@ class FusionBundle:
     """A fusion head together with the component models it consumes."""
 
     fusion: FusionModel
-    components: dict[str, object]  # modality tag -> MlpSurvModel | ForestModel
+    components: dict[str, object]  # component tag -> the model fitted under it
 
 
 @dataclass(eq=False)
@@ -123,12 +124,7 @@ def _enc_forest(f: ForestModel) -> dict:
     return {
         "event_time_grid": _enc_floats(f.event_time_grid),
         "n_features": f.n_features,
-        "options": {
-            "n_trees": f.options.n_trees,
-            "mtry": f.options.mtry,
-            "min_leaf_size": f.options.min_leaf_size,
-            "seed": f.options.seed,
-        },
+        "options": dataclasses.asdict(f.options),
         "trees": [_enc_tree(t) for t in f.trees],
     }
 
@@ -174,41 +170,45 @@ def _dec_cox(doc: dict) -> CoxModel:
     )
 
 
-_COMPONENT_CODECS = {
-    "mlp": (_enc_mlp, _dec_mlp),
-    "forest": (_enc_forest, _dec_forest),
-}
+def _check_components(sources, tags) -> None:
+    """A fusion's components are exactly its sources' networks and forests."""
+    fitted = sorted(tag for tag in sources if TAGS[tag][0])
+    if sorted(tags) != fitted:
+        raise SchemaMismatchError(
+            f"components {sorted(tags)} are not the fusion's fitted sources {fitted}")
 
 
-def _component_type(model) -> str:
-    if isinstance(model, MlpSurvModel):
-        return "mlp"
-    if isinstance(model, ForestModel):
-        return "forest"
-    raise UnknownModelKindError(f"cannot serialize component of type {type(model).__name__}")
+def _encode(body_type: str, model, what: str):
+    model_class, encode, _ = _CODECS[body_type]
+    if not isinstance(model, model_class):
+        raise SchemaMismatchError(
+            f"{what} must be a {model_class.__name__}, got {type(model).__name__}")
+    return encode(model)
 
 
 def _enc_fusion(b: FusionBundle) -> dict:
-    components = {}
-    for tag, model in b.components.items():
-        ctype = _component_type(model)
-        components[tag] = {"type": ctype, "model": _COMPONENT_CODECS[ctype][0](model)}
+    _check_components(b.fusion.sources, b.components)
     return {
         "cox": _enc_cox(b.fusion.cox),
         "sources": list(b.fusion.sources),
         "means": _enc_floats(b.fusion.means),
         "stds": _enc_floats(b.fusion.stds),
-        "components": components,
+        "components": {tag: {"type": TAGS[tag][0],
+                             "model": _encode(TAGS[tag][0], model, f"component {tag!r}")}
+                       for tag, model in b.components.items()},
     }
 
 
 def _dec_fusion(doc: dict) -> FusionBundle:
+    entries = doc["components"]
+    _check_components(doc["sources"], entries)
     components = {}
-    for tag, entry in doc["components"].items():
-        ctype = entry["type"]
-        if ctype not in _COMPONENT_CODECS:
-            raise SchemaMismatchError(f"unknown component type {ctype!r}")
-        components[tag] = _COMPONENT_CODECS[ctype][1](entry["model"])
+    for tag, entry in entries.items():
+        body_type = TAGS[tag][0]
+        if entry["type"] != body_type:
+            raise SchemaMismatchError(
+                f"component {tag!r} has type {entry['type']!r}, not {body_type!r}")
+        components[tag] = _CODECS[body_type][2](entry["model"])
     fusion = FusionModel(
         cox=_dec_cox(doc["cox"]),
         sources=tuple(doc["sources"]),
@@ -253,13 +253,16 @@ def _dec_imputation(doc: dict) -> ImputationStats:
     return stats
 
 
-# the model type, encoder and decoder of each artifact kind's body
-_BODY_CODECS = {
-    kind: ((FusionBundle, _enc_fusion, _dec_fusion) if held in COMPONENTS
-           else (ForestModel, _enc_forest, _dec_forest) if held.startswith("rsf_")
-           else (MlpSurvModel, _enc_mlp, _dec_mlp))
-    for kind, held in ARTIFACTS.items()
+# the model class, encoder and decoder of each body type: a component's tag's, or "fusion"
+_CODECS = {
+    "mlp": (MlpSurvModel, _enc_mlp, _dec_mlp),
+    "forest": (ForestModel, _enc_forest, _dec_forest),
+    "fusion": (FusionBundle, _enc_fusion, _dec_fusion),
 }
+
+# the body type of each artifact kind
+_BODY_TYPES = {kind: TAGS[held][0] if held in TAGS else "fusion"
+               for kind, held in ARTIFACTS.items()}
 
 
 # --- public API -------------------------------------------------------------
@@ -270,15 +273,13 @@ def save_model(path, kind: str, model, *, imputation: ImputationStats | None = N
     """Write one fitted model (with metadata) as a JSON artifact."""
     if kind not in MODEL_KINDS:
         raise UnknownModelKindError(f"unknown model kind {kind!r}")
-    model_type, encode, _ = _BODY_CODECS[kind]
-    if not isinstance(model, model_type):
-        raise SchemaMismatchError(f"{kind} artifacts require a {model_type.__name__}")
+    body = _encode(_BODY_TYPES[kind], model, f"a {kind} artifact's model")
     doc = {
         "schema_version": SCHEMA_VERSION,
         "kind": kind,
         "metadata": {"seed": seed, "data_fingerprint": data_fingerprint},
         "imputation": None if imputation is None else _enc_imputation(imputation),
-        "model": encode(model),
+        "model": body,
     }
     text = json.dumps(doc, sort_keys=True) + "\n"
     try:
@@ -289,7 +290,9 @@ def save_model(path, kind: str, model, *, imputation: ImputationStats | None = N
 
 
 def load_model(path) -> ModelArtifact:
-    """Read an artifact back; the inverse of :func:`save_model`."""
+    """Read an artifact back; the inverse of :func:`save_model`. A fusion whose
+    components are not exactly its sources' networks and forests, each stored
+    with its tag's type (``kinds.TAGS``), raises ``SchemaMismatchError``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -312,8 +315,8 @@ def load_model(path) -> ModelArtifact:
     if kind not in MODEL_KINDS:
         raise UnknownModelKindError(f"unknown model kind {kind!r} in {path}")
     try:
-        model = _BODY_CODECS[kind][2](doc["model"])
-    except (KeyError, TypeError, ValueError) as exc:
+        model = _CODECS[_BODY_TYPES[kind]][2](doc["model"])
+    except (KeyError, TypeError, ValueError, SchemaMismatchError) as exc:
         raise SchemaMismatchError(f"{path} has a malformed {kind} body: {exc}") from exc
     try:
         imputation = None if doc.get("imputation") is None else _dec_imputation(doc["imputation"])

@@ -64,7 +64,7 @@ from .errors import (
     UnknownModelKindError,
 )
 from .feature_csv import FeatureRead
-from .kinds import ARTIFACTS, COMPONENTS, reads_imaging
+from .kinds import ARTIFACTS, COMPONENTS, RV_MODEL, TAGS, reads_imaging
 
 log = logging.getLogger("survfuse.cli")
 
@@ -82,24 +82,25 @@ _VALIDATION_ERRORS = (
 
 _SCORE_HEADER = ("patient_id", "risk_score", "pesi_score", "pesi_class")
 
+# the top-level keys of report.json: the fields of ``analysis.StudyReport``
+# and the config fingerprint
+_REPORT_KEYS = ("overall", "short_term", "nri", "km", "rv_analysis", "comparisons",
+                "config_fingerprint")
+
 
 # --- command helpers --------------------------------------------------------
 
 
+@contextlib.contextmanager
 def _stage(name: str):
     """Context manager labeling any failure with its pipeline stage."""
-
-    class _Stage:
-        def __enter__(self):
-            log.info("stage %s", name)
-            return self
-
-        def __exit__(self, exc_type, exc, tb):
-            if exc is not None and not isinstance(exc, (StageError, SystemExit, KeyboardInterrupt)):
-                raise StageError(name, exc) from exc
-            return False
-
-    return _Stage()
+    log.info("stage %s", name)
+    try:
+        yield
+    except StageError:
+        raise
+    except Exception as exc:
+        raise StageError(name, exc) from exc
 
 
 def _write_json(path, doc) -> None:
@@ -111,18 +112,11 @@ def _write_json(path, doc) -> None:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
 
-def _km_points(entries: list[dict]):
-    from .metrics import KmPoint
-
-    return [KmPoint(time=e["time"], survival=e["survival"],
-                    at_risk=e["at_risk"], events=e["events"]) for e in entries]
-
-
 def _write_km_files(out_dir: str, kind: str, entry: dict) -> None:
+    from .metrics import KmPoint
     from .svg import render_km_svg
 
-    high = _km_points(entry["high"]["points"])
-    low = _km_points(entry["low"]["points"])
+    high, low = ([KmPoint(**e) for e in entry[name]["points"]] for name in ("high", "low"))
     svg_text = render_km_svg(high, low, title=kind)
     svg_path = os.path.join(out_dir, f"km_{kind}.svg")
     csv_path = os.path.join(out_dir, f"km_{kind}.csv")
@@ -179,7 +173,7 @@ def _save_artifacts(out_dir: str, arts, cfg: dict) -> list[str]:
             continue
         if held in COMPONENTS:  # a fusion, saved with the fitted models it reads
             model = artifacts.FusionBundle(fusion=model, components={
-                tag: arts.fitted[tag] for tag in COMPONENTS[held] if tag != "pesi"})
+                tag: arts.fitted[tag] for tag in COMPONENTS[held] if TAGS[tag][0]})
         path = os.path.join(models_dir, f"{kind}.json")
         artifacts.save_model(path, kind, model, imputation=imp, seed=seed, data_fingerprint=fp)
         written.append(path)
@@ -225,15 +219,7 @@ def cmd_run(args) -> int:
         report, arts = run_study_full(ds, cfg)
     with _stage("report"):
         os.makedirs(cfg["out"], exist_ok=True)
-        doc = {
-            "overall": report.overall,
-            "short_term": report.short_term,
-            "nri": report.nri,
-            "km": report.km,
-            "rv_analysis": report.rv_analysis,
-            "comparisons": report.comparisons,
-            "config_fingerprint": config_fingerprint(cfg),
-        }
+        doc = {**vars(report), "config_fingerprint": config_fingerprint(cfg)}
         report_path = os.path.join(cfg["out"], "report.json")
         _write_json(report_path, doc)
         for kind, entry in report.km.items():
@@ -247,37 +233,28 @@ def cmd_run(args) -> int:
     return 0
 
 
-# the component tag of each single-model artifact kind
-_KIND_TAGS = {kind: held for kind, held in ARTIFACTS.items() if held not in COMPONENTS}
-
-
 def _score_records(artifact, ds):
     """Risk scores of an imputed dataset's patients under an artifact. The
     clinical and imaging inputs are each formed once, when first needed."""
-    from . import deep_survival, pesi, rsf
+    from . import pesi
     from .dataset import clinical_matrix, imaging_matrix
-    from .fusion import predict_fused
+    from .fusion import predict_fused, score_component
 
     inputs = {}
 
     def score(tag, model):
-        modality = tag.removeprefix("rsf_")
+        modality = TAGS[tag][1]
         if modality not in inputs:
             inputs[modality] = clinical_matrix(ds) if modality == "clin" else imaging_matrix(ds)
-        if isinstance(model, deep_survival.MlpSurvModel):
-            return deep_survival.forward(model, inputs[modality])
-        return rsf.predict_risk(model, inputs[modality])
+        return score_component(tag, model, inputs[modality])
 
-    if artifact.kind in _KIND_TAGS:
-        return score(_KIND_TAGS[artifact.kind], artifact.model)
+    held = ARTIFACTS[artifact.kind]
+    if held in TAGS:
+        return score(held, artifact.model)
     bundle = artifact.model
-    scores = {}
-    for tag, comp in bundle.components.items():
-        if tag not in _KIND_TAGS.values():
-            raise SchemaMismatchError(f"unknown component tag {tag!r} in artifact")
-        scores[tag] = score(tag, comp)
-    if "pesi" in bundle.fusion.sources:
-        scores["pesi"] = pesi.pesi_scores(ds)
+    # ``artifacts.load_model`` checked that the fitted sources are the components
+    scores = {tag: score(tag, bundle.components[tag]) if TAGS[tag][0] else pesi.pesi_scores(ds)
+              for tag in bundle.fusion.sources}
     return predict_fused(bundle.fusion, scores)
 
 
@@ -343,9 +320,7 @@ def cmd_report(args) -> int:
             raise IoError(f"cannot read {args.report}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise SchemaMismatchError(f"{args.report} is not valid JSON: {exc}") from exc
-        expected = ("overall", "short_term", "nri", "km", "rv_analysis",
-                    "comparisons", "config_fingerprint")
-        missing = [k for k in expected if k not in doc]
+        missing = [k for k in _REPORT_KEYS if k not in doc]
         if missing:
             raise SchemaMismatchError(f"report lacks key(s): {', '.join(missing)}")
     try:
@@ -358,14 +333,11 @@ def cmd_report(args) -> int:
 
 def _render_report(doc: dict) -> list[str]:
     out = []
-    out.append("concordance, full follow-up")
-    for split, table in doc["overall"].items():
-        for kind, cell in table.items():
-            out.append(f"  {split:5s} {kind:18s} {_fmt_ci(cell)}")
-    out.append("concordance, 30-day truncated")
-    for split, table in doc["short_term"].items():
-        for kind, cell in table.items():
-            out.append(f"  {split:5s} {kind:18s} {_fmt_ci(cell)}")
+    for key, title in (("overall", "full follow-up"), ("short_term", "30-day truncated")):
+        out.append(f"concordance, {title}")
+        for split, table in doc[key].items():
+            for kind, cell in table.items():
+                out.append(f"  {split:5s} {kind:18s} {_fmt_ci(cell)}")
     out.append("net reclassification")
     for split, table in doc["nri"].items():
         for name, cell in table.items():
@@ -386,7 +358,8 @@ def _render_report(doc: dict) -> list[str]:
         )
     rv = doc["rv_analysis"]
     if rv is None:
-        out.append("RV dysfunction analysis: not available (missing RV flags)")
+        cause = "missing RV flags" if RV_MODEL in doc["km"] else f"{RV_MODEL} was not run"
+        out.append(f"RV dysfunction analysis: not available ({cause})")
     else:
         out.append("RV dysfunction analysis (test split, multimodal stratification)")
         if rv["rv_high_pct"] is None:

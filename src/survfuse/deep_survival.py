@@ -33,8 +33,7 @@ pool's worker busy.
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -48,6 +47,7 @@ from .errors import (
     NoEventsError,
     NonFiniteInputError,
 )
+from .kinds import TAGS
 from .metrics import sigmoid
 
 # subjects per block of the matrix products
@@ -81,8 +81,8 @@ def init_mlp(input_dim: int, hidden_dims: tuple[int, ...], seed: int,
         raise InvalidDimensionError(f"input_dim must be >= 1, got {input_dim}")
     if any(h < 1 for h in hidden_dims):
         raise InvalidDimensionError(f"hidden dims must all be >= 1, got {hidden_dims}")
-    if modality_tag not in ("clin", "img"):
-        raise ValueError(f"modality_tag must be 'clin' or 'img', got {modality_tag!r}")
+    if TAGS.get(modality_tag, (None,))[0] != "mlp":
+        raise ValueError(f"modality_tag must be a network's component tag, got {modality_tag!r}")
     dims = (input_dim, *hidden_dims, 1)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     weights, biases = [], []
@@ -221,13 +221,8 @@ def train(model: MlpSurvModel, X: np.ndarray, labels: Labels, options: TrainOpti
     X = _check_input(model, X)
     table = labels.table
     val_table = None if val is None else val[1].table
-    work = MlpSurvModel(
-        layer_dims=model.layer_dims,
-        weights=[W.copy() for W in model.weights],
-        biases=[b.copy() for b in model.biases],
-        seed=model.seed,
-        modality_tag=model.modality_tag,
-    )
+    work = replace(model, weights=[W.copy() for W in model.weights],
+                   biases=[b.copy() for b in model.biases])
     best_val = np.inf
     best_weights = None
     stale = 0

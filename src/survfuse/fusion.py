@@ -3,8 +3,8 @@
 A proportional-hazards model over standardized modality scores: each input
 vector is z-scored with constants frozen at fit time, then a linear Cox fit
 (small ridge for stability) produces the fused linear predictor. Covariate
-order is canonical (clinical, imaging, severity index, then the forest
-variants), independent of dict insertion order.
+order is canonical (``kinds.TAGS``'s: clinical, imaging, severity index,
+then the forest variants), independent of dict insertion order.
 """
 
 from __future__ import annotations
@@ -13,11 +13,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import deep_survival, rsf
 from .cox_linear import CoxModel, FitOptions, fit_cox
 from .dataset import Labels
-from .errors import ExtraModalityError, MismatchedLengthsError, MissingModalityError
+from .errors import (
+    DimensionMismatchError,
+    ExtraModalityError,
+    MismatchedLengthsError,
+    MissingModalityError,
+    SchemaMismatchError,
+)
+from .kinds import TAGS
 
-CANONICAL_ORDER = ("clin", "img", "pesi", "rsf_clin", "rsf_img")
+CANONICAL_ORDER = tuple(TAGS)
 
 @dataclass(frozen=True, eq=False)
 class FusionModel:
@@ -82,3 +90,14 @@ def _standardized(model: FusionModel, scores: dict[str, np.ndarray]) -> np.ndarr
 def predict_fused(model: FusionModel, scores: dict[str, np.ndarray]) -> np.ndarray:
     """Fused linear predictor, one per patient of the score vectors."""
     return _standardized(model, scores) @ model.cox.beta
+
+
+def score_component(tag: str, model, X: np.ndarray) -> np.ndarray:
+    """The risk scores of the network or forest fitted under ``tag`` on its
+    tag's input matrix ``X``; a matrix of another width is a schema mismatch."""
+    try:
+        if TAGS[tag][0] == "mlp":
+            return deep_survival.forward(model, X)
+        return rsf.predict_risk(model, X)
+    except DimensionMismatchError as exc:
+        raise SchemaMismatchError(f"the {tag} component does not fit the input: {exc}") from exc

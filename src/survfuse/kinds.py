@@ -1,17 +1,26 @@
 """The study's model panel, importable without numpy.
 
-Two tables say what the panel is made of. ``COMPONENTS`` says which
-component scores each model kind uses; ``ARTIFACTS`` says which fitted
-component or fusion each saved artifact holds. ``analysis`` fits the panel
-from the first, ``cli`` saves and scores artifacts from the second and
-``artifacts`` reads its kinds from it. The CLI validates a config against
-``MODEL_KINDS`` before it imports anything numeric. The 30-day table's
-kinds, the NRI pairs and the RV analysis's model are ``analysis``'s.
-
-Component tags: ``pesi`` is the severity index, ``clin`` and ``img`` the
-clinical and imaging networks, ``rsf_clin`` and ``rsf_img`` the clinical
-and imaging forests.
+Three tables say what the panel is made of. ``TAGS`` says what each
+component tag is: the type of model fitted under it (none for the severity
+index ``pesi``) and the input matrix it reads; ``analysis``, ``fusion``,
+``artifacts``, ``cli`` and ``deep_survival`` decode a tag by it alone.
+``COMPONENTS`` says which component scores each model kind uses, and
+``analysis`` fits the panel from it; ``ARTIFACTS`` says which fitted
+component or fusion each saved artifact holds, and ``cli`` saves and scores
+artifacts from it. The CLI validates a config against ``MODEL_KINDS``
+before it imports anything numeric. The 30-day table's kinds and the NRI
+pairs are ``analysis``'s.
 """
+
+# each component tag's model type ("mlp" or "forest", the "type" a fusion
+# artifact stores for it) and input matrix, in fusion's covariate order
+TAGS = {
+    "clin": ("mlp", "clin"),
+    "img": ("mlp", "img"),
+    "pesi": (None, None),
+    "rsf_clin": ("forest", "clin"),
+    "rsf_img": ("forest", "img"),
+}
 
 # each model kind's component tags: one tag is the model's own score, several
 # are fused by ``fusion.fit_fusion``. The key order is the report's, and a
@@ -40,6 +49,9 @@ ARTIFACTS = {
     "fusion_rsf": "rsf_fused",
 }
 
+# the model kind whose high-risk stratum the RV analysis reads
+RV_MODEL = "deep_multimodal"
+
 
 def reads_imaging(kinds) -> bool:
     """Whether any of ``kinds``, model or artifact kinds, reads the imaging
@@ -47,6 +59,6 @@ def reads_imaging(kinds) -> bool:
     either)."""
     for kind in kinds:
         held = ARTIFACTS.get(kind, kind)
-        if any(tag.endswith("img") for tag in COMPONENTS.get(held, (held,))):
+        if any(TAGS[tag][1] == "img" for tag in COMPONENTS.get(held, (held,))):
             return True
     return False

@@ -388,6 +388,25 @@ class TestValidation:
         with pytest.raises(SchemaMismatchError, match="FusionBundle"):
             save_model(tmp_path / "x.json", "fusion_rsf", fitted["mlp_c"])
 
+    @pytest.mark.parametrize("components, message", [
+        ({"clin": "mlp_c", "img": "forest_i"},
+         "component 'img' must be a MlpSurvModel, got ForestModel"),
+        ({"clin": "mlp_c"}, r"components \['clin'\] are not the fusion's fitted sources"),
+        ({"clin": "mlp_c", "img": "mlp_i", "rsf_clin": "forest_c"},
+         r"components \['clin', 'img', 'rsf_clin'\] are not the fusion's fitted sources"),
+        ({"clin": "mlp_c", "img": "mlp_i", "pesi": "mlp_c"},
+         r"components \['clin', 'img', 'pesi'\] are not the fusion's fitted sources"),
+    ])
+    def test_fusion_components_are_its_fitted_sources(self, fitted, tmp_path, components,
+                                                      message):
+        # each component is encoded by its tag's type, and a fusion saves the
+        # models of its fitted sources, no more and no fewer
+        bundle = FusionBundle(fusion=fitted["fusion_mm"],
+                              components={tag: fitted[key] for tag, key in components.items()})
+        with pytest.raises(SchemaMismatchError, match=message):
+            save_model(tmp_path / "x.json", "fusion_multimodal", bundle)
+        assert not (tmp_path / "x.json").exists()
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(IoError):
             load_model(tmp_path / "absent.json")

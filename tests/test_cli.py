@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import multiprocessing
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import survfuse
-from survfuse import dataset, deep_survival, rsf
+from survfuse import cli, dataset, deep_survival, rsf
 from survfuse.cli import (
     build_parser,
     cmd_score,
@@ -260,6 +261,15 @@ def run_result(cohort, tmp_path_factory):
     return out, cfg
 
 
+@pytest.fixture(scope="module")
+def narrow_cohort(tmp_path_factory):
+    """A cohort with 3 imaging features per patient, where ``cohort`` has 6."""
+    root = tmp_path_factory.mktemp("narrow")
+    cfg = write_config(root, {"generate": {**SMALL_RUN_CONFIG["generate"], "img_dim": 3}})
+    assert main(["generate", "--out", str(root), "--seed", "12", "--config", cfg]) == 0
+    return root
+
+
 def with_cell(src, dst, line, column, token):
     """Copy of the CSV ``src`` with ``column`` of file line ``line`` (the
     header is line 0) set to ``token``."""
@@ -279,6 +289,12 @@ class TestRun:
                                    "rv_analysis", "comparisons", "config_fingerprint"}
         assert len(doc["overall"]["test"]) == 6
         assert len(doc["short_term"]["test"]) == 5
+
+    def test_report_keys_are_the_study_report_fields(self):
+        from survfuse.analysis import StudyReport
+
+        names = tuple(f.name for f in dataclasses.fields(StudyReport))
+        assert cli._REPORT_KEYS == (*names, "config_fingerprint")
 
     def test_km_files_per_model(self, run_result):
         out, _ = run_result
@@ -640,6 +656,67 @@ class TestScore:
         assert "feature CSV has 1 patient(s) not in the cohort: X1" in caplog.text
         assert "2 patient(s) lack imaging features (e.g. 'P00004')" in caplog.text
 
+    # the component that reads the imaging matrix, and its width, by artifact kind
+    @pytest.mark.parametrize("model, tag, width", [
+        ("deep_imaging", "img", "expects 6 inputs"),
+        ("rsf_imaging", "rsf_img", "has 6 features"),
+        ("fusion_multimodal", "img", "expects 6 inputs"),
+        ("fusion_rsf", "rsf_img", "has 6 features"),
+    ])
+    def test_feature_width_mismatch_is_schema_error(self, run_result, narrow_cohort, tmp_path,
+                                                    caplog, model, tag, width):
+        out, _ = run_result
+        code = main(["score", "--model", str(out / "models" / f"{model}.json"),
+                     "--clinical", str(narrow_cohort / "clinical.csv"),
+                     "--features", str(narrow_cohort / "features.csv"),
+                     "--out", str(tmp_path / "s.csv")])
+        assert code == 1
+        assert (f"[score] the {tag} component does not fit the input: model {width}, "
+                "X has shape (120, 3)") in caplog.text
+        assert not (tmp_path / "s.csv").exists()
+
+    @pytest.mark.parametrize("kind, edit, message", [
+        pytest.param("fusion_multimodal",
+                     lambda comps, forests: comps.update(img=forests["rsf_img"]),
+                     "component 'img' has type 'forest', not 'mlp'", id="forest-under-img"),
+        pytest.param("fusion_multimodal",
+                     lambda comps, forests: comps.update(rsf_img=forests["rsf_img"], img=None),
+                     "components ['clin', 'rsf_img'] are not the fusion's fitted sources "
+                     "['clin', 'img']", id="forest-for-img"),
+        pytest.param("fusion_multimodal",
+                     lambda comps, forests: comps.update(rsf_clin=forests["rsf_clin"]),
+                     "components ['clin', 'img', 'rsf_clin'] are not the fusion's fitted sources",
+                     id="extra-forest"),
+        pytest.param("fusion_multimodal", lambda comps, forests: comps.update(img=None),
+                     "components ['clin'] are not the fusion's fitted sources", id="missing-img"),
+        pytest.param("fusion_pesi_fused", lambda comps, forests: comps.update(pesi=comps["clin"]),
+                     "components ['clin', 'img', 'pesi'] are not the fusion's fitted sources "
+                     "['clin', 'img']", id="pesi-component"),
+        pytest.param("fusion_rsf", lambda comps, forests: comps.update(ct=comps["rsf_img"],
+                                                                       rsf_img=None),
+                     "components ['ct', 'rsf_clin'] are not the fusion's fitted sources "
+                     "['rsf_clin', 'rsf_img']", id="unknown-tag"),
+        pytest.param("fusion_rsf", lambda comps, forests: comps["rsf_img"].update(type="tree"),
+                     "component 'rsf_img' has type 'tree', not 'forest'", id="unknown-type"),
+    ])
+    def test_fusion_without_its_fitted_sources_is_refused_at_load(
+            self, cohort, run_result, tmp_path, caplog, kind, edit, message):
+        out, _ = run_result
+        doc = json.loads((out / "models" / f"{kind}.json").read_text())
+        forests = json.loads((out / "models" / "fusion_rsf.json").read_text())["model"]
+        comps = doc["model"]["components"]
+        edit(comps, forests["components"])
+        doc["model"]["components"] = {tag: c for tag, c in comps.items() if c is not None}
+        artifact = tmp_path / "edited.json"
+        artifact.write_text(json.dumps(doc))
+        code = main(["score", "--model", str(artifact),
+                     "--clinical", str(cohort / "clinical.csv"),
+                     "--features", str(cohort / "features.csv"),
+                     "--out", str(tmp_path / "s.csv")])
+        assert code == 1
+        assert f"[load] {artifact} has a malformed {kind} body: {message}" in caplog.text
+        assert not (tmp_path / "s.csv").exists()
+
     def test_missing_artifact_is_runtime_error(self, cohort, tmp_path):
         code = main(["score", "--model", str(tmp_path / "ghost.json"),
                      "--clinical", str(cohort / "clinical.csv"),
@@ -657,6 +734,26 @@ class TestReport:
         assert "net reclassification" in text
         assert "config fingerprint:" in text
         assert re.search(r"RV patients in high-risk group: \d+/\d+ \(\d+\.\d%\)", text)
+
+    def test_rv_line_names_the_model_that_was_not_run(self, cohort, tmp_path, capsys):
+        # every RV cell of the cohort is filled; the analysis needs the
+        # multimodal model's strata
+        out = tmp_path / "run"
+        assert main(["run", "--config", write_config(tmp_path),
+                     "--clinical", str(cohort / "clinical.csv"),
+                     "--models", "pesi,deep_clinical", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["report", str(out / "report.json")]) == 0
+        assert ("RV dysfunction analysis: not available (deep_multimodal was not run)"
+                in capsys.readouterr().out.splitlines())
+
+    def test_rv_line_names_missing_flags(self, run_result, tmp_path, capsys):
+        # a run of the multimodal model leaves the analysis out only when an
+        # RV flag of the test split is missing
+        path = self._malformed(run_result, tmp_path, lambda doc: doc.update(rv_analysis=None))
+        assert main(["report", str(path)]) == 0
+        assert ("RV dysfunction analysis: not available (missing RV flags)"
+                in capsys.readouterr().out.splitlines())
 
     def test_missing_key_is_schema_error(self, run_result, tmp_path):
         out, _ = run_result

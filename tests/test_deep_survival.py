@@ -78,8 +78,10 @@ class TestInit:
 
     def test_modality_tag(self):
         assert init_mlp(2, (), seed=0, modality_tag="img").modality_tag == "img"
-        with pytest.raises(ValueError):
-            init_mlp(2, (), seed=0, modality_tag="audio")
+        # a network is fitted only under a network's component tag
+        for tag in ("audio", "pesi", "rsf_clin"):
+            with pytest.raises(ValueError, match="network's component tag"):
+                init_mlp(2, (), seed=0, modality_tag=tag)
 
 
 class TestForward:

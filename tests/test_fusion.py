@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -8,16 +10,21 @@ from survfuse.errors import (
     ExtraModalityError,
     MismatchedLengthsError,
     MissingModalityError,
+    SchemaMismatchError,
 )
+from survfuse.deep_survival import forward, init_mlp
 from survfuse.fusion import (
     CANONICAL_ORDER,
     FusionModel,
     fit_fusion,
     predict_fused,
+    score_component,
 )
+from survfuse.kinds import TAGS
 from survfuse.metrics import c_index
+from survfuse.rsf import fit_forest, predict_risk
 
-from defaults import FUSION_OPTIONS
+from defaults import FUSION_OPTIONS, rsf_options
 
 
 def two_source_cohort(rng, n=150):
@@ -29,6 +36,33 @@ def two_source_cohort(rng, n=150):
     if not events.any():
         events[0] = True
     return a, b, Labels(times, events)
+
+
+class TestScoreComponent:
+    def test_canonical_order_is_the_tag_table(self):
+        assert CANONICAL_ORDER == tuple(TAGS) == ("clin", "img", "pesi", "rsf_clin", "rsf_img")
+
+    def test_scores_by_the_tag_type(self):
+        rng = np.random.default_rng(86)
+        X = rng.standard_normal((40, 3))
+        _, _, labels = two_source_cohort(rng, n=40)
+        net = init_mlp(3, (4,), seed=1, modality_tag="img")
+        forest = fit_forest(X, labels, rsf_options(n_trees=3, min_leaf_size=5, seed=2))
+        assert_array_equal(score_component("img", net, X), forward(net, X))
+        assert_array_equal(score_component("rsf_img", forest, X), predict_risk(forest, X))
+
+    @pytest.mark.parametrize("tag", ["clin", "rsf_img"])
+    def test_width_mismatch_names_both_widths(self, tag):
+        rng = np.random.default_rng(87)
+        X = rng.standard_normal((40, 3))
+        _, _, labels = two_source_cohort(rng, n=40)
+        model = (init_mlp(3, (4,), seed=1, modality_tag=tag) if TAGS[tag][0] == "mlp"
+                 else fit_forest(X, labels, rsf_options(n_trees=2, min_leaf_size=5, seed=2)))
+        width = "expects 3 inputs" if TAGS[tag][0] == "mlp" else "has 3 features"
+        with pytest.raises(SchemaMismatchError,
+                           match=re.escape(f"the {tag} component does not fit the input: "
+                                           f"model {width}, X has shape (40, 5)")):
+            score_component(tag, model, rng.standard_normal((40, 5)))
 
 
 class TestFitFusion:
