@@ -178,12 +178,29 @@ def _check_components(sources, tags) -> None:
             f"components {sorted(tags)} are not the fusion's fitted sources {fitted}")
 
 
-def _encode(body_type: str, model, what: str):
-    model_class, encode, _ = _CODECS[body_type]
+def _body_type(held: str) -> str:
+    """A component tag's model type, or "fusion" for a fused model kind."""
+    return TAGS[held][0] if held in TAGS else "fusion"
+
+
+def _check_tag(held: str, model):
+    """``model``, if it is not a network or stores the tag it is held under."""
+    if _body_type(held) == "mlp" and model.modality_tag != held:
+        raise SchemaMismatchError(
+            f"the network held under {held!r} has modality_tag {model.modality_tag!r}")
+    return model
+
+
+def _encode(held: str, model, what: str):
+    model_class, encode, _ = _CODECS[_body_type(held)]
     if not isinstance(model, model_class):
         raise SchemaMismatchError(
             f"{what} must be a {model_class.__name__}, got {type(model).__name__}")
-    return encode(model)
+    return encode(_check_tag(held, model))
+
+
+def _decode(held: str, doc):
+    return _check_tag(held, _CODECS[_body_type(held)][2](doc))
 
 
 def _enc_fusion(b: FusionBundle) -> dict:
@@ -194,7 +211,7 @@ def _enc_fusion(b: FusionBundle) -> dict:
         "means": _enc_floats(b.fusion.means),
         "stds": _enc_floats(b.fusion.stds),
         "components": {tag: {"type": TAGS[tag][0],
-                             "model": _encode(TAGS[tag][0], model, f"component {tag!r}")}
+                             "model": _encode(tag, model, f"component {tag!r}")}
                        for tag, model in b.components.items()},
     }
 
@@ -204,11 +221,10 @@ def _dec_fusion(doc: dict) -> FusionBundle:
     _check_components(doc["sources"], entries)
     components = {}
     for tag, entry in entries.items():
-        body_type = TAGS[tag][0]
-        if entry["type"] != body_type:
+        if entry["type"] != TAGS[tag][0]:
             raise SchemaMismatchError(
-                f"component {tag!r} has type {entry['type']!r}, not {body_type!r}")
-        components[tag] = _CODECS[body_type][2](entry["model"])
+                f"component {tag!r} has type {entry['type']!r}, not {TAGS[tag][0]!r}")
+        components[tag] = _decode(tag, entry["model"])
     fusion = FusionModel(
         cox=_dec_cox(doc["cox"]),
         sources=tuple(doc["sources"]),
@@ -260,20 +276,18 @@ _CODECS = {
     "fusion": (FusionBundle, _enc_fusion, _dec_fusion),
 }
 
-# the body type of each artifact kind
-_BODY_TYPES = {kind: TAGS[held][0] if held in TAGS else "fusion"
-               for kind, held in ARTIFACTS.items()}
-
 
 # --- public API -------------------------------------------------------------
 
 
 def save_model(path, kind: str, model, *, imputation: ImputationStats | None = None,
                seed: int | None = None, data_fingerprint: str | None = None) -> None:
-    """Write one fitted model (with metadata) as a JSON artifact."""
+    """Write one fitted model (with metadata) as a JSON artifact; a model
+    that ``load_model`` would refuse as ``kind``'s body raises
+    ``SchemaMismatchError``."""
     if kind not in MODEL_KINDS:
         raise UnknownModelKindError(f"unknown model kind {kind!r}")
-    body = _encode(_BODY_TYPES[kind], model, f"a {kind} artifact's model")
+    body = _encode(ARTIFACTS[kind], model, f"a {kind} artifact's model")
     doc = {
         "schema_version": SCHEMA_VERSION,
         "kind": kind,
@@ -292,7 +306,8 @@ def save_model(path, kind: str, model, *, imputation: ImputationStats | None = N
 def load_model(path) -> ModelArtifact:
     """Read an artifact back; the inverse of :func:`save_model`. A fusion whose
     components are not exactly its sources' networks and forests, each stored
-    with its tag's type (``kinds.TAGS``), raises ``SchemaMismatchError``."""
+    with its tag's type (``kinds.TAGS``), or a network whose ``modality_tag``
+    is not the tag it is held under, raises ``SchemaMismatchError``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -315,7 +330,7 @@ def load_model(path) -> ModelArtifact:
     if kind not in MODEL_KINDS:
         raise UnknownModelKindError(f"unknown model kind {kind!r} in {path}")
     try:
-        model = _CODECS[_BODY_TYPES[kind]][2](doc["model"])
+        model = _decode(ARTIFACTS[kind], doc["model"])
     except (KeyError, TypeError, ValueError, SchemaMismatchError) as exc:
         raise SchemaMismatchError(f"{path} has a malformed {kind} body: {exc}") from exc
     try:

@@ -16,15 +16,11 @@ in. The ``SURVFUSE_LOG`` environment variable sets the log level
 
 Importing this module imports neither numpy nor the modeling code; each
 command imports what it uses. ``score`` and ``run`` first start reading
-their feature CSV (``feature_csv.FeatureRead``: a forked child on a second
-CPU for a file of 1 MiB or more, else this process later), then import
-numpy and the package, load the artifact or config and read the
+their feature CSV (``feature_csv.FeatureRead``; see ``forks``), then
+import numpy and the package, load the artifact or config and read the
 clinical CSV, and take the parsed features where the imaging join
-(``dataset.attach_imaging``) reads them. Errors therefore come in the order
-they always did, and the child is killed and reaped on any exit before
-that point. Forking before numpy is imported means the process has no
-other thread yet (Python 3.12+ warns about forking a threaded process;
-only 3.11 was checked).
+(``dataset.attach_imaging``) reads them, so errors come in the order they
+always did.
 
 Both commands hold the cohort as one columnar ``dataset.Dataset`` and go
 through the same functions: ``ingest_clinical``, ``attach_imaging``,
@@ -233,10 +229,10 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _score_records(artifact, ds):
-    """Risk scores of an imputed dataset's patients under an artifact. The
-    clinical and imaging inputs are each formed once, when first needed."""
-    from . import pesi
+def _score_records(artifact, ds, pesi_points):
+    """Risk scores of an imputed dataset's patients under an artifact, given
+    their PESI points. The clinical and imaging inputs are each formed once,
+    when first needed."""
     from .dataset import clinical_matrix, imaging_matrix
     from .fusion import predict_fused, score_component
 
@@ -253,7 +249,7 @@ def _score_records(artifact, ds):
         return score(held, artifact.model)
     bundle = artifact.model
     # ``artifacts.load_model`` checked that the fitted sources are the components
-    scores = {tag: score(tag, bundle.components[tag]) if TAGS[tag][0] else pesi.pesi_scores(ds)
+    scores = {tag: score(tag, bundle.components[tag]) if TAGS[tag][0] else pesi_points
               for tag in bundle.fusion.sources}
     return predict_fused(bundle.fusion, scores)
 
@@ -288,8 +284,9 @@ def cmd_score(args) -> int:
                     "artifact carries no imputation constants; cannot score raw records"
                 )
             ds = apply_imputation(ds, artifact.imputation)
-            risks = _score_records(artifact, ds)
-            points = pesi.pesi_scores(ds).astype(np.int64).tolist()
+            pesi_points = pesi.pesi_scores(ds)
+            risks = _score_records(artifact, ds, pesi_points)
+            points = pesi_points.astype(np.int64).tolist()
             rows = list(zip(ds.patient_ids, map(repr, risks.tolist()), points,
                             map(pesi.risk_class_for, points)))
 

@@ -34,13 +34,11 @@ matrix then views without a copy. Besides the ids, the probabilities and
 the cells, a read holds at most one block of unparsed cell strings: its
 peak is about 2.2 times the matrix's size for 4000 rows of 32 features,
 where the cell strings of the whole file would take about ten times.
-``survfuse score`` and ``survfuse run`` start that read in a forked child
-before they import numpy (see ``feature_csv.FeatureRead``) and hand the
-started read to ``attach_imaging``, which takes its result where it would
-have read the file; with one usable CPU, without fork, for a file under
-1 MiB, or when the child fails, the file is read in this process instead,
-so errors are the same either way. Each patient keeps the acquisition with
-the highest ``pe_probability``, the first in the file on ties.
+``survfuse score`` and ``survfuse run`` start that read before they
+import numpy (``feature_csv.FeatureRead``) and hand it to
+``attach_imaging``, which takes its result where it would have read the
+file. Each patient keeps the acquisition with the highest
+``pe_probability``, the first in the file on ties.
 
 Empty cells are treated as missing. A NaN or infinite feature cell, age or
 vital sign rejects its row with ``MalformedRowError``. Vital signs are

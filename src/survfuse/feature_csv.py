@@ -5,36 +5,24 @@ described in ``dataset``); ``dataset.ingest_features`` turns its columns
 into numpy arrays. Nothing here imports numpy, so that the CLI can start a
 read before the interpreter imports numpy and the rest of the package.
 
-A ``FeatureRead`` forks a child that runs ``read_columns`` on a second CPU
-while the caller goes on (imports, artifact load, clinical ingest); the
-caller takes the columns with ``FeatureRead.result`` where it needs them.
-The child sends the ids and probabilities through a pipe with ``marshal``,
-then the raw bytes of the parsed cells, so the caller gets the bits it
-would have parsed itself. If the child fails in any way (an exception, a
-non-zero exit, a short message), ``result`` parses the file again in this
-process, so every error is raised here by ``read_columns``, with its
-class, row and message, and nothing is pickled. Where one CPU is usable,
-the platform cannot fork, or the file is smaller than ``_FORK_MIN_BYTES``
-(1 MiB, below which a child cost more than the parse it saved), no child
-starts and ``result`` reads in this process.
-
-Forking copies only the calling thread. Called before numpy is imported,
-the process has no other thread yet, so Python 3.12+'s warning about
-forking a threaded process does not apply; only Python 3.11 was checked.
+A ``FeatureRead`` runs ``read_columns`` in a ``forks.Child`` while the
+caller goes on, and ``result`` takes the columns where the caller needs
+them; where no child ran or it failed, ``result`` reads in this process, so
+every error is raised here by ``read_columns``. The cells cross the pipe as
+one ``bytes`` buffer that the feature matrix views.
 """
 
 from __future__ import annotations
 
 import csv
-import marshal
 import os
-import signal
 from array import array
 from itertools import chain
 from math import isfinite
 from operator import itemgetter
 
 from .errors import MalformedRowError, MissingColumnError
+from .forks import Child, usable_cpus
 
 # feature-CSV rows whose cells are parsed together; bounds the cell strings
 # held at once while a file is read
@@ -44,14 +32,6 @@ _FEATURE_BLOCK_ROWS = 256
 # `score` 12-15 ms slower on files of 0.07-0.5 MB (60-400 patients), where
 # the parse saved takes 3-25 ms, and about 20 ms faster on 1.3 MB
 _FORK_MIN_BYTES = 1 << 20
-
-
-def usable_cpus() -> int:
-    """CPUs this process may run on; 1 where the platform cannot say."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call, as on macOS
-        return 1
 
 
 def parse_float(token: str) -> float | None:
@@ -157,84 +137,26 @@ def read_columns(path) -> tuple[list[str], array, array, int]:
     return pids, probs, cells, d
 
 
-class FeatureRead:
-    """A read of one feature CSV, started on another CPU if there is one.
+def _columns_to_send(path):
+    """``read_columns(path)``, its cells as one ``bytes`` buffer for the pipe."""
+    pids, probs, cells, d = read_columns(path)
+    return pids, probs, cells.tobytes(), d
 
-    ``result`` returns ``read_columns(path)``, once. Use the object as a
-    context manager, so that an exit before ``result`` kills and reaps the
-    child."""
+
+class FeatureRead(Child):
+    """A read of one feature CSV, in a child if one pays for itself.
+    ``result`` returns ``read_columns(path)``, the cells as a buffer of
+    their bytes, once; use the object as a context manager."""
 
     def __init__(self, path):
         self.path = path
-        self._pid = None
-        self._fd = None
         try:
             large = os.path.getsize(path) >= _FORK_MIN_BYTES
         except OSError:  # result() raises the reader's own error
             large = False
-        if large and usable_cpus() > 1 and hasattr(os, "fork"):
-            self._fork()
+        if large and usable_cpus() > 1:
+            super().__init__(_columns_to_send, path)
 
-    def _fork(self) -> None:
-        reader, writer = os.pipe()
-        try:
-            pid = os.fork()
-        except OSError:  # no child: result() reads in this process
-            os.close(reader)
-            os.close(writer)
-            return
-        if pid == 0:
-            code = 1
-            try:
-                # with the read end closed here, the child's writes fail
-                # rather than block once the parent is gone
-                os.close(reader)
-                pids, probs, cells, d = read_columns(self.path)
-                with open(writer, "wb") as out:
-                    marshal.dump((pids, probs, d, len(cells) * cells.itemsize), out)
-                    out.write(cells)
-                code = 0
-            finally:
-                os._exit(code)
-        os.close(writer)
-        self._pid, self._fd = pid, reader
-
-    def result(self) -> tuple[list[str], array | bytes, array | bytearray, int]:
-        """The file's columns, from the child if it sent them, else read here.
-
-        The child's cells are read straight into the buffer that the
-        caller's matrix views, so this process makes no second,
-        message-sized copy of them."""
-        if self._pid is not None:
-            columns = None
-            with open(self._fd, "rb") as fh:
-                self._fd = None
-                try:
-                    pids, probs, d, size = marshal.load(fh)
-                    cells = bytearray(size)
-                    if fh.readinto(cells) == size:
-                        columns = pids, probs, cells, d
-                except (EOFError, ValueError):  # the child sent no whole message
-                    pass
-            _, status = os.waitpid(self._pid, 0)
-            self._pid = None
-            if status == 0 and columns is not None:
-                return columns
-        return read_columns(self.path)
-
-    def close(self) -> None:
-        """Kill and reap the child if it still runs; ``result`` then reads here."""
-        if self._pid is not None:
-            os.kill(self._pid, signal.SIGKILL)
-            os.waitpid(self._pid, 0)
-            self._pid = None
-        if self._fd is not None:
-            os.close(self._fd)
-            self._fd = None
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-        return False
+    def result(self) -> tuple[list[str], array, array | bytes, int]:
+        columns = super().result()
+        return columns if columns is not None else read_columns(self.path)

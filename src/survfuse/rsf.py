@@ -16,22 +16,14 @@ permutation of the input records cannot change the forest (up to exact
 (time, event) ties between records with different features).
 
 Forests are grown in two steps, so that the caller can work while they
-grow: ``start_forests`` checks a batch of forests and hands their trees out
-in chunks of about ``_CHUNK_WORK`` (1500) subjects x trees to one forked
-worker per usable CPU but one; ``finish`` then grows in this process every
-chunk no worker has claimed yet (the workers and this process take chunks
-from one shared counter), collects the workers' chunks and puts the trees
-back in stream order, so every forest is the same bit for bit whichever
-process grew which chunk. The workers inherit the canonical samples at the
-fork instead of being sent them, and each sends its trees once no chunk is
-left to claim. ``fit_forest`` is one forest started and finished at once.
-Where there is one CPU, where the batch's subjects x trees is below
-``_POOL_MIN_WORK`` (2500: on a 2-CPU machine starting a worker took about
-20 ms, as long as growing that much forest in this process), or where the
-platform cannot fork or report the usable CPUs, no worker is started and
-``finish`` grows every tree in this process. Forking copies only the
-calling thread, so forests should not be started while other threads of
-the process hold locks.
+grow. ``start_forests`` checks a batch of forests and cuts their trees into
+chunks of about ``_CHUNK_WORK`` (1500) subjects x trees. One forked worker
+(a ``forks.Child``) per usable CPU but one grows the chunks it takes from a
+``forks.Counter`` and sends them back by index once none is left.
+``finish`` grows here the chunks it takes from the same counter, then any
+chunk that a failed worker did not return, and puts the trees in stream
+order, so a forest is the same bit for bit whichever process grew which
+chunk. ``fit_forest`` is one forest started and finished at once.
 
 Node event counts and leaf hazards are read from the node's
 ``dataset.EventTable``. The split score is ``sqrt`` of
@@ -68,7 +60,6 @@ O(_SPLIT_BLOCK x G) at a time, the sweep O(features x (m + G + B^2)).
 
 from __future__ import annotations
 
-import traceback
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,8 +71,7 @@ from .errors import (
     NoEventsError,
     NonFiniteInputError,
 )
-# the CPU rule the feature reader's fork follows too
-from .feature_csv import usable_cpus as _usable_cpus
+from .forks import Child, Counter, usable_cpus as _usable_cpus
 
 
 # candidate splits per block of the exact at-risk counts
@@ -97,8 +87,9 @@ _BOUND_MIN = 150
 _FEW_CANDIDATES = 1
 # multiple of the rounding-error count that the variance bound widens by
 _BOUND_SAFETY = 4.0
-# subjects x trees below which a batch of forests is grown without the
-# process pool
+# subjects x trees below which a batch of forests grows without workers: on
+# a 2-CPU machine a worker took about 20 ms to start, as long as growing
+# that much forest here
 _POOL_MIN_WORK = 2500
 # subjects x trees per chunk of trees that the pool hands out
 _CHUNK_WORK = 1500
@@ -444,27 +435,13 @@ def _grow_chunk(samples, chunk):
     return _grow_trees(s.X, s.t, s.e, s.grid, s.streams[lo:hi], s.mtry, s.options.min_leaf_size)
 
 
-def _take_ticket(ticket) -> int:
-    """Index of the next chunk from the counter this process and the
-    workers share; an index past the last chunk means none is left."""
-    with ticket.get_lock():
-        k = ticket.value
-        ticket.value = k + 1
-    return k
-
-
-def _pool_worker(samples, chunks, ticket, conn):
-    """Grow chunks until none is left unclaimed, then send them all at once:
-    the worker never waits on the pipe while there is work to claim."""
+def _pool_worker(samples, chunks, counter):
+    """The chunks this worker grew, by index: it grows chunks until none is
+    left to claim, so it never waits on the pipe while there is work."""
     grown = {}
-    try:
-        while (k := _take_ticket(ticket)) < len(chunks):
-            grown[k] = _grow_chunk(samples, chunks[k])
-    except Exception as exc:
-        # the caller raises it, with this traceback as its cause
-        grown = (exc, traceback.format_exc())
-    conn.send(grown)
-    conn.close()
+    while (k := counter.take()) < len(chunks):
+        grown[k] = _grow_chunk(samples, chunks[k])
+    return grown
 
 
 class PendingForests:
@@ -481,77 +458,36 @@ class PendingForests:
             step = max(1, round(_CHUNK_WORK / s.t.size))
             n_trees = s.options.n_trees
             self._chunks += [(f, lo, min(lo + step, n_trees)) for lo in range(0, n_trees, step)]
-        self._next = 0
-        self._ticket = None
-        self._workers = []
-        workers = min(workers, len(self._chunks))
-        if workers > 0:
-            self._start_workers(workers)
-
-    def _start_workers(self, workers: int) -> None:
-        # imported here, so that scoring, which fits no forest, skips the
-        # imports
-        import multiprocessing
-
-        if "fork" not in multiprocessing.get_all_start_methods():
-            return
-        # fork, asked for by name, so no default start method (which Python
-        # 3.14 changes) is relied on: a forked worker starts in ~10 ms and
-        # inherits the samples and chunks, where a spawned one would import
-        # numpy and this package again (~0.4 s) and be sent the samples
-        context = multiprocessing.get_context("fork")
-        self._ticket = context.Value("q", 0)
-        for _ in range(workers):
-            reader, writer = context.Pipe(duplex=False)
-            process = context.Process(target=_pool_worker, daemon=True,
-                                      args=(self._samples, self._chunks, self._ticket, writer))
-            process.start()
-            # with this copy closed, the pipe ends when the worker exits, and
-            # the workers forked later do not inherit it
-            writer.close()
-            self._workers.append((process, reader))
-
-    def _claim(self) -> int:
-        if self._ticket is None:
-            k, self._next = self._next, self._next + 1
-            return k
-        return _take_ticket(self._ticket)
+        self._counter = Counter()
+        self._workers = [Child(_pool_worker, samples, self._chunks, self._counter)
+                         for _ in range(min(workers, len(self._chunks)))]
 
     def finish(self) -> list[ForestModel]:
-        """Grow in this process every chunk no worker has claimed, then
-        take the workers' chunks, and put the trees in stream order."""
+        """Grow in this process every chunk no worker has claimed, take the
+        workers' chunks, grow here any chunk a worker did not return, and
+        put the trees in stream order."""
         grown = [None] * len(self._chunks)
-        while (k := self._claim()) < len(self._chunks):
+        while (k := self._counter.take()) < len(self._chunks):
             grown[k] = _grow_chunk(self._samples, self._chunks[k])
-        for process, reader in self._workers:
-            try:
-                trees = reader.recv()
-            except EOFError:  # the worker ended without sending
-                trees = None
-            process.join()
-            if trees is None:
-                raise RuntimeError(f"a forest worker exited with code {process.exitcode}")
-            if isinstance(trees, tuple):
-                exc, worker_traceback = trees
-                raise exc from RuntimeError(f"in a forest worker:\n{worker_traceback}")
-            for k, chunk_trees in trees.items():
-                grown[k] = chunk_trees
+        for worker in self._workers:
+            for k, trees in (worker.result() or {}).items():
+                grown[k] = trees
         self.close()
         forests = [[] for _ in self._samples]
-        for (f, _, _), trees in zip(self._chunks, grown):
-            forests[f] += trees
+        for chunk, trees in zip(self._chunks, grown):
+            if trees is None:  # claimed by a worker that failed
+                trees = _grow_chunk(self._samples, chunk)
+            forests[chunk[0]] += trees
         return [ForestModel(trees=trees, event_time_grid=s.grid, n_features=s.X.shape[1],
                             options=s.options)
                 for s, trees in zip(self._samples, forests)]
 
     def close(self) -> None:
-        """Stop and reap the workers; the forests can no longer be finished."""
-        for process, reader in self._workers:
-            if process.is_alive():
-                process.terminate()
-            process.join()
-            reader.close()
+        """Kill and reap the workers; the forests can no longer be finished."""
+        for worker in self._workers:
+            worker.close()
         self._workers = []
+        self._counter.close()
 
     def __enter__(self):
         return self
@@ -566,12 +502,10 @@ def start_forests(fits) -> PendingForests:
 
     The trees go out in chunks to ``_usable_cpus() - 1`` forked workers,
     while this process goes on; ``finish`` on the result grows in this
-    process every chunk no worker has claimed yet and collects the rest.
-    The inputs are checked here, before any tree is grown."""
+    process every chunk no worker has claimed or returned and collects the
+    rest. The inputs are checked here, before any tree is grown."""
     samples = [_canonical_sample(X, labels, options) for X, labels, options in fits]
     work = sum(s.t.size * s.options.n_trees for s in samples)
-    # a batch of less work than _POOL_MIN_WORK grows faster here than the
-    # pool's workers start
     workers = _usable_cpus() - 1 if work >= _POOL_MIN_WORK else 0
     return PendingForests(samples, workers)
 

@@ -1,3 +1,5 @@
+import os
+
 import pytest
 from hypothesis import settings
 
@@ -8,6 +10,29 @@ settings.register_profile("survfuse", deadline=None, derandomize=True)
 settings.load_profile("survfuse")
 
 _ACCEPTANCE_LINES = []
+
+
+def assert_no_child():
+    """No child of this process is running or left unreaped. Unlike
+    ``multiprocessing.active_children``, this sees children of ``os.fork``."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Pids of the children ``os.fork`` made during the test."""
+    made = []
+    fork = os.fork
+
+    def spy():
+        pid = fork()
+        if pid:
+            made.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", spy)
+    return made
 
 
 @pytest.fixture

@@ -32,7 +32,9 @@ from survfuse.dataset import (
 from survfuse.deep_survival import MlpSurvModel, forward, init_mlp, train
 from survfuse.errors import IoError, SchemaMismatchError, UnknownModelKindError
 from survfuse.fusion import FusionModel, fit_fusion, predict_fused
+from survfuse.kinds import ARTIFACTS
 from survfuse import cli, rsf
+from survfuse.pesi import pesi_scores
 from survfuse.rsf import fit_forest, predict_risk
 
 from defaults import FUSION_OPTIONS, rsf_options, train_options
@@ -244,8 +246,9 @@ def assert_scores_survive(kind, model, ds):
     assert data.endswith(b"}\n") and data.count(b"\n") == 1
     assert data == (json.dumps(json.loads(data), sort_keys=True) + "\n").encode()
     assert loaded.kind == kind and loaded.imputation == ds.imputation
-    want = cli._score_records(ModelArtifact(kind, model, ds.imputation, {}), ds)
-    assert same_bits(cli._score_records(loaded, ds), want)
+    points = pesi_scores(ds)
+    want = cli._score_records(ModelArtifact(kind, model, ds.imputation, {}), ds, points)
+    assert same_bits(cli._score_records(loaded, ds, points), want)
     return loaded.model
 
 
@@ -396,6 +399,8 @@ class TestValidation:
          r"components \['clin', 'img', 'rsf_clin'\] are not the fusion's fitted sources"),
         ({"clin": "mlp_c", "img": "mlp_i", "pesi": "mlp_c"},
          r"components \['clin', 'img', 'pesi'\] are not the fusion's fitted sources"),
+        ({"clin": "mlp_i", "img": "mlp_c"},
+         "the network held under 'clin' has modality_tag 'img'"),
     ])
     def test_fusion_components_are_its_fitted_sources(self, fitted, tmp_path, components,
                                                       message):
@@ -406,6 +411,23 @@ class TestValidation:
         with pytest.raises(SchemaMismatchError, match=message):
             save_model(tmp_path / "x.json", "fusion_multimodal", bundle)
         assert not (tmp_path / "x.json").exists()
+
+    @pytest.mark.parametrize("kind, key, other", [("deep_clinical", "mlp_i", "deep_imaging"),
+                                                  ("deep_imaging", "mlp_c", "deep_clinical")])
+    def test_network_under_another_tag_is_refused(self, fitted, tmp_path, kind, key, other):
+        # a network artifact's model stores the tag the artifact holds
+        message = (f"the network held under {ARTIFACTS[kind]!r} has modality_tag "
+                   f"{fitted[key].modality_tag!r}")
+        with pytest.raises(SchemaMismatchError, match=message):
+            save_model(tmp_path / "x.json", kind, fitted[key])
+        assert not (tmp_path / "x.json").exists()
+        path = tmp_path / "relabeled.json"
+        save_model(path, other, fitted[key])
+        doc = json.loads(path.read_text())
+        doc["kind"] = kind
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaMismatchError, match=f"malformed {kind} body: {message}"):
+            load_model(path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(IoError):

@@ -2,7 +2,6 @@ import csv
 import dataclasses
 import json
 import math
-import multiprocessing
 import os
 import re
 import subprocess
@@ -28,6 +27,8 @@ from survfuse.errors import InvalidConfigError
 from survfuse.kinds import MODEL_KINDS
 from survfuse.metrics import KmPoint
 from survfuse.svg import render_km_svg
+
+from conftest import assert_no_child
 
 SMALL_RUN_CONFIG = {
     "split": [0.7, 0.1, 0.2],
@@ -419,7 +420,7 @@ class TestRun:
         assert not out.exists()
 
     def test_diverged_network_stops_the_pending_forests(self, cohort, tmp_path, monkeypatch,
-                                                        caplog):
+                                                        caplog, forks):
         # the forests start on the pool before the networks train; the
         # clinical network's weights overflow (see test_diverged_loss_raises)
         monkeypatch.setattr(rsf, "_usable_cpus", lambda: 2)
@@ -429,7 +430,7 @@ class TestRun:
 
         def spy(fits):
             pending = start_forests(fits)
-            started.append(len(multiprocessing.active_children()))
+            started.append(len(forks))
             return pending
 
         monkeypatch.setattr(rsf, "start_forests", spy)
@@ -445,7 +446,7 @@ class TestRun:
         assert "[study] parameters overflowed during training" in caplog.text \
             or "[study] training loss became" in caplog.text
         assert started == [1]
-        assert not multiprocessing.active_children()
+        assert_no_child()
 
 
 def test_outputs_do_not_depend_on_blas_threads(tmp_path):
@@ -698,6 +699,11 @@ class TestScore:
                      "['rsf_clin', 'rsf_img']", id="unknown-tag"),
         pytest.param("fusion_rsf", lambda comps, forests: comps["rsf_img"].update(type="tree"),
                      "component 'rsf_img' has type 'tree', not 'forest'", id="unknown-type"),
+        pytest.param("fusion_multimodal",
+                     lambda comps, forests: (comps["img"]["model"].update(modality_tag="pesi"),
+                                             comps["clin"]["model"].update(modality_tag="img")),
+                     "the network held under 'clin' has modality_tag 'img'",
+                     id="swapped-modality-tags"),
     ])
     def test_fusion_without_its_fitted_sources_is_refused_at_load(
             self, cohort, run_result, tmp_path, caplog, kind, edit, message):
@@ -716,6 +722,45 @@ class TestScore:
         assert code == 1
         assert f"[load] {artifact} has a malformed {kind} body: {message}" in caplog.text
         assert not (tmp_path / "s.csv").exists()
+
+    @pytest.mark.parametrize("kind, tag", [("deep_clinical", "img"), ("deep_imaging", "pesi")])
+    def test_network_under_another_tag_is_refused_at_load(self, cohort, run_result, tmp_path,
+                                                          caplog, kind, tag):
+        out, _ = run_result
+        doc = json.loads((out / "models" / f"{kind}.json").read_text())
+        held = doc["model"]["modality_tag"]
+        doc["model"]["modality_tag"] = tag
+        artifact = tmp_path / "edited.json"
+        artifact.write_text(json.dumps(doc))
+        code = main(["score", "--model", str(artifact),
+                     "--clinical", str(cohort / "clinical.csv"),
+                     "--features", str(cohort / "features.csv"),
+                     "--out", str(tmp_path / "s.csv")])
+        assert code == 1
+        assert (f"[load] {artifact} has a malformed {kind} body: the network held under "
+                f"{held!r} has modality_tag {tag!r}") in caplog.text
+        assert not (tmp_path / "s.csv").exists()
+
+    @pytest.mark.parametrize("kind", ["deep_clinical", "fusion_pesi_fused"])
+    def test_pesi_is_computed_once(self, cohort, run_result, tmp_path, monkeypatch, kind):
+        # the fused model's PESI input and the pesi_score column are one computation
+        from survfuse import pesi
+
+        calls = []
+        pesi_scores = pesi.pesi_scores
+
+        def spy(ds):
+            calls.append(len(ds))
+            return pesi_scores(ds)
+
+        monkeypatch.setattr(pesi, "pesi_scores", spy)
+        out, _ = run_result
+        code = main(["score", "--model", str(out / "models" / f"{kind}.json"),
+                     "--clinical", str(cohort / "clinical.csv"),
+                     "--features", str(cohort / "features.csv"),
+                     "--out", str(tmp_path / "s.csv")])
+        assert code == 0
+        assert calls == [120]
 
     def test_missing_artifact_is_runtime_error(self, cohort, tmp_path):
         code = main(["score", "--model", str(tmp_path / "ghost.json"),

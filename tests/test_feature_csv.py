@@ -25,6 +25,7 @@ from survfuse.cli import main
 from survfuse.dataset import ingest_features
 from survfuse.feature_csv import FeatureRead
 
+from conftest import assert_no_child
 from strategies import same_bits
 
 SRC = str(Path(survfuse.__file__).resolve().parents[1])
@@ -34,32 +35,10 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 PATHS = {"forked": 2, "in_process": 1}
 
 
-@pytest.fixture
-def forks(monkeypatch):
-    """Pids of the children ``os.fork`` made during the test."""
-    made = []
-    fork = os.fork
-
-    def spy():
-        pid = fork()
-        if pid:
-            made.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", spy)
-    return made
-
-
 def use_cpus(monkeypatch, cpus):
     """``cpus`` usable CPUs, and a child for a feature file of any size."""
     monkeypatch.setattr(feature_csv, "usable_cpus", lambda: cpus)
     monkeypatch.setattr(feature_csv, "_FORK_MIN_BYTES", 0)
-
-
-def assert_no_child():
-    """No child of this process is running or left unreaped."""
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture(scope="module")
@@ -406,6 +385,29 @@ class TestLazyImports:
         done = run_python("import survfuse; print(survfuse.metrics.c_index.__module__)")
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "survfuse.metrics"
+
+    def test_feature_read_forks_before_numpy_is_imported(self, panel, tmp_path):
+        # a fork after numpy's import could copy a process that runs BLAS threads
+        argv = ["score", "--model", str(panel / "run" / "models" / "deep_imaging.json"),
+                "--clinical", str(panel / "clinical.csv"),
+                "--features", str(panel / "features.csv"), "--out", str(tmp_path / "s.csv")]
+        code = (
+            "import os, sys\n"
+            "from survfuse import feature_csv\n"
+            "from survfuse.cli import main\n"
+            "feature_csv._FORK_MIN_BYTES = 0\n"
+            "feature_csv.usable_cpus = lambda: 2\n"
+            "fork, numpy_at_fork = os.fork, []\n"
+            "def spy():\n"
+            "    numpy_at_fork.append('numpy' in sys.modules)\n"
+            "    return fork()\n"
+            "os.fork = spy\n"
+            f"assert main({argv!r}) == 0\n"
+            "print(numpy_at_fork)\n"
+        )
+        done = run_python(code)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[False]"
 
     def test_score_imports_no_study_code(self, panel, tmp_path):
         argv = ["score", "--model", str(panel / "run" / "models" / "deep_imaging.json"),

@@ -1,6 +1,6 @@
 import math
-import multiprocessing
 import os
+import signal
 import time
 import tracemalloc
 from unittest import mock
@@ -36,6 +36,7 @@ from survfuse.rsf import (
     predict_risk,
 )
 
+from conftest import assert_no_child
 from defaults import rsf_options
 from strategies import assert_same_trees, survival_arrays
 
@@ -239,24 +240,29 @@ def grow_trees_stuck_in_workers(*share):
     return _grow_trees(*share)
 
 
-def grow_trees_failing_in_workers(*share):
-    """``rsf._grow_trees``, raising in a pool worker."""
-    if os.getpid() != TEST_PID:
-        raise FloatingPointError("raised in a worker")
-    return _grow_trees(*share)
-
-
-def idle_worker(samples, chunks, ticket, conn):
+def idle_worker(samples, chunks, counter):
     """A pool worker that claims no chunk."""
-    conn.send({})
-    conn.close()
+    return {}
 
 
-def wait_for_claims(pending, count, timeout=30.0):
-    """Wait until the pool's workers have claimed ``count`` chunks."""
+def log_claims(monkeypatch, log, grow):
+    """Patch ``rsf._grow_trees`` with ``grow``, and have a pool worker write
+    a line to ``log`` for each chunk it claims, before growing it."""
+    def grow_and_log(*share):
+        if os.getpid() != TEST_PID:
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+        return grow(*share)
+
+    monkeypatch.setattr(rsf, "_grow_trees", grow_and_log)
+
+
+def wait_for_claims(log, count, timeout=30.0):
+    """Wait until the pool's workers have claimed ``count`` chunks, as
+    ``log_claims`` logs them."""
     deadline = time.monotonic() + timeout
-    while pending._ticket.value < count:
-        assert time.monotonic() < deadline, f"workers claimed {pending._ticket.value} of {count}"
+    while (claimed := len(log.read_text().split()) if log.exists() else 0) < count:
+        assert time.monotonic() < deadline, f"workers claimed {claimed} of {count}"
         time.sleep(0.001)
 
 
@@ -602,19 +608,20 @@ class TestFitForest:
         chunks = [(0, lo, min(lo + 2, n_trees)) for lo in range(0, n_trees, 2)]
         workers = set(chunk_growers(model, chunks, 0)) - {os.getpid()}
         assert len(workers) <= min(cpus - 1, len(chunks))
-        assert not multiprocessing.active_children()
+        assert_no_child()
 
     @pytest.mark.parametrize("cpus,take_back", [
         (1, "all"), (2, "none"), (2, "some"), (2, "all"), (3, "none"), (3, "some"), (3, "all"),
     ])
-    def test_caller_takes_back_unclaimed_chunks(self, monkeypatch, cpus, take_back):
+    def test_caller_takes_back_unclaimed_chunks(self, monkeypatch, tmp_path, cpus, take_back):
         # two forests of uneven chunks in one batch: (0, 2), (2, 4), (4, 5)
         # of the 90-subject forest and (0, 3), (3, 5) of the 60-subject one
         monkeypatch.setattr(rsf, "_usable_cpus", lambda: cpus)
         monkeypatch.setattr(rsf, "_POOL_MIN_WORK", 0)
         monkeypatch.setattr(rsf, "_CHUNK_WORK", 180)
-        monkeypatch.setattr(rsf, "_grow_trees", grow_trees_slowly_in_workers
-                            if take_back == "some" else grow_trees_tagged)
+        log = tmp_path / "claims.log"
+        log_claims(monkeypatch, log, grow_trees_slowly_in_workers
+                   if take_back == "some" else grow_trees_tagged)
         if take_back == "all":
             monkeypatch.setattr(rsf, "_pool_worker", idle_worker)
         rng = np.random.default_rng(75)
@@ -627,9 +634,9 @@ class TestFitForest:
             assert chunks == [(0, 0, 2), (0, 2, 4), (0, 4, 5), (1, 0, 3), (1, 3, 5)]
             assert len(pending._workers) == cpus - 1
             if take_back == "none":
-                wait_for_claims(pending, len(chunks))
+                wait_for_claims(log, len(chunks))
             elif take_back == "some":
-                wait_for_claims(pending, 1)
+                wait_for_claims(log, 1)
             models = pending.finish()
         growers = []
         for f, (model, (X, labels, opts)) in enumerate(zip(models, fits)):
@@ -643,9 +650,9 @@ class TestFitForest:
                     "all": by_caller == len(chunks)}
         assert expected[take_back], growers
         assert len(set(growers) - {os.getpid()}) <= cpus - 1
-        assert not multiprocessing.active_children()
+        assert_no_child()
 
-    def test_closing_before_finish_stops_the_workers(self, monkeypatch):
+    def test_closing_before_finish_stops_the_workers(self, monkeypatch, forks):
         # the workers are stopped, not waited for: each would take 10 s
         monkeypatch.setattr(rsf, "_usable_cpus", lambda: 3)
         monkeypatch.setattr(rsf, "_POOL_MIN_WORK", 0)
@@ -653,23 +660,61 @@ class TestFitForest:
         X, labels = surv_data(np.random.default_rng(76), 90, 3, (1.0, -1.0, 0.0))
         with pytest.raises(KeyError):
             with rsf.start_forests([(X, labels, rsf_options(n_trees=40, min_leaf_size=10))]):
-                assert len(multiprocessing.active_children()) == 2
+                assert len(forks) == 2
+                assert all(os.waitpid(pid, os.WNOHANG) == (0, 0) for pid in forks)  # running
                 failed_at = time.monotonic()
                 raise KeyError("failure while the forests grow")
         assert time.monotonic() - failed_at < 5.0
-        assert not multiprocessing.active_children()
+        assert_no_child()
 
-    def test_worker_error_reaches_the_caller(self, monkeypatch):
+    @pytest.mark.parametrize("fault", ["raises", "killed"])
+    def test_failed_worker_costs_only_time(self, monkeypatch, tmp_path, fault):
+        # the one worker fails in the first chunk it claims; this process
+        # grows that chunk again, with all the others, so the forest is the
+        # serial one bit for bit
+        def fail_in_workers(*share):
+            if os.getpid() != TEST_PID:
+                if fault == "killed":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                raise FloatingPointError("raised in a worker")
+            return grow_trees_tagged(*share)
+
         monkeypatch.setattr(rsf, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(rsf, "_POOL_MIN_WORK", 0)
-        monkeypatch.setattr(rsf, "_grow_trees", grow_trees_failing_in_workers)
+        monkeypatch.setattr(rsf, "_CHUNK_WORK", 180)  # two trees per chunk
+        log = tmp_path / "claims.log"
+        log_claims(monkeypatch, log, fail_in_workers)
+        X, labels = surv_data(np.random.default_rng(79), 90, 3, (1.0, -1.0, 0.0))
+        opts = rsf_options(n_trees=9, min_leaf_size=10, seed=4)
+        with rsf.start_forests([(X, labels, opts)]) as pending:
+            assert len(pending._workers) == 1
+            wait_for_claims(log, 1)
+            model, = pending.finish()
+        assert_same_trees(model.trees, serial_fit_forest(X, labels, opts)[1])
+        assert {tree.grown_by for tree in model.trees} == {os.getpid()}
+        assert len(log.read_text().split()) == 1  # the worker failed in its first chunk
+        assert_no_child()
+
+    def test_error_raised_in_every_process_is_raised_here(self, monkeypatch, tmp_path):
+        # the worker fails, and so does this process, which raises its own
+        # error with its own traceback; nothing crosses the pipe
+        def fail(*share):
+            raise FloatingPointError(f"raised in process {os.getpid()}")
+
+        monkeypatch.setattr(rsf, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(rsf, "_POOL_MIN_WORK", 0)
+        log = tmp_path / "claims.log"
+        log_claims(monkeypatch, log, fail)
         X, labels = surv_data(np.random.default_rng(79), 90, 3, (1.0, -1.0, 0.0))
         with rsf.start_forests([(X, labels, rsf_options(n_trees=40, min_leaf_size=10))]) as pending:
-            wait_for_claims(pending, 1)
-            with pytest.raises(FloatingPointError, match="in a worker") as raised:
+            wait_for_claims(log, 1)
+            with pytest.raises(FloatingPointError,
+                               match=f"^raised in process {os.getpid()}$") as raised:
                 pending.finish()
-        assert "grow_trees_failing_in_workers" in str(raised.value.__cause__)
-        assert not multiprocessing.active_children()
+        assert raised.value.__cause__ is None and raised.value.__context__ is None
+        assert [entry.name for entry in raised.traceback][-4:] == [
+            "finish", "_grow_chunk", "grow_and_log", "fail"]
+        assert_no_child()
 
     def test_every_chunk_is_grown_once_under_contention(self, monkeypatch, tmp_path):
         # five workers on the machine's CPUs and this process take 60
@@ -696,7 +741,7 @@ class TestFitForest:
         assert time.monotonic() - started < 60.0
         assert sorted(int(line) for line in log.read_text().split()) == list(range(60))
         assert_same_trees(model.trees, serial_fit_forest(X, labels, opts)[1])
-        assert not multiprocessing.active_children()
+        assert_no_child()
 
     def test_inputs_are_checked_at_start(self, monkeypatch):
         monkeypatch.setattr(rsf, "_usable_cpus", lambda: 2)
@@ -704,7 +749,7 @@ class TestFitForest:
         good = (X, labels, rsf_options(n_trees=2, min_leaf_size=5))
         with pytest.raises(NoEventsError):
             rsf.start_forests([good, (X, Labels(range(1, 41), [0] * 40), good[2])])
-        assert not multiprocessing.active_children()
+        assert_no_child()
 
     @pytest.mark.parametrize("n_trees", [2, 27])
     def test_small_forest_grows_in_this_process(self, monkeypatch, n_trees):
@@ -721,6 +766,7 @@ class TestFitForest:
         assert started == (0 if n_trees == 2 else 2)
         if n_trees == 2:
             assert {tree.grown_by for tree in model.trees} == {os.getpid()}
+        assert_no_child()
 
     def test_batch_work_is_summed_for_the_pool_threshold(self, monkeypatch):
         # two forests of 90 x 14 trees: each alone is below 90 x 27, together
@@ -731,6 +777,7 @@ class TestFitForest:
         fit = (X, labels, rsf_options(n_trees=14, min_leaf_size=10))
         with rsf.start_forests([fit]) as alone, rsf.start_forests([fit, fit]) as batch:
             assert (len(alone._workers), len(batch._workers)) == (0, 1)
+        assert_no_child()
 
     def test_mtry_defaults_to_sqrt_features(self):
         rng = np.random.default_rng(63)
