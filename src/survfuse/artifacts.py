@@ -16,12 +16,15 @@ encoder), which ``python -m json.tool`` lays out for reading. Version 1
 artifacts, whose leaves also hold their ``leaf_times`` and ``leaf_chf``
 curves and which were indented, still load and score the same: the
 decoder does not read those two keys.
+
+``load_model`` checks everything scoring relies on (every shape, finite
+numbers, a tree's preorder node layout), so that a bad artifact is
+refused when it is loaded, not part way through scoring.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import math
 from dataclasses import dataclass
@@ -61,6 +64,9 @@ class ModelArtifact:
 
 def file_fingerprint(*paths) -> str:
     """sha256 over the given files' bytes, in argument order."""
+    # imported here: hashlib loads OpenSSL, which ``score`` never uses
+    import hashlib
+
     h = hashlib.sha256()
     for p in paths:
         try:
@@ -89,13 +95,23 @@ def _enc_mlp(m: MlpSurvModel) -> dict:
 
 
 def _dec_mlp(doc: dict) -> MlpSurvModel:
-    return MlpSurvModel(
-        layer_dims=tuple(int(d) for d in doc["layer_dims"]),
-        weights=[np.asarray(w, dtype=float) for w in doc["weights"]],
-        biases=[np.asarray(b, dtype=float) for b in doc["biases"]],
-        seed=int(doc["seed"]),
-        modality_tag=doc["modality_tag"],
-    )
+    """A network whose ``layer_dims`` are positive, end in 1 and give every
+    weight and bias shape, with finite parameters; anything else raises
+    ``ValueError``."""
+    dims = tuple(int(d) for d in doc["layer_dims"])
+    weights = [np.asarray(w, dtype=float) for w in doc["weights"]]
+    biases = [np.asarray(b, dtype=float) for b in doc["biases"]]
+    if len(dims) < 2 or dims[-1] != 1 or min(dims) < 1:
+        raise ValueError(f"layer_dims {list(dims)} must be positive and end in 1")
+    if ([w.shape for w in weights] != list(zip(dims[:-1], dims[1:]))
+            or [b.shape for b in biases] != [(d,) for d in dims[1:]]):
+        raise ValueError(
+            f"layer_dims {list(dims)} do not match the weight shapes"
+            f" {[w.shape for w in weights]} and bias shapes {[b.shape for b in biases]}")
+    if not all(np.isfinite(a).all() for a in weights + biases):
+        raise ValueError("the network's weights and biases must be finite")
+    return MlpSurvModel(layer_dims=dims, weights=weights, biases=biases,
+                        seed=int(doc["seed"]), modality_tag=doc["modality_tag"])
 
 
 def _enc_tree(t: SurvivalTree) -> dict:
@@ -109,8 +125,47 @@ def _enc_tree(t: SurvivalTree) -> dict:
     }
 
 
-def _dec_tree(doc: dict) -> SurvivalTree:
-    return SurvivalTree(
+def _check_preorder(tree: SurvivalTree, n_features: int) -> None:
+    """Raises ``ValueError`` unless the nodes are in preorder, as
+    ``rsf._grow_tree`` lays them out, so that routing a patient from the root
+    ends at a leaf: an internal node ``i`` splits a feature below
+    ``n_features`` at a finite threshold, its left child is node ``i + 1``
+    and its right child starts where its left subtree ends; a leaf has
+    ``left == right == -1`` and the next leaf slot; each leaf has one finite
+    mortality, and every node belongs to the tree rooted at node 0."""
+    feature, left, right, slot = (a.tolist() for a in
+                                  (tree.feature, tree.left, tree.right, tree.leaf_slot))
+    n = len(feature)
+    if n == 0 or not n == len(tree.threshold) == len(left) == len(right) == len(slot):
+        raise ValueError("a tree's node arrays must have one length, at least 1")
+    threshold_ok = np.isfinite(tree.threshold).tolist()
+    waiting = []  # internal nodes whose right child is still to come
+    leaves = 0
+    for i in range(n):
+        if feature[i] >= 0:
+            if feature[i] >= n_features or not threshold_ok[i] or not left[i] == i + 1 < n:
+                raise ValueError(f"internal node {i} must split one of {n_features} features"
+                                 f" at a finite threshold, with node {i + 1} its left child")
+            waiting.append(i)
+            continue
+        if left[i] != -1 or right[i] != -1 or slot[i] != leaves:
+            raise ValueError(f"leaf {i} must have left = right = -1 and leaf_slot {leaves}")
+        leaves += 1
+        if not waiting:
+            if i + 1 < n:
+                raise ValueError(f"node {i + 1} is not in the tree rooted at node 0")
+        elif right[waiting[-1]] == i + 1 < n:
+            waiting.pop()
+        else:
+            raise ValueError(f"the right child of node {waiting[-1]} must be node {i + 1},"
+                             " where its left subtree ends")
+    mortality = tree.leaf_mortality
+    if mortality.shape != (leaves,) or not np.isfinite(mortality).all():
+        raise ValueError(f"a tree of {leaves} leaves must have {leaves} finite leaf mortalities")
+
+
+def _dec_tree(doc: dict, n_features: int) -> SurvivalTree:
+    tree = SurvivalTree(
         feature=np.asarray(doc["feature"], dtype=np.int64),
         threshold=np.asarray([math.nan if v is None else v for v in doc["threshold"]], dtype=float),
         left=np.asarray(doc["left"], dtype=np.int64),
@@ -118,6 +173,8 @@ def _dec_tree(doc: dict) -> SurvivalTree:
         leaf_slot=np.asarray(doc["leaf_slot"], dtype=np.int64),
         leaf_mortality=np.asarray(doc["leaf_mortality"], dtype=float),
     )
+    _check_preorder(tree, n_features)
+    return tree
 
 
 def _enc_forest(f: ForestModel) -> dict:
@@ -131,10 +188,13 @@ def _enc_forest(f: ForestModel) -> dict:
 
 def _dec_forest(doc: dict) -> ForestModel:
     opts = doc["options"]
+    n_features = int(doc["n_features"])
+    if not doc["trees"]:
+        raise ValueError("a forest must have at least one tree")
     return ForestModel(
-        trees=[_dec_tree(t) for t in doc["trees"]],
+        trees=[_dec_tree(t, n_features) for t in doc["trees"]],
         event_time_grid=np.asarray(doc["event_time_grid"], dtype=float),
-        n_features=int(doc["n_features"]),
+        n_features=n_features,
         options=RsfOptions(
             n_trees=int(opts["n_trees"]),
             mtry=None if opts["mtry"] is None else int(opts["mtry"]),
@@ -231,6 +291,12 @@ def _dec_fusion(doc: dict) -> FusionBundle:
         means=np.asarray(doc["means"], dtype=float),
         stds=np.asarray(doc["stds"], dtype=float),
     )
+    # one coefficient, mean and std per source, as ``fit_fusion`` writes them
+    k = len(fusion.sources)
+    head = (fusion.cox.beta, fusion.means, fusion.stds)
+    if any(a.shape != (k,) or not np.isfinite(a).all() for a in head) or (fusion.stds <= 0).any():
+        raise ValueError(f"a fusion of {k} sources must have {k} finite coefficients, means and"
+                         " positive stds")
     return FusionBundle(fusion=fusion, components=components)
 
 
@@ -303,17 +369,26 @@ def save_model(path, kind: str, model, *, imputation: ImputationStats | None = N
         raise IoError(f"cannot write {path}: {exc}") from exc
 
 
+def _refuse_constant(name: str):
+    # json.load parses NaN, Infinity and -Infinity, which no fitted model holds
+    raise SchemaMismatchError(f"{name} is not a JSON number")
+
+
 def load_model(path) -> ModelArtifact:
     """Read an artifact back; the inverse of :func:`save_model`. A fusion whose
     components are not exactly its sources' networks and forests, each stored
-    with its tag's type (``kinds.TAGS``), or a network whose ``modality_tag``
-    is not the tag it is held under, raises ``SchemaMismatchError``."""
+    with its tag's type (``kinds.TAGS``), a network whose ``modality_tag`` is
+    not the tag it is held under or whose ``layer_dims`` do not give its
+    weight and bias shapes, a tree whose nodes are not in preorder (see
+    ``_check_preorder``), a fusion head without one coefficient, mean and
+    positive std per source, or a ``NaN`` or ``Infinity`` anywhere in the
+    file, raises ``SchemaMismatchError``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_constant=_refuse_constant)
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, SchemaMismatchError) as exc:
         raise SchemaMismatchError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "schema_version" not in doc:
         raise SchemaMismatchError(f"{path} lacks a schema_version field")

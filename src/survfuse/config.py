@@ -13,7 +13,6 @@ Importing this module imports no numpy.
 from __future__ import annotations
 
 import copy
-import hashlib
 import json
 import math
 
@@ -225,6 +224,10 @@ def effective_config(raw: dict, args=None) -> dict:
 
 def config_fingerprint(cfg: dict) -> str:
     """sha256 over the canonical JSON form of the analysis-relevant config."""
+    # imported here, not at the top: hashlib loads OpenSSL (about 3.6 MB of
+    # resident memory), which only ``run`` uses
+    import hashlib
+
     part = {k: cfg[k] for k in _FINGERPRINT_KEYS}
     blob = json.dumps(part, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()

@@ -12,11 +12,18 @@ metrics (c-index) are identical whether computed on the squashed score or
 the pre-sigmoid logit.
 
 Subject blocks: every matrix product over the subjects is formed
-``_SUBJECT_BLOCK`` (240) subjects at a time, by ``_by_subjects``, so that
-it rounds the same whatever number of threads BLAS runs. A forward product
-stacks the products of its row blocks; a weight gradient sums over the
-subjects, and is the sum of its block products added in block order. Up to
-``_SUBJECT_BLOCK`` + 1 subjects a product is one call, as before the
+``_SUBJECT_BLOCK`` (240) subjects at a time, so that it rounds the same
+whatever number of threads BLAS runs. One layer step, ``_block_pass``,
+takes a block of subjects through every layer. Scoring (``linear_scores``,
+``forward``) walks the blocks and keeps only each block's logits, so a
+call holds its inputs plus O(240 x width) floats, not every layer's
+activations for every subject. Training stacks them: ``_forward_pass``
+runs the same ``_block_pass`` on each block and stacks each layer, which
+backpropagation reads whole, and the backward products go through
+``_by_subjects``; a weight gradient sums over the subjects, and is the
+sum of its block products added in block order. A block is the same
+operands either way, so scoring and training compute the same floats. Up
+to ``_SUBJECT_BLOCK`` + 1 subjects a product is one call, as before the
 blocks, and no block is of one subject (BLAS would take its matrix-vector
 route, which rounds differently). With OpenBLAS 0.3.31 on a 2-CPU x86-64
 machine, a weight gradient over 500 or more subjects in one product came
@@ -123,18 +130,22 @@ def _by_subjects(a: np.ndarray, b: np.ndarray, reduce: bool = False) -> np.ndarr
     return np.concatenate([a[lo:hi] @ b for lo, hi in blocks])
 
 
+def _block_pass(model: MlpSurvModel, x: np.ndarray) -> list[np.ndarray]:
+    """Pre-activations of every layer over one block of subjects ``x``, the
+    output layer's (the logits, as a column) last."""
+    pre = [x @ model.weights[0] + model.biases[0]]
+    for W, b in zip(model.weights[1:], model.biases[1:]):
+        pre.append(np.maximum(pre[-1], 0.0) @ W + b)
+    return pre
+
+
 def _forward_pass(model: MlpSurvModel, X: np.ndarray):
-    """Returns (hidden activations per layer incl. input, preactivations, logits)."""
-    hs = [X]
-    pre = []
-    h = X
-    for W, b in zip(model.weights[:-1], model.biases[:-1]):
-        a = _by_subjects(h, W) + b
-        pre.append(a)
-        h = np.maximum(a, 0.0)
-        hs.append(h)
-    z = (_by_subjects(h, model.weights[-1]) + model.biases[-1]).ravel()
-    return hs, pre, z
+    """Returns (hidden activations per layer incl. input, preactivations,
+    logits), each layer's stacked from its subject blocks."""
+    blocks = [_block_pass(model, X[lo:hi]) for lo, hi in _subject_blocks(X.shape[0])]
+    pre = [np.concatenate(layer) for layer in zip(*blocks)]
+    hs = [X] + [np.maximum(a, 0.0) for a in pre[:-1]]
+    return hs, pre[:-1], pre[-1].ravel()
 
 
 def _check_input(model: MlpSurvModel, X: np.ndarray) -> np.ndarray:
@@ -147,8 +158,13 @@ def _check_input(model: MlpSurvModel, X: np.ndarray) -> np.ndarray:
 
 
 def linear_scores(model: MlpSurvModel, X: np.ndarray) -> np.ndarray:
-    """Pre-sigmoid output logits."""
-    return _forward_pass(model, _check_input(model, X))[2]
+    """Pre-sigmoid output logits, one subject block at a time through every
+    layer, so no more than one block's activations are held at once."""
+    X = _check_input(model, X)
+    z = np.empty(X.shape[0])
+    for lo, hi in _subject_blocks(X.shape[0]):
+        z[lo:hi] = _block_pass(model, X[lo:hi])[-1].ravel()
+    return z
 
 
 def forward(model: MlpSurvModel, X: np.ndarray) -> np.ndarray:

@@ -1,4 +1,5 @@
 import json
+import math
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -33,7 +34,7 @@ from survfuse.deep_survival import MlpSurvModel, forward, init_mlp, train
 from survfuse.errors import IoError, SchemaMismatchError, UnknownModelKindError
 from survfuse.fusion import FusionModel, fit_fusion, predict_fused
 from survfuse.kinds import ARTIFACTS
-from survfuse import cli, rsf
+from survfuse import artifacts, cli, rsf
 from survfuse.pesi import pesi_scores
 from survfuse.rsf import fit_forest, predict_risk
 
@@ -480,8 +481,22 @@ class TestValidation:
         doc = json.loads(path.read_text())
         doc["imputation"][field] = value
         path.write_text(json.dumps(doc))
+        if math.isfinite(value):
+            message = f"has malformed imputation constants: {field} must be"
+        else:  # json.dumps writes NaN or Infinity, which load_model refuses as it parses
+            message = "is not valid JSON: -?(NaN|Infinity) is not a JSON number"
+        with pytest.raises(SchemaMismatchError, match=message):
+            load_model(path)
+
+    @pytest.mark.parametrize("literal", ["1e999", "-1e999"])
+    def test_rejects_an_overflowing_age_std(self, fitted, tmp_path, literal):
+        # a number literal too large for a double parses to an infinity
+        path = tmp_path / "imp.json"
+        stats = ImputationStats({f: False for f in BINARY_FIELDS}, 60.0, 61.0, 12.0)
+        save_model(path, "deep_clinical", fitted["mlp_c"], imputation=stats)
+        path.write_text(path.read_text().replace('"age_std": 12.0', f'"age_std": {literal}'))
         with pytest.raises(SchemaMismatchError,
-                           match=f"has malformed imputation constants: {field} must be"):
+                           match="has malformed imputation constants: age_std must be finite"):
             load_model(path)
 
     @pytest.mark.parametrize("change", ["extra", "missing", "renamed", "string", "number"])
@@ -518,6 +533,41 @@ class TestValidation:
             "deep_clinical", "deep_imaging", "rsf_clinical", "rsf_imaging",
             "fusion_multimodal", "fusion_pesi_fused", "fusion_rsf",
         )
+
+
+def leaf_reached(tree, x) -> int:
+    """The leaf slot that routing ``x`` from the root reaches, taking at most
+    one step per node; raises AssertionError where ``rsf._route`` would loop
+    or index out of range."""
+    node = 0
+    for _ in range(tree.feature.size):
+        assert 0 <= node < tree.feature.size
+        if tree.feature[node] < 0:
+            slot = tree.leaf_slot[node]
+            assert 0 <= slot < tree.leaf_mortality.size
+            return slot
+        go_left = x[tree.feature[node]] <= tree.threshold[node]
+        node = tree.left[node] if go_left else tree.right[node]
+    raise AssertionError("the route visits more nodes than the tree has")
+
+
+class TestTreeLayout:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_an_edited_node_is_refused_or_every_route_ends_at_a_leaf(self, fitted, data):
+        forest = fitted["forest_i"]
+        doc = artifacts._enc_tree(data.draw(st.sampled_from(forest.trees)))
+        n = len(doc["feature"])
+        for _ in range(data.draw(st.integers(1, 2))):
+            key = data.draw(st.sampled_from(["feature", "left", "right", "leaf_slot"]))
+            doc[key][data.draw(st.integers(0, n - 1))] = data.draw(st.integers(-2, n + 2))
+        try:
+            tree = artifacts._dec_tree(doc, forest.n_features)
+        except ValueError:
+            return
+        X = fitted["Xi"]
+        slots = [leaf_reached(tree, x) for x in X]
+        assert_array_equal(tree.leaf_slot[rsf._route(tree, X)], slots)
 
 
 class TestFileFingerprint:

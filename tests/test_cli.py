@@ -241,6 +241,16 @@ class TestGenerate:
         assert main(["generate", "--n", "50"]) == 1
 
 
+# a JSON string that a bad-body test writes as the number literal 1e999,
+# which parses to an infinity
+OVERFLOW = "overflow"
+
+
+def split_tree(forest: dict) -> dict:
+    """The first tree of a forest body whose root splits."""
+    return next(t for t in forest["trees"] if t["feature"][0] >= 0)
+
+
 @pytest.fixture(scope="module")
 def cohort(tmp_path_factory):
     root = tmp_path_factory.mktemp("cohort")
@@ -761,6 +771,96 @@ class TestScore:
                      "--out", str(tmp_path / "s.csv")])
         assert code == 0
         assert calls == [120]
+
+    @pytest.mark.parametrize("kind, edit, message", [
+        pytest.param("deep_clinical", lambda m: m["biases"][0].__setitem__(0, math.nan),
+                     "is not valid JSON: NaN is not a JSON number", id="nan-bias"),
+        pytest.param("deep_clinical", lambda m: m["weights"][0][0].__setitem__(0, OVERFLOW),
+                     "the network's weights and biases must be finite", id="overflowing-weight"),
+        pytest.param("deep_clinical", lambda m: m["weights"][0].pop(),
+                     "layer_dims [11, 4, 1] do not match the weight shapes [(10, 4), (4, 1)]",
+                     id="weight-shape"),
+        pytest.param("deep_clinical", lambda m: m["layer_dims"].__setitem__(1, 5),
+                     "layer_dims [11, 5, 1] do not match the weight shapes [(11, 4), (4, 1)]",
+                     id="contradicting-layer-dims"),
+        pytest.param("deep_clinical", lambda m: m["layer_dims"].__setitem__(2, 2),
+                     "layer_dims [11, 4, 2] must be positive and end in 1", id="two-outputs"),
+        pytest.param("fusion_multimodal",
+                     lambda m: m["components"]["img"]["model"]["biases"][1].append(0.0),
+                     "do not match the weight shapes [(6, 4), (4, 1)] and bias shapes "
+                     "[(4,), (2,)]", id="fused-network-bias"),
+        pytest.param("rsf_imaging", lambda m: split_tree(m)["feature"].__setitem__(0, 6),
+                     "internal node 0 must split one of 6 features at a finite threshold",
+                     id="feature-out-of-range"),
+        pytest.param("rsf_imaging", lambda m: split_tree(m)["threshold"].__setitem__(0, OVERFLOW),
+                     "internal node 0 must split one of 6 features at a finite threshold",
+                     id="infinite-threshold"),
+        pytest.param("rsf_imaging", lambda m: split_tree(m)["right"].__setitem__(0, 10 ** 6),
+                     "the right child of node 0 must be node", id="right-out-of-range"),
+        pytest.param("rsf_imaging", lambda m: split_tree(m)["left"].__setitem__(0, 2),
+                     "with node 1 its left child", id="left-skips-a-node"),
+        pytest.param("rsf_imaging", lambda m: split_tree(m)["leaf_slot"].__setitem__(
+                         split_tree(m)["feature"].index(-1), 1),
+                     "must have left = right = -1 and leaf_slot 0", id="leaf-slot-order"),
+        pytest.param("rsf_imaging", lambda m: split_tree(m)["leaf_mortality"].pop(),
+                     "finite leaf mortalities", id="missing-mortality"),
+        pytest.param("rsf_imaging",
+                     lambda m: split_tree(m)["leaf_mortality"].__setitem__(0, math.nan),
+                     "is not valid JSON: NaN is not a JSON number", id="nan-mortality"),
+        pytest.param("rsf_imaging", lambda m: [split_tree(m)[key].append(value) for key, value in
+                                               (("feature", -1), ("threshold", None),
+                                                ("left", -1), ("right", -1), ("leaf_slot", 0),
+                                                ("leaf_mortality", 0.0))],
+                     "is not in the tree rooted at node 0", id="node-outside-the-tree"),
+        pytest.param("rsf_imaging", lambda m: m["trees"].clear(),
+                     "a forest must have at least one tree", id="no-trees"),
+        pytest.param("fusion_multimodal", lambda m: m["cox"]["beta"].pop(),
+                     "a fusion of 2 sources must have 2 finite coefficients, means and positive"
+                     " stds", id="fusion-coefficient-missing"),
+        pytest.param("fusion_pesi_fused", lambda m: m["stds"].__setitem__(2, 0.0),
+                     "a fusion of 3 sources must have 3 finite coefficients", id="fusion-zero-std"),
+        pytest.param("fusion_rsf",
+                     lambda m: split_tree(m["components"]["rsf_clin"]["model"])["right"].pop(),
+                     "a tree's node arrays must have one length", id="fused-forest-short-array"),
+    ])
+    def test_bad_body_is_refused_at_load(self, cohort, run_result, tmp_path, caplog, kind,
+                                         edit, message):
+        # before these checks, each of these was scored, with exit 0 (some
+        # with NaN risks) or exit 2 at [score] with a bare numpy error
+        out, _ = run_result
+        doc = json.loads((out / "models" / f"{kind}.json").read_text())
+        edit(doc["model"])
+        artifact = tmp_path / "edited.json"
+        artifact.write_text(json.dumps(doc).replace(f'"{OVERFLOW}"', "1e999"))
+        code = main(["score", "--model", str(artifact),
+                     "--clinical", str(cohort / "clinical.csv"),
+                     "--features", str(cohort / "features.csv"),
+                     "--out", str(tmp_path / "s.csv")])
+        assert code == 1
+        assert f"[load] {artifact} " in caplog.text
+        assert message in caplog.text
+        assert not (tmp_path / "s.csv").exists()
+
+    def test_cyclic_tree_is_refused_in_under_5_s(self, cohort, run_result, tmp_path):
+        # a root whose left child is itself once made score loop forever
+        out, _ = run_result
+        doc = json.loads((out / "models" / "rsf_imaging.json").read_text())
+        split_tree(doc["model"])["left"][0] = 0
+        artifact = tmp_path / "cyclic.json"
+        artifact.write_text(json.dumps(doc))
+        src = str(Path(survfuse.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get(
+            "PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-m", "survfuse.cli", "score",
+                               "--model", str(artifact),
+                               "--clinical", str(cohort / "clinical.csv"),
+                               "--features", str(cohort / "features.csv"),
+                               "--out", str(tmp_path / "s.csv")],
+                              env=env, capture_output=True, text=True, timeout=5)
+        assert done.returncode == 1
+        assert (f"[load] {artifact} has a malformed rsf_imaging body: internal node 0 must"
+                in done.stderr)
+        assert not (tmp_path / "s.csv").exists()
 
     def test_missing_artifact_is_runtime_error(self, cohort, tmp_path):
         code = main(["score", "--model", str(tmp_path / "ghost.json"),

@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -448,6 +449,17 @@ STUDY_SHAPES = ((11, (32,)), (32, (64,)))
 BLOCK = deep_survival._SUBJECT_BLOCK
 
 
+@st.composite
+def scoring_networks(draw):
+    """A network at the study's shapes or of random widths up to 64, on a
+    cohort of one, two or three blocks, either side of their bounds."""
+    n = draw(st.sampled_from((1, 2, 240, 241, 242, 480, 481, 482, 1000)))
+    widths = st.integers(1, 64)
+    shape = draw(st.sampled_from(STUDY_SHAPES)
+                 | st.tuples(widths, st.lists(widths, max_size=2).map(tuple)))
+    return draw(networks(n, n, [shape]))
+
+
 class TestSubjectBlocks:
     @pytest.mark.parametrize("n,bounds", [
         (1, [(0, 1)]), (240, [(0, 240)]), (241, [(0, 241)]), (242, [(0, 240), (240, 242)]),
@@ -473,6 +485,29 @@ class TestSubjectBlocks:
             h = np.maximum(a, 0.0)
             assert same_bits(hs[k + 1], h)
         assert same_bits(z, (h @ model.weights[-1] + model.biases[-1]).ravel())
+
+    @settings(max_examples=60, deadline=None)
+    @given(scoring_networks())
+    def test_scoring_walks_the_blocks_training_stacks(self, net):
+        # scoring takes each block through every layer, training each layer
+        # through every block: the same products, so the same logits
+        model, X, _ = net
+        z = linear_scores(model, X)
+        assert same_bits(z, deep_survival._forward_pass(model, X)[2])
+        assert same_bits(forward(model, X), sigmoid(z))
+
+    def test_scoring_holds_one_block_of_activations(self):
+        # 20000 subjects through a 64-unit layer are 10 MB per layer at once;
+        # a block's are 120 kB
+        model = init_mlp(32, (64,), seed=0)
+        X = np.random.default_rng(0).standard_normal((20000, 32))
+        tracemalloc.start()
+        try:
+            linear_scores(model, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     @settings(max_examples=40, deadline=None)
     @given(networks(2, BLOCK + 1), st.sampled_from([0.0, 1e-2]))

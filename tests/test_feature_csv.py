@@ -6,6 +6,7 @@ and the same log lines, and no child may outlive a command.
 """
 
 import csv
+import hashlib
 import json
 import os
 import signal
@@ -408,6 +409,34 @@ class TestLazyImports:
         done = run_python(code)
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == "[False]"
+
+    def test_score_loads_no_openssl(self, panel, tmp_path):
+        # hashlib loads OpenSSL's libcrypto, about 3.6 MB of resident memory,
+        # and only run's fingerprints use it
+        argv = ["score", "--model", str(panel / "run" / "models" / "deep_imaging.json"),
+                "--clinical", str(panel / "clinical.csv"),
+                "--features", str(panel / "features.csv"), "--out", str(tmp_path / "s.csv")]
+        code = (
+            "import sys\n"
+            "import survfuse.cli, survfuse.config, survfuse.artifacts\n"
+            "from survfuse.cli import main\n"
+            f"assert main({argv!r}) == 0\n"
+            "print(sorted(m for m in ('hashlib', '_hashlib') if m in sys.modules))\n"
+        )
+        done = run_python(code)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[]"
+
+    def test_run_writes_the_same_fingerprints(self, panel):
+        # the digest of the panel's config, as run wrote it when hashlib was
+        # imported with the config module
+        report = json.loads((panel / "run" / "report.json").read_text())
+        assert report["config_fingerprint"] == (
+            "2c6f6d587b07ab31db0462dab57cc5d14f7a6804f0cd41a7f904926e14ae4111")
+        data = (panel / "clinical.csv").read_bytes() + (panel / "features.csv").read_bytes()
+        artifact = json.loads((panel / "run" / "models" / "deep_imaging.json").read_text())
+        assert artifact["metadata"] == {"data_fingerprint": hashlib.sha256(data).hexdigest(),
+                                        "seed": 0}
 
     def test_score_imports_no_study_code(self, panel, tmp_path):
         argv = ["score", "--model", str(panel / "run" / "models" / "deep_imaging.json"),
