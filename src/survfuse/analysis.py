@@ -9,6 +9,10 @@ ledger, stratified survival curves with log-rank tests, paired comparisons
 against the severity index, and the RV dysfunction factor analysis. The
 whole pipeline is deterministic given the config seed: every stochastic
 stage draws from its own substream derived from (seed, stage).
+The evaluation is one plan of tasks, one per cell of the report, each
+computed from the fitted scores alone; its bootstrap tasks run on a
+``forks.Tasks`` pool where BLAS is pinned to one thread (the CLI), in the
+caller otherwise, and the report is the same bytes either way.
 Patients are rows: a split is the ascending rows of ``split_dataset``,
 a stratum a boolean mask over them; ids are read only for the RV patient list.
 """
@@ -17,6 +21,8 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
+from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,6 +45,7 @@ from .errors import (
     TooFewPairsError,
     TooFewResamplesError,
 )
+from .forks import Tasks, blas_pinned, usable_cpus
 from .fusion import fit_fusion, predict_fused, score_component
 from .kinds import ARTIFACTS, COMPONENTS, MODEL_KINDS, RV_MODEL, TAGS, reads_imaging
 from .metrics import (
@@ -53,9 +60,6 @@ from .metrics import (
     weighted_c_index,
     wilcoxon_signed_rank,
 )
-
-# the short-term table drops the forest baseline
-SHORT_TERM_KINDS = tuple(k for k in MODEL_KINDS if k != "rsf_fused")
 
 SPLIT_NAMES = ("train", "val", "test")
 
@@ -182,6 +186,147 @@ def _derived_seed(*key: int) -> int:
     return int(np.random.SeedSequence(tuple(key)).generate_state(1, dtype=np.uint64)[0])
 
 
+# --- the evaluation plan ----------------------------------------------------
+# Every cell of the report is one task ``(section, split, kind, seed)``:
+# ``section`` names a ``StudyReport`` field, ``kind`` a model kind (an NRI
+# pair's name in ``nri``), and ``seed`` the task's own bootstrap substream,
+# ``None`` for a task that draws nothing. ``_evaluate_task`` computes any
+# task from the study's scores alone, so any process computes it to the same
+# bytes; the report is assembled from the results in plan order.
+
+# the short-term table drops the forest baseline
+SHORT_TERM_KINDS = tuple(k for k in MODEL_KINDS if k != "rsf_fused")
+
+# the reclassification table: each entry's old and new model kind
+_NRI_PAIRS = {
+    "plus_clinical": ("deep_imaging", "deep_multimodal"),
+    "plus_imaging": ("deep_clinical", "deep_multimodal"),
+    "plus_pesi": ("deep_multimodal", "deep_pesi_fused"),
+}
+
+
+class _Task(NamedTuple):
+    section: str
+    split: str
+    kind: str
+    seed: int | None
+
+
+def _evaluation_plan(models, seed: int, rv_known: bool) -> list[_Task]:
+    """The tasks of a study of ``models`` in report order; a kind's
+    position in ``MODEL_KINDS`` (in ``SHORT_TERM_KINDS`` for the short-term
+    table) and its split's position key its seed. The RV analysis is
+    planned only where every test patient's RV status is known."""
+    plan = []
+    for section, stage, kinds in (("overall", "ci", MODEL_KINDS),
+                                  ("short_term", "ci_short", SHORT_TERM_KINDS)):
+        plan += [_Task(section, s, kind, _derived_seed(seed, _STAGE[stage], si, mi))
+                 for si, s in enumerate(SPLIT_NAMES)
+                 for mi, kind in enumerate(kinds) if kind in models]
+    plan += [_Task("nri", s, name, None) for s in SPLIT_NAMES
+             for name, pair in _NRI_PAIRS.items() if all(k in models for k in pair)]
+    plan += [_Task("km", "test", kind, None) for kind in MODEL_KINDS if kind in models]
+    plan += [_Task("comparisons", "test", kind, _derived_seed(seed, _STAGE["compare"], mi))
+             for mi, kind in enumerate(MODEL_KINDS) if kind != "pesi" and kind in models]
+    if rv_known and RV_MODEL in models:
+        plan.append(_Task("rv_analysis", "test", RV_MODEL, None))
+    return plan
+
+
+def _evaluate_task(task: _Task, cfg: dict, labels, raw, prob, pesi_test, rv_test, test_ids):
+    """One task's report entry, from the study's raw and probability-scale
+    scores and labels per split, the test split's PESI scores, RV flags and
+    patient ids; never ``None``."""
+    section, s, kind, seed = task
+    if section == "overall":
+        scores = raw[kind][s]
+        lo, hi = bootstrap_ci(scores, labels[s], cfg["bootstrap_resamples"], seed)
+        return {"c_index": c_index(scores, labels[s]), "ci_low": lo, "ci_high": hi}
+    if section == "short_term":
+        scores, labels30 = raw[kind][s], truncate_30day(labels[s])
+        try:
+            value = c_index(scores, labels30)
+            lo, hi = bootstrap_ci(scores, labels30, cfg["bootstrap_resamples"], seed)
+        except NoComparablePairsError:
+            value, lo, hi = None, None, None  # no deaths inside 30 days in this split
+        return {"c_index": value, "ci_low": lo, "ci_high": hi}
+    if section == "nri":
+        old, new = _NRI_PAIRS[kind]
+        return dataclasses.asdict(nri(prob[old][s], prob[new][s], labels[s], cfg["nri_threshold"]))
+    if section == "comparisons":
+        result = compare_to_pesi(raw[kind]["test"], pesi_test, labels["test"],
+                                 cfg["bootstrap_resamples"], seed)
+        return {**dataclasses.asdict(result.test), "mean_c_index_diff": result.mean_diff,
+                "n_resamples": result.n_resamples}
+    method = cfg["stratification"]["method"]
+    is_high, cut = stratify(prob[kind]["test"], method, cfg["stratification"]["threshold"])
+    if section == "km":
+        high, low = labels["test"].take(is_high), labels["test"].take(~is_high)
+        entry = {"cut_value": cut, "method": method, "n_high": len(high), "n_low": len(low)}
+        if high and low:
+            test = logrank_test(high, low)
+            entry["logrank_statistic"] = test.statistic
+            entry["logrank_p"] = test.p_value
+        else:  # a constant score puts everyone in one stratum
+            entry["logrank_statistic"] = None
+            entry["logrank_p"] = None
+        for name, group in (("high", high), ("low", low)):
+            curve = km_curve(group, name) if group else None
+            entry[name] = {
+                "n": len(group),
+                "points": [dataclasses.asdict(p) for p in curve.points] if curve else [],
+            }
+        return entry
+    # the RV analysis, on the model's high-risk stratum of the test split
+    rv, events = rv_test == 1.0, labels["test"].events
+    lin = raw[kind]["test"]
+    return {
+        **dataclasses.asdict(rv_factor_analysis(is_high, rv, events)),
+        "cut_linear": float(np.median(lin)) if method == "median" else None,
+        "cut_sigmoid": cut,
+        "patients": [
+            {"patient_id": pid, "risk_linear": lv, "risk_sigmoid": pv,
+             "high_risk": h, "rv_dysfunction": r, "event": e}
+            for pid, lv, pv, h, r, e in zip(test_ids, lin.tolist(), prob[kind]["test"].tolist(),
+                                            is_high.tolist(), rv.tolist(), events.tolist())
+        ],
+    }
+
+
+def _evaluation_workers() -> int:
+    """Forked workers for the seeded tasks: one per usable CPU but one in a
+    process whose BLAS is pinned to one thread, none where BLAS may run
+    threads of its own, which the children would compete with."""
+    return usable_cpus() - 1 if blas_pinned() else 0
+
+
+def _evaluate(plan, evaluate, sizes) -> StudyReport:
+    """The report of ``plan``, each task computed by ``evaluate``. The
+    seeded tasks, the bootstraps, go to a ``forks.Tasks`` pool, heaviest
+    first by the size of their split (twice that for a comparison, which
+    scores two models); the others are computed here. The first task in
+    plan order that failed raises its error, whichever process ran it."""
+    pooled = sorted((k for k, task in enumerate(plan) if task.seed is not None),
+                    key=lambda k: -sizes[plan[k].split] * (2 if plan[k].section == "comparisons"
+                                                           else 1))
+    with Tasks(lambda j: evaluate(plan[pooled[j]]), len(pooled), _evaluation_workers()) as tasks:
+        done = dict(zip(pooled, tasks.results()))
+    sections = {"overall": {s: {} for s in SPLIT_NAMES}, "short_term": {s: {} for s in SPLIT_NAMES},
+                "nri": {s: {} for s in SPLIT_NAMES}, "km": {}, "rv_analysis": None,
+                "comparisons": {}}
+    for k, task in enumerate(plan):
+        value = done[k] if k in done else evaluate(task)
+        if isinstance(value, Exception):
+            raise value
+        if task.section == "rv_analysis":
+            sections["rv_analysis"] = value
+        elif task.section in ("km", "comparisons"):
+            sections[task.section][task.kind] = value
+        else:
+            sections[task.section][task.split][task.kind] = value
+    return StudyReport(**sections)
+
+
 # a network's config section is named as its artifact kind
 _ARTIFACT_OF = {held: kind for kind, held in ARTIFACTS.items()}
 
@@ -266,108 +411,11 @@ def run_study_full(ds: Dataset, config: dict | None = None):
     with rsf.start_forests(forest_fits) as forests:
         raw, prob = _fit_models(cfg, tags, inputs, labels, pesi_scores, arts, forests)
 
-    # --- evaluation ---------------------------------------------------------
-    overall = {s: {} for s in SPLIT_NAMES}
-    for si, s in enumerate(SPLIT_NAMES):
-        for mi, kind in enumerate(MODEL_KINDS):
-            if kind not in models:
-                continue
-            scores = raw[kind][s]
-            ci_seed = _derived_seed(cfg["seed"], _STAGE["ci"], si, mi)
-            lo, hi = bootstrap_ci(scores, labels[s], cfg["bootstrap_resamples"], ci_seed)
-            overall[s][kind] = {
-                "c_index": c_index(scores, labels[s]), "ci_low": lo, "ci_high": hi,
-            }
-
-    short_term = {s: {} for s in SPLIT_NAMES}
-    for si, s in enumerate(SPLIT_NAMES):
-        labels30 = truncate_30day(labels[s])
-        for mi, kind in enumerate(SHORT_TERM_KINDS):
-            if kind not in models:
-                continue
-            scores = raw[kind][s]
-            ci_seed = _derived_seed(cfg["seed"], _STAGE["ci_short"], si, mi)
-            try:
-                value = c_index(scores, labels30)
-                lo, hi = bootstrap_ci(scores, labels30, cfg["bootstrap_resamples"], ci_seed)
-            except NoComparablePairsError:
-                value, lo, hi = None, None, None  # no deaths inside 30 days in this split
-            short_term[s][kind] = {"c_index": value, "ci_low": lo, "ci_high": hi}
-
-    nri_pairs = (
-        ("plus_clinical", "deep_imaging", "deep_multimodal"),
-        ("plus_imaging", "deep_clinical", "deep_multimodal"),
-        ("plus_pesi", "deep_multimodal", "deep_pesi_fused"),
-    )
-    nri_table = {s: {} for s in SPLIT_NAMES}
-    for s in SPLIT_NAMES:
-        for name, old_kind, new_kind in nri_pairs:
-            if old_kind not in prob or new_kind not in prob:
-                continue
-            result = nri(prob[old_kind][s], prob[new_kind][s], labels[s], cfg["nri_threshold"])
-            nri_table[s][name] = dataclasses.asdict(result)
-
-    km_section = {}
-    method = cfg["stratification"]["method"]
-    strata = {}  # the high-risk mask over the test split and the cut, by model
-    for kind in MODEL_KINDS:
-        if kind not in models:
-            continue
-        is_high, cut = strata[kind] = stratify(prob[kind]["test"], method,
-                                               cfg["stratification"]["threshold"])
-        high, low = labels["test"].take(is_high), labels["test"].take(~is_high)
-        entry = {"cut_value": cut, "method": method, "n_high": len(high), "n_low": len(low)}
-        if high and low:
-            test = logrank_test(high, low)
-            entry["logrank_statistic"] = test.statistic
-            entry["logrank_p"] = test.p_value
-        else:  # a constant score puts everyone in one stratum
-            entry["logrank_statistic"] = None
-            entry["logrank_p"] = None
-        for name, group in (("high", high), ("low", low)):
-            curve = km_curve(group, name) if group else None
-            entry[name] = {
-                "n": len(group),
-                "points": [dataclasses.asdict(p) for p in curve.points] if curve else [],
-            }
-        km_section[kind] = entry
-
-    comparisons = {}
-    for mi, kind in enumerate(MODEL_KINDS):
-        if kind == "pesi" or kind not in models:
-            continue
-        cmp_seed = _derived_seed(cfg["seed"], _STAGE["compare"], mi)
-        result = compare_to_pesi(raw[kind]["test"], pesi_scores["test"], labels["test"],
-                                 cfg["bootstrap_resamples"], cmp_seed)
-        comparisons[kind] = {**dataclasses.asdict(result.test),
-                             "mean_c_index_diff": result.mean_diff,
-                             "n_resamples": result.n_resamples}
-
-    rv_section = None
     rv_test = ds.rv_dysfunction[rows["test"]]
-    if not np.isnan(rv_test).any() and RV_MODEL in strata:
-        is_high, cut = strata[RV_MODEL]
-        rv, events = rv_test == 1.0, labels["test"].events
-        lin = raw[RV_MODEL]["test"]
-        rv_section = {
-            **dataclasses.asdict(rv_factor_analysis(is_high, rv, events)),
-            "cut_linear": float(np.median(lin)) if method == "median" else None,
-            "cut_sigmoid": cut,
-            "patients": [
-                {"patient_id": ds.patient_ids[i], "risk_linear": lv, "risk_sigmoid": pv,
-                 "high_risk": h, "rv_dysfunction": r, "event": e}
-                for i, lv, pv, h, r, e in zip(rows["test"].tolist(), lin.tolist(),
-                                              prob[RV_MODEL]["test"].tolist(),
-                                              is_high.tolist(), rv.tolist(), events.tolist())
-            ],
-        }
-
-    report = StudyReport(
-        overall=overall,
-        short_term=short_term,
-        nri=nri_table,
-        km=km_section,
-        rv_analysis=rv_section,
-        comparisons=comparisons,
-    )
+    plan = _evaluation_plan(models, cfg["seed"], not np.isnan(rv_test).any())
+    test_ids = [ds.patient_ids[i] for i in rows["test"].tolist()]
+    report = _evaluate(plan, partial(_evaluate_task, cfg=cfg, labels=labels, raw=raw, prob=prob,
+                                     pesi_test=pesi_scores["test"], rv_test=rv_test,
+                                     test_ids=test_ids),
+                       {s: len(labels[s]) for s in SPLIT_NAMES})
     return report, arts

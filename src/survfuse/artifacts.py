@@ -388,7 +388,7 @@ def load_model(path) -> ModelArtifact:
             doc = json.load(fh, parse_constant=_refuse_constant)
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
-    except (json.JSONDecodeError, SchemaMismatchError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, SchemaMismatchError) as exc:
         raise SchemaMismatchError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "schema_version" not in doc:
         raise SchemaMismatchError(f"{path} lacks a schema_version field")

@@ -60,6 +60,7 @@ from .errors import (
     UnknownModelKindError,
 )
 from .feature_csv import FeatureRead
+from .forks import pin_blas_threads
 from .kinds import ARTIFACTS, COMPONENTS, RV_MODEL, TAGS, reads_imaging
 
 log = logging.getLogger("survfuse.cli")
@@ -315,7 +316,7 @@ def cmd_report(args) -> int:
                 doc = json.load(fh)
         except OSError as exc:
             raise IoError(f"cannot read {args.report}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise SchemaMismatchError(f"{args.report} is not valid JSON: {exc}") from exc
         missing = [k for k in _REPORT_KEYS if k not in doc]
         if missing:
@@ -434,6 +435,9 @@ def _configure_logging() -> None:
 
 
 def main(argv=None) -> int:
+    # before anything imports numpy: one BLAS thread, since the commands
+    # parallelise through forked workers instead (see ``forks``)
+    pin_blas_threads()
     _configure_logging()
     parser = build_parser()
     try:

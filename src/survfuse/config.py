@@ -106,7 +106,7 @@ def load_config(path) -> dict:
             doc = json.load(fh)
     except OSError as exc:
         raise InvalidConfigError("", f"cannot read config file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InvalidConfigError("", f"config is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise InvalidConfigError("", "config must be a JSON object")

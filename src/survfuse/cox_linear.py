@@ -109,10 +109,9 @@ def _loglik_and_eta_grad(eta: np.ndarray, table: EventTable, tie_method: str,
     if not with_grad:
         return ll
 
-    cum_a = np.cumsum(coef_a)
-    gidx = np.searchsorted(table.event_times, table.times, side="right") - 1
-    coef = np.where(gidx >= 0, cum_a[np.maximum(gidx, 0)], 0.0)
-    grad_s = table.events.astype(float) - w * coef + w * own_b
+    last, has_last = table.last_event_time
+    coef = np.where(has_last, np.cumsum(coef_a)[last], 0.0)
+    grad_s = table.event_flags - w * coef + w * own_b
 
     grad = np.empty_like(grad_s)
     grad[table.order] = grad_s

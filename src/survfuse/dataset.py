@@ -615,6 +615,18 @@ class EventTable:
             blocks.append((groups, self.death_pos[self.death_start[groups][:, None] + np.arange(d)]))
         return tuple(blocks)
 
+    @cached_property
+    def last_event_time(self) -> tuple[np.ndarray, np.ndarray]:
+        """For each subject in time order, the index of the last event time
+        at or before its time (0 where there is none) and whether there is one."""
+        idx = np.searchsorted(self.event_times, self.times, side="right") - 1
+        return np.maximum(idx, 0), idx >= 0
+
+    @cached_property
+    def event_flags(self) -> np.ndarray:
+        """``events`` as 1.0 and 0.0."""
+        return self.events.astype(float)
+
     def subgroup_counts(self, member) -> tuple[np.ndarray, np.ndarray]:
         """At-risk and death counts per event time of the subjects flagged in
         ``member`` (a boolean mask in the original subject order)."""

@@ -1,10 +1,12 @@
 """Forked children: how survfuse runs work on another CPU.
 
-Two callers fork. ``feature_csv.FeatureRead`` parses a feature CSV of at
+Three callers fork. ``feature_csv.FeatureRead`` parses a feature CSV of at
 least ``_FORK_MIN_BYTES`` (1 MiB) in a child started before ``score`` or
 ``run`` imports numpy; ``rsf.start_forests`` grows a batch of forests of at
-least ``_POOL_MIN_WORK`` (2500) subjects x trees in one child per usable
-CPU but one, while the networks train. With one usable CPU neither forks.
+least ``_POOL_MIN_WORK`` (2500) subjects x trees on one child per usable
+CPU but one, while the networks train; ``analysis.run_study_full``
+evaluates the study's bootstrap tasks the same way, once BLAS is pinned to
+one thread. With one usable CPU none forks.
 
 A ``Child`` computes ``fn(*args)`` in a forked process, which inherits the
 function and its arguments instead of being sent them, and sends the value
@@ -26,11 +28,17 @@ processes take the same value. A process killed between the read and the
 write would stall every other taker, so children that take are killed only
 once the caller has stopped taking.
 
+``Tasks`` is the pool both numeric callers use: children that take task
+indices from one ``Counter``, and a caller that computes every task no
+child took or returned.
+
 Forking copies only the calling thread, so no other thread should hold a
-lock at the fork. The feature read forks before numpy is imported, when no
-other thread exists; the forest pool forks after, when BLAS threads may.
-Python 3.12+ warns about forking a process that runs threads; only Python
-3.11 was checked.
+lock at the fork. ``cli.main`` calls ``pin_blas_threads`` before anything
+imports numpy, so a CLI process runs BLAS on one thread and has no other
+thread when it forks; the CLI parallelises through these children
+instead. A library caller that imported numpy first keeps its BLAS threads:
+its forest pool forks while they exist (Python 3.12+ warns about that), and
+it evaluates without children. Nothing here imports numpy.
 """
 
 from __future__ import annotations
@@ -38,6 +46,30 @@ from __future__ import annotations
 import os
 import pickle
 import signal
+import sys
+
+# the thread-count variables of OpenBLAS, OpenMP (and so BLIS and most
+# builds) and MKL
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+_blas_pinned = False
+
+
+def pin_blas_threads() -> bool:
+    """Have BLAS run on one thread, if numpy is not loaded yet; whether this
+    process is pinned. Loaded, numpy keeps the threads it started with, so
+    the call is then a no-op."""
+    global _blas_pinned
+    if "numpy" not in sys.modules:
+        for var in _BLAS_THREAD_VARS:
+            os.environ[var] = "1"
+        _blas_pinned = True
+    return _blas_pinned
+
+
+def blas_pinned() -> bool:
+    """Whether ``pin_blas_threads`` took effect in this process."""
+    return _blas_pinned
 
 
 def usable_cpus() -> int:
@@ -131,3 +163,62 @@ class Counter:
             if fd is not None:
                 os.close(fd)
         self._reader = self._writer = None
+
+
+def _take_tasks(fn, n, counter):
+    """The tasks this child computed, by index: it takes tasks until none is
+    left, so it never waits on the pipe while there is work."""
+    done = {}
+    while (k := counter.take()) < n:
+        done[k] = fn(k)
+    return done
+
+
+class Tasks:
+    """Tasks ``fn(0)``, ..., ``fn(n - 1)``, started on ``workers`` forked
+    children, which take task indices from one ``Counter`` and send their
+    values back by index once none is left.
+
+    ``results`` computes here every task no child has taken, then every
+    task a child did not return, and returns the values in task order. A
+    task that raises here holds its exception in place of a value, so the
+    caller can raise the first failure in an order of its own, whichever
+    process ran which task. Use the object as a context manager, so that an
+    exception before ``results`` kills the children."""
+
+    def __init__(self, fn, n: int, workers: int):
+        self._fn, self._n = fn, n
+        self._counter = Counter()
+        self._children = [Child(_take_tasks, fn, n, self._counter)
+                          for _ in range(min(workers, n))]
+
+    def _run(self, k):
+        try:
+            return self._fn(k)
+        except Exception as exc:
+            return exc
+
+    def results(self) -> list:
+        values = [None] * self._n
+        while (k := self._counter.take()) < self._n:
+            values[k] = self._run(k)
+        for child in self._children:
+            for k, value in (child.result() or {}).items():
+                values[k] = value
+        self.close()
+        # a task taken by a child that failed
+        return [self._run(k) if value is None else value for k, value in enumerate(values)]
+
+    def close(self) -> None:
+        """Kill and reap the children; ``results`` can no longer be taken."""
+        for child in self._children:
+            child.close()
+        self._children = []
+        self._counter.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+        return False

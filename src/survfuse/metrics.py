@@ -70,12 +70,11 @@ class NriResult:
 
 
 def sigmoid(x):
+    """The logistic function, formed from ``exp(-|x|)`` so that it never
+    overflows: ``1 / (1 + e)`` where x >= 0 and ``e / (1 + e)`` below."""
     x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    e = np.exp(-np.abs(x))
+    out = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     return out if out.ndim else float(out)
 
 

@@ -17,16 +17,17 @@ permutation of the input records cannot change the forest (up to exact
 
 Forests are grown in two steps, so that the caller can work while they
 grow. ``start_forests`` checks a batch of forests and cuts their trees into
-chunks of about ``_CHUNK_WORK`` (1500) subjects x trees. One forked worker
-(a ``forks.Child``) per usable CPU but one grows the chunks it takes from a
-``forks.Counter`` and sends them back by index once none is left.
-``finish`` grows here the chunks it takes from the same counter, then any
-chunk that a failed worker did not return, and puts the trees in stream
-order, so a forest is the same bit for bit whichever process grew which
-chunk. ``fit_forest`` is one forest started and finished at once.
+chunks of about ``_CHUNK_WORK`` (1500) subjects x trees, the tasks of a
+``forks.Tasks`` pool of one forked worker per usable CPU but one.
+``finish`` grows here the chunks no worker has taken, then any chunk that a
+failed worker did not return, and puts the trees in stream order, so a
+forest is the same bit for bit whichever process grew which chunk.
+``fit_forest`` is one forest started and finished at once.
 
-Node event counts and leaf hazards are read from the node's
-``dataset.EventTable``. The split score is ``sqrt`` of
+Each tree finds its subjects' ranks in the forest's event-time grid once;
+a node's at-risk and death counts, and a leaf's hazard, are ``bincount``s
+of its subjects' ranks (``_node_counts``), integers that give the floats
+an ``EventTable`` of the node would. The split score is ``sqrt`` of
 ``metrics.logrank_test``'s chi-square for the two children: |O - E| /
 sqrt(V) for the left child at each admissible split position c of a
 feature's sorted subjects. O - E is the prefix sum of the subjects'
@@ -61,17 +62,18 @@ O(_SPLIT_BLOCK x G) at a time, the sweep O(features x (m + G + B^2)).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .dataset import EventTable, Labels
+from .dataset import Labels
 from .errors import (
     DegenerateDataError,
     DimensionMismatchError,
     NoEventsError,
     NonFiniteInputError,
 )
-from .forks import Child, Counter, usable_cpus as _usable_cpus
+from .forks import Tasks, usable_cpus as _usable_cpus
 
 
 # candidate splits per block of the exact at-risk counts
@@ -132,19 +134,42 @@ class ForestModel:
     options: RsfOptions
 
 
-def _node_statistics(t: np.ndarray, e: np.ndarray):
-    """Event grid, at-risk counts, variance weights, residuals and grid
-    ranks for a node; a subject is at risk at grid[g] exactly when g is
-    below its rank."""
-    table = EventTable(t, e)
-    grid = table.event_times
-    n_e = table.at_risk.astype(float)
-    d_e = table.deaths.astype(float)
+def _node_counts(grid_ranks, e, n_grid):
+    """At-risk and death counts at a node's own event times, and the number
+    of them below each forest-grid rank, from its subjects' forest-grid
+    ranks and event flags. A subject is at risk at the forest grid's q-th
+    time exactly when q is below its rank, and a death's time is the grid
+    time just below its rank, so two ``bincount``s give the counts at every
+    forest-grid time, and the node's event times are those with a death."""
+    deaths = np.bincount(grid_ranks[e] - 1, minlength=n_grid)
+    at_risk = grid_ranks.size - np.cumsum(np.bincount(grid_ranks, minlength=n_grid + 1))[:-1]
+    own = deaths > 0
+    return at_risk[own], deaths[own], np.concatenate(([0], np.cumsum(own)))
+
+
+def _node_statistics(grid_ranks, e, counts):
+    """At-risk counts, variance weights, martingale residuals and grid ranks
+    of a node, given its ``_node_counts``; a subject is at risk at the
+    node's g-th event time exactly when g is below its grid rank."""
+    at_risk, deaths, below = counts
+    n_e = at_risk.astype(float)
+    d_e = deaths.astype(float)
     k_e = np.where(n_e > 1, d_e * (n_e - d_e) / (n_e ** 2 * np.maximum(n_e - 1, 1.0)), 0.0)
-    na = np.cumsum(d_e / n_e)
-    ranks = np.searchsorted(grid, t, side="right")
-    resid = e.astype(float) - np.where(ranks > 0, na[np.maximum(ranks - 1, 0)], 0.0)
-    return grid, n_e, k_e, resid, ranks
+    ranks = below[grid_ranks]
+    resid = e.astype(float) - _hazard(counts)[ranks]
+    return n_e, k_e, resid, ranks
+
+
+def _hazard(counts):
+    """A node's Nelson-Aalen cumulative hazard after each of its first g
+    event times, g = 0, 1, ...; 0.0 before the first."""
+    at_risk, deaths, _ = counts
+    return np.concatenate(([0.0], np.cumsum(deaths / at_risk)))
+
+
+def _leaf_mortality(counts) -> float:
+    """A leaf's cumulative hazard summed over the forest grid."""
+    return float(_hazard(counts)[counts[2][1:]].sum())
 
 
 def _prefix_split_scores(ranks, prefix_resid, n_e, k_e, stop):
@@ -273,15 +298,18 @@ def _survivors(cand, lo, hi, best_score):
     return cand[hi >= max(lo.max(), best_score)]
 
 
-def _best_split(X_node, t_node, e_node, candidates, min_leaf):
-    m = t_node.size
-    if not e_node.any():
+def _best_split(X_cand, candidates, stats, min_leaf):
+    """The best split ``(feature, threshold)`` of a node, or ``None``:
+    ``X_cand`` holds its subjects' values of the ``candidates`` features,
+    column by column, and ``stats`` its ``_node_statistics``."""
+    n_e, k_e, resid, node_ranks = stats
+    m = node_ranks.size
+    if n_e.size == 0:  # no event
         return None
     lo, hi = min_leaf - 1, m - min_leaf - 1
     if hi < lo:
         return None
-    _, n_e, k_e, resid, node_ranks = _node_statistics(t_node, e_node)
-    values = X_node[:, candidates].T
+    values = X_cand.T
     orders = np.argsort(values, axis=1, kind="stable")
     vs = np.take_along_axis(values, orders, axis=1)
     ranks = node_ranks[orders]
@@ -322,45 +350,36 @@ def _best_split(X_node, t_node, e_node, candidates, min_leaf):
     return best
 
 
-def _chf_at(times: np.ndarray, values: np.ndarray, query: np.ndarray) -> np.ndarray:
-    idx = np.searchsorted(times, query, side="right") - 1
-    out = np.zeros(query.size)
-    hit = idx >= 0
-    out[hit] = values[idx[hit]]
-    return out
-
-
 def _grow_tree(X, t, e, rng, mtry, min_leaf, forest_grid):
+    """One tree on the subjects ``X``, ``t``, ``e``, whose event times are
+    all in ``forest_grid``. Each subject's forest-grid rank is found once,
+    and every node's counts are read from its subjects' ranks."""
     feature, threshold, left, right, leaf_slot = [], [], [], [], []
     leaf_mort = []
     n_features = X.shape[1]
-
-    def make_leaf(idx):
-        node = len(feature)
-        feature.append(-1)
-        threshold.append(np.nan)
-        left.append(-1)
-        right.append(-1)
-        leaf_slot.append(len(leaf_mort))
-        table = EventTable(t[idx], e[idx])
-        chf = np.cumsum(table.deaths / table.at_risk)  # Nelson-Aalen
-        leaf_mort.append(float(_chf_at(table.event_times, chf, forest_grid).sum()))
-        return node
+    grid_ranks = np.searchsorted(forest_grid, t, side="right")
 
     def build(idx):
-        if idx.size < 2 * min_leaf or not e[idx].any():
-            return make_leaf(idx)
-        candidates = rng.choice(n_features, size=min(mtry, n_features), replace=False)
-        split = _best_split(X[idx], t[idx], e[idx], candidates, min_leaf)
-        if split is None:
-            return make_leaf(idx)
-        f, thr = split
-        go_left = X[idx, f] <= thr
+        ranks, events = grid_ranks[idx], e[idx]
+        counts = _node_counts(ranks, events, forest_grid.size)
+        split = None
+        if idx.size >= 2 * min_leaf and counts[0].size:
+            candidates = rng.choice(n_features, size=min(mtry, n_features), replace=False)
+            split = _best_split(X[np.ix_(idx, candidates)], candidates,
+                                _node_statistics(ranks, events, counts), min_leaf)
         node = len(feature)
-        feature.append(f)
-        threshold.append(thr)
         left.append(-1)
         right.append(-1)
+        if split is None:
+            feature.append(-1)
+            threshold.append(np.nan)
+            leaf_slot.append(len(leaf_mort))
+            leaf_mort.append(_leaf_mortality(counts))
+            return node
+        f, thr = split
+        go_left = X[idx, f] <= thr
+        feature.append(f)
+        threshold.append(thr)
         leaf_slot.append(-1)
         left[node] = build(idx[go_left])
         right[node] = build(idx[~go_left])
@@ -428,20 +447,11 @@ def _canonical_sample(X, labels, opts: RsfOptions) -> _Sample:
                    options=opts)
 
 
-def _grow_chunk(samples, chunk):
-    """The trees of one chunk ``(forest, first tree, end tree)``."""
-    f, lo, hi = chunk
+def _grow_chunk(samples, chunks, k):
+    """The trees of chunk ``k``, a ``(forest, first tree, end tree)``."""
+    f, lo, hi = chunks[k]
     s = samples[f]
     return _grow_trees(s.X, s.t, s.e, s.grid, s.streams[lo:hi], s.mtry, s.options.min_leaf_size)
-
-
-def _pool_worker(samples, chunks, counter):
-    """The chunks this worker grew, by index: it grows chunks until none is
-    left to claim, so it never waits on the pipe while there is work."""
-    grown = {}
-    while (k := counter.take()) < len(chunks):
-        grown[k] = _grow_chunk(samples, chunks[k])
-    return grown
 
 
 class PendingForests:
@@ -458,25 +468,17 @@ class PendingForests:
             step = max(1, round(_CHUNK_WORK / s.t.size))
             n_trees = s.options.n_trees
             self._chunks += [(f, lo, min(lo + step, n_trees)) for lo in range(0, n_trees, step)]
-        self._counter = Counter()
-        self._workers = [Child(_pool_worker, samples, self._chunks, self._counter)
-                         for _ in range(min(workers, len(self._chunks)))]
+        self._tasks = Tasks(partial(_grow_chunk, samples, self._chunks), len(self._chunks),
+                            workers)
 
     def finish(self) -> list[ForestModel]:
         """Grow in this process every chunk no worker has claimed, take the
         workers' chunks, grow here any chunk a worker did not return, and
         put the trees in stream order."""
-        grown = [None] * len(self._chunks)
-        while (k := self._counter.take()) < len(self._chunks):
-            grown[k] = _grow_chunk(self._samples, self._chunks[k])
-        for worker in self._workers:
-            for k, trees in (worker.result() or {}).items():
-                grown[k] = trees
-        self.close()
         forests = [[] for _ in self._samples]
-        for chunk, trees in zip(self._chunks, grown):
-            if trees is None:  # claimed by a worker that failed
-                trees = _grow_chunk(self._samples, chunk)
+        for chunk, trees in zip(self._chunks, self._tasks.results()):
+            if isinstance(trees, Exception):
+                raise trees
             forests[chunk[0]] += trees
         return [ForestModel(trees=trees, event_time_grid=s.grid, n_features=s.X.shape[1],
                             options=s.options)
@@ -484,10 +486,7 @@ class PendingForests:
 
     def close(self) -> None:
         """Kill and reap the workers; the forests can no longer be finished."""
-        for worker in self._workers:
-            worker.close()
-        self._workers = []
-        self._counter.close()
+        self._tasks.close()
 
     def __enter__(self):
         return self

@@ -1,4 +1,8 @@
 import dataclasses
+import json
+import os
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -26,11 +30,13 @@ from survfuse.errors import (
     TooFewPairsError,
     TooFewResamplesError,
 )
-from survfuse import deep_survival, metrics, rsf
+from survfuse import analysis, deep_survival, metrics, rsf
+from survfuse.forks import blas_pinned
 from survfuse.config import effective_config
 from survfuse.metrics import c_index, wilcoxon_signed_rank
 from survfuse.synthetic import CohortPlan, write_study_csvs
 
+from conftest import assert_no_child
 from defaults import cohort_plan
 
 
@@ -419,3 +425,123 @@ class TestRunStudy:
         report = run_study(study_dataset, cfg)
         assert report.km["pesi"]["method"] == "fixed"
         assert report.km["pesi"]["cut_value"] == 0.5
+
+
+TEST_PID = os.getpid()
+
+
+def report_bytes(report):
+    """A report as ``survfuse run`` writes it, without the fingerprint."""
+    return json.dumps(vars(report), indent=2, sort_keys=True)
+
+
+def evaluated_by(monkeypatch, log, fault=None):
+    """Have every evaluation task write the id of the process that ran it to
+    ``log``; a worker then fails in its first task as ``fault`` says, and
+    this process waits 20 ms before each task, so that the worker takes some."""
+    evaluate = analysis._evaluate_task
+
+    def logged(task, **context):
+        if os.getpid() == TEST_PID:
+            time.sleep(0.02)
+        elif fault == "killed":
+            os.kill(os.getpid(), signal.SIGKILL)
+        elif fault == "raises":
+            raise FloatingPointError("raised in a worker")
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return evaluate(task, **context)
+
+    monkeypatch.setattr(analysis, "_evaluate_task", logged)
+
+
+class TestEvaluationPool:
+    # the CLI's evaluation, on a worker as well as here, against the
+    # library's, here alone
+    @pytest.mark.parametrize("models", [None, ["pesi", "deep_clinical"]])
+    def test_pooled_evaluation_equals_evaluation_here(self, monkeypatch, tmp_path,
+                                                      study_dataset, full_study, models):
+        (report, _), cfg = full_study
+        if models is not None:
+            cfg = {**cfg, "models": models}
+            report = run_study(study_dataset, cfg)
+        monkeypatch.setattr(analysis, "_evaluation_workers", lambda: 1)
+        log = tmp_path / "evaluated.log"
+        evaluated_by(monkeypatch, log)
+        pooled = run_study(study_dataset, cfg)
+        assert report_bytes(pooled) == report_bytes(report)
+        by = log.read_text().split()
+        assert len(by) == len(analysis._evaluation_plan(models or MODEL_KINDS, 3, True))
+        assert set(by) - {str(TEST_PID)}, "the worker evaluated nothing"
+        assert_no_child()
+
+    def test_library_forks_no_evaluation_worker(self, study_dataset, forks):
+        # numpy is loaded here, so BLAS may run threads: the pool has no
+        # worker, and this small study grows its forests here too
+        assert not blas_pinned()
+        assert analysis._evaluation_workers() == 0
+        run_study(study_dataset, {"seed": 3, **SMALL_HYPERS})
+        assert forks == []
+
+    @pytest.mark.parametrize("fault", ["raises", "killed"])
+    def test_failed_worker_costs_only_time(self, monkeypatch, tmp_path, study_dataset,
+                                           full_study, fault):
+        (report, _), cfg = full_study
+        monkeypatch.setattr(analysis, "_evaluation_workers", lambda: 1)
+        log = tmp_path / "evaluated.log"
+        evaluated_by(monkeypatch, log, fault)
+        assert report_bytes(run_study(study_dataset, cfg)) == report_bytes(report)
+        assert set(log.read_text().split()) == {str(TEST_PID)}
+        assert_no_child()
+
+    def test_first_failure_in_plan_order_is_raised(self, monkeypatch, study_dataset):
+        # every comparison fails, on the worker and here alike; the one
+        # raised is the first in plan order, whichever process ran it first
+        evaluate = analysis._evaluate_task
+
+        def failing(task, **context):
+            if task.section == "comparisons":
+                raise FloatingPointError(f"comparison of {task.kind}")
+            return evaluate(task, **context)
+
+        monkeypatch.setattr(analysis, "_evaluation_workers", lambda: 1)
+        monkeypatch.setattr(analysis, "_evaluate_task", failing)
+        with pytest.raises(FloatingPointError, match="^comparison of rsf_fused$"):
+            run_study(study_dataset, {"seed": 3, **SMALL_HYPERS})
+        assert_no_child()
+
+    def test_interrupt_mid_evaluation_stops_the_worker(self, monkeypatch, study_dataset, forks):
+        # the worker would take 10 s a task; it is killed, not waited for
+        evaluate = analysis._evaluate_task
+        stopped = []
+
+        def stuck(task, **context):
+            if os.getpid() != TEST_PID:
+                time.sleep(10.0)
+            elif not stopped:
+                assert len(forks) == 1 and os.waitpid(forks[0], os.WNOHANG) == (0, 0)
+                stopped.append(time.monotonic())
+                raise KeyboardInterrupt
+            return evaluate(task, **context)
+
+        monkeypatch.setattr(analysis, "_evaluation_workers", lambda: 1)
+        monkeypatch.setattr(analysis, "_evaluate_task", stuck)
+        with pytest.raises(KeyboardInterrupt):
+            run_study(study_dataset, {"seed": 3, **SMALL_HYPERS})
+        assert time.monotonic() - stopped[0] < 5.0
+        assert_no_child()
+
+    def test_plan_keys_each_cell_by_its_position(self):
+        # the seeds of the report's cells are those of the hand-written loops
+        plan = analysis._evaluation_plan(MODEL_KINDS, 42, True)
+        derived = analysis._derived_seed
+        stage = analysis._STAGE
+        cells = {(t.section, t.split, t.kind): t.seed for t in plan}
+        assert cells[("overall", "val", "deep_imaging")] == derived(42, stage["ci"], 1, 2)
+        assert cells[("short_term", "val", "deep_imaging")] == derived(42, stage["ci_short"], 1, 1)
+        assert cells[("comparisons", "test", "deep_pesi_fused")] == derived(42, stage["compare"], 5)
+        assert cells[("km", "test", "pesi")] is None
+        assert [t.section for t in plan][-1] == "rv_analysis"
+        assert len(plan) == 18 + 15 + 9 + 6 + 5 + 1
+        assert not any(t.section == "rv_analysis"
+                       for t in analysis._evaluation_plan(MODEL_KINDS, 42, False))

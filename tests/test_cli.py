@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import survfuse
 from survfuse import cli, dataset, deep_survival, rsf
+from survfuse import forks as fork_module
 from survfuse.cli import (
     build_parser,
     cmd_score,
@@ -177,6 +178,14 @@ class TestEffectiveConfig:
         assert main(["run", "--config", str(path), "--clinical", str(tmp_path / "c.csv"),
                      "--out", str(tmp_path / "out")]) == 1
         assert "stratification.threshold" in caplog.text
+        assert not (tmp_path / "out").exists()
+
+    def test_config_that_is_not_utf8_exits_1(self, tmp_path, caplog):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe{}")
+        assert main(["run", "--config", str(path), "--clinical", str(tmp_path / "c.csv"),
+                     "--out", str(tmp_path / "out")]) == 1
+        assert "config is not valid JSON: 'utf-8' codec can't decode byte 0xff" in caplog.text
         assert not (tmp_path / "out").exists()
 
     def test_flag_overrides_win(self):
@@ -459,12 +468,21 @@ class TestRun:
         assert_no_child()
 
 
+# a library caller: numpy is imported before the CLI's entry point, so the
+# BLAS threads are not pinned and the evaluation runs in this one process
+LIBRARY_RUN = "import sys, numpy; from survfuse.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
 def test_outputs_do_not_depend_on_blas_threads(tmp_path):
-    """``run`` writes the same bytes with one OpenBLAS thread as with its
-    default thread count. The training split of 560 subjects is larger than
-    ``_SUBJECT_BLOCK``: a weight gradient over all of them in one product
-    rounded differently with one thread than with two. On a one-CPU machine
-    both runs use one thread and this shows nothing."""
+    """``run`` writes the same bytes whatever the BLAS thread count. The
+    CLI pins BLAS to one thread, so its two runs, one with
+    ``OPENBLAS_NUM_THREADS=1`` set and one without, both use one thread and
+    evaluate on forked workers; a library caller that imported numpy first
+    keeps OpenBLAS's default threads and evaluates in its own process. The
+    training split of 560 subjects is larger than ``_SUBJECT_BLOCK``: a
+    weight gradient over all of them in one product rounded differently
+    with one thread than with two. On a one-CPU machine every run uses one
+    thread and this shows nothing."""
     assert 560 > deep_survival._SUBJECT_BLOCK + 1
     cohort = tmp_path / "cohort"
     assert main(["generate", "--out", str(cohort), "--n", "800", "--seed", "3"]) == 0
@@ -474,13 +492,15 @@ def test_outputs_do_not_depend_on_blas_threads(tmp_path):
                                "deep_clinical": hyper, "deep_imaging": hyper}))
     src = str(Path(survfuse.__file__).resolve().parents[1])
     outs = []
-    for threads in ("1", None):
+    for name, threads, entry in (("cli_one_thread", "1", ["-m", "survfuse.cli"]),
+                                 ("cli_default", None, ["-m", "survfuse.cli"]),
+                                 ("library_default", None, ["-c", LIBRARY_RUN])):
         env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         if threads is not None:
             env["OPENBLAS_NUM_THREADS"] = threads
-        out = tmp_path / f"threads_{threads or 'default'}"
-        subprocess.run([sys.executable, "-m", "survfuse.cli", "run",
+        out = tmp_path / name
+        subprocess.run([sys.executable, *entry, "run",
                         "--clinical", str(cohort / "clinical.csv"),
                         "--features", str(cohort / "features.csv"),
                         "--config", str(cfg), "--out", str(out)],
@@ -488,8 +508,85 @@ def test_outputs_do_not_depend_on_blas_threads(tmp_path):
         outs.append(out)
     names = sorted(["report.json"] + [f"models/{p.name}" for p in (outs[0] / "models").iterdir()])
     assert len(names) == 8
-    for name in names:
-        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+    for out in outs[1:]:
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (out / name).read_bytes(), (out.name, name)
+
+
+# the thread count of this process at each fork, printed as JSON at exit
+FORK_THREADS = """
+import atexit, json, os, sys
+counts = []
+fork = os.fork
+
+
+def counted():
+    counts.append(len(os.listdir("/proc/self/task")))
+    return fork()
+
+
+os.fork = counted
+pid = os.getpid()
+atexit.register(lambda: os.getpid() == pid and print(json.dumps(counts)))
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
+def test_cli_process_has_one_thread_when_it_forks(tmp_path):
+    """``main`` pins BLAS to one thread before numpy is imported, so a
+    ``run`` process runs no other thread when it forks its evaluation and
+    forest workers; a library caller that imported numpy first runs
+    OpenBLAS's threads, forks no evaluation worker, and forks its forest
+    worker with those threads running."""
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("one usable CPU: nothing forks")
+    cfg = write_config(tmp_path, {"rsf": {"n_trees": 40, "min_leaf_size": 10}})
+    assert main(["generate", "--config", cfg, "--out", str(tmp_path / "cohort")]) == 0
+    src = str(Path(survfuse.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    counts = {}
+    for name, entry in (("cli", "from survfuse.cli import main"),
+                        ("library", "import numpy; from survfuse.cli import main")):
+        args = ["run", "--config", cfg, "--clinical", str(tmp_path / "cohort" / "clinical.csv"),
+                "--features", str(tmp_path / "cohort" / "features.csv"),
+                "--out", str(tmp_path / name)]
+        done = subprocess.run(
+            [sys.executable, "-c", f"{FORK_THREADS}\n{entry}\nmain({args!r})"],
+            env=env, check=True, capture_output=True, text=True)
+        counts[name] = json.loads(done.stdout.splitlines()[-1])
+    # the forest workers (84 subjects x 80 trees), in both, then the
+    # evaluation's, one per usable CPU but one
+    assert set(counts["cli"]) == {1}
+    assert counts["library"]
+    assert len(counts["cli"]) == len(counts["library"]) + len(os.sched_getaffinity(0)) - 1
+    assert (tmp_path / "cli" / "report.json").read_bytes() == \
+        (tmp_path / "library" / "report.json").read_bytes()
+
+
+class TestBlasPin:
+    def test_pinning_after_numpy_is_loaded_is_a_no_op(self, monkeypatch):
+        assert "numpy" in sys.modules
+        for var in fork_module._BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        assert fork_module.pin_blas_threads() is False
+        assert fork_module.blas_pinned() is False
+        assert not any(var in os.environ for var in fork_module._BLAS_THREAD_VARS)
+
+    def test_pinning_before_numpy_sets_one_thread(self):
+        src = str(Path(survfuse.__file__).resolve().parents[1])
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "4",
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        code = ("import os, sys; from survfuse import forks; "
+                "assert forks.pin_blas_threads() and forks.blas_pinned(); "
+                "assert 'numpy' not in sys.modules; "
+                "print(*(os.environ[v] for v in forks._BLAS_THREAD_VARS)); "
+                "import numpy; a = numpy.ones((400, 400)); a @ a; "
+                "print(len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') "
+                "else 1)")
+        done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                              capture_output=True, text=True)
+        assert done.stdout.split() == ["1", "1", "1", "1"]
 
 
 class TestScore:
@@ -841,6 +938,17 @@ class TestScore:
         assert message in caplog.text
         assert not (tmp_path / "s.csv").exists()
 
+    def test_artifact_that_is_not_utf8_is_refused_at_load(self, cohort, tmp_path, caplog):
+        artifact = tmp_path / "utf16.json"
+        artifact.write_bytes(b"\xff\xfe{}")
+        code = main(["score", "--model", str(artifact),
+                     "--clinical", str(cohort / "clinical.csv"),
+                     "--out", str(tmp_path / "s.csv")])
+        assert code == 1
+        assert (f"[load] {artifact} is not valid JSON: 'utf-8' codec can't decode byte 0xff"
+                in caplog.text)
+        assert not (tmp_path / "s.csv").exists()
+
     def test_cyclic_tree_is_refused_in_under_5_s(self, cohort, run_result, tmp_path):
         # a root whose left child is itself once made score loop forever
         out, _ = run_result
@@ -910,6 +1018,13 @@ class TestReport:
 
     def test_missing_file_is_runtime_error(self, tmp_path):
         assert main(["report", str(tmp_path / "ghost.json")]) == 2
+
+    def test_report_that_is_not_utf8_is_schema_error(self, tmp_path, caplog):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe{}")
+        assert main(["report", str(path)]) == 1
+        assert (f"[load] {path} is not valid JSON: 'utf-8' codec can't decode byte 0xff"
+                in caplog.text)
 
     def _malformed(self, run_result, tmp_path, edit):
         out, _ = run_result

@@ -8,7 +8,7 @@ import time
 import pytest
 
 from survfuse import forks as fork_module
-from survfuse.forks import Child, Counter, usable_cpus
+from survfuse.forks import Child, Counter, Tasks, usable_cpus
 
 from conftest import assert_no_child
 
@@ -111,6 +111,43 @@ class TestCounter:
         assert [counter.take() for _ in range(3)] == [0, 1, 2]
         counter.close()
         counter.close()
+
+
+def square_or_fail(k):
+    """``k * k``; task 3 fails in every process, in a child by being killed."""
+    if k == 3:
+        if os.getpid() != TEST_PID:
+            os.kill(os.getpid(), signal.SIGKILL)
+        raise ArithmeticError(f"task {k}")
+    return k * k
+
+
+TEST_PID = os.getpid()
+
+
+class TestTasks:
+    @pytest.mark.parametrize("workers", [0, 1, 3])
+    def test_values_come_back_in_task_order(self, forks, workers):
+        with Tasks(lambda k: (k, os.getpid()), 40, workers) as tasks:
+            values = tasks.results()
+        assert [k for k, _ in values] == list(range(40))
+        assert len(forks) == workers
+        assert {pid for _, pid in values} - {os.getpid()} <= set(forks)
+        assert_no_child()
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_a_task_that_raises_here_holds_its_exception(self, workers):
+        with Tasks(square_or_fail, 6, workers) as tasks:
+            values = tasks.results()
+        assert [v for k, v in enumerate(values) if k != 3] == [0, 1, 4, 16, 25]
+        assert isinstance(values[3], ArithmeticError) and str(values[3]) == "task 3"
+        assert_no_child()
+
+    def test_more_workers_than_tasks(self, forks):
+        with Tasks(square_or_fail, 2, 5) as tasks:
+            assert tasks.results() == [0, 1]
+        assert len(forks) == 2
+        assert_no_child()
 
 
 class TestUsableCpus:

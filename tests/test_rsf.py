@@ -11,8 +11,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from survfuse import rsf
-from survfuse.dataset import Labels
+from survfuse import forks as fork_module, rsf
+from survfuse.dataset import EventTable, Labels
 from survfuse.errors import (
     DegenerateDataError,
     DimensionMismatchError,
@@ -24,8 +24,9 @@ from survfuse.metrics import c_index, logrank_test
 from survfuse.rsf import (
     ForestModel,
     _best_split,
-    _chf_at,
     _grow_tree,
+    _leaf_mortality,
+    _node_counts,
     _node_statistics,
     _prefix_split_scores,
     _score_bounds,
@@ -38,7 +39,7 @@ from survfuse.rsf import (
 
 from conftest import assert_no_child
 from defaults import rsf_options
-from strategies import assert_same_trees, survival_arrays
+from strategies import assert_same_trees, same_bits, survival_arrays
 
 # block sizes of the split search's at-risk counts and of its variance
 # sweep under test: the small ones put candidate positions on, before and
@@ -66,6 +67,50 @@ def loop_nelson_aalen(t, e):
     at_risk = (t[None, :] >= grid[:, None]).sum(axis=1).astype(float)
     deaths = ((t[None, :] == grid[:, None]) & e[None, :]).sum(axis=1).astype(float)
     return grid, np.cumsum(deaths / at_risk)
+
+
+def chf_at(times: np.ndarray, values: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """A step function given at ``times`` read at each ``query`` time, 0.0
+    before the first; the leaf hazard's read on the forest grid before the
+    grid ranks, kept as an oracle."""
+    idx = np.searchsorted(times, query, side="right") - 1
+    out = np.zeros(query.size)
+    hit = idx >= 0
+    out[hit] = values[idx[hit]]
+    return out
+
+
+def table_node_statistics(t, e, forest_grid):
+    """A node's ``(n_e, k_e, resid, ranks)`` and leaf mortality from the
+    node's own ``EventTable``, as ``rsf`` computed them before the forest-grid
+    ranks; kept as their oracle. The split search, and so the statistics,
+    only ever met nodes with an event: without one they are ``None``."""
+    table = EventTable(t, e)
+    chf = np.cumsum(table.deaths / table.at_risk)
+    mortality = float(chf_at(table.event_times, chf, forest_grid).sum())
+    if not e.any():
+        return None, mortality
+    n_e = table.at_risk.astype(float)
+    d_e = table.deaths.astype(float)
+    k_e = np.where(n_e > 1, d_e * (n_e - d_e) / (n_e ** 2 * np.maximum(n_e - 1, 1.0)), 0.0)
+    na = np.cumsum(d_e / n_e)
+    ranks = np.searchsorted(table.event_times, t, side="right")
+    resid = e.astype(float) - np.where(ranks > 0, na[np.maximum(ranks - 1, 0)], 0.0)
+    return (n_e, k_e, resid, ranks), mortality
+
+
+def node_statistics(t, e, forest_grid=None):
+    """``rsf._node_statistics`` of a node of subjects ``t``, ``e``, on the
+    grid of its own event times unless a forest grid holding them is given."""
+    grid = np.unique(t[e]) if forest_grid is None else forest_grid
+    grid_ranks = np.searchsorted(grid, t, side="right")
+    return _node_statistics(grid_ranks, e, _node_counts(grid_ranks, e, grid.size))
+
+
+def best_split(X, t, e, candidates, min_leaf):
+    """``rsf._best_split`` of a node of subjects ``X``, ``t``, ``e``, called as
+    ``_grow_tree`` calls it."""
+    return _best_split(X[:, candidates], candidates, node_statistics(t, e), min_leaf)
 
 
 def loop_node_statistics(t, e):
@@ -98,7 +143,7 @@ def dense_prefix_split_scores(at_risk, n_e, k_e, resid, order, cand):
 def sorted_node(t, e, order):
     """Node statistics with the grid ranks and prefix residual sums of the
     subjects in ``order``, as rows of one feature."""
-    _, n_e, k_e, resid, ranks = _node_statistics(t, e)
+    n_e, k_e, resid, ranks = node_statistics(t, e)
     return ranks[order][None], np.cumsum(resid[order])[None], n_e, k_e
 
 
@@ -240,7 +285,7 @@ def grow_trees_stuck_in_workers(*share):
     return _grow_trees(*share)
 
 
-def idle_worker(samples, chunks, counter):
+def idle_worker(fn, n, counter):
     """A pool worker that claims no chunk."""
     return {}
 
@@ -344,8 +389,8 @@ class TestSplitScore:
         # admits no split, and a two-subject node splits one | one
         t = np.array([1.0, 2.0])
         e = np.array([True, False])
-        assert _best_split(np.zeros((2, 1)), t, e, [0], 1) is None
-        assert _best_split(np.array([[0.0], [1.0]]), t, e, [0], 1) == (0, 0.5)
+        assert best_split(np.zeros((2, 1)), t, e, [0], 1) is None
+        assert best_split(np.array([[0.0], [1.0]]), t, e, [0], 1) == (0, 0.5)
 
 
 class TestNodeStatistics:
@@ -356,19 +401,38 @@ class TestNodeStatistics:
         t, e = data
         # more than 8 grid points, so numpy's pairwise sum is not a plain
         # running sum and a leaf summed in another order would show
-        grid = np.append(np.arange(0.5, 12.0, 0.25), 1e6)
+        # a forest grid holds every event time of its trees
+        grid = np.union1d(t[e], np.append(np.arange(0.5, 12.0, 0.25), 1e6))
         tree = _grow_tree(np.zeros((t.size, 1)), t, e, np.random.default_rng(0), 1, t.size, grid)
         want_times, want_chf = loop_nelson_aalen(t, e)
         assert tree.feature.tolist() == [-1]
         assert tree.leaf_mortality.dtype == np.float64
-        assert tree.leaf_mortality.tolist() == [float(_chf_at(want_times, want_chf, grid).sum())]
+        assert tree.leaf_mortality.tolist() == [float(chf_at(want_times, want_chf, grid).sum())]
+
+    @settings(max_examples=200)
+    @given(survival_arrays(max_n=40), st.lists(st.integers(0, 24), max_size=12))
+    def test_grid_rank_counts_match_the_nodes_event_table(self, data, other_times):
+        # a node's event times are some of its forest grid's, which holds
+        # others too, below, between and above them
+        t, e = data
+        grid = np.union1d(t[e], np.array(other_times) / 2.0)
+        grid_ranks = np.searchsorted(grid, t, side="right")
+        counts = _node_counts(grid_ranks, e, grid.size)
+        want, want_mortality = table_node_statistics(t, e, grid)
+        if want is not None:
+            got = _node_statistics(grid_ranks, e, counts)
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert same_bits(a, b)
+        assert same_bits(_leaf_mortality(counts), want_mortality)
 
     @settings(max_examples=150)
     @given(survival_arrays())
     def test_node_statistics_match_dense_walk_exactly(self, data):
         t, e = data
         assume(e.any())  # split search only visits nodes with an event
-        grid, *stats, ranks = _node_statistics(t, e)
+        grid = np.unique(t[e])
+        *stats, ranks = node_statistics(t, e)
         at_risk, *want = loop_node_statistics(t, e)
         assert np.array_equal(grid, np.unique(t[e]))
         assert np.array_equal(t[None, :] >= grid[:, None], at_risk)
@@ -394,7 +458,7 @@ class TestBestSplit:
             candidates = rng.permutation(p)
             scores = brute_split_scores(X, t, e, candidates, min_leaf)
             best = max(scores.values(), default=0.0)
-            split = _best_split(X, t, e, candidates, min_leaf)
+            split = best_split(X, t, e, candidates, min_leaf)
             if split is None:
                 assert best < 1e-9
                 continue
@@ -439,7 +503,7 @@ class TestBestSplit:
                 with mock.patch.multiple(rsf, _SPLIT_BLOCK=split_block,
                                          _SWEEP_BLOCK=sweep_block, _BOUND_MIN=bound_min,
                                          _FEW_CANDIDATES=few):
-                    assert _best_split(X, t, e, candidates, min_leaf) == want
+                    assert best_split(X, t, e, candidates, min_leaf) == want
 
     @settings(max_examples=60)
     @given(large_nodes())
@@ -447,9 +511,9 @@ class TestBestSplit:
         # several sweep blocks, and exact score ties between features
         X, t, e, min_leaf = node
         want = dense_best_split(X, t, e, np.arange(X.shape[1]), min_leaf)
-        assert _best_split(X, t, e, np.arange(X.shape[1]), min_leaf) == want
+        assert best_split(X, t, e, np.arange(X.shape[1]), min_leaf) == want
         with mock.patch.multiple(rsf, _SWEEP_BLOCK=7, _SPLIT_BLOCK=5):
-            assert _best_split(X, t, e, np.arange(X.shape[1]), min_leaf) == want
+            assert best_split(X, t, e, np.arange(X.shape[1]), min_leaf) == want
 
     @settings(max_examples=40)
     @given(large_nodes(), st.sampled_from(SWEEP_BLOCKS))
@@ -483,7 +547,7 @@ class TestBestSplit:
             t = rng.exponential(1.0, m).round(2)
             e = rng.random(m) < 0.6
             X = rng.standard_normal((m, 4))
-            _, n_e, k_e, resid, node_ranks = _node_statistics(t, e)
+            n_e, k_e, resid, node_ranks = node_statistics(t, e)
             orders = np.argsort(X.T, axis=1, kind="stable")
             ranks = node_ranks[orders]
             var, err, _ = _variance_bounds(ranks, n_e, k_e)
@@ -517,7 +581,7 @@ class TestBestSplit:
         X = np.column_stack([np.arange(m, dtype=float), rng.standard_normal(m)])
         with mock.patch.object(rsf, "_sparse_split_scores",
                                wraps=rsf._sparse_split_scores) as scored:
-            split = _best_split(X, t, e, np.array([0, 1]), 15)
+            split = best_split(X, t, e, np.array([0, 1]), 15)
         assert split == dense_best_split(X, t, e, np.array([0, 1]), 15)
         assert split[0] == 0
         assert scored.call_count == 1
@@ -532,7 +596,7 @@ class TestBestSplit:
         e = rng.random(m) < 0.3
         tracemalloc.start()
         try:
-            split = _best_split(X, t, e, [0, 1], 15)
+            split = best_split(X, t, e, [0, 1], 15)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -623,7 +687,7 @@ class TestFitForest:
         log_claims(monkeypatch, log, grow_trees_slowly_in_workers
                    if take_back == "some" else grow_trees_tagged)
         if take_back == "all":
-            monkeypatch.setattr(rsf, "_pool_worker", idle_worker)
+            monkeypatch.setattr(fork_module, "_take_tasks", idle_worker)
         rng = np.random.default_rng(75)
         fits = [(*surv_data(rng, 90, 4, (1.5, -1.0, 0.0, 0.5)),
                  rsf_options(n_trees=5, min_leaf_size=6, seed=8)),
@@ -632,7 +696,7 @@ class TestFitForest:
         with rsf.start_forests(fits) as pending:
             chunks = list(pending._chunks)
             assert chunks == [(0, 0, 2), (0, 2, 4), (0, 4, 5), (1, 0, 3), (1, 3, 5)]
-            assert len(pending._workers) == cpus - 1
+            assert len(pending._tasks._children) == cpus - 1
             if take_back == "none":
                 wait_for_claims(log, len(chunks))
             elif take_back == "some":
@@ -687,7 +751,7 @@ class TestFitForest:
         X, labels = surv_data(np.random.default_rng(79), 90, 3, (1.0, -1.0, 0.0))
         opts = rsf_options(n_trees=9, min_leaf_size=10, seed=4)
         with rsf.start_forests([(X, labels, opts)]) as pending:
-            assert len(pending._workers) == 1
+            assert len(pending._tasks._children) == 1
             wait_for_claims(log, 1)
             model, = pending.finish()
         assert_same_trees(model.trees, serial_fit_forest(X, labels, opts)[1])
@@ -712,8 +776,8 @@ class TestFitForest:
                                match=f"^raised in process {os.getpid()}$") as raised:
                 pending.finish()
         assert raised.value.__cause__ is None and raised.value.__context__ is None
-        assert [entry.name for entry in raised.traceback][-4:] == [
-            "finish", "_grow_chunk", "grow_and_log", "fail"]
+        assert [entry.name for entry in raised.traceback][-5:] == [
+            "finish", "_run", "_grow_chunk", "grow_and_log", "fail"]
         assert_no_child()
 
     def test_every_chunk_is_grown_once_under_contention(self, monkeypatch, tmp_path):
@@ -736,7 +800,7 @@ class TestFitForest:
         opts = rsf_options(n_trees=60, min_leaf_size=5, seed=3)
         started = time.monotonic()
         with rsf.start_forests([(X, labels, opts)]) as pending:
-            assert len(pending._workers) == 5
+            assert len(pending._tasks._children) == 5
             model, = pending.finish()
         assert time.monotonic() - started < 60.0
         assert sorted(int(line) for line in log.read_text().split()) == list(range(60))
@@ -760,7 +824,7 @@ class TestFitForest:
         X, labels = surv_data(np.random.default_rng(74), 90, 3, (1.0, -1.0, 0.0))
         opts = rsf_options(n_trees=n_trees, min_leaf_size=10, seed=9)
         with rsf.start_forests([(X, labels, opts)]) as pending:
-            started = len(pending._workers)
+            started = len(pending._tasks._children)
             model, = pending.finish()
         assert_same_trees(model.trees, serial_fit_forest(X, labels, opts)[1])
         assert started == (0 if n_trees == 2 else 2)
@@ -776,7 +840,7 @@ class TestFitForest:
         X, labels = surv_data(np.random.default_rng(78), 90, 3, (1.0, -1.0, 0.0))
         fit = (X, labels, rsf_options(n_trees=14, min_leaf_size=10))
         with rsf.start_forests([fit]) as alone, rsf.start_forests([fit, fit]) as batch:
-            assert (len(alone._workers), len(batch._workers)) == (0, 1)
+            assert (len(alone._tasks._children), len(batch._tasks._children)) == (0, 1)
         assert_no_child()
 
     def test_mtry_defaults_to_sqrt_features(self):
