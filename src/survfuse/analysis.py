@@ -306,9 +306,11 @@ def _evaluate(plan, evaluate, sizes) -> StudyReport:
     first by the size of their split (twice that for a comparison, which
     scores two models); the others are computed here. The first task in
     plan order that failed raises its error, whichever process ran it."""
-    pooled = sorted((k for k, task in enumerate(plan) if task.seed is not None),
-                    key=lambda k: -sizes[plan[k].split] * (2 if plan[k].section == "comparisons"
-                                                           else 1))
+    def weight(k):
+        return sizes[plan[k].split] * (2 if plan[k].section == "comparisons" else 1)
+
+    pooled = sorted((k for k, task in enumerate(plan) if task.seed is not None), key=weight,
+                    reverse=True)
     with Tasks(lambda j: evaluate(plan[pooled[j]]), len(pooled), _evaluation_workers()) as tasks:
         done = dict(zip(pooled, tasks.results()))
     sections = {"overall": {s: {} for s in SPLIT_NAMES}, "short_term": {s: {} for s in SPLIT_NAMES},

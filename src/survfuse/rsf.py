@@ -63,6 +63,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -134,42 +135,46 @@ class ForestModel:
     options: RsfOptions
 
 
-def _node_counts(grid_ranks, e, n_grid):
-    """At-risk and death counts at a node's own event times, and the number
-    of them below each forest-grid rank, from its subjects' forest-grid
-    ranks and event flags. A subject is at risk at the forest grid's q-th
-    time exactly when q is below its rank, and a death's time is the grid
-    time just below its rank, so two ``bincount``s give the counts at every
-    forest-grid time, and the node's event times are those with a death."""
+class _NodeCounts(NamedTuple):
+    at_risk: np.ndarray  # at each of the node's own event times
+    deaths: np.ndarray
+    below: np.ndarray    # the node's event times below each forest-grid rank
+
+
+def _node_counts(grid_ranks, e, n_grid) -> _NodeCounts:
+    """A node's counts from its subjects' forest-grid ranks and event flags.
+    A subject is at risk at the forest grid's q-th time exactly when q is
+    below its rank, and a death's time is the grid time just below its
+    rank, so two ``bincount``s give the counts at every forest-grid time;
+    the node's own event times are those with a death."""
     deaths = np.bincount(grid_ranks[e] - 1, minlength=n_grid)
     at_risk = grid_ranks.size - np.cumsum(np.bincount(grid_ranks, minlength=n_grid + 1))[:-1]
     own = deaths > 0
-    return at_risk[own], deaths[own], np.concatenate(([0], np.cumsum(own)))
+    return _NodeCounts(at_risk[own], deaths[own], np.concatenate(([0], np.cumsum(own))))
 
 
-def _node_statistics(grid_ranks, e, counts):
+def _node_statistics(grid_ranks, e, counts: _NodeCounts):
     """At-risk counts, variance weights, martingale residuals and grid ranks
-    of a node, given its ``_node_counts``; a subject is at risk at the
-    node's g-th event time exactly when g is below its grid rank."""
-    at_risk, deaths, below = counts
-    n_e = at_risk.astype(float)
-    d_e = deaths.astype(float)
+    of a node; a subject is at risk at the node's g-th event time exactly
+    when g is below its grid rank."""
+    n_e = counts.at_risk.astype(float)
+    d_e = counts.deaths.astype(float)
     k_e = np.where(n_e > 1, d_e * (n_e - d_e) / (n_e ** 2 * np.maximum(n_e - 1, 1.0)), 0.0)
-    ranks = below[grid_ranks]
+    ranks = counts.below[grid_ranks]
     resid = e.astype(float) - _hazard(counts)[ranks]
     return n_e, k_e, resid, ranks
 
 
-def _hazard(counts):
+def _hazard(counts: _NodeCounts):
     """A node's Nelson-Aalen cumulative hazard after each of its first g
     event times, g = 0, 1, ...; 0.0 before the first."""
-    at_risk, deaths, _ = counts
-    return np.concatenate(([0.0], np.cumsum(deaths / at_risk)))
+    return np.concatenate(([0.0], np.cumsum(counts.deaths / counts.at_risk)))
 
 
-def _leaf_mortality(counts) -> float:
-    """A leaf's cumulative hazard summed over the forest grid."""
-    return float(_hazard(counts)[counts[2][1:]].sum())
+def _leaf_mortality(counts: _NodeCounts) -> float:
+    """A leaf's cumulative hazard summed over the forest grid: at the q-th
+    grid time, the hazard after the node's event times up to it."""
+    return float(_hazard(counts)[counts.below[1:]].sum())
 
 
 def _prefix_split_scores(ranks, prefix_resid, n_e, k_e, stop):
@@ -363,7 +368,7 @@ def _grow_tree(X, t, e, rng, mtry, min_leaf, forest_grid):
         ranks, events = grid_ranks[idx], e[idx]
         counts = _node_counts(ranks, events, forest_grid.size)
         split = None
-        if idx.size >= 2 * min_leaf and counts[0].size:
+        if idx.size >= 2 * min_leaf and counts.deaths.size:
             candidates = rng.choice(n_features, size=min(mtry, n_features), replace=False)
             split = _best_split(X[np.ix_(idx, candidates)], candidates,
                                 _node_statistics(ranks, events, counts), min_leaf)
