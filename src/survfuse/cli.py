@@ -15,7 +15,9 @@ in. The ``SURVFUSE_LOG`` environment variable sets the log level
 (DEBUG, INFO, WARNING, ERROR); the default is WARNING.
 
 Importing this module imports neither numpy nor the modeling code; each
-command imports what it uses. ``score`` and ``run`` first start reading
+command imports what it uses. ``main`` first pins BLAS to one thread
+(``forks.pin_blas_threads``): the commands parallelise through forked
+workers instead, so a process has no other thread when it forks. ``score`` and ``run`` first start reading
 their feature CSV (``feature_csv.FeatureRead``; see ``forks``), then
 import numpy and the package, load the artifact or config and read the
 clinical CSV, and take the parsed features where the imaging join
