@@ -34,7 +34,8 @@ _EXPORTS = {
         "truncate_30day",
     ),
     "deep_survival": (
-        "MlpSurvModel", "TrainOptions", "forward", "init_mlp", "linear_scores", "train",
+        "MlpSurvModel", "TrainOptions", "forward", "init_mlp", "linear_scores", "sigmoid",
+        "train",
     ),
     "errors": ("SurvfuseError",),
     "fusion": (
@@ -42,7 +43,7 @@ _EXPORTS = {
     ),
     "metrics": (
         "KmCurve", "KmPoint", "NriResult", "TestResult", "bootstrap_ci", "c_index",
-        "km_curve", "logrank_test", "nri", "sigmoid", "wilcoxon_signed_rank",
+        "km_curve", "logrank_test", "nri", "wilcoxon_signed_rank",
     ),
     "pesi": ("PESI_WEIGHTS", "pesi_scores", "risk_class_for"),
     "rsf": (

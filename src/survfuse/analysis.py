@@ -35,9 +35,11 @@ from .dataset import (
     clinical_matrix,
     imaging_matrix,
     impute_missing,
+    median,
     split_dataset,
     truncate_30day,
 )
+from .deep_survival import sigmoid
 from .errors import (
     EmptyInputError,
     MismatchedLengthsError,
@@ -56,7 +58,6 @@ from .metrics import (
     logrank_test,
     nri,
     resample_weights,
-    sigmoid,
     weighted_c_index,
     wilcoxon_signed_rank,
 )
@@ -91,7 +92,7 @@ def stratify(scores, method: str, threshold: float | None) -> tuple[np.ndarray, 
     if s.size == 0:
         raise EmptyInputError("no scores to stratify")
     if method == "median":
-        cut = float(np.median(s))
+        cut = median(s)
     elif method == "fixed":
         if threshold is None:
             raise ValueError("fixed stratification needs a threshold")
@@ -282,7 +283,7 @@ def _evaluate_task(task: _Task, cfg: dict, labels, raw, prob, pesi_test, rv_test
     lin = raw[kind]["test"]
     return {
         **dataclasses.asdict(rv_factor_analysis(is_high, rv, events)),
-        "cut_linear": float(np.median(lin)) if method == "median" else None,
+        "cut_linear": median(lin) if method == "median" else None,
         "cut_sigmoid": cut,
         "patients": [
             {"patient_id": pid, "risk_linear": lv, "risk_sigmoid": pv,

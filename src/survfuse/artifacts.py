@@ -20,6 +20,13 @@ decoder does not read those two keys.
 ``load_model`` checks everything scoring relies on (every shape, finite
 numbers, a tree's preorder node layout), so that a bad artifact is
 refused when it is loaded, not part way through scoring.
+
+A body type's model code is imported where that type is first encoded or
+decoded (``_model_class`` and the decoders), not with this module: a
+network's body imports ``deep_survival`` alone, a forest's ``rsf`` alone,
+and a fusion's ``fusion`` and ``cox_linear`` (its head is a Cox model)
+with its components' modules. So ``survfuse score`` compiles and loads
+only the model code that its artifact holds.
 """
 
 from __future__ import annotations
@@ -28,16 +35,19 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .cox_linear import CoxModel
 from .dataset import BINARY_FIELDS, ImputationStats
-from .deep_survival import MlpSurvModel
 from .errors import IoError, SchemaMismatchError, UnknownModelKindError
-from .fusion import FusionModel
 from .kinds import ARTIFACTS, TAGS
-from .rsf import ForestModel, RsfOptions, SurvivalTree
+
+if TYPE_CHECKING:
+    from .cox_linear import CoxModel
+    from .deep_survival import MlpSurvModel
+    from .fusion import FusionModel
+    from .rsf import ForestModel, SurvivalTree
 
 SCHEMA_VERSION = 2
 # versions load_model reads; v1 differs only in two forest keys it ignores
@@ -98,6 +108,8 @@ def _dec_mlp(doc: dict) -> MlpSurvModel:
     """A network whose ``layer_dims`` are positive, end in 1 and give every
     weight and bias shape, with finite parameters; anything else raises
     ``ValueError``."""
+    from .deep_survival import MlpSurvModel
+
     dims = tuple(int(d) for d in doc["layer_dims"])
     weights = [np.asarray(w, dtype=float) for w in doc["weights"]]
     biases = [np.asarray(b, dtype=float) for b in doc["biases"]]
@@ -165,6 +177,8 @@ def _check_preorder(tree: SurvivalTree, n_features: int) -> None:
 
 
 def _dec_tree(doc: dict, n_features: int) -> SurvivalTree:
+    from .rsf import SurvivalTree
+
     tree = SurvivalTree(
         feature=np.asarray(doc["feature"], dtype=np.int64),
         threshold=np.asarray([math.nan if v is None else v for v in doc["threshold"]], dtype=float),
@@ -187,6 +201,8 @@ def _enc_forest(f: ForestModel) -> dict:
 
 
 def _dec_forest(doc: dict) -> ForestModel:
+    from .rsf import ForestModel, RsfOptions
+
     opts = doc["options"]
     n_features = int(doc["n_features"])
     if not doc["trees"]:
@@ -218,6 +234,8 @@ def _enc_cox(c: CoxModel) -> dict:
 
 
 def _dec_cox(doc: dict) -> CoxModel:
+    from .cox_linear import CoxModel
+
     return CoxModel(
         beta=np.asarray(doc["beta"], dtype=float),
         covariate_names=tuple(doc["covariate_names"]),
@@ -251,16 +269,28 @@ def _check_tag(held: str, model):
     return model
 
 
+def _model_class(body_type: str) -> type:
+    """The class of a body type's model, its module imported here."""
+    if body_type == "mlp":
+        from .deep_survival import MlpSurvModel
+        return MlpSurvModel
+    if body_type == "forest":
+        from .rsf import ForestModel
+        return ForestModel
+    return FusionBundle
+
+
 def _encode(held: str, model, what: str):
-    model_class, encode, _ = _CODECS[_body_type(held)]
+    body_type = _body_type(held)
+    model_class = _model_class(body_type)
     if not isinstance(model, model_class):
         raise SchemaMismatchError(
             f"{what} must be a {model_class.__name__}, got {type(model).__name__}")
-    return encode(_check_tag(held, model))
+    return _CODECS[body_type][0](_check_tag(held, model))
 
 
 def _decode(held: str, doc):
-    return _check_tag(held, _CODECS[_body_type(held)][2](doc))
+    return _check_tag(held, _CODECS[_body_type(held)][1](doc))
 
 
 def _enc_fusion(b: FusionBundle) -> dict:
@@ -277,6 +307,8 @@ def _enc_fusion(b: FusionBundle) -> dict:
 
 
 def _dec_fusion(doc: dict) -> FusionBundle:
+    from .fusion import FusionModel
+
     entries = doc["components"]
     _check_components(doc["sources"], entries)
     components = {}
@@ -335,11 +367,11 @@ def _dec_imputation(doc: dict) -> ImputationStats:
     return stats
 
 
-# the model class, encoder and decoder of each body type: a component's tag's, or "fusion"
+# the encoder and decoder of each body type: a component's tag's, or "fusion"
 _CODECS = {
-    "mlp": (MlpSurvModel, _enc_mlp, _dec_mlp),
-    "forest": (ForestModel, _enc_forest, _dec_forest),
-    "fusion": (FusionBundle, _enc_fusion, _dec_fusion),
+    "mlp": (_enc_mlp, _dec_mlp),
+    "forest": (_enc_forest, _dec_forest),
+    "fusion": (_enc_fusion, _dec_fusion),
 }
 
 

@@ -14,15 +14,18 @@ failures. Every pipeline failure is labeled with the stage it occurred
 in. The ``SURVFUSE_LOG`` environment variable sets the log level
 (DEBUG, INFO, WARNING, ERROR); the default is WARNING.
 
-Importing this module imports neither numpy nor the modeling code; each
-command imports what it uses. ``main`` first pins BLAS to one thread
-(``forks.pin_blas_threads``): the commands parallelise through forked
-workers instead, so a process has no other thread when it forks. ``score`` and ``run`` first start reading
-their feature CSV (``feature_csv.FeatureRead``; see ``forks``), then
-import numpy and the package, load the artifact or config and read the
-clinical CSV, and take the parsed features where the imaging join
-(``dataset.attach_imaging``) reads them, so errors come in the order they
-always did.
+Importing this module imports neither numpy, the modeling code nor the
+config module; each command imports what it uses. ``run`` and
+``generate`` import ``config``, and ``score`` only the model code its
+artifact holds (see ``artifacts``): where no bytecode is written, every
+call compiles what it imports from source. ``main`` first pins BLAS to
+one thread (``forks.pin_blas_threads``): the commands parallelise
+through forked workers instead, so a process has no other thread when it
+forks. ``score`` and ``run`` first start reading their feature CSV
+(``feature_csv.FeatureRead``; see ``forks``), then import numpy and the
+package, load the artifact or config and read the clinical CSV, and take
+the parsed features where the imaging join (``dataset.attach_imaging``)
+reads them, so errors come in the order they always did.
 
 Both commands hold the cohort as one columnar ``dataset.Dataset`` and go
 through the same functions: ``ingest_clinical``, ``attach_imaging``,
@@ -47,7 +50,6 @@ import sys
 
 # no numpy at import time: each command imports the numeric code it uses
 # after it has started its feature read
-from .config import config_fingerprint, effective_config, load_config
 from .errors import (
     DatasetTooSmallError,
     DuplicatePatientIdError,
@@ -183,6 +185,7 @@ def _save_artifacts(out_dir: str, arts, cfg: dict) -> list[str]:
 
 
 def cmd_generate(args) -> int:
+    from .config import effective_config, load_config
     from .synthetic import CohortPlan, write_study_csvs
 
     raw = load_config(args.config) if args.config else {}
@@ -203,6 +206,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_run(args) -> int:
+    from .config import config_fingerprint, effective_config, load_config
+
     raw = load_config(args.config) if args.config else {}
     cfg = effective_config(raw, args)
     if cfg["out"] is None:
@@ -263,7 +268,9 @@ def cmd_score(args) -> int:
     with _read_features(args.features) as features:
         import numpy as np
 
-        from . import artifacts, pesi
+        # fusion too, which the scoring uses: imported while the features
+        # are parsed, not after the imaging join, where scoring waits on it
+        from . import artifacts, fusion, pesi
         from .dataset import apply_imputation, attach_imaging, ingest_clinical
 
         with _stage("load"):

@@ -9,7 +9,10 @@ descent with weight decay on the weight matrices.
 
 Score scale note: the sigmoid is a strictly increasing map, so ranking
 metrics (c-index) are identical whether computed on the squashed score or
-the pre-sigmoid logit.
+the pre-sigmoid logit. ``sigmoid`` lives here, with the scoring code that
+applies it; the study also maps fused linear scores through it. The Cox
+likelihood (``cox_linear``) is imported only where training computes the
+loss, so that scoring a saved network loads none of the fitting code.
 
 Subject blocks: every matrix product over the subjects is formed
 ``_SUBJECT_BLOCK`` (240) subjects at a time, so that it rounds the same
@@ -44,7 +47,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cox_linear import _check_finite, _loglik_and_eta_grad
 from .dataset import EventTable, Labels
 from .errors import (
     DimensionMismatchError,
@@ -55,7 +57,6 @@ from .errors import (
     NonFiniteInputError,
 )
 from .kinds import TAGS
-from .metrics import sigmoid
 
 # subjects per block of the matrix products
 _SUBJECT_BLOCK = 240
@@ -167,6 +168,15 @@ def linear_scores(model: MlpSurvModel, X: np.ndarray) -> np.ndarray:
     return z
 
 
+def sigmoid(x):
+    """The logistic function, formed from ``exp(-|x|)`` so that it never
+    overflows: ``1 / (1 + e)`` where x >= 0 and ``e / (1 + e)`` below."""
+    x = np.asarray(x, dtype=float)
+    e = np.exp(-np.abs(x))
+    out = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return out if out.ndim else float(out)
+
+
 def forward(model: MlpSurvModel, X: np.ndarray) -> np.ndarray:
     """Risk scores in (0, 1), one per row of X."""
     return sigmoid(linear_scores(model, X))
@@ -176,6 +186,8 @@ def _cox_loss_grad(scores, table: EventTable, tie_method="efron", with_grad=True
     """``(loss, d loss / d scores)``, the negative partial log-likelihood of
     the scores per event, or the loss alone when ``with_grad`` is false; the
     loss is the same float either way."""
+    from .cox_linear import _check_finite, _loglik_and_eta_grad
+
     s = np.asarray(scores, dtype=float)
     if s.size != table.times.size:
         raise MismatchedLengthsError(f"{s.size} scores for {table.times.size} labels")

@@ -5,16 +5,20 @@ vector is z-scored with constants frozen at fit time, then a linear Cox fit
 (small ridge for stability) produces the fused linear predictor. Covariate
 order is canonical (``kinds.TAGS``'s: clinical, imaging, severity index,
 then the forest variants), independent of dict insertion order.
+
+The model code is imported where it runs: ``fit_fusion`` imports the Cox
+fit, and ``score_component`` the network or forest code of its tag's
+model type, so that scoring a fused model loads only its components'
+modules.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import deep_survival, rsf
-from .cox_linear import CoxModel, FitOptions, fit_cox
 from .dataset import Labels
 from .errors import (
     DimensionMismatchError,
@@ -24,6 +28,9 @@ from .errors import (
     SchemaMismatchError,
 )
 from .kinds import TAGS
+
+if TYPE_CHECKING:
+    from .cox_linear import CoxModel, FitOptions
 
 CANONICAL_ORDER = tuple(TAGS)
 
@@ -53,6 +60,8 @@ def fit_fusion(scores_by_modality: dict[str, np.ndarray], labels: Labels,
     and the ridge keeps the information matrix invertible, so a constant
     modality degrades gracefully to coefficient ~0 instead of failing.
     """
+    from .cox_linear import fit_cox
+
     sources = _ordered_sources(scores_by_modality.keys())
     n = len(labels)
     columns = []
@@ -97,7 +106,9 @@ def score_component(tag: str, model, X: np.ndarray) -> np.ndarray:
     tag's input matrix ``X``; a matrix of another width is a schema mismatch."""
     try:
         if TAGS[tag][0] == "mlp":
-            return deep_survival.forward(model, X)
-        return rsf.predict_risk(model, X)
+            from .deep_survival import forward
+            return forward(model, X)
+        from .rsf import predict_risk
+        return predict_risk(model, X)
     except DimensionMismatchError as exc:
         raise SchemaMismatchError(f"the {tag} component does not fit the input: {exc}") from exc

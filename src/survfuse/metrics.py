@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import EventTable, Labels
+from .dataset import EventTable, Labels, percentiles
 from .errors import (
     DegenerateResamplingError,
     EmptyGroupError,
@@ -67,15 +67,6 @@ class NriResult:
     n_events: int
     n_nonevents: int
     threshold: float
-
-
-def sigmoid(x):
-    """The logistic function, formed from ``exp(-|x|)`` so that it never
-    overflows: ``1 / (1 + e)`` where x >= 0 and ``e / (1 + e)`` below."""
-    x = np.asarray(x, dtype=float)
-    e = np.exp(-np.abs(x))
-    out = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-    return out if out.ndim else float(out)
 
 
 def c_index(scores, labels: Labels) -> float:
@@ -185,7 +176,7 @@ def bootstrap_ci(scores, labels: Labels, n_resamples: int,
     if s.size != len(labels):
         raise MismatchedLengthsError(f"{s.size} scores for {len(labels)} labels")
     weights = resample_weights(np.random.default_rng(seed), labels, n_resamples)
-    lo, hi = np.percentile(weighted_c_index(s, labels, weights), [2.5, 97.5])
+    lo, hi = percentiles(weighted_c_index(s, labels, weights), [2.5, 97.5])
     return float(lo), float(hi)
 
 
@@ -238,8 +229,8 @@ def nri(old_scores, new_scores, labels: Labels, threshold: float) -> NriResult:
     Scores at or above the threshold are "high risk". Events moving up and
     non-events moving down count in favor of the new model. Scores must
     already live on the scale the threshold refers to; callers fusing models
-    with unbounded linear predictors should map them through ``sigmoid``
-    first so a single threshold serves every model.
+    with unbounded linear predictors should map them through
+    ``deep_survival.sigmoid`` first so a single threshold serves every model.
     """
     old = np.asarray(old_scores, dtype=float)
     new = np.asarray(new_scores, dtype=float)

@@ -57,6 +57,16 @@ far is scored exactly, so the chosen splits, and with them the forests, are
 the same bit for bit as scoring every candidate. All temporaries are
 linear in the node size: the dense scores for small nodes take
 O(_SPLIT_BLOCK x G) at a time, the sweep O(features x (m + G + B^2)).
+
+Prediction sends each tree's rows down by node partition (``_leaves``):
+an internal node compares only the rows that reached it with its
+threshold (``x <= threshold`` goes left) and splits them between its
+children, and a subtree that no row reaches is not visited. A node reads
+its feature's values through the view ``X.T``, so no copy of ``X`` is
+made. The trees' leaf mortalities are added in tree order, so every score
+is the float that stepping all rows down one level at a time gave; on
+4000 rows that walk took 28-45 ms per 100-tree forest, against 10-17 ms
+(2-CPU x86-64 machine).
 """
 
 from __future__ import annotations
@@ -67,7 +77,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dataset import Labels
+from .dataset import Labels, sorted_unique
 from .errors import (
     DegenerateDataError,
     DimensionMismatchError,
@@ -446,7 +456,7 @@ def _canonical_sample(X, labels, opts: RsfOptions) -> _Sample:
     # independent of the caller's record order
     order = np.lexsort((events, times))
     tc, ec = times[order], events[order]
-    return _Sample(X=X[order], t=tc, e=ec, grid=np.unique(tc[ec]),
+    return _Sample(X=X[order], t=tc, e=ec, grid=sorted_unique(tc[ec]),
                    streams=np.random.SeedSequence(opts.seed).spawn(opts.n_trees),
                    mtry=opts.mtry if opts.mtry is not None else int(np.ceil(np.sqrt(p))),
                    options=opts)
@@ -520,21 +530,35 @@ def fit_forest(X: np.ndarray, labels: Labels, options: RsfOptions) -> ForestMode
         return pending.finish()[0]
 
 
-def _route(tree: SurvivalTree, X: np.ndarray) -> np.ndarray:
-    pos = np.zeros(X.shape[0], dtype=int)
-    while True:
-        feats = tree.feature[pos]
-        active = np.nonzero(feats >= 0)[0]
-        if active.size == 0:
-            return pos
-        node = pos[active]
-        vals = X[active, tree.feature[node]]
-        pos[active] = np.where(vals <= tree.threshold[node],
-                               tree.left[node], tree.right[node])
+def _leaves(tree: SurvivalTree, X: np.ndarray) -> np.ndarray:
+    """The leaf slot each row of ``X`` reaches. The rows go down by node
+    partition: an internal node takes the rows that reached it, compares
+    only their values of its feature with its threshold, and hands those
+    at or below it to its left child and the others to its right; a
+    subtree that no row reaches is not visited."""
+    feature, threshold, left, right, slot = (
+        a.tolist() for a in (tree.feature, tree.threshold, tree.left, tree.right,
+                             tree.leaf_slot))
+    columns = X.T  # a view: each node gathers its rows' values from X itself
+    leaves = np.empty(X.shape[0], dtype=np.intp)
+    pending = [(0, np.arange(X.shape[0]))]
+    while pending:
+        node, rows = pending.pop()
+        f = feature[node]
+        if f < 0:
+            leaves[rows] = slot[node]
+            continue
+        go_left = columns[f][rows] <= threshold[node]
+        for child, part in ((right[node], rows.compress(~go_left)),
+                            (left[node], rows.compress(go_left))):
+            if part.size:
+                pending.append((child, part))
+    return leaves
 
 
 def predict_risk(model: ForestModel, X: np.ndarray) -> np.ndarray:
-    """Ensemble mortality, one per row of X."""
+    """Ensemble mortality, one per row of X: each row's leaf mortality,
+    summed over the trees in order and divided by their number."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != model.n_features:
         raise DimensionMismatchError(
@@ -542,6 +566,5 @@ def predict_risk(model: ForestModel, X: np.ndarray) -> np.ndarray:
         )
     total = np.zeros(X.shape[0])
     for tree in model.trees:
-        leaves = tree.leaf_slot[_route(tree, X)]
-        total += tree.leaf_mortality[leaves]
+        total += tree.leaf_mortality[_leaves(tree, X)]
     return total / len(model.trees)

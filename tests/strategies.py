@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from survfuse.cox_linear import _check_finite, _event_table, _loglik_and_eta_grad
 from survfuse.dataset import BINARY_FIELDS, Dataset, Labels
+from survfuse.rsf import SurvivalTree
 
 
 @st.composite
@@ -31,6 +32,54 @@ def assert_same_trees(got, want):
             x, y = getattr(a, name), getattr(b, name)
             assert x.dtype == y.dtype
             assert np.array_equal(x, y, equal_nan=True), name
+
+
+def route_levelwise(tree, X):
+    """The node each row of ``X`` ends at, every row stepped down one level
+    at a time: the prediction oracle for ``rsf._leaves``, which routes the
+    rows by node partition."""
+    pos = np.zeros(X.shape[0], dtype=int)
+    while True:
+        feats = tree.feature[pos]
+        active = np.nonzero(feats >= 0)[0]
+        if active.size == 0:
+            return pos
+        node = pos[active]
+        vals = X[active, tree.feature[node]]
+        pos[active] = np.where(vals <= tree.threshold[node],
+                               tree.left[node], tree.right[node])
+
+
+@st.composite
+def preorder_trees(draw, n_features, thresholds, mortalities, max_depth=5):
+    """A ``SurvivalTree`` laid out in preorder as ``rsf._grow_tree`` lays
+    it out, with thresholds and leaf mortalities drawn from the given
+    strategies."""
+    feature, threshold, left, right, leaf_slot, mortality = [], [], [], [], [], []
+
+    def grow(depth):
+        node = len(feature)
+        feature.append(-1)
+        threshold.append(np.nan)
+        left.append(-1)
+        right.append(-1)
+        leaf_slot.append(-1)
+        if depth < max_depth and draw(st.booleans()):
+            feature[node] = draw(st.integers(0, n_features - 1))
+            threshold[node] = draw(thresholds)
+            left[node] = grow(depth + 1)
+            right[node] = grow(depth + 1)
+        else:
+            leaf_slot[node] = len(mortality)
+            mortality.append(draw(mortalities))
+        return node
+
+    grow(0)
+    return SurvivalTree(feature=np.array(feature, dtype=int),
+                        threshold=np.array(threshold, dtype=float),
+                        left=np.array(left, dtype=int), right=np.array(right, dtype=int),
+                        leaf_slot=np.array(leaf_slot, dtype=int),
+                        leaf_mortality=np.array(mortality, dtype=float))
 
 
 def same_bits(a, b):

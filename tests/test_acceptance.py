@@ -18,7 +18,7 @@ from survfuse.analysis import rv_factor_analysis
 from survfuse.cli import main
 from survfuse.cox_linear import fit_cox
 from survfuse.dataset import Labels, truncate_30day
-from survfuse.deep_survival import _loss_and_gradients, init_mlp
+from survfuse.deep_survival import _loss_and_gradients, init_mlp, sigmoid
 from survfuse.errors import NoComparablePairsError
 from survfuse.fusion import fit_fusion, predict_fused
 from survfuse.metrics import (
@@ -26,7 +26,6 @@ from survfuse.metrics import (
     km_curve,
     logrank_test,
     nri,
-    sigmoid,
     wilcoxon_signed_rank,
 )
 from survfuse.pesi import pesi_points, risk_class_for

@@ -39,7 +39,14 @@ from survfuse.pesi import pesi_scores
 from survfuse.rsf import fit_forest, predict_risk
 
 from defaults import FUSION_OPTIONS, rsf_options, train_options
-from strategies import assert_same_trees, make_dataset, same_bits, survival_arrays, values_row
+from strategies import (
+    assert_same_trees,
+    make_dataset,
+    route_levelwise,
+    same_bits,
+    survival_arrays,
+    values_row,
+)
 
 
 def surv_data(rng, n, d, beta):
@@ -537,8 +544,8 @@ class TestValidation:
 
 def leaf_reached(tree, x) -> int:
     """The leaf slot that routing ``x`` from the root reaches, taking at most
-    one step per node; raises AssertionError where ``rsf._route`` would loop
-    or index out of range."""
+    one step per node; raises AssertionError where routing would loop or
+    index out of range."""
     node = 0
     for _ in range(tree.feature.size):
         assert 0 <= node < tree.feature.size
@@ -567,7 +574,8 @@ class TestTreeLayout:
             return
         X = fitted["Xi"]
         slots = [leaf_reached(tree, x) for x in X]
-        assert_array_equal(tree.leaf_slot[rsf._route(tree, X)], slots)
+        assert_array_equal(tree.leaf_slot[route_levelwise(tree, X)], slots)
+        assert_array_equal(rsf._leaves(tree, X), slots)
 
 
 class TestFileFingerprint:

@@ -26,6 +26,9 @@ from survfuse.dataset import (
     impute_missing,
     ingest_clinical,
     ingest_features,
+    median,
+    percentiles,
+    sorted_unique,
     split_dataset,
     truncate_30day,
 )
@@ -1034,3 +1037,38 @@ class TestEventTable:
             got = getattr(table, name)
             assert got.dtype == expected.dtype, name
             assert np.array_equal(got, expected), name
+
+
+# few distinct values, so that ties are common, with 0.0 and -0.0 (equal,
+# with different bits), the infinities and NaN
+TIED = st.sampled_from([0.0, -0.0, 1.0, 2.5, -3.0, 1e308, -1e308, np.inf, -np.inf, np.nan])
+SAMPLES = st.lists(TIED | st.floats(-1e6, 1e6), min_size=1, max_size=41)
+
+
+class TestOrderStatistics:
+    """``median``, ``percentiles`` and ``sorted_unique`` give numpy's
+    floats bit for bit without importing ``numpy.ma``."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(SAMPLES)
+    def test_median_is_numpys(self, values):
+        # the values and all but the last: one odd length and one even
+        for a in (np.array(values), np.array(values[:-1])):
+            if a.size:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    assert same_bits(np.float64(median(a)), np.float64(np.median(a)))
+
+    @settings(max_examples=400, deadline=None)
+    @given(SAMPLES, st.lists(st.floats(0.0, 100.0), min_size=1, max_size=4))
+    def test_percentiles_are_numpys(self, values, q):
+        a = np.array(values)
+        for qs in ([2.5, 97.5], q):
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert same_bits(percentiles(a, qs), np.percentile(a, qs))
+        assert same_bits(a, np.array(values))  # the input is not reordered
+
+    @settings(max_examples=400, deadline=None)
+    @given(SAMPLES | st.lists(st.integers(-3, 3), max_size=40))
+    def test_sorted_unique_is_numpys(self, values):
+        a = np.array(values)
+        assert same_bits(sorted_unique(a), np.unique(a))

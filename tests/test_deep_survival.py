@@ -14,6 +14,7 @@ from survfuse.deep_survival import (
     forward,
     init_mlp,
     linear_scores,
+    sigmoid,
     train,
 )
 from survfuse.errors import (
@@ -23,7 +24,6 @@ from survfuse.errors import (
     MismatchedLengthsError,
     NoEventsError,
 )
-from survfuse.metrics import sigmoid
 
 from defaults import train_options
 from strategies import partial_loglik_eta, same_bits
@@ -529,3 +529,19 @@ class TestSubjectBlocks:
         assert loss == ref_loss
         for got, want in zip(wg + bg, ref_wg + ref_bg):
             assert same_bits(got, want)
+
+
+class TestSigmoid:
+    def test_values(self):
+        assert sigmoid(0.0) == 0.5
+        assert_allclose(sigmoid(np.log(3.0)), 0.75, rtol=1e-15)
+
+    def test_stable_at_extremes(self):
+        assert sigmoid(800.0) == 1.0
+        assert sigmoid(-800.0) == 0.0
+        out = sigmoid(np.array([-750.0, 0.0, 750.0]))
+        assert np.all(np.isfinite(out))
+
+    def test_symmetry(self):
+        x = np.linspace(-20, 20, 41)
+        assert_allclose(sigmoid(x) + sigmoid(-x), np.ones_like(x), rtol=1e-12)

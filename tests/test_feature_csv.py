@@ -57,6 +57,19 @@ def panel(tmp_path_factory):
     return root
 
 
+@pytest.fixture(scope="module")
+def forest_panel(panel):
+    """``rsf_fused``'s artifacts (two 4-tree forests and their fusion),
+    fitted on the panel's cohort."""
+    cfg = panel / "forest_config.json"
+    cfg.write_text(json.dumps({"bootstrap_resamples": 100, "rsf": {"n_trees": 4}}))
+    out = panel / "forest_run"
+    assert main(["run", "--clinical", str(panel / "clinical.csv"),
+                 "--features", str(panel / "features.csv"), "--config", str(cfg),
+                 "--models", "rsf_fused", "--out", str(out)]) == 0
+    return out
+
+
 def read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
@@ -437,6 +450,39 @@ class TestLazyImports:
         artifact = json.loads((panel / "run" / "models" / "deep_imaging.json").read_text())
         assert artifact["metadata"] == {"data_fingerprint": hashlib.sha256(data).hexdigest(),
                                         "seed": 0}
+
+    # per artifact: the run that wrote it, the model modules its score call
+    # loads and those it must not load; no score call loads the study code
+    @pytest.mark.parametrize("kind, run, loaded, unloaded", [
+        ("deep_imaging", "run", ["deep_survival"], ["rsf", "cox_linear", "metrics", "config"]),
+        ("rsf_imaging", "forest_run", ["rsf"],
+         ["deep_survival", "cox_linear", "metrics", "config"]),
+        ("fusion_rsf", "forest_run", ["rsf", "cox_linear", "fusion"],
+         ["deep_survival", "metrics", "config"]),
+    ])
+    def test_score_loads_only_its_artifacts_model_code(self, forest_panel, panel, tmp_path,
+                                                       kind, run, loaded, unloaded):
+        argv = ["score", "--model", str(panel / run / "models" / f"{kind}.json"),
+                "--clinical", str(panel / "clinical.csv"),
+                "--features", str(panel / "features.csv"), "--out", str(tmp_path / "s.csv")]
+        names = loaded + unloaded + ["analysis", "svg", "synthetic"]
+        code = (
+            "import sys\n"
+            "from survfuse.cli import main\n"
+            f"assert main({argv!r}) == 0\n"
+            f"print(sorted(m for m in {names!r} if 'survfuse.' + m in sys.modules))\n"
+        )
+        done = run_python(code)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == str(sorted(loaded))
+
+    def test_artifacts_module_loads_no_model_code(self):
+        done = run_python(
+            "import sys, survfuse.artifacts\n"
+            "print(sorted(m for m in ('deep_survival', 'rsf', 'cox_linear', 'fusion', 'metrics')"
+            " if 'survfuse.' + m in sys.modules))\n")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
 
     def test_score_imports_no_study_code(self, panel, tmp_path):
         argv = ["score", "--model", str(panel / "run" / "models" / "deep_imaging.json"),

@@ -29,7 +29,6 @@ from survfuse.metrics import (
     logrank_test,
     nri,
     resample_weights,
-    sigmoid,
     weighted_c_index,
     wilcoxon_signed_rank,
 )
@@ -637,18 +636,3 @@ class TestWilcoxon:
         assert approx.method == "wilcoxon-signed-rank-normal"
         assert abs(exact.p_value - approx.p_value) < 0.02
 
-
-class TestSigmoid:
-    def test_values(self):
-        assert sigmoid(0.0) == 0.5
-        assert_allclose(sigmoid(np.log(3.0)), 0.75, rtol=1e-15)
-
-    def test_stable_at_extremes(self):
-        assert sigmoid(800.0) == 1.0
-        assert sigmoid(-800.0) == 0.0
-        out = sigmoid(np.array([-750.0, 0.0, 750.0]))
-        assert np.all(np.isfinite(out))
-
-    def test_symmetry(self):
-        x = np.linspace(-20, 20, 41)
-        assert_allclose(sigmoid(x) + sigmoid(-x), np.ones_like(x), rtol=1e-12)

@@ -39,7 +39,13 @@ from survfuse.rsf import (
 
 from conftest import assert_no_child
 from defaults import rsf_options
-from strategies import assert_same_trees, same_bits, survival_arrays
+from strategies import (
+    assert_same_trees,
+    preorder_trees,
+    route_levelwise,
+    same_bits,
+    survival_arrays,
+)
 
 # block sizes of the split search's at-risk counts and of its variance
 # sweep under test: the small ones put candidate positions on, before and
@@ -937,10 +943,37 @@ class TestPredictRisk:
         assert any(t.feature.max() >= 0 for t in model.trees)  # real splits happened
         Q = rng.standard_normal((30, 4))
         for tree in model.trees:
-            from survfuse.rsf import _route
-            got = _route(tree, Q)
             want = np.array([route_by_hand(tree, q) for q in Q])
-            assert_array_equal(got, want)
+            assert_array_equal(route_levelwise(tree, Q), want)
+            assert_array_equal(rsf._leaves(tree, Q), tree.leaf_slot[want])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_partition_prediction_is_the_levelwise_oracle_bit_for_bit(self, data):
+        # rows exactly at a threshold (cells drawn from the thresholds), at
+        # -0.0 against a 0.0 threshold and at +-1e308, on 0, 1 or more rows
+        edges = st.sampled_from([0.0, -0.0, 1e308, -1e308, 1.0, -1.0])
+        values = st.one_of(edges, st.floats(-10.0, 10.0))
+        n_features = data.draw(st.integers(1, 4))
+        trees = data.draw(st.lists(
+            preorder_trees(n_features, values, st.one_of(edges, st.floats(0.0, 50.0))),
+            min_size=1, max_size=3))
+        cuts = [v for t in trees for v in t.threshold[t.feature >= 0].tolist()]
+        cell = st.one_of(values, st.sampled_from(cuts)) if cuts else values
+        n = data.draw(st.sampled_from([0, 1]) | st.integers(2, 30))
+        X = np.array(data.draw(st.lists(st.lists(cell, min_size=n_features,
+                                                 max_size=n_features),
+                                        min_size=n, max_size=n)),
+                     dtype=float).reshape(n, n_features)
+        model = ForestModel(trees=trees, event_time_grid=np.array([1.0]),
+                            n_features=n_features, options=rsf_options(n_trees=len(trees)))
+        want = np.zeros(n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for tree in trees:
+                slots = tree.leaf_slot[route_levelwise(tree, X)]
+                assert same_bits(rsf._leaves(tree, X), slots.astype(np.intp))
+                want += tree.leaf_mortality[slots]
+            assert same_bits(predict_risk(model, X), want / len(trees))
 
     def test_prediction_is_mean_of_leaf_mortalities(self):
         rng = np.random.default_rng(68)
