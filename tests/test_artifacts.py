@@ -345,6 +345,14 @@ class TestResave:
 V1_ARTIFACT = Path(__file__).parent / "data" / "fusion_rsf_v1.json"
 V1_SCORES = Path(__file__).parent / "data" / "fusion_rsf_v1_scores.csv"
 
+# schema-2 artifacts fitted on the same cohort, which between them hold every
+# body type: fusion_pesi_fused_v2 by `run --models deep_pesi_fused` with config
+# {"deep_clinical": {"epochs": 5, "hidden_dims": [8]}, "deep_imaging": {"epochs":
+# 5, "hidden_dims": [8]}} (both networks, a Cox head and the imputation
+# constants), fusion_rsf_v2 by `run --models rsf_fused` with {"rsf": {"n_trees":
+# 5, "min_leaf_size": 5}} (both forests); each has its score CSV next to it
+V2_ARTIFACTS = ("fusion_pesi_fused_v2", "fusion_rsf_v2")
+
 
 class TestSchemaVersions:
     def test_v1_artifact_scores_as_it_did(self, tmp_path):
@@ -375,6 +383,21 @@ class TestSchemaVersions:
             assert_same_trees(again.trees, forest.trees)
         for name in ("means", "stds"):
             assert same_bits(getattr(v2.model.fusion, name), getattr(v1.model.fusion, name))
+
+    @pytest.mark.parametrize("name", V2_ARTIFACTS)
+    def test_v2_artifact_resaves_to_its_bytes_and_scores_as_it_did(self, tmp_path, name):
+        path = V1_ARTIFACT.parent / f"{name}.json"
+        artifact = load_model(path)
+        again = tmp_path / "again.json"
+        save_model(again, artifact.kind, artifact.model, imputation=artifact.imputation,
+                   **artifact.metadata)
+        assert again.read_bytes() == path.read_bytes()
+        cohort, out = tmp_path / "cohort", tmp_path / "scores.csv"
+        assert cli.main(["generate", "--n", "60", "--seed", "1", "--out", str(cohort)]) == 0
+        assert cli.main(["score", "--model", str(path),
+                         "--clinical", str(cohort / "clinical.csv"),
+                         "--features", str(cohort / "features.csv"), "--out", str(out)]) == 0
+        assert out.read_bytes() == path.with_name(f"{name}_scores.csv").read_bytes()
 
     @pytest.mark.parametrize("version", [0, 3, "2", True, None])
     def test_unsupported_versions_are_rejected(self, tmp_path, version):

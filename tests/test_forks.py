@@ -7,7 +7,9 @@ import time
 
 import pytest
 
+from survfuse import feature_csv
 from survfuse import forks as fork_module
+from survfuse.feature_csv import FeatureRead
 from survfuse.forks import Child, Counter, Tasks, usable_cpus
 
 from conftest import assert_no_child
@@ -148,6 +150,47 @@ class TestTasks:
             assert tasks.results() == [0, 1]
         assert len(forks) == 2
         assert_no_child()
+
+
+def sleeps(k):
+    time.sleep(30.0)
+
+
+def large_feature_csv(path):
+    """A feature CSV of at least ``_FORK_MIN_BYTES``, which a read forks for."""
+    row = ",".join(["0.5"] + ["0.123456789"] * 32)
+    with open(path, "w") as fh:
+        fh.write(",".join(["patient_id", "acquisition_id", "pe_probability",
+                           *(f"f{k}" for k in range(32))]) + "\n")
+        for i in range(feature_csv._FORK_MIN_BYTES // len(row) + 1):
+            fh.write(f"P{i},A0,{row}\n")
+    return path
+
+
+# each way to start a child, and where the started object keeps its pid
+_STARTS = {
+    "Child": (lambda path: Child(time.sleep, 30.0), lambda child: child._pid),
+    "Tasks": (lambda path: Tasks(sleeps, 1, 1), lambda tasks: tasks._children[0]._pid),
+    "FeatureRead": (FeatureRead, lambda read: read._pid),
+}
+
+
+@pytest.mark.parametrize("start", sorted(_STARTS))
+def test_an_exception_in_the_with_block_kills_and_reaps_the_child(monkeypatch, tmp_path,
+                                                                  start):
+    monkeypatch.setattr(feature_csv, "usable_cpus", lambda: 2)
+    begin, pid_of = _STARTS[start]
+    path = large_feature_csv(tmp_path / "features.csv")
+    with pytest.raises(KeyError):
+        with begin(path) as started:
+            pid = pid_of(started)
+            assert pid is not None and os.waitpid(pid, os.WNOHANG) == (0, 0)  # running
+            failed_at = time.monotonic()
+            raise KeyError("failure while the child runs")
+    assert time.monotonic() - failed_at < 5.0
+    with pytest.raises(ChildProcessError):
+        os.waitpid(pid, os.WNOHANG)
+    assert_no_child()
 
 
 class TestUsableCpus:
