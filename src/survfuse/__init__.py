@@ -8,8 +8,8 @@ reclassification, paired signed-rank comparisons).
 
 The package namespace is filled on first use (PEP 562): ``survfuse.X`` and
 ``from survfuse import X`` import the submodule that defines ``X`` when
-``X`` is first asked for, so that ``import survfuse.cli`` imports neither
-numpy nor the modeling code; the CLI imports what each command uses.
+``X`` is first asked for, so that importing ``survfuse.cli`` imports no
+numpy (see ``cli``).
 """
 
 import importlib

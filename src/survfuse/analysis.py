@@ -11,8 +11,8 @@ whole pipeline is deterministic given the config seed: every stochastic
 stage draws from its own substream derived from (seed, stage).
 The evaluation is one plan of tasks, one per cell of the report, each
 computed from the fitted scores alone; its bootstrap tasks run on a
-``forks.Tasks`` pool where BLAS is pinned to one thread (the CLI), in the
-caller otherwise, and the report is the same bytes either way.
+``forks.Tasks`` pool (see ``forks``), and the report is the same bytes
+whichever process ran which task.
 Patients are rows: a split is the ascending rows of ``split_dataset``,
 a stratum a boolean mask over them; ids are read only for the RV patient list.
 """
@@ -191,9 +191,8 @@ def _derived_seed(*key: int) -> int:
 # Every cell of the report is one task ``(section, split, kind, seed)``:
 # ``section`` names a ``StudyReport`` field, ``kind`` a model kind (an NRI
 # pair's name in ``nri``), and ``seed`` the task's own bootstrap substream,
-# ``None`` for a task that draws nothing. ``_evaluate_task`` computes any
-# task from the study's scores alone, so any process computes it to the same
-# bytes; the report is assembled from the results in plan order.
+# ``None`` for a task that draws nothing. The report is assembled from the
+# results in plan order.
 
 # the short-term table drops the forest baseline
 SHORT_TERM_KINDS = tuple(k for k in MODEL_KINDS if k != "rsf_fused")
@@ -211,6 +210,13 @@ class _Task(NamedTuple):
     split: str
     kind: str
     seed: int | None
+
+
+# the task fields that key an entry within its section, a ``StudyReport``
+# field: a table by split and kind, one by kind, or the one entry
+_KEY_PATH = {"overall": ("split", "kind"), "short_term": ("split", "kind"),
+             "nri": ("split", "kind"), "km": ("kind",), "rv_analysis": (),
+             "comparisons": ("kind",)}
 
 
 def _evaluation_plan(models, seed: int, rv_known: bool) -> list[_Task]:
@@ -263,21 +269,14 @@ def _evaluate_task(task: _Task, cfg: dict, labels, raw, prob, pesi_test, rv_test
     is_high, cut = stratify(prob[kind]["test"], method, cfg["stratification"]["threshold"])
     if section == "km":
         high, low = labels["test"].take(is_high), labels["test"].take(~is_high)
-        entry = {"cut_value": cut, "method": method, "n_high": len(high), "n_low": len(low)}
-        if high and low:
-            test = logrank_test(high, low)
-            entry["logrank_statistic"] = test.statistic
-            entry["logrank_p"] = test.p_value
-        else:  # a constant score puts everyone in one stratum
-            entry["logrank_statistic"] = None
-            entry["logrank_p"] = None
-        for name, group in (("high", high), ("low", low)):
-            curve = km_curve(group, name) if group else None
-            entry[name] = {
-                "n": len(group),
-                "points": [dataclasses.asdict(p) for p in curve.points] if curve else [],
-            }
-        return entry
+        # no test where a constant score puts everyone in one stratum
+        test = logrank_test(high, low) if high and low else None
+        return {"cut_value": cut, "method": method, "n_high": len(high), "n_low": len(low),
+                "logrank_statistic": test and test.statistic, "logrank_p": test and test.p_value,
+                **{name: {"n": len(group),
+                          "points": [dataclasses.asdict(p) for p in km_curve(group).points]
+                          if group else []}
+                   for name, group in (("high", high), ("low", low))}}
     # the RV analysis, on the model's high-risk stratum of the test split
     rv, events = rv_test == 1.0, labels["test"].events
     lin = raw[kind]["test"]
@@ -314,19 +313,16 @@ def _evaluate(plan, evaluate, sizes) -> StudyReport:
                     reverse=True)
     with Tasks(lambda j: evaluate(plan[pooled[j]]), len(pooled), _evaluation_workers()) as tasks:
         done = dict(zip(pooled, tasks.results()))
-    sections = {"overall": {s: {} for s in SPLIT_NAMES}, "short_term": {s: {} for s in SPLIT_NAMES},
-                "nri": {s: {} for s in SPLIT_NAMES}, "km": {}, "rv_analysis": None,
-                "comparisons": {}}
+    sections = {name: {s: {} for s in SPLIT_NAMES} if len(keys) == 2 else {} if keys else None
+                for name, keys in _KEY_PATH.items()}
     for k, task in enumerate(plan):
         value = done[k] if k in done else evaluate(task)
         if isinstance(value, Exception):
             raise value
-        if task.section == "rv_analysis":
-            sections["rv_analysis"] = value
-        elif task.section in ("km", "comparisons"):
-            sections[task.section][task.kind] = value
-        else:
-            sections[task.section][task.split][task.kind] = value
+        parent, key = sections, task.section
+        for name in _KEY_PATH[task.section]:
+            parent, key = parent[key], getattr(task, name)
+        parent[key] = value
     return StudyReport(**sections)
 
 

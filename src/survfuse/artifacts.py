@@ -4,10 +4,11 @@ Every fitted model serializes to a single JSON document with a schema
 version, the model kind, and reproducibility metadata (the config seed and
 a sha256 fingerprint of the input data). Fusion artifacts embed their
 component models and the imputation constants so a saved model is
-sufficient to score raw CSV exports on its own. Floats survive the round
-trip bit for bit: ``json`` emits the shortest repr that parses back to
-the identical double. Non-finite thresholds (leaf markers) are stored as
-null.
+sufficient to score raw CSV exports on its own. A model's body is its
+dataclass fields by name (``_encode_value``): an array as a list, with
+``null`` for a vector's value that is not finite (a leaf's threshold).
+Floats survive the round trip bit for bit: ``json`` emits the shortest
+repr that parses back to the identical double.
 
 Artifacts are written at schema version 2: a forest's leaves store only
 their ensemble mortality, and the document is one line of compact JSON
@@ -87,21 +88,26 @@ def file_fingerprint(*paths) -> str:
     return h.hexdigest()
 
 
-# --- encoders ---------------------------------------------------------------
+# --- encoding and decoding --------------------------------------------------
 
 
-def _enc_floats(a) -> list:
-    return np.asarray(a, dtype=float).tolist()
-
-
-def _enc_mlp(m: MlpSurvModel) -> dict:
-    return {
-        "layer_dims": list(m.layer_dims),
-        "weights": [w.tolist() for w in m.weights],
-        "biases": [b.tolist() for b in m.biases],
-        "seed": m.seed,
-        "modality_tag": m.modality_tag,
-    }
+def _encode_value(value):
+    """The JSON form of a model value: an array as a list, ``None`` for each
+    value of a 1-D float array that is not finite (a leaf's threshold); a
+    dataclass as its fields by name; a list or tuple item by item; anything
+    else as it is."""
+    if isinstance(value, np.ndarray):
+        items = value.tolist()
+        # the sum is not finite where a value is NaN or infinite, or where
+        # finite values overflow it, and then each value is checked
+        if value.dtype.kind == "f" and value.ndim == 1 and not math.isfinite(sum(items)):
+            return [v if math.isfinite(v) else None for v in items]
+        return items
+    if dataclasses.is_dataclass(value):
+        return {name: _encode_value(v) for name, v in vars(value).items()}
+    if isinstance(value, (list, tuple)):
+        return [_encode_value(v) for v in value]
+    return value
 
 
 def _dec_mlp(doc: dict) -> MlpSurvModel:
@@ -124,17 +130,6 @@ def _dec_mlp(doc: dict) -> MlpSurvModel:
         raise ValueError("the network's weights and biases must be finite")
     return MlpSurvModel(layer_dims=dims, weights=weights, biases=biases,
                         seed=int(doc["seed"]), modality_tag=doc["modality_tag"])
-
-
-def _enc_tree(t: SurvivalTree) -> dict:
-    return {
-        "feature": t.feature.tolist(),
-        "threshold": [None if not math.isfinite(v) else float(v) for v in t.threshold],
-        "left": t.left.tolist(),
-        "right": t.right.tolist(),
-        "leaf_slot": t.leaf_slot.tolist(),
-        "leaf_mortality": _enc_floats(t.leaf_mortality),
-    }
 
 
 def _check_preorder(tree: SurvivalTree, n_features: int) -> None:
@@ -191,15 +186,6 @@ def _dec_tree(doc: dict, n_features: int) -> SurvivalTree:
     return tree
 
 
-def _enc_forest(f: ForestModel) -> dict:
-    return {
-        "event_time_grid": _enc_floats(f.event_time_grid),
-        "n_features": f.n_features,
-        "options": dataclasses.asdict(f.options),
-        "trees": [_enc_tree(t) for t in f.trees],
-    }
-
-
 def _dec_forest(doc: dict) -> ForestModel:
     from .rsf import ForestModel, RsfOptions
 
@@ -218,19 +204,6 @@ def _dec_forest(doc: dict) -> ForestModel:
             seed=int(opts["seed"]),
         ),
     )
-
-
-def _enc_cox(c: CoxModel) -> dict:
-    return {
-        "beta": _enc_floats(c.beta),
-        "covariate_names": list(c.covariate_names),
-        "baseline_times": _enc_floats(c.baseline_times),
-        "baseline_cumhaz": _enc_floats(c.baseline_cumhaz),
-        "log_likelihood": c.log_likelihood,
-        "converged": c.converged,
-        "n_iterations": c.n_iterations,
-        "tie_method": c.tie_method,
-    }
 
 
 def _dec_cox(doc: dict) -> CoxModel:
@@ -286,24 +259,20 @@ def _encode(held: str, model, what: str):
     if not isinstance(model, model_class):
         raise SchemaMismatchError(
             f"{what} must be a {model_class.__name__}, got {type(model).__name__}")
-    return _CODECS[body_type][0](_check_tag(held, model))
+    model = _check_tag(held, model)
+    return _enc_fusion(model) if body_type == "fusion" else _encode_value(model)
 
 
 def _decode(held: str, doc):
-    return _check_tag(held, _CODECS[_body_type(held)][1](doc))
+    return _check_tag(held, _DECODERS[_body_type(held)](doc))
 
 
 def _enc_fusion(b: FusionBundle) -> dict:
     _check_components(b.fusion.sources, b.components)
-    return {
-        "cox": _enc_cox(b.fusion.cox),
-        "sources": list(b.fusion.sources),
-        "means": _enc_floats(b.fusion.means),
-        "stds": _enc_floats(b.fusion.stds),
-        "components": {tag: {"type": TAGS[tag][0],
-                             "model": _encode(tag, model, f"component {tag!r}")}
-                       for tag, model in b.components.items()},
-    }
+    return {**_encode_value(b.fusion),
+            "components": {tag: {"type": TAGS[tag][0],
+                                 "model": _encode(tag, model, f"component {tag!r}")}
+                           for tag, model in b.components.items()}}
 
 
 def _dec_fusion(doc: dict) -> FusionBundle:
@@ -332,15 +301,6 @@ def _dec_fusion(doc: dict) -> FusionBundle:
     return FusionBundle(fusion=fusion, components=components)
 
 
-def _enc_imputation(s: ImputationStats) -> dict:
-    return {
-        "binary_medians": {k: bool(v) for k, v in s.binary_medians.items()},
-        "age_median": s.age_median,
-        "age_mean": s.age_mean,
-        "age_std": s.age_std,
-    }
-
-
 def _dec_imputation(doc: dict) -> ImputationStats:
     """The constants as ``compute_imputation_stats`` writes them: a true or
     false median for each of ``BINARY_FIELDS`` and no other key, finite age
@@ -367,12 +327,8 @@ def _dec_imputation(doc: dict) -> ImputationStats:
     return stats
 
 
-# the encoder and decoder of each body type: a component's tag's, or "fusion"
-_CODECS = {
-    "mlp": (_enc_mlp, _dec_mlp),
-    "forest": (_enc_forest, _dec_forest),
-    "fusion": (_enc_fusion, _dec_fusion),
-}
+# the decoder of each body type: a component's tag's, or "fusion"
+_DECODERS = {"mlp": _dec_mlp, "forest": _dec_forest, "fusion": _dec_fusion}
 
 
 # --- public API -------------------------------------------------------------
@@ -390,7 +346,7 @@ def save_model(path, kind: str, model, *, imputation: ImputationStats | None = N
         "schema_version": SCHEMA_VERSION,
         "kind": kind,
         "metadata": {"seed": seed, "data_fingerprint": data_fingerprint},
-        "imputation": None if imputation is None else _enc_imputation(imputation),
+        "imputation": _encode_value(imputation),
         "model": body,
     }
     text = json.dumps(doc, sort_keys=True) + "\n"

@@ -15,23 +15,15 @@ in. The ``SURVFUSE_LOG`` environment variable sets the log level
 (DEBUG, INFO, WARNING, ERROR); the default is WARNING.
 
 Importing this module imports neither numpy, the modeling code nor the
-config module; each command imports what it uses. ``run`` and
-``generate`` import ``config``, and ``score`` only the model code its
-artifact holds (see ``artifacts``): where no bytecode is written, every
-call compiles what it imports from source. ``main`` first pins BLAS to
-one thread (``forks.pin_blas_threads``): the commands parallelise
-through forked workers instead, so a process has no other thread when it
-forks. ``score`` and ``run`` first start reading their feature CSV
-(``feature_csv.FeatureRead``; see ``forks``), then import numpy and the
-package, load the artifact or config and read the clinical CSV, and take
-the parsed features where the imaging join (``dataset.attach_imaging``)
-reads them, so errors come in the order they always did.
+config module; each command imports what it uses, and ``score`` only the
+model code its artifact holds (see ``artifacts``). ``main`` pins BLAS to
+one thread, and ``score`` and ``run`` start reading their feature CSV
+before they import numpy (see ``forks``); the imaging join
+(``dataset.attach_imaging``) takes the parsed features where it would
+read the file, so errors come in the order the files are read.
 
-Both commands hold the cohort as one columnar ``dataset.Dataset`` and go
-through the same functions: ``ingest_clinical``, ``attach_imaging``,
-``apply_imputation`` (``run`` learns the constants on its training split,
-``score`` takes the artifact's), then ``clinical_matrix``,
-``imaging_matrix`` and ``pesi.pesi_scores`` for the model inputs.
+Both commands hold the cohort as one ``dataset.Dataset`` and go through
+the same functions (see ``dataset``).
 
 Everything a command writes is deterministic given the config and seed:
 reports embed a fingerprint of the effective analysis configuration and
@@ -48,8 +40,6 @@ import logging
 import os
 import sys
 
-# no numpy at import time: each command imports the numeric code it uses
-# after it has started its feature read
 from .errors import (
     DatasetTooSmallError,
     DuplicatePatientIdError,
@@ -444,8 +434,7 @@ def _configure_logging() -> None:
 
 
 def main(argv=None) -> int:
-    # before anything imports numpy: one BLAS thread, since the commands
-    # parallelise through forked workers instead (see ``forks``)
+    # before anything imports numpy (see ``forks``)
     pin_blas_threads()
     _configure_logging()
     parser = build_parser()

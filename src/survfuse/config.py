@@ -129,14 +129,9 @@ def effective_config(raw: dict, args=None) -> dict:
             cfg[key] = value
 
     if args is not None:
-        if getattr(args, "seed", None) is not None:
-            cfg["seed"] = args.seed
-        if getattr(args, "out", None) is not None:
-            cfg["out"] = args.out
-        if getattr(args, "clinical", None) is not None:
-            cfg["clinical"] = args.clinical
-        if getattr(args, "features", None) is not None:
-            cfg["features"] = args.features
+        for key in ("seed", "out", "clinical", "features"):
+            if getattr(args, key, None) is not None:
+                cfg[key] = getattr(args, key)
         if getattr(args, "models", None) is not None:
             cfg["models"] = [m.strip() for m in args.models.split(",") if m.strip()]
         if getattr(args, "n", None) is not None:

@@ -227,8 +227,6 @@ def fit_cox(X: np.ndarray, labels: Labels, options: FitOptions | None = None,
         if not accepted:
             break  # flat to machine precision in every direction tried
         beta, ll, grad, hess = cand, cand_ll, cand_grad, cand_hess
-    else:
-        iterations = opts.max_iter
     if not converged:
         grad_pen = grad - ridge * beta
         converged = float(np.max(np.abs(grad_pen))) < opts.tolerance

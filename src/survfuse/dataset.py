@@ -11,41 +11,26 @@ row per patient::
     temperature_c, altered_mental_status, cancer, heart_failure,
     chronic_lung_disease, o2_sat, event, time_days, rv_dysfunction
 
-``ingest_clinical`` is its one parser. It reads the file with ``csv.reader``
-and checks and parses the rows a block of 256 at a time, so that at most
-one block of unparsed cell strings is held, and returns a :class:`Dataset`:
-the cohort as columns. Its ``values`` matrix holds age and the ten flags in
-``clinical_matrix``'s column order with NaN where a value is missing, and
-its :class:`Labels` hold the follow-up times and event flags. ``survfuse
-run`` and ``survfuse score`` go through the same functions:
-``attach_imaging`` joins the features, ``apply_imputation`` fills the
-matrix (``run`` learns the constants on its training split first),
-``clinical_matrix`` and ``imaging_matrix`` form the model inputs, and
-``pesi.pesi_scores`` scores the severity index.
+``ingest_clinical`` is its one parser, into a :class:`Dataset`: the
+cohort as columns. ``survfuse run`` and ``survfuse score`` go through the
+same functions: ``attach_imaging`` joins the features,
+``apply_imputation`` fills the matrix (``run`` learns the constants on its
+training split first), ``clinical_matrix`` and ``imaging_matrix`` form
+the model inputs, and ``pesi.pesi_scores`` scores the severity index.
 
 The feature file has one row per acquisition (a patient may have several)::
 
     patient_id, acquisition_id, pe_probability, f0, f1, ..., f{d-1}
 
-Its feature cells are parsed with ``float`` into one ``(rows, d)`` matrix,
-a block of 256 rows at a time, by ``feature_csv.read_columns``, which uses
-the standard library alone: the cells go into one ``array('d')`` that the
-matrix then views without a copy. Besides the ids, the probabilities and
-the cells, a read holds at most one block of unparsed cell strings: its
-peak is about 2.2 times the matrix's size for 4000 rows of 32 features,
-where the cell strings of the whole file would take about ten times.
-``survfuse score`` and ``survfuse run`` start that read before they
-import numpy (``feature_csv.FeatureRead``) and hand it to
-``attach_imaging``, which takes its result where it would have read the
-file. Each patient keeps the acquisition with the highest
-``pe_probability``, the first in the file on ties.
+``feature_csv.read_columns`` is its one parser, into columns that
+``ingest_features`` makes arrays of. Each patient keeps the acquisition
+with the highest ``pe_probability``, the first in the file on ties.
 
-Empty cells are treated as missing. A NaN or infinite feature cell, age or
-vital sign rejects its row with ``MalformedRowError``. Vital signs are
-thresholded into binary severity indicators at ingest time (tachycardia
->= 110 bpm, hypotension < 100 mmHg, tachypnea >= 30/min, hypothermia
-< 36 C, hypoxemia < 90%), so downstream models only ever see age plus ten
-binary flags.
+Empty cells are treated as missing. Vital signs are thresholded into
+binary severity indicators at ingest time (tachycardia >= 110 bpm,
+hypotension < 100 mmHg, tachypnea >= 30/min, hypothermia < 36 C,
+hypoxemia < 90%), so downstream models only ever see age plus ten binary
+flags.
 """
 
 from __future__ import annotations
@@ -331,9 +316,8 @@ def ingest_clinical(path) -> Dataset:
     The header is the file's first line, taken as it is. Blank lines are
     skipped and do not count as rows; a short row reads its missing cells
     as empty; where a header name repeats, its last column is read. Rows
-    are checked and parsed a block of ``_CLINICAL_BLOCK_ROWS`` at a time, so
-    the unparsed cell strings held at once stay bounded by one block, and
-    the earliest faulty row is the one reported, with the error of its
+    are checked and parsed a block of ``_CLINICAL_BLOCK_ROWS`` at a time,
+    and the earliest faulty row is the one reported, with the error of its
     first failing check: an empty or repeated patient id, an event that is
     not a boolean, a missing, non-finite or negative ``time_days``, a NaN
     or infinite age or vital sign, or an age that is not positive.
@@ -571,17 +555,13 @@ def truncate_30day(labels: Labels) -> Labels:
 
 
 def median(values) -> float:
-    """``np.median`` of one value or more, the same float: the middle one
-    or two, put in place by ``np.partition`` at the indices ``np.median``
-    partitions at, averaged by ``mean``; or the NaN that sorts last where
-    there is one. ``np.median`` imports ``numpy.ma`` for its NaN check,
-    about 17 ms and 1.3 MB of a process, and nothing else that ``survfuse``
-    runs uses it."""
-    a = np.asarray(values, dtype=float).ravel()
+    """``np.median`` of one value or more, the same float: the middle one or
+    the ``mean`` of the middle two of the sorted values, or the NaN that
+    sorts last where there is one. ``np.median`` imports ``numpy.ma`` for
+    its NaN check, which nothing else that ``survfuse`` runs uses."""
+    a = np.sort(np.asarray(values, dtype=float).ravel())
     half = a.size // 2
-    lo = half - 1 if a.size % 2 == 0 else half
-    part = np.partition(a, [lo, half, -1] if lo < half else [half, -1])
-    return float(part[-1]) if np.isnan(part[-1]) else float(part[lo:half + 1].mean())
+    return float(a[-1]) if np.isnan(a[-1]) else float(a[half - 1 + a.size % 2:half + 1].mean())
 
 
 def percentiles(values, q) -> np.ndarray:

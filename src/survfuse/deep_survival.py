@@ -10,9 +10,7 @@ descent with weight decay on the weight matrices.
 Score scale note: the sigmoid is a strictly increasing map, so ranking
 metrics (c-index) are identical whether computed on the squashed score or
 the pre-sigmoid logit. ``sigmoid`` lives here, with the scoring code that
-applies it; the study also maps fused linear scores through it. The Cox
-likelihood (``cox_linear``) is imported only where training computes the
-loss, so that scoring a saved network loads none of the fitting code.
+applies it; the study also maps fused linear scores through it.
 
 Subject blocks: every matrix product over the subjects is formed
 ``_SUBJECT_BLOCK`` (240) subjects at a time, so that it rounds the same
@@ -26,19 +24,9 @@ backpropagation reads whole, and the backward products go through
 ``_by_subjects``; a weight gradient sums over the subjects, and is the
 sum of its block products added in block order. A block is the same
 operands either way, so scoring and training compute the same floats. Up
-to ``_SUBJECT_BLOCK`` + 1 subjects a product is one call, as before the
-blocks, and no block is of one subject (BLAS would take its matrix-vector
-route, which rounds differently). With OpenBLAS 0.3.31 on a 2-CPU x86-64
-machine, a weight gradient over 500 or more subjects in one product came
-out differently with ``OPENBLAS_NUM_THREADS=1`` than with two threads, so
-trained weights, scores and reports depended on the thread count; in
-240-subject blocks no product with both widths up to 64 did, over 1500
-random shapes, while wider layers still can. At the study's default
-widths the stacked forward is the same floats as the one product, so saved
-networks score as before; at some other widths OpenBLAS rounds a block of
-rows differently from the whole matrix. The blocks also keep the products
-off BLAS's thread pool, which was slow on a 2-CPU machine with the forest
-pool's worker busy.
+to ``_SUBJECT_BLOCK`` + 1 subjects a product is one call, and no block is
+of one subject (BLAS would take its matrix-vector route, which rounds
+differently).
 """
 
 from __future__ import annotations
@@ -186,6 +174,7 @@ def _cox_loss_grad(scores, table: EventTable, tie_method="efron", with_grad=True
     """``(loss, d loss / d scores)``, the negative partial log-likelihood of
     the scores per event, or the loss alone when ``with_grad`` is false; the
     loss is the same float either way."""
+    # imported here, so that scoring a network loads no fitting code
     from .cox_linear import _check_finite, _loglik_and_eta_grad
 
     s = np.asarray(scores, dtype=float)
@@ -261,31 +250,28 @@ def train(model: MlpSurvModel, X: np.ndarray, labels: Labels, options: TrainOpti
         try:
             loss, wg, bg = _loss_and_gradients(work, X, table, options.weight_decay,
                                                options.tie_method)
+            if not np.isfinite(loss):
+                raise DivergedLossError(f"training loss became {loss}")
+            history.append(float(loss))
+            for k in range(len(work.weights)):
+                work.weights[k] -= options.learning_rate * wg[k]
+                work.biases[k] -= options.learning_rate * bg[k]
+            if val is None:
+                continue
+            val_loss = _cox_loss_grad(forward(work, val[0]), val_table, options.tie_method,
+                                      with_grad=False)
         except NonFiniteInputError as exc:
             raise DivergedLossError(f"parameters overflowed during training: {exc}") from exc
-        if not np.isfinite(loss):
-            raise DivergedLossError(f"training loss became {loss}")
-        history.append(float(loss))
-        for k in range(len(work.weights)):
-            work.weights[k] -= options.learning_rate * wg[k]
-            work.biases[k] -= options.learning_rate * bg[k]
-        if val is not None:
-            try:
-                val_loss = _cox_loss_grad(forward(work, val[0]), val_table, options.tie_method,
-                                          with_grad=False)
-            except NonFiniteInputError as exc:
-                raise DivergedLossError(f"parameters overflowed during training: {exc}") from exc
-            if not np.isfinite(val_loss):
-                raise DivergedLossError(f"validation loss became {val_loss}")
-            if val_loss < best_val:
-                best_val = val_loss
-                best_weights = ([W.copy() for W in work.weights],
-                                [b.copy() for b in work.biases])
-                stale = 0
-            else:
-                stale += 1
-                if stale >= options.patience:
-                    break
+        if not np.isfinite(val_loss):
+            raise DivergedLossError(f"validation loss became {val_loss}")
+        if val_loss < best_val:
+            best_val = val_loss
+            best_weights = ([W.copy() for W in work.weights], [b.copy() for b in work.biases])
+            stale = 0
+        else:
+            stale += 1
+            if stale >= options.patience:
+                break
     if val is not None and best_weights is not None:
         work.weights, work.biases = best_weights
     return work, history

@@ -52,8 +52,7 @@ def read_columns(path) -> tuple[list[str], array, array, int]:
     id strings, an ``array('d')`` of probabilities, and an ``array('d')``
     holding the ``d`` feature cells of each row, row after row. Each row is
     checked as it is read; its feature cells are parsed with ``float`` a
-    block of ``_FEATURE_BLOCK_ROWS`` rows at a time, so the unparsed cell
-    strings held at once stay bounded by one block. A feature cell that is
+    block of ``_FEATURE_BLOCK_ROWS`` rows at a time. A feature cell that is
     not a number, or is NaN or infinite, fails its row. A row that fails a
     check first has the rows pending before it parsed, so the earliest
     faulty row in the file is the one reported.
@@ -145,8 +144,7 @@ def _columns_to_send(path):
 
 class FeatureRead(Child):
     """A read of one feature CSV, in a child if one pays for itself.
-    ``result`` returns ``read_columns(path)``, the cells as a buffer of
-    their bytes, once; use the object as a context manager."""
+    ``result`` returns ``read_columns(path)`` once, the cells as bytes."""
 
     def __init__(self, path):
         self.path = path

@@ -11,9 +11,9 @@ one thread. With one usable CPU none forks.
 A ``Child`` computes ``fn(*args)`` in a forked process, which inherits the
 function and its arguments instead of being sent them, and sends the value
 back once through a pipe, pickled. A large ``bytes`` object in it is read
-straight into the caller's copy, with no second, message-sized copy.
-``result`` returns the value and reaps the child; ``close`` kills and reaps
-a child that still runs, so use a child as a context manager.
+straight into the caller's copy, with no second, message-sized copy. A
+``Child`` and a ``Tasks`` pool are context managers whose exit kills and
+reaps the children that still run.
 
 A failed child costs only time. ``result`` is ``None`` where no child ran
 (no ``os.fork``, or the fork failed) and where the child raised, was
@@ -27,10 +27,6 @@ value; a pipe write of at most ``PIPE_BUF`` bytes is atomic, so no two
 processes take the same value. A process killed between the read and the
 write would stall every other taker, so children that take are killed only
 once the caller has stopped taking.
-
-``Tasks`` is the pool both numeric callers use: children that take task
-indices from one ``Counter``, and a caller that computes every task no
-child took or returned.
 
 Forking copies only the calling thread, so no other thread should hold a
 lock at the fork. ``cli.main`` calls ``pin_blas_threads`` before anything
@@ -80,7 +76,18 @@ def usable_cpus() -> int:
         return 1
 
 
-class Child:
+class _Closing:
+    """A context manager whose exit calls ``close``."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+        return False
+
+
+class Child(_Closing):
     """``fn(*args)``, computed in a forked child; ``result`` returns it, or
     ``None`` if no child ran or the child failed."""
 
@@ -136,13 +143,6 @@ class Child:
             os.close(self._fd)
             self._fd = None
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-        return False
-
 
 class Counter:
     """A counter from 0 that this process and the children it forks later
@@ -174,7 +174,7 @@ def _take_tasks(fn, n, counter):
     return done
 
 
-class Tasks:
+class Tasks(_Closing):
     """Tasks ``fn(0)``, ..., ``fn(n - 1)``, started on ``workers`` forked
     children, which take task indices from one ``Counter`` and send their
     values back by index once none is left.
@@ -183,8 +183,7 @@ class Tasks:
     task a child did not return, and returns the values in task order. A
     task that raises here holds its exception in place of a value, so the
     caller can raise the first failure in an order of its own, whichever
-    process ran which task. Use the object as a context manager, so that an
-    exception before ``results`` kills the children."""
+    process ran which task."""
 
     def __init__(self, fn, n: int, workers: int):
         self._fn, self._n = fn, n
@@ -215,10 +214,3 @@ class Tasks:
             child.close()
         self._children = []
         self._counter.close()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-        return False

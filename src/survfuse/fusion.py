@@ -6,10 +6,7 @@ vector is z-scored with constants frozen at fit time, then a linear Cox fit
 order is canonical (``kinds.TAGS``'s: clinical, imaging, severity index,
 then the forest variants), independent of dict insertion order.
 
-The model code is imported where it runs: ``fit_fusion`` imports the Cox
-fit, and ``score_component`` the network or forest code of its tag's
-model type, so that scoring a fused model loads only its components'
-modules.
+The model code is imported where it runs (see ``artifacts``).
 """
 
 from __future__ import annotations
@@ -79,7 +76,8 @@ def fit_fusion(scores_by_modality: dict[str, np.ndarray], labels: Labels,
     return FusionModel(cox=cox, sources=sources, means=means, stds=stds)
 
 
-def _standardized(model: FusionModel, scores: dict[str, np.ndarray]) -> np.ndarray:
+def predict_fused(model: FusionModel, scores: dict[str, np.ndarray]) -> np.ndarray:
+    """Fused linear predictor, one per patient of the score vectors."""
     given = set(scores.keys())
     expected = set(model.sources)
     missing = expected - given
@@ -92,13 +90,7 @@ def _standardized(model: FusionModel, scores: dict[str, np.ndarray]) -> np.ndarr
     sizes = {c.size for c in cols}
     if len(sizes) != 1:
         raise MismatchedLengthsError(f"modality score lengths disagree: {sorted(sizes)}")
-    raw = np.column_stack(cols)
-    return (raw - model.means) / model.stds
-
-
-def predict_fused(model: FusionModel, scores: dict[str, np.ndarray]) -> np.ndarray:
-    """Fused linear predictor, one per patient of the score vectors."""
-    return _standardized(model, scores) @ model.cox.beta
+    return ((np.column_stack(cols) - model.means) / model.stds) @ model.cox.beta
 
 
 def score_component(tag: str, model, X: np.ndarray) -> np.ndarray:

@@ -1,13 +1,10 @@
 """The study's model panel, importable without numpy.
 
-Three tables say what the panel is made of. ``TAGS`` says what each
-component tag is: the type of model fitted under it (none for the severity
-index ``pesi``) and the input matrix it reads; ``analysis``, ``fusion``,
-``artifacts``, ``cli`` and ``deep_survival`` decode a tag by it alone.
-``COMPONENTS`` says which component scores each model kind uses, and
-``analysis`` fits the panel from it; ``ARTIFACTS`` says which fitted
-component or fusion each saved artifact holds, and ``cli`` saves and scores
-artifacts from it. The CLI validates a config against ``MODEL_KINDS``
+Three tables, each described where it is defined, say what the panel is
+made of. ``analysis``, ``fusion``, ``artifacts``, ``cli`` and
+``deep_survival`` decode a component tag by ``TAGS`` alone; ``analysis``
+fits the panel from ``COMPONENTS``, and ``cli`` saves and scores artifacts
+from ``ARTIFACTS``. The CLI validates a config against ``MODEL_KINDS``
 before it imports anything numeric. The 30-day table's kinds and the NRI
 pairs are ``analysis``'s.
 """

@@ -53,8 +53,6 @@ class KmPoint:
 @dataclass(frozen=True)
 class KmCurve:
     points: tuple[KmPoint, ...]
-    group_label: str = ""
-    n_subjects: int = 0
 
 
 @dataclass(frozen=True)
@@ -180,18 +178,16 @@ def bootstrap_ci(scores, labels: Labels, n_resamples: int,
     return float(lo), float(hi)
 
 
-def km_curve(labels: Labels, group_label: str = "") -> KmCurve:
+def km_curve(labels: Labels) -> KmCurve:
     """Kaplan-Meier product-limit estimate, one point per distinct event time."""
     if not labels:
         raise EmptyGroupError("cannot estimate a survival curve for an empty group")
     table = labels.table
     survival = np.cumprod(1.0 - table.deaths / table.at_risk)
-    points = tuple(
+    return KmCurve(points=tuple(
         KmPoint(time=v, survival=s, at_risk=n, events=d)
         for v, s, n, d in zip(table.event_times.tolist(), survival.tolist(),
-                              table.at_risk.tolist(), table.deaths.tolist())
-    )
-    return KmCurve(points=points, group_label=group_label, n_subjects=len(labels))
+                              table.at_risk.tolist(), table.deaths.tolist())))
 
 
 def logrank_test(labels_a: Labels, labels_b: Labels) -> TestResult:

@@ -57,12 +57,11 @@ def _raise_unscorable(row: list) -> None:
 def pesi_points(values: np.ndarray) -> np.ndarray:
     """PESI scores of the rows of a clinical values matrix, as floats.
 
-    ``values`` is ``(n, 11)`` as ``dataset.Dataset`` holds it: age in
-    years, then the ten flags of ``BINARY_FIELDS`` as 1.0 or 0.0, NaN where
-    missing. Each score is round-half-even of age plus the points of the
-    positive findings. The first row with a missing value raises
-    ``UnimputedRecordError``, or with an age that is not positive
-    ``NonPositiveAgeError``, or with an infinite age ``OverflowError``.
+    ``values`` is ``(n, 11)`` as ``dataset.Dataset`` holds it. Each score is
+    round-half-even of age plus the points of the positive findings. The
+    first row with a missing value raises ``UnimputedRecordError``, or with
+    an age that is not positive ``NonPositiveAgeError``, or with an
+    infinite age ``OverflowError``.
     """
     age = values[:, 0]
     bad = np.isnan(values).any(axis=1) | ~(age > 0) | np.isinf(age)

@@ -18,11 +18,10 @@ permutation of the input records cannot change the forest (up to exact
 Forests are grown in two steps, so that the caller can work while they
 grow. ``start_forests`` checks a batch of forests and cuts their trees into
 chunks of about ``_CHUNK_WORK`` (1500) subjects x trees, the tasks of a
-``forks.Tasks`` pool of one forked worker per usable CPU but one.
-``finish`` grows here the chunks no worker has taken, then any chunk that a
-failed worker did not return, and puts the trees in stream order, so a
-forest is the same bit for bit whichever process grew which chunk.
-``fit_forest`` is one forest started and finished at once.
+``forks.Tasks`` pool (see ``forks``). ``finish`` takes their results and
+puts the trees in stream order, so a forest is the same bit for bit
+whichever process grew which chunk. ``fit_forest`` is one forest started
+and finished at once.
 
 Each tree finds its subjects' ranks in the forest's event-time grid once;
 a node's at-risk and death counts, and a leaf's hazard, are ``bincount``s
@@ -63,10 +62,7 @@ an internal node compares only the rows that reached it with its
 threshold (``x <= threshold`` goes left) and splits them between its
 children, and a subtree that no row reaches is not visited. A node reads
 its feature's values through the view ``X.T``, so no copy of ``X`` is
-made. The trees' leaf mortalities are added in tree order, so every score
-is the float that stepping all rows down one level at a time gave; on
-4000 rows that walk took 28-45 ms per 100-tree forest, against 10-17 ms
-(2-CPU x86-64 machine).
+made. The trees' leaf mortalities are added in tree order.
 """
 
 from __future__ import annotations
@@ -469,11 +465,11 @@ def _grow_chunk(samples, chunks, k):
     return _grow_trees(s.X, s.t, s.e, s.grid, s.streams[lo:hi], s.mtry, s.options.min_leaf_size)
 
 
-class PendingForests:
-    """Forests whose trees are being grown, made by ``start_forests``.
-
-    ``finish`` returns the fitted forests; use the object as a context
-    manager, so that an exception before ``finish`` stops the workers."""
+class PendingForests(Tasks):
+    """Forests whose trees are being grown, made by ``start_forests``: a
+    ``forks.Tasks`` pool of their chunks. ``finish`` returns the fitted
+    forests; use the object as a context manager, so that an exception
+    before ``finish`` stops the workers."""
 
     def __init__(self, samples: list[_Sample], workers: int):
         self._samples = samples
@@ -483,15 +479,12 @@ class PendingForests:
             step = max(1, round(_CHUNK_WORK / s.t.size))
             n_trees = s.options.n_trees
             self._chunks += [(f, lo, min(lo + step, n_trees)) for lo in range(0, n_trees, step)]
-        self._tasks = Tasks(partial(_grow_chunk, samples, self._chunks), len(self._chunks),
-                            workers)
+        super().__init__(partial(_grow_chunk, samples, self._chunks), len(self._chunks), workers)
 
     def finish(self) -> list[ForestModel]:
-        """Grow in this process every chunk no worker has claimed, take the
-        workers' chunks, grow here any chunk a worker did not return, and
-        put the trees in stream order."""
+        """The forests, their chunks' trees in stream order (see ``results``)."""
         forests = [[] for _ in self._samples]
-        for chunk, trees in zip(self._chunks, self._tasks.results()):
+        for chunk, trees in zip(self._chunks, self.results()):
             if isinstance(trees, Exception):
                 raise trees
             forests[chunk[0]] += trees
@@ -499,25 +492,11 @@ class PendingForests:
                             options=s.options)
                 for s, trees in zip(self._samples, forests)]
 
-    def close(self) -> None:
-        """Kill and reap the workers; the forests can no longer be finished."""
-        self._tasks.close()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-        return False
-
 
 def start_forests(fits) -> PendingForests:
-    """Start growing one forest per ``(X, labels, options)`` in ``fits``.
-
-    The trees go out in chunks to ``_usable_cpus() - 1`` forked workers,
-    while this process goes on; ``finish`` on the result grows in this
-    process every chunk no worker has claimed or returned and collects the
-    rest. The inputs are checked here, before any tree is grown."""
+    """Start growing one forest per ``(X, labels, options)`` in ``fits``, on
+    ``_usable_cpus() - 1`` forked workers while this process goes on; the
+    inputs are checked here, before any tree is grown."""
     samples = [_canonical_sample(X, labels, options) for X, labels, options in fits]
     work = sum(s.t.size * s.options.n_trees for s in samples)
     workers = _usable_cpus() - 1 if work >= _POOL_MIN_WORK else 0

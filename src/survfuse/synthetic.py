@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Labels
+from .dataset import CLINICAL_COLUMNS, Labels
 from .errors import InvalidSpecError
 
 
@@ -124,12 +124,7 @@ def write_study_csvs(plan: CohortPlan, clinical_path, features_path) -> int:
 
     with open(clinical_path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow([
-            "patient_id", "age", "sex", "heart_rate", "systolic_bp",
-            "respiratory_rate", "temperature_c", "altered_mental_status",
-            "cancer", "heart_failure", "chronic_lung_disease", "o2_sat",
-            "event", "time_days", "rv_dysfunction",
-        ])
+        writer.writerow(CLINICAL_COLUMNS)
         for i in range(n):
             cells = [
                 f"{age[i]:.1f}",

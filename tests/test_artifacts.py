@@ -586,7 +586,7 @@ class TestTreeLayout:
     @given(st.data())
     def test_an_edited_node_is_refused_or_every_route_ends_at_a_leaf(self, fitted, data):
         forest = fitted["forest_i"]
-        doc = artifacts._enc_tree(data.draw(st.sampled_from(forest.trees)))
+        doc = artifacts._encode_value(data.draw(st.sampled_from(forest.trees)))
         n = len(doc["feature"])
         for _ in range(data.draw(st.integers(1, 2))):
             key = data.draw(st.sampled_from(["feature", "left", "right", "leaf_slot"]))

@@ -313,7 +313,6 @@ class TestKmCurve:
         assert p1.survival == 1.0 - 1.0 / 3.0
         assert (p3.time, p3.at_risk, p3.events) == (3.0, 1, 1)
         assert p3.survival == 0.0
-        assert curve.n_subjects == 3
 
     def test_tied_deaths_single_step(self):
         curve = km_curve(Labels([2, 2, 5], [1, 1, 0]))
@@ -329,17 +328,14 @@ class TestKmCurve:
         with pytest.raises(EmptyGroupError):
             km_curve(Labels([], []))
 
-    def test_group_label(self):
-        assert km_curve(Labels([1], [1]), "high").group_label == "high"
-
     @settings(max_examples=150)
     @given(cohorts(min_n=1))
     def test_matches_event_time_loop_exactly(self, cohort):
         _, labels = cohort
-        assert km_curve(labels, "g") == loop_km_curve(labels, "g")
+        assert km_curve(labels) == loop_km_curve(labels)
 
 
-def loop_km_curve(labels, group_label=""):
+def loop_km_curve(labels):
     """The per-event-time loop that ``km_curve`` replaced, kept as its oracle."""
     t, e = labels.times, labels.events
     points = []
@@ -349,7 +345,7 @@ def loop_km_curve(labels, group_label=""):
         deaths = int(((t == v) & e).sum())
         s *= 1.0 - deaths / at_risk
         points.append(KmPoint(time=float(v), survival=s, at_risk=at_risk, events=deaths))
-    return KmCurve(points=tuple(points), group_label=group_label, n_subjects=len(labels))
+    return KmCurve(points=tuple(points))
 
 
 def loop_logrank_test(labels_a, labels_b):

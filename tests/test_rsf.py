@@ -702,7 +702,7 @@ class TestFitForest:
         with rsf.start_forests(fits) as pending:
             chunks = list(pending._chunks)
             assert chunks == [(0, 0, 2), (0, 2, 4), (0, 4, 5), (1, 0, 3), (1, 3, 5)]
-            assert len(pending._tasks._children) == cpus - 1
+            assert len(pending._children) == cpus - 1
             if take_back == "none":
                 wait_for_claims(log, len(chunks))
             elif take_back == "some":
@@ -757,7 +757,7 @@ class TestFitForest:
         X, labels = surv_data(np.random.default_rng(79), 90, 3, (1.0, -1.0, 0.0))
         opts = rsf_options(n_trees=9, min_leaf_size=10, seed=4)
         with rsf.start_forests([(X, labels, opts)]) as pending:
-            assert len(pending._tasks._children) == 1
+            assert len(pending._children) == 1
             wait_for_claims(log, 1)
             model, = pending.finish()
         assert_same_trees(model.trees, serial_fit_forest(X, labels, opts)[1])
@@ -806,7 +806,7 @@ class TestFitForest:
         opts = rsf_options(n_trees=60, min_leaf_size=5, seed=3)
         started = time.monotonic()
         with rsf.start_forests([(X, labels, opts)]) as pending:
-            assert len(pending._tasks._children) == 5
+            assert len(pending._children) == 5
             model, = pending.finish()
         assert time.monotonic() - started < 60.0
         assert sorted(int(line) for line in log.read_text().split()) == list(range(60))
@@ -830,7 +830,7 @@ class TestFitForest:
         X, labels = surv_data(np.random.default_rng(74), 90, 3, (1.0, -1.0, 0.0))
         opts = rsf_options(n_trees=n_trees, min_leaf_size=10, seed=9)
         with rsf.start_forests([(X, labels, opts)]) as pending:
-            started = len(pending._tasks._children)
+            started = len(pending._children)
             model, = pending.finish()
         assert_same_trees(model.trees, serial_fit_forest(X, labels, opts)[1])
         assert started == (0 if n_trees == 2 else 2)
@@ -846,7 +846,7 @@ class TestFitForest:
         X, labels = surv_data(np.random.default_rng(78), 90, 3, (1.0, -1.0, 0.0))
         fit = (X, labels, rsf_options(n_trees=14, min_leaf_size=10))
         with rsf.start_forests([fit]) as alone, rsf.start_forests([fit, fit]) as batch:
-            assert (len(alone._tasks._children), len(batch._tasks._children)) == (0, 1)
+            assert (len(alone._children), len(batch._children)) == (0, 1)
         assert_no_child()
 
     def test_mtry_defaults_to_sqrt_features(self):
