@@ -260,6 +260,8 @@ def _encode(held: str, model, what: str):
         raise SchemaMismatchError(
             f"{what} must be a {model_class.__name__}, got {type(model).__name__}")
     model = _check_tag(held, model)
+    if body_type == "mlp" and not all(np.isfinite(a).all() for a in model.weights + model.biases):
+        raise SchemaMismatchError(f"{what}: the network's weights and biases must be finite")
     return _enc_fusion(model) if body_type == "fusion" else _encode_value(model)
 
 

@@ -286,6 +286,12 @@ def cmd_score(args) -> int:
             ds = apply_imputation(ds, artifact.imputation)
             pesi_points = pesi.pesi_scores(ds)
             risks = _score_records(artifact, ds, pesi_points)
+            bad = np.flatnonzero(~np.isfinite(risks))
+            if bad.size:
+                i = int(bad[0])
+                raise SchemaMismatchError(f"{args.model} gives row {i} (patient"
+                                          f" {ds.patient_ids[i]}) the risk {float(risks[i])!r},"
+                                          " which is not finite")
             points = pesi_points.astype(np.int64).tolist()
             rows = list(zip(ds.patient_ids, map(repr, risks.tolist()), points,
                             map(pesi.risk_class_for, points)))

@@ -61,7 +61,7 @@ class CoxModel:
 
 
 def _check_finite(arr: np.ndarray, name: str):
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NonFiniteInputError(f"{name} contains non-finite values")
 
 
@@ -87,8 +87,10 @@ def _loglik_and_eta_grad(eta: np.ndarray, table: EventTable, tie_method: str,
     n_groups = table.event_times.size
     term = np.zeros(n_groups + 1)  # leading 0.0: ll is summed from 0.0, group by group
     coef_a = np.zeros(n_groups)  # sum_l 1/psi_l per group
-    coef_b = np.zeros(n_groups)  # sum_l (l/d)/psi_l per group (Efron correction)
-    own_b = np.zeros(eta_s.size)
+    # the Efron terms, formed only where an event time has tied deaths
+    efron = tie_method == "efron" and any(d.shape[1] > 1 for _, d in table.tie_blocks)
+    coef_b = np.zeros(n_groups) if efron else None  # sum_l (l/d)/psi_l per group
+    own_b = np.zeros(eta_s.size) if efron else None
     for groups, deaths in table.tie_blocks:
         d = deaths.shape[1]
         s0r = s0_suffix[table.risk_start[groups]]
@@ -111,7 +113,9 @@ def _loglik_and_eta_grad(eta: np.ndarray, table: EventTable, tie_method: str,
 
     last, has_last = table.last_event_time
     coef = np.where(has_last, np.cumsum(coef_a)[last], 0.0)
-    grad_s = table.event_flags - w * coef + w * own_b
+    grad_s = table.event_flags - w * coef
+    if efron:
+        grad_s += w * own_b
 
     grad = np.empty_like(grad_s)
     grad[table.order] = grad_s

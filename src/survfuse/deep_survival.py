@@ -13,25 +13,30 @@ the pre-sigmoid logit. ``sigmoid`` lives here, with the scoring code that
 applies it; the study also maps fused linear scores through it.
 
 Subject blocks: every matrix product over the subjects is formed
-``_SUBJECT_BLOCK`` (240) subjects at a time, so that it rounds the same
-whatever number of threads BLAS runs. One layer step, ``_block_pass``,
-takes a block of subjects through every layer. Scoring (``linear_scores``,
-``forward``) walks the blocks and keeps only each block's logits, so a
-call holds its inputs plus O(240 x width) floats, not every layer's
-activations for every subject. Training stacks them: ``_forward_pass``
-runs the same ``_block_pass`` on each block and stacks each layer, which
-backpropagation reads whole, and the backward products go through
-``_by_subjects``; a weight gradient sums over the subjects, and is the
-sum of its block products added in block order. A block is the same
-operands either way, so scoring and training compute the same floats. Up
-to ``_SUBJECT_BLOCK`` + 1 subjects a product is one call, and no block is
-of one subject (BLAS would take its matrix-vector route, which rounds
-differently).
+``_SUBJECT_BLOCK`` (240) subjects at a time (``_subject_blocks``, cached per
+count), so that it rounds the same whatever number of threads BLAS runs.
+``_forward_pass`` takes each block through every layer, one ReLU per
+hidden layer, into the block's rows of each layer's array, which
+backpropagation reads whole. Scoring (``linear_scores``, ``forward``) runs
+it a block at a time and keeps only the logits, so a call holds its inputs
+plus O(240 x width) floats. The backward products go through
+``_by_subjects``; a weight gradient sums over the subjects, and is the sum
+of its block products added in block order. A block is the same operands
+either way, so scoring and training compute the same floats. Up to
+``_SUBJECT_BLOCK`` + 1 subjects a product is one call, and no block is of
+one subject (BLAS would take its matrix-vector route, which rounds
+differently). The output layer's backward product sums nothing (its inner
+dimension is 1): it is the broadcast ``delta * W.T``, without blocks. Its
+floats are BLAS's but for the sign of an exact zero (BLAS gives +0); the
+gradients' sums do not keep that sign here, and a parameter minus either
+zero is the same float unless it is -0, which none from ``init_mlp`` is.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -90,7 +95,8 @@ def init_mlp(input_dim: int, hidden_dims: tuple[int, ...], seed: int,
                         seed=seed, modality_tag=modality_tag)
 
 
-def _subject_blocks(n: int) -> list[tuple[int, int]]:
+@lru_cache(maxsize=16)
+def _subject_blocks(n: int) -> tuple[tuple[int, int], ...]:
     """Bounds of the blocks of ``_SUBJECT_BLOCK`` subjects, the last block
     taking one more subject rather than leaving a block of one: a one-row
     product goes through BLAS's matrix-vector routine, which rounds
@@ -98,7 +104,7 @@ def _subject_blocks(n: int) -> list[tuple[int, int]]:
     bounds = list(range(0, n, _SUBJECT_BLOCK)) + [n]
     if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
         del bounds[-2]
-    return list(zip(bounds[:-1], bounds[1:]))
+    return tuple(zip(bounds[:-1], bounds[1:]))
 
 
 def _by_subjects(a: np.ndarray, b: np.ndarray, reduce: bool = False) -> np.ndarray:
@@ -119,21 +125,20 @@ def _by_subjects(a: np.ndarray, b: np.ndarray, reduce: bool = False) -> np.ndarr
     return np.concatenate([a[lo:hi] @ b for lo, hi in blocks])
 
 
-def _block_pass(model: MlpSurvModel, x: np.ndarray) -> list[np.ndarray]:
-    """Pre-activations of every layer over one block of subjects ``x``, the
-    output layer's (the logits, as a column) last."""
-    pre = [x @ model.weights[0] + model.biases[0]]
-    for W, b in zip(model.weights[1:], model.biases[1:]):
-        pre.append(np.maximum(pre[-1], 0.0) @ W + b)
-    return pre
-
-
 def _forward_pass(model: MlpSurvModel, X: np.ndarray):
     """Returns (hidden activations per layer incl. input, preactivations,
-    logits), each layer's stacked from its subject blocks."""
-    blocks = [_block_pass(model, X[lo:hi]) for lo, hi in _subject_blocks(X.shape[0])]
-    pre = [np.concatenate(layer) for layer in zip(*blocks)]
-    hs = [X] + [np.maximum(a, 0.0) for a in pre[:-1]]
+    logits). Each subject block goes through every layer, one ReLU per
+    hidden layer, written into the block's rows of each layer's array."""
+    n = X.shape[0]
+    pre = [np.empty((n, W.shape[1])) for W in model.weights]
+    hs = [X] + [np.empty_like(a) for a in pre[:-1]]
+    for lo, hi in _subject_blocks(n):
+        h = X[lo:hi]
+        for W, b, a, relu in zip(model.weights, model.biases, pre, hs[1:] + [None]):
+            a = np.matmul(h, W, out=a[lo:hi])
+            a += b
+            if relu is not None:
+                h = np.maximum(a, 0.0, out=relu[lo:hi])
     return hs, pre[:-1], pre[-1].ravel()
 
 
@@ -152,7 +157,7 @@ def linear_scores(model: MlpSurvModel, X: np.ndarray) -> np.ndarray:
     X = _check_input(model, X)
     z = np.empty(X.shape[0])
     for lo, hi in _subject_blocks(X.shape[0]):
-        z[lo:hi] = _block_pass(model, X[lo:hi])[-1].ravel()
+        z[lo:hi] = _forward_pass(model, X[lo:hi])[2]
     return z
 
 
@@ -161,7 +166,8 @@ def sigmoid(x):
     overflows: ``1 / (1 + e)`` where x >= 0 and ``e / (1 + e)`` below."""
     x = np.asarray(x, dtype=float)
     e = np.exp(-np.abs(x))
-    out = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    d = 1.0 + e
+    out = np.where(x >= 0, 1.0 / d, e / d)
     return out if out.ndim else float(out)
 
 
@@ -210,7 +216,7 @@ def _loss_and_gradients(model, X, table: EventTable, weight_decay, tie_method):
     delta = dz[:, None]
     weight_grads[-1] = _by_subjects(hs[-1].T, delta, reduce=True)
     bias_grads[-1] = delta.sum(axis=0)
-    dh = _by_subjects(delta, model.weights[-1].T)
+    dh = delta * model.weights[-1].T
     for k in range(len(model.weights) - 2, -1, -1):
         da = dh * (pre[k] > 0.0)
         weight_grads[k] = _by_subjects(hs[k].T, da, reduce=True)
@@ -238,8 +244,8 @@ def train(model: MlpSurvModel, X: np.ndarray, labels: Labels, options: TrainOpti
     X = _check_input(model, X)
     table = labels.table
     val_table = None if val is None else val[1].table
-    work = replace(model, weights=[W.copy() for W in model.weights],
-                   biases=[b.copy() for b in model.biases])
+    # a step makes new parameter arrays, so no array is ever changed in place
+    work = replace(model, weights=list(model.weights), biases=list(model.biases))
     best_val = np.inf
     best_weights = None
     stale = 0
@@ -250,23 +256,23 @@ def train(model: MlpSurvModel, X: np.ndarray, labels: Labels, options: TrainOpti
         try:
             loss, wg, bg = _loss_and_gradients(work, X, table, options.weight_decay,
                                                options.tie_method)
-            if not np.isfinite(loss):
+            if not math.isfinite(loss):
                 raise DivergedLossError(f"training loss became {loss}")
             history.append(float(loss))
             for k in range(len(work.weights)):
-                work.weights[k] -= options.learning_rate * wg[k]
-                work.biases[k] -= options.learning_rate * bg[k]
+                work.weights[k] = work.weights[k] - options.learning_rate * wg[k]
+                work.biases[k] = work.biases[k] - options.learning_rate * bg[k]
             if val is None:
                 continue
             val_loss = _cox_loss_grad(forward(work, val[0]), val_table, options.tie_method,
                                       with_grad=False)
         except NonFiniteInputError as exc:
             raise DivergedLossError(f"parameters overflowed during training: {exc}") from exc
-        if not np.isfinite(val_loss):
+        if not math.isfinite(val_loss):
             raise DivergedLossError(f"validation loss became {val_loss}")
         if val_loss < best_val:
             best_val = val_loss
-            best_weights = ([W.copy() for W in work.weights], [b.copy() for b in work.biases])
+            best_weights = (list(work.weights), list(work.biases))
             stale = 0
         else:
             stale += 1

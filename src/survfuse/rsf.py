@@ -35,27 +35,29 @@ time). V is sum_g k_g n_left[g] (n_g - n_left[g]) over the node's G event
 times, n_left[g] counting the left child's subjects at risk, which each
 subject's grid rank r (it is at risk at grid[g] exactly when g < r) gives.
 
-The exact score, which decides every split, forms the exact integer
-n_left rows and sums each contiguous row pairwise, always with the same
-float operations. A feature with at most ``_FEW_CANDIDATES`` (1)
-candidate, as a binary one has, is scored at its candidates alone from a
-rank histogram, which costs O(node + candidates x G). Below ``_BOUND_MIN``
-(150) subjects a node scores every position of its other features at once
-from cumulative counts. From ``_BOUND_MIN`` subjects up, every candidate of
-the other features is bounded first, all features in one sweep of O(m (G /
-B + B)) for B = ``_SWEEP_BLOCK``: V(c) = sum_{i<=c} KN[r_i] - sum_{i,j<=c}
-K[min(r_i, r_j)] = A(c) - S(c), with K and KN the prefix sums of k and k n
-over the event times (LeBlanc and Crowley's updating sweep). Every term of
-A and S is non-negative, so the computed V(c) lies within gamma (A + S) of
-the exact-path variance, gamma being ``_BOUND_SAFETY`` (4) times (m + 2G + B +
-8) units of 2^-53, a count of the roundings on the way into either; the
-interval of each score is widened by gamma more for the exact path's sqrt
-and divide, and is [0, inf] where V may be zero. Only a candidate whose
-interval reaches both the feature's best lower bound and the best score so
-far is scored exactly, so the chosen splits, and with them the forests, are
-the same bit for bit as scoring every candidate. All temporaries are
-linear in the node size: the dense scores for small nodes take
-O(_SPLIT_BLOCK x G) at a time, the sweep O(features x (m + G + B^2)).
+The exact score, which decides every split, forms the exact integer n_left
+rows and sums each contiguous row pairwise, always with the same float
+operations. A feature with at most ``_FEW_CANDIDATES`` (1) candidate, as a
+binary one has, is scored at its candidates alone from a rank histogram,
+which costs O(node + candidates x G). Below ``_BOUND_MIN`` (150) subjects a
+node scores its other features at once from cumulative counts, at every
+position from the first admissible one, min_leaf - 1, on (the subjects
+before it are carried in as counts), and one masked argmax takes each
+feature's first best candidate. From ``_BOUND_MIN`` subjects up, every
+candidate of the other features is bounded first, all features in one sweep
+of O(m (G / B + B)) for B = ``_SWEEP_BLOCK``: V(c) = sum_{i<=c} KN[r_i] -
+sum_{i,j<=c} K[min(r_i, r_j)] = A(c) - S(c), with K and KN the prefix sums
+of k and k n over the event times (LeBlanc and Crowley's updating sweep).
+Every term of A and S is non-negative, so the computed V(c) lies within
+gamma (A + S) of the exact-path variance, gamma being ``_BOUND_SAFETY`` (4)
+times (m + 2G + B + 8) units of 2^-53, a count of the roundings on the way
+into either; the interval of each score is widened by gamma more for the
+exact path's sqrt and divide, and is [0, inf] where V may be zero. Only a
+candidate whose interval reaches both the feature's best lower bound and
+the best score so far is scored exactly, so the chosen splits, and with
+them the forests, are the same bit for bit as scoring every candidate. All
+temporaries are linear in the node size: the dense scores for small nodes
+take O(_SPLIT_BLOCK x G) at a time, the sweep O(features x (m + G + B^2)).
 
 Prediction sends each tree's rows down by node partition (``_leaves``):
 an internal node compares only the rows that reached it with its
@@ -183,29 +185,32 @@ def _leaf_mortality(counts: _NodeCounts) -> float:
     return float(_hazard(counts)[counts.below[1:]].sum())
 
 
-def _prefix_split_scores(ranks, prefix_resid, n_e, k_e, stop):
+def _prefix_split_scores(ranks, prefix_resid, n_e, k_e, lo, stop):
     """Split score |O - E| / sqrt(V) of the left child ``[:c + 1]`` of a
-    node's subjects in feature order, at every position ``c < stop`` of each
-    row (features x subjects); zero where the variance vanishes. ``ranks``
-    are the sorted subjects' grid ranks and ``prefix_resid`` the prefix sums
-    of their martingale residuals."""
+    node's subjects in feature order, at every position ``lo <= c < stop``
+    of each row (features x subjects), as columns ``c - lo``; zero where
+    the variance vanishes. ``ranks`` are the sorted subjects' grid ranks
+    and ``prefix_resid`` the prefix sums of their martingale residuals."""
     grid_index = np.arange(n_e.size)
-    var = np.empty((ranks.shape[0], stop))
+    var = np.empty((ranks.shape[0], stop - lo))
     # n_left[f, c, g]: subjects of the left child at c at risk at grid[g], as
-    # exact counts, built for _SPLIT_BLOCK (feature, subject) rows at a time
-    # with the counts of the earlier blocks carried in, so temporaries stay
-    # O(_SPLIT_BLOCK x event times). Each row is contiguous, so numpy sums
-    # it over the event times pairwise; a sequential sum would move split
-    # scores in the last bit.
+    # exact counts in floats, built for _SPLIT_BLOCK (feature, subject) rows
+    # at a time with the counts of the first lo subjects and of the earlier
+    # blocks carried in, so temporaries stay O(_SPLIT_BLOCK x event times).
+    # Each row is contiguous, so numpy sums it over the event times
+    # pairwise; a sequential sum would move split scores in the last bit.
     block = max(1, _SPLIT_BLOCK // ranks.shape[0])
-    carry = 0
-    for lo in range(0, stop, block):
-        n_left = (ranks[:, lo:min(lo + block, stop), None] > grid_index).astype(np.int32)
+    carry = np.count_nonzero(ranks[:, :lo, None] > grid_index, axis=1)
+    for at in range(lo, stop, block):
+        n_left = (ranks[:, at:min(at + block, stop), None] > grid_index).astype(float)
         n_left[:, 0] += carry
         np.cumsum(n_left, axis=1, out=n_left)
-        carry = n_left[:, -1]
-        var[:, lo:lo + n_left.shape[1]] = (k_e * n_left * (n_e - n_left)).sum(axis=2)
-    return _scores(var, prefix_resid[:, :stop])
+        carry = n_left[:, -1].copy()  # a copy: the products below overwrite n_left
+        right = n_e - n_left
+        n_left *= k_e
+        n_left *= right
+        var[:, at - lo:at - lo + n_left.shape[1]] = n_left.sum(axis=2)
+    return _scores(var, prefix_resid[:, lo:stop])
 
 
 def _sparse_split_scores(ranks, prefix_resid, n_e, k_e, cand):
@@ -229,10 +234,7 @@ def _sparse_split_scores(ranks, prefix_resid, n_e, k_e, cand):
 
 def _scores(var, num):
     """|num| / sqrt(var), zero where the variance vanishes."""
-    scores = np.zeros(var.shape)
-    ok = var > 0
-    scores[ok] = np.abs(num[ok]) / np.sqrt(var[ok])
-    return scores
+    return np.divide(np.abs(num), np.sqrt(var), out=np.zeros(var.shape), where=var > 0)
 
 
 def _variance_bounds(ranks, n_e, k_e):
@@ -322,43 +324,43 @@ def _best_split(X_cand, candidates, stats, min_leaf):
         return None
     values = X_cand.T
     orders = np.argsort(values, axis=1, kind="stable")
-    vs = np.take_along_axis(values, orders, axis=1)
+    vs = values[np.arange(values.shape[0])[:, None], orders]
     ranks = node_ranks[orders]
     prefix_resid = np.cumsum(resid[orders], axis=1)
     positions = np.arange(lo, hi + 1)
     admissible = vs[:, lo:hi + 1] < vs[:, lo + 1:hi + 2]
     # A feature with at most _FEW_CANDIDATES candidates, as a binary one
     # has, has each scored from a histogram. The others are taken together:
-    # in a node of fewer than _BOUND_MIN subjects every position is scored;
-    # in a larger node every candidate's score is bounded, and only those
-    # that can win are scored.
+    # in a node of fewer than _BOUND_MIN subjects every position is scored
+    # and a masked argmax finds each feature's first best candidate; in a
+    # larger node every candidate's score is bounded, and only those that
+    # can win are scored.
     few = admissible.sum(axis=1) <= _FEW_CANDIDATES
-    if not few.all():
+    # each feature's best score (0 if none) and its position, less lo
+    best, at = np.zeros(len(candidates)), np.zeros(len(candidates), dtype=np.intp)
+    if m < _BOUND_MIN and not few.all():
+        dense = _prefix_split_scores(ranks[~few], prefix_resid[~few], n_e, k_e, lo, hi + 1)
+        dense[~admissible[~few]] = -1.0
+        at[~few] = dense.argmax(axis=1)
+        best[~few] = dense[np.arange(dense.shape[0]), at[~few]]
+    elif not few.all():
+        bound_lo, bound_hi = _score_bounds(ranks[~few], prefix_resid[~few], n_e, k_e)
         row = np.cumsum(~few) - 1
-        if m < _BOUND_MIN:
-            dense = _prefix_split_scores(ranks[~few], prefix_resid[~few], n_e, k_e, hi + 1)
-        else:
-            bound_lo, bound_hi = _score_bounds(ranks[~few], prefix_resid[~few], n_e, k_e)
-    best_score = 0.0
-    best = None
-    for j, f in enumerate(candidates):
+    for j in np.flatnonzero(few | (m >= _BOUND_MIN)).tolist():
         cand = positions[admissible[j]]
-        if few[j]:
-            if cand.size == 0:
-                continue
+        if not few[j]:
+            cand = _survivors(cand, bound_lo[row[j], cand], bound_hi[row[j], cand], best.max())
+        if cand.size:
             scores = _sparse_split_scores(ranks[j], prefix_resid[j], n_e, k_e, cand)
-        elif m < _BOUND_MIN:
-            scores = dense[row[j], cand]
-        else:
-            cand = _survivors(cand, bound_lo[row[j], cand], bound_hi[row[j], cand], best_score)
-            if cand.size == 0:
-                continue
-            scores = _sparse_split_scores(ranks[j], prefix_resid[j], n_e, k_e, cand)
-        k = int(np.argmax(scores))
-        if scores[k] > best_score:
-            best_score = float(scores[k])
-            best = (int(f), float((vs[j, cand[k]] + vs[j, cand[k] + 1]) / 2.0))
-    return best
+            k = int(np.argmax(scores))
+            best[j], at[j] = scores[k], cand[k] - lo
+    # the first feature whose best is the largest, as a sequential search
+    # keeping only a strictly greater score finds it
+    j = int(np.argmax(best))
+    if best[j] <= 0.0:
+        return None
+    c = lo + at[j]
+    return int(candidates[j]), float((vs[j, c] + vs[j, c + 1]) / 2.0)
 
 
 def _grow_tree(X, t, e, rng, mtry, min_leaf, forest_grid):
@@ -376,7 +378,7 @@ def _grow_tree(X, t, e, rng, mtry, min_leaf, forest_grid):
         split = None
         if idx.size >= 2 * min_leaf and counts.deaths.size:
             candidates = rng.choice(n_features, size=min(mtry, n_features), replace=False)
-            split = _best_split(X[np.ix_(idx, candidates)], candidates,
+            split = _best_split(X[idx[:, None], candidates], candidates,
                                 _node_statistics(ranks, events, counts), min_leaf)
         node = len(feature)
         left.append(-1)

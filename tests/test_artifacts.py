@@ -460,6 +460,23 @@ class TestValidation:
         with pytest.raises(SchemaMismatchError, match=f"malformed {kind} body: {message}"):
             load_model(path)
 
+    @pytest.mark.parametrize("array, index, value", [("weights", (0, 0, 0), math.nan),
+                                                    ("biases", (0, 0), math.inf),
+                                                    ("weights", (1, 2, 0), -math.inf)])
+    @pytest.mark.parametrize("kind", ["deep_clinical", "fusion_multimodal"])
+    def test_non_finite_network_parameter_is_refused_on_save(self, fitted, tmp_path, array,
+                                                             index, value, kind):
+        # it used to be written as NaN or null, which load_model then refused
+        model = init_mlp(3, (4,), seed=1)
+        getattr(model, array)[index[0]][index[1:]] = value
+        if kind == "fusion_multimodal":
+            model = FusionBundle(fusion=fitted["fusion_mm"],
+                                 components={"clin": model, "img": fitted["mlp_i"]})
+        with pytest.raises(SchemaMismatchError,
+                           match="the network's weights and biases must be finite"):
+            save_model(tmp_path / "x.json", kind, model)
+        assert not (tmp_path / "x.json").exists()
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(IoError):
             load_model(tmp_path / "absent.json")

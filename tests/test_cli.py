@@ -985,6 +985,31 @@ class TestScore:
                 in done.stderr)
         assert not (tmp_path / "s.csv").exists()
 
+    @pytest.mark.parametrize("kind", ["rsf_imaging", "fusion_rsf"])
+    def test_non_finite_risk_is_refused_before_writing(self, cohort, run_result, tmp_path,
+                                                      caplog, kind):
+        # leaf mortalities of 1e308 load, being finite, but their sum over
+        # the trees is inf, which score used to write with exit 0
+        out, _ = run_result
+        doc = json.loads((out / "models" / f"{kind}.json").read_text())
+        forest = doc["model"] if kind == "rsf_imaging" else \
+            doc["model"]["components"]["rsf_img"]["model"]
+        for tree in forest["trees"]:
+            tree["leaf_mortality"] = [1e308] * len(tree["leaf_mortality"])
+        artifact = tmp_path / "huge.json"
+        artifact.write_text(json.dumps(doc))
+        with open(cohort / "clinical.csv", newline="") as fh:
+            first = next(csv.DictReader(fh))["patient_id"]
+        with np.errstate(over="ignore"):
+            code = main(["score", "--model", str(artifact),
+                         "--clinical", str(cohort / "clinical.csv"),
+                         "--features", str(cohort / "features.csv"),
+                         "--out", str(tmp_path / "s.csv")])
+        assert code == 1
+        assert (f"[score] {artifact} gives row 0 (patient {first}) the risk inf, which is not"
+                " finite" in caplog.text)
+        assert not (tmp_path / "s.csv").exists()
+
     def test_missing_artifact_is_runtime_error(self, cohort, tmp_path):
         code = main(["score", "--model", str(tmp_path / "ghost.json"),
                      "--clinical", str(cohort / "clinical.csv"),

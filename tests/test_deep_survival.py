@@ -467,7 +467,7 @@ class TestSubjectBlocks:
     ])
     def test_no_block_of_one_subject(self, n, bounds):
         assert BLOCK == 240
-        assert deep_survival._subject_blocks(n) == bounds == block_bounds(n, BLOCK)
+        assert list(deep_survival._subject_blocks(n)) == bounds == block_bounds(n, BLOCK)
 
     @settings(max_examples=60, deadline=None)
     @given(networks(1, 3 * BLOCK + 2, STUDY_SHAPES) | networks(3990, 4010, STUDY_SHAPES))
@@ -529,6 +529,141 @@ class TestSubjectBlocks:
         assert loss == ref_loss
         for got, want in zip(wg + bg, ref_wg + ref_bg):
             assert same_bits(got, want)
+
+
+def recomputing_forward_pass(model, X):
+    """``deep_survival._forward_pass`` as it was before it wrote each block
+    into the layer arrays: each block's pre-activations, stacked by
+    ``np.concatenate``, and every hidden layer's ReLU formed again from the
+    stacked pre-activations; kept as its oracle."""
+    def block_pass(x):
+        pre = [x @ model.weights[0] + model.biases[0]]
+        for W, b in zip(model.weights[1:], model.biases[1:]):
+            pre.append(np.maximum(pre[-1], 0.0) @ W + b)
+        return pre
+
+    blocks = [block_pass(X[lo:hi]) for lo, hi in block_bounds(X.shape[0], BLOCK)]
+    pre = [np.concatenate(layer) for layer in zip(*blocks)]
+    hs = [X] + [np.maximum(a, 0.0) for a in pre[:-1]]
+    return hs, pre[:-1], pre[-1].ravel()
+
+
+def blas_loss_and_gradients(model, X, table, weight_decay, tie_method="efron"):
+    """``deep_survival._loss_and_gradients`` as it was: the recomputing
+    forward pass, and the output layer's backward product ``delta @ W.T``
+    through ``_by_subjects``; kept as its oracle."""
+    hs, pre, z = recomputing_forward_pass(model, X)
+    s = sigmoid(z)
+    loss, dloss_ds = deep_survival._cox_loss_grad(s, table, tie_method)
+    if weight_decay > 0:
+        loss += 0.5 * weight_decay * sum(float((W ** 2).sum()) for W in model.weights)
+    delta = (dloss_ds * s * (1.0 - s))[:, None]
+    wg = [None] * len(model.weights)
+    bg = [None] * len(model.biases)
+    wg[-1] = deep_survival._by_subjects(hs[-1].T, delta, reduce=True)
+    bg[-1] = delta.sum(axis=0)
+    dh = deep_survival._by_subjects(delta, model.weights[-1].T)
+    for k in range(len(model.weights) - 2, -1, -1):
+        da = dh * (pre[k] > 0.0)
+        wg[k] = deep_survival._by_subjects(hs[k].T, da, reduce=True)
+        bg[k] = da.sum(axis=0)
+        if k > 0:
+            dh = deep_survival._by_subjects(da, model.weights[k].T)
+    if weight_decay > 0:
+        wg = [g + weight_decay * W for g, W in zip(wg, model.weights)]
+    return loss, wg, bg
+
+
+@st.composite
+def pass_networks(draw):
+    """A network of one or two hidden layers of widths up to 64 on a cohort
+    of one, two or three blocks, either side of their bounds."""
+    n = draw(st.sampled_from((1, 2, 140, 240, 241, 242, 480, 481, 482, 700))
+             | st.integers(1, 3 * BLOCK + 1))
+    widths = st.integers(1, 64)
+    shape = draw(st.sampled_from(STUDY_SHAPES)
+                 | st.tuples(widths, st.lists(widths, min_size=1, max_size=2).map(tuple)))
+    return draw(networks(n, n, [shape]))
+
+
+def zero_sign_free(a):
+    """``a`` with each -0.0 made +0.0, every other float as it is."""
+    return np.asarray(a) + 0.0
+
+
+class TestOnePassPerStep:
+    @settings(max_examples=80, deadline=None)
+    @given(pass_networks())
+    def test_forward_pass_is_the_recomputing_pass(self, net):
+        model, X, _ = net
+        hs, pre, z = deep_survival._forward_pass(model, X)
+        want_hs, want_pre, want_z = recomputing_forward_pass(model, X)
+        assert len(hs) == len(want_hs) and len(pre) == len(want_pre)
+        assert hs[0] is X
+        for got, want in zip(hs + pre + [z], want_hs + want_pre + [want_z]):
+            assert same_bits(got, want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(pass_networks(), st.sampled_from([0.0, 1e-2]))
+    def test_loss_and_gradients_are_the_blas_backward(self, net, wd):
+        # bit for bit, a hidden layer's bias gradient up to the sign of an
+        # exact zero: the output product's zeros keep their sign (see
+        # test_output_product_is_the_blas_product), and how a sum of signed
+        # zeros comes out is numpy's choice
+        model, X, labels = net
+        loss, wg, bg = objective(model, X, labels, wd)
+        want_loss, want_wg, want_bg = blas_loss_and_gradients(model, X, labels.table, wd)
+        assert same_bits(loss, want_loss)
+        for got, want in zip(wg + bg[-1:], want_wg + want_bg[-1:]):
+            assert same_bits(got, want)
+        for got, want in zip(bg[:-1], want_bg[:-1]):
+            assert same_bits(zero_sign_free(got), zero_sign_free(want))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from((1, 2, 140, 240, 241, 242, 481, 723)), st.integers(1, 64),
+           st.integers(0, 2**16))
+    def test_output_product_is_the_blas_product(self, n, width, seed):
+        # an inner dimension of 1 sums nothing: each float is the one
+        # product, which BLAS rounds the same; only an exact zero may
+        # differ, in its sign (OpenBLAS adds the product to +0, so it gives
+        # +0 where the broadcast keeps the product's sign)
+        rng = np.random.default_rng(seed)
+        delta = rng.standard_normal((n, 1)) * rng.choice([1e-300, 1.0, 1e300], (n, 1))
+        delta[rng.random(n) < 0.2] = 0.0
+        delta[rng.random(n) < 0.2] = -0.0
+        W = rng.standard_normal((width, 1))
+        W[rng.random(width) < 0.2] = 0.0
+        with np.errstate(over="ignore", under="ignore"):
+            got = delta * W.T
+            want = deep_survival._by_subjects(delta, W.T)
+        nonzero = got != 0.0
+        assert same_bits(got[nonzero], want[nonzero])
+        assert np.array_equal(got, want)
+
+    def test_exact_zero_gradient_trains_as_the_blas_backward(self):
+        # one subject, who dies: the loss's gradient is an exact -0, so the
+        # broadcast output product holds -0 where OpenBLAS's holds +0; the
+        # gradients, the history and the trained parameters are the same
+        X = np.array([[0.5, -1.0, 2.0]])
+        labels = Labels([3.0], [True])
+        model = init_mlp(3, (4, 5), seed=2)
+        s = sigmoid(deep_survival._forward_pass(model, X)[2])
+        delta = (deep_survival._cox_loss_grad(s, labels.table)[1] * s * (1.0 - s))[:, None]
+        assert delta[0, 0] == 0.0 and np.signbit(delta[0, 0])
+        W = model.weights[-1].T
+        assert np.signbit(delta * W).any()
+        loss, wg, bg = objective(model, X, labels, 1e-3)
+        want_loss, want_wg, want_bg = blas_loss_and_gradients(model, X, labels.table, 1e-3)
+        assert same_bits(loss, want_loss)
+        for got, want in zip(wg + bg, want_wg + want_bg):
+            assert same_bits(zero_sign_free(got), zero_sign_free(want))
+        opts = train_options(learning_rate=0.1, epochs=5, patience=5, weight_decay=1e-3)
+        got, got_history = train(model, X, labels, opts, val=(X, labels))
+        with mock.patch.object(deep_survival, "_loss_and_gradients", blas_loss_and_gradients):
+            want, want_history = train(model, X, labels, opts, val=(X, labels))
+        assert got_history == want_history
+        for a, b in zip(got.weights + got.biases, want.weights + want.biases):
+            assert same_bits(a, b)
 
 
 class TestSigmoid:

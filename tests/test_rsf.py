@@ -183,6 +183,104 @@ def dense_best_split(X_node, t_node, e_node, candidates, min_leaf):
     return best
 
 
+def prefix_split_scores_from_zero(ranks, prefix_resid, n_e, k_e, stop):
+    """``rsf._prefix_split_scores`` as it was before it started at the first
+    admissible position: every position ``c < stop``, from int32 counts
+    carried from position 0; kept as its oracle."""
+    grid_index = np.arange(n_e.size)
+    var = np.empty((ranks.shape[0], stop))
+    block = max(1, rsf._SPLIT_BLOCK // ranks.shape[0])
+    carry = 0
+    for lo in range(0, stop, block):
+        n_left = (ranks[:, lo:min(lo + block, stop), None] > grid_index).astype(np.int32)
+        n_left[:, 0] += carry
+        np.cumsum(n_left, axis=1, out=n_left)
+        carry = n_left[:, -1]
+        var[:, lo:lo + n_left.shape[1]] = (k_e * n_left * (n_e - n_left)).sum(axis=2)
+    scores = np.zeros(var.shape)
+    ok = var > 0
+    scores[ok] = np.abs(prefix_resid[:, :stop][ok]) / np.sqrt(var[ok])
+    return scores
+
+
+def loop_best_split(X_cand, candidates, stats, min_leaf):
+    """``rsf._best_split`` as it was before the masked argmax: a Python loop
+    over the features that keeps a strictly greater score, a node below
+    ``_BOUND_MIN`` reading every position's dense score from position 0;
+    kept as its oracle."""
+    n_e, k_e, resid, node_ranks = stats
+    m = node_ranks.size
+    if n_e.size == 0:
+        return None
+    lo, hi = min_leaf - 1, m - min_leaf - 1
+    if hi < lo:
+        return None
+    values = X_cand.T
+    orders = np.argsort(values, axis=1, kind="stable")
+    vs = np.take_along_axis(values, orders, axis=1)
+    ranks = node_ranks[orders]
+    prefix_resid = np.cumsum(resid[orders], axis=1)
+    positions = np.arange(lo, hi + 1)
+    admissible = vs[:, lo:hi + 1] < vs[:, lo + 1:hi + 2]
+    few = admissible.sum(axis=1) <= rsf._FEW_CANDIDATES
+    if not few.all():
+        row = np.cumsum(~few) - 1
+        if m < rsf._BOUND_MIN:
+            dense = prefix_split_scores_from_zero(ranks[~few], prefix_resid[~few], n_e, k_e,
+                                                  hi + 1)
+        else:
+            bound_lo, bound_hi = _score_bounds(ranks[~few], prefix_resid[~few], n_e, k_e)
+    best_score = 0.0
+    best = None
+    for j, f in enumerate(candidates):
+        cand = positions[admissible[j]]
+        if few[j]:
+            if cand.size == 0:
+                continue
+            scores = _sparse_split_scores(ranks[j], prefix_resid[j], n_e, k_e, cand)
+        elif m < rsf._BOUND_MIN:
+            scores = dense[row[j], cand]
+        else:
+            cand = _survivors(cand, bound_lo[row[j], cand], bound_hi[row[j], cand], best_score)
+            if cand.size == 0:
+                continue
+            scores = _sparse_split_scores(ranks[j], prefix_resid[j], n_e, k_e, cand)
+        k = int(np.argmax(scores))
+        if scores[k] > best_score:
+            best_score = float(scores[k])
+            best = (int(f), float((vs[j, cand[k]] + vs[j, cand[k] + 1]) / 2.0))
+    return best
+
+
+@st.composite
+def small_nodes(draw):
+    """(X, t, e, min_leaf) of a node below ``_BOUND_MIN`` subjects: tied
+    times and feature values, binary, few-valued, constant and copied
+    features, nodes without events or whose every score is zero (one time,
+    all dead), and min_leaf at both ends of its range. The drawn seed picks
+    the sizes, so that shrinking does not pull every node to one."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = int(rng.integers(2, rsf._BOUND_MIN))
+    levels = rng.choice([1, 3, 40, m])
+    t = rng.integers(1, levels + 1, m).astype(float)
+    e = rng.random(m) < rng.choice([0.0, 0.05, 0.3, 0.9, 1.0])
+    columns = []
+    for kind in rng.choice(["continuous", "binary", "levels", "constant", "copy"],
+                           size=rng.integers(1, 8)):
+        if kind == "copy" and columns:
+            columns.append(columns[-1])
+        elif kind == "binary":
+            columns.append(rng.integers(0, 2, m).astype(float))
+        elif kind == "levels":
+            columns.append(rng.integers(0, 5, m).astype(float))
+        elif kind == "constant":
+            columns.append(np.full(m, rng.standard_normal()))
+        else:
+            columns.append(rng.standard_normal(m) + rng.choice([0.0, 1.0]) * t / levels)
+    min_leaf = rng.choice([1, m // 2, rng.integers(1, m // 2 + 1)])
+    return np.column_stack(columns), t, e, max(1, int(min_leaf))
+
+
 @st.composite
 def split_nodes(draw):
     """(X, t, e, min_leaf) of one node: heavy time ties and censoring, and
@@ -358,7 +456,7 @@ def prefix_split_score(left, right):
     t = np.concatenate([left.times, right.times])
     e = np.concatenate([left.events, right.events])
     ranks, prefix_resid, n_e, k_e = sorted_node(t, e, np.arange(t.size))
-    dense = _prefix_split_scores(ranks, prefix_resid, n_e, k_e, len(left))[0, -1]
+    dense = _prefix_split_scores(ranks, prefix_resid, n_e, k_e, 0, len(left))[0, -1]
     sparse = _sparse_split_scores(ranks[0], prefix_resid[0], n_e, k_e, np.array([len(left) - 1]))
     assert sparse[0] == dense
     return float(dense)
@@ -490,7 +588,7 @@ class TestBestSplit:
             stop = cand[-1] + 1 if cand.size else 0
             for block in SPLIT_BLOCKS:
                 with mock.patch.object(rsf, "_SPLIT_BLOCK", block):
-                    every = _prefix_split_scores(ranks, prefix_resid, n_e, k_e, stop)
+                    every = _prefix_split_scores(ranks, prefix_resid, n_e, k_e, 0, stop)
                     sparse = _sparse_split_scores(ranks[0], prefix_resid[0], n_e, k_e, cand)
                 assert np.array_equal(every[0, cand], want)
                 assert np.array_equal(sparse, want)
@@ -510,6 +608,38 @@ class TestBestSplit:
                                          _SWEEP_BLOCK=sweep_block, _BOUND_MIN=bound_min,
                                          _FEW_CANDIDATES=few):
                     assert best_split(X, t, e, candidates, min_leaf) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_nodes(), st.randoms(use_true_random=False))
+    def test_small_node_search_is_the_feature_loop(self, node, random):
+        # the masked argmax over the dense features picks the split that the
+        # per-feature loop's strictly greater rule picked, ties included
+        X, t, e, min_leaf = node
+        candidates = np.array(random.sample(range(X.shape[1]), X.shape[1]))
+        stats = node_statistics(t, e)
+        want = loop_best_split(X[:, candidates], candidates, stats, min_leaf)
+        for block in SPLIT_BLOCKS:
+            with mock.patch.object(rsf, "_SPLIT_BLOCK", block):
+                assert _best_split(X[:, candidates], candidates, stats, min_leaf) == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_nodes())
+    def test_prefix_scores_from_lo_are_those_from_zero(self, node):
+        X, t, e, min_leaf = node
+        assume(e.any())  # split search only scores nodes with an event
+        n_e, k_e, resid, node_ranks = node_statistics(t, e)
+        orders = np.argsort(X.T, axis=1, kind="stable")
+        ranks = node_ranks[orders]
+        prefix_resid = np.cumsum(resid[orders], axis=1)
+        m = t.size
+        for block in SPLIT_BLOCKS:
+            with mock.patch.object(rsf, "_SPLIT_BLOCK", block):
+                want = prefix_split_scores_from_zero(ranks, prefix_resid, n_e, k_e, m)
+                for lo in sorted({0, min_leaf - 1, m // 2, m - 1}):
+                    for stop in sorted({lo + 1, m - min_leaf, m}):
+                        if stop > lo:
+                            got = _prefix_split_scores(ranks, prefix_resid, n_e, k_e, lo, stop)
+                            assert same_bits(got, want[:, lo:stop])
 
     @settings(max_examples=60)
     @given(large_nodes())
