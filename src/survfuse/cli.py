@@ -95,10 +95,12 @@ def _stage(name: str):
 
 
 def _write_json(path, doc) -> None:
+    # encoded before the file is opened: a NaN or infinite number raises
+    # ValueError, and no file is written
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(text + "\n")
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
@@ -285,7 +287,10 @@ def cmd_score(args) -> int:
                 )
             ds = apply_imputation(ds, artifact.imputation)
             pesi_points = pesi.pesi_scores(ds)
-            risks = _score_records(artifact, ds, pesi_points)
+            # a risk that overflows is refused below, naming its row, so
+            # numpy's warning about it would only name library internals
+            with np.errstate(over="ignore", invalid="ignore"):
+                risks = _score_records(artifact, ds, pesi_points)
             bad = np.flatnonzero(~np.isfinite(risks))
             if bad.size:
                 i = int(bad[0])

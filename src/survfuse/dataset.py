@@ -22,8 +22,9 @@ The feature file has one row per acquisition (a patient may have several)::
 
     patient_id, acquisition_id, pe_probability, f0, f1, ..., f{d-1}
 
-``feature_csv.read_columns`` is its one parser, into columns that
-``ingest_features`` makes arrays of. Each patient keeps the acquisition
+``feature_csv`` parses it into columns that ``ingest_features`` makes
+arrays of: ``read_columns`` reads the file, and a ``FeatureRead`` parses
+its row blocks with the same row checks. Each patient keeps the acquisition
 with the highest ``pe_probability``, the first in the file on ties.
 
 Empty cells are treated as missing. Vital signs are thresholded into
@@ -383,9 +384,8 @@ def ingest_features(source) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     on it, whose result is taken here. Returns ``(patient_ids,
     pe_probability, features)`` in file order: an object array of id
     strings, a float array, and a read-only ``(rows, d)`` float matrix over
-    the parsed cells. The checks and the parse are those of
-    ``feature_csv.read_columns``, whether it ran in this process or in the
-    read's child.
+    the parsed cells. The checks, the parse and any error are those of
+    ``feature_csv.read_columns``, whichever process parsed which rows.
     """
     if isinstance(source, FeatureRead):
         pids, probs, cells, d = source.result()

@@ -1,12 +1,14 @@
 """Forked children: how survfuse runs work on another CPU.
 
-Three callers fork. ``feature_csv.FeatureRead`` parses a feature CSV of at
-least ``_FORK_MIN_BYTES`` (1 MiB) in a child started before ``score`` or
+Three callers fork, and each is a ``Tasks`` pool on one child per usable
+CPU but one. ``feature_csv.FeatureRead`` parses the row blocks of a feature
+CSV of at least ``_FORK_MIN_BYTES`` (1 MiB), started before ``score`` or
 ``run`` imports numpy; ``rsf.start_forests`` grows a batch of forests of at
-least ``_POOL_MIN_WORK`` (2500) subjects x trees on one child per usable
-CPU but one, while the networks train; ``analysis.run_study_full``
-evaluates the study's bootstrap tasks the same way, once BLAS is pinned to
-one thread. With one usable CPU none forks.
+least ``_POOL_MIN_WORK`` (2500) subjects x trees while the networks train;
+``analysis.run_study_full`` evaluates the study's bootstrap tasks once BLAS
+is pinned to one thread. Each caller computes the tasks no child has taken
+when it asks for the results, so its wait becomes work. With one usable
+CPU none forks.
 
 A ``Child`` computes ``fn(*args)`` in a forked process, which inherits the
 function and its arguments instead of being sent them, and sends the value
@@ -204,13 +206,16 @@ class Tasks(_Closing):
         for child in self._children:
             for k, value in (child.result() or {}).items():
                 values[k] = value
-        self.close()
         # a task taken by a child that failed
-        return [self._run(k) if value is None else value for k, value in enumerate(values)]
+        values = [self._run(k) if value is None else value for k, value in enumerate(values)]
+        self.close()
+        return values
 
     def close(self) -> None:
-        """Kill and reap the children; ``results`` can no longer be taken."""
+        """Kill and reap the children and let go of the tasks' function;
+        ``results`` can no longer be taken."""
         for child in self._children:
             child.close()
         self._children = []
         self._counter.close()
+        self._fn = None

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -374,6 +375,27 @@ class TestRun:
         assert code == 0
         assert (second_out / "report.json").read_bytes() == \
             (first_out / "report.json").read_bytes()
+
+    def test_non_finite_report_number_fails_the_report_stage(self, cohort, tmp_path, caplog,
+                                                             monkeypatch):
+        # report.json is strict JSON: a NaN is refused before the file is opened
+        from survfuse import analysis
+
+        run_study_full = analysis.run_study_full
+
+        def nan_cell(ds, cfg):
+            report, arts = run_study_full(ds, cfg)
+            report.overall["test"]["pesi"]["c_index"] = math.nan
+            return report, arts
+
+        monkeypatch.setattr(analysis, "run_study_full", nan_cell)
+        out = tmp_path / "nan"
+        code = main(["run", "--config", write_config(tmp_path),
+                     "--clinical", str(cohort / "clinical.csv"),
+                     "--models", "pesi", "--seed", "11", "--out", str(out)])
+        assert code == 2
+        assert "[report] Out of range float values are not JSON compliant" in caplog.text
+        assert not (out / "report.json").exists()
 
     def test_imaging_models_without_features_fail_validation(self, cohort, tmp_path):
         out = tmp_path / "nofeat"
@@ -1000,12 +1022,15 @@ class TestScore:
         artifact.write_text(json.dumps(doc))
         with open(cohort / "clinical.csv", newline="") as fh:
             first = next(csv.DictReader(fh))["patient_id"]
-        with np.errstate(over="ignore"):
+        # numpy's default floating-point policy: warn
+        with np.errstate(all="warn"), warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
             code = main(["score", "--model", str(artifact),
                          "--clinical", str(cohort / "clinical.csv"),
                          "--features", str(cohort / "features.csv"),
                          "--out", str(tmp_path / "s.csv")])
         assert code == 1
+        assert not [w for w in seen if issubclass(w.category, RuntimeWarning)]
         assert (f"[score] {artifact} gives row 0 (patient {first}) the risk inf, which is not"
                 " finite" in caplog.text)
         assert not (tmp_path / "s.csv").exists()

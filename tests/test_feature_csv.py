@@ -1,4 +1,5 @@
-"""The feature CSV read that ``score`` and ``run`` start in a forked child.
+"""The feature CSV read that ``score`` and ``run`` start before they import
+numpy: its row blocks are parsed on forked children and in the caller.
 
 Every check runs with the read forked (two usable CPUs) and in this process
 (one usable CPU): the two must give the same arrays, the same exit codes
@@ -9,6 +10,7 @@ import csv
 import hashlib
 import json
 import os
+import random
 import signal
 import subprocess
 import sys
@@ -24,10 +26,10 @@ import survfuse
 from survfuse import feature_csv
 from survfuse.cli import main
 from survfuse.dataset import ingest_features
-from survfuse.feature_csv import FeatureRead
+from survfuse.feature_csv import FeatureRead, read_columns
 
 from conftest import assert_no_child
-from strategies import same_bits
+from strategies import outcome, same_bits
 
 SRC = str(Path(survfuse.__file__).resolve().parents[1])
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -110,6 +112,8 @@ def broken_features(src, dst, fault):
         rows = drop_columns(rows, {h for h in rows[0] if h.startswith("f")})
     elif fault == "non_contiguous":
         rows[0][rows[0].index("f1")] = "f99"
+    elif fault == "superscript_column":  # str.isdigit() holds, int() fails
+        rows[0][rows[0].index("f1")] = "f\u00b2"
     elif fault == "empty_file":
         rows = []
     write_rows(dst, rows)
@@ -128,6 +132,7 @@ FAULTS = {
     "missing_column": "feature CSV is missing column 'acquisition_id'",
     "no_feature_columns": "feature CSV has no f0..f{d-1} columns",
     "non_contiguous": "feature columns must be contiguous f0..f{d-1}",
+    "superscript_column": "invalid literal for int() with base 10: '\u00b2'",
     "empty_file": "feature CSV is empty",
     "undecodable": "codec can't decode byte 0xff",
 }
@@ -156,7 +161,7 @@ class TestErrorParity:
         assert len(forks) == 1  # the forked read ran, and only it
         assert seen["forked"] == seen["in_process"]
         # the reader's own failure is not a validation error
-        assert seen["forked"][0] == (2 if fault == "undecodable" else 1)
+        assert seen["forked"][0] == (2 if fault in ("undecodable", "superscript_column") else 1)
 
     @pytest.mark.parametrize("cpus", sorted(PATHS.values()))
     def test_clinical_error_is_reported_first(self, panel, tmp_path, monkeypatch, caplog,
@@ -172,18 +177,22 @@ class TestErrorParity:
         assert_no_child()
 
     def test_child_killed_before_sending(self, panel, tmp_path, monkeypatch, forks):
-        # the parent reads the file itself and scores as it would have
+        # the parent parses the blocks itself and scores as it would have
         use_cpus(monkeypatch, 1)
         assert score(panel, tmp_path, panel / "features.csv") == 0
         want = (tmp_path / "s.csv").read_bytes()
-        parent, read_columns = os.getpid(), feature_csv.read_columns
+        parent, parse = os.getpid(), feature_csv._Blocks.parse
 
-        def dies_in_the_child(path):
+        def dies_in_the_child(blocks, k):
             if os.getpid() != parent:
                 os.kill(os.getpid(), signal.SIGKILL)
-            return read_columns(path)
+            return parse(blocks, k)
 
-        monkeypatch.setattr(feature_csv, "read_columns", dies_in_the_child)
+        def not_called(path):
+            raise AssertionError("the file was read again whole")
+
+        monkeypatch.setattr(feature_csv._Blocks, "parse", dies_in_the_child)
+        monkeypatch.setattr(feature_csv, "read_columns", not_called)
         use_cpus(monkeypatch, 2)
         assert score(panel, tmp_path, panel / "features.csv") == 0
         assert len(forks) == 1
@@ -339,6 +348,144 @@ class TestForkedReadParity:
         with FeatureRead(path) as read:
             assert ingest_features(read)[2].tolist() == [[2.5]]
         assert_no_child()
+
+
+# the fault planted in one data row of a generated feature CSV
+BLOCK_FAULTS = ("none", "empty", "x", "nan", "inf", "1e309", "probability", "cell_count",
+                "blank_line", "empty_id")
+
+
+@st.composite
+def block_cases(draw):
+    """``(text, fault, rows)``: a feature CSV of d of 1-40 and 0-400 rows, LF or
+    CRLF line ends, with or without a final one, ids with spaces and
+    shuffled columns, with one fault of ``BLOCK_FAULTS`` planted at a random
+    row. The cells come from a drawn seed, so large files draw fast."""
+    d, n = draw(st.integers(1, 40)), draw(st.integers(0, 400))
+    fault = draw(st.sampled_from(BLOCK_FAULTS[1:])) if n and draw(st.booleans()) else "none"
+    at = draw(st.integers(0, max(n - 1, 0)))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    header = ["patient_id", "acquisition_id", "pe_probability", *(f"f{k}" for k in range(d))]
+    rng.shuffle(header)
+    lines = [",".join(header)]
+    for i in range(n):
+        values = {"patient_id": rng.choice([f"P{i // 2}", f"P {i // 2}", f" P{i // 2} "]),
+                  "acquisition_id": f"A{i % 2}",
+                  "pe_probability": rng.choice(["0", "1", " 0.25", repr(rng.random())])}
+        values.update({f"f{k}": rng.choice([repr(rng.gauss(0.0, 1e3)), str(rng.randint(-9, 9)),
+                                            " 1.5 ", "1e-3", "-0"]) for k in range(d)})
+        if i == at:
+            if fault in ("empty", "x", "nan", "inf", "1e309"):
+                values[f"f{rng.randrange(d)}"] = "" if fault == "empty" else fault
+            elif fault == "probability":
+                values["pe_probability"] = rng.choice(["1.5", "-0.1", "nan"])
+            elif fault == "empty_id":
+                values["patient_id"] = rng.choice(["", " "])
+            elif fault == "blank_line":
+                lines.append("")
+        cells = [values[h] for h in header]
+        if i == at and fault == "cell_count":
+            cells = cells[:-1] if rng.random() < 0.5 else [*cells, "1"]
+        lines.append(",".join(cells))
+    text = end.join(lines)
+    return (text + end if draw(st.booleans()) else text), fault, n
+
+
+def read_in_blocks(path, block_bytes, workers):
+    """``outcome`` of ``FeatureRead(path).result()``, with blocks of
+    ``block_bytes`` on ``workers`` children; whether the file was cut into
+    blocks, and whether ``read_columns`` ran in this process."""
+    called = []
+
+    def spy(path):
+        called.append(path)
+        return read_columns(path)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(feature_csv, "_BLOCK_BYTES", block_bytes)
+        mp.setattr(feature_csv, "_FORK_MIN_BYTES", 0)
+        mp.setattr(feature_csv, "usable_cpus", lambda: workers + 1)
+        mp.setattr(feature_csv, "read_columns", spy)
+        with FeatureRead(path) as read:
+            cut = read._blocks is not None
+            got = outcome(read.result)
+    assert_no_child()
+    return got, cut, bool(called)
+
+
+def same_columns(got, want):
+    """The same ids, probability bytes, cell bytes and width."""
+    return (got[0] == want[0] and bytes(got[1]) == bytes(want[1])
+            and bytes(got[2]) == bytes(want[2]) and got[3] == want[3])
+
+
+class TestBlockReadParity:
+    @settings(max_examples=60)
+    @given(block_cases(), st.integers(64, 4096))
+    def test_block_read_is_read_columns(self, case, block_bytes):
+        text, fault, rows = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "f.csv"
+            path.write_bytes(text.encode())
+            want, want_error = outcome(read_columns, path)
+            assert (want_error is None) == (fault == "none")
+            for workers in (0, 1, 2):
+                (got, error), cut, fell_back = read_in_blocks(path, block_bytes, workers)
+                assert error == want_error
+                assert cut == (rows > 0)
+                # a well-formed file is parsed in blocks alone
+                assert fell_back == (error is not None or not cut)
+                assert error is not None or same_columns(got, want)
+
+    # bytes csv.reader reads otherwise than a split at LF and commas, or not at all
+    ODD_BODIES = {
+        "lone_cr_line_ends": b"P1,A0,0.5,1.5\rP2,A0,0.5,2.5\r",
+        "cr_in_a_cell": b"P1,A0,0.5,1.5\nP\r2,A0,0.5,2.5\n",
+        "nul_in_an_id": b"P1,A0,0.5,1.5\nP\x002,A0,0.5,2.5\n",
+        "long_id": b"P1,A0,0.5,1.5\n" + b"P" * 300 + b",A0,0.5,2.5\n",
+        "undecodable_id": b"P1,A0,0.5,1.5\nP\xff,A0,0.5,2.5\n",
+        "blank_last_line": b"P1,A0,0.5,1.5\n\n",
+    }
+
+    @pytest.mark.parametrize("body", sorted(ODD_BODIES))
+    def test_what_csv_reads_otherwise_is_left_to_it(self, tmp_path, body):
+        path = tmp_path / "f.csv"
+        path.write_bytes(b"patient_id,acquisition_id,pe_probability,f0\n" + self.ODD_BODIES[body])
+        limit = csv.field_size_limit(200)  # "long_id" exceeds it
+        try:
+            want, want_error = outcome(read_columns, path)
+            for workers in (0, 1):
+                (got, error), cut, fell_back = read_in_blocks(path, 64, workers)
+                assert cut and fell_back and error == want_error
+                assert error is not None or same_columns(got, want)
+        finally:
+            csv.field_size_limit(limit)
+
+    @pytest.mark.parametrize("workers", [0, 1, 2])
+    def test_quoted_fields_read_the_file_whole(self, tmp_path, workers):
+        # quoted ids, and quoted acquisition ids spanning a line end, which a
+        # cut at that line end would split
+        lines = ["patient_id,acquisition_id,pe_probability,f0,f1"]
+        lines += [f'"P {i}","A{i}\nscan",0.5,{i / 7!r},-0' for i in range(200)]
+        path = tmp_path / "f.csv"
+        path.write_text("\n".join(lines) + "\n")
+        want = read_columns(path)
+        assert want[0][1] == "P 1" and len(want[0]) == 200
+        (got, error), cut, _ = read_in_blocks(path, 64, workers)
+        assert error is None and not cut and same_columns(got, want)
+
+    @pytest.mark.parametrize("workers", [0, 1])
+    def test_other_encodings_read_the_file_whole(self, tmp_path, monkeypatch, workers):
+        # a file whose open() codec is not one of _BLOCK_CODECS, here UTF-8
+        # (or the locale's), is left to read_columns
+        monkeypatch.setattr(feature_csv, "_BLOCK_CODECS", ("ascii",))
+        path = tmp_path / "f.csv"
+        path.write_text("patient_id,acquisition_id,pe_probability,f0\nP\u00e9,A0,0.5,2.5\n",
+                        encoding="utf-8")
+        (got, error), cut, _ = read_in_blocks(path, 64, workers)
+        assert error is None and not cut and same_columns(got, read_columns(path))
+
 
 
 EXPORTED = [

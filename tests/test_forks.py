@@ -171,7 +171,7 @@ def large_feature_csv(path):
 _STARTS = {
     "Child": (lambda path: Child(time.sleep, 30.0), lambda child: child._pid),
     "Tasks": (lambda path: Tasks(sleeps, 1, 1), lambda tasks: tasks._children[0]._pid),
-    "FeatureRead": (FeatureRead, lambda read: read._pid),
+    "FeatureRead": (FeatureRead, lambda read: read._children[0]._pid),
 }
 
 
