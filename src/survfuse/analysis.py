@@ -47,7 +47,7 @@ from .errors import (
     TooFewPairsError,
     TooFewResamplesError,
 )
-from .forks import Tasks, blas_pinned, usable_cpus
+from .forks import Tasks, blas_pinned
 from .fusion import fit_fusion, predict_fused, score_component
 from .kinds import ARTIFACTS, COMPONENTS, MODEL_KINDS, RV_MODEL, TAGS, reads_imaging
 from .metrics import (
@@ -293,25 +293,20 @@ def _evaluate_task(task: _Task, cfg: dict, labels, raw, prob, pesi_test, rv_test
     }
 
 
-def _evaluation_workers() -> int:
-    """Forked workers for the seeded tasks: one per usable CPU but one in a
-    process whose BLAS is pinned to one thread, none where BLAS may run
-    threads of its own, which the children would compete with."""
-    return usable_cpus() - 1 if blas_pinned() else 0
-
-
 def _evaluate(plan, evaluate, sizes) -> StudyReport:
     """The report of ``plan``, each task computed by ``evaluate``. The
     seeded tasks, the bootstraps, go to a ``forks.Tasks`` pool, heaviest
     first by the size of their split (twice that for a comparison, which
-    scores two models); the others are computed here. The first task in
-    plan order that failed raises its error, whichever process ran it."""
+    scores two models); the others are computed here, and the pool forks
+    only where BLAS, which the children would compete with, is pinned to
+    one thread. The first task in plan order that failed raises its error,
+    whichever process ran it."""
     def weight(k):
         return sizes[plan[k].split] * (2 if plan[k].section == "comparisons" else 1)
 
     pooled = sorted((k for k, task in enumerate(plan) if task.seed is not None), key=weight,
                     reverse=True)
-    with Tasks(lambda j: evaluate(plan[pooled[j]]), len(pooled), _evaluation_workers()) as tasks:
+    with Tasks(lambda j: evaluate(plan[pooled[j]]), len(pooled), blas_pinned()) as tasks:
         done = dict(zip(pooled, tasks.results()))
     sections = {name: {s: {} for s in SPLIT_NAMES} if len(keys) == 2 else {} if keys else None
                 for name, keys in _KEY_PATH.items()}

@@ -131,17 +131,21 @@ def _read_features(path):
     return FeatureRead(path) if path is not None else contextlib.nullcontext()
 
 
+def _input_file(flag: str, path: str) -> str:
+    """``path``, the input file given by ``--flag``, if it exists."""
+    if not os.path.exists(path):
+        raise InvalidConfigError(flag, f"file not found: {path}")
+    return path
+
+
 def _ingest_for_run(cfg: dict, features):
     from .dataset import attach_imaging, ingest_clinical
 
     if cfg["clinical"] is None:
         raise InvalidConfigError("clinical", "a clinical CSV path is required")
-    if not os.path.exists(cfg["clinical"]):
-        raise InvalidConfigError("clinical", f"file not found: {cfg['clinical']}")
-    ds = ingest_clinical(cfg["clinical"])
+    ds = ingest_clinical(_input_file("clinical", cfg["clinical"]))
     if cfg["features"] is not None:
-        if not os.path.exists(cfg["features"]):
-            raise InvalidConfigError("features", f"file not found: {cfg['features']}")
+        _input_file("features", cfg["features"])
         ds = attach_imaging(ds, features)
     elif reads_imaging(cfg["models"]):
         raise MissingModalityError(
@@ -272,10 +276,11 @@ def cmd_score(args) -> int:
 
         with _stage("ingest"):
             try:
-                ds = ingest_clinical(args.clinical)
+                ds = ingest_clinical(_input_file("clinical", args.clinical))
             except MissingColumnError as exc:
                 raise SchemaMismatchError(str(exc)) from exc
             if args.features:
+                _input_file("features", args.features)
                 ds = attach_imaging(ds, features)
 
     rows = []

@@ -10,21 +10,21 @@ of the package.
 A ``FeatureRead`` is a ``forks.Tasks`` pool over row blocks of the file,
 as the forest pool and the evaluation are. Before it forks, the caller
 checks the header and cuts the body into blocks of about ``_BLOCK_BYTES``
-that start at line starts. For a file of at least ``_FORK_MIN_BYTES`` the
-``usable_cpus() - 1`` children parse blocks while the caller goes on;
-``result`` parses every block no child has taken, collects the rest and
-joins them in block order, so the caller parses where it would wait.
-Without children the caller parses every block itself.
+that start at line starts. A file of at least ``_FORK_MIN_BYTES`` pays for
+children, which parse blocks while the caller goes on; ``result`` parses
+every block no child has taken, collects the rest and joins them in block
+order, so the caller parses where it would wait. Without children the
+caller parses every block itself.
 
 A block is split into lines and cells by hand, and ``_parse_rows`` checks
 its rows. A quoted field may span lines, so a file that holds a ``"``
-byte, or whose ``open()`` encoding is neither UTF-8 nor ASCII, is one
-block that ``read_columns`` reads whole. A block whose rows fail a check,
-or that ``csv.reader`` might read otherwise, makes ``result`` read the
-file with ``read_columns``, so every error is raised here by
-``read_columns``, with the row's index in the file. A block's cells go
-straight into one buffer shared with the children; its ids and
-probabilities cross the pipe.
+byte, or whose ``open()`` encoding is neither UTF-8 nor ASCII, is not cut:
+it starts no child, and ``result`` reads it with ``read_columns``. A block
+whose rows fail a check, or that ``csv.reader`` might read otherwise,
+makes ``result`` read the file with ``read_columns``, so every error is
+raised here by ``read_columns``, with the row's index in the file. A
+block's cells go straight into one buffer shared with the children; its
+ids and probabilities cross the pipe.
 """
 
 from __future__ import annotations
@@ -34,14 +34,12 @@ import csv
 import mmap
 import os
 from array import array
-from collections.abc import Iterator
-from functools import partial
 from itertools import chain
 from math import isfinite
 from operator import itemgetter, methodcaller
 
 from .errors import MalformedRowError, MissingColumnError
-from .forks import Tasks, usable_cpus
+from .forks import Tasks
 
 # feature-CSV rows whose cells are parsed together; bounds the cell strings
 # held at once while a file is read. The kept ids hold on to the memory
@@ -186,73 +184,34 @@ def read_columns(path) -> tuple[list[str], array, array, int]:
     return pids, probs, cells, len(layout[3])
 
 
-def _split_rows(raw: bytes, codec: str) -> Iterator[list[str]] | None:
-    """The rows of the quote-free lines ``raw``, split at LF or CRLF and at
-    commas as ``csv.reader`` splits them, one at a time; ``None`` where it
-    might read them otherwise: bytes that are not ``codec`` text, a CR that
-    ends no CRLF, a NUL, or a line longer than ``csv.field_size_limit()``."""
-    try:
-        text = raw.decode(codec)
-    except UnicodeDecodeError:
-        return None
-    if "\r" in text:
-        text = text.replace("\r\n", "\n")
+def _split_rows(raw: bytes, codec: str):
+    """The rows of the quote-free ``codec`` text ``raw``, split at LF or
+    CRLF and at commas as ``csv.reader`` splits them; ``csv.Error`` where
+    it might read them otherwise: at a CR that ends no CRLF, a NUL, or a
+    line longer than ``csv.field_size_limit()``."""
+    text = raw.decode(codec).replace("\r\n", "\n")
     lines = text.split("\n")
     if not lines[-1]:  # what follows the last line end
         lines.pop()
     if "\r" in text or "\0" in text or max(map(len, lines)) > csv.field_size_limit():
-        return None
+        raise csv.Error("left to csv.reader")
     return map(methodcaller("split", ","), lines)
 
 
-def _read_whole(path, k):
-    """The one block of a file that is not cut: ``read_columns(path)``, its
-    probabilities and cells as bytes."""
-    pids, probs, cells, d = read_columns(path)
-    return pids, probs.tobytes(), cells.tobytes(), d
-
-
-class _Blocks:
-    """The row blocks of a quote-free feature CSV mapped as ``data``: block
-    ``k`` is ``data[cuts[k]:cuts[k + 1]]`` and holds data rows ``rows[k]``
-    to ``rows[k + 1] - 1``. Each block's cells go straight to their place in
-    ``cells``, one buffer shared with the children forked later."""
-
-    def __init__(self, data, codec: str, layout, cuts: list[int], rows: list[int]):
-        self.data, self.codec, self.layout, self.cuts, self.rows = data, codec, layout, cuts, rows
-        self.d = len(layout[3])
-        self.cells = mmap.mmap(-1, 8 * self.d * rows[-1])
-
-    def parse(self, k: int):
-        """``(patient_ids, pe_probability)`` of block ``k``, the
-        probabilities as bytes, its cells written to ``cells``; ``False``
-        where ``_split_rows`` leaves the block to ``csv.reader`` or a row
-        fails a check."""
-        rows = _split_rows(self.data[self.cuts[k]:self.cuts[k + 1]], self.codec)
-        if rows is None:
-            return False
-        try:
-            pids, probs, cells = _parse_rows(rows, self.layout)
-        except MalformedRowError:
-            return False
-        # a row per line, so the slice has the cells' size
-        step = 8 * self.d
-        self.cells[step * self.rows[k]:step * self.rows[k + 1]] = cells
-        return pids, probs.tobytes()
-
-
-def _cut(path) -> tuple[int, _Blocks | None]:
-    """The size in bytes of a feature CSV (-1 if it cannot be opened) and
-    its ``_Blocks``; ``None`` for a file read whole by ``read_columns``:
-    one that is not UTF-8 or ASCII, holds a ``"`` byte or nothing after its
-    header line, or whose header row ``_split_rows`` leaves to
-    ``csv.reader`` or ``_layout`` refuses."""
+def _cut(path):
+    """``(data, codec, layout, cuts, rows)`` of a feature CSV read in row
+    blocks: the file mapped as ``data``, whose block ``k`` is
+    ``data[cuts[k]:cuts[k + 1]]`` and holds ``rows[k + 1] - rows[k]`` lines.
+    ``None`` for a file ``read_columns`` reads whole: one that cannot be
+    opened, is not UTF-8 or ASCII, holds a ``"`` byte or nothing after its
+    header line, or whose header line is not one row that ``_layout``
+    accepts."""
     try:
         with open(path, newline="") as fh:
             size = os.fstat(fh.fileno()).st_size
             codec = codecs.lookup(fh.encoding).name
             if not size or codec not in _BLOCK_CODECS:
-                return size, None
+                return None
             with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as scan:
                 body = scan.find(b"\n") + 1 or size
                 header = scan[:body]
@@ -264,51 +223,66 @@ def _cut(path) -> tuple[int, _Blocks | None]:
                     block = scan[cuts[-2]:cuts[-1]]
                     quoted = b'"' in block
                     rows.append(rows[-1] + block.count(b"\n") + (not block.endswith(b"\n")))
-            header = None if quoted or body == size else _split_rows(header, codec)
+            if quoted or body == size:
+                return None
             try:
-                layout = header and _layout(next(header))
-            except (MissingColumnError, ValueError):  # read_columns raises it in result()
-                layout = None
-            if not layout:
-                return size, None
-            # the pages the scan touched left with its mapping; the blocks'
-            # mapping holds only those a process parses
+                layout = _layout(next(_split_rows(header, codec)))
+            except (MissingColumnError, ValueError, csv.Error):  # read_columns raises it
+                return None
+            # the pages the scan touched left with its mapping; this one
+            # holds only those a process parses
             data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-    except OSError:  # result() raises the reader's own error
-        return -1, None
-    return size, _Blocks(data, codec, layout, cuts, rows)
+    except OSError:  # read_columns raises the reader's own error
+        return None
+    return data, codec, layout, cuts, rows
 
 
 class FeatureRead(Tasks):
     """A read of one feature CSV, its row blocks parsed on forked children
     if they pay for themselves. ``result`` returns ``read_columns(path)``
-    once, the probabilities and cells as bytes, arrays or a shared buffer."""
+    once: the cells in an ``array`` or in the buffer the blocks were
+    parsed into, which the result then holds alone."""
+
+    _data = _cells = None  # the mapped file and the cells' buffer, while blocks are parsed
 
     def __init__(self, path):
         self.path = path
-        size, self._blocks = _cut(path)
-        workers = usable_cpus() - 1 if size >= _FORK_MIN_BYTES else 0
-        if self._blocks is None:
-            super().__init__(partial(_read_whole, path), 1, workers)
-        else:
-            super().__init__(self._blocks.parse, len(self._blocks.cuts) - 1, workers)
+        cut = _cut(path)
+        if cut is None:  # result() reads the file with read_columns, here
+            super().__init__(None, 0, False)
+            return
+        self._data, self._codec, self._layout, self._cuts, self._rows = cut
+        self._d = len(self._layout[3])
+        self._cells = mmap.mmap(-1, 8 * self._d * self._rows[-1])
+        super().__init__(self._parse, len(self._cuts) - 1, len(self._data) >= _FORK_MIN_BYTES)
 
-    def result(self) -> tuple[list[str], array | bytes, array | mmap.mmap | bytes, int]:
-        blocks = self._blocks  # which close() lets go of
+    def _parse(self, k: int):
+        """``(patient_ids, pe_probability)`` of block ``k``, the
+        probabilities as bytes, its cells written to the shared buffer;
+        ``False`` where ``_split_rows`` leaves the block to ``csv.reader``
+        or a row fails a check."""
+        try:
+            pids, probs, cells = _parse_rows(
+                _split_rows(self._data[self._cuts[k]:self._cuts[k + 1]], self._codec),
+                self._layout)
+        except (MalformedRowError, ValueError, csv.Error):
+            return False
+        # a row per line, so the slice has the cells' size
+        step = 8 * self._d
+        self._cells[step * self._rows[k]:step * self._rows[k + 1]] = cells
+        return pids, probs.tobytes()
+
+    def result(self) -> tuple[list[str], array, array | mmap.mmap, int]:
+        cells = self._cells  # which close() lets go of
         parts = self.results()
-        # a failed block, or the whole read failed here: read_columns raises
-        if not all(isinstance(part, tuple) for part in parts):
+        # not cut, or a block failed: read_columns reads the file, and raises
+        if cells is None or not all(isinstance(part, tuple) for part in parts):
             return read_columns(self.path)
-        if blocks is None:
-            return parts[0]
-        pids, probs = [], array("d")
-        for block_pids, block_probs in parts:
-            pids += block_pids
-            probs.frombytes(block_probs)
-        return pids, probs, blocks.cells, blocks.d
+        pids, probs = zip(*parts)
+        return list(chain.from_iterable(pids)), array("d", b"".join(probs)), cells, self._d
 
     def close(self) -> None:
         super().close()
-        if self._blocks is not None:
-            self._blocks.data.close()
-            self._blocks = None
+        if self._data is not None:
+            self._data.close()
+        self._data = self._cells = None

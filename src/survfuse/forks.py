@@ -1,14 +1,14 @@
 """Forked children: how survfuse runs work on another CPU.
 
-Three callers fork, and each is a ``Tasks`` pool on one child per usable
-CPU but one. ``feature_csv.FeatureRead`` parses the row blocks of a feature
-CSV of at least ``_FORK_MIN_BYTES`` (1 MiB), started before ``score`` or
-``run`` imports numpy; ``rsf.start_forests`` grows a batch of forests of at
-least ``_POOL_MIN_WORK`` (2500) subjects x trees while the networks train;
-``analysis.run_study_full`` evaluates the study's bootstrap tasks once BLAS
-is pinned to one thread. Each caller computes the tasks no child has taken
-when it asks for the results, so its wait becomes work. With one usable
-CPU none forks.
+Three callers fork, each a ``Tasks`` pool that says only whether its work
+pays for a fork; ``Tasks`` then starts one child per usable CPU but one.
+``feature_csv.FeatureRead`` forks for a feature CSV of at least
+``_FORK_MIN_BYTES`` (1 MiB), before ``score`` or ``run`` imports numpy;
+``rsf.start_forests`` for forests of at least ``_POOL_MIN_WORK`` (2500)
+subjects x trees, while the networks train; ``analysis.run_study_full``
+for its bootstrap tasks, once BLAS is pinned to one thread. Each caller
+computes the tasks no child has taken when it asks for the results, so its
+wait becomes work. With one usable CPU none forks.
 
 A ``Child`` computes ``fn(*args)`` in a forked process, which inherits the
 function and its arguments instead of being sent them, and sends the value
@@ -177,9 +177,9 @@ def _take_tasks(fn, n, counter):
 
 
 class Tasks(_Closing):
-    """Tasks ``fn(0)``, ..., ``fn(n - 1)``, started on ``workers`` forked
-    children, which take task indices from one ``Counter`` and send their
-    values back by index once none is left.
+    """Tasks ``fn(0)``, ..., ``fn(n - 1)``, started, if ``fork`` holds, on one
+    forked child per usable CPU but one, which take task indices from one
+    ``Counter`` and send their values back by index once none is left.
 
     ``results`` computes here every task no child has taken, then every
     task a child did not return, and returns the values in task order. A
@@ -187,11 +187,11 @@ class Tasks(_Closing):
     caller can raise the first failure in an order of its own, whichever
     process ran which task."""
 
-    def __init__(self, fn, n: int, workers: int):
+    def __init__(self, fn, n: int, fork: bool):
         self._fn, self._n = fn, n
         self._counter = Counter()
         self._children = [Child(_take_tasks, fn, n, self._counter)
-                          for _ in range(min(workers, n))]
+                          for _ in range(min(usable_cpus() - 1, n) if fork else 0)]
 
     def _run(self, k):
         try:

@@ -82,7 +82,7 @@ from .errors import (
     NoEventsError,
     NonFiniteInputError,
 )
-from .forks import Tasks, usable_cpus as _usable_cpus
+from .forks import Tasks
 
 
 # candidate splits per block of the exact at-risk counts
@@ -473,7 +473,7 @@ class PendingForests(Tasks):
     forests; use the object as a context manager, so that an exception
     before ``finish`` stops the workers."""
 
-    def __init__(self, samples: list[_Sample], workers: int):
+    def __init__(self, samples: list[_Sample], fork: bool):
         self._samples = samples
         self._chunks = []
         for f, s in enumerate(samples):
@@ -481,7 +481,7 @@ class PendingForests(Tasks):
             step = max(1, round(_CHUNK_WORK / s.t.size))
             n_trees = s.options.n_trees
             self._chunks += [(f, lo, min(lo + step, n_trees)) for lo in range(0, n_trees, step)]
-        super().__init__(partial(_grow_chunk, samples, self._chunks), len(self._chunks), workers)
+        super().__init__(partial(_grow_chunk, samples, self._chunks), len(self._chunks), fork)
 
     def finish(self) -> list[ForestModel]:
         """The forests, their chunks' trees in stream order (see ``results``)."""
@@ -497,12 +497,11 @@ class PendingForests(Tasks):
 
 def start_forests(fits) -> PendingForests:
     """Start growing one forest per ``(X, labels, options)`` in ``fits``, on
-    ``_usable_cpus() - 1`` forked workers while this process goes on; the
-    inputs are checked here, before any tree is grown."""
+    forked workers while this process goes on if they pay for themselves;
+    the inputs are checked here, before any tree is grown."""
     samples = [_canonical_sample(X, labels, options) for X, labels, options in fits]
     work = sum(s.t.size * s.options.n_trees for s in samples)
-    workers = _usable_cpus() - 1 if work >= _POOL_MIN_WORK else 0
-    return PendingForests(samples, workers)
+    return PendingForests(samples, work >= _POOL_MIN_WORK)
 
 
 def fit_forest(X: np.ndarray, labels: Labels, options: RsfOptions) -> ForestModel:

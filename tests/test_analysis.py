@@ -31,6 +31,7 @@ from survfuse.errors import (
     TooFewResamplesError,
 )
 from survfuse import analysis, deep_survival, metrics, rsf
+from survfuse import forks as fork_module
 from survfuse.forks import blas_pinned
 from survfuse.config import effective_config
 from survfuse.metrics import c_index, wilcoxon_signed_rank
@@ -455,6 +456,12 @@ def evaluated_by(monkeypatch, log, fault=None):
     monkeypatch.setattr(analysis, "_evaluate_task", logged)
 
 
+def one_evaluation_worker(monkeypatch):
+    """The CLI's evaluation pool: BLAS pinned, and two usable CPUs."""
+    monkeypatch.setattr(analysis, "blas_pinned", lambda: True)
+    monkeypatch.setattr(fork_module, "usable_cpus", lambda: 2)
+
+
 class TestEvaluationPool:
     # the CLI's evaluation, on a worker as well as here, against the
     # library's, here alone
@@ -465,7 +472,7 @@ class TestEvaluationPool:
         if models is not None:
             cfg = {**cfg, "models": models}
             report = run_study(study_dataset, cfg)
-        monkeypatch.setattr(analysis, "_evaluation_workers", lambda: 1)
+        one_evaluation_worker(monkeypatch)
         log = tmp_path / "evaluated.log"
         evaluated_by(monkeypatch, log)
         pooled = run_study(study_dataset, cfg)
@@ -475,11 +482,12 @@ class TestEvaluationPool:
         assert set(by) - {str(TEST_PID)}, "the worker evaluated nothing"
         assert_no_child()
 
-    def test_library_forks_no_evaluation_worker(self, study_dataset, forks):
+    def test_library_forks_no_evaluation_worker(self, monkeypatch, study_dataset, forks):
         # numpy is loaded here, so BLAS may run threads: the pool has no
-        # worker, and this small study grows its forests here too
+        # worker on any number of CPUs, and this small study grows its
+        # forests here too
         assert not blas_pinned()
-        assert analysis._evaluation_workers() == 0
+        monkeypatch.setattr(fork_module, "usable_cpus", lambda: 4)
         run_study(study_dataset, {"seed": 3, **SMALL_HYPERS})
         assert forks == []
 
@@ -487,7 +495,7 @@ class TestEvaluationPool:
     def test_failed_worker_costs_only_time(self, monkeypatch, tmp_path, study_dataset,
                                            full_study, fault):
         (report, _), cfg = full_study
-        monkeypatch.setattr(analysis, "_evaluation_workers", lambda: 1)
+        one_evaluation_worker(monkeypatch)
         log = tmp_path / "evaluated.log"
         evaluated_by(monkeypatch, log, fault)
         assert report_bytes(run_study(study_dataset, cfg)) == report_bytes(report)
@@ -504,7 +512,7 @@ class TestEvaluationPool:
                 raise FloatingPointError(f"comparison of {task.kind}")
             return evaluate(task, **context)
 
-        monkeypatch.setattr(analysis, "_evaluation_workers", lambda: 1)
+        one_evaluation_worker(monkeypatch)
         monkeypatch.setattr(analysis, "_evaluate_task", failing)
         with pytest.raises(FloatingPointError, match="^comparison of rsf_fused$"):
             run_study(study_dataset, {"seed": 3, **SMALL_HYPERS})
@@ -524,7 +532,7 @@ class TestEvaluationPool:
                 raise KeyboardInterrupt
             return evaluate(task, **context)
 
-        monkeypatch.setattr(analysis, "_evaluation_workers", lambda: 1)
+        one_evaluation_worker(monkeypatch)
         monkeypatch.setattr(analysis, "_evaluate_task", stuck)
         with pytest.raises(KeyboardInterrupt):
             run_study(study_dataset, {"seed": 3, **SMALL_HYPERS})

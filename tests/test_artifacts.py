@@ -35,6 +35,7 @@ from survfuse.errors import IoError, SchemaMismatchError, UnknownModelKindError
 from survfuse.fusion import FusionModel, fit_fusion, predict_fused
 from survfuse.kinds import ARTIFACTS
 from survfuse import artifacts, cli, rsf
+from survfuse import forks as fork_module
 from survfuse.pesi import pesi_scores
 from survfuse.rsf import fit_forest, predict_risk
 
@@ -127,7 +128,7 @@ class TestRoundTrips:
             X = np.round(X)
         opts = rsf_options(n_trees=n_trees, min_leaf_size=int(rng.integers(1, t.size // 2 + 1)),
                            seed=seed)
-        with mock.patch.object(rsf, "_usable_cpus", return_value=cpus):
+        with mock.patch.object(fork_module, "usable_cpus", return_value=cpus):
             model = fit_forest(X, Labels(t, e), opts)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "rsf_clinical.json"
@@ -273,7 +274,7 @@ def random_model(rng, kind, ds, hidden, scale, n_trees):
                            min_leaf_size=int(rng.integers(1, len(labels) // 2 + 1)),
                            seed=int(rng.integers(2**16)))
         X_img = imaging_matrix(ds)
-        with mock.patch.object(rsf, "_usable_cpus", return_value=1):
+        with mock.patch.object(fork_module, "usable_cpus", return_value=1):
             if kind != "fusion_rsf":
                 return fit_forest(clinical_matrix(ds) if kind == "rsf_clinical" else X_img,
                                   labels, opts)

@@ -458,7 +458,7 @@ class TestRun:
                                                         caplog, forks):
         # the forests start on the pool before the networks train; the
         # clinical network's weights overflow (see test_diverged_loss_raises)
-        monkeypatch.setattr(rsf, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(fork_module, "usable_cpus", lambda: 2)
         monkeypatch.setattr(rsf, "_POOL_MIN_WORK", 0)
         started = []
         start_forests = rsf.start_forests

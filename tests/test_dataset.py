@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
@@ -1060,6 +1060,8 @@ class TestOrderStatistics:
 
     @settings(max_examples=400, deadline=None)
     @given(SAMPLES, st.lists(st.floats(0.0, 100.0), min_size=1, max_size=4))
+    # numpy's 50th percentile here is -0.0; one read off the sorted values is 0.0
+    @example([0.0, -0.0, -0.0, -1.0], [50.0])
     def test_percentiles_are_numpys(self, values, q):
         a = np.array(values)
         for qs in ([2.5, 97.5], q):

@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 
 import survfuse
 from survfuse import feature_csv
+from survfuse import forks as fork_module
 from survfuse.cli import main
 from survfuse.dataset import ingest_features
 from survfuse.feature_csv import FeatureRead, read_columns
@@ -40,7 +41,7 @@ PATHS = {"forked": 2, "in_process": 1}
 
 def use_cpus(monkeypatch, cpus):
     """``cpus`` usable CPUs, and a child for a feature file of any size."""
-    monkeypatch.setattr(feature_csv, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(fork_module, "usable_cpus", lambda: cpus)
     monkeypatch.setattr(feature_csv, "_FORK_MIN_BYTES", 0)
 
 
@@ -137,6 +138,10 @@ FAULTS = {
     "undecodable": "codec can't decode byte 0xff",
 }
 
+# the faults that leave a file uncut: read whole by read_columns, with no child
+UNCUT_FAULTS = {"missing_column", "no_feature_columns", "non_contiguous", "superscript_column",
+                "empty_file"}
+
 
 def score(panel, tmp_path, features, clinical=None, model="deep_imaging"):
     return main(["score", "--model", str(panel / "run" / "models" / f"{model}.json"),
@@ -158,7 +163,7 @@ class TestErrorParity:
             assert FAULTS[fault] in caplog.text
             assert not (tmp_path / "s.csv").exists()
             assert_no_child()
-        assert len(forks) == 1  # the forked read ran, and only it
+        assert len(forks) == (fault not in UNCUT_FAULTS)  # the forked read, if any, and only it
         assert seen["forked"] == seen["in_process"]
         # the reader's own failure is not a validation error
         assert seen["forked"][0] == (2 if fault in ("undecodable", "superscript_column") else 1)
@@ -181,17 +186,17 @@ class TestErrorParity:
         use_cpus(monkeypatch, 1)
         assert score(panel, tmp_path, panel / "features.csv") == 0
         want = (tmp_path / "s.csv").read_bytes()
-        parent, parse = os.getpid(), feature_csv._Blocks.parse
+        parent, parse = os.getpid(), FeatureRead._parse
 
-        def dies_in_the_child(blocks, k):
+        def dies_in_the_child(read, k):
             if os.getpid() != parent:
                 os.kill(os.getpid(), signal.SIGKILL)
-            return parse(blocks, k)
+            return parse(read, k)
 
         def not_called(path):
             raise AssertionError("the file was read again whole")
 
-        monkeypatch.setattr(feature_csv._Blocks, "parse", dies_in_the_child)
+        monkeypatch.setattr(FeatureRead, "_parse", dies_in_the_child)
         monkeypatch.setattr(feature_csv, "read_columns", not_called)
         use_cpus(monkeypatch, 2)
         assert score(panel, tmp_path, panel / "features.csv") == 0
@@ -230,6 +235,17 @@ class TestNoChildLeft:
         assert code == 1
         assert "features: file not found" in caplog.text
         assert forks == []  # a file that cannot be read starts no child
+        assert_no_child()
+
+    @pytest.mark.parametrize("flag", ["clinical", "features"])
+    def test_score_with_missing_input_file(self, panel, tmp_path, caplog, forks, flag):
+        # the check run makes, after the artifact is loaded
+        inputs = {"clinical": panel / "clinical.csv", "features": panel / "features.csv",
+                  flag: tmp_path / "ghost.csv"}
+        assert score(panel, tmp_path, inputs["features"], inputs["clinical"]) == 1
+        assert f"[ingest] {flag}: file not found: {tmp_path / 'ghost.csv'}" in caplog.text
+        assert not (tmp_path / "s.csv").exists()
+        assert len(forks) == (flag == "clinical")
         assert_no_child()
 
     def test_run_with_bad_clinical_file(self, panel, tmp_path, caplog, forks):
@@ -294,12 +310,15 @@ class TestForkedReadParity:
             path.write_bytes(text.encode())
             want = ingest_features(path)
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(feature_csv, "usable_cpus", lambda: 2)
+                mp.setattr(fork_module, "usable_cpus", lambda: 2)
                 mp.setattr(feature_csv, "_FORK_MIN_BYTES", 0)
                 mp.setattr(os, "fork", spy)
                 with FeatureRead(path) as read:
+                    cut = read._cells is not None
                     got = ingest_features(read)
-        assert len(made) == 1  # the forked read ran
+        # a file with data rows and no quote is cut, and only a cut file forks
+        assert cut == ('"' not in text and bool(text.partition("\n")[2]))
+        assert len(made) == cut
         assert_no_child()
         for a, b in zip(got, want):
             assert a.dtype == b.dtype and a.shape == b.shape
@@ -328,7 +347,7 @@ class TestForkedReadParity:
         (1, 0, False), (2, 0, True), (2, 58, True), (2, 59, False)])
     def test_child_only_with_two_cpus_and_a_large_file(self, tmp_path, monkeypatch, forks,
                                                        cpus, min_bytes, forked):
-        monkeypatch.setattr(feature_csv, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(fork_module, "usable_cpus", lambda: cpus)
         monkeypatch.setattr(feature_csv, "_FORK_MIN_BYTES", min_bytes)
         path = tmp_path / "f.csv"
         path.write_text("patient_id,acquisition_id,pe_probability,f0\nP1,A0,0.5,2.5\n")
@@ -395,7 +414,7 @@ def block_cases(draw):
 def read_in_blocks(path, block_bytes, workers):
     """``outcome`` of ``FeatureRead(path).result()``, with blocks of
     ``block_bytes`` on ``workers`` children; whether the file was cut into
-    blocks, and whether ``read_columns`` ran in this process."""
+    blocks, and how often ``read_columns`` ran in this process."""
     called = []
 
     def spy(path):
@@ -405,13 +424,13 @@ def read_in_blocks(path, block_bytes, workers):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(feature_csv, "_BLOCK_BYTES", block_bytes)
         mp.setattr(feature_csv, "_FORK_MIN_BYTES", 0)
-        mp.setattr(feature_csv, "usable_cpus", lambda: workers + 1)
+        mp.setattr(fork_module, "usable_cpus", lambda: workers + 1)
         mp.setattr(feature_csv, "read_columns", spy)
         with FeatureRead(path) as read:
-            cut = read._blocks is not None
+            cut = read._cells is not None
             got = outcome(read.result)
     assert_no_child()
-    return got, cut, bool(called)
+    return got, cut, len(called)
 
 
 def same_columns(got, want):
@@ -434,7 +453,8 @@ class TestBlockReadParity:
                 (got, error), cut, fell_back = read_in_blocks(path, block_bytes, workers)
                 assert error == want_error
                 assert cut == (rows > 0)
-                # a well-formed file is parsed in blocks alone
+                # a well-formed file is parsed in blocks alone, any other
+                # read by read_columns once
                 assert fell_back == (error is not None or not cut)
                 assert error is not None or same_columns(got, want)
 
@@ -442,6 +462,8 @@ class TestBlockReadParity:
     ODD_BODIES = {
         "lone_cr_line_ends": b"P1,A0,0.5,1.5\rP2,A0,0.5,2.5\r",
         "cr_in_a_cell": b"P1,A0,0.5,1.5\nP\r2,A0,0.5,2.5\n",
+        # a row and a blank one to the file read
+        "cr_run_line_end": b"P1,A0,0.5,1.5\r\r\nP2,A0,0.5,2.5\n",
         "nul_in_an_id": b"P1,A0,0.5,1.5\nP\x002,A0,0.5,2.5\n",
         "long_id": b"P1,A0,0.5,1.5\n" + b"P" * 300 + b",A0,0.5,2.5\n",
         "undecodable_id": b"P1,A0,0.5,1.5\nP\xff,A0,0.5,2.5\n",
@@ -456,24 +478,44 @@ class TestBlockReadParity:
         try:
             want, want_error = outcome(read_columns, path)
             for workers in (0, 1):
-                (got, error), cut, fell_back = read_in_blocks(path, 64, workers)
-                assert cut and fell_back and error == want_error
+                (got, error), cut, whole_reads = read_in_blocks(path, 64, workers)
+                assert cut and whole_reads == 1 and error == want_error
                 assert error is not None or same_columns(got, want)
         finally:
             csv.field_size_limit(limit)
 
+    @pytest.mark.parametrize("end", [b"\r", b"\r\r\n"])
+    def test_a_header_line_of_more_rows_is_read_whole(self, tmp_path, forks, end):
+        # the file read's second row starts within the header line
+        path = tmp_path / "f.csv"
+        path.write_bytes(b"patient_id,acquisition_id,pe_probability,f0" + end
+                         + b"P1,A0,0.5,1.5\nP2,A0,0.5,2.5\n")
+        want, want_error = outcome(read_columns, path)
+        for workers in (0, 1):
+            (got, error), cut, whole_reads = read_in_blocks(path, 64, workers)
+            assert not cut and whole_reads == 1 and error == want_error
+            assert error is not None or same_columns(got, want)
+        assert forks == []
+
     @pytest.mark.parametrize("workers", [0, 1, 2])
-    def test_quoted_fields_read_the_file_whole(self, tmp_path, workers):
+    def test_quoted_fields_read_the_file_whole(self, tmp_path, forks, workers):
         # quoted ids, and quoted acquisition ids spanning a line end, which a
-        # cut at that line end would split
+        # cut at that line end would split; with a non-numeric cell too, so
+        # a malformed file is also read once, and by no child
         lines = ["patient_id,acquisition_id,pe_probability,f0,f1"]
         lines += [f'"P {i}","A{i}\nscan",0.5,{i / 7!r},-0' for i in range(200)]
         path = tmp_path / "f.csv"
         path.write_text("\n".join(lines) + "\n")
         want = read_columns(path)
         assert want[0][1] == "P 1" and len(want[0]) == 200
-        (got, error), cut, _ = read_in_blocks(path, 64, workers)
-        assert error is None and not cut and same_columns(got, want)
+        (got, error), cut, whole_reads = read_in_blocks(path, 64, workers)
+        assert error is None and not cut and whole_reads == 1 and same_columns(got, want)
+        lines[150] = lines[150].replace(",-0", ",x")
+        path.write_text("\n".join(lines) + "\n")
+        (_, error), cut, whole_reads = read_in_blocks(path, 64, workers)
+        assert error == outcome(read_columns, path)[1]
+        assert error[1] == "row 149: feature cells must all be numeric"
+        assert not cut and whole_reads == 1 and forks == []
 
     @pytest.mark.parametrize("workers", [0, 1])
     def test_other_encodings_read_the_file_whole(self, tmp_path, monkeypatch, workers):
@@ -483,8 +525,9 @@ class TestBlockReadParity:
         path = tmp_path / "f.csv"
         path.write_text("patient_id,acquisition_id,pe_probability,f0\nP\u00e9,A0,0.5,2.5\n",
                         encoding="utf-8")
-        (got, error), cut, _ = read_in_blocks(path, 64, workers)
-        assert error is None and not cut and same_columns(got, read_columns(path))
+        (got, error), cut, whole_reads = read_in_blocks(path, 64, workers)
+        assert error is None and not cut and whole_reads == 1
+        assert same_columns(got, read_columns(path))
 
 
 
@@ -554,10 +597,10 @@ class TestLazyImports:
                 "--features", str(panel / "features.csv"), "--out", str(tmp_path / "s.csv")]
         code = (
             "import os, sys\n"
-            "from survfuse import feature_csv\n"
+            "from survfuse import feature_csv, forks\n"
             "from survfuse.cli import main\n"
             "feature_csv._FORK_MIN_BYTES = 0\n"
-            "feature_csv.usable_cpus = lambda: 2\n"
+            "forks.usable_cpus = lambda: 2\n"
             "fork, numpy_at_fork = os.fork, []\n"
             "def spy():\n"
             "    numpy_at_fork.append('numpy' in sys.modules)\n"

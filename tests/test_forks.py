@@ -127,26 +127,40 @@ def square_or_fail(k):
 TEST_PID = os.getpid()
 
 
+def use_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(fork_module, "usable_cpus", lambda: cpus)
+
+
 class TestTasks:
     @pytest.mark.parametrize("workers", [0, 1, 3])
-    def test_values_come_back_in_task_order(self, forks, workers):
-        with Tasks(lambda k: (k, os.getpid()), 40, workers) as tasks:
+    def test_values_come_back_in_task_order(self, monkeypatch, forks, workers):
+        # a pool that forks starts a child per usable CPU but one
+        use_cpus(monkeypatch, workers + 1)
+        with Tasks(lambda k: (k, os.getpid()), 40, True) as tasks:
             values = tasks.results()
         assert [k for k, _ in values] == list(range(40))
         assert len(forks) == workers
         assert {pid for _, pid in values} - {os.getpid()} <= set(forks)
         assert_no_child()
 
+    def test_no_child_where_the_work_does_not_pay(self, monkeypatch, forks):
+        use_cpus(monkeypatch, 4)
+        with Tasks(lambda k: k, 40, False) as tasks:
+            assert tasks.results() == list(range(40))
+        assert forks == []
+
     @pytest.mark.parametrize("workers", [0, 2])
-    def test_a_task_that_raises_here_holds_its_exception(self, workers):
-        with Tasks(square_or_fail, 6, workers) as tasks:
+    def test_a_task_that_raises_here_holds_its_exception(self, monkeypatch, workers):
+        use_cpus(monkeypatch, workers + 1)
+        with Tasks(square_or_fail, 6, True) as tasks:
             values = tasks.results()
         assert [v for k, v in enumerate(values) if k != 3] == [0, 1, 4, 16, 25]
         assert isinstance(values[3], ArithmeticError) and str(values[3]) == "task 3"
         assert_no_child()
 
-    def test_more_workers_than_tasks(self, forks):
-        with Tasks(square_or_fail, 2, 5) as tasks:
+    def test_more_workers_than_tasks(self, monkeypatch, forks):
+        use_cpus(monkeypatch, 6)
+        with Tasks(square_or_fail, 2, True) as tasks:
             assert tasks.results() == [0, 1]
         assert len(forks) == 2
         assert_no_child()
@@ -170,7 +184,7 @@ def large_feature_csv(path):
 # each way to start a child, and where the started object keeps its pid
 _STARTS = {
     "Child": (lambda path: Child(time.sleep, 30.0), lambda child: child._pid),
-    "Tasks": (lambda path: Tasks(sleeps, 1, 1), lambda tasks: tasks._children[0]._pid),
+    "Tasks": (lambda path: Tasks(sleeps, 1, True), lambda tasks: tasks._children[0]._pid),
     "FeatureRead": (FeatureRead, lambda read: read._children[0]._pid),
 }
 
@@ -178,7 +192,7 @@ _STARTS = {
 @pytest.mark.parametrize("start", sorted(_STARTS))
 def test_an_exception_in_the_with_block_kills_and_reaps_the_child(monkeypatch, tmp_path,
                                                                   start):
-    monkeypatch.setattr(feature_csv, "usable_cpus", lambda: 2)
+    use_cpus(monkeypatch, 2)
     begin, pid_of = _STARTS[start]
     path = large_feature_csv(tmp_path / "features.csv")
     with pytest.raises(KeyError):

@@ -791,7 +791,7 @@ class TestFitForest:
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     @pytest.mark.parametrize("n_trees", [1, 2, 5])
     def test_pool_grows_the_serial_forest(self, monkeypatch, cpus, n_trees):
-        monkeypatch.setattr(rsf, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(fork_module, "usable_cpus", lambda: cpus)
         monkeypatch.setattr(rsf, "_POOL_MIN_WORK", 0)
         monkeypatch.setattr(rsf, "_CHUNK_WORK", 180)  # two trees per chunk
         monkeypatch.setattr(rsf, "_grow_trees", grow_trees_tagged)
@@ -816,7 +816,7 @@ class TestFitForest:
     def test_caller_takes_back_unclaimed_chunks(self, monkeypatch, tmp_path, cpus, take_back):
         # two forests of uneven chunks in one batch: (0, 2), (2, 4), (4, 5)
         # of the 90-subject forest and (0, 3), (3, 5) of the 60-subject one
-        monkeypatch.setattr(rsf, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(fork_module, "usable_cpus", lambda: cpus)
         monkeypatch.setattr(rsf, "_POOL_MIN_WORK", 0)
         monkeypatch.setattr(rsf, "_CHUNK_WORK", 180)
         log = tmp_path / "claims.log"
@@ -854,7 +854,7 @@ class TestFitForest:
 
     def test_closing_before_finish_stops_the_workers(self, monkeypatch, forks):
         # the workers are stopped, not waited for: each would take 10 s
-        monkeypatch.setattr(rsf, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(fork_module, "usable_cpus", lambda: 3)
         monkeypatch.setattr(rsf, "_POOL_MIN_WORK", 0)
         monkeypatch.setattr(rsf, "_grow_trees", grow_trees_stuck_in_workers)
         X, labels = surv_data(np.random.default_rng(76), 90, 3, (1.0, -1.0, 0.0))
@@ -879,7 +879,7 @@ class TestFitForest:
                 raise FloatingPointError("raised in a worker")
             return grow_trees_tagged(*share)
 
-        monkeypatch.setattr(rsf, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(fork_module, "usable_cpus", lambda: 2)
         monkeypatch.setattr(rsf, "_POOL_MIN_WORK", 0)
         monkeypatch.setattr(rsf, "_CHUNK_WORK", 180)  # two trees per chunk
         log = tmp_path / "claims.log"
@@ -901,7 +901,7 @@ class TestFitForest:
         def fail(*share):
             raise FloatingPointError(f"raised in process {os.getpid()}")
 
-        monkeypatch.setattr(rsf, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(fork_module, "usable_cpus", lambda: 2)
         monkeypatch.setattr(rsf, "_POOL_MIN_WORK", 0)
         log = tmp_path / "claims.log"
         log_claims(monkeypatch, log, fail)
@@ -928,7 +928,7 @@ class TestFitForest:
                 fh.write("".join(f"{ss.spawn_key[-1]}\n" for ss in share[4]))
             return trees
 
-        monkeypatch.setattr(rsf, "_usable_cpus", lambda: 6)
+        monkeypatch.setattr(fork_module, "usable_cpus", lambda: 6)
         monkeypatch.setattr(rsf, "_POOL_MIN_WORK", 0)
         monkeypatch.setattr(rsf, "_CHUNK_WORK", 1)
         monkeypatch.setattr(rsf, "_grow_trees", grow_and_log)
@@ -944,7 +944,7 @@ class TestFitForest:
         assert_no_child()
 
     def test_inputs_are_checked_at_start(self, monkeypatch):
-        monkeypatch.setattr(rsf, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(fork_module, "usable_cpus", lambda: 2)
         X, labels = surv_data(np.random.default_rng(77), 40, 2, (1.0, 0.0))
         good = (X, labels, rsf_options(n_trees=2, min_leaf_size=5))
         with pytest.raises(NoEventsError):
@@ -954,7 +954,7 @@ class TestFitForest:
     @pytest.mark.parametrize("n_trees", [2, 27])
     def test_small_forest_grows_in_this_process(self, monkeypatch, n_trees):
         # 90 subjects x 27 trees is the least work that still starts the pool
-        monkeypatch.setattr(rsf, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(fork_module, "usable_cpus", lambda: 3)
         monkeypatch.setattr(rsf, "_grow_trees", grow_trees_tagged)
         monkeypatch.setattr(rsf, "_POOL_MIN_WORK", 90 * 27)
         X, labels = surv_data(np.random.default_rng(74), 90, 3, (1.0, -1.0, 0.0))
@@ -971,7 +971,7 @@ class TestFitForest:
     def test_batch_work_is_summed_for_the_pool_threshold(self, monkeypatch):
         # two forests of 90 x 14 trees: each alone is below 90 x 27, together
         # they are above it
-        monkeypatch.setattr(rsf, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(fork_module, "usable_cpus", lambda: 2)
         monkeypatch.setattr(rsf, "_POOL_MIN_WORK", 90 * 27)
         X, labels = surv_data(np.random.default_rng(78), 90, 3, (1.0, -1.0, 0.0))
         fit = (X, labels, rsf_options(n_trees=14, min_leaf_size=10))
