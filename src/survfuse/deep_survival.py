@@ -30,6 +30,20 @@ dimension is 1): it is the broadcast ``delta * W.T``, without blocks. Its
 floats are BLAS's but for the sign of an exact zero (BLAS gives +0); the
 gradients' sums do not keep that sign here, and a parameter minus either
 zero is the same float unless it is -0, which none from ``init_mlp`` is.
+
+Workspace: ``train`` makes one ``_Workspace`` per call, holding every
+subjects x width array of a step: each layer's pre-activations and each
+hidden layer's activations, which ``_forward_pass`` writes block by
+block, and each hidden layer's ReLU mask and backpropagated product,
+which the backward pass forms with ``out=`` (the masked product in place,
+the stacked ``da @ W.T`` of the layer above through ``_by_subjects``). Every
+epoch writes the same arrays again, so it allocates nothing of n x width
+floats; what it still allocates scales with n alone, or with the widths.
+The validation pass writes each of its blocks into one block-sized
+workspace, made once per call too. Scoring still holds one block: a
+``linear_scores`` call makes a block-sized workspace and passes every
+block through it. The workspace changes where the floats are written,
+not the operations or their operands, so the floats are the same.
 """
 
 from __future__ import annotations
@@ -107,39 +121,64 @@ def _subject_blocks(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(zip(bounds[:-1], bounds[1:]))
 
 
-def _by_subjects(a: np.ndarray, b: np.ndarray, reduce: bool = False) -> np.ndarray:
+def _by_subjects(a: np.ndarray, b: np.ndarray, reduce: bool = False,
+                 out: np.ndarray | None = None) -> np.ndarray:
     """``a @ b`` taken a block of subjects at a time (see the module
     docstring). Subjects are the rows of ``a``, and the block products are
-    stacked; or, with ``reduce``, the columns of ``a`` and rows of ``b``,
-    and the block products are added in block order. Up to
-    ``_SUBJECT_BLOCK`` + 1 subjects it is the one product ``a @ b``."""
+    stacked into ``out`` (a new array if none); or, with ``reduce``, the
+    columns of ``a`` and rows of ``b``, and the block products are added
+    in block order. Up to ``_SUBJECT_BLOCK`` + 1 subjects it is the one
+    product ``a @ b``."""
     blocks = _subject_blocks(b.shape[0] if reduce else a.shape[0])
     if len(blocks) == 1:
-        return a @ b
+        return np.matmul(a, b, out=out)
     if reduce:
         lo, hi = blocks[0]
-        out = a[:, lo:hi] @ b[lo:hi]
+        total = a[:, lo:hi] @ b[lo:hi]
         for lo, hi in blocks[1:]:
-            out += a[:, lo:hi] @ b[lo:hi]
-        return out
-    return np.concatenate([a[lo:hi] @ b for lo, hi in blocks])
+            total += a[:, lo:hi] @ b[lo:hi]
+        return total
+    if out is None:
+        out = np.empty((a.shape[0], b.shape[1]))
+    for lo, hi in blocks:
+        np.matmul(a[lo:hi], b, out=out[lo:hi])
+    return out
 
 
-def _forward_pass(model: MlpSurvModel, X: np.ndarray):
-    """Returns (hidden activations per layer incl. input, preactivations,
-    logits). Each subject block goes through every layer, one ReLU per
-    hidden layer, written into the block's rows of each layer's array."""
-    n = X.shape[0]
-    pre = [np.empty((n, W.shape[1])) for W in model.weights]
-    hs = [X] + [np.empty_like(a) for a in pre[:-1]]
-    for lo, hi in _subject_blocks(n):
+class _Workspace:
+    """The subjects x width arrays of a pass over up to ``rows`` subjects,
+    made once and written again by each pass: every layer's pre-activations
+    and every hidden layer's activations, and, for the backward pass
+    (``backward``), every hidden layer's ReLU mask and backpropagated
+    product (``delta * W.T`` or the layer above's stacked ``da @ W.T``,
+    then masked in place)."""
+
+    def __init__(self, dims: tuple[int, ...], rows: int, backward: bool = True):
+        hidden = dims[1:-1]
+        self.pre = [np.empty((rows, width)) for width in dims[1:]]
+        self.hs = [np.empty((rows, width)) for width in hidden]
+        if backward:
+            self.mask = [np.empty((rows, width), dtype=bool) for width in hidden]
+            self.dh = [np.empty((rows, width)) for width in hidden]
+
+
+def _block_workspace(model: MlpSurvModel, n: int) -> _Workspace:
+    """A forward workspace for the largest of ``n`` subjects' blocks."""
+    return _Workspace(model.layer_dims, min(n, _SUBJECT_BLOCK + 1), backward=False)
+
+
+def _forward_pass(model: MlpSurvModel, X: np.ndarray, ws: _Workspace) -> np.ndarray:
+    """The logits of X's rows. Each subject block goes through every layer,
+    one ReLU per hidden layer, written into the block's rows of each
+    layer's arrays in ``ws``, which has at least X's rows."""
+    for lo, hi in _subject_blocks(X.shape[0]):
         h = X[lo:hi]
-        for W, b, a, relu in zip(model.weights, model.biases, pre, hs[1:] + [None]):
+        for W, b, a, relu in zip(model.weights, model.biases, ws.pre, ws.hs + [None]):
             a = np.matmul(h, W, out=a[lo:hi])
             a += b
             if relu is not None:
                 h = np.maximum(a, 0.0, out=relu[lo:hi])
-    return hs, pre[:-1], pre[-1].ravel()
+    return ws.pre[-1][:X.shape[0], 0]
 
 
 def _check_input(model: MlpSurvModel, X: np.ndarray) -> np.ndarray:
@@ -155,9 +194,15 @@ def linear_scores(model: MlpSurvModel, X: np.ndarray) -> np.ndarray:
     """Pre-sigmoid output logits, one subject block at a time through every
     layer, so no more than one block's activations are held at once."""
     X = _check_input(model, X)
+    return _blockwise_logits(model, X, _block_workspace(model, X.shape[0]))
+
+
+def _blockwise_logits(model: MlpSurvModel, X: np.ndarray, ws: _Workspace) -> np.ndarray:
+    """``linear_scores`` of checked inputs, each block's pass written into
+    the one-block workspace ``ws``."""
     z = np.empty(X.shape[0])
     for lo, hi in _subject_blocks(X.shape[0]):
-        z[lo:hi] = _forward_pass(model, X[lo:hi])[2]
+        z[lo:hi] = _forward_pass(model, X[lo:hi], ws)
     return z
 
 
@@ -196,14 +241,20 @@ def _cox_loss_grad(scores, table: EventTable, tie_method="efron", with_grad=True
     return -ll / n_events, -grad_eta / n_events
 
 
-def _loss_and_gradients(model, X, table: EventTable, weight_decay, tie_method):
-    """Training objective and analytic gradients for every parameter.
+def _loss_and_gradients(model, X, table: EventTable, weight_decay, tie_method,
+                        ws: _Workspace | None = None):
+    """Training objective and analytic gradients for every parameter, every
+    subjects x width array of the step written into ``ws`` (X's rows; a
+    new one if none).
 
     The objective is the per-event negative partial log-likelihood of the
     sigmoid scores plus an L2 penalty on the weight matrices (biases are not
     penalized). Returns ``(loss, weight_grads, bias_grads)``.
     """
-    hs, pre, z = _forward_pass(model, X)
+    if ws is None:
+        ws = _Workspace(model.layer_dims, X.shape[0])
+    z = _forward_pass(model, X, ws)
+    hs = [X] + ws.hs
     s = sigmoid(z)
     loss, dloss_ds = _cox_loss_grad(s, table, tie_method)
     if weight_decay > 0:
@@ -216,13 +267,14 @@ def _loss_and_gradients(model, X, table: EventTable, weight_decay, tie_method):
     delta = dz[:, None]
     weight_grads[-1] = _by_subjects(hs[-1].T, delta, reduce=True)
     bias_grads[-1] = delta.sum(axis=0)
-    dh = delta * model.weights[-1].T
+    if len(model.weights) > 1:
+        dh = np.multiply(delta, model.weights[-1].T, out=ws.dh[-1])
     for k in range(len(model.weights) - 2, -1, -1):
-        da = dh * (pre[k] > 0.0)
+        da = np.multiply(dh, np.greater(ws.pre[k], 0.0, out=ws.mask[k]), out=dh)
         weight_grads[k] = _by_subjects(hs[k].T, da, reduce=True)
         bias_grads[k] = da.sum(axis=0)
         if k > 0:
-            dh = _by_subjects(da, model.weights[k].T)
+            dh = _by_subjects(da, model.weights[k].T, out=ws.dh[k - 1])
     if weight_decay > 0:
         for k, W in enumerate(model.weights):
             weight_grads[k] = weight_grads[k] + weight_decay * W
@@ -239,11 +291,19 @@ def train(model: MlpSurvModel, X: np.ndarray, labels: Labels, options: TrainOpti
     improvement. Without validation the final weights are returned. The
     input model is not modified. history[k] is the training loss evaluated
     at the start of epoch k, so ``learning_rate=0`` yields a constant
-    history and unchanged weights.
+    history and unchanged weights. Training or validation labels with no
+    death are refused before the first step.
     """
     X = _check_input(model, X)
     table = labels.table
-    val_table = None if val is None else val[1].table
+    if table.death_pos.size == 0:
+        raise NoEventsError("training labels have no event")
+    if val is not None:
+        X_val, val_table = _check_input(model, val[0]), val[1].table
+        if val_table.death_pos.size == 0:
+            raise NoEventsError("validation labels have no event")
+        val_ws = _block_workspace(model, X_val.shape[0])
+    ws = _Workspace(model.layer_dims, X.shape[0])
     # a step makes new parameter arrays, so no array is ever changed in place
     work = replace(model, weights=list(model.weights), biases=list(model.biases))
     best_val = np.inf
@@ -255,7 +315,7 @@ def train(model: MlpSurvModel, X: np.ndarray, labels: Labels, options: TrainOpti
         # likelihood before the loss value itself can be inspected
         try:
             loss, wg, bg = _loss_and_gradients(work, X, table, options.weight_decay,
-                                               options.tie_method)
+                                               options.tie_method, ws)
             if not math.isfinite(loss):
                 raise DivergedLossError(f"training loss became {loss}")
             history.append(float(loss))
@@ -264,8 +324,8 @@ def train(model: MlpSurvModel, X: np.ndarray, labels: Labels, options: TrainOpti
                 work.biases[k] = work.biases[k] - options.learning_rate * bg[k]
             if val is None:
                 continue
-            val_loss = _cox_loss_grad(forward(work, val[0]), val_table, options.tie_method,
-                                      with_grad=False)
+            val_loss = _cox_loss_grad(sigmoid(_blockwise_logits(work, X_val, val_ws)),
+                                      val_table, options.tie_method, with_grad=False)
         except NonFiniteInputError as exc:
             raise DivergedLossError(f"parameters overflowed during training: {exc}") from exc
         if not math.isfinite(val_loss):

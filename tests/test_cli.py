@@ -454,6 +454,26 @@ class TestRun:
         assert "truncate_30day: unknown field" in caplog.text
         assert not out.exists()
 
+    def test_validation_split_without_a_death_exits_2_naming_it(self, cohort, tmp_path,
+                                                               caplog):
+        # a copy of the cohort whose validation patients are all censored:
+        # the network refuses the split before it trains
+        val_rows = set(dataset.split_dataset(range(120), 11, 0.7, 0.1)[1].tolist())
+        with open(cohort / "clinical.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        for i in val_rows:
+            rows[i]["event"] = "0"
+        path = tmp_path / "clinical.csv"
+        with open(path, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+        code = main(["run", "--config", write_config(tmp_path), "--clinical", str(path),
+                     "--models", "pesi,deep_clinical", "--seed", "11",
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "[study] validation labels have no event" in caplog.text
+
     def test_diverged_network_stops_the_pending_forests(self, cohort, tmp_path, monkeypatch,
                                                         caplog, forks):
         # the forests start on the pool before the networks train; the

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -6,6 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
+
+try:
+    import resource
+except ImportError:
+    resource = None
 
 from survfuse import dataset, deep_survival
 from survfuse.dataset import EventTable, Labels
@@ -37,6 +46,14 @@ def per_event_loss(scores, labels, tie_method="efron"):
 def objective(model, X, labels, weight_decay=0.0):
     """``(loss, weight_grads, bias_grads)`` of the training objective."""
     return deep_survival._loss_and_gradients(model, X, labels.table, weight_decay, "efron")
+
+
+def forward_pass(model, X):
+    """``(activations incl. the input, hidden pre-activations, logits)`` of
+    ``deep_survival._forward_pass`` over X's rows, in a new workspace."""
+    ws = deep_survival._Workspace(model.layer_dims, X.shape[0], backward=False)
+    z = deep_survival._forward_pass(model, X, ws)
+    return [X] + ws.hs, ws.pre[:-1], z
 
 
 def surv_data(rng, n, d, beta):
@@ -222,24 +239,86 @@ class TestGradients:
         assert_allclose(with_wd, base + penalty, rtol=1e-12)
 
 
+def stacking_by_subjects(a, b, reduce=False):
+    """``deep_survival._by_subjects`` as it was before it wrote into a given
+    array: the block products stacked by ``np.concatenate``."""
+    blocks = block_bounds(b.shape[0] if reduce else a.shape[0], BLOCK)
+    if len(blocks) == 1:
+        return a @ b
+    if reduce:
+        lo, hi = blocks[0]
+        out = a[:, lo:hi] @ b[lo:hi]
+        for lo, hi in blocks[1:]:
+            out += a[:, lo:hi] @ b[lo:hi]
+        return out
+    return np.concatenate([a[lo:hi] @ b for lo, hi in blocks])
+
+
+def allocating_forward_pass(model, X):
+    """``deep_survival._forward_pass`` as it was before the workspace: new
+    layer arrays on every call, each block written into its rows."""
+    n = X.shape[0]
+    pre = [np.empty((n, W.shape[1])) for W in model.weights]
+    hs = [X] + [np.empty_like(a) for a in pre[:-1]]
+    for lo, hi in block_bounds(n, BLOCK):
+        h = X[lo:hi]
+        for W, b, a, relu in zip(model.weights, model.biases, pre, hs[1:] + [None]):
+            a = np.matmul(h, W, out=a[lo:hi])
+            a += b
+            if relu is not None:
+                h = np.maximum(a, 0.0, out=relu[lo:hi])
+    return hs, pre[:-1], pre[-1].ravel()
+
+
+def allocating_loss_and_gradients(model, X, table, weight_decay, tie_method):
+    """``deep_survival._loss_and_gradients`` as it was before the workspace:
+    every subjects x width array of the step a new one; kept as its oracle."""
+    hs, pre, z = allocating_forward_pass(model, X)
+    s = sigmoid(z)
+    loss, dloss_ds = deep_survival._cox_loss_grad(s, table, tie_method)
+    if weight_decay > 0:
+        loss += 0.5 * weight_decay * sum(float((W ** 2).sum()) for W in model.weights)
+    delta = (dloss_ds * s * (1.0 - s))[:, None]
+    wg = [None] * len(model.weights)
+    bg = [None] * len(model.biases)
+    wg[-1] = stacking_by_subjects(hs[-1].T, delta, reduce=True)
+    bg[-1] = delta.sum(axis=0)
+    dh = delta * model.weights[-1].T
+    for k in range(len(model.weights) - 2, -1, -1):
+        da = dh * (pre[k] > 0.0)
+        wg[k] = stacking_by_subjects(hs[k].T, da, reduce=True)
+        bg[k] = da.sum(axis=0)
+        if k > 0:
+            dh = stacking_by_subjects(da, model.weights[k].T)
+    if weight_decay > 0:
+        wg = [g + weight_decay * W for g, W in zip(wg, model.weights)]
+    return loss, wg, bg
+
+
 def oracle_train(model, X, labels, val, opts):
-    """``train`` with the validation loss taken from the loss-and-gradient
-    path, as before the value-only path; kept as its oracle."""
+    """``train`` as an allocating loop, kept as its oracle: every step from
+    ``allocating_loss_and_gradients``, the validation logits one block at a
+    time from ``allocating_forward_pass``, and the validation loss from the
+    loss-and-gradient path, as before the value-only path. Returns the
+    ``(weights, biases)`` that ``train`` should return, and the history."""
     table = EventTable(labels.times, labels.events)
-    val_table = EventTable(val[1].times, val[1].events)
+    val_table = None if val is None else EventTable(val[1].times, val[1].events)
     weights = [W.copy() for W in model.weights]
     biases = [b.copy() for b in model.biases]
     work = MlpSurvModel(model.layer_dims, weights, biases, model.seed, model.modality_tag)
     best_val, best, stale, history = np.inf, None, 0, []
     for _ in range(opts.epochs):
-        loss, wg, bg = deep_survival._loss_and_gradients(work, X, table, opts.weight_decay,
-                                                          opts.tie_method)
+        loss, wg, bg = allocating_loss_and_gradients(work, X, table, opts.weight_decay,
+                                                     opts.tie_method)
         history.append(float(loss))
         for k in range(len(weights)):
             weights[k] -= opts.learning_rate * wg[k]
             biases[k] -= opts.learning_rate * bg[k]
-        val_loss = deep_survival._cox_loss_grad(forward(work, val[0]), val_table,
-                                                opts.tie_method)[0]
+        if val is None:
+            continue
+        z = np.concatenate([allocating_forward_pass(work, val[0][lo:hi])[2]
+                            for lo, hi in block_bounds(val[0].shape[0], BLOCK)])
+        val_loss = deep_survival._cox_loss_grad(sigmoid(z), val_table, opts.tie_method)[0]
         if val_loss < best_val:
             best_val, best, stale = val_loss, ([W.copy() for W in weights],
                                                [b.copy() for b in biases]), 0
@@ -247,7 +326,7 @@ def oracle_train(model, X, labels, val, opts):
             stale += 1
             if stale >= opts.patience:
                 break
-    return best, history
+    return best or (weights, biases), history
 
 
 class TestTrain:
@@ -477,7 +556,7 @@ class TestSubjectBlocks:
         # other widths this OpenBLAS rounds a block of rows differently
         # from the whole matrix (see CHANGES.md)
         model, X, _ = net
-        hs, pre, z = deep_survival._forward_pass(model, X)
+        hs, pre, z = forward_pass(model, X)
         h = X
         for k, (W, b) in enumerate(zip(model.weights[:-1], model.biases[:-1])):
             a = h @ W + b
@@ -493,7 +572,7 @@ class TestSubjectBlocks:
         # through every block: the same products, so the same logits
         model, X, _ = net
         z = linear_scores(model, X)
-        assert same_bits(z, deep_survival._forward_pass(model, X)[2])
+        assert same_bits(z, forward_pass(model, X)[2])
         assert same_bits(forward(model, X), sigmoid(z))
 
     def test_scoring_holds_one_block_of_activations(self):
@@ -596,7 +675,7 @@ class TestOnePassPerStep:
     @given(pass_networks())
     def test_forward_pass_is_the_recomputing_pass(self, net):
         model, X, _ = net
-        hs, pre, z = deep_survival._forward_pass(model, X)
+        hs, pre, z = forward_pass(model, X)
         want_hs, want_pre, want_z = recomputing_forward_pass(model, X)
         assert len(hs) == len(want_hs) and len(pre) == len(want_pre)
         assert hs[0] is X
@@ -647,7 +726,7 @@ class TestOnePassPerStep:
         X = np.array([[0.5, -1.0, 2.0]])
         labels = Labels([3.0], [True])
         model = init_mlp(3, (4, 5), seed=2)
-        s = sigmoid(deep_survival._forward_pass(model, X)[2])
+        s = sigmoid(forward_pass(model, X)[2])
         delta = (deep_survival._cox_loss_grad(s, labels.table)[1] * s * (1.0 - s))[:, None]
         assert delta[0, 0] == 0.0 and np.signbit(delta[0, 0])
         W = model.weights[-1].T
@@ -659,11 +738,118 @@ class TestOnePassPerStep:
             assert same_bits(zero_sign_free(got), zero_sign_free(want))
         opts = train_options(learning_rate=0.1, epochs=5, patience=5, weight_decay=1e-3)
         got, got_history = train(model, X, labels, opts, val=(X, labels))
-        with mock.patch.object(deep_survival, "_loss_and_gradients", blas_loss_and_gradients):
+
+        def blas_step(model, X, table, weight_decay, tie_method, ws):
+            return blas_loss_and_gradients(model, X, table, weight_decay, tie_method)
+
+        with mock.patch.object(deep_survival, "_loss_and_gradients", blas_step):
             want, want_history = train(model, X, labels, opts, val=(X, labels))
         assert got_history == want_history
         for a, b in zip(got.weights + got.biases, want.weights + want.biases):
             assert same_bits(a, b)
+
+
+@st.composite
+def training_runs(draw):
+    """A network of one or two hidden layers, of widths up to 64 or of 70
+    (whose 241-subject blocks are over 128 KiB per layer), with training
+    and validation cohorts of one, two or three blocks drawn independently
+    (so the validation cohort may be the larger), and options under which
+    patience may fire or not."""
+    sizes = st.sampled_from((1, 2, 140, 240, 241, 242, 481, 723, 840))
+    n, n_val = draw(sizes), draw(sizes | st.none())
+    widths = st.integers(1, 64) | st.just(70)
+    d = draw(widths)
+    hidden = tuple(draw(st.lists(widths, min_size=1, max_size=2)))
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    beta = rng.standard_normal(d)
+    X, labels = surv_data(rng, n, d, beta)
+    val = None if n_val is None else surv_data(rng, n_val, d, beta)
+    epochs = 8
+    opts = train_options(learning_rate=draw(st.sampled_from([0.1, 2.0])), epochs=epochs,
+                         weight_decay=draw(st.sampled_from([0.0, 1e-2])),
+                         patience=draw(st.sampled_from([1, epochs])))
+    return init_mlp(d, hidden, seed=seed), X, labels, val, opts
+
+
+class TestWorkspace:
+    @settings(max_examples=60, deadline=None)
+    @given(training_runs())
+    def test_train_is_the_allocating_loop(self, run):
+        # the workspace moves where each float is written, not what it is:
+        # weights, biases and history bit for bit, signed zeros included
+        model, X, labels, val, opts = run
+        trained, history = train(model, X, labels, opts, val=val)
+        (weights, biases), want = oracle_train(model, X, labels, val, opts)
+        assert history == want
+        for got, expected in zip(trained.weights + trained.biases, weights + biases):
+            assert same_bits(got, expected)
+
+    def test_early_stop_and_full_run_are_the_allocating_loop(self):
+        # both ways out of the epoch loop, whatever the property draws
+        rng = np.random.default_rng(3)
+        X, labels = surv_data(rng, 140, 8, rng.standard_normal(8))
+        val = surv_data(rng, 242, 8, rng.standard_normal(8))
+        model = init_mlp(8, (70, 5), seed=4)
+        lengths = []
+        for patience in (2, 8):
+            opts = train_options(learning_rate=2.0, epochs=8, weight_decay=1e-2,
+                                 patience=patience)
+            trained, history = train(model, X, labels, opts, val=val)
+            (weights, biases), want = oracle_train(model, X, labels, val, opts)
+            assert history == want
+            for got, expected in zip(trained.weights + trained.biases, weights + biases):
+                assert same_bits(got, expected)
+            lengths.append(len(history))
+        assert lengths[0] < 8 == lengths[1]
+
+    @pytest.mark.parametrize("which", ["training", "validation"])
+    def test_labels_without_a_death_are_refused_before_any_step(self, which):
+        rng = np.random.default_rng(5)
+        X, labels = surv_data(rng, 30, 3, (1.0, -0.5, 0.2))
+        Xv, lv = surv_data(rng, 12, 3, (1.0, -0.5, 0.2))
+        if which == "training":
+            labels = Labels(labels.times, np.zeros(30, dtype=bool))
+        else:
+            lv = Labels(lv.times, np.zeros(12, dtype=bool))
+        opts = train_options(learning_rate=0.1, epochs=5, patience=5)
+        with mock.patch.object(deep_survival, "_loss_and_gradients") as step:
+            with pytest.raises(NoEventsError, match=f"^{which} labels have no event$"):
+                train(init_mlp(3, (4,), seed=1), X, labels, opts, val=(Xv, lv))
+        step.assert_not_called()
+
+    @pytest.mark.skipif(resource is None, reason="needs getrusage")
+    def test_epochs_fault_no_arrays_back_in(self):
+        # a fresh process, so that no earlier test has moved glibc's mmap
+        # threshold: an 840-subject 32 -> 64 -> 1 network trained for 120
+        # epochs with validation. Allocating each epoch's 840 x 64 arrays
+        # anew took about 45k minor faults; the workspace's first touch
+        # takes a few hundred
+        code = (
+            "import resource, numpy as np\n"
+            "from survfuse.dataset import Labels\n"
+            "from survfuse.deep_survival import TrainOptions, init_mlp, train\n"
+            "rng = np.random.default_rng(0)\n"
+            "def cohort(n):\n"
+            "    X = rng.standard_normal((n, 32))\n"
+            "    return X, Labels(rng.exponential(1.0, n), rng.random(n) < 0.8)\n"
+            "(X, y), val = cohort(840), cohort(180)\n"
+            "opts = TrainOptions(learning_rate=1e-3, epochs=120, weight_decay=1e-4,"
+            " patience=120)\n"
+            "model = init_mlp(32, (64,), seed=0, modality_tag='img')\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "_, history = train(model, X, y, opts, val=val)\n"
+            "print(len(history), resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        )
+        src = str(Path(deep_survival.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                              capture_output=True, text=True)
+        epochs, faults = map(int, done.stdout.split())
+        assert epochs == 120
+        assert faults < 5000
 
 
 class TestSigmoid:
